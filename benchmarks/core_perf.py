@@ -26,10 +26,10 @@ Cells come in eight kinds (schema ``bench-core/v7``):
   pipeline is timed, phase by phase (``network_s``, ``runner_s``,
   ``validate_s``, ``measure_s``).  Seed validation rebuilds the networkx
   export per call (the seed's ``trace.validate()`` behaviour); new
-  validation is the CSR fast path.
+  validation is the problem's numpy kernel.
 * ``kind="validate"`` — both pipelines run **untimed** (identity is still
   asserted) and only solution validation is timed, ``validations`` times per
-  trace.  These cells isolate the CSR-native validator speedup.
+  trace.  These cells isolate the validation-kernel speedup.
 * ``kind="measure"`` (v3) — the *new* pipeline runs untimed to produce
   traces, then the vendored seed measurement (``legacy_measure``, per-entity
   Python loops over dict views) and the numpy measurement path are timed on
@@ -58,7 +58,7 @@ Cells come in eight kinds (schema ``bench-core/v7``):
   per-trial seed schedule.  The two follow different documented seed
   schedules (per-node Mersenne vs block PCG64 — see
   ``repro/local/engine.py``), so no trace identity exists to assert;
-  instead **every trace from both engines must pass the CSR validators**,
+  instead **every trace from both engines must pass the problem kernels**,
   and the structural invariants shared by the two paths are asserted
   (Luby commit-round parity, matching completion rounds ``≡ 3 (mod 4)``).
   The distributional equivalence itself is pinned by the exhaustive seed
@@ -221,7 +221,7 @@ def _cells(quick: bool) -> List[Cell]:
                 lambda n: gen.random_regular_graph(4, n, seed=3),
             ),
             # Validation-only cell on a direct edge-list workload: keeps the
-            # CSR-native validation path and the (n, edges) plumbing covered
+            # kernel validation path and the (n, edges) plumbing covered
             # by `pytest -m bench_smoke`.
             Cell(
                 "luby-mis",
@@ -376,7 +376,7 @@ def _cells(quick: bool) -> List[Cell]:
             problems.SINKLESS_ORIENTATION,
             lambda n: gen.min_degree_graph(n, 3, seed=5),
         ),
-        # ---- validation-heavy cells (CSR validators vs nx export + nx scan) ----
+        # ---- validation-heavy cells (problem kernels vs nx export + nx scan) ----
         Cell(
             "luby-mis",
             "random-4-regular",
@@ -744,7 +744,7 @@ def _traces_identical(a, b) -> bool:
 
 
 def _trace_digest(trace) -> bytes:
-    """SHA-256 over the flat trace content — :func:`_traces_identical` per fingerprint.
+    """SHA-256 over the trace content — :func:`_traces_identical` per fingerprint.
 
     The batched cells compare ``trials`` reference traces against the batch
     output.  At T = 1000 / n = 10^4 holding the references alive while the
@@ -752,19 +752,21 @@ def _trace_digest(trace) -> bytes:
     cache pollution that tax the second timed region but belong to neither
     engine.  Fingerprinting the loop side's traces (32 bytes each) and
     freeing them before the batch timer starts keeps each side timed under
-    its own natural memory load.  Both sides of a batched cell are built by
-    :meth:`ExecutionTrace.from_arrays`, so the flat slot storage is
-    canonical; it is a superset of what :func:`_traces_identical` compares
-    (uncommitted slots included), hence equal digests ⇒ identical traces.
+    its own natural memory load.  The fingerprint reads only the public
+    trace API: the commit-round arrays say which slots committed and when,
+    and — the batched cells' problems having boolean outputs — the selected
+    nodes and edges give every committed value, so equal digests ⇒
+    identical traces.  (The dict views would say the same but cache one
+    entry per slot on every trace.)
     """
     payload = (
         trace.rounds,
         trace.completed,
         trace.total_messages,
-        tuple(trace._node_values),
-        trace._node_rounds.tobytes(),
-        tuple(trace._edge_values),
-        trace._edge_rounds.tobytes(),
+        trace.node_commit_rounds().tobytes(),
+        trace.edge_commit_rounds().tobytes(),
+        trace.selected_nodes(),
+        trace.selected_edges(),
     )
     return hashlib.sha256(pickle.dumps(payload, protocol=4)).digest()
 
@@ -872,7 +874,7 @@ def _run_validate_cell(cell: Cell, n, edges, identifiers, reps: int) -> Dict[str
     so these cells keep the same correctness guarantees as pipeline cells —
     they just isolate the validator comparison: the seed side re-exports the
     topology to networkx per call (the seed ``trace.validate()``), the new
-    side is the CSR-native fast path on the trace's array storage.
+    side is the problem's numpy kernel on the trace's array storage.
     """
     _, seed_measurement, seed_traces = _seed_pipeline(cell, n, edges, identifiers)
     _, new_measurement, new_traces = _new_pipeline(cell, n, edges, identifiers)
@@ -1133,7 +1135,7 @@ def _run_batched_cell(cell: Cell, reps: int) -> Dict[str, object]:
     stream — the same stream the loop side uses — so this is the one engine
     race with exact identity to assert: every batched trace must be
     **bit-identical** to its single-trial twin, and all traces must pass the
-    CSR validators, before any timing is recorded.  Identity is asserted
+    problem kernels, before any timing is recorded.  Identity is asserted
     via :func:`_trace_digest` fingerprints taken outside the timed regions,
     so neither side is timed while the other side's ~10^7-object reference
     traces are live (tuple-level identity at small T is pinned separately in
@@ -1273,8 +1275,8 @@ def _run_faulted_cell(cell: Cell, reps: int) -> Dict[str, object]:
         trace.require_valid()  # surviving-subgraph verdict
         assert cell.problem.validate_induced(
             network,
-            trace._node_value_slots(),
-            trace._edge_value_slots(),
+            trace.node_outputs,
+            trace.edge_outputs,
             trace.crashed,
         ), f"induced-survivor validity on {cell}"
         if self_stabilizing:

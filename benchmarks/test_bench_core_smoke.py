@@ -56,7 +56,7 @@ def test_quick_suite_produces_identical_pipelines(tmp_path):
             assert len(cell["rounds"]) == cell["trials"]
             assert cell["measurement"]["n"] == cell["n"]
 
-    # The quick suite must exercise the CSR-native validation cell kind (fed
+    # The quick suite must exercise the validation-only cell kind (fed
     # by a direct edge-list workload), so the large-n validation path of the
     # full suite cannot silently rot.
     validate_cells = [cell for cell in cells if cell["kind"] == "validate"]

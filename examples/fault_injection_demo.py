@@ -123,8 +123,8 @@ def self_stabilizing_recovery() -> None:
         timeline = trace.recovery
         strict = problems.MIS.validate_induced(
             network,
-            trace._node_value_slots(),
-            trace._edge_value_slots(),
+            trace.node_outputs,
+            trace.edge_outputs,
             trace.crashed,
         )
         print(

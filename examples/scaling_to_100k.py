@@ -16,7 +16,7 @@ a ``networkx.Graph`` **or a Python tuple per edge**:
 * the facade builds the network through the vectorised numpy CSR path
   (``Network.from_endpoint_arrays`` — the ``kind="build"`` cells of
   ``BENCH_core.json`` record the speedup over the tuple-row build), runs
-  the seeded trials, validates through the CSR-native validators, and
+  the seeded trials, validates through the problems' numpy kernels, and
   measures over numpy float64 reductions with tail quantiles;
 * the trials themselves run with ``engine="auto"``: Luby MIS implements the
   :class:`repro.local.engine.ArrayAlgorithm` protocol, so the round loop

@@ -6,7 +6,7 @@ different seeds) on the same network, validate every produced solution, and
 aggregate the traces into a :class:`~repro.core.metrics.ComplexityMeasurement`.
 
 The whole trial pipeline stays free of networkx and per-entity dicts:
-``validate=True`` checks each trace through the CSR-native fast path
+``validate=True`` checks each trace through the problem's numpy kernel
 (:meth:`ProblemSpec.validate_network` on the trace's array storage), so even
 ``n ≥ 10⁵`` trial batches never export the topology back to a
 ``networkx.Graph``.

@@ -1,12 +1,12 @@
 """Graph problem specifications and validity checkers.
 
 A :class:`ProblemSpec` declares which entities of the graph carry outputs
-(nodes, edges, or both) and how to check a complete output assignment for
-validity.  The declaration of *which* entities carry outputs matters beyond
-validation: the paper's Definition 1 ties the completion time of a node to
-the commitment of its own output **and** of the outputs of its incident
-edges (and symmetrically for edges), so the averaged-complexity computation
-in :mod:`repro.core.trace` consults the problem spec.
+(nodes, edges, or both) and how to check an output assignment for validity.
+The declaration of *which* entities carry outputs matters beyond validation:
+the paper's Definition 1 ties the completion time of a node to the commitment
+of its own output **and** of the outputs of its incident edges (and
+symmetrically for edges), so the averaged-complexity computation in
+:mod:`repro.core.trace` consults the problem spec.
 
 The concrete problems of the paper are provided as module-level constants /
 factories:
@@ -19,33 +19,47 @@ factories:
   head of the edge; no node may have out-degree 0), for graphs of minimum
   degree ≥ 3 as in Theorem 6.
 
-Every problem carries **two** validator implementations:
+Two validators per problem.  Every problem carries
 
-* a networkx reference validator (``is_maximal_independent_set`` and
-  friends) — the seed implementation, kept as the executable specification
-  and exercised by the compatibility path of :meth:`ProblemSpec.validate`;
-* a CSR-native validator (``csr_is_maximal_independent_set`` and friends)
-  that consumes a :class:`repro.local.network.Network`'s cached
-  ``indptr``/``indices`` flat arrays directly.  This is the hot path used by
-  :meth:`ProblemSpec.validate_network` and by
-  :meth:`repro.core.trace.ExecutionTrace.validate`: validating a trace never
-  exports the topology back to networkx.
+* a networkx reference ``validator`` (:func:`is_maximal_independent_set` and
+  friends) — the executable specification, run by :meth:`ProblemSpec.validate`
+  on a :class:`networkx.Graph` and used by the tests as the differential
+  oracle;
+* a numpy ``kernel`` over flat per-slot arrays — the path every
+  :class:`repro.local.network.Network` validation takes.  Values and
+  committed masks are vertex-indexed for nodes and follow
+  :attr:`Network.edges` slot order for edges; an ``alive`` mask says which
+  vertices the problem is posed for.
 
-CSR validators receive outputs as flat per-slot sequences (vertex-indexed
-for nodes, :attr:`Network.edges`-indexed for edges) with the module sentinel
-:data:`MISSING` marking absent outputs; :meth:`ProblemSpec.validate_network`
-accepts either mappings (the trace representation) or such sequences and
-normalises.
+Three entry points turn their inputs into those arrays and call the kernel.
+They differ only in the alive mask and in which commitments count:
 
-Every problem additionally carries a **surviving** validator
-(``csr_is_surviving_mis`` and friends) used by
-:meth:`ProblemSpec.validate_surviving` to score executions under crash-stop
-faults: crashed nodes and crash-adjacent edges are excused from committing,
-constraints are enforced on the surviving subgraph, and commitments a node
-made before dying still count where crash-stop semantics say they must
-(coverage, matchedness, domination, orientation heads).  The stricter
-:meth:`ProblemSpec.validate_induced` — validity of the plain induced
-subgraph, no concessions — backs the self-stabilisation recovery metrics.
+========================  ==========  ===========================  ==========================
+entry point               alive mask  commitments that count       outputs required of
+========================  ==========  ===========================  ==========================
+``validate_network``      all         all                          every node / edge
+``validate_surviving``    ¬crashed    all, a crashed node's too    survivors / survivor edges
+``validate_induced``      ¬crashed    none touching a dead vertex  survivors / survivor edges
+========================  ==========  ===========================  ==========================
+
+"Survivor edges" are the edges with both endpoints alive.  One difference
+is not a commitment mask: sinkless orientation exempts nodes of degree
+< 3, and the degree is the original one for surviving validation (a crash
+does not re-pose the problem) but the induced one for induced validation.
+
+*Surviving* validation scores an execution under crash-stop faults: what a
+node committed before dying stands where crash-stop semantics say it must
+(a crashed ``True`` neighbour covers an MIS survivor, a crashed ruler still
+dominates, a match towards a corpse still matches the survivor, an edge
+oriented towards a corpse still leaves its tail).  *Induced* validation is
+plain validity on the induced survivor subgraph — the self-stabilisation
+recovery metrics use it, so recovery is never credited to the dead.
+
+Inputs come in three forms, converted in one place (the entry points):
+mappings (vertex → value, canonical edge ``(u, v), u < v`` → value), per-slot
+sequences with :data:`MISSING` marking absent outputs, or value arrays with
+explicit ``node_committed`` / ``edge_committed`` masks (the engine's form,
+passed through without copies).
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
+import numpy as np
 
 __all__ = [
     "MISSING",
@@ -71,23 +86,10 @@ __all__ = [
     "is_maximal_matching",
     "is_proper_coloring",
     "is_sinkless_orientation",
-    "csr_is_independent_set",
-    "csr_is_maximal_independent_set",
-    "csr_is_ruling_set",
-    "csr_is_matching",
-    "csr_is_maximal_matching",
-    "csr_is_proper_coloring",
-    "csr_is_sinkless_orientation",
-    "csr_is_surviving_mis",
-    "csr_is_surviving_maximal_matching",
-    "csr_is_induced_mis",
-    "csr_is_induced_maximal_matching",
-    "csr_is_surviving_coloring",
-    "csr_is_surviving_ruling_set",
-    "csr_is_surviving_sinkless_orientation",
 ]
 
 Edge = Tuple[int, int]
+Outputs = Optional[Union[Mapping[Any, Any], Sequence[Any], np.ndarray]]
 
 
 class _Missing:
@@ -124,38 +126,29 @@ class ProblemSpec:
         name: human-readable problem name.
         labels_nodes: whether the problem assigns an output to every node.
         labels_edges: whether the problem assigns an output to every edge.
-        validator: callable ``(graph, node_outputs, edge_outputs) -> ValidationResult``
-            checking a complete assignment.  ``graph`` is a networkx graph on
-            vertices ``0..n-1``; ``node_outputs`` maps vertex → output;
-            ``edge_outputs`` maps canonical edge ``(u, v), u < v`` → output.
+        validator: networkx reference validator
+            ``(graph, node_outputs, edge_outputs) -> ValidationResult``
+            checking a complete assignment.  ``graph`` is a networkx graph
+            (vertex labels as in the network); ``node_outputs`` maps vertex →
+            output; ``edge_outputs`` maps canonical edge ``(u, v), u < v`` →
+            output.
         params: free-form parameters of the problem instance (e.g. α, β for
             ruling sets, the palette size for colouring).
-        csr_validator: CSR-native fast-path validator
-            ``(network, node_values, edge_values, stray_edges) -> ValidationResult``
-            where ``node_values``/``edge_values`` are flat per-slot sequences
-            (:data:`MISSING` marks absent outputs) and ``stray_edges`` lists
-            ``((u, v), value)`` entries of a mapping input that are not edges
-            of the network.  When ``None``, :meth:`validate_network` falls
-            back to the networkx validator via the network's cached export.
-        surviving_validator: fault-aware validator
-            ``(network, node_values, edge_values, crashed) -> ValidationResult``
-            scoring outputs on the **surviving subgraph** after crash-stop
-            node faults (``crashed`` is a set of dead vertices).  Unlike a
-            plain re-validation on the induced survivor graph, a surviving
-            validator may credit commitments towards crashed nodes (e.g. an
-            MIS survivor covered by a crashed-but-committed ``True``
-            neighbour).  When ``None``, :meth:`validate_surviving` falls
-            back to strict validation on the induced survivor subnetwork.
-        induced_validator: vectorised fast path for
-            :meth:`validate_induced`, signature ``(network, node_values,
-            node_committed, edge_values, edge_committed, crashed) ->
-            ValidationResult`` where the value/committed pairs are numpy
-            bool arrays (values of uncommitted slots are ignored).  Must
-            agree verdict-for-verdict with the strict
-            induced-survivor-subnetwork fallback; it exists because that
-            fallback (subnetwork build + relabel dicts per call) dominated
-            the per-round recovery check of faulted runs on both engines.
-            When ``None``, :meth:`validate_induced` uses the fallback.
+        kernel: numpy validator ``(network, node_values, node_committed,
+            edge_values, edge_committed, alive, *, induced) ->
+            ValidationResult`` over flat per-slot arrays (values of
+            uncommitted slots are ignored).  The entry points have already
+            checked that every alive node (node problems) and every
+            alive–alive edge (edge problems) committed.  The kernel enforces
+            the constraints for the alive vertices, crediting committed
+            outputs of dead ones where crash-stop semantics allow (the
+            module table); ``induced`` says the commitments touching dead
+            vertices were discarded and the problem is posed on the induced
+            survivor subgraph, which only the sinkless-orientation kernel
+            reads (its minimum-degree exemption then uses the induced
+            degree).  When ``None``, every entry point runs ``validator`` on
+            the network's networkx export — on the induced survivor subgraph
+            when some vertex is dead.
     """
 
     name: str
@@ -163,15 +156,7 @@ class ProblemSpec:
     labels_edges: bool
     validator: Callable[[nx.Graph, Mapping[int, Any], Mapping[Edge, Any]], ValidationResult]
     params: Mapping[str, Any] = field(default_factory=dict)
-    csr_validator: Optional[
-        Callable[[Any, Sequence[Any], Sequence[Any], Sequence[Tuple[Edge, Any]]], ValidationResult]
-    ] = None
-    surviving_validator: Optional[
-        Callable[[Any, Sequence[Any], Sequence[Any], "frozenset[int]"], ValidationResult]
-    ] = None
-    induced_validator: Optional[
-        Callable[[Any, Any, Any, Any, Any, "frozenset[int]"], ValidationResult]
-    ] = None
+    kernel: Optional[Callable[..., ValidationResult]] = None
 
     def validate(
         self,
@@ -181,18 +166,16 @@ class ProblemSpec:
     ) -> ValidationResult:
         """Check a complete output assignment against this problem.
 
-        ``graph`` may be a :class:`networkx.Graph` (the seed signature, kept
-        as a thin compatibility wrapper around the reference validators) or a
-        :class:`repro.local.network.Network`, which dispatches to the
-        CSR-native fast path of :meth:`validate_network`.
+        ``graph`` may be a :class:`networkx.Graph` (the seed signature: runs
+        the reference validator) or a :class:`repro.local.network.Network`,
+        which dispatches to :meth:`validate_network`.
         """
         if not isinstance(graph, nx.Graph):
             return self.validate_network(graph, node_outputs, edge_outputs)
         # An explicit MISSING value in a mapping is equivalent to the key
         # being absent (the sentinel means "never committed"); stripping the
-        # entries here keeps this reference path in verdict agreement with
-        # the CSR fast path, which normalises through slot sequences where
-        # the two cases are indistinguishable by construction.
+        # entries keeps this reference path in verdict agreement with the
+        # kernels, where the two cases are indistinguishable by construction.
         node_outputs = {
             v: value for v, value in (node_outputs or {}).items() if value is not MISSING
         }
@@ -205,7 +188,10 @@ class ProblemSpec:
                 return ValidationResult(False, f"missing node outputs for {missing[:5]}")
         if self.labels_edges:
             missing_edges = [
-                e for e in (_canon(u, v) for u, v in graph.edges()) if e not in edge_outputs
+                e
+                # repro-lint: allow[REP002] networkx reference path (the oracle)
+                for e in (_canon(u, v) for u, v in graph.edges())
+                if e not in edge_outputs
             ]
             if missing_edges:
                 return ValidationResult(False, f"missing edge outputs for {missing_edges[:5]}")
@@ -214,179 +200,189 @@ class ProblemSpec:
     def validate_network(
         self,
         network: Any,
-        node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]" = None,
-        edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]" = None,
+        node_outputs: Outputs = None,
+        edge_outputs: Outputs = None,
+        *,
+        node_committed: Optional[Any] = None,
+        edge_committed: Optional[Any] = None,
     ) -> ValidationResult:
-        """CSR fast path: validate against a :class:`Network` without networkx.
+        """Strict validation against a :class:`Network`: every vertex is alive.
 
-        ``node_outputs`` is either a vertex → value mapping or a sequence of
-        length ``n`` (slot ``v`` = output of vertex ``v``); ``edge_outputs``
-        is either a canonical-edge → value mapping or a sequence of length
-        ``m`` in :attr:`Network.edges` order.  :data:`MISSING` marks absent
-        outputs in sequence form.
+        ``node_outputs`` is a vertex → value mapping, a length-``n`` slot
+        sequence (:data:`MISSING` marks absent outputs) or a value array
+        accompanied by a ``node_committed`` bool mask; ``edge_outputs``
+        likewise with canonical-edge keys, length ``m`` in
+        :attr:`Network.edges` order, and ``edge_committed``.  A mapping entry
+        for a pair that is not an edge is scored by the reference validator,
+        exactly as the networkx path would score it.
         """
-        if self.csr_validator is None:
-            # Custom problem without a CSR validator: route through the
-            # reference implementation on the network's (cached) export.
-            return self.validate(
-                network.to_networkx(),
-                _slots_to_mapping_nodes(network, node_outputs),
-                _slots_to_mapping_edges(network, edge_outputs),
-            )
-        node_values = _node_slots(network, node_outputs)
-        edge_values, stray_edges = _edge_slots(network, edge_outputs)
-        if self.labels_nodes:
-            missing = [v for v in range(network.n) if node_values[v] is MISSING]
-            if missing:
-                return ValidationResult(False, f"missing node outputs for {missing[:5]}")
-        if self.labels_edges:
-            missing_slots = [i for i in range(network.m) if edge_values[i] is MISSING]
-            if missing_slots:
-                # Materialise the tuple edge view only on the failure path —
-                # a complete assignment (the overwhelmingly common case)
-                # never pays for per-edge tuples here.
-                edges = network.edges
-                missing_edges = [edges[i] for i in missing_slots[:5]]
-                return ValidationResult(False, f"missing edge outputs for {missing_edges}")
-        return self.csr_validator(network, node_values, edge_values, stray_edges)
+        return self._score(
+            network, node_outputs, edge_outputs, node_committed, edge_committed, None
+        )
 
     def validate_surviving(
         self,
         network: Any,
-        node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]" = None,
-        edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]" = None,
+        node_outputs: Outputs = None,
+        edge_outputs: Outputs = None,
         crashed: Sequence[int] = (),
+        *,
+        node_committed: Optional[Any] = None,
+        edge_committed: Optional[Any] = None,
+        alive: Optional[Any] = None,
     ) -> ValidationResult:
         """Score outputs on the surviving subgraph after crash-stop faults.
 
-        ``crashed`` lists the dead vertices.  Missing outputs are only
-        required of survivors (node problems) and survivor–survivor edges
-        (edge problems): a crashed node that never committed — or an edge
-        whose endpoint died before the edge was decided — is excused, not a
-        failure.  Whatever a crashed node *did* commit before dying stands
-        and is visible to the validator (it can, e.g., cover a surviving
-        MIS non-member).
-
-        Problems registering a :attr:`surviving_validator` get the
-        fault-aware semantics; otherwise the outputs are strictly
-        re-validated on the induced survivor subnetwork (correct for purely
-        local constraints such as colouring, conservative for problems with
-        maximality-style constraints).
+        The dead are ``crashed`` (vertex ids) or ``~alive`` (a bool mask).
+        Outputs are only required of survivors (node problems) and
+        survivor–survivor edges (edge problems): a crashed node that never
+        committed — or an edge whose endpoint died before the edge was
+        decided — is excused, not a failure.  Whatever a crashed node *did*
+        commit before dying stands where crash-stop semantics say it must
+        (the module table).  With nobody dead this is
+        :meth:`validate_network`.
         """
-        crashed_set = frozenset(crashed)
-        if not crashed_set:
-            return self.validate_network(network, node_outputs, edge_outputs)
-        node_values = _node_slots(network, node_outputs)
-        edge_values, _stray = _edge_slots(network, edge_outputs)
-        if self.labels_nodes:
-            missing = [
-                v
-                for v in range(network.n)
-                if v not in crashed_set and node_values[v] is MISSING
-            ]
-            if missing:
-                return ValidationResult(
-                    False, f"missing node outputs for survivors {missing[:5]}"
-                )
-        if self.labels_edges:
-            missing_edges = [
-                e
-                for i, e in enumerate(network.edges)
-                if edge_values[i] is MISSING
-                and e[0] not in crashed_set
-                and e[1] not in crashed_set
-            ]
-            if missing_edges:
-                return ValidationResult(
-                    False,
-                    f"missing edge outputs for surviving edges {missing_edges[:5]}",
-                )
-        if self.surviving_validator is not None:
-            return self.surviving_validator(network, node_values, edge_values, crashed_set)
-        return self._validate_on_survivor_subnetwork(
-            network, node_values, edge_values, crashed_set
+        return self._score(
+            network,
+            node_outputs,
+            edge_outputs,
+            node_committed,
+            edge_committed,
+            _alive_mask(network.n, crashed, alive),
         )
 
     def validate_induced(
         self,
         network: Any,
-        node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]" = None,
-        edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]" = None,
+        node_outputs: Outputs = None,
+        edge_outputs: Outputs = None,
         crashed: Sequence[int] = (),
         *,
         node_committed: Optional[Any] = None,
         edge_committed: Optional[Any] = None,
+        alive: Optional[Any] = None,
     ) -> ValidationResult:
-        """Strictly validate outputs on the induced survivor subnetwork.
+        """Strictly validate outputs on the induced survivor subgraph.
 
-        Unlike :meth:`validate_surviving`, this never consults the (lenient)
-        :attr:`surviving_validator`: commitments of crashed nodes are
-        discarded and the survivors' outputs must stand on their own on the
-        induced subgraph.  Self-stabilisation metrics use this form — a
-        recovered configuration must be valid *for the survivors alone*, or
-        "recovery" would be vacuously credited to pre-crash commitments.
-
-        ``node_committed`` / ``edge_committed`` are optional numpy bool
-        masks accompanying array-form outputs (slot committed iff the mask
-        is True; values of uncommitted slots are ignored).  The array
-        engine passes its state arrays this way so per-round recovery
-        checks of problems with an :attr:`induced_validator` stay fully
-        vectorised — no ``MISSING``-marked Python list is ever built.
+        Like :meth:`validate_surviving`, but every commitment touching a dead
+        vertex is discarded first, so the survivors' outputs must stand on
+        their own.  Self-stabilisation metrics use this form — a recovered
+        configuration must be valid *for the survivors alone*, or "recovery"
+        would be vacuously credited to pre-crash commitments.  The engines
+        pass their state arrays with commit and alive masks, so a per-round
+        recovery check is a handful of array operations.
         """
-        crashed_set = frozenset(crashed)
-        if crashed_set and self.induced_validator is not None:
-            node_values, node_mask = _commit_arrays(
-                network.n, network, node_outputs, node_committed, nodes=True
-            )
-            edge_values, edge_mask = _commit_arrays(
-                network.m, network, edge_outputs, edge_committed, nodes=False
-            )
-            return self.induced_validator(
-                network, node_values, node_mask, edge_values, edge_mask, crashed_set
-            )
-        if node_committed is not None:
-            node_outputs = _masked_slots(node_outputs, node_committed)
-        if edge_committed is not None:
-            edge_outputs = _masked_slots(edge_outputs, edge_committed)
-        if not crashed_set:
-            return self.validate_network(network, node_outputs, edge_outputs)
-        node_values = _node_slots(network, node_outputs)
-        edge_values, _stray = _edge_slots(network, edge_outputs)
-        return self._validate_on_survivor_subnetwork(
-            network, node_values, edge_values, crashed_set
+        return self._score(
+            network,
+            node_outputs,
+            edge_outputs,
+            node_committed,
+            edge_committed,
+            _alive_mask(network.n, crashed, alive),
+            induced=True,
         )
 
-    def _validate_on_survivor_subnetwork(
+    def _score(
         self,
         network: Any,
-        node_values: Sequence[Any],
-        edge_values: Sequence[Any],
-        crashed_set: "frozenset[int]",
+        node_outputs: Outputs,
+        edge_outputs: Outputs,
+        node_committed: Optional[Any],
+        edge_committed: Optional[Any],
+        alive: Optional[np.ndarray],
+        *,
+        induced: bool = False,
     ) -> ValidationResult:
-        """Strict fallback: re-validate on the induced survivor subnetwork.
+        """Normalise the inputs, check completeness, then run the kernel.
 
-        Outputs are re-indexed to the subnetwork's vertex numbering
-        (``subnetwork`` relabels sorted survivors to ``0..k-1``).  Output
-        *values* are passed through unchanged, so problems whose values
-        reference vertex ids (e.g. orientation heads) need a dedicated
-        surviving validator instead of this fallback.
+        ``alive`` is ``None`` for strict validation (every vertex alive).
         """
-        survivors = [v for v in range(network.n) if v not in crashed_set]
-        sub = network.subnetwork(survivors)
-        relabel = {v: i for i, v in enumerate(survivors)}
-        sub_nodes = {
-            relabel[v]: node_values[v]
-            for v in survivors
-            if node_values[v] is not MISSING
-        }
-        sub_edges: Dict[Edge, Any] = {}
-        for i, (u, v) in enumerate(network.edges):
-            value = edge_values[i]
-            if value is MISSING or u in crashed_set or v in crashed_set:
-                continue
-            a, b = relabel[u], relabel[v]
-            sub_edges[(a, b) if a < b else (b, a)] = value
-        return self.validate_network(sub, sub_nodes, sub_edges)
+        node_values, node_committed, _ = _slots(network, node_outputs, node_committed, True)
+        edge_values, edge_committed, strays = _slots(
+            network, edge_outputs, edge_committed, False
+        )
+        us, vs = network.edge_endpoints()
+        if alive is not None:
+            # Pairs that are not edges are only scored strictly.
+            strays = []
+            if induced:
+                node_committed = node_committed & alive
+                if edge_committed.any():
+                    edge_committed = edge_committed & alive[us] & alive[vs]
+        failure = self._missing(us, vs, alive, node_committed, edge_committed)
+        if failure is not None:
+            return failure
+        if self.kernel is None or strays:
+            return self._reference(
+                network, node_values, node_committed, edge_values, edge_committed, alive, strays
+            )
+        return self.kernel(
+            network,
+            node_values,
+            node_committed,
+            edge_values,
+            edge_committed,
+            np.ones(network.n, dtype=bool) if alive is None else alive,
+            induced=induced,
+        )
+
+    def _missing(
+        self,
+        us: np.ndarray,
+        vs: np.ndarray,
+        alive: Optional[np.ndarray],
+        node_committed: np.ndarray,
+        edge_committed: np.ndarray,
+    ) -> Optional[ValidationResult]:
+        """The failure for an output some alive node / edge never committed."""
+        if self.labels_nodes:
+            missing = ~node_committed if alive is None else alive & ~node_committed
+            if missing.any():
+                bad = np.flatnonzero(missing)[:5].tolist()
+                whom = "" if alive is None else "survivors "
+                return ValidationResult(False, f"missing node outputs for {whom}{bad}")
+        if self.labels_edges:
+            missing = ~edge_committed
+            if alive is not None:
+                missing &= alive[us] & alive[vs]
+            if missing.any():
+                slots = np.flatnonzero(missing)[:5]
+                bad = list(zip(us[slots].tolist(), vs[slots].tolist()))
+                whom = "" if alive is None else "surviving edges "
+                return ValidationResult(False, f"missing edge outputs for {whom}{bad}")
+        return None
+
+    def _reference(
+        self,
+        network: Any,
+        node_values: np.ndarray,
+        node_committed: np.ndarray,
+        edge_values: np.ndarray,
+        edge_committed: np.ndarray,
+        alive: Optional[np.ndarray],
+        strays: List[Tuple[Any, Any]],
+    ) -> ValidationResult:
+        """Run the networkx ``validator`` (on the induced survivor subgraph).
+
+        The subgraph keeps the network's vertex labels, so outputs that name
+        vertices (orientation heads) stay meaningful; commitments touching
+        a dead vertex are dropped.
+        """
+        # repro-lint: allow[REP002] networkx reference path (the oracle)
+        graph = network.to_networkx()
+        us, vs = network.edge_endpoints()
+        if alive is not None:
+            graph = graph.subgraph(np.flatnonzero(alive).tolist())
+            node_committed = node_committed & alive
+            edge_committed = edge_committed & alive[us] & alive[vs]
+        nodes = np.flatnonzero(node_committed)
+        node_map = dict(zip(nodes.tolist(), node_values[nodes].tolist()))
+        slots = np.flatnonzero(edge_committed)
+        edge_map: Dict[Any, Any] = dict(
+            zip(zip(us[slots].tolist(), vs[slots].tolist()), edge_values[slots].tolist())
+        )
+        edge_map.update(strays)
+        return self.validator(graph, node_map, edge_map)
 
 
 def _canon(u: int, v: int) -> Edge:
@@ -394,131 +390,122 @@ def _canon(u: int, v: int) -> Edge:
 
 
 # ---------------------------------------------------------------------- #
-# Slot normalisation for the CSR fast path
+# Input normalisation (the one place mapping / MISSING inputs are converted)
 # ---------------------------------------------------------------------- #
 
 
-def _node_slots(
-    network: Any, node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]"
-) -> List[Any]:
-    """Per-vertex value slots (``MISSING`` where absent) from either form.
+def _alive_mask(n: int, crashed: Sequence[int], alive: Optional[Any]) -> Optional[np.ndarray]:
+    """Bool mask of the living, or ``None`` when nobody is dead (strict)."""
+    if alive is not None:
+        mask = np.asarray(alive, dtype=bool)
+        if mask.shape != (n,):
+            raise ValueError(f"expected an alive mask of length {n}, got shape {mask.shape}")
+    else:
+        dead = [v for v in crashed if 0 <= v < n]
+        if not dead:
+            return None
+        mask = np.ones(n, dtype=bool)
+        mask[dead] = False
+    return None if mask.all() else mask
 
-    Mapping keys outside ``0..n-1`` are ignored, as the networkx reference
-    path ignores them (it only ever consults real vertices).
+
+def _edge_mapping_slots(
+    network: Any, mapping: Mapping[Any, Any]
+) -> Tuple[List[int], List[Any], List[Tuple[Any, Any]]]:
+    """Edge slots of a canonical-edge → value mapping, plus its stray entries.
+
+    Returns ``(slots, values, strays)``: the :attr:`Network.edges` slot and
+    value of every entry keyed by a canonical ``(u, v), u < v`` edge of the
+    network, and the ``(key, value)`` entries whose key is not one.  Entries
+    whose value is :data:`MISSING` are "never committed" and skipped.  Walks
+    the mapping, never the edge list.
     """
+    index = network._packed_edge_index()
     n = network.n
-    if node_outputs is None:
-        return [MISSING] * n
-    if isinstance(node_outputs, Mapping):
-        get = node_outputs.get
-        return [get(v, MISSING) for v in range(n)]
-    # Trust lists (e.g. the slot lists ExecutionTrace.validate just built)
-    # instead of re-copying them; validators never mutate their inputs.
-    values = node_outputs if isinstance(node_outputs, list) else list(node_outputs)
-    if len(values) != n:
-        raise ValueError(f"expected {n} node output slots, got {len(values)}")
-    return values
+    slots: List[int] = []
+    values: List[Any] = []
+    strays: List[Tuple[Any, Any]] = []
+    for key, value in mapping.items():
+        if value is MISSING:
+            continue
+        u, v = key
+        slot = index.get(u * n + v) if 0 <= u < v < n else None
+        if slot is None:
+            strays.append((key, value))
+        else:
+            slots.append(slot)
+            values.append(value)
+    return slots, values, strays
 
 
-def _edge_slots(
-    network: Any, edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]"
-) -> Tuple[List[Any], List[Tuple[Edge, Any]]]:
-    """Per-edge value slots in :attr:`Network.edges` order, plus stray entries.
-
-    Mapping keys must be canonical ``(u, v), u < v`` tuples; keys that are
-    not edges of the network are returned as ``stray_edges`` so validators
-    can reproduce the reference behaviour for corrupted assignments (e.g. a
-    matched edge that is not in the graph).
-    """
-    m = network.m
-    if edge_outputs is None:
-        return [MISSING] * m, []
-    if isinstance(edge_outputs, Mapping):
-        get = edge_outputs.get
-        slots = [get(e, MISSING) for e in network.edges]
-        strays: List[Tuple[Edge, Any]] = []
-        if sum(1 for s in slots if s is not MISSING) != len(edge_outputs):
-            known = set(network.edges)
-            # Entries whose value is the MISSING sentinel are "never
-            # committed" and therefore not strays — the nx reference path
-            # strips them before it ever consults the graph.
-            strays = [
-                (e, value)
-                for e, value in edge_outputs.items()
-                if e not in known and value is not MISSING
-            ]
-        return slots, strays
-    values = edge_outputs if isinstance(edge_outputs, list) else list(edge_outputs)
-    if len(values) != m:
-        raise ValueError(f"expected {m} edge output slots, got {len(values)}")
-    return values, []
-
-
-def _masked_slots(outputs: Optional[Any], committed: Any) -> List[Any]:
-    """``MISSING``-marked slot list from an array + committed-mask pair."""
-    count = len(committed)
-    if outputs is None:
-        return [MISSING] * count
-    slots: List[Any] = list(outputs)
-    for i in range(count):
-        if not committed[i]:
-            slots[i] = MISSING
-    return slots
-
-
-def _commit_arrays(
-    count: int,
-    network: Any,
-    outputs: Optional[Any],
-    committed: Optional[Any],
-    *,
-    nodes: bool,
-) -> Tuple[Any, Any]:
-    """``(values, committed)`` bool-array pair for an induced validator.
-
-    Array-form inputs (``committed`` mask given) pass through as numpy
-    views; mapping / ``MISSING``-marked sequence inputs are normalised
-    through the usual slot helpers first.  Values are coerced to bool —
-    induced validators are registered only for boolean-output problems.
-    """
-    import numpy as np
-
+def _slots(
+    network: Any, outputs: Outputs, committed: Optional[Any], nodes: bool
+) -> Tuple[np.ndarray, np.ndarray, List[Tuple[Any, Any]]]:
+    """``(values, committed, strays)`` arrays for one side of an assignment."""
+    count = network.n if nodes else network.m
+    kind = "node" if nodes else "edge"
+    strays: List[Tuple[Any, Any]] = []
     if committed is not None:
         mask = np.asarray(committed, dtype=bool)
+        if mask.shape != (count,):
+            raise ValueError(f"expected {count} {kind} commit flags, got shape {mask.shape}")
         if outputs is None:
-            return np.zeros(count, dtype=bool), mask
-        return np.asarray(outputs, dtype=bool), mask
+            return np.zeros(count, dtype=bool), mask, strays
+        return _value_array(outputs, count, kind), mask, strays
     if outputs is None:
-        return np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    slots = (
-        _node_slots(network, outputs) if nodes else _edge_slots(network, outputs)[0]
-    )
-    mask = np.fromiter((v is not MISSING for v in slots), dtype=bool, count=count)
-    values = np.fromiter(
-        (v is not MISSING and bool(v) for v in slots), dtype=bool, count=count
-    )
-    return values, mask
+        return np.zeros(count, dtype=bool), np.zeros(count, dtype=bool), strays
+    if isinstance(outputs, Mapping):
+        if nodes:
+            # Keys outside 0..n-1 are ignored, as the reference path (which
+            # only ever consults real vertices) ignores them.
+            get = outputs.get
+            values: Sequence[Any] = [get(v, MISSING) for v in range(count)]
+        else:
+            slots, found, strays = _edge_mapping_slots(network, outputs)
+            values = [MISSING] * count
+            for slot, value in zip(slots, found):
+                values[slot] = value
+    else:
+        values = outputs
+        if len(values) != count:
+            raise ValueError(f"expected {count} {kind} output slots, got {len(values)}")
+    mask = np.fromiter((value is not MISSING for value in values), dtype=bool, count=count)
+    return _value_array(values, count, kind), mask, strays
 
 
-def _slots_to_mapping_nodes(
-    network: Any, node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]"
-) -> Mapping[int, Any]:
-    if node_outputs is None:
-        return {}
-    if isinstance(node_outputs, Mapping):
-        return node_outputs
-    return {v: value for v, value in enumerate(node_outputs) if value is not MISSING}
+def _value_array(values: Any, count: int, kind: str) -> np.ndarray:
+    """A length-``count`` array of output values.
+
+    Boolean and integer outputs become typed arrays; anything else (floats,
+    strings, tuples, ``None``, :data:`MISSING`) an object array of the
+    original Python values, so comparisons keep Python semantics.
+    """
+    if isinstance(values, np.ndarray):
+        array = values
+    else:
+        try:
+            array = np.asarray(values)
+        except (ValueError, TypeError, OverflowError):
+            array = None
+        if array is None or array.shape != (count,) or array.dtype.kind not in "biuO":
+            array = np.fromiter(values, dtype=object, count=count)
+    if array.shape != (count,):
+        raise ValueError(f"expected {count} {kind} output slots, got shape {array.shape}")
+    return array
 
 
-def _slots_to_mapping_edges(
-    network: Any, edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]"
-) -> Mapping[Edge, Any]:
-    if edge_outputs is None:
-        return {}
-    if isinstance(edge_outputs, Mapping):
-        return edge_outputs
-    edges = network.edges
-    return {edges[i]: value for i, value in enumerate(edge_outputs) if value is not MISSING}
+def _live(alive: np.ndarray, us: np.ndarray, vs: np.ndarray) -> Optional[np.ndarray]:
+    """Alive–alive edge mask, or ``None`` when every vertex is alive."""
+    return None if alive.all() else alive[us] & alive[vs]
+
+
+def _surviving(alive: np.ndarray) -> str:
+    """Reason prefix: ``"surviving "`` once some vertex is dead."""
+    return "" if alive.all() else "surviving "
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask))
 
 
 # ---------------------------------------------------------------------- #
@@ -528,6 +515,7 @@ def _slots_to_mapping_edges(
 
 def is_independent_set(graph: nx.Graph, selected: Mapping[int, Any]) -> bool:
     """Whether the nodes with truthy output form an independent set."""
+    # repro-lint: allow[REP002] networkx reference validator (the oracle)
     return all(not (selected.get(u) and selected.get(v)) for u, v in graph.edges())
 
 
@@ -593,397 +581,149 @@ def is_ruling_set(
     return ValidationResult(True)
 
 
-def _selected_flags(n: int, node_values: Sequence[Any]) -> bytearray:
-    """Byte flags of the vertices whose slot value is present and truthy."""
-    flags = bytearray(n)
-    for v in range(n):
-        value = node_values[v]
-        if value is not MISSING and value:
-            flags[v] = 1
-    return flags
-
-
-def _independence_violated(network: Any, selected: bytearray) -> bool:
-    """Whether any edge has both endpoints selected.
-
-    Vectorised over the network's endpoint arrays when it has them (one
-    fancy-indexed AND instead of a tuple-per-edge scan — the difference
-    between milliseconds and seconds at m = 5·10⁶); the tuple scan remains
-    for duck-typed networks without :meth:`edge_endpoints`.  Verdicts are
-    identical either way.
-    """
-    endpoints = getattr(network, "edge_endpoints", None)
-    if endpoints is not None:
-        import numpy as np
-
-        us, vs = endpoints()
-        if len(us) == 0:
-            return False
-        flags = np.frombuffer(selected, dtype=np.uint8)
-        return bool(np.any(flags[us] & flags[vs]))
-    return any(selected[u] and selected[v] for u, v in network.edges)
-
-
-def csr_is_independent_set(network: Any, node_values: Sequence[Any]) -> bool:
-    """CSR-native :func:`is_independent_set` (slot-sequence input)."""
-    selected = _selected_flags(network.n, node_values)
-    return not _independence_violated(network, selected)
-
-
-def csr_is_maximal_independent_set(
-    network: Any, node_values: Sequence[Any]
-) -> ValidationResult:
-    """CSR-native :func:`is_maximal_independent_set`.
-
-    Independence is checked vectorised over the endpoint arrays; maximality
-    scans each unselected vertex's CSR row for a selected neighbour.
-    """
-    n = network.n
-    selected = _selected_flags(n, node_values)
-    if _independence_violated(network, selected):
-        return ValidationResult(False, "selected set is not independent")
-    indptr = network.indptr
-    indices = network.indices
-    for v in range(n):
-        if selected[v]:
-            continue
-        for k in range(indptr[v], indptr[v + 1]):
-            if selected[indices[k]]:
-                break
-        else:
-            return ValidationResult(False, f"node {v} is uncovered (not maximal)")
-    return ValidationResult(True)
-
-
-def csr_is_ruling_set(
-    network: Any, node_values: Sequence[Any], alpha: int, beta: int
-) -> ValidationResult:
-    """CSR-native :func:`is_ruling_set`: array-stamped BFS, no dict frontiers."""
-    n = network.n
-    member_flags = _selected_flags(n, node_values)
-    members = [v for v in range(n) if member_flags[v]]
-    if not members and n > 0:
-        return ValidationResult(False, "ruling set is empty")
-    indptr = network.indptr
-    indices = network.indices
-    # Domination: BFS from all members simultaneously up to depth beta.
-    covered = bytearray(n)
-    for v in members:
-        covered[v] = 1
-    frontier = list(members)
-    reached = len(members)
-    depth = 0
-    while frontier and depth < beta:
-        depth += 1
-        new_frontier: List[int] = []
-        for v in frontier:
-            for k in range(indptr[v], indptr[v + 1]):
-                u = indices[k]
-                if not covered[u]:
-                    covered[u] = 1
-                    new_frontier.append(u)
-        reached += len(new_frontier)
-        frontier = new_frontier
-    if reached < n:
-        uncovered = [v for v in range(n) if not covered[v]]
-        return ValidationResult(
-            False,
-            f"{len(uncovered)} nodes (e.g. {uncovered[:5]}) have no ruler within distance {beta}",
-        )
-    # Independence at distance alpha: BFS from each member up to depth
-    # alpha-1.  A shared stamp array replaces the per-member visited dict so
-    # the total cost is the BFS work itself, not O(n) re-zeroing per member.
-    stamps = [0] * n
-    token = 0
-    for s in members:
-        token += 1
-        stamps[s] = token
-        frontier = [s]
-        for d in range(1, alpha):
-            nxt: List[int] = []
-            for v in frontier:
-                for k in range(indptr[v], indptr[v + 1]):
-                    u = indices[k]
-                    if stamps[u] != token:
-                        stamps[u] = token
-                        nxt.append(u)
-                        if member_flags[u] and u != s:
-                            return ValidationResult(
-                                False,
-                                f"rulers {s} and {u} are at distance {d} < {alpha}",
-                            )
-            frontier = nxt
-    return ValidationResult(True)
-
-
-def csr_is_surviving_ruling_set(
+def _mis_kernel(
     network: Any,
-    node_values: Sequence[Any],
-    crashed: "frozenset[int]",
-    alpha: int,
-    beta: int,
+    node_values: np.ndarray,
+    node_committed: np.ndarray,
+    edge_values: np.ndarray,
+    edge_committed: np.ndarray,
+    alive: np.ndarray,
+    *,
+    induced: bool = False,
 ) -> ValidationResult:
-    """``(α, β)``-ruling set scored on the surviving subgraph after crashes.
+    """Maximal independent set.
 
-    * every survivor must have committed (checked by the caller; crashed
-      nodes are excused),
-    * **independence** is required between *surviving* rulers only, at
-      distance ≥ α measured through surviving vertices — paths through a
-      corpse no longer exist, so they cannot bring two live rulers "close",
-    * **domination**: every surviving non-member needs a committed ruler
-      within distance ≤ β, where the ruler itself may be crashed (its
-      commitment stands — the survivor retired because of it, exactly the
-      crash-stop concession :func:`csr_is_surviving_mis` makes for
-      coverage) but every *relay* vertex on the path must be alive: coverage
-      is a property of the current surviving configuration, not of paths
-      that died with their relays.
+    Independence is required on alive–alive edges; an unselected alive node
+    is covered by any neighbour that committed ``True`` — a crashed one
+    included, which is exact under crash-stop: the neighbour that made a
+    node retire had committed ``True`` before announcing it.
     """
-    n = network.n
-    member_flags = _selected_flags(n, node_values)
-    alive = bytearray(1 for _ in range(n))
-    for v in crashed:
-        alive[v] = 0
-    members = [v for v in range(n) if member_flags[v]]
-    if not any(alive[v] for v in range(n)):
-        return ValidationResult(True)
-    if not members:
-        return ValidationResult(False, "ruling set is empty")
-    indptr = network.indptr
-    indices = network.indices
-    # Domination: BFS from every committed member (alive or crashed), but
-    # only alive vertices relay the frontier onward.
-    covered = bytearray(n)
-    for v in members:
-        covered[v] = 1
-    frontier = list(members)
-    depth = 0
-    while frontier and depth < beta:
-        depth += 1
-        new_frontier: List[int] = []
-        for v in frontier:
-            for k in range(indptr[v], indptr[v + 1]):
-                u = indices[k]
-                if not covered[u]:
-                    covered[u] = 1
-                    if alive[u]:
-                        new_frontier.append(u)
-        frontier = new_frontier
-    uncovered = [v for v in range(n) if alive[v] and not covered[v]]
-    if uncovered:
-        return ValidationResult(
-            False,
-            f"{len(uncovered)} surviving nodes (e.g. {uncovered[:5]}) have no "
-            f"ruler within distance {beta}",
-        )
-    # Independence between surviving rulers, through surviving vertices only.
-    surviving_members = [v for v in members if alive[v]]
-    stamps = [0] * n
-    token = 0
-    for s in surviving_members:
-        token += 1
-        stamps[s] = token
-        frontier = [s]
-        for d in range(1, alpha):
-            nxt: List[int] = []
-            for v in frontier:
-                for k in range(indptr[v], indptr[v + 1]):
-                    u = indices[k]
-                    if alive[u] and stamps[u] != token:
-                        stamps[u] = token
-                        nxt.append(u)
-                        if member_flags[u] and u != s:
-                            return ValidationResult(
-                                False,
-                                f"surviving rulers {s} and {u} are at distance {d} < {alpha}",
-                            )
-            frontier = nxt
-    return ValidationResult(True)
-
-
-def csr_is_surviving_mis(
-    network: Any, node_values: Sequence[Any], crashed: "frozenset[int]"
-) -> ValidationResult:
-    """MIS scored on the surviving subgraph after crash-stop faults.
-
-    * every survivor must have committed (checked by the caller,
-      :meth:`ProblemSpec.validate_surviving`; crashed nodes are excused),
-    * independence is required on **survivor–survivor** edges only (a
-      survivor may legitimately sit next to a crashed ``True`` node it
-      never heard retire),
-    * a ``False`` survivor is covered iff *some* neighbour — surviving or
-      crashed — committed ``True``.  This is exact for crash-stop faults:
-      any neighbour that caused a ``False`` commit had itself committed
-      ``True`` before announcing, so counting committed-``True`` crashed
-      neighbours repairs maximality precisely.
-    """
-    n = network.n
-    selected = _selected_flags(n, node_values)
-    endpoints = getattr(network, "edge_endpoints", None)
-    if endpoints is not None and network.m:
-        import numpy as np
-
-        us, vs = endpoints()
-        flags = np.frombuffer(selected, dtype=np.uint8).astype(bool)
-        alive = np.ones(n, dtype=bool)
-        alive[list(crashed)] = False
-        bad = flags[us] & flags[vs] & alive[us] & alive[vs]
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            return ValidationResult(
-                False,
-                f"surviving edge ({int(us[i])}, {int(vs[i])}) has both endpoints selected",
-            )
-    else:
-        for u, v in network.edges:
-            if selected[u] and selected[v] and u not in crashed and v not in crashed:
-                return ValidationResult(
-                    False, f"surviving edge ({u}, {v}) has both endpoints selected"
-                )
-    indptr = network.indptr
-    indices = network.indices
-    for v in range(n):
-        if selected[v] or v in crashed:
-            continue
-        for k in range(indptr[v], indptr[v + 1]):
-            if selected[indices[k]]:
-                break
-        else:
-            return ValidationResult(
-                False, f"surviving node {v} is uncovered (not maximal)"
-            )
-    return ValidationResult(True)
-
-
-def csr_is_induced_mis(
-    network: Any, node_values: Any, node_committed: Any, crashed: "frozenset[int]"
-) -> ValidationResult:
-    """MIS strictly validated on the induced survivor subgraph, vectorised.
-
-    Verdict-identical to rebuilding ``network.subnetwork(survivors)`` and
-    re-validating (the :meth:`ProblemSpec.validate_induced` fallback), but
-    expressed as a handful of fancy-indexed array operations over the
-    endpoint arrays — no subnetwork, no relabel dicts, no per-node loop:
-
-    * crashed commitments are discarded (a dead ``True`` covers nobody),
-    * every survivor must have committed,
-    * independence is required over alive–alive edges,
-    * every unselected survivor needs an alive selected neighbour.
-    """
-    import numpy as np
-
-    n = network.n
-    alive = np.ones(n, dtype=bool)
-    if crashed:
-        alive[list(crashed)] = False
-    committed = np.asarray(node_committed, dtype=bool)
-    missing = alive & ~committed
-    if missing.any():
-        bad = np.flatnonzero(missing)[:5].tolist()
-        return ValidationResult(False, f"missing node outputs for survivors {bad}")
-    selected = alive & committed & np.asarray(node_values, dtype=bool)
     us, vs = network.edge_endpoints()
-    us = np.asarray(us)
-    vs = np.asarray(vs)
-    live = alive[us] & alive[vs]
-    conflict = live & selected[us] & selected[vs]
+    selected = node_committed & node_values.astype(bool, copy=False)
+    selected_u = selected[us]
+    selected_v = selected[vs]
+    conflict = selected_u & selected_v
+    live = _live(alive, us, vs)
+    if live is not None:
+        conflict &= live
     if conflict.any():
-        i = int(np.flatnonzero(conflict)[0])
+        i = _first(conflict)
         return ValidationResult(
             False,
-            f"surviving edge ({int(us[i])}, {int(vs[i])}) has both endpoints selected",
+            f"{_surviving(alive)}edge ({us[i]}, {vs[i]}) has both endpoints selected "
+            f"(not independent)",
         )
-    covered = np.zeros(n, dtype=bool)
-    covered[us[live & selected[vs]]] = True
-    covered[vs[live & selected[us]]] = True
-    uncovered = alive & ~selected & ~covered
+    covered = selected.copy()
+    covered[us[selected_v]] = True
+    covered[vs[selected_u]] = True
+    uncovered = alive & ~covered
     if uncovered.any():
-        v = int(np.flatnonzero(uncovered)[0])
         return ValidationResult(
-            False, f"surviving node {v} is uncovered (not maximal)"
+            False, f"{_surviving(alive)}node {_first(uncovered)} is uncovered (not maximal)"
         )
     return ValidationResult(True)
-
-
-def _mis_validator(
-    graph: nx.Graph, node_outputs: Mapping[int, Any], _: Mapping[Edge, Any]
-) -> ValidationResult:
-    return is_maximal_independent_set(graph, node_outputs)
-
-
-def _mis_csr_validator(
-    network: Any,
-    node_values: Sequence[Any],
-    _edge_values: Sequence[Any],
-    _strays: Sequence[Tuple[Edge, Any]],
-) -> ValidationResult:
-    return csr_is_maximal_independent_set(network, node_values)
-
-
-def _mis_surviving_validator(
-    network: Any,
-    node_values: Sequence[Any],
-    _edge_values: Sequence[Any],
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_surviving_mis(network, node_values, crashed)
-
-
-def _mis_induced_validator(
-    network: Any,
-    node_values: Any,
-    node_committed: Any,
-    _edge_values: Any,
-    _edge_committed: Any,
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_induced_mis(network, node_values, node_committed, crashed)
 
 
 MIS = ProblemSpec(
     name="maximal-independent-set",
     labels_nodes=True,
     labels_edges=False,
-    validator=_mis_validator,
-    csr_validator=_mis_csr_validator,
-    surviving_validator=_mis_surviving_validator,
-    induced_validator=_mis_induced_validator,
+    validator=lambda graph, node_outputs, _: is_maximal_independent_set(graph, node_outputs),
+    kernel=_mis_kernel,
 )
+
+
+def _ruling_set_kernel(alpha: int, beta: int) -> Callable[..., ValidationResult]:
+    def kernel(
+        network: Any,
+        node_values: np.ndarray,
+        node_committed: np.ndarray,
+        edge_values: np.ndarray,
+        edge_committed: np.ndarray,
+        alive: np.ndarray,
+        *,
+        induced: bool = False,
+    ) -> ValidationResult:
+        """``(α, β)``-ruling set by frontier-mask BFS over the edge arrays.
+
+        Domination: every alive node needs a ruler within distance ≤ β; the
+        ruler may be crashed (its commitment stands) but every relay on the
+        path must be alive.  Independence: alive rulers must be ≥ α apart,
+        measured through alive vertices only.
+        """
+        if not alive.any():
+            return ValidationResult(True)
+        rulers = node_committed & node_values.astype(bool, copy=False)
+        if not rulers.any():
+            return ValidationResult(False, "ruling set is empty")
+        n = network.n
+        us, vs = network.edge_endpoints()
+        covered = rulers.copy()
+        frontier = rulers
+        for _ in range(beta):
+            reached = np.zeros(n, dtype=bool)
+            reached[vs[frontier[us]]] = True
+            reached[us[frontier[vs]]] = True
+            fresh = reached & ~covered
+            covered |= fresh
+            frontier = fresh & alive
+            if not frontier.any():
+                break
+        uncovered = np.flatnonzero(alive & ~covered)
+        if uncovered.size:
+            return ValidationResult(
+                False,
+                f"{uncovered.size} {_surviving(alive)}nodes (e.g. {uncovered[:5].tolist()}) "
+                f"have no ruler within distance {beta}",
+            )
+        if alpha < 2:
+            return ValidationResult(True)
+        # Multi-source BFS from the alive rulers, labelling each vertex with
+        # its nearest ruler.  The closest pair of distinct rulers is at the
+        # minimum, over alive edges joining differently labelled vertices,
+        # of dist + dist + 1; that pair is < α apart iff such an edge exists
+        # among vertices labelled within depth α - 2.
+        live = alive[us] & alive[vs]
+        lu, lv = us[live], vs[live]
+        label = np.where(rulers & alive, np.arange(n), -1)
+        dist = np.zeros(n, dtype=np.int64)
+        frontier = label >= 0
+        for depth in range(1, alpha - 1):
+            forward = frontier[lu] & (label[lv] < 0)
+            backward = frontier[lv] & (label[lu] < 0)
+            targets = np.concatenate((lv[forward], lu[backward]))
+            if not targets.size:
+                break
+            label[targets] = label[np.concatenate((lu[forward], lv[backward]))]
+            dist[targets] = depth
+            frontier = np.zeros(n, dtype=bool)
+            frontier[targets] = True
+        joins = (label[lu] >= 0) & (label[lv] >= 0) & (label[lu] != label[lv])
+        if joins.any():
+            gaps = np.where(joins, dist[lu] + dist[lv] + 1, alpha)
+            i = int(np.argmin(gaps))
+            if gaps[i] < alpha:
+                s, t = sorted((int(label[lu[i]]), int(label[lv[i]])))
+                return ValidationResult(
+                    False,
+                    f"{_surviving(alive)}rulers {s} and {t} are at distance {gaps[i]} < {alpha}",
+                )
+        return ValidationResult(True)
+
+    return kernel
 
 
 def ruling_set(alpha: int, beta: int) -> ProblemSpec:
     """Problem spec for ``(α, β)``-ruling sets (node outputs are membership flags)."""
     if alpha < 1 or beta < 1:
         raise ValueError("ruling set parameters must be positive")
-
-    def _validator(
-        graph: nx.Graph, node_outputs: Mapping[int, Any], _: Mapping[Edge, Any]
-    ) -> ValidationResult:
-        return is_ruling_set(graph, node_outputs, alpha, beta)
-
-    def _csr_validator(
-        network: Any,
-        node_values: Sequence[Any],
-        _edge_values: Sequence[Any],
-        _strays: Sequence[Tuple[Edge, Any]],
-    ) -> ValidationResult:
-        return csr_is_ruling_set(network, node_values, alpha, beta)
-
-    def _surviving_validator(
-        network: Any,
-        node_values: Sequence[Any],
-        _edge_values: Sequence[Any],
-        crashed: "frozenset[int]",
-    ) -> ValidationResult:
-        return csr_is_surviving_ruling_set(network, node_values, crashed, alpha, beta)
-
     return ProblemSpec(
         name=f"({alpha},{beta})-ruling-set",
         labels_nodes=True,
         labels_edges=False,
-        validator=_validator,
+        validator=lambda graph, node_outputs, _: is_ruling_set(graph, node_outputs, alpha, beta),
         params={"alpha": alpha, "beta": beta},
-        csr_validator=_csr_validator,
-        surviving_validator=_surviving_validator,
+        kernel=_ruling_set_kernel(alpha, beta),
     )
 
 
@@ -1017,183 +757,57 @@ def is_maximal_matching(graph: nx.Graph, edge_outputs: Mapping[Edge, Any]) -> Va
         if value:
             matched_nodes.add(u)
             matched_nodes.add(v)
+    # repro-lint: allow[REP002] networkx reference validator (the oracle)
     for u, v in graph.edges():
         if u not in matched_nodes and v not in matched_nodes:
             return ValidationResult(False, f"edge ({u}, {v}) could be added (not maximal)")
     return ValidationResult(True)
 
 
-def csr_is_matching(network: Any, edge_values: Sequence[Any]) -> bool:
-    """CSR-native :func:`is_matching` (edge slots in ``network.edges`` order)."""
-    matched = bytearray(network.n)
-    for i, (u, v) in enumerate(network.edges):
-        value = edge_values[i]
-        if value is MISSING or not value:
-            continue
-        if matched[u] or matched[v]:
-            return False
-        matched[u] = 1
-        matched[v] = 1
-    return True
-
-
-def csr_is_maximal_matching(
+def _matching_kernel(
     network: Any,
-    edge_values: Sequence[Any],
-    stray_edges: Sequence[Tuple[Edge, Any]] = (),
+    node_values: np.ndarray,
+    node_committed: np.ndarray,
+    edge_values: np.ndarray,
+    edge_committed: np.ndarray,
+    alive: np.ndarray,
+    *,
+    induced: bool = False,
 ) -> ValidationResult:
-    """CSR-native :func:`is_maximal_matching`.
+    """Maximal matching.
 
-    ``stray_edges`` carries entries of a mapping input that were not edges of
-    the network; a truthy stray reproduces the reference "matched edge is not
-    in the graph" failure.
+    No node — crashed or not — may have two selected edges; an unselected
+    alive–alive edge needs an endpoint matched by *some* selected edge,
+    possibly one towards a crashed node (the match happened before the
+    partner died; it does not free the surviving endpoint).
     """
-    for (u, v), value in stray_edges:
-        if value:
-            return ValidationResult(False, f"matched edge ({u}, {v}) is not in the graph")
-    matched = bytearray(network.n)
-    edges = network.edges
-    for i, (u, v) in enumerate(edges):
-        value = edge_values[i]
-        if value is MISSING or not value:
-            continue
-        if matched[u] or matched[v]:
-            return ValidationResult(False, "selected edges are not a matching")
-        matched[u] = 1
-        matched[v] = 1
-    for u, v in edges:
-        if not matched[u] and not matched[v]:
-            return ValidationResult(False, f"edge ({u}, {v}) could be added (not maximal)")
-    return ValidationResult(True)
-
-
-def csr_is_surviving_maximal_matching(
-    network: Any, edge_values: Sequence[Any], crashed: "frozenset[int]"
-) -> ValidationResult:
-    """Maximal matching scored on the surviving subgraph after crashes.
-
-    * every survivor–survivor edge must have committed (checked by the
-      caller; edges with a crashed endpoint are excused),
-    * the matching constraint (≤ 1 incident ``True`` edge) is enforced for
-      **all** nodes over all ``True`` edges — a crashed node cannot be
-      matched twice either, its surviving partners both believe the match,
-    * a ``False`` survivor–survivor edge is justified iff one endpoint is
-      matched via *some* ``True`` edge, possibly towards a crashed node
-      (the match happened before the partner died; that does not free the
-      surviving endpoint).
-    """
-    matched = bytearray(network.n)
-    edges = network.edges
-    for i, (u, v) in enumerate(edges):
-        value = edge_values[i]
-        if value is MISSING or not value:
-            continue
-        if matched[u] or matched[v]:
-            return ValidationResult(False, "selected edges are not a matching")
-        matched[u] = 1
-        matched[v] = 1
-    for i, (u, v) in enumerate(edges):
-        if u in crashed or v in crashed:
-            continue
-        if not matched[u] and not matched[v]:
-            return ValidationResult(
-                False, f"surviving edge ({u}, {v}) could be added (not maximal)"
-            )
-    return ValidationResult(True)
-
-
-def csr_is_induced_maximal_matching(
-    network: Any, edge_values: Any, edge_committed: Any, crashed: "frozenset[int]"
-) -> ValidationResult:
-    """Maximal matching strictly validated on the induced survivor subgraph.
-
-    The vectorised twin of re-validating on ``network.subnetwork``
-    (:meth:`ProblemSpec.validate_induced` fallback): commitments on edges
-    with a crashed endpoint are discarded, every alive–alive edge must have
-    committed, the selected alive–alive edges must form a matching, and
-    every unselected alive–alive edge needs an endpoint matched by a
-    selected alive–alive edge.
-    """
-    import numpy as np
-
     n = network.n
-    alive = np.ones(n, dtype=bool)
-    if crashed:
-        alive[list(crashed)] = False
     us, vs = network.edge_endpoints()
-    us = np.asarray(us)
-    vs = np.asarray(vs)
-    live = alive[us] & alive[vs]
-    committed = np.asarray(edge_committed, dtype=bool)
-    missing = live & ~committed
-    if missing.any():
-        i = int(np.flatnonzero(missing)[0])
+    selected = edge_committed & edge_values.astype(bool, copy=False)
+    degree = np.bincount(us[selected], minlength=n) + np.bincount(vs[selected], minlength=n)
+    if (degree > 1).any():
         return ValidationResult(
-            False,
-            f"missing edge outputs for surviving edges "
-            f"[({int(us[i])}, {int(vs[i])})]",
+            False, f"selected edges are not a matching (node {_first(degree > 1)} is matched twice)"
         )
-    selected = live & committed & np.asarray(edge_values, dtype=bool)
-    matched_degree = np.bincount(us[selected], minlength=n) + np.bincount(
-        vs[selected], minlength=n
-    )
-    if (matched_degree > 1).any():
-        return ValidationResult(False, "selected edges are not a matching")
-    matched = matched_degree > 0
-    addable = live & ~selected & ~matched[us] & ~matched[vs]
+    matched = degree > 0
+    addable = ~(matched[us] | matched[vs])
+    live = _live(alive, us, vs)
+    if live is not None:
+        addable &= live
     if addable.any():
-        i = int(np.flatnonzero(addable)[0])
+        i = _first(addable)
         return ValidationResult(
-            False,
-            f"surviving edge ({int(us[i])}, {int(vs[i])}) could be added "
-            f"(not maximal)",
+            False, f"{_surviving(alive)}edge ({us[i]}, {vs[i]}) could be added (not maximal)"
         )
     return ValidationResult(True)
-
-
-def _matching_validator(
-    graph: nx.Graph, _: Mapping[int, Any], edge_outputs: Mapping[Edge, Any]
-) -> ValidationResult:
-    return is_maximal_matching(graph, edge_outputs)
-
-
-def _matching_csr_validator(
-    network: Any,
-    _node_values: Sequence[Any],
-    edge_values: Sequence[Any],
-    stray_edges: Sequence[Tuple[Edge, Any]],
-) -> ValidationResult:
-    return csr_is_maximal_matching(network, edge_values, stray_edges)
-
-
-def _matching_surviving_validator(
-    network: Any,
-    _node_values: Sequence[Any],
-    edge_values: Sequence[Any],
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_surviving_maximal_matching(network, edge_values, crashed)
-
-
-def _matching_induced_validator(
-    network: Any,
-    _node_values: Any,
-    _node_committed: Any,
-    edge_values: Any,
-    edge_committed: Any,
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_induced_maximal_matching(network, edge_values, edge_committed, crashed)
 
 
 MAXIMAL_MATCHING = ProblemSpec(
     name="maximal-matching",
     labels_nodes=False,
     labels_edges=True,
-    validator=_matching_validator,
-    csr_validator=_matching_csr_validator,
-    surviving_validator=_matching_surviving_validator,
-    induced_validator=_matching_induced_validator,
+    validator=lambda graph, _, edge_outputs: is_maximal_matching(graph, edge_outputs),
+    kernel=_matching_kernel,
 )
 
 
@@ -1206,6 +820,7 @@ def is_proper_coloring(
     graph: nx.Graph, node_outputs: Mapping[int, Any], num_colors: Optional[int] = None
 ) -> ValidationResult:
     """Check a proper vertex colouring, optionally bounding the palette size."""
+    # repro-lint: allow[REP002] networkx reference validator (the oracle)
     for u, v in graph.edges():
         if node_outputs.get(u) == node_outputs.get(v):
             return ValidationResult(False, f"edge ({u}, {v}) is monochromatic")
@@ -1219,100 +834,63 @@ def is_proper_coloring(
     return ValidationResult(True)
 
 
-def csr_is_proper_coloring(
-    network: Any, node_values: Sequence[Any], num_colors: Optional[int] = None
-) -> ValidationResult:
-    """CSR-native :func:`is_proper_coloring` (slot-sequence input).
+def _off_palette(colours: np.ndarray, num_colors: int) -> List[Any]:
+    """The distinct colours outside ``[0, num_colors)`` (non-integers included)."""
+    if colours.dtype.kind in "biu":
+        as_int = colours.astype(np.int64)
+        return np.unique(colours[(as_int < 0) | (as_int >= num_colors)]).tolist()
+    used = set(colours.tolist())
+    return [c for c in used if not (isinstance(c, int) and 0 <= c < num_colors)]
 
-    Mirrors the reference semantics for partial assignments: two endpoints
-    that are both missing compare equal (as two ``None`` defaults do on the
-    networkx path) and hence flag the edge as monochromatic.
-    """
-    for u, v in network.edges:
-        if node_values[u] == node_values[v]:
-            return ValidationResult(False, f"edge ({u}, {v}) is monochromatic")
-    if num_colors is not None:
-        used = set(node_values)
-        bad = [c for c in used if not (isinstance(c, int) and 0 <= c < num_colors)]
-        if bad:
+
+def _coloring_kernel(num_colors: Optional[int]) -> Callable[..., ValidationResult]:
+    def kernel(
+        network: Any,
+        node_values: np.ndarray,
+        node_committed: np.ndarray,
+        edge_values: np.ndarray,
+        edge_committed: np.ndarray,
+        alive: np.ndarray,
+        *,
+        induced: bool = False,
+    ) -> ValidationResult:
+        """Proper colouring: no alive–alive edge is monochromatic, and the
+        palette bound applies to the colours the alive nodes use (what a
+        crashed node committed is not held against the configuration)."""
+        us, vs = network.edge_endpoints()
+        clash = node_values[us] == node_values[vs]
+        live = _live(alive, us, vs)
+        if live is not None:
+            clash &= live
+        if clash.any():
+            i = _first(clash)
             return ValidationResult(
-                False, f"colours {bad[:5]} are outside the allowed palette [0, {num_colors})"
+                False, f"{_surviving(alive)}edge ({us[i]}, {vs[i]}) is monochromatic"
             )
-    return ValidationResult(True)
+        if num_colors is not None:
+            bad = _off_palette(node_values[alive & node_committed], num_colors)
+            if bad:
+                return ValidationResult(
+                    False,
+                    f"colours {bad[:5]} are outside the allowed palette [0, {num_colors})",
+                )
+        return ValidationResult(True)
 
-
-def csr_is_surviving_coloring(
-    network: Any,
-    node_values: Sequence[Any],
-    crashed: "frozenset[int]",
-    num_colors: Optional[int] = None,
-) -> ValidationResult:
-    """Proper colouring scored on the surviving subgraph after crashes.
-
-    * every survivor must have committed (checked by the caller; crashed
-      nodes are excused),
-    * the monochromatic check runs on **survivor–survivor** edges only — a
-      colour clash against a corpse constrains nobody (the edge is gone from
-      the surviving subgraph),
-    * the palette bound applies to the colours survivors actually use;
-      whatever a crashed node committed before dying is not held against the
-      configuration.
-    """
-    for u, v in network.edges:
-        if u in crashed or v in crashed:
-            continue
-        if node_values[u] == node_values[v]:
-            return ValidationResult(
-                False, f"surviving edge ({u}, {v}) is monochromatic"
-            )
-    if num_colors is not None:
-        used = {
-            node_values[v]
-            for v in range(network.n)
-            if v not in crashed and node_values[v] is not MISSING
-        }
-        bad = [c for c in used if not (isinstance(c, int) and 0 <= c < num_colors)]
-        if bad:
-            return ValidationResult(
-                False,
-                f"colours {bad[:5]} are outside the allowed palette [0, {num_colors})",
-            )
-    return ValidationResult(True)
+    return kernel
 
 
 def coloring(num_colors: Optional[int] = None, name: Optional[str] = None) -> ProblemSpec:
     """Problem spec for proper vertex colouring with palette ``[0, num_colors)``."""
-
-    def _validator(
-        graph: nx.Graph, node_outputs: Mapping[int, Any], _: Mapping[Edge, Any]
-    ) -> ValidationResult:
-        return is_proper_coloring(graph, node_outputs, num_colors)
-
-    def _csr_validator(
-        network: Any,
-        node_values: Sequence[Any],
-        _edge_values: Sequence[Any],
-        _strays: Sequence[Tuple[Edge, Any]],
-    ) -> ValidationResult:
-        return csr_is_proper_coloring(network, node_values, num_colors)
-
-    def _surviving_validator(
-        network: Any,
-        node_values: Sequence[Any],
-        _edge_values: Sequence[Any],
-        crashed: "frozenset[int]",
-    ) -> ValidationResult:
-        return csr_is_surviving_coloring(network, node_values, crashed, num_colors)
-
     label = name or (f"{num_colors}-coloring" if num_colors is not None else "coloring")
     return ProblemSpec(
         name=label,
         labels_nodes=True,
         labels_edges=False,
-        validator=_validator,
+        validator=lambda graph, node_outputs, _: is_proper_coloring(
+            graph, node_outputs, num_colors
+        ),
         params={"num_colors": num_colors},
-        csr_validator=_csr_validator,
-        surviving_validator=_surviving_validator,
+        kernel=_coloring_kernel(num_colors),
     )
 
 
@@ -1347,117 +925,58 @@ def is_sinkless_orientation(
     return ValidationResult(True)
 
 
-def csr_is_sinkless_orientation(
+def _sinkless_kernel(
     network: Any,
-    edge_values: Sequence[Any],
-    stray_edges: Sequence[Tuple[Edge, Any]] = (),
+    node_values: np.ndarray,
+    node_committed: np.ndarray,
+    edge_values: np.ndarray,
+    edge_committed: np.ndarray,
+    alive: np.ndarray,
+    *,
+    induced: bool = False,
     min_degree: int = 3,
 ) -> ValidationResult:
-    """CSR-native :func:`is_sinkless_orientation`.
+    """Sinkless orientation (edge values are heads).
 
-    Degrees come straight from the CSR row pointers; only an "has an outgoing
-    edge" flag is tracked per node (the sink check needs nothing more).
-    """
-    if stray_edges:
-        (u, v), _ = stray_edges[0]
-        return ValidationResult(False, f"oriented edge ({u}, {v}) is not in the graph")
-    n = network.n
-    has_out = bytearray(n)
-    for i, (u, v) in enumerate(network.edges):
-        head = edge_values[i]
-        if head is MISSING:
-            continue
-        if head == v:
-            has_out[u] = 1
-        elif head == u:
-            has_out[v] = 1
-        else:
-            return ValidationResult(
-                False, f"edge ({u}, {v}) oriented towards {head}, which is not an endpoint"
-            )
-    indptr = network.indptr
-    for v in range(n):
-        degree = indptr[v + 1] - indptr[v]
-        if degree >= min_degree and not has_out[v]:
-            return ValidationResult(False, f"node {v} (degree {degree}) is a sink")
-    return ValidationResult(True)
-
-
-def csr_is_surviving_sinkless_orientation(
-    network: Any,
-    edge_values: Sequence[Any],
-    crashed: "frozenset[int]",
-    min_degree: int = 3,
-) -> ValidationResult:
-    """Sinkless orientation scored on the surviving subgraph after crashes.
-
-    * every survivor–survivor edge must have committed (checked by the
-      caller; edges with a crashed endpoint are excused),
-    * committed orientations must still point at an endpoint of their edge,
-      wherever they sit — a malformed head is a bug, not a casualty,
-    * the sink check applies to surviving nodes whose **original** degree is
-      ≥ ``min_degree`` (the paper poses the problem for minimum degree ≥ 3;
-      a crash does not re-pose it), and an outgoing edge whose head has
-      since crashed still counts: under crash-stop the edge physically
-      remains, the orientation was committed while both endpoints ran, and
-      the tail is no sink along it.
+    Every committed head must be an endpoint of its edge, wherever the edge
+    sits (a malformed head is a bug, not a casualty).  An alive node of
+    degree ≥ ``min_degree`` needs an outgoing committed edge; one whose head
+    has since crashed counts (under crash-stop the edge remains, oriented
+    while both endpoints ran).  The degree is the original one — a crash
+    does not re-pose the problem — except for ``induced`` validation, which
+    poses it on the induced survivor subgraph.
     """
     n = network.n
-    has_out = bytearray(n)
-    for i, (u, v) in enumerate(network.edges):
-        head = edge_values[i]
-        if head is MISSING:
-            continue
-        if head == v:
-            has_out[u] = 1
-        elif head == u:
-            has_out[v] = 1
-        else:
-            return ValidationResult(
-                False,
-                f"edge ({u}, {v}) oriented towards {head}, which is not an endpoint",
-            )
-    indptr = network.indptr
-    for v in range(n):
-        if v in crashed:
-            continue
-        degree = indptr[v + 1] - indptr[v]
-        if degree >= min_degree and not has_out[v]:
-            return ValidationResult(
-                False, f"surviving node {v} (degree {degree}) is a sink"
-            )
+    us, vs = network.edge_endpoints()
+    to_v = edge_committed & (edge_values == vs)
+    to_u = edge_committed & ~to_v & (edge_values == us)
+    malformed = edge_committed & ~to_v & ~to_u
+    if malformed.any():
+        i = _first(malformed)
+        head = edge_values[i : i + 1].tolist()[0]
+        return ValidationResult(
+            False, f"edge ({us[i]}, {vs[i]}) oriented towards {head}, which is not an endpoint"
+        )
+    has_out = np.zeros(n, dtype=bool)
+    has_out[us[to_v]] = True
+    has_out[vs[to_u]] = True
+    live = _live(alive, us, vs) if induced else None
+    if live is not None:
+        us, vs = us[live], vs[live]
+    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    sinks = alive & ~has_out & (degree >= min_degree)
+    if sinks.any():
+        v = _first(sinks)
+        return ValidationResult(
+            False, f"{_surviving(alive)}node {v} (degree {degree[v]}) is a sink"
+        )
     return ValidationResult(True)
-
-
-def _sinkless_validator(
-    graph: nx.Graph, _: Mapping[int, Any], edge_outputs: Mapping[Edge, Any]
-) -> ValidationResult:
-    return is_sinkless_orientation(graph, edge_outputs)
-
-
-def _sinkless_csr_validator(
-    network: Any,
-    _node_values: Sequence[Any],
-    edge_values: Sequence[Any],
-    stray_edges: Sequence[Tuple[Edge, Any]],
-) -> ValidationResult:
-    return csr_is_sinkless_orientation(network, edge_values, stray_edges)
-
-
-def _sinkless_surviving_validator(
-    network: Any,
-    _node_values: Sequence[Any],
-    edge_values: Sequence[Any],
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_surviving_sinkless_orientation(network, edge_values, crashed)
 
 
 SINKLESS_ORIENTATION = ProblemSpec(
     name="sinkless-orientation",
     labels_nodes=False,
     labels_edges=True,
-    validator=_sinkless_validator,
-    csr_validator=_sinkless_csr_validator,
-    surviving_validator=_sinkless_surviving_validator,
+    validator=lambda graph, _, edge_outputs: is_sinkless_orientation(graph, edge_outputs),
+    kernel=_sinkless_kernel,
 )

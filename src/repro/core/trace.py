@@ -17,36 +17,69 @@ reading spelled out in Section 2 of the paper.  Symmetrically for problems
 that only label edges (matching, orientations).
 
 Storage.  Commit rounds and outputs live in **flat arrays indexed by vertex
-and edge slot** (the :attr:`Network.edges` order): an ``array('q')`` of
-commit rounds with ``-1`` marking "never committed" and an aligned value
-list.  The runner fills these directly (:meth:`ExecutionTrace.from_arrays`);
-the historical dict views (``node_outputs``, ``node_commit_round``,
-``edge_outputs``, ``edge_commit_round``) are preserved as lazy properties
-for API compatibility, and remain assignable so that hand-built traces (and
-the vendored seed pipeline in ``benchmarks/``) can keep constructing traces
-dict-first.  Whichever representation a trace was built from is canonical;
-the other is derived on first access and cached.  Traces are treated as
-immutable once handed out, so the two never diverge.
+and edge slot** (the :attr:`Network.edges` order): a read-only int64 numpy
+row of commit rounds with ``-1`` marking "never committed", and an aligned
+value row.  The array engine hands over its own state rows as they are — no
+per-slot copy, no Python object per slot; the coroutine runner hands over a
+value tuple.  Both are GC-inert (numpy arrays and tuples of atomic values
+are not tracked by the cyclic collector), so the thousands of traces a sweep
+or a batched run holds never lengthen a gen-2 collection.  The historical
+dict views (``node_outputs``, ``node_commit_round``, ``edge_outputs``,
+``edge_commit_round``) are lazy properties returning Python scalars, and
+remain assignable so that hand-built traces (and the vendored seed pipeline
+in ``benchmarks/``) can keep constructing traces dict-first.  Whichever
+representation a trace was built from is canonical; the other is derived on
+first access and cached.  Traces are treated as immutable once handed out,
+so the two never diverge.  Validation feeds the rows and ``rounds >= 0``
+commit masks straight to the problem's kernel.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.errors import ValidationFailed
-from repro.core.problems import MISSING, ProblemSpec, ValidationResult
+from repro.core.problems import ProblemSpec, ValidationResult, _edge_mapping_slots
 
 __all__ = ["ExecutionTrace"]
 
 Edge = Tuple[int, int]
+#: A value row: the engine's numpy row, or the runner's tuple of Python values.
+Values = Union[np.ndarray, Tuple[Any, ...]]
 
 
-def _new_round_array(length: int) -> array:
-    """A length-``length`` int64 array of ``-1`` ("never committed")."""
-    return array("q", [-1]) * length
+def _round_row(rounds: Any) -> np.ndarray:
+    """A read-only int64 view of a commit-round buffer (``array('q')`` or numpy)."""
+    row = np.asarray(rounds, dtype=np.int64).view()
+    row.setflags(write=False)
+    return row
+
+
+def _value_row(values: Optional[Any], count: int) -> Values:
+    """The stored value row: numpy rows as read-only views, sequences as tuples.
+
+    ``None`` (a side the algorithm never labels) reads as ``False`` in every
+    slot, through a zero-byte broadcast view.
+    """
+    if values is None:
+        return np.broadcast_to(np.False_, (count,))
+    if isinstance(values, np.ndarray):
+        row = values.view()
+        row.setflags(write=False)
+        return row
+    # Tuples, not lists: CPython's GC permanently untracks a tuple of atomic
+    # values the first time a collection sees it, whereas a list is
+    # re-scanned by every gen-2 collection for as long as it lives.
+    return tuple(values)
+
+
+def _slot_values(values: Values, slots: np.ndarray) -> List[Any]:
+    """The Python values of ``slots`` (numpy scalars converted)."""
+    if isinstance(values, np.ndarray):
+        return values[slots].tolist()
+    return [values[i] for i in slots.tolist()]
 
 
 class ExecutionTrace:
@@ -123,13 +156,14 @@ class ExecutionTrace:
         self._edge_commit_round: Optional[Dict[Edge, int]] = (
             edge_commit_round if edge_commit_round is not None else {}
         )
-        # Flat per-slot storage: value lists aligned with int64 round arrays
-        # (-1 = never committed).  Canonical when built via `from_arrays`,
-        # otherwise derived lazily from the dicts.
-        self._node_values: Optional[List[Any]] = None
-        self._node_rounds: Optional[array] = None
-        self._edge_values: Optional[List[Any]] = None
-        self._edge_rounds: Optional[array] = None
+        # Flat per-slot storage: value rows aligned with read-only int64
+        # round rows (-1 = never committed).  Canonical when built via
+        # `from_arrays` (then the value row is never None), otherwise the
+        # round rows are derived lazily from the dicts.
+        self._node_values: Optional[Values] = None
+        self._node_rounds: Optional[np.ndarray] = None
+        self._edge_values: Optional[Values] = None
+        self._edge_rounds: Optional[np.ndarray] = None
         # Lazily computed completion-time vectors.  A trace is immutable once
         # the runner hands it out, and the metrics layer asks for the same
         # vectors several times per trace (averaged, expected, worst-case).
@@ -145,10 +179,10 @@ class ExecutionTrace:
         cls,
         network: Any,
         problem: ProblemSpec,
-        node_values: List[Any],
-        node_rounds: array,
-        edge_values: List[Any],
-        edge_rounds: array,
+        node_values: Optional[Union[np.ndarray, Sequence[Any]]],
+        node_rounds: Any,
+        edge_values: Optional[Union[np.ndarray, Sequence[Any]]],
+        edge_rounds: Any,
         *,
         rounds: int = 0,
         completed: bool = True,
@@ -163,7 +197,11 @@ class ExecutionTrace:
 
         ``node_values``/``node_rounds`` are vertex-indexed (length ``n``),
         ``edge_values``/``edge_rounds`` follow :attr:`Network.edges` order
-        (length ``m``); round ``-1`` marks a slot that never committed.
+        (length ``m``); round ``-1`` marks a slot that never committed and
+        the value of such a slot is ignored.  Rounds are int64 numpy arrays
+        or ``array('q')`` buffers, adopted without copying; values are numpy
+        arrays (adopted as read-only views), sequences (stored as a tuple)
+        or ``None`` for a side that is never labelled.
         """
         trace = cls(
             network,
@@ -181,18 +219,10 @@ class ExecutionTrace:
         trace._node_commit_round = None
         trace._edge_outputs = None
         trace._edge_commit_round = None
-        # Value slots are stored as tuples: CPython's GC permanently
-        # untracks a tuple of atomic values the first time a collection
-        # sees it, whereas a list is re-scanned by every gen-2 collection
-        # for as long as it lives.  With thousands of traces held by a
-        # sweep or a batched run, list-backed slots turn each full
-        # collection into a walk of 10⁷+ pointers and dominate the trial
-        # loop; tuple-backed slots make held traces GC-inert.  (Round
-        # buffers — ``array('q')`` — and numpy arrays are atomic already.)
-        trace._node_values = tuple(node_values)
-        trace._node_rounds = node_rounds
-        trace._edge_values = tuple(edge_values)
-        trace._edge_rounds = edge_rounds
+        trace._node_rounds = _round_row(node_rounds)
+        trace._node_values = _value_row(node_values, len(trace._node_rounds))
+        trace._edge_rounds = _round_row(edge_rounds)
+        trace._edge_values = _value_row(edge_values, len(trace._edge_rounds))
         return trace
 
     # ------------------------------------------------------------------ #
@@ -202,11 +232,10 @@ class ExecutionTrace:
     @property
     def node_outputs(self) -> Dict[int, Any]:
         if self._node_outputs is None:
-            rounds_arr = self._node_rounds
-            values = self._node_values
-            self._node_outputs = {
-                v: values[v] for v in range(len(rounds_arr)) if rounds_arr[v] >= 0
-            }
+            slots = np.flatnonzero(self._node_rounds >= 0)
+            self._node_outputs = dict(
+                zip(slots.tolist(), _slot_values(self._node_values, slots))
+            )
         return self._node_outputs
 
     @node_outputs.setter
@@ -225,9 +254,8 @@ class ExecutionTrace:
     def node_commit_round(self) -> Dict[int, int]:
         if self._node_commit_round is None:
             rounds_arr = self._node_rounds
-            self._node_commit_round = {
-                v: rounds_arr[v] for v in range(len(rounds_arr)) if rounds_arr[v] >= 0
-            }
+            slots = np.flatnonzero(rounds_arr >= 0)
+            self._node_commit_round = dict(zip(slots.tolist(), rounds_arr[slots].tolist()))
         return self._node_commit_round
 
     @node_commit_round.setter
@@ -242,12 +270,10 @@ class ExecutionTrace:
     @property
     def edge_outputs(self) -> Dict[Edge, Any]:
         if self._edge_outputs is None:
-            rounds_arr = self._edge_rounds
-            values = self._edge_values
-            edges = self.network.edges
-            self._edge_outputs = {
-                edges[i]: values[i] for i in range(len(rounds_arr)) if rounds_arr[i] >= 0
-            }
+            slots = np.flatnonzero(self._edge_rounds >= 0)
+            self._edge_outputs = dict(
+                zip(self._edge_keys(slots), _slot_values(self._edge_values, slots))
+            )
         return self._edge_outputs
 
     @edge_outputs.setter
@@ -263,10 +289,10 @@ class ExecutionTrace:
     def edge_commit_round(self) -> Dict[Edge, int]:
         if self._edge_commit_round is None:
             rounds_arr = self._edge_rounds
-            edges = self.network.edges
-            self._edge_commit_round = {
-                edges[i]: rounds_arr[i] for i in range(len(rounds_arr)) if rounds_arr[i] >= 0
-            }
+            slots = np.flatnonzero(rounds_arr >= 0)
+            self._edge_commit_round = dict(
+                zip(self._edge_keys(slots), rounds_arr[slots].tolist())
+            )
         return self._edge_commit_round
 
     @edge_commit_round.setter
@@ -278,6 +304,11 @@ class ExecutionTrace:
         self._edge_values = None
         self._invalidate_times()
 
+    def _edge_keys(self, slots: np.ndarray) -> List[Edge]:
+        """Canonical ``(u, v)`` tuples of the given edge slots."""
+        us, vs = self.network.edge_endpoints()
+        return list(zip(us[slots].tolist(), vs[slots].tolist()))
+
     def _invalidate_times(self) -> None:
         self._node_times = None
         self._edge_times = None
@@ -288,51 +319,30 @@ class ExecutionTrace:
     # Flat array views (lazy; canonical when built via `from_arrays`)
     # ------------------------------------------------------------------ #
 
-    def node_commit_rounds(self) -> array:
-        """Per-vertex commit rounds as an int64 array (``-1`` = uncommitted)."""
+    def node_commit_rounds(self) -> np.ndarray:
+        """Per-vertex commit rounds, a read-only int64 array (``-1`` = uncommitted)."""
         if self._node_rounds is None:
-            arr = _new_round_array(self.network.n)
-            for v, r in self._node_commit_round.items():
-                arr[v] = r
-            self._node_rounds = arr
+            arr = np.full(self.network.n, -1, dtype=np.int64)
+            mapping = self._node_commit_round
+            if mapping:
+                count = len(mapping)
+                arr[np.fromiter(mapping.keys(), np.int64, count)] = np.fromiter(
+                    mapping.values(), np.int64, count
+                )
+            self._node_rounds = _round_row(arr)
         return self._node_rounds
 
-    def edge_commit_rounds(self) -> array:
+    def edge_commit_rounds(self) -> np.ndarray:
         """Per-edge-slot commit rounds (``network.edges`` order, ``-1`` = uncommitted)."""
         if self._edge_rounds is None:
-            arr = _new_round_array(self.network.m)
+            arr = np.full(self.network.m, -1, dtype=np.int64)
             mapping = self._edge_commit_round
             if mapping:
-                for i, e in enumerate(self.network.edges):
-                    r = mapping.get(e)
-                    if r is not None:
-                        arr[i] = r
-            self._edge_rounds = arr
+                # Keys that are not canonical edges of the network are ignored.
+                slots, rounds, _ = _edge_mapping_slots(self.network, mapping)
+                arr[slots] = rounds
+            self._edge_rounds = _round_row(arr)
         return self._edge_rounds
-
-    def _node_value_slots(self) -> List[Any]:
-        """Per-vertex output values, ``MISSING`` where never committed."""
-        if self._node_values is not None:
-            rounds_arr = self._node_rounds
-            values = self._node_values
-            return [
-                values[v] if rounds_arr[v] >= 0 else MISSING for v in range(len(values))
-            ]
-        mapping = self._node_outputs
-        get = mapping.get
-        return [get(v, MISSING) for v in range(self.network.n)]
-
-    def _edge_value_slots(self) -> List[Any]:
-        """Per-edge output values in ``network.edges`` order, ``MISSING`` where absent."""
-        if self._edge_values is not None:
-            rounds_arr = self._edge_rounds
-            values = self._edge_values
-            return [
-                values[i] if rounds_arr[i] >= 0 else MISSING for i in range(len(values))
-            ]
-        mapping = self._edge_outputs
-        get = mapping.get
-        return [get(e, MISSING) for e in self.network.edges]
 
     # ------------------------------------------------------------------ #
     # Completion times (Definition 1 semantics)
@@ -347,7 +357,7 @@ class ExecutionTrace:
             edge_rounds = self.edge_commit_rounds()
             rounds = self.rounds
             for i in self.network.incident_edge_indices(v):
-                r = edge_rounds[i]
+                r = int(edge_rounds[i])
                 times.append(r if r >= 0 else rounds)
         if not times:
             return 0
@@ -358,7 +368,7 @@ class ExecutionTrace:
         times: List[int] = []
         if self.problem.labels_edges:
             edge_rounds = self.edge_commit_rounds()
-            r = edge_rounds[self.network.edge_index(u, v)]
+            r = int(edge_rounds[self.network.edge_index(u, v)])
             times.append(r if r >= 0 else self.rounds)
         if self.problem.labels_nodes:
             times.append(self._node_round(u))
@@ -381,21 +391,13 @@ class ExecutionTrace:
 
     def _node_rounds_np(self) -> np.ndarray:
         """Per-vertex commit rounds (uncommitted charged the full length)."""
-        rounds = np.frombuffer(self.node_commit_rounds(), dtype=np.int64)
+        rounds = self.node_commit_rounds()
         return np.where(rounds >= 0, rounds, self.rounds)
 
     def _edge_rounds_np(self) -> np.ndarray:
         """Per-edge commit rounds in network edge order."""
-        rounds = np.frombuffer(self.edge_commit_rounds(), dtype=np.int64)
+        rounds = self.edge_commit_rounds()
         return np.where(rounds >= 0, rounds, self.rounds)
-
-    def _endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Edge endpoint arrays ``(us, vs)`` aligned with the edge slots."""
-        endpoints = getattr(self.network, "edge_endpoints", None)
-        if endpoints is not None:
-            return endpoints()
-        pairs = np.asarray(self.network.edges, dtype=np.int64).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
 
     def node_completion_array(self) -> np.ndarray:
         """Vectorised :meth:`node_completion_times`: an int64 numpy array.
@@ -414,7 +416,7 @@ class ExecutionTrace:
                 acc = np.zeros(n, dtype=np.int64)
             if labels_edges:
                 edge_times = self._edge_rounds_np()
-                us, vs = self._endpoint_arrays()
+                us, vs = self.network.edge_endpoints()
                 np.maximum.at(acc, us, edge_times)
                 np.maximum.at(acc, vs, edge_times)
             acc.setflags(write=False)
@@ -433,7 +435,7 @@ class ExecutionTrace:
                 acc = np.zeros(m, dtype=np.int64)
             if labels_nodes:
                 node_rounds = self._node_rounds_np()
-                us, vs = self._endpoint_arrays()
+                us, vs = self.network.edge_endpoints()
                 np.maximum(acc, node_rounds[us], out=acc)
                 np.maximum(acc, node_rounds[vs], out=acc)
             acc.setflags(write=False)
@@ -450,16 +452,10 @@ class ExecutionTrace:
         )
 
     def _node_round(self, v: int) -> int:
-        r = self.node_commit_rounds()[v]
+        r = int(self.node_commit_rounds()[v])
         if r < 0:
             # Uncommitted entities are charged the full execution length; this
             # only happens for incomplete executions (round-limit hit).
-            return self.rounds
-        return r
-
-    def _edge_round(self, e: Edge) -> int:
-        r = self.edge_commit_rounds()[self.network.edge_index(*e)]
-        if r < 0:
             return self.rounds
         return r
 
@@ -470,27 +466,37 @@ class ExecutionTrace:
     def validate(self) -> ValidationResult:
         """Check the committed outputs against the problem specification.
 
-        Uses the CSR-native fast path (:meth:`ProblemSpec.validate_network`)
-        when both the network and the problem support it — the topology is
-        never exported back to networkx on this path.  Executions with
-        crash-stop faults (:attr:`crashed` non-empty) are scored on the
-        surviving subgraph via :meth:`ProblemSpec.validate_surviving`.
+        The stored value rows go to the problem's kernel as they are, with
+        ``rounds >= 0`` as their commit masks (:meth:`ProblemSpec.
+        validate_network`); the topology is never exported to networkx.
+        Executions with crash-stop faults (:attr:`crashed` non-empty) are
+        scored on the surviving subgraph (:meth:`ProblemSpec.
+        validate_surviving`).  Dict-canonical traces pass their mappings.
         """
-        network = self.network
-        problem = self.problem
-        if self.crashed and hasattr(problem, "validate_surviving"):
-            return problem.validate_surviving(
-                network,
-                self._node_value_slots(),
-                self._edge_value_slots(),
+        if self._node_values is not None:
+            node_outputs, node_committed = self._node_values, self._node_rounds >= 0
+        else:
+            node_outputs, node_committed = self._node_outputs, None
+        if self._edge_values is not None:
+            edge_outputs, edge_committed = self._edge_values, self._edge_rounds >= 0
+        else:
+            edge_outputs, edge_committed = self._edge_outputs, None
+        if self.crashed:
+            return self.problem.validate_surviving(
+                self.network,
+                node_outputs,
+                edge_outputs,
                 self.crashed,
+                node_committed=node_committed,
+                edge_committed=edge_committed,
             )
-        if hasattr(problem, "validate_network") and hasattr(network, "indptr"):
-            return problem.validate_network(
-                network, self._node_value_slots(), self._edge_value_slots()
-            )
-        graph = network.to_networkx()
-        return problem.validate(graph, self.node_outputs, self.edge_outputs)
+        return self.problem.validate_network(
+            self.network,
+            node_outputs,
+            edge_outputs,
+            node_committed=node_committed,
+            edge_committed=edge_committed,
+        )
 
     def require_valid(self) -> "ExecutionTrace":
         """Raise :class:`ValidationFailed` unless the outputs are valid.
@@ -513,18 +519,18 @@ class ExecutionTrace:
     def selected_nodes(self) -> List[int]:
         """Vertices whose committed output is truthy (e.g. MIS members)."""
         if self._node_values is not None:
-            rounds_arr = self._node_rounds
-            values = self._node_values
-            return [v for v in range(len(values)) if rounds_arr[v] >= 0 and values[v]]
+            slots = np.flatnonzero(self._node_rounds >= 0)
+            values = _slot_values(self._node_values, slots)
+            return [v for v, value in zip(slots.tolist(), values) if value]
         return [v for v, value in self._node_outputs.items() if value]
 
     def selected_edges(self) -> List[Edge]:
         """Edges whose committed output is truthy (e.g. matching edges)."""
         if self._edge_values is not None:
-            rounds_arr = self._edge_rounds
-            values = self._edge_values
-            edges = self.network.edges
-            return [edges[i] for i in range(len(values)) if rounds_arr[i] >= 0 and values[i]]
+            slots = np.flatnonzero(self._edge_rounds >= 0)
+            values = _slot_values(self._edge_values, slots)
+            chosen = [i for i, value in zip(slots.tolist(), values) if value]
+            return self._edge_keys(np.asarray(chosen, dtype=np.int64))
         return [e for e, value in self._edge_outputs.items() if value]
 
     def summary(self) -> Dict[str, Any]:

@@ -144,11 +144,19 @@ _HOT_PATH_MODULES = {
     "repro/local/engine.py",
     "repro/local/runner.py",
     "repro/core/metrics.py",
+    "repro/core/trace.py",
+    "repro/core/problems.py",
     "repro/graphs/edgelist.py",
 }
 
 #: Calls that materialise a Python object per edge (or the nx graph).
 _MATERIALISERS = {"to_networkx", "as_edge_list", "as_pairs"}
+
+#: Builtins that copy their argument into a container, one entry per edge.
+_COPIES = {"list", "tuple", "sorted", "set"}
+
+#: Builtins that iterate their arguments element by element.
+_WRAPPERS = {"enumerate", "zip", "reversed"}
 
 
 class HotPathRule(Rule):
@@ -182,42 +190,52 @@ class HotPathRule(Rule):
                 )
             elif (
                 isinstance(node.func, ast.Name)
-                and node.func.id in {"list", "tuple", "sorted"}
+                and node.func.id in _COPIES
                 and len(node.args) == 1
-                and self._is_edges_call(node.args[0])
+                and self._is_edge_view(node.args[0])
             ):
                 yield module.finding(
                     node,
                     self.id,
-                    f"{node.func.id}(…edges()) materialises the tuple edge "
+                    f"{node.func.id}(…edges) materialises the tuple edge "
                     "view; use Network.edge_endpoints() arrays instead",
                 )
         elif isinstance(node, ast.For):
-            if self._is_edges_call(node.iter):
+            if self._iterates_edges(node.iter):
                 yield module.finding(
                     node,
                     self.id,
-                    "per-edge Python for-loop over edges(); vectorise over "
+                    "per-edge Python for-loop over edges; vectorise over "
                     "edge_endpoints() arrays instead",
                 )
         else:  # comprehensions
             for generator in node.generators:  # type: ignore[union-attr]
-                if self._is_edges_call(generator.iter):
+                if self._iterates_edges(generator.iter):
                     yield module.finding(
                         node,
                         self.id,
-                        "per-edge comprehension over edges(); vectorise over "
+                        "per-edge comprehension over edges; vectorise over "
                         "edge_endpoints() arrays instead",
                     )
                     break
 
     @staticmethod
-    def _is_edges_call(node: ast.AST) -> bool:
-        return (
+    def _is_edge_view(node: ast.AST) -> bool:
+        """``x.edges()`` (networkx) or the ``Network.edges`` tuple property."""
+        if isinstance(node, ast.Call):
+            node = node.func
+        return isinstance(node, ast.Attribute) and node.attr == "edges"
+
+    @classmethod
+    def _iterates_edges(cls, node: ast.AST) -> bool:
+        """An edge view, bare or inside ``enumerate``/``zip``/``reversed``."""
+        if (
             isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "edges"
-        )
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _WRAPPERS
+        ):
+            return any(cls._is_edge_view(arg) for arg in node.args)
+        return cls._is_edge_view(node)
 
 
 # --------------------------------------------------------------------- #

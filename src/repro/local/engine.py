@@ -19,7 +19,7 @@ the per-node Mersenne path is mathematically impossible (one block-generated
 PCG64 stream cannot replay ``n`` interleaved per-node Mersenne streams), so
 the engine has its **own documented seed schedule** and is pinned by
 
-* validator-verified outputs (every engine trace passes the CSR validators),
+* validator-verified outputs (every engine trace passes the problem kernels),
 * identical round-stamp *semantics* (commit rounds, message counts and
   completion rounds follow exactly the coroutine timeline for the same
   decisions — see the algorithm classes for the round-by-round derivations),
@@ -53,9 +53,8 @@ when ``algorithm.as_array_algorithm()`` returns one.
 
 from __future__ import annotations
 
-from array import array
 from collections import OrderedDict
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -597,8 +596,7 @@ class ArrayEngine:
             ) and (not selfstab or rounds >= final_crash)
             if selfstab:
                 pending, valid = self._recovery_round_entry(
-                    state, problem, round_faults, topology, network,
-                    faults.crashed_by(rounds),
+                    state, problem, round_faults, topology, network
                 )
                 recovery_pending.append(pending)
                 recovery_valid.append(valid)
@@ -673,7 +671,6 @@ class ArrayEngine:
         round_faults: RoundFaults,
         topology: ArrayTopology,
         network: Network,
-        crashed: Tuple[int, ...],
     ) -> Tuple[int, bool]:
         """One ``(pending, valid)`` recovery-timeline entry (array form).
 
@@ -696,17 +693,15 @@ class ArrayEngine:
             )
         if pending > 0:
             return pending, False
-        # State arrays go to the validator as (values, committed-mask)
-        # pairs: problems with a vectorised induced_validator never see a
-        # MISSING-marked Python list (the per-round list build + subnetwork
-        # fallback used to dominate the whole faulted round loop).
+        # The state arrays and the round's alive mask go to the problem's
+        # kernel as they are: no per-round list, crashed set or subnetwork.
         result = problem.validate_induced(
             network,
             state.node_values,
             state.edge_values,
-            crashed,
             node_committed=state.node_rounds >= 0,
             edge_committed=state.edge_rounds >= 0,
+            alive=alive,
         )
         return 0, bool(result)
 
@@ -722,20 +717,16 @@ class ArrayEngine:
         crashed: Tuple[int, ...] = (),
         recovery: Optional[RecoveryTimeline] = None,
     ) -> ExecutionTrace:
-        # Straight into the trace's flat per-slot storage: int64 rounds as
-        # array('q') buffers (one memcpy each), values as plain lists with
-        # None in never-committed slots.  No dict view is materialised.
-        node_rounds = array("q", state.node_rounds.tobytes())
-        node_values = _value_slots(state.node_values, state.node_rounds)
-        edge_rounds = array("q", state.edge_rounds.tobytes())
-        edge_values = _value_slots(state.edge_values, state.edge_rounds)
+        # The state rows become the trace's flat storage as they are (the
+        # run is over, nothing writes them again): no per-slot copy, no
+        # Python object per slot, no dict view.
         return ExecutionTrace.from_arrays(
             network,
             problem,
-            node_values,
-            node_rounds,
-            edge_values,
-            edge_rounds,
+            state.node_values,
+            state.node_rounds,
+            state.edge_values,
+            state.edge_rounds,
             rounds=rounds,
             completed=completed,
             total_messages=state.messages,
@@ -746,17 +737,3 @@ class ArrayEngine:
             recovery=recovery,
         )
 
-
-def _value_slots(values: Optional[np.ndarray], rounds: np.ndarray) -> Tuple[Any, ...]:
-    """Per-slot value tuple for the trace: ``None`` where never committed.
-
-    A tuple rather than a list so ``ExecutionTrace.from_arrays`` can adopt
-    it without copying (``tuple(t)`` returns ``t`` itself).
-    """
-    if values is None:
-        return (None,) * len(rounds)
-    slots: List[Any] = values.tolist()
-    if (rounds < 0).any():
-        for i in np.flatnonzero(rounds < 0).tolist():
-            slots[i] = None
-    return tuple(slots)

@@ -30,9 +30,11 @@ import random
 from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.errors import RoundLimitExceeded
 from repro.core.metrics import RecoveryTimeline
-from repro.core.problems import MISSING, ProblemSpec
+from repro.core.problems import ProblemSpec
 from repro.core.trace import ExecutionTrace
 from repro.local.algorithm import Broadcast, NodeAlgorithm
 from repro.local.coroutine import CoroutineAlgorithm
@@ -127,7 +129,7 @@ class _CompletionTracker:
         "_n",
         "_edge_index",
         "_nodes",
-        "_crashed_set",
+        "alive",
         "halt_events",
         "edge_commit_events",
     )
@@ -142,10 +144,11 @@ class _CompletionTracker:
         self._n = network.n
         self._edge_index = None
         # The runtime nodes of the execution (attached by the runner once
-        # they exist) and the crash casualties so far — both consulted only
-        # on the revocation paths of self-stabilising runs.
+        # they exist), consulted only on the revocation paths of
+        # self-stabilising runs, and one alive flag per vertex (cleared by
+        # crash-stop faults), which the recovery checks pass on as a mask.
         self._nodes: Optional[Tuple[NodeRuntime, ...]] = None
-        self._crashed_set: set = set()
+        self.alive = bytearray(b"\x01") * network.n
         self.halt_events = 0
         self.edge_commit_events = 0
 
@@ -207,8 +210,9 @@ class _CompletionTracker:
         index = edge_index.get(key)
         if index is None or not self._edge_decided[index]:
             return
-        if vertex in self._crashed_set or neighbor in self._crashed_set:
-            if self._nodes is not None and neighbor in self._crashed_set:
+        alive = self.alive
+        if not alive[vertex] or not alive[neighbor]:
+            if self._nodes is not None and not alive[neighbor]:
                 corpse = self._nodes[neighbor]
                 corpse._edge_outputs.pop(vertex, None)
                 corpse._edge_output_rounds.pop(vertex, None)
@@ -227,7 +231,7 @@ class _CompletionTracker:
         decided here also guards against a double decrement if the surviving
         endpoint commits the edge later).
         """
-        self._crashed_set.add(vertex)
+        self.alive[vertex] = 0
         if self.labels_nodes and not committed:
             self._pending_nodes -= 1
         if self.labels_edges:
@@ -268,11 +272,14 @@ def _recovery_round_entry(
     if pending > 0:
         return pending, False
     n = network.n
-    node_slots: List[Any] = [MISSING] * n
+    node_values: List[Any] = [None] * n
+    node_committed = bytearray(n)
     for node in nodes:
         if node._output_round is not None:
-            node_slots[node.vertex] = node._output
-    edge_slots: List[Any] = [MISSING] * network.m
+            node_values[node.vertex] = node._output
+            node_committed[node.vertex] = 1
+    edge_values: List[Any] = [None] * network.m
+    edge_committed = bytearray(network.m)
     packed = network._packed_edge_index()
     for node in nodes:
         outputs = node._edge_outputs
@@ -284,10 +291,16 @@ def _recovery_round_entry(
                 continue
             key = v * n + u if v < u else u * n + v
             i = packed.get(key)
-            if i is not None and edge_slots[i] is MISSING:
-                edge_slots[i] = value
+            if i is not None and not edge_committed[i]:
+                edge_values[i] = value
+                edge_committed[i] = 1
     result = problem.validate_induced(
-        network, node_slots, edge_slots, tracker._crashed_set
+        network,
+        node_values,
+        edge_values,
+        node_committed=np.frombuffer(node_committed, dtype=bool),
+        edge_committed=np.frombuffer(edge_committed, dtype=bool),
+        alive=np.frombuffer(tracker.alive, dtype=bool),
     )
     return 0, bool(result)
 

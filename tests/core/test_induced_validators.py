@@ -1,11 +1,12 @@
-"""Differential tests for the vectorised induced-survivor validators.
+"""Differential tests for induced-survivor validation.
 
-``ProblemSpec.induced_validator`` is a pure-performance hook: for any
-network, output configuration, and crash set, ``csr_is_induced_mis`` /
-``csr_is_induced_maximal_matching`` must return the same verdict the
-generic subnetwork-materialising fallback does.  These tests fuzz random
-configurations through both paths (and through the array-mask input form
-the engines use) and require verdict agreement everywhere.
+For any network, output configuration, and crash set,
+``ProblemSpec.validate_induced`` (the numpy kernel behind the commitment
+mask) must return the verdict of the networkx reference validator on the
+induced survivor subgraph — which is what a spec without a ``kernel`` runs.
+These tests fuzz random configurations through both paths (and through the
+array-mask input form the engines use) and require verdict agreement
+everywhere.
 """
 
 from __future__ import annotations
@@ -91,32 +92,34 @@ class TestVerdictAgreement:
 
     def test_mis_fast_path_agrees_with_fallback(self, seed):
         spec = problems.MIS
-        assert spec.induced_validator is not None
-        self.check(spec, replace(spec, induced_validator=None), nodes=True, seed=seed)
+        assert spec.kernel is not None
+        self.check(spec, replace(spec, kernel=None), nodes=True, seed=seed)
 
     def test_matching_fast_path_agrees_with_fallback(self, seed):
         spec = problems.MAXIMAL_MATCHING
-        assert spec.induced_validator is not None
-        self.check(
-            spec, replace(spec, induced_validator=None), nodes=False, seed=seed + 100
-        )
+        assert spec.kernel is not None
+        self.check(spec, replace(spec, kernel=None), nodes=False, seed=seed + 100)
 
 
-class TestCsrValidatorSemantics:
+def induced(spec, network, crashed, nodes=None, edges=None, **committed):
+    return spec.validate_induced(network, nodes, edges, crashed, **committed)
+
+
+class TestInducedSemantics:
     def test_induced_mis_accepts_a_valid_survivor_configuration(self):
         # Path 0-1-2-3 with node 1 crashed: survivors 0,2,3; selecting {0, 3}
         # leaves 2 covered by 3 and independent.
         network = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         values = np.array([True, True, False, True])  # crashed node's value ignored
         committed = np.ones(4, dtype=bool)
-        result = problems.csr_is_induced_mis(network, values, committed, [1])
+        result = induced(problems.MIS, network, [1], values, node_committed=committed)
         assert bool(result)
 
     def test_induced_mis_rejects_uncovered_survivors(self):
         network = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         values = np.array([False, False, False, False])
         committed = np.ones(4, dtype=bool)
-        result = problems.csr_is_induced_mis(network, values, committed, [1])
+        result = induced(problems.MIS, network, [1], values, node_committed=committed)
         assert not bool(result)
         assert "uncovered" in result.reason
 
@@ -124,7 +127,7 @@ class TestCsrValidatorSemantics:
         network = Network.from_edges(3, [(0, 1), (1, 2)])
         values = np.zeros(3, dtype=bool)
         committed = np.array([True, True, False])
-        result = problems.csr_is_induced_mis(network, values, committed, [0])
+        result = induced(problems.MIS, network, [0], values, node_committed=committed)
         assert not bool(result)
         assert "missing node outputs" in result.reason
 
@@ -134,8 +137,8 @@ class TestCsrValidatorSemantics:
         network = Network.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         values = np.zeros(3, dtype=bool)
         committed = np.ones(3, dtype=bool)
-        result = problems.csr_is_induced_maximal_matching(
-            network, values, committed, [0]
+        result = induced(
+            problems.MAXIMAL_MATCHING, network, [0], edges=values, edge_committed=committed
         )
         assert not bool(result)
         assert "added" in result.reason
@@ -144,8 +147,8 @@ class TestCsrValidatorSemantics:
         network = Network.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         values = np.ones(3, dtype=bool)
         committed = np.ones(3, dtype=bool)
-        result = problems.csr_is_induced_maximal_matching(
-            network, values, committed, []
+        result = induced(
+            problems.MAXIMAL_MATCHING, network, [], edges=values, edge_committed=committed
         )
         assert not bool(result)
         assert "matching" in result.reason

@@ -1,13 +1,14 @@
-"""CSR-native validators must agree with their networkx reference twins.
+"""Network validation must agree with the networkx reference validators.
 
-The validators in :mod:`repro.core.problems` exist in two implementations:
-the seed networkx functions (the executable specification) and the CSR
-fast-path functions consuming a :class:`Network`'s ``indptr``/``indices``
-views.  These property tests drive both over random graphs with **valid**
-outputs (produced by simple sequential solvers) and **deliberately
+Every problem in :mod:`repro.core.problems` validates in two ways: the seed
+networkx functions (the executable specification, run on a ``nx.Graph``)
+and a numpy kernel run by :meth:`ProblemSpec.validate_network` on a
+:class:`Network`.  These property tests drive both over random graphs with
+**valid** outputs (produced by simple sequential solvers) and **deliberately
 corrupted** outputs (flipped memberships, dropped entries, stray edges,
 palette violations, re-oriented edges) and assert that the two paths always
-reach the same verdict.
+reach the same verdict; they also pin the input forms ``validate_network``
+accepts (mappings, ``MISSING``-marked slot sequences).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _orientation(graph: nx.Graph, rng: random.Random, valid: bool) -> dict:
 
 
 def _agree(spec: problems.ProblemSpec, graph: nx.Graph, node_out, edge_out) -> bool:
-    """Assert reference and CSR paths agree; return the shared verdict."""
+    """Assert the reference and kernel paths agree; return the shared verdict."""
     network = _network(graph)
     reference = spec.validate(graph, node_out, edge_out)
     fast = spec.validate_network(network, node_out, edge_out)
@@ -306,8 +307,8 @@ class TestSlotSequenceInputs:
         with pytest.raises(ValueError):
             problems.MIS.validate_network(network, [True, False], None)
 
-    def test_fallback_without_csr_validator(self):
-        """Custom specs without a CSR validator route through the nx path."""
+    def test_fallback_without_kernel(self):
+        """Custom specs without a kernel route through the nx path."""
         spec = problems.ProblemSpec(
             name="custom-mis",
             labels_nodes=True,

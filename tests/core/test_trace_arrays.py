@@ -137,6 +137,24 @@ class TestRunnerProducesArrayTraces:
         assert set(trace.node_outputs) == {v for v in range(12) if rounds_arr[v] >= 0}
         trace.require_valid()
 
+    def test_engine_trace_adopts_the_state_rows(self):
+        """Engine traces keep the engine's numpy rows: GC-untracked storage,
+        Python scalars through the dict views."""
+        import gc
+
+        from repro.local.engine import ArrayEngine
+
+        network = Network.from_edges(*gen.cycle_edges(12))
+        trace = ArrayEngine().run(
+            LubyMIS().as_array_algorithm(), network, problems.MIS, seed=0
+        )
+        for row in (trace._node_values, trace._node_rounds, trace._edge_values):
+            assert not gc.is_tracked(row)
+        assert not trace.node_commit_rounds().flags.writeable
+        assert {type(value) for value in trace.node_outputs.values()} == {bool}
+        assert {type(r) for r in trace.node_commit_round.values()} == {int}
+        assert trace.validate()
+
     def test_hot_path_never_exports_networkx(self, monkeypatch):
         """run_trials(validate=True) must not call Network.to_networkx()."""
         network = Network.from_edges(*gen.random_regular_edges(4, 40, seed=1))

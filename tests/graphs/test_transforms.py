@@ -132,4 +132,5 @@ class TestTwoCopiesWithPerfectMatching:
         union, _, _, matching = transforms.two_copies_with_perfect_matching(g)
         network = Network.from_graph(union)
         edge_outputs = {e: (e in set(matching)) for e in network.edges}
-        assert problems.csr_is_matching(network, [edge_outputs[e] for e in network.edges])
+        # A perfect matching is in particular a maximal one.
+        assert problems.MAXIMAL_MATCHING.validate_network(network, None, edge_outputs)

@@ -12,3 +12,15 @@ def per_edge_python(network, arrays):
         total += u + v
     weights = [u for u, _ in network.edges()]  # expect[REP002]
     return graph, n, edges, pairs, edge_view, total, weights
+
+
+def per_edge_property(network, values):
+    known = set(network.edges)  # expect[REP002]
+    total = 0
+    for u, v in network.edges:  # expect[REP002]
+        total += u + v
+    for i, (u, v) in enumerate(network.edges):  # expect[REP002]
+        total += i
+    slots = {e: i for i, e in enumerate(network.edges)}  # expect[REP002]
+    heads = [value for (u, v), value in zip(network.edges, values)]  # expect[REP002]
+    return known, total, slots, heads

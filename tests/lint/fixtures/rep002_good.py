@@ -10,6 +10,12 @@ def vectorised(network, np):
     return degrees
 
 
+def single_edge_lookups(network, slots):
+    # Indexing the edge view is not a per-edge loop.
+    edges = network.edges
+    return [edges[i] for i in slots], len(network.edges)
+
+
 def cold_module_can_materialise(network):
     # The same calls are legal outside the hot-path module set; this file
     # only stays silent because the calls below are allow-listed.

@@ -29,14 +29,7 @@ from repro.algorithms.matching.randomized import RandomizedMaximalMatching
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
 from repro.core.errors import classify_failure
-from repro.core.problems import (
-    MISSING,
-    csr_is_surviving_coloring,
-    csr_is_surviving_maximal_matching,
-    csr_is_surviving_mis,
-    csr_is_surviving_ruling_set,
-    csr_is_surviving_sinkless_orientation,
-)
+from repro.core.problems import MISSING
 from repro.graphs import generators as gen
 from repro.local.algorithm import Broadcast
 from repro.local.coroutine import CoroutineAlgorithm
@@ -344,74 +337,86 @@ class TestCrossEngineContract:
         assert any(e[0] == "delay" for e in trace.fault_events)
 
 
+# The hand-pinned surviving cases: the crash-stop concessions
+# (``ProblemSpec.validate_surviving``) on graphs small enough to check by eye.
+
+
+def surviving_nodes(spec, net, values, crashed):
+    return spec.validate_surviving(net, values, None, crashed)
+
+
+def surviving_edges(spec, net, values, crashed):
+    return spec.validate_surviving(net, None, values, crashed)
+
+
 class TestSurvivingValidators:
     def test_mis_adjacent_joins_excused_only_via_crashes(self):
         net = p3()
         values = [True, True, False]
-        assert not csr_is_surviving_mis(net, values, frozenset()).valid
+        assert not surviving_nodes(problems.MIS, net, values, set()).valid
         # Crashing one endpoint of the violating edge excuses it...
-        assert csr_is_surviving_mis(net, values, frozenset({0})).valid
+        assert surviving_nodes(problems.MIS, net, values, {0}).valid
         # ...but an unrelated crash does not.
-        assert not csr_is_surviving_mis(net, values, frozenset({2})).valid
+        assert not surviving_nodes(problems.MIS, net, values, {2}).valid
 
     def test_mis_coverage_may_come_from_a_crashed_true_neighbour(self):
         net = p3()
         values = [True, False, False]
         # Node 2 is uncovered: no True neighbour, crashed or not.
-        assert not csr_is_surviving_mis(net, values, frozenset()).valid
+        assert not surviving_nodes(problems.MIS, net, values, set()).valid
         # A crashed-but-committed True neighbour covers it exactly.
         covered = [True, False, True]
-        assert csr_is_surviving_mis(net, covered, frozenset({2})).valid
+        assert surviving_nodes(problems.MIS, net, covered, {2}).valid
 
     def test_matching_crashed_node_cannot_be_matched_twice(self):
         net = p3()
         both_matched = [True, True]
-        verdict = csr_is_surviving_maximal_matching(net, both_matched, frozenset({1}))
+        verdict = surviving_edges(problems.MAXIMAL_MATCHING, net, both_matched, {1})
         assert not verdict.valid
         assert "not a matching" in verdict.reason
 
     def test_matching_maximality_excuses_crashed_endpoints(self):
         net = p3()
         nothing_matched = [False, False]
-        assert not csr_is_surviving_maximal_matching(net, nothing_matched, frozenset()).valid
+        assert not surviving_edges(
+            problems.MAXIMAL_MATCHING, net, nothing_matched, set()
+        ).valid
         # Edge (0, 1) is excused by node 0's crash; (1, 2) still addable.
-        assert not csr_is_surviving_maximal_matching(
-            net, nothing_matched, frozenset({0})
+        assert not surviving_edges(
+            problems.MAXIMAL_MATCHING, net, nothing_matched, {0}
         ).valid
         # Crashing the middle node excuses both edges.
-        assert csr_is_surviving_maximal_matching(
-            net, nothing_matched, frozenset({1})
-        ).valid
+        assert surviving_edges(problems.MAXIMAL_MATCHING, net, nothing_matched, {1}).valid
 
     def test_matching_match_towards_crashed_node_justifies_false_edges(self):
         net = p3()
         values = [True, False]
-        assert csr_is_surviving_maximal_matching(net, values, frozenset({0})).valid
-        assert csr_is_surviving_maximal_matching(net, values, frozenset()).valid
+        assert surviving_edges(problems.MAXIMAL_MATCHING, net, values, {0}).valid
+        assert surviving_edges(problems.MAXIMAL_MATCHING, net, values, set()).valid
 
     def test_missing_values_count_as_unmatched(self):
         net = p3()
         values = [MISSING, False]
-        verdict = csr_is_surviving_maximal_matching(net, values, frozenset())
+        verdict = surviving_edges(problems.MAXIMAL_MATCHING, net, values, set())
         assert not verdict.valid
 
     def test_coloring_monochromatic_only_on_surviving_edges(self):
         net = p3()
         values = [0, 0, 1]
-        assert not csr_is_surviving_coloring(net, values, frozenset()).valid
+        assert not surviving_nodes(problems.coloring(None), net, values, set()).valid
         # Crashing one endpoint of the clashing edge removes it from the
         # surviving subgraph...
-        assert csr_is_surviving_coloring(net, values, frozenset({0})).valid
+        assert surviving_nodes(problems.coloring(None), net, values, {0}).valid
         # ...but an unrelated crash leaves the clash in force.
-        assert not csr_is_surviving_coloring(net, values, frozenset({2})).valid
+        assert not surviving_nodes(problems.coloring(None), net, values, {2}).valid
 
     def test_coloring_palette_only_binds_survivors(self):
         net = p3()
         values = [0, 5, 1]
-        assert not csr_is_surviving_coloring(net, values, frozenset(), num_colors=2).valid
+        assert not surviving_nodes(problems.coloring(2), net, values, set()).valid
         # The out-of-palette colour belongs to a corpse: not held against
         # the surviving configuration.
-        assert csr_is_surviving_coloring(net, values, frozenset({1}), num_colors=2).valid
+        assert surviving_nodes(problems.coloring(2), net, values, {1}).valid
 
     def test_coloring_spec_registers_the_surviving_validator(self):
         spec = problems.coloring(2)
@@ -426,17 +431,17 @@ class TestSurvivingValidators:
         net = self.p4()
         values = [True, False, False, False]
         # Node 3 is at distance 3 > beta=2 from the only ruler.
-        assert not csr_is_surviving_ruling_set(net, values, frozenset(), 2, 2).valid
+        assert not surviving_nodes(problems.ruling_set(2, 2), net, values, set()).valid
         # Crashing it removes the only uncovered survivor.
-        assert csr_is_surviving_ruling_set(net, values, frozenset({3}), 2, 2).valid
+        assert surviving_nodes(problems.ruling_set(2, 2), net, values, {3}).valid
 
     def test_ruling_set_relays_must_be_alive(self):
         net = self.p4()
         values = [True, False, False, False]
         # With 1 crashed, node 2's only path to the ruler relays through a
         # corpse: coverage is gone even though dist(0, 2)=2 pre-crash.
-        assert not csr_is_surviving_ruling_set(
-            net, values, frozenset({1, 3}), 2, 2
+        assert not surviving_nodes(
+            problems.ruling_set(2, 2), net, values, {1, 3}
         ).valid
 
     def test_ruling_set_crashed_committed_ruler_still_dominates(self):
@@ -444,15 +449,15 @@ class TestSurvivingValidators:
         values = [False, True, False, False]
         # Ruler 1 died after committing: nodes 0 and 2 keep their coverage,
         # and node 3 is reached through the *live* relay 2.
-        assert csr_is_surviving_ruling_set(net, values, frozenset({1}), 2, 2).valid
+        assert surviving_nodes(problems.ruling_set(2, 2), net, values, {1}).valid
 
     def test_ruling_set_independence_measured_through_survivors(self):
         net = p3()
         values = [True, False, True]
         # alpha=3: rulers 0 and 2 are at distance 2 < 3 through node 1.
-        assert not csr_is_surviving_ruling_set(net, values, frozenset(), 3, 3).valid
+        assert not surviving_nodes(problems.ruling_set(3, 3), net, values, set()).valid
         # Once node 1 crashes, no surviving path connects them.
-        assert csr_is_surviving_ruling_set(net, values, frozenset({1}), 3, 3).valid
+        assert surviving_nodes(problems.ruling_set(3, 3), net, values, {1}).valid
 
     def test_ruling_set_spec_registers_the_surviving_validator(self):
         spec = problems.ruling_set(2, 2)
@@ -467,23 +472,23 @@ class TestSurvivingValidators:
     def test_sinkless_sink_check_skips_crashed_nodes(self):
         net = self.star4()
         inward = [0, 0, 0]  # every edge points at the degree-3 centre
-        assert not csr_is_surviving_sinkless_orientation(net, inward, frozenset()).valid
-        assert csr_is_surviving_sinkless_orientation(net, inward, frozenset({0})).valid
+        assert not surviving_edges(problems.SINKLESS_ORIENTATION, net, inward, set()).valid
+        assert surviving_edges(problems.SINKLESS_ORIENTATION, net, inward, {0}).valid
 
     def test_sinkless_outgoing_edge_towards_a_corpse_counts(self):
         net = self.star4()
         values = [1, 0, 0]  # centre's only outgoing edge points at node 1
-        assert csr_is_surviving_sinkless_orientation(net, values, frozenset({1})).valid
+        assert surviving_edges(problems.SINKLESS_ORIENTATION, net, values, {1}).valid
         # If that commitment is missing (the edge died undecided), the
         # surviving centre is a sink.
-        assert not csr_is_surviving_sinkless_orientation(
-            net, [MISSING, 0, 0], frozenset({1})
+        assert not surviving_edges(
+            problems.SINKLESS_ORIENTATION, net, [MISSING, 0, 0], {1}
         ).valid
 
     def test_sinkless_malformed_head_fails_regardless_of_crashes(self):
         net = self.star4()
-        assert not csr_is_surviving_sinkless_orientation(
-            net, [7, 0, 0], frozenset({1})
+        assert not surviving_edges(
+            problems.SINKLESS_ORIENTATION, net, [7, 0, 0], {1}
         ).valid
 
     def test_sinkless_spec_registers_the_surviving_validator(self):

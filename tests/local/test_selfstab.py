@@ -64,8 +64,8 @@ def assert_recovered(trace, problem, network) -> None:
     assert bool(
         problem.validate_induced(
             network,
-            trace._node_value_slots(),
-            trace._edge_value_slots(),
+            trace.node_outputs,
+            trace.edge_outputs,
             trace.crashed,
         )
     )
