@@ -229,11 +229,9 @@ class ProblemSpec:
         *,
         node_committed: Optional[Any] = None,
         edge_committed: Optional[Any] = None,
-        alive: Optional[Any] = None,
     ) -> ValidationResult:
         """Score outputs on the surviving subgraph after crash-stop faults.
 
-        The dead are ``crashed`` (vertex ids) or ``~alive`` (a bool mask).
         Outputs are only required of survivors (node problems) and
         survivor–survivor edges (edge problems): a crashed node that never
         committed — or an edge whose endpoint died before the edge was
@@ -248,7 +246,7 @@ class ProblemSpec:
             edge_outputs,
             node_committed,
             edge_committed,
-            _alive_mask(network.n, crashed, alive),
+            _alive_mask(network.n, crashed, None),
         )
 
     def validate_induced(
@@ -269,8 +267,9 @@ class ProblemSpec:
         their own.  Self-stabilisation metrics use this form — a recovered
         configuration must be valid *for the survivors alone*, or "recovery"
         would be vacuously credited to pre-crash commitments.  The engines
-        pass their state arrays with commit and alive masks, so a per-round
-        recovery check is a handful of array operations.
+        pass their state arrays with commit masks and, instead of
+        ``crashed``, the round's ``alive`` bool mask, so a per-round recovery
+        check is a handful of array operations.
         """
         return self._score(
             network,
@@ -397,6 +396,8 @@ def _canon(u: int, v: int) -> Edge:
 def _alive_mask(n: int, crashed: Sequence[int], alive: Optional[Any]) -> Optional[np.ndarray]:
     """Bool mask of the living, or ``None`` when nobody is dead (strict)."""
     if alive is not None:
+        if len(crashed):
+            raise ValueError("pass either crashed vertices or an alive mask, not both")
         mask = np.asarray(alive, dtype=bool)
         if mask.shape != (n,):
             raise ValueError(f"expected an alive mask of length {n}, got shape {mask.shape}")
@@ -624,11 +625,17 @@ def _mis_kernel(
     return ValidationResult(True)
 
 
+def _mis_validator(
+    graph: nx.Graph, node_outputs: Mapping[int, Any], _: Mapping[Edge, Any]
+) -> ValidationResult:
+    return is_maximal_independent_set(graph, node_outputs)
+
+
 MIS = ProblemSpec(
     name="maximal-independent-set",
     labels_nodes=True,
     labels_edges=False,
-    validator=lambda graph, node_outputs, _: is_maximal_independent_set(graph, node_outputs),
+    validator=_mis_validator,
     kernel=_mis_kernel,
 )
 
@@ -802,11 +809,17 @@ def _matching_kernel(
     return ValidationResult(True)
 
 
+def _matching_validator(
+    graph: nx.Graph, _: Mapping[int, Any], edge_outputs: Mapping[Edge, Any]
+) -> ValidationResult:
+    return is_maximal_matching(graph, edge_outputs)
+
+
 MAXIMAL_MATCHING = ProblemSpec(
     name="maximal-matching",
     labels_nodes=False,
     labels_edges=True,
-    validator=lambda graph, _, edge_outputs: is_maximal_matching(graph, edge_outputs),
+    validator=_matching_validator,
     kernel=_matching_kernel,
 )
 
@@ -973,10 +986,16 @@ def _sinkless_kernel(
     return ValidationResult(True)
 
 
+def _sinkless_validator(
+    graph: nx.Graph, _: Mapping[int, Any], edge_outputs: Mapping[Edge, Any]
+) -> ValidationResult:
+    return is_sinkless_orientation(graph, edge_outputs)
+
+
 SINKLESS_ORIENTATION = ProblemSpec(
     name="sinkless-orientation",
     labels_nodes=False,
     labels_edges=True,
-    validator=lambda graph, _, edge_outputs: is_sinkless_orientation(graph, edge_outputs),
+    validator=_sinkless_validator,
     kernel=_sinkless_kernel,
 )

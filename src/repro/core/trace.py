@@ -19,9 +19,10 @@ that only label edges (matching, orientations).
 Storage.  Commit rounds and outputs live in **flat arrays indexed by vertex
 and edge slot** (the :attr:`Network.edges` order): a read-only int64 numpy
 row of commit rounds with ``-1`` marking "never committed", and an aligned
-value row.  The array engine hands over its own state rows as they are — no
-per-slot copy, no Python object per slot; the coroutine runner hands over a
-value tuple.  Both are GC-inert (numpy arrays and tuples of atomic values
+value row.  The array engine hands over numpy rows — a single run's state
+rows as they are, a batched run one contiguous copy of each trial's rows, so
+a retained trace never pins its whole batch — with no Python object per
+slot; the coroutine runner hands over a value tuple.  Both are GC-inert (numpy arrays and tuples of atomic values
 are not tracked by the cyclic collector), so the thousands of traces a sweep
 or a batched run holds never lengthen a gen-2 collection.  The historical
 dict views (``node_outputs``, ``node_commit_round``, ``edge_outputs``,

@@ -510,16 +510,19 @@ class ArrayEngine:
                     f"{self.max_rounds} rounds"
                 )
 
+        # Each trace gets its own copy of its rows (one memcpy each): a view
+        # into the chunk's (trials, n) / (trials, m) matrices would keep the
+        # whole chunk alive for as long as any one trace is retained.
         traces = []
         for t in range(trials):
             state = ArrayState.__new__(ArrayState)
-            state.node_rounds = batch.node_rounds[t]
+            state.node_rounds = batch.node_rounds[t].copy()
             state.node_values = (
-                None if batch.node_values is None else batch.node_values[t]
+                None if batch.node_values is None else batch.node_values[t].copy()
             )
-            state.edge_rounds = batch.edge_rounds[t]
+            state.edge_rounds = batch.edge_rounds[t].copy()
             state.edge_values = (
-                None if batch.edge_values is None else batch.edge_values[t]
+                None if batch.edge_values is None else batch.edge_values[t].copy()
             )
             state.halted = batch.halted[t]
             state.messages = int(batch.messages[t])

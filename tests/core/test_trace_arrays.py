@@ -10,6 +10,7 @@ verdicts, and that the hot paths never export the topology to networkx.
 
 from __future__ import annotations
 
+import pickle
 import random
 from array import array
 
@@ -154,6 +155,39 @@ class TestRunnerProducesArrayTraces:
         assert {type(value) for value in trace.node_outputs.values()} == {bool}
         assert {type(r) for r in trace.node_commit_round.values()} == {int}
         assert trace.validate()
+
+    @pytest.mark.parametrize("name", ["mis", "matching"])
+    def test_engine_trace_pickles(self, name):
+        from repro.algorithms.matching.randomized import RandomizedMaximalMatching
+        from repro.local.engine import ArrayEngine
+
+        algorithm, problem = {
+            "mis": (LubyMIS(), problems.MIS),
+            "matching": (RandomizedMaximalMatching(), problems.MAXIMAL_MATCHING),
+        }[name]
+        network = Network.from_edges(*gen.cycle_edges(12))
+        trace = ArrayEngine().run(algorithm.as_array_algorithm(), network, problem, seed=0)
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy.problem == problem
+        assert copy.node_outputs == trace.node_outputs
+        assert copy.edge_outputs == trace.edge_outputs
+        assert copy.node_completion_times() == trace.node_completion_times()
+        assert copy.validate()
+
+    def test_batch_traces_own_their_rows(self):
+        """A retained batch trace must not keep the whole chunk's matrices alive."""
+        from repro.local.engine import ArrayEngine
+
+        network = Network.from_edges(*gen.cycle_edges(12))
+        traces = ArrayEngine().run_batch(
+            LubyMIS().as_array_algorithm(), network, problems.MIS, seeds=range(4)
+        )
+        for trace in traces:
+            for row in (trace._node_values, trace._node_rounds, trace._edge_rounds):
+                owner = row
+                while owner.base is not None:
+                    owner = owner.base
+                assert owner.nbytes == row.nbytes
 
     def test_hot_path_never_exports_networkx(self, monkeypatch):
         """run_trials(validate=True) must not call Network.to_networkx()."""

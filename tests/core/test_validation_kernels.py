@@ -21,6 +21,7 @@ value array plus a committed mask).
 
 from __future__ import annotations
 
+import pickle
 import random
 from collections import Counter
 
@@ -346,8 +347,18 @@ class TestSinklessOrientationUnderCrashes:
 def test_alive_mask_and_crashed_ids_agree():
     network = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     alive = np.array([True, False, True, True])
+    validate = problems.MIS.validate_induced
     for values in ([True, False, False, True], [False, False, True, False]):
-        for validate in (problems.MIS.validate_surviving, problems.MIS.validate_induced):
-            assert bool(validate(network, values, None, [1])) == bool(
-                validate(network, values, None, alive=alive)
-            )
+        assert bool(validate(network, values, None, [1])) == bool(
+            validate(network, values, None, alive=alive)
+        )
+    with pytest.raises(ValueError, match="not both"):
+        validate(network, [True, False, False, True], None, [1], alive=alive)
+
+
+@pytest.mark.parametrize(
+    "spec", [problems.MIS, problems.MAXIMAL_MATCHING, problems.SINKLESS_ORIENTATION]
+)
+def test_constant_specs_pickle(spec):
+    """Traces carry their spec, so it must survive a spawn-based process pool."""
+    assert pickle.loads(pickle.dumps(spec)) == spec
