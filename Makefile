@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test lint bench-smoke perfbench-check bench example serve-smoke
+.PHONY: help test lint bench-smoke perfbench-check bench example serve-smoke fault-smoke
 
 help:
 	@echo "make test         tier-1 suite (the gate every PR must keep green)"
@@ -13,6 +13,7 @@ help:
 	@echo "make bench        full perf suite -> BENCH_core.json (+ parallel sweep section)"
 	@echo "make example      the 10^5-10^6-node scaling tour (skip the finale: EXAMPLE_FLAGS=--no-million)"
 	@echo "make serve-smoke  experiment-service smoke: submit/schedule/SIGKILL-resume/HTTP round trip"
+	@echo "make fault-smoke  fault-injection demo: both engines + interrupted sweep resumed from its sqlite journal"
 
 test:
 	$(PYTHON) -m pytest -x -q $(PYTEST_FLAGS)
@@ -40,3 +41,6 @@ example:
 
 serve-smoke:
 	$(PYTHON) examples/service_quickstart.py
+
+fault-smoke:
+	$(PYTHON) examples/fault_injection_demo.py

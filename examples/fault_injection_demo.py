@@ -13,11 +13,11 @@ This example demonstrates the robustness layer:
    engines: survivors detect crashed neighbours, revoke, and locally
    restart, and the trace's :class:`RecoveryTimeline` records the
    per-epoch time to restabilise;
-4. run a checkpointed, failure-recording sweep, interrupt it half-way, and
+4. run a sweep journaled to a sqlite file, interrupt it half-way, and
    resume it cell-exactly — the resumed results are identical to an
    uninterrupted run.
 
-Run with::
+Run with (``make fault-smoke`` runs the same)::
 
     python examples/fault_injection_demo.py
 """
@@ -157,7 +157,7 @@ def checkpointed_sweep_resumes_exactly() -> None:
     )
     baseline = sweep(**settings)
 
-    path = os.path.join(tempfile.mkdtemp(prefix="fault-demo-"), "sweep.jsonl")
+    path = os.path.join(tempfile.mkdtemp(prefix="fault-demo-"), "sweep.db")
     import repro.analysis.sweep as _  # noqa: F401  (module, for the hook)
     import sys
 
@@ -175,7 +175,7 @@ def checkpointed_sweep_resumes_exactly() -> None:
         sweep(checkpoint=path, **settings)
         raise AssertionError("the interrupt hook should have fired")
     except KeyboardInterrupt:
-        print("  interrupted after 4 cells; checkpoint flushed")
+        print("  interrupted after 4 cells; their journal rows are committed")
     finally:
         sweep_module._test_hook = None
 

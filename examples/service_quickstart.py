@@ -7,11 +7,11 @@ This example walks every layer of ``repro.service``:
    service database;
 2. **schedule** them onto worker processes and read bit-exact measurements,
    full provenance (seed schedule, graph recipes, batch-chunk choice, sweep
-   checkpoint header) and graph-cache statistics back from the store;
+   journal header) and graph-cache statistics back from the store;
 3. **kill** a worker mid-sweep (the deterministic ``SIGKILL``-after-k-rows
-   seam) and watch the queue retry it with backoff until the checkpointed
-   sweep resumes cell-exactly — the recovered results are identical to an
-   uninterrupted run;
+   seam) and watch the queue retry it with backoff until the sweep resumes
+   cell-exactly from the journal rows in the store — the recovered results
+   are identical to an uninterrupted run;
 4. **serve** the HTTP JSON API and drive the same verbs over a socket.
 
 Every step asserts its invariant, so the script doubles as the smoke test

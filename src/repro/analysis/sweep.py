@@ -21,10 +21,14 @@ parts, all opt-in:
   round-limit overruns, :class:`~repro.core.errors.CellTimeout` when
   ``cell_timeout`` is set) into structured :class:`CellFailure` rows on the
   returned :class:`SweepResult` instead of aborting the sweep;
-* ``checkpoint=<path>`` journals every finished cell to a JSON-lines file
-  (format ``sweep-checkpoint/v1``: one header line, then one row per cell).
-  Re-running the same sweep with the same checkpoint path skips cells whose
-  ``ok`` rows are already journaled and retries recorded failures, so an
+* ``checkpoint=`` journals every finished cell to sqlite (format
+  ``sweep-checkpoint/v2``).  A path gives the sweep a database file of its
+  own; a ``(database, key)`` pair journals under ``key`` in an existing
+  database (the experiment service passes its result store and the job
+  id).  Each cell row commits in its own transaction, completion times as
+  raw int64 BLOBs, so a killed process loses at most the cell it was
+  computing.  Re-running the same sweep on the same journal skips cells
+  whose ``ok`` rows are committed and retries recorded failures, so an
   interrupted sweep resumes cell-exactly — the per-cell seed schedule makes
   the resumed results identical to an uninterrupted run;
 * the parallel path survives *lost* workers: a pool worker that dies
@@ -33,8 +37,8 @@ parts, all opt-in:
   down, and every unfinished cell is re-run serially in the parent with its
   original seed.  A cell that fails again is recorded as a
   :class:`~repro.core.errors.WorkerCrashed` failure row (or re-raised under
-  ``on_error="raise"``).  ``KeyboardInterrupt`` tears the pool down, flushes
-  the checkpoint, and re-raises.
+  ``on_error="raise"``).  ``KeyboardInterrupt`` tears the pool down, releases
+  the journal, and re-raises.
 """
 
 from __future__ import annotations
@@ -42,11 +46,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sqlite3
 import warnings
 from array import array
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -58,11 +63,6 @@ from repro.core.errors import (
     WorkerCrashed,
     classify_failure,
 )
-
-try:  # POSIX: kernel-held lock, auto-released when the holder dies
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback uses a sidecar
-    fcntl = None  # type: ignore[assignment]
 from repro.core.experiment import _faults_active, resolve_network, run_trials, trial_seed
 from repro.core.metrics import ComplexityMeasurement, RecoveryTimeline, measure
 from repro.core.problems import ProblemSpec
@@ -80,7 +80,6 @@ __all__ = [
     "sweep",
     "network_from",
     "read_checkpoint",
-    "collect_rows",
 ]
 
 AlgorithmFactory = Callable[[Network], NodeAlgorithm]
@@ -94,9 +93,16 @@ GraphLike = Union[
     nx.Graph, Network, EdgeArrays, Tuple[int, Sequence[Tuple[int, int]]]
 ]
 
-#: Identifier of the checkpoint file format written by ``checkpoint=``;
-#: spelled out once in :mod:`repro.core.schemas`.
+#: What ``sweep(checkpoint=)`` takes: a database path, or a ``(database,
+#: key)`` pair naming one journal in a shared database.
+Checkpoint = Union[str, Tuple[str, object]]
+
+#: Identifier of the journal format written by ``checkpoint=`` (stamped in
+#: every journal header); spelled out once in :mod:`repro.core.schemas`.
 CHECKPOINT_FORMAT = schemas.SWEEP_CHECKPOINT
+
+#: Journal key of a sweep whose ``checkpoint=`` is a bare path.
+_DEFAULT_KEY = "sweep"
 
 #: Result-stall window (seconds) used to detect lost pool workers when no
 #: ``cell_timeout`` bounds the cells.  With a ``cell_timeout``, the window is
@@ -104,8 +110,8 @@ CHECKPOINT_FORMAT = schemas.SWEEP_CHECKPOINT
 _DEFAULT_STALL_TIMEOUT = 300.0
 _STALL_GRACE = 60.0
 
-#: Test seam: when set, called with each checkpoint row right after it is
-#: written and flushed (used to inject interrupts at precise points).
+#: Test seam: when set, called with each journal row right after its
+#: transaction commits (used to inject interrupts at precise points).
 _test_hook: Optional[Callable[[Dict[str, object]], None]] = None
 
 
@@ -208,7 +214,7 @@ def sweep(
     engine: str = "node",
     faults: Optional[FaultSchedule] = None,
     cell_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
+    checkpoint: Optional[Checkpoint] = None,
     on_error: str = "raise",
     batch_budget_bytes: Optional[int] = None,
 ) -> "SweepResult":
@@ -265,11 +271,13 @@ def sweep(
             :class:`~repro.core.errors.CellTimeout` (a recorded failure row
             under ``on_error="record"``).  Enforced via ``SIGALRM``, in the
             worker itself on the parallel path.
-        checkpoint: optional path to a JSON-lines journal of finished
-            cells (format ``sweep-checkpoint/v1``).  When the file already
-            holds rows for the same sweep (validated against a header),
-            cells with ``ok`` rows are skipped and recorded failures are
-            retried — interrupted sweeps resume cell-exactly.
+        checkpoint: optional sqlite journal of finished cells (format
+            ``sweep-checkpoint/v2``): a database path, or a ``(database,
+            key)`` pair for one journal among several in a shared database.
+            When the journal already holds rows for the same sweep
+            (validated against its header), cells with ``ok`` rows are
+            skipped and recorded failures are retried — interrupted sweeps
+            resume cell-exactly.
         on_error: ``"raise"`` (default) propagates the first broken cell's
             exception; ``"record"`` converts broken cells into
             :class:`CellFailure` rows on the result and keeps sweeping.
@@ -277,7 +285,7 @@ def sweep(
             engine's chunk byte budget
             (:func:`repro.local.engine.batch_chunk`; the engine's 24 MiB
             cache-residency default when ``None``).  Recorded in the
-            checkpoint header as provenance; batch-size invariance makes it
+            journal header as provenance; batch-size invariance makes it
             a pure throughput knob — rows are identical for every budget.
 
     Returns:
@@ -315,11 +323,11 @@ def sweep(
             RuntimeWarning,
             stacklevel=2,
         )
-    # Effective parallelism is recorded in the checkpoint header (provenance
+    # Effective parallelism is recorded in the journal header (provenance
     # only, never mismatch-enforced), so a journal written on a fork platform
     # and resumed on a spawn platform still loads.
     spec["parallel"] = bool(workers > 1 and cells > 1 and fork_ok)
-    journal = _Checkpoint(checkpoint, spec) if checkpoint is not None else None
+    journal = _Journal(checkpoint, spec) if checkpoint is not None else None
     try:
         if spec["parallel"]:
             return _sweep_parallel(spec, min(workers, cells), journal)
@@ -395,9 +403,14 @@ def _fork_available() -> bool:
 # measurements.  Cell results travel as plain dict rows — "ok" rows carry
 # the flat completion-time buffers that measure() consumes, "failure" rows
 # the classify_failure slug — so the same row format serves the pool
-# protocol, the checkpoint journal, and the aggregation step.
+# protocol, the journal (whose columns are the row keys), and the
+# aggregation step.
 
 CellKey = Tuple[int, str, int]
+
+
+def _cell_key(row: Mapping[str, object]) -> CellKey:
+    return (row["value_index"], row["algorithm"], row["trial"])  # type: ignore[return-value]
 
 
 def _cell_seed(spec: Dict[str, object], index: int, trial: int) -> int:
@@ -426,25 +439,25 @@ def _ok_row(
 ) -> Dict[str, object]:
     row = {
         "status": "ok",
-        "index": index,
-        "name": name,
+        "value_index": index,
+        "algorithm": name,
         "trial": trial,
         "n": network.n,
         "m": network.m,
         "problem": problem.name,
-        "algorithm": trace.algorithm_name,
-        # Flat int64 buffers: they pickle through the pool as raw bytes
-        # (8 B/entry) instead of per-int list items, and measure() consumes
-        # them exactly like lists (identical arithmetic).
+        "algorithm_name": trace.algorithm_name,
+        # Flat int64 buffers: they pickle through the pool and bind into
+        # the journal as raw bytes (8 B/entry) instead of per-int items,
+        # and measure() consumes them exactly like lists.
         "node_times": array("q", trace.node_completion_array().tobytes()),
         "edge_times": array("q", trace.edge_completion_array().tobytes()),
     }
     recovery = getattr(trace, "recovery", None)
     if recovery is not None:
         # Self-stabilising runs carry a per-round recovery timeline; ship it
-        # as plain lists so the row survives both pickling and the JSON
-        # checkpoint journal, and measure() can aggregate restabilisation
-        # times in the parent exactly like on the serial path.
+        # as plain lists so the row survives pickling and the journal's JSON
+        # column, and measure() can aggregate restabilisation times in the
+        # parent exactly like on the serial path.
         row["recovery"] = {
             "crash_rounds": list(recovery.crash_rounds),
             "pending": list(recovery.pending),
@@ -560,11 +573,11 @@ def _failure_row(
 ) -> Dict[str, object]:
     return {
         "status": "failure",
-        "index": index,
-        "name": name,
+        "value_index": index,
+        "algorithm": name,
         "trial": trial,
         "seed": _cell_seed(spec, index, trial),
-        "failure": kind,
+        "kind": kind,
         "message": message,
     }
 
@@ -605,9 +618,9 @@ class _CellTrace:
         self.problem = _CellTrace._Problem(problem_name)
         self.algorithm_name = algorithm_name
         self.recovery = recovery
-        # np.asarray wraps array('q') buffers zero-copy; JSON-revived lists
-        # convert once.  Either way aggregation runs on int64 arrays exactly
-        # like the serial measurement path.
+        # np.asarray wraps array('q') buffers and journal BLOB views
+        # zero-copy, so aggregation runs on int64 arrays exactly like the
+        # serial measurement path.
         self._node_times = np.asarray(node_times, dtype=np.int64)
         self._edge_times = np.asarray(edge_times, dtype=np.int64)
 
@@ -645,7 +658,7 @@ def _row_to_trace(row: Dict[str, object]) -> _CellTrace:
         n=row["n"],  # type: ignore[arg-type]
         m=row["m"],  # type: ignore[arg-type]
         problem_name=row["problem"],  # type: ignore[arg-type]
-        algorithm_name=row["algorithm"],  # type: ignore[arg-type]
+        algorithm_name=row["algorithm_name"],  # type: ignore[arg-type]
         node_times=row["node_times"],  # type: ignore[arg-type]
         edge_times=row["edge_times"],  # type: ignore[arg-type]
         recovery=recovery,
@@ -677,7 +690,7 @@ def _collect(spec: Dict[str, object], rows: Dict[CellKey, Dict[str, object]]) ->
                             algorithm=name,
                             trial=trial,
                             seed=int(row["seed"]),  # type: ignore[arg-type]
-                            kind=str(row["failure"]),
+                            kind=str(row["kind"]),
                             message=str(row["message"]),
                         )
                     )
@@ -690,221 +703,237 @@ def _collect(spec: Dict[str, object], rows: Dict[CellKey, Dict[str, object]]) ->
 
 
 # ---------------------------------------------------------------------- #
-# Checkpointing
+# The sqlite journal
 # ---------------------------------------------------------------------- #
+#
+# A journal is one ``journals`` row (the header identifying the sweep, and
+# the pid of its single live writer) plus one ``journal_cells`` row per
+# finished cell under the journal's key.  Several journals may share one
+# database: the experiment service keys each job's journal by the job id
+# inside its result store, which reads the cells straight from
+# ``journal_cells``.
+
+#: Tables of the journal; the result store creates them in its database.
+_JOURNAL_DDL = """
+CREATE TABLE IF NOT EXISTS journals (
+    key        TEXT PRIMARY KEY,
+    header     TEXT NOT NULL,
+    writer_pid INTEGER
+);
+CREATE TABLE IF NOT EXISTS journal_cells (
+    journal        TEXT NOT NULL,
+    value_index    INTEGER NOT NULL,
+    algorithm      TEXT NOT NULL,
+    trial          INTEGER NOT NULL,
+    status         TEXT NOT NULL,
+    n              INTEGER,
+    m              INTEGER,
+    problem        TEXT,
+    algorithm_name TEXT,
+    node_times     BLOB,
+    edge_times     BLOB,
+    recovery       TEXT,
+    seed           INTEGER,
+    kind           TEXT,
+    message        TEXT,
+    PRIMARY KEY (journal, value_index, algorithm, trial)
+);
+"""
+
+#: The ``journal_cells`` columns after ``journal``: the keys of a cell row.
+_CELL_COLUMNS = (
+    "value_index", "algorithm", "trial", "status", "n", "m", "problem",
+    "algorithm_name", "node_times", "edge_times", "recovery", "seed", "kind",
+    "message",
+)
+_INSERT_CELL = (
+    f"INSERT OR REPLACE INTO journal_cells (journal, {', '.join(_CELL_COLUMNS)}) "
+    f"VALUES ({', '.join(['?'] * (1 + len(_CELL_COLUMNS)))})"
+)
+
+#: Header fields that identify a sweep: a stored header that differs in any
+#: of them belongs to a different sweep.
+_IDENTITY = ("parameter", "values", "algorithms", "trials", "seed", "engine")
+
+
+def _header(spec: Dict[str, object]) -> Dict[str, object]:
+    return {
+        "format": CHECKPOINT_FORMAT,
+        "parameter": spec["parameter"],
+        "values": [repr(v) for v in spec["values"]],  # type: ignore[union-attr]
+        "algorithms": sorted(spec["algorithms"]),  # type: ignore[arg-type]
+        "trials": spec["trials"],
+        "seed": spec["seed"],
+        "engine": spec["engine"],
+        # Provenance only: whether the writing run actually fanned out.
+        # Deliberately absent from _IDENTITY — the per-cell seed schedule
+        # makes serial and parallel rows identical, so a journal may be
+        # written parallel and resumed serial (or on a platform without
+        # fork) and still agree cell-exactly.
+        "parallel": bool(spec.get("parallel", False)),
+        # Provenance only, same reasoning: batch-size invariance makes rows
+        # identical under every chunk budget, so a journal written under one
+        # budget may be resumed under another.
+        "batch_budget": spec.get("batch_budget"),
+    }
+
+
+def _parse_header(text: str, where: str) -> Dict[str, object]:
+    header = json.loads(text)
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(
+            f"{where} has checkpoint format {header.get('format')!r}, "
+            f"expected {CHECKPOINT_FORMAT!r}"
+        )
+    return header
+
+
+def _encode_cell(key: str, row: Mapping[str, object]) -> List[object]:
+    """The ``journal_cells`` values of a row; time buffers bind as BLOBs."""
+    recovery = row.get("recovery")
+    encoded = {**row, "recovery": None if recovery is None else json.dumps(recovery)}
+    return [key] + [encoded.get(column) for column in _CELL_COLUMNS]
+
+
+def _journal_cells(
+    db: sqlite3.Connection, key: object, status: Optional[str] = None
+) -> List[Dict[str, object]]:
+    """The committed rows of journal ``key`` in cell order, optionally of
+    one ``status``; completion times as int64 views of the BLOBs."""
+    query = f"SELECT {', '.join(_CELL_COLUMNS)} FROM journal_cells WHERE journal = ?"
+    params = [str(key)]
+    if status is not None:
+        query += " AND status = ?"
+        params.append(status)
+    rows = []
+    for values in db.execute(query + " ORDER BY value_index, algorithm, trial", params):
+        row = dict(zip(_CELL_COLUMNS, values))
+        if row["status"] == "ok":
+            row["node_times"] = np.frombuffer(row["node_times"], dtype=np.int64)
+            row["edge_times"] = np.frombuffer(row["edge_times"], dtype=np.int64)
+            if row["recovery"] is not None:
+                row["recovery"] = json.loads(row["recovery"])
+        rows.append(row)
+    return rows
 
 
 def read_checkpoint(
-    path: str,
+    path: str, key: object = _DEFAULT_KEY
 ) -> Tuple[Dict[str, object], Dict[CellKey, Dict[str, object]]]:
-    """Read a ``sweep-checkpoint/v1`` journal: ``(header, rows)``.
+    """Read journal ``key`` of the database at ``path``: ``(header, rows)``.
 
-    The read-only half of the journal protocol, shared by checkpoint resume
-    and the experiment service's journal → store adapter.  ``rows`` maps
-    ``(value index, algorithm name, trial)`` to the journaled row dict; a
-    later row for the same cell wins (failure retries), and a truncated
-    trailing line (the writer died mid-write) is ignored.  No lock is taken
-    — readers never conflict with a live writer because rows are appended
-    whole lines and flushed.
+    ``rows`` maps ``(value index, algorithm name, trial)`` to the committed
+    cell row.  A row whose transaction never committed (the writer died
+    mid-row) is absent.  No claim is taken: readers never conflict with a
+    live writer, whose rows commit one transaction each.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no journal database at {path}")
+    db = sqlite3.connect(path, timeout=30.0)
     try:
-        header = json.loads(lines[0])
-    except (json.JSONDecodeError, IndexError):
-        raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} checkpoint file")
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"{path} has checkpoint format {header.get('format')!r}, "
-            f"expected {CHECKPOINT_FORMAT!r}"
+        try:
+            found = db.execute(
+                "SELECT header FROM journals WHERE key = ?", (str(key),)
+            ).fetchone()
+        except sqlite3.DatabaseError:  # not a database, or no journals in it
+            found = None
+        if found is None:
+            raise ValueError(f"{path} holds no {CHECKPOINT_FORMAT} journal {str(key)!r}")
+        header = _parse_header(found[0], path)
+        return header, {_cell_key(row): row for row in _journal_cells(db, key)}
+    finally:
+        db.close()
+
+
+class _Journal:
+    """The sqlite journal of one sweep's finished cells.
+
+    Opening validates the stored header against the current sweep, takes
+    the writer claim and loads the committed rows into ``rows``, all in one
+    ``BEGIN IMMEDIATE`` transaction; the caller skips cells whose ``ok``
+    rows are loaded and retries recorded failures.  :meth:`record` commits
+    each new row in its own transaction (a retried cell's row replaces the
+    failure it retries), so a killed process loses at most the cell it was
+    computing.
+
+    The journal is single-writer.  The claim is the ``writer_pid`` of the
+    journal's header row: a second writer that finds a live pid there gets
+    a :class:`~repro.core.errors.CheckpointLocked` error instead of
+    silently interleaving rows, and the pid of a writer that no longer
+    exists (SIGKILLed before :meth:`close`) is stolen, so a dead writer
+    never wedges the journal.
+    """
+
+    def __init__(self, checkpoint: Checkpoint, spec: Dict[str, object]) -> None:
+        database, key = (
+            checkpoint if isinstance(checkpoint, tuple) else (checkpoint, _DEFAULT_KEY)
         )
-    rows: Dict[CellKey, Dict[str, object]] = {}
-    for line in lines[1:]:
+        self.key = str(key)
+        self.where = f"journal {self.key!r} in {database}"
+        self._db = sqlite3.connect(database, timeout=30.0)
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # truncated trailing line from a killed process
-        rows[(row["index"], row["name"], row["trial"])] = row
-    return header, rows
-
-
-def collect_rows(
-    parameter: str,
-    values: Sequence[object],
-    algorithms: Sequence[str],
-    trials: int,
-    rows: Dict[CellKey, Dict[str, object]],
-) -> SweepResult:
-    """Aggregate journaled cell rows into a :class:`SweepResult`.
-
-    The public face of the row-aggregation step: given the sweep's identity
-    (parameter, values, algorithm display names, trial count) and a row
-    mapping as returned by :func:`read_checkpoint`, produce exactly the
-    points and failures ``sweep()`` itself would return for those rows —
-    same iteration order, same ``measure()`` arithmetic, hence bit-identical
-    measurements.  This is what lets the experiment service re-aggregate a
-    stored journal without re-running a single cell.
-    """
-    spec: Dict[str, object] = {
-        "parameter": parameter,
-        "values": list(values),
-        "algorithms": {name: None for name in algorithms},
-        "trials": int(trials),
-    }
-    return _collect(spec, rows)
-
-
-class _Checkpoint:
-    """JSON-lines journal of finished cells (format ``sweep-checkpoint/v1``).
-
-    Line 1 is a header identifying the sweep (parameter, value count,
-    algorithm names, trials, seed, engine); every further line is one cell
-    row — ``{"status": "ok", ...}`` with the completion-time lists, or
-    ``{"status": "failure", ...}`` with the failure slug, seed and message.
-    Rows are flushed as they are written, so a killed process loses at most
-    the cell it was computing.  On re-open the header is validated against
-    the current sweep, finished ``ok`` rows are skipped by the caller, and
-    failure rows are retried (a later row for the same cell wins).  A
-    truncated trailing line (the process died mid-write) is ignored.
-
-    The journal is single-writer: opening takes an exclusive lock (``flock``
-    where available, else an ``O_EXCL`` pid sidecar) and a second live
-    writer gets a :class:`~repro.core.errors.CheckpointLocked` error instead
-    of silently interleaving rows.  The ``flock`` dies with its holder and
-    the sidecar is stolen when its pid is gone, so a SIGKILLed writer never
-    wedges the journal.
-    """
-
-    def __init__(self, path: str, spec: Dict[str, object]) -> None:
-        self.path = path
-        self.rows: Dict[CellKey, Dict[str, object]] = {}
-        self._lock_sidecar: Optional[str] = None
-        header = self._header(spec)
-        # Open in append mode first (creating the file if new), take the
-        # exclusive writer lock, and only then read/validate/write — so two
-        # concurrent openers serialise on the lock before either can decide
-        # the file is "theirs".
-        self._fh = open(path, "a", encoding="utf-8")
-        self._acquire_lock()
-        try:
-            if os.path.getsize(path) > 0:
-                self._load(path, header)
-            else:
-                self._fh.write(json.dumps(header, sort_keys=True) + "\n")
-                self._fh.flush()
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.executescript(_JOURNAL_DDL)
+            self.rows = self._claim(_header(spec))
         except BaseException:
-            self.close()
+            # A failed claim rolled back, so only the connection is ours.
+            self._db.close()
             raise
 
-    def _acquire_lock(self) -> None:
-        if fcntl is not None:
-            try:
-                fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                self._fh.close()
+    def _claim(self, header: Dict[str, object]) -> Dict[CellKey, Dict[str, object]]:
+        db = self._db
+        with db:
+            db.execute("BEGIN IMMEDIATE")
+            found = db.execute(
+                "SELECT header, writer_pid FROM journals WHERE key = ?", (self.key,)
+            ).fetchone()
+            if found is None:
+                db.execute(
+                    "INSERT INTO journals (key, header, writer_pid) VALUES (?, ?, ?)",
+                    (self.key, json.dumps(header, sort_keys=True), os.getpid()),
+                )
+                return {}
+            stored, holder = _parse_header(found[0], self.where), found[1]
+            if holder is not None and _pid_alive(int(holder)):
                 raise CheckpointLocked(
-                    f"checkpoint {self.path} is locked by another live writer; "
-                    "two sweeps must never share one journal — pass a "
-                    "distinct checkpoint path"
-                ) from None
-            return
-        # Non-POSIX fallback: O_EXCL sidecar holding the writer's pid.  A
-        # sidecar whose pid no longer exists is stale (the writer was killed
-        # before close()) and is stolen.
-        sidecar = self.path + ".lock"
-        for _ in range(2):
-            try:
-                fd = os.open(sidecar, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    with open(sidecar, "r", encoding="utf-8") as fh:
-                        holder = int(fh.read().strip() or "-1")
-                except (OSError, ValueError):
-                    holder = -1
-                if holder > 0 and _pid_alive(holder):
-                    self._fh.close()
-                    raise CheckpointLocked(
-                        f"checkpoint {self.path} is locked by live writer "
-                        f"pid {holder}; two sweeps must never share one "
-                        "journal — pass a distinct checkpoint path"
-                    ) from None
-                try:
-                    os.unlink(sidecar)  # stale: holder is gone
-                except FileNotFoundError:
-                    pass
-            else:
-                os.write(fd, str(os.getpid()).encode())
-                os.close(fd)
-                self._lock_sidecar = sidecar
-                return
-        self._fh.close()
-        raise CheckpointLocked(
-            f"could not acquire the writer lock on checkpoint {self.path}"
-        )
-
-    @staticmethod
-    def _header(spec: Dict[str, object]) -> Dict[str, object]:
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "parameter": spec["parameter"],
-            "values": [repr(v) for v in spec["values"]],  # type: ignore[union-attr]
-            "algorithms": sorted(spec["algorithms"]),  # type: ignore[arg-type]
-            "trials": spec["trials"],
-            "seed": spec["seed"],
-            "engine": spec["engine"],
-            # Provenance only: whether the writing run actually fanned out.
-            # Deliberately absent from _load's mismatch list — the per-cell
-            # seed schedule makes serial and parallel rows identical, so a
-            # journal may be written parallel and resumed serial (or on a
-            # platform without fork) and still agree cell-exactly.
-            "parallel": bool(spec.get("parallel", False)),
-            # Provenance only, same reasoning: batch-size invariance makes
-            # rows identical under every chunk budget, so a journal written
-            # under one budget may be resumed under another.
-            "batch_budget": spec.get("batch_budget"),
-        }
-
-    def _load(self, path: str, header: Dict[str, object]) -> None:
-        existing, rows = read_checkpoint(path)
-        mismatched = [
-            key
-            for key in ("parameter", "values", "algorithms", "trials", "seed", "engine")
-            if existing.get(key) != header[key]
-        ]
-        if mismatched:
-            raise ValueError(
-                f"checkpoint {path} belongs to a different sweep "
-                f"(mismatched {', '.join(mismatched)}); delete it or pass "
-                "another path"
+                    f"{self.where} is held by live writer pid {holder}; two "
+                    "sweeps must never share one journal — pass a distinct "
+                    "checkpoint"
+                )
+            mismatched = [field for field in _IDENTITY if stored.get(field) != header[field]]
+            if mismatched:
+                raise ValueError(
+                    f"{self.where} belongs to a different sweep (mismatched "
+                    f"{', '.join(mismatched)}); delete it or pass another checkpoint"
+                )
+            db.execute(
+                "UPDATE journals SET writer_pid = ? WHERE key = ?",
+                (os.getpid(), self.key),
             )
-        self.rows.update(rows)
-
-    def finished(self, key: CellKey) -> Optional[Dict[str, object]]:
-        """The journaled ``ok`` row for ``key``, if any (failures are retried)."""
-        row = self.rows.get(key)
-        return row if row is not None and row["status"] == "ok" else None
+            return {_cell_key(row): row for row in _journal_cells(db, self.key)}
 
     def record(self, row: Dict[str, object]) -> None:
-        serialisable = dict(row)
-        for field in ("node_times", "edge_times"):
-            if field in serialisable:
-                serialisable[field] = list(serialisable[field])  # type: ignore[arg-type]
-        self._fh.write(json.dumps(serialisable, sort_keys=True) + "\n")
-        self._fh.flush()
-        self.rows[(row["index"], row["name"], row["trial"])] = row  # type: ignore[index]
+        """Commit ``row`` in its own transaction, then fire the test hook."""
+        with self._db:
+            self._db.execute(_INSERT_CELL, _encode_cell(self.key, row))
         if _test_hook is not None:
             _test_hook(row)
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()  # releases the flock with the descriptor
-        if self._lock_sidecar is not None:
-            try:
-                os.unlink(self._lock_sidecar)
-            except FileNotFoundError:  # pragma: no cover - already stolen
-                pass
-            self._lock_sidecar = None
+        """Release the writer claim and the connection (idempotent)."""
+        db, self._db = self._db, None
+        if db is None:
+            return
+        try:
+            with db:
+                db.execute(
+                    "UPDATE journals SET writer_pid = NULL "
+                    "WHERE key = ? AND writer_pid = ?",
+                    (self.key, os.getpid()),
+                )
+        finally:
+            db.close()
 
 
 def _pid_alive(pid: int) -> bool:
@@ -932,14 +961,25 @@ def _cell_keys(spec: Dict[str, object]) -> List[CellKey]:
     ]
 
 
+def _resume(
+    spec: Dict[str, object], journal: Optional[_Journal]
+) -> Tuple[Dict[CellKey, Dict[str, object]], List[CellKey]]:
+    """The journaled rows and the cells still to run (failures are retried)."""
+    rows = dict(journal.rows) if journal is not None else {}
+    remaining = [
+        key for key in _cell_keys(spec) if rows.get(key, {}).get("status") != "ok"
+    ]
+    return rows, remaining
+
+
 def _sweep_serial_resilient(
-    spec: Dict[str, object], journal: Optional[_Checkpoint]
+    spec: Dict[str, object], journal: Optional[_Journal]
 ) -> SweepResult:
-    rows: Dict[CellKey, Dict[str, object]] = dict(journal.rows) if journal else {}
+    rows, remaining = _resume(spec, journal)
     cache: Dict[int, Network] = {}
 
     def record(row: Dict[str, object]) -> None:
-        rows[(row["index"], row["name"], row["trial"])] = row  # type: ignore[index]
+        rows[_cell_key(row)] = row
         if journal is not None:
             journal.record(row)
 
@@ -958,11 +998,6 @@ def _sweep_serial_resilient(
                 raise
         record(row)
 
-    remaining = [
-        key
-        for key in _cell_keys(spec)
-        if journal is None or not journal.finished(key)
-    ]
     if _grouped_execution(spec):
         for (index, name), trials_group in _group_cells(remaining):
             group_rows: Optional[List[Dict[str, object]]] = None
@@ -1029,7 +1064,8 @@ _WORKER_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
 #: lifecycle tests can assert they were unlinked after the sweep returned.
 _LAST_SEGMENT_NAMES: List[str] = []
 
-#: Field order of the int64 arrays packed into each shared segment.
+#: Field order of the int64 CSR arrays packed into each shared segment, and
+#: into each graph-cache payload of the experiment service's result store.
 _SHARED_FIELDS = ("indptr", "indices", "edge_us", "edge_vs", "ids")
 
 
@@ -1185,15 +1221,10 @@ def _stall_timeout(spec: Dict[str, object]) -> float:
 
 
 def _sweep_parallel(
-    spec: Dict[str, object], workers: int, journal: Optional[_Checkpoint]
+    spec: Dict[str, object], workers: int, journal: Optional[_Journal]
 ) -> SweepResult:
     global _PARALLEL_SPEC, _SHARED_MANIFEST
-    rows: Dict[CellKey, Dict[str, object]] = dict(journal.rows) if journal else {}
-    remaining = [
-        key
-        for key in _cell_keys(spec)
-        if journal is None or not journal.finished(key)
-    ]
+    rows, remaining = _resume(spec, journal)
     if _grouped_execution(spec):
         tasks: List[GroupTask] = [
             (index, name, tuple(trials_group))
@@ -1204,9 +1235,9 @@ def _sweep_parallel(
     pending = set(remaining)
 
     def take(row: Dict[str, object]) -> None:
-        key = (row["index"], row["name"], row["trial"])
-        pending.discard(key)  # type: ignore[arg-type]
-        rows[key] = row  # type: ignore[index]
+        key = _cell_key(row)
+        pending.discard(key)
+        rows[key] = row
         if journal is not None:
             journal.record(row)
 
@@ -1246,10 +1277,6 @@ def _sweep_parallel(
                             break
                         for row in task_rows:
                             take(row)
-            except KeyboardInterrupt:
-                if journal is not None:
-                    journal.close()
-                raise
             finally:
                 _PARALLEL_SPEC = previous_spec
                 _SHARED_MANIFEST = previous_manifest

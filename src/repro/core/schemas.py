@@ -37,12 +37,14 @@ __all__ = [
 SWEEP_SPEC = "sweep-spec/v1"
 
 #: Sqlite schema of the persistent result store
-#: (:mod:`repro.service.store`).
-RESULT_STORE = "result-store/v1"
+#: (:mod:`repro.service.store`).  v2: a job's cells live in its sweep
+#: journal's tables; v1 kept a separate ``cells`` copy.
+RESULT_STORE = "result-store/v2"
 
-#: JSON-lines journal of finished sweep cells
-#: (:mod:`repro.analysis.sweep`).
-SWEEP_CHECKPOINT = "sweep-checkpoint/v1"
+#: Sqlite journal of finished sweep cells (:mod:`repro.analysis.sweep`).
+#: v2: header and cell rows in sqlite tables, completion times as int64
+#: BLOBs; v1 was a JSON-lines file.
+SWEEP_CHECKPOINT = "sweep-checkpoint/v2"
 
 #: Benchmark document written by ``benchmarks/core_perf.py`` /
 #: ``benchmarks/sweep_scaling.py`` into ``BENCH_core.json``.

@@ -5,11 +5,12 @@ machinery: instead of running :func:`repro.analysis.sweep.sweep` inside a
 script whose results die with the interpreter, clients **submit** a
 serialisable :class:`~repro.service.specs.SweepSpec` as a durable job, a
 **scheduler** dispatches queued jobs onto worker processes that execute the
-existing checkpointed sweep (so a SIGKILLed worker resumes cell-exactly),
-and every measurement, cell, verdict, failure and recovery timeline lands in
-a sqlite-backed **result store** (schema ``result-store/v1``) with full
-provenance — seed schedule, graph provenance (``EdgeArrays.meta``), engine
-and batch-chunk choice, and the sweep checkpoint header.
+existing crash-safe sweep journaled into the store (so a SIGKILLed worker
+resumes cell-exactly), and every measurement, cell, verdict, failure and
+recovery timeline lands in a sqlite-backed **result store** (schema
+``result-store/v2``) with full provenance — seed schedule, graph provenance
+(``EdgeArrays.meta``), engine and batch-chunk choice, and the sweep
+journal's header.
 
 Layers (each its own module, smallest dependency arrow first):
 

@@ -5,10 +5,10 @@ Execution model
 
 The scheduler claims jobs (atomically, via the queue) and runs each in its
 own **worker process** (:func:`run_job`).  A worker executes the spec
-through the existing crash-safe sweep — ``on_error="record"``, a per-job
-checkpoint journal under ``<db>.journals/`` — then loads the journal back,
-re-aggregates it, and persists cells + points + provenance into the result
-store before resolving the job.
+through the existing crash-safe sweep with ``on_error="record"`` and the
+job's journal in the result store itself (keyed by the job id), so every
+cell row is written once, as it finishes.  The worker then stores the
+points of the ``sweep()`` result and the provenance, and resolves the job.
 
 Durability falls out of composing the existing primitives:
 
@@ -16,10 +16,14 @@ Durability falls out of composing the existing primitives:
   ``running``; the scheduler notices the dead process and applies the retry
   classification (``worker-crashed`` is retryable), so the job re-queues
   with backoff;
+* a job left ``running`` by a scheduler that died with its worker is
+  failed the same way by the next scheduler whose ``drain()`` has no live
+  worker of its own: the job's recorded pid (the scheduler's, stamped at
+  claim, then the worker's) is dead;
 * the retry's worker reopens the same journal and **resumes cell-exactly**
   — finished cells are never re-run, and the per-cell seed schedule makes
   the completed result identical to an uninterrupted run;
-* the journal's exclusive writer lock means a half-dead predecessor can
+* the journal's single-writer claim means a half-dead predecessor can
   never interleave rows with the retry (the retry would get a clean
   :class:`~repro.core.errors.CheckpointLocked`, itself retryable).
 
@@ -61,10 +65,12 @@ KILL_ENV = "REPRO_SERVICE_KILL_AFTER_ROWS"
 
 
 def journal_path(db_path: str, job_id: int) -> str:
-    """The per-job sweep checkpoint journal (survives worker death)."""
-    directory = os.path.abspath(db_path) + ".journals"
-    os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, f"job-{job_id}.jsonl")
+    """The database holding job ``job_id``'s sweep journal: the store itself.
+
+    The journal's key in it is the job id
+    (``read_checkpoint(journal_path(db, job_id), job_id)``).
+    """
+    return os.path.abspath(db_path)
 
 
 def _arm_kill_seam() -> None:
@@ -85,9 +91,9 @@ def run_job(db_path: str, job_id: int) -> str:
     """Execute one claimed job to resolution; returns the final status.
 
     Runs in the worker process (but is equally callable inline, e.g. from
-    tests): executes the checkpointed sweep, persists results + provenance,
-    and marks the job done — or classifies the failure and lets the queue
-    decide between retry and permanent failure.
+    tests): executes the sweep journaled into the store, persists points +
+    provenance, and marks the job done — or classifies the failure and lets
+    the queue decide between retry and permanent failure.
     """
     store = ResultStore(db_path)
     queue = JobQueue(store)
@@ -100,17 +106,17 @@ def run_job(db_path: str, job_id: int) -> str:
                 "UPDATE experiments SET worker_pid = ? WHERE id = ?",
                 (os.getpid(), job_id),
             )
-        journal = journal_path(db_path, job_id)
         graph_provenance: Dict[int, Dict[str, object]] = {}
         factory = _cached_graph_factory(store, spec, graph_provenance)
-        sweepmod.sweep(
+        result = sweepmod.sweep(
             **spec.sweep_kwargs(factory),
-            checkpoint=journal,
+            checkpoint=(journal_path(db_path, job_id), job_id),
             on_error="record",
         )
-        header, rows = sweepmod.read_checkpoint(journal)
-        provenance = _provenance(spec, header, graph_provenance)
-        store.record_results(job_id, rows, provenance)
+        provenance = _provenance(
+            spec, store.journal_header(job_id), graph_provenance
+        )
+        store.record_results(job_id, result, provenance)
         queue.mark_done(job_id)
         return "done"
     except KeyboardInterrupt:
@@ -254,12 +260,33 @@ class Scheduler:
                 "resolving the job",
             )
 
+    def _reap_orphans(self) -> None:
+        """Fail, as ``worker-crashed``, running jobs whose recorded pid is dead.
+
+        Called only while this scheduler has no live worker, so every
+        ``running`` job belongs to another scheduler or worker; one whose
+        pid no longer exists was orphaned when its scheduler died with its
+        worker, and nothing else would ever resolve it.
+        """
+        for row in self.store._db.execute(
+            "SELECT id, worker_pid FROM experiments WHERE status = 'running'"
+        ).fetchall():
+            pid = row["worker_pid"]
+            if pid is not None and not sweepmod._pid_alive(int(pid)):
+                self.queue.mark_failed(
+                    int(row["id"]),
+                    WorkerCrashed.kind,
+                    f"job was orphaned: its recorded process {pid} is gone",
+                )
+
     def drain(self, max_jobs: Optional[int] = None) -> List[int]:
         """Run until the queue is idle (or ``max_jobs`` launches happened).
 
         Waits out retry backoffs: a job re-queued with ``not_before`` in
-        the future keeps the drain alive until it resolves.  Returns the
-        job ids that were launched, in launch order.
+        the future keeps the drain alive until it resolves, and a job
+        orphaned by a dead scheduler is failed for retry
+        (:meth:`_reap_orphans`).  Returns the job ids that were launched,
+        in launch order.
         """
         active: Dict[object, int] = {}
         launched: List[int] = []
@@ -272,7 +299,7 @@ class Scheduler:
                 process.join()
                 self._reconcile(active.pop(process), process.exitcode)
             while len(active) < self.max_workers and may_launch():
-                job = self.queue.claim()
+                job = self.queue.claim(worker_pid=os.getpid())
                 if job is None:
                     break
                 process = self._ctx.Process(
@@ -283,6 +310,7 @@ class Scheduler:
                 launched.append(job.id)
             if not active:
                 if self.queue.pending() and may_launch():
+                    self._reap_orphans()
                     time.sleep(self.poll_s)  # a backoff gate is in the future
                     continue
                 return launched

@@ -1,4 +1,4 @@
-"""The persistent result store (sqlite, schema ``result-store/v1``).
+"""The persistent result store (sqlite, schema ``result-store/v2``).
 
 One sqlite database holds everything the service knows:
 
@@ -6,18 +6,21 @@ One sqlite database holds everything the service knows:
   its digest, the queue state machine (status / attempts / backoff), the
   error trail, and — once the job finishes — the full provenance record
   (seed schedule, per-value graph provenance from ``EdgeArrays.meta`` or
-  the cache key, engine and batch-chunk choice, and the sweep checkpoint
+  the cache key, engine and batch-chunk choice, and the sweep journal's
   header).
-* ``cells`` — one row per ``(value index, algorithm, trial)`` cell, exactly
-  the journal's row payload: completion-time buffers as raw int64 BLOBs for
-  ``ok`` rows (verdicts are implied — a validated sweep only journals cells
-  whose solutions passed), failure slug/seed/message for ``failure`` rows,
-  and the recovery timeline JSON when the run was self-stabilising.
+* ``journals`` / ``journal_cells`` — each job's sweep journal (format
+  ``sweep-checkpoint/v2``, owned by :mod:`repro.analysis.sweep`), keyed by
+  the job id.  The worker's sweep commits one cell row per ``(value index,
+  algorithm, trial)`` as the cell finishes: completion times as raw int64
+  BLOBs for ``ok`` rows (verdicts are implied — a validated sweep only
+  journals cells whose solutions passed), failure slug/seed/message for
+  ``failure`` rows, and the recovery timeline JSON when the run was
+  self-stabilising.  :meth:`ResultStore.cells` reads them from there; the
+  store keeps no second copy.
 * ``points`` — the aggregated per-``(value, algorithm)`` measurements, at
   full float precision (the exact ``ComplexityMeasurement`` fields, not the
-  rounded table form), re-aggregated through the same
-  :func:`repro.analysis.sweep.collect_rows` arithmetic as an in-process
-  sweep — stored results are bit-identical to in-process ones.
+  rounded table form), exactly as the job's ``sweep()`` returned them —
+  stored results are bit-identical to in-process ones.
 * ``graph_cache`` — the content-addressed CSR cache: keyed on the complete
   build recipe (:meth:`repro.service.specs.SweepSpec.graph_key`), a row
   holds the network's packed int64 CSR arrays.  A claim protocol
@@ -42,7 +45,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.sweep import CellKey, collect_rows
+from repro.analysis.sweep import (
+    _JOURNAL_DDL,
+    _SHARED_FIELDS,
+    SweepResult,
+    _journal_cells,
+    _network_csr_arrays,
+    _pid_alive,
+)
 from repro.core import schemas
 from repro.local.network import Network
 
@@ -52,20 +62,18 @@ __all__ = ["RESULT_STORE_SCHEMA", "ResultStore"]
 #: spelled out once in :mod:`repro.core.schemas`.
 RESULT_STORE_SCHEMA = schemas.RESULT_STORE
 
-#: Field order of the int64 arrays packed into a graph-cache payload —
-#: deliberately the same layout as the parallel sweep's shared-memory
-#: manifest, because both feed :meth:`Network._from_csr_arrays`.
-_CSR_FIELDS = ("indptr", "indices", "edge_us", "edge_vs", "ids")
-
 #: Seconds after which a ``building`` graph-cache claim whose writer has
 #: stopped refreshing is considered dead and may be stolen.
 _CLAIM_STALE_S = 300.0
 
-_DDL = """
+_META_DDL = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
+"""
+
+_DDL = _JOURNAL_DDL + """
 CREATE TABLE IF NOT EXISTS experiments (
     id            INTEGER PRIMARY KEY AUTOINCREMENT,
     name          TEXT NOT NULL DEFAULT '',
@@ -84,24 +92,6 @@ CREATE TABLE IF NOT EXISTS experiments (
     provenance    TEXT
 );
 CREATE INDEX IF NOT EXISTS experiments_status ON experiments(status, not_before);
-CREATE TABLE IF NOT EXISTS cells (
-    experiment_id  INTEGER NOT NULL REFERENCES experiments(id),
-    value_index    INTEGER NOT NULL,
-    algorithm      TEXT NOT NULL,
-    trial          INTEGER NOT NULL,
-    status         TEXT NOT NULL,
-    n              INTEGER,
-    m              INTEGER,
-    problem        TEXT,
-    algorithm_name TEXT,
-    node_times     BLOB,
-    edge_times     BLOB,
-    recovery       TEXT,
-    seed           INTEGER,
-    kind           TEXT,
-    message        TEXT,
-    PRIMARY KEY (experiment_id, value_index, algorithm, trial)
-);
 CREATE TABLE IF NOT EXISTS points (
     experiment_id INTEGER NOT NULL REFERENCES experiments(id),
     idx           INTEGER NOT NULL,
@@ -130,24 +120,12 @@ CREATE TABLE IF NOT EXISTS graph_cache (
 """
 
 
-def _network_csr_arrays(network: Network) -> Dict[str, np.ndarray]:
-    """The network's immutable topology as int64 arrays (mirrors the
-    parallel sweep's shared-memory export)."""
-    us, vs = network.edge_endpoints()
-    return {
-        "indptr": np.frombuffer(network.indptr, dtype=np.int64),
-        "indices": np.frombuffer(network.indices, dtype=np.int64),
-        "edge_us": np.asarray(us, dtype=np.int64),
-        "edge_vs": np.asarray(vs, dtype=np.int64),
-        "ids": np.asarray(network.identifiers, dtype=np.int64),
-    }
-
-
 class ResultStore:
     """Handle on one service database (safe to hold one per process).
 
     ``ResultStore(path)`` creates the schema on first use and validates the
-    schema version afterwards.  All public methods are safe under
+    schema version afterwards; a database of another version is refused
+    before anything is written to it.  All public methods are safe under
     concurrent access from other processes holding their own stores on the
     same path.
     """
@@ -163,7 +141,7 @@ class ResultStore:
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute("PRAGMA busy_timeout=30000")
             with self._db:
-                self._db.executescript(_DDL)
+                self._db.executescript(_META_DDL)
                 self._db.execute(
                     "INSERT OR IGNORE INTO meta(key, value) VALUES ('schema', ?)",
                     (RESULT_STORE_SCHEMA,),
@@ -176,6 +154,7 @@ class ResultStore:
                     f"{self.path} uses result-store schema {schema!r}, this "
                     f"code speaks {RESULT_STORE_SCHEMA!r}"
                 )
+            self._db.executescript(_DDL)
         except BaseException:
             # A handle abandoned by a failed __init__ (foreign schema, DDL
             # error) has no owner to close it; sqlite keeps the file locked
@@ -223,92 +202,29 @@ class ResultStore:
     def record_results(
         self,
         job_id: int,
-        rows: Mapping[CellKey, Mapping[str, object]],
+        result: SweepResult,
         provenance: Mapping[str, object],
     ) -> None:
-        """Persist a finished job's cells, aggregated points, and provenance.
+        """Persist a finished job's aggregated points and provenance.
 
-        ``rows`` is the journal's row mapping (:func:`read_checkpoint`);
-        the points are re-aggregated here through
-        :func:`repro.analysis.sweep.collect_rows`, i.e. through the exact
-        arithmetic of the in-process sweep, and stored at full float
-        precision.  Idempotent per job: re-recording replaces the previous
-        rows (the retry path after a worker died mid-record).
+        ``result`` is what the job's ``sweep()`` returned; its points are
+        stored at full float precision.  The cells are already in the job's
+        journal, so nothing is re-read or re-aggregated here.  Idempotent
+        per job: re-recording replaces the previous points.
         """
-        experiment = self.experiment(job_id)
-        spec = experiment["spec"]
-        result = collect_rows(
-            parameter=str(spec["parameter"]),
-            values=list(spec["values"]),
-            algorithms=list(spec["algorithms"]),
-            trials=int(spec["trials"]),
-            rows=dict(rows),
-        )
-        point_rows = []
-        for idx, point in enumerate(result):
-            measurement = dict(point.measurement.__dict__)
-            point_rows.append(
-                (
-                    job_id,
-                    idx,
-                    point.parameter,
-                    json.dumps(point.value),
-                    point.measurement.algorithm,
-                    json.dumps(measurement),
-                )
+        point_rows = [
+            (
+                job_id,
+                idx,
+                point.parameter,
+                json.dumps(point.value),
+                point.measurement.algorithm,
+                json.dumps(dict(point.measurement.__dict__)),
             )
-        cell_rows = []
-        for (index, name, trial), row in sorted(rows.items()):
-            if row["status"] == "ok":
-                node = np.asarray(row["node_times"], dtype=np.int64)
-                edge = np.asarray(row["edge_times"], dtype=np.int64)
-                recovery = row.get("recovery")
-                cell_rows.append(
-                    (
-                        job_id,
-                        index,
-                        name,
-                        trial,
-                        "ok",
-                        int(row["n"]),
-                        int(row["m"]),
-                        str(row["problem"]),
-                        str(row["algorithm"]),
-                        node.tobytes(),
-                        edge.tobytes(),
-                        json.dumps(recovery) if recovery is not None else None,
-                        None,
-                        None,
-                        None,
-                    )
-                )
-            else:
-                cell_rows.append(
-                    (
-                        job_id,
-                        index,
-                        name,
-                        trial,
-                        "failure",
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        int(row["seed"]),
-                        str(row["failure"]),
-                        str(row["message"]),
-                    )
-                )
+            for idx, point in enumerate(result)
+        ]
         with self._db:
-            self._db.execute("DELETE FROM cells WHERE experiment_id = ?", (job_id,))
             self._db.execute("DELETE FROM points WHERE experiment_id = ?", (job_id,))
-            self._db.executemany(
-                "INSERT INTO cells VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                cell_rows,
-            )
             self._db.executemany(
                 "INSERT INTO points VALUES (?,?,?,?,?,?)", point_rows
             )
@@ -342,30 +258,21 @@ class ResultStore:
         return out
 
     def cells(self, job_id: int) -> List[Dict[str, object]]:
-        """The stored per-trial cells; completion times as int64 arrays."""
-        rows = self._db.execute(
-            "SELECT * FROM cells WHERE experiment_id = ? "
-            "ORDER BY value_index, algorithm, trial",
-            (job_id,),
-        ).fetchall()
-        out = []
-        for row in rows:
-            record = dict(row)
-            if record["status"] == "ok":
-                record["node_times"] = np.frombuffer(
-                    record["node_times"], dtype=np.int64
-                )
-                record["edge_times"] = np.frombuffer(
-                    record["edge_times"], dtype=np.int64
-                )
-                if record["recovery"]:
-                    record["recovery"] = json.loads(record["recovery"])
-            out.append(record)
-        return out
+        """The job's journaled per-trial cells; completion times as int64 arrays."""
+        return _journal_cells(self._db, job_id)
 
     def failures(self, job_id: int) -> List[Dict[str, object]]:
-        """The stored failure cells (kind / seed / message) of a job."""
-        return [c for c in self.cells(job_id) if c["status"] == "failure"]
+        """The job's journaled failure cells (kind / seed / message)."""
+        return _journal_cells(self._db, job_id, status="failure")
+
+    def journal_header(self, job_id: int) -> Dict[str, object]:
+        """The header of the job's sweep journal (the sweep's identity)."""
+        row = self._db.execute(
+            "SELECT header FROM journals WHERE key = ?", (str(job_id),)
+        ).fetchone()
+        if row is None:
+            raise KeyError(f"no sweep journal for experiment {job_id}")
+        return json.loads(row["header"])
 
     # ------------------------------------------------------------------ #
     # Content-addressed graph cache
@@ -457,7 +364,7 @@ class ResultStore:
         layout: List[Tuple[str, int, int]] = []
         chunks: List[bytes] = []
         offset = 0
-        for field in _CSR_FIELDS:
+        for field in _SHARED_FIELDS:
             data = np.ascontiguousarray(arrays[field], dtype=np.int64)
             layout.append((field, offset, int(data.size)))
             chunks.append(data.tobytes())
@@ -535,13 +442,3 @@ class ResultStore:
             record["recipe"] = json.loads(record["recipe"])
             out.append(record)
         return out
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):  # pragma: no cover - exists, not ours
-        return True
-    return True

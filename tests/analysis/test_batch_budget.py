@@ -4,7 +4,7 @@
 ``run_trials`` / ``evaluate`` / ``Experiment`` / ``sweep`` — and batch-size
 invariance guarantees it is a pure throughput knob: results are identical
 under every budget.  The chosen budget is recorded as provenance in the
-sweep checkpoint header (and, one layer up, in the service result store).
+sweep journal's header (and, one layer up, in the service result store).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class TestSweepBudget:
         assert big == default
 
     def test_header_records_the_budget(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
+        path = str(tmp_path / "journal.db")
         sweep(**self.sweep_settings(), checkpoint=path, batch_budget_bytes=4096)
         header, rows = sweepmod.read_checkpoint(path)
         assert header["batch_budget"] == 4096
@@ -109,7 +109,7 @@ class TestSweepBudget:
     def test_header_budget_is_provenance_not_identity(self, tmp_path):
         # A journal written under one budget resumes under another: the
         # budget is deliberately absent from the header-mismatch list.
-        path = str(tmp_path / "journal.jsonl")
+        path = str(tmp_path / "journal.db")
 
         class Stop(Exception):
             pass

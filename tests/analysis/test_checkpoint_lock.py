@@ -1,14 +1,18 @@
-"""Tests for the checkpoint journal's single-writer guarantee.
+"""Tests for the sqlite journal's single-writer claim.
 
 Two concurrent sweeps pointed at one journal must not silently interleave
-rows: the second writer gets a clean ``CheckpointLocked`` error.  The lock
-must also die with its holder (flock) or be stealable (stale pid sidecar),
-so a SIGKILLed writer never wedges the journal for the resuming retry.
+rows: the second writer finds the first's live pid in the journal's
+``writer_pid`` and gets a clean ``CheckpointLocked`` error.  The claim is
+released on close and stolen from a pid that no longer exists, so a
+SIGKILLed writer never wedges the journal for the resuming retry.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import sqlite3
 import sys
 
 import pytest
@@ -42,7 +46,7 @@ def sweep_settings(**overrides):
 
 
 def sweep_spec(**overrides):
-    """The internal spec dict `_Checkpoint` validates its header against."""
+    """The internal spec dict `_Journal` validates its header against."""
     settings = sweep_settings(**overrides)
     return {
         "parameter": settings["parameter"],
@@ -55,25 +59,47 @@ def sweep_spec(**overrides):
     }
 
 
+def writer_pid(path, key="sweep"):
+    db = sqlite3.connect(path)
+    try:
+        return db.execute(
+            "SELECT writer_pid FROM journals WHERE key = ?", (key,)
+        ).fetchone()[0]
+    finally:
+        db.close()
+
+
 class TestExclusiveWriter:
     def test_second_writer_is_rejected(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        first = sweepmod._Checkpoint(path, sweep_spec())
+        path = str(tmp_path / "journal.db")
+        first = sweepmod._Journal(path, sweep_spec())
         try:
             with pytest.raises(CheckpointLocked, match="distinct checkpoint"):
-                sweepmod._Checkpoint(path, sweep_spec())
+                sweepmod._Journal(path, sweep_spec())
+            assert writer_pid(path) == os.getpid()  # the refusal kept it
         finally:
             first.close()
 
-    def test_lock_is_released_on_close(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        sweepmod._Checkpoint(path, sweep_spec()).close()
-        second = sweepmod._Checkpoint(path, sweep_spec())
+    def test_closed_journal_reopens(self, tmp_path):
+        path = str(tmp_path / "journal.db")
+        sweepmod._Journal(path, sweep_spec()).close()
+        assert writer_pid(path) is None
+        second = sweepmod._Journal(path, sweep_spec())
         second.close()
+        second.close()  # idempotent
+
+    def test_journals_under_distinct_keys_do_not_conflict(self, tmp_path):
+        path = str(tmp_path / "journal.db")
+        first = sweepmod._Journal((path, "a"), sweep_spec())
+        try:
+            second = sweepmod._Journal((path, 7), sweep_spec(seed=4))
+            second.close()
+        finally:
+            first.close()
 
     def test_concurrent_sweep_raises_cleanly(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        holder = sweepmod._Checkpoint(path, sweep_spec())
+        path = str(tmp_path / "journal.db")
+        holder = sweepmod._Journal(path, sweep_spec())
         try:
             with pytest.raises(CheckpointLocked):
                 sweep(**sweep_settings(), checkpoint=path)
@@ -85,51 +111,59 @@ class TestExclusiveWriter:
 
     def test_checkpoint_locked_is_retryable(self):
         # The service retries a locked journal (the holder may be a dying
-        # predecessor whose lock the kernel is about to drop).
+        # predecessor whose pid is about to disappear).
         assert is_retryable(CheckpointLocked.kind)
 
 
-@pytest.fixture
-def sidecar_mode(monkeypatch):
-    """Force the non-POSIX O_EXCL pid-sidecar fallback."""
-    monkeypatch.setattr(sweepmod, "fcntl", None)
+def _hold_journal(path, ready, release):
+    journal = sweepmod._Journal(path, sweep_spec())
+    ready.set()
+    release.wait(30)
+    journal.close()
 
 
-class TestSidecarFallback:
-    def test_sidecar_excludes_live_writers(self, tmp_path, sidecar_mode):
-        path = str(tmp_path / "journal.jsonl")
-        first = sweepmod._Checkpoint(path, sweep_spec())
+def _die_holding_journal(path):
+    sweepmod._Journal(path, sweep_spec())
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestPidClaim:
+    def test_live_holder_in_another_process_is_rejected(self, tmp_path):
+        path = str(tmp_path / "journal.db")
+        ctx = multiprocessing.get_context("fork")
+        ready, release = ctx.Event(), ctx.Event()
+        holder = ctx.Process(target=_hold_journal, args=(path, ready, release))
+        holder.start()
         try:
-            assert os.path.exists(path + ".lock")
-            with pytest.raises(CheckpointLocked, match="live writer"):
-                sweepmod._Checkpoint(path, sweep_spec())
+            assert ready.wait(30)
+            with pytest.raises(CheckpointLocked, match=f"live writer pid {holder.pid}"):
+                sweepmod._Journal(path, sweep_spec())
         finally:
-            first.close()
-        assert not os.path.exists(path + ".lock")
+            release.set()
+            holder.join(30)
+        assert holder.exitcode == 0
+        sweepmod._Journal(path, sweep_spec()).close()
 
-    def test_stale_sidecar_is_stolen(self, tmp_path, sidecar_mode):
-        path = str(tmp_path / "journal.jsonl")
-        first = sweepmod._Checkpoint(path, sweep_spec())
-        first.close()
-        # Simulate a SIGKILLed writer: plant a sidecar owned by a pid that
-        # cannot be alive.
-        with open(path + ".lock", "w", encoding="utf-8") as fh:
-            fh.write("999999999")
-        second = sweepmod._Checkpoint(path, sweep_spec())
-        second.close()
-
-    def test_unreadable_sidecar_is_treated_as_stale(self, tmp_path, sidecar_mode):
-        path = str(tmp_path / "journal.jsonl")
-        with open(path + ".lock", "w", encoding="utf-8") as fh:
-            fh.write("not-a-pid")
-        checkpoint = sweepmod._Checkpoint(path, sweep_spec())
-        checkpoint.close()
+    def test_sigkilled_holder_claim_is_stolen(self, tmp_path):
+        path = str(tmp_path / "journal.db")
+        holder = multiprocessing.get_context("fork").Process(
+            target=_die_holding_journal, args=(path,)
+        )
+        holder.start()
+        holder.join(30)
+        assert holder.exitcode == -signal.SIGKILL
+        assert writer_pid(path) == holder.pid  # the dead writer's claim
+        journal = sweepmod._Journal(path, sweep_spec())
+        try:
+            assert writer_pid(path) == os.getpid()
+        finally:
+            journal.close()
 
 
 class TestLockAndResume:
     def test_lock_does_not_break_interrupt_resume(self, tmp_path, monkeypatch):
-        """Interrupt a checkpointed sweep, then resume under the lock."""
-        path = str(tmp_path / "journal.jsonl")
+        """Interrupt a journaled sweep, then resume under the claim."""
+        path = str(tmp_path / "journal.db")
 
         class Stop(Exception):
             pass

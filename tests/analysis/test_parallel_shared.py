@@ -6,10 +6,10 @@ Covers the contracts the parallel rework introduced:
   parent unlinks every segment when the sweep returns — including when a
   worker was SIGKILLed mid-task;
 * multi-trial cells on the array engines run as one batched group per
-  ``(value, algorithm)`` and still journal one row per trial, so checkpoints
+  ``(value, algorithm)`` and still journal one row per trial, so journals
   written by batched sweeps resume cell-exactly (including mid-cell);
 * a parallel request on a platform without ``fork`` warns instead of
-  silently degrading, and the checkpoint header records the effective
+  silently degrading, and the journal header records the effective
   parallelism (as provenance only — never mismatch-enforced).
 """
 
@@ -19,6 +19,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sqlite3
 import sys
 import warnings
 from multiprocessing import shared_memory
@@ -51,6 +52,16 @@ def run_sweep(**overrides):
     )
     settings.update(overrides)
     return sweep(**settings)
+
+
+def edit_journal(path, statement, params=()):
+    """Run one SQL statement against a closed sweep journal."""
+    db = sqlite3.connect(path)
+    try:
+        with db:
+            db.execute(statement, params)
+    finally:
+        db.close()
 
 
 def assert_last_segments_unlinked():
@@ -133,12 +144,12 @@ class TestSharedMemoryLifecycle:
 class TestBatchedCells:
     def test_batched_checkpoint_resumes_cell_exactly(self, tmp_path):
         baseline = run_sweep()
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
         first = run_sweep(checkpoint=path)
         assert first == baseline
-        lines = open(path, encoding="utf-8").read().splitlines()
+        header, rows = sweepmod.read_checkpoint(path)
         # One row per trial even though the cells ran batched.
-        assert len(lines) == 1 + 2 * 3
+        assert len(rows) == 2 * 3
         recomputed = []
         sweepmod_hook_prev = sweepmod._test_hook
         sweepmod._test_hook = recomputed.append
@@ -149,25 +160,22 @@ class TestBatchedCells:
         assert resumed == baseline
         assert recomputed == []
 
-    def test_mid_cell_resume_reruns_only_missing_trials(self, tmp_path):
+    def test_mid_cell_resume_reruns_only_missing_trials(self, tmp_path, monkeypatch):
         baseline = run_sweep()
-        full_path = str(tmp_path / "full.jsonl")
-        run_sweep(checkpoint=full_path)
-        lines = open(full_path, encoding="utf-8").read().splitlines()
-        # Keep trials 0 and 2 of every cell: the remaining trial set {1} is
-        # non-contiguous with nothing, exercising the split-run path.
-        kept = [lines[0]] + [
-            line for line in lines[1:] if json.loads(line)["trial"] != 1
-        ]
-        partial_path = str(tmp_path / "partial.jsonl")
-        with open(partial_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(kept) + "\n")
-        resumed = run_sweep(checkpoint=partial_path)
-        assert resumed == baseline
-        parallel_path = str(tmp_path / "parallel.jsonl")
-        with open(parallel_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(kept) + "\n")
-        assert run_sweep(checkpoint=parallel_path, parallel=2) == baseline
+        for parallel in (None, 2):
+            path = str(tmp_path / f"partial-{parallel}.db")
+            run_sweep(checkpoint=path)
+            # Keep trials 0 and 2 of every cell: the remaining trial set {1}
+            # is non-contiguous with nothing, exercising the split-run path.
+            edit_journal(path, "DELETE FROM journal_cells WHERE trial = 1")
+            recomputed = []
+            monkeypatch.setattr(sweepmod, "_test_hook", recomputed.append)
+            assert run_sweep(checkpoint=path, parallel=parallel) == baseline
+            monkeypatch.setattr(sweepmod, "_test_hook", None)
+            assert sorted(sweepmod._cell_key(row) for row in recomputed) == [
+                (0, "luby", 1),
+                (1, "luby", 1),
+            ]
 
     def test_grouped_failures_still_attribute_per_trial(self):
         def broken_factory(net):
@@ -197,42 +205,34 @@ class TestParallelProvenance:
             run_sweep()
 
     def test_header_records_effective_parallelism(self, tmp_path, monkeypatch):
-        parallel_path = str(tmp_path / "parallel.jsonl")
+        parallel_path = str(tmp_path / "parallel.db")
         run_sweep(parallel=2, checkpoint=parallel_path)
-        header = json.loads(open(parallel_path, encoding="utf-8").readline())
-        assert header["parallel"] is True
+        assert sweepmod.read_checkpoint(parallel_path)[0]["parallel"] is True
 
-        serial_path = str(tmp_path / "serial.jsonl")
+        serial_path = str(tmp_path / "serial.db")
         run_sweep(checkpoint=serial_path)
-        assert json.loads(open(serial_path, encoding="utf-8").readline())[
-            "parallel"
-        ] is False
+        assert sweepmod.read_checkpoint(serial_path)[0]["parallel"] is False
 
         # Degraded parallel runs record the truth, not the request.
         monkeypatch.setattr(sweepmod, "_fork_available", lambda: False)
-        degraded_path = str(tmp_path / "degraded.jsonl")
+        degraded_path = str(tmp_path / "degraded.db")
         with pytest.warns(RuntimeWarning):
             run_sweep(parallel=2, checkpoint=degraded_path)
-        assert json.loads(open(degraded_path, encoding="utf-8").readline())[
-            "parallel"
-        ] is False
+        assert sweepmod.read_checkpoint(degraded_path)[0]["parallel"] is False
 
     def test_parallel_flag_is_not_mismatch_enforced(self, tmp_path):
         # A journal written parallel resumes serially (and vice versa): the
         # flag is provenance, not identity.
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
         first = run_sweep(parallel=2, checkpoint=path)
         assert run_sweep(checkpoint=path) == first
 
     def test_legacy_headers_without_the_flag_still_load(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
         first = run_sweep(checkpoint=path)
-        lines = open(path, encoding="utf-8").read().splitlines()
-        header = json.loads(lines[0])
+        header = sweepmod.read_checkpoint(path)[0]
         del header["parallel"]
-        lines[0] = json.dumps(header, sort_keys=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        edit_journal(path, "UPDATE journals SET header = ?", (json.dumps(header),))
         assert run_sweep(checkpoint=path) == first
 
 

@@ -10,13 +10,14 @@ its seed from the same deterministic schedule.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
+import sqlite3
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.algorithms.mis.luby import LubyMIS
@@ -54,7 +55,7 @@ def run_sweep(**overrides):
 
 @pytest.fixture
 def row_hook(monkeypatch):
-    """Install a checkpoint-row hook; returns the list of observed rows."""
+    """Install a journal-row hook (fires after each row commits)."""
 
     def install(callback):
         monkeypatch.setattr(sweepmod, "_test_hook", callback)
@@ -79,7 +80,7 @@ class TestResultShape:
 
 class TestCheckpointing:
     def test_full_run_resume_recomputes_nothing(self, tmp_path, row_hook):
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
         first = run_sweep(checkpoint=path)
         recomputed = []
         row_hook(recomputed.append)
@@ -87,21 +88,23 @@ class TestCheckpointing:
         assert second == first
         assert recomputed == []
 
-    def test_checkpoint_file_has_header_and_ok_rows(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+    def test_journal_has_header_and_ok_rows(self, tmp_path):
+        path = str(tmp_path / "sweep.db")
         run_sweep(checkpoint=path)
-        lines = [json.loads(line) for line in open(path, encoding="utf-8")]
-        header, rows = lines[0], lines[1:]
+        header, rows = sweepmod.read_checkpoint(path)
         assert header["format"] == sweepmod.CHECKPOINT_FORMAT
         assert header["parameter"] == "n"
         assert header["algorithms"] == ["luby"]
-        assert len(rows) == 2 * 2  # values x trials
-        assert all(row["status"] == "ok" for row in rows)
-        assert all(isinstance(row["node_times"], list) for row in rows)
+        assert sorted(rows) == [(i, "luby", t) for i in (0, 1) for t in (0, 1)]
+        for row in rows.values():
+            assert row["status"] == "ok"
+            # Stored as raw int64 BLOBs, read back as int64 arrays.
+            assert row["node_times"].dtype == np.int64
+            assert len(row["node_times"]) == row["n"]
 
     def test_interrupted_sweep_resumes_to_identical_results(self, tmp_path, row_hook):
         baseline = run_sweep()
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
 
         written = []
 
@@ -125,7 +128,7 @@ class TestCheckpointing:
         self, tmp_path, row_hook
     ):
         baseline = run_sweep()
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
 
         def interrupt_immediately(row):
             raise KeyboardInterrupt
@@ -133,27 +136,60 @@ class TestCheckpointing:
         row_hook(interrupt_immediately)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(checkpoint=path, parallel=2)
-        # The flushed journal holds the interrupting cell; resuming serially
-        # from it reproduces the uninterrupted sweep.
-        lines = open(path, encoding="utf-8").read().splitlines()
-        assert len(lines) >= 2  # header + at least the recorded row
+        # The journal holds the interrupting cell, committed before the hook
+        # fired; resuming serially from it reproduces the uninterrupted sweep.
+        header, rows = sweepmod.read_checkpoint(path)
+        assert len(rows) >= 1
         row_hook(lambda row: None)
         resumed = run_sweep(checkpoint=path)
         assert resumed == baseline
 
     def test_checkpoint_of_a_different_sweep_is_rejected(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
         run_sweep(checkpoint=path)
         with pytest.raises(ValueError, match="different sweep"):
             run_sweep(checkpoint=path, seed=4)
 
-    def test_truncated_trailing_line_is_ignored(self, tmp_path):
+    def test_uncommitted_row_is_absent_and_its_cell_reruns(self, tmp_path, row_hook):
         baseline = run_sweep()
-        path = str(tmp_path / "sweep.jsonl")
-        run_sweep(checkpoint=path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"status": "ok", "index": 1, "na')  # killed mid-write
+        path = str(tmp_path / "sweep.db")
+
+        def interrupt_after_two(row):
+            if row["value_index"] == 0 and row["trial"] == 1:
+                raise KeyboardInterrupt
+
+        row_hook(interrupt_after_two)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(checkpoint=path)
+        # The next writer dies inside the transaction of cell (1, luby, 0).
+        writer = multiprocessing.get_context("fork").Process(
+            target=_die_mid_row, args=(path,)
+        )
+        writer.start()
+        writer.join(30)
+        assert writer.exitcode == -signal.SIGKILL
+
+        header, rows = sweepmod.read_checkpoint(path)
+        assert sorted(rows) == [(0, "luby", 0), (0, "luby", 1)]
+        recomputed = []
+        row_hook(recomputed.append)
         assert run_sweep(checkpoint=path) == baseline
+        assert [sweepmod._cell_key(row) for row in recomputed] == [
+            (1, "luby", 0),
+            (1, "luby", 1),
+        ]
+
+
+def _die_mid_row(path):
+    db = sqlite3.connect(path)
+    db.execute("BEGIN IMMEDIATE")
+    db.execute(
+        "INSERT INTO journal_cells (journal, value_index, algorithm, trial, status, "
+        "n, m, problem, algorithm_name, node_times, edge_times) "
+        "VALUES ('sweep', 1, 'luby', 0, 'ok', 10, 10, 'mis', 'luby', ?, ?)",
+        (bytes(80), bytes(80)),
+    )
+    os.kill(os.getpid(), signal.SIGKILL)  # no COMMIT ever reaches the WAL
 
 
 class TestFailureRows:
@@ -195,7 +231,7 @@ class TestFailureRows:
         assert all(f.kind == "round-limit" for f in result.failures)
 
     def test_failure_rows_checkpoint_and_are_retried_on_resume(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
         result = run_sweep(values=[12], max_rounds=1, on_error="record", checkpoint=path)
         assert len(result.failures) == 2
         # The same sweep with a workable round budget retries the recorded
@@ -235,7 +271,7 @@ def _kill_if_pool_worker():
 class TestParallelResilience:
     def test_parallel_with_checkpoint_equals_serial(self, tmp_path, row_hook):
         serial = run_sweep()
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
         parallel = run_sweep(parallel=2, checkpoint=path)
         assert parallel == serial
         # Cross-path resume: the parallel-written journal seeds a serial
@@ -305,7 +341,7 @@ class TestFaultedSweeps:
     def test_faulted_sweep_checkpoints_and_resumes(self, tmp_path, row_hook):
         faults = FaultSchedule(crashes={0: 2}, drop_rate=0.1, seed=6)
         baseline = run_sweep(faults=faults, validate=False)
-        path = str(tmp_path / "sweep.jsonl")
+        path = str(tmp_path / "sweep.db")
         first = run_sweep(faults=faults, validate=False, checkpoint=path)
         assert first == baseline
         recomputed = []

@@ -377,10 +377,10 @@ class TestFacadeThreading:
         assert row["unrecovered_epochs"] == 0
 
     def test_sweep_checkpoint_round_trips_recovery(self, tmp_path):
-        from repro.analysis.sweep import sweep
+        from repro.analysis.sweep import read_checkpoint, sweep
 
         faults = FaultSchedule(crashes={1: 2, 4: 2}, seed=7)
-        path = str(tmp_path / "ckpt.jsonl")
+        path = str(tmp_path / "ckpt.db")
         algorithms = {
             "selfstab-luby": (
                 lambda network: SelfStabilizingLubyMIS(),
@@ -395,6 +395,10 @@ class TestFacadeThreading:
             "n", [20, 26], graphs, algorithms, trials=2, faults=faults,
             checkpoint=path, on_error="record",
         )
+        header, rows = read_checkpoint(path)
+        assert len(rows) == 4
+        for row in rows.values():  # the timeline rides in the journal row
+            assert set(row["recovery"]) == {"crash_rounds", "pending", "valid"}
         resumed = sweep(
             "n", [20, 26], graphs, algorithms, trials=2, faults=faults,
             checkpoint=path, on_error="record",

@@ -8,17 +8,17 @@ from the freshly built original.
 
 from __future__ import annotations
 
+import sqlite3
+
 import numpy as np
 import pytest
 
 from repro.analysis import sweep
+from repro.analysis.sweep import _network_csr_arrays
+from repro.core.errors import classify_failure
 from repro.service.scheduler import Scheduler
 from repro.service.specs import SweepSpec
-from repro.service.store import (
-    RESULT_STORE_SCHEMA,
-    ResultStore,
-    _network_csr_arrays,
-)
+from repro.service.store import RESULT_STORE_SCHEMA, ResultStore
 
 
 def make_spec(**overrides):
@@ -64,6 +64,30 @@ class TestSchema:
         with ResultStore(db_path) as store:
             assert store.list_experiments() == []
 
+    def test_a_v1_store_is_refused_untouched(self, db_path):
+        # result-store/v1 kept a separate ``cells`` table and journaled to
+        # JSON-lines files; this code cannot read it and must not add the
+        # v2 tables to it.
+        db = sqlite3.connect(db_path)
+        with db:
+            db.executescript(
+                "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+                "INSERT INTO meta VALUES ('schema', 'result-store/v1');"
+                "CREATE TABLE cells (experiment_id INTEGER, value_index INTEGER);"
+            )
+        db.close()
+        with pytest.raises(ValueError, match=f"'result-store/v1'.*{RESULT_STORE_SCHEMA!r}"):
+            ResultStore(db_path)
+        db = sqlite3.connect(db_path)
+        try:
+            tables = {
+                row[0]
+                for row in db.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+            }
+        finally:
+            db.close()
+        assert tables == {"meta", "cells"}
+
 
 class TestBitIdentity:
     def test_stored_points_match_the_in_process_sweep_exactly(self, db_path):
@@ -100,18 +124,47 @@ class TestBitIdentity:
     def test_record_results_is_idempotent(self, db_path):
         spec = make_spec(values=(8,), trials=1)
         job_id = run_one(db_path, spec)
-        import repro.service.scheduler as sched
 
         with ResultStore(db_path) as store:
             before = store.points(job_id)
-            # Re-record the same journal: rows replaced, not duplicated.
-            header, rows = sched.sweepmod.read_checkpoint(
-                sched.journal_path(db_path, job_id)
+            # Re-run the job's sweep on its journal (every cell is already
+            # committed, so nothing re-runs) and re-record the result:
+            # points replaced, not duplicated.
+            result = sweep(
+                **spec.sweep_kwargs(),
+                checkpoint=(db_path, job_id),
+                on_error="record",
             )
             provenance = store.experiment(job_id)["provenance"]
-            store.record_results(job_id, rows, provenance)
+            store.record_results(job_id, result, provenance)
             assert store.points(job_id) == before
             assert len(store.cells(job_id)) == 1
+
+    def test_cells_and_failures_read_the_journal(self, db_path):
+        # A sweep journaled into the store under key 7, one healthy and one
+        # broken algorithm: cells() sees every row, failures() only the
+        # failure rows, selected in SQL.
+        def broken(network):
+            raise RuntimeError("factory exploded")
+
+        kwargs = make_spec(values=(8,)).sweep_kwargs()
+        kwargs["algorithms"] = dict(kwargs["algorithms"], broken=(broken, broken))
+        with ResultStore(db_path) as store:
+            sweep(**kwargs, checkpoint=(db_path, 7), on_error="record")
+            cells = store.cells(7)
+            failures = store.failures(7)
+            assert store.cells(8) == []
+        assert [(c["algorithm"], c["status"]) for c in cells] == [
+            ("broken", "failure"),
+            ("broken", "failure"),
+            ("luby_mis", "ok"),
+            ("luby_mis", "ok"),
+        ]
+        assert failures == cells[:2]
+        for failure in failures:
+            assert failure["kind"] == classify_failure(RuntimeError())
+            assert failure["message"] == "factory exploded"
+            assert failure["node_times"] is None
 
 
 class TestGraphCache:
