@@ -707,18 +707,19 @@ def _collect(spec: Dict[str, object], rows: Dict[CellKey, Dict[str, object]]) ->
 # ---------------------------------------------------------------------- #
 #
 # A journal is one ``journals`` row (the header identifying the sweep, and
-# the pid of its single live writer) plus one ``journal_cells`` row per
-# finished cell under the journal's key.  Several journals may share one
-# database: the experiment service keys each job's journal by the job id
-# inside its result store, which reads the cells straight from
-# ``journal_cells``.
+# the pid and start time of its single live writer) plus one
+# ``journal_cells`` row per finished cell under the journal's key.  Several
+# journals may share one database: the experiment service keys each job's
+# journal by the job id inside its result store, which reads the header and
+# the cells through the helpers below.
 
 #: Tables of the journal; the result store creates them in its database.
 _JOURNAL_DDL = """
 CREATE TABLE IF NOT EXISTS journals (
-    key        TEXT PRIMARY KEY,
-    header     TEXT NOT NULL,
-    writer_pid INTEGER
+    key          TEXT PRIMARY KEY,
+    header       TEXT NOT NULL,
+    writer_pid   INTEGER,
+    writer_start INTEGER
 );
 CREATE TABLE IF NOT EXISTS journal_cells (
     journal        TEXT NOT NULL,
@@ -778,8 +779,16 @@ def _header(spec: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def _parse_header(text: str, where: str) -> Dict[str, object]:
-    header = json.loads(text)
+def _journal_header(
+    db: sqlite3.Connection, key: object, where: str
+) -> Optional[Dict[str, object]]:
+    """The format-checked header of journal ``key``, or ``None`` if absent."""
+    found = db.execute(
+        "SELECT header FROM journals WHERE key = ?", (str(key),)
+    ).fetchone()
+    if found is None:
+        return None
+    header = json.loads(found[0])
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
             f"{where} has checkpoint format {header.get('format')!r}, "
@@ -818,9 +827,9 @@ def _journal_cells(
 
 
 def read_checkpoint(
-    path: str, key: object = _DEFAULT_KEY
+    path: str,
 ) -> Tuple[Dict[str, object], Dict[CellKey, Dict[str, object]]]:
-    """Read journal ``key`` of the database at ``path``: ``(header, rows)``.
+    """Read the journal of ``sweep(checkpoint=path)``: ``(header, rows)``.
 
     ``rows`` maps ``(value index, algorithm name, trial)`` to the committed
     cell row.  A row whose transaction never committed (the writer died
@@ -832,15 +841,12 @@ def read_checkpoint(
     db = sqlite3.connect(path, timeout=30.0)
     try:
         try:
-            found = db.execute(
-                "SELECT header FROM journals WHERE key = ?", (str(key),)
-            ).fetchone()
+            header = _journal_header(db, _DEFAULT_KEY, path)
         except sqlite3.DatabaseError:  # not a database, or no journals in it
-            found = None
-        if found is None:
-            raise ValueError(f"{path} holds no {CHECKPOINT_FORMAT} journal {str(key)!r}")
-        header = _parse_header(found[0], path)
-        return header, {_cell_key(row): row for row in _journal_cells(db, key)}
+            header = None
+        if header is None:
+            raise ValueError(f"{path} holds no {CHECKPOINT_FORMAT} sweep journal")
+        return header, {_cell_key(row): row for row in _journal_cells(db, _DEFAULT_KEY)}
     finally:
         db.close()
 
@@ -856,12 +862,13 @@ class _Journal:
     failure it retries), so a killed process loses at most the cell it was
     computing.
 
-    The journal is single-writer.  The claim is the ``writer_pid`` of the
-    journal's header row: a second writer that finds a live pid there gets
-    a :class:`~repro.core.errors.CheckpointLocked` error instead of
-    silently interleaving rows, and the pid of a writer that no longer
-    exists (SIGKILLed before :meth:`close`) is stolen, so a dead writer
-    never wedges the journal.
+    The journal is single-writer.  The claim is the ``writer_pid`` and
+    ``writer_start`` of the journal's header row: a second writer that
+    finds that process alive gets a :class:`~repro.core.errors.CheckpointLocked`
+    error instead of silently interleaving rows, and the claim of a writer
+    that no longer exists (SIGKILLed before :meth:`close`) is stolen, so a
+    dead writer never wedges the journal — even after its pid was reused,
+    since the start time tells the new process apart (:func:`_pid_alive`).
     """
 
     def __init__(self, checkpoint: Checkpoint, spec: Dict[str, object]) -> None:
@@ -883,19 +890,21 @@ class _Journal:
 
     def _claim(self, header: Dict[str, object]) -> Dict[CellKey, Dict[str, object]]:
         db = self._db
+        writer = (os.getpid(), _process_start(os.getpid()))
         with db:
             db.execute("BEGIN IMMEDIATE")
-            found = db.execute(
-                "SELECT header, writer_pid FROM journals WHERE key = ?", (self.key,)
-            ).fetchone()
-            if found is None:
+            stored = _journal_header(db, self.key, self.where)
+            if stored is None:
                 db.execute(
-                    "INSERT INTO journals (key, header, writer_pid) VALUES (?, ?, ?)",
-                    (self.key, json.dumps(header, sort_keys=True), os.getpid()),
+                    "INSERT INTO journals (key, header, writer_pid, writer_start) "
+                    "VALUES (?, ?, ?, ?)",
+                    (self.key, json.dumps(header, sort_keys=True), *writer),
                 )
                 return {}
-            stored, holder = _parse_header(found[0], self.where), found[1]
-            if holder is not None and _pid_alive(int(holder)):
+            holder, started = db.execute(
+                "SELECT writer_pid, writer_start FROM journals WHERE key = ?", (self.key,)
+            ).fetchone()
+            if holder is not None and _pid_alive(holder, started):
                 raise CheckpointLocked(
                     f"{self.where} is held by live writer pid {holder}; two "
                     "sweeps must never share one journal — pass a distinct "
@@ -908,8 +917,8 @@ class _Journal:
                     f"{', '.join(mismatched)}); delete it or pass another checkpoint"
                 )
             db.execute(
-                "UPDATE journals SET writer_pid = ? WHERE key = ?",
-                (os.getpid(), self.key),
+                "UPDATE journals SET writer_pid = ?, writer_start = ? WHERE key = ?",
+                (*writer, self.key),
             )
             return {_cell_key(row): row for row in _journal_cells(db, self.key)}
 
@@ -928,7 +937,7 @@ class _Journal:
         try:
             with db:
                 db.execute(
-                    "UPDATE journals SET writer_pid = NULL "
+                    "UPDATE journals SET writer_pid = NULL, writer_start = NULL "
                     "WHERE key = ? AND writer_pid = ?",
                     (self.key, os.getpid()),
                 )
@@ -936,15 +945,34 @@ class _Journal:
             db.close()
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal-0 probe)."""
+def _process_start(pid: int) -> Optional[int]:
+    """Start time of process ``pid`` in clock ticks since boot (field 22 of
+    ``/proc/<pid>/stat``), or ``None`` where procfs cannot tell."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as stat:
+            # The command name (field 2) may hold spaces and parentheses.
+            return int(stat.read().rsplit(b")", 1)[1].split()[19])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _pid_alive(pid: int, started: Optional[int] = None) -> bool:
+    """Whether ``pid`` names a live process (signal-0 probe).
+
+    With ``started`` (the :func:`_process_start` recorded alongside the
+    pid), a live process that started at another time is a later process
+    that reused the pid, and the recorded one counts as dead.
+    """
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
     except (PermissionError, OSError):  # pragma: no cover - exists, not ours
+        pass
+    if started is None:
         return True
-    return True
+    current = _process_start(pid)
+    return current is None or current == started
 
 
 # ---------------------------------------------------------------------- #

@@ -86,12 +86,12 @@ class ValidationFailed(ReproError, AssertionError):
 class CheckpointLocked(ReproError):
     """A sweep checkpoint journal is already held by another live writer.
 
-    Raised when a second writer opens a journal whose exclusive lock is
-    held — two service workers interleaving rows into one journal would be
-    silent corruption, so the collision is a clear, immediate error instead.
-    The lock dies with its holder (``flock``, or a pid-checked sidecar), so
-    a SIGKILLed worker never wedges the journal: the retry reopens and
-    resumes cell-exactly.
+    Raised when a second writer opens a journal whose writer claim is held
+    by a live process — two service workers interleaving rows into one
+    journal would be silent corruption, so the collision is a clear,
+    immediate error instead.  The claim records the holder's pid and start
+    time and is stolen once that process is gone, so a SIGKILLed worker
+    never wedges the journal: the retry reopens and resumes cell-exactly.
     """
 
     kind = "checkpoint-locked"

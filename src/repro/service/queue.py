@@ -32,8 +32,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.sweep import _process_start
 from repro.core.errors import is_retryable
 from repro.service.specs import SweepSpec
 from repro.service.store import ResultStore
@@ -118,7 +119,10 @@ class JobQueue:
     # ------------------------------------------------------------------ #
 
     def claim(self, worker_pid: Optional[int] = None) -> Optional[Job]:
-        """Atomically claim the oldest ready job (``None`` when queue idle)."""
+        """Atomically claim the oldest ready job (``None`` when queue idle).
+
+        ``worker_pid`` is recorded on the job with its process start time.
+        """
         now = time.time()
         row = self._db.execute(
             "SELECT id FROM experiments WHERE status = 'queued' "
@@ -131,9 +135,14 @@ class JobQueue:
         with self._db:
             cursor = self._db.execute(
                 "UPDATE experiments SET status = 'running', "
-                "attempts = attempts + 1, worker_pid = ?, started_at = ? "
-                "WHERE id = ? AND status = 'queued'",
-                (worker_pid, now, job_id),
+                "attempts = attempts + 1, worker_pid = ?, worker_start = ?, "
+                "started_at = ? WHERE id = ? AND status = 'queued'",
+                (
+                    worker_pid,
+                    None if worker_pid is None else _process_start(worker_pid),
+                    now,
+                    job_id,
+                ),
             )
         if not cursor.rowcount:  # lost the race to another scheduler
             return None
@@ -148,12 +157,21 @@ class JobQueue:
                 (time.time(), job_id),
             )
 
-    def mark_failed(self, job_id: int, kind: str, message: str) -> str:
-        """Resolve a running job that failed; returns the new status.
+    def mark_failed(
+        self,
+        job_id: int,
+        kind: str,
+        message: str,
+        worker: Optional[Tuple[int, Optional[int]]] = None,
+    ) -> str:
+        """Resolve a running job that failed; returns the job's status.
 
         Applies the retry classification: a retryable ``kind`` with
         attempts to spare goes back to ``queued`` with exponential backoff;
-        anything else becomes a permanent ``failed``.
+        anything else becomes a permanent ``failed``.  ``worker``, a
+        ``(worker_pid, worker_start)`` pair read from the job, resolves it
+        only while the job still records that process, so a job claimed
+        again in the meantime is left alone.
         """
         job = self.job(job_id)
         retry = is_retryable(kind) and job.attempts < job.max_attempts
@@ -163,22 +181,24 @@ class JobQueue:
                 self.backoff_base_s * (2.0 ** (job.attempts - 1)),
                 self.backoff_cap_s,
             )
-            with self._db:
-                self._db.execute(
-                    "UPDATE experiments SET status = 'queued', not_before = ?, "
-                    "error_kind = ?, error_message = ? "
-                    "WHERE id = ? AND status = 'running'",
-                    (now + backoff, kind, message, job_id),
-                )
-            return "queued"
+            status = "queued"
+            update = "not_before = ?, error_kind = ?, error_message = ?"
+            params = [now + backoff, kind, message, job_id]
+        else:
+            status = "failed"
+            update = "error_kind = ?, error_message = ?, finished_at = ?"
+            params = [kind, message, now, job_id]
+        guard = ""
+        if worker is not None:
+            guard = " AND worker_pid = ? AND worker_start IS ?"
+            params.extend(worker)
         with self._db:
-            self._db.execute(
-                "UPDATE experiments SET status = 'failed', error_kind = ?, "
-                "error_message = ?, finished_at = ? "
-                "WHERE id = ? AND status = 'running'",
-                (kind, message, now, job_id),
+            cursor = self._db.execute(
+                f"UPDATE experiments SET status = '{status}', {update} "
+                f"WHERE id = ? AND status = 'running'{guard}",
+                params,
             )
-        return "failed"
+        return status if cursor.rowcount else self.job(job_id).status
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -18,8 +18,9 @@ Durability falls out of composing the existing primitives:
   with backoff;
 * a job left ``running`` by a scheduler that died with its worker is
   failed the same way by the next scheduler whose ``drain()`` has no live
-  worker of its own: the job's recorded pid (the scheduler's, stamped at
-  claim, then the worker's) is dead;
+  worker of its own: the job's recorded process (the scheduler's, stamped
+  at claim, then the worker's; pid and start time, so a reused pid does
+  not pass for it) is dead;
 * the retry's worker reopens the same journal and **resumes cell-exactly**
   — finished cells are never re-run, and the per-cell seed schedule makes
   the completed result identical to an uninterrupted run;
@@ -65,11 +66,8 @@ KILL_ENV = "REPRO_SERVICE_KILL_AFTER_ROWS"
 
 
 def journal_path(db_path: str, job_id: int) -> str:
-    """The database holding job ``job_id``'s sweep journal: the store itself.
-
-    The journal's key in it is the job id
-    (``read_checkpoint(journal_path(db, job_id), job_id)``).
-    """
+    """The database holding job ``job_id``'s sweep journal: the store itself,
+    under the job id as the journal key."""
     return os.path.abspath(db_path)
 
 
@@ -101,10 +99,11 @@ def run_job(db_path: str, job_id: int) -> str:
     spec = job.spec
     try:
         _arm_kill_seam()
+        pid = os.getpid()
         with store._db:
             store._db.execute(
-                "UPDATE experiments SET worker_pid = ? WHERE id = ?",
-                (os.getpid(), job_id),
+                "UPDATE experiments SET worker_pid = ?, worker_start = ? WHERE id = ?",
+                (pid, sweepmod._process_start(pid), job_id),
             )
         graph_provenance: Dict[int, Dict[str, object]] = {}
         factory = _cached_graph_factory(store, spec, graph_provenance)
@@ -261,22 +260,26 @@ class Scheduler:
             )
 
     def _reap_orphans(self) -> None:
-        """Fail, as ``worker-crashed``, running jobs whose recorded pid is dead.
+        """Fail, as ``worker-crashed``, running jobs whose recorded process
+        is dead.
 
         Called only while this scheduler has no live worker, so every
         ``running`` job belongs to another scheduler or worker; one whose
-        pid no longer exists was orphaned when its scheduler died with its
-        worker, and nothing else would ever resolve it.
+        process (pid and start time) no longer exists was orphaned when its
+        scheduler died with its worker, and nothing else would ever resolve
+        it.  The failure applies only while the job still records that
+        process, so a job another scheduler claimed again meanwhile stays.
         """
-        for row in self.store._db.execute(
-            "SELECT id, worker_pid FROM experiments WHERE status = 'running'"
+        for job_id, pid, started in self.store._db.execute(
+            "SELECT id, worker_pid, worker_start FROM experiments "
+            "WHERE status = 'running'"
         ).fetchall():
-            pid = row["worker_pid"]
-            if pid is not None and not sweepmod._pid_alive(int(pid)):
+            if pid is not None and not sweepmod._pid_alive(int(pid), started):
                 self.queue.mark_failed(
-                    int(row["id"]),
+                    int(job_id),
                     WorkerCrashed.kind,
                     f"job was orphaned: its recorded process {pid} is gone",
+                    worker=(pid, started),
                 )
 
     def drain(self, max_jobs: Optional[int] = None) -> List[int]:

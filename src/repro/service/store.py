@@ -3,8 +3,9 @@
 One sqlite database holds everything the service knows:
 
 * ``experiments`` — one row per submitted job: the canonical spec JSON and
-  its digest, the queue state machine (status / attempts / backoff), the
-  error trail, and — once the job finishes — the full provenance record
+  its digest, the queue state machine (status / attempts / backoff, and the
+  pid and start time of the process running it), the error trail, and —
+  once the job finishes — the full provenance record
   (seed schedule, per-value graph provenance from ``EdgeArrays.meta`` or
   the cache key, engine and batch-chunk choice, and the sweep journal's
   header).
@@ -50,6 +51,7 @@ from repro.analysis.sweep import (
     _SHARED_FIELDS,
     SweepResult,
     _journal_cells,
+    _journal_header,
     _network_csr_arrays,
     _pid_alive,
 )
@@ -84,6 +86,7 @@ CREATE TABLE IF NOT EXISTS experiments (
     max_attempts  INTEGER NOT NULL DEFAULT 3,
     not_before    REAL NOT NULL DEFAULT 0,
     worker_pid    INTEGER,
+    worker_start  INTEGER,
     error_kind    TEXT,
     error_message TEXT,
     submitted_at  REAL NOT NULL,
@@ -267,12 +270,10 @@ class ResultStore:
 
     def journal_header(self, job_id: int) -> Dict[str, object]:
         """The header of the job's sweep journal (the sweep's identity)."""
-        row = self._db.execute(
-            "SELECT header FROM journals WHERE key = ?", (str(job_id),)
-        ).fetchone()
-        if row is None:
+        header = _journal_header(self._db, job_id, f"journal {job_id} in {self.path}")
+        if header is None:
             raise KeyError(f"no sweep journal for experiment {job_id}")
-        return json.loads(row["header"])
+        return header
 
     # ------------------------------------------------------------------ #
     # Content-addressed graph cache

@@ -1,14 +1,16 @@
 """Tests for the sqlite journal's single-writer claim.
 
 Two concurrent sweeps pointed at one journal must not silently interleave
-rows: the second writer finds the first's live pid in the journal's
-``writer_pid`` and gets a clean ``CheckpointLocked`` error.  The claim is
-released on close and stolen from a pid that no longer exists, so a
+rows: the second writer finds the first's live process in the journal's
+``writer_pid`` / ``writer_start`` and gets a clean ``CheckpointLocked``
+error.  The claim is released on close and stolen from a process that no
+longer exists — also when its pid now names a later process — so a
 SIGKILLed writer never wedges the journal for the resuming retry.
 """
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import os
 import signal
@@ -59,14 +61,36 @@ def sweep_spec(**overrides):
     }
 
 
-def writer_pid(path, key="sweep"):
+def writer(path, key="sweep"):
+    """The journal's claim: ``(writer_pid, writer_start)``."""
     db = sqlite3.connect(path)
     try:
         return db.execute(
-            "SELECT writer_pid FROM journals WHERE key = ?", (key,)
-        ).fetchone()[0]
+            "SELECT writer_pid, writer_start FROM journals WHERE key = ?", (key,)
+        ).fetchone()
     finally:
         db.close()
+
+
+def writer_pid(path, key="sweep"):
+    return writer(path, key)[0]
+
+
+def plant_claim(path, pid, started):
+    db = sqlite3.connect(path)
+    try:
+        with db:
+            db.execute(
+                "UPDATE journals SET writer_pid = ?, writer_start = ?", (pid, started)
+            )
+    finally:
+        db.close()
+
+
+needs_procfs = pytest.mark.skipif(
+    sweepmod._process_start(os.getpid()) is None,
+    reason="process start times need /proc",
+)
 
 
 class TestExclusiveWriter:
@@ -158,6 +182,64 @@ class TestPidClaim:
             assert writer_pid(path) == os.getpid()
         finally:
             journal.close()
+
+    @needs_procfs
+    def test_claim_records_the_writer_start_time(self, tmp_path):
+        path = str(tmp_path / "journal.db")
+        journal = sweepmod._Journal(path, sweep_spec())
+        try:
+            assert writer(path) == (os.getpid(), sweepmod._process_start(os.getpid()))
+        finally:
+            journal.close()
+        assert writer(path) == (None, None)
+
+    @needs_procfs
+    def test_claim_of_a_reused_pid_is_stolen(self, tmp_path):
+        # The writer died and a later process (here: this one) got its pid.
+        # The recorded start time tells them apart, so the claim is dead.
+        path = str(tmp_path / "journal.db")
+        sweepmod._Journal(path, sweep_spec()).close()
+        started = sweepmod._process_start(os.getpid())
+        plant_claim(path, os.getpid(), started - 1)
+        journal = sweepmod._Journal(path, sweep_spec())
+        try:
+            assert writer(path) == (os.getpid(), started)
+        finally:
+            journal.close()
+
+    @needs_procfs
+    def test_claim_of_the_same_live_process_holds(self, tmp_path):
+        path = str(tmp_path / "journal.db")
+        sweepmod._Journal(path, sweep_spec()).close()
+        plant_claim(path, os.getpid(), sweepmod._process_start(os.getpid()))
+        with pytest.raises(CheckpointLocked):
+            sweepmod._Journal(path, sweep_spec())
+
+
+class TestPidAlive:
+    def test_dead_pid(self):
+        process = multiprocessing.get_context("fork").Process(target=os._exit, args=(0,))
+        process.start()
+        process.join()
+        assert not sweepmod._pid_alive(process.pid)
+
+    def test_live_pid_without_start_time(self):
+        assert sweepmod._pid_alive(os.getpid())
+
+    def test_start_time_is_field_22_past_any_command_name(self, monkeypatch):
+        # The command name (field 2) may itself hold ") (" and spaces.
+        fields = " ".join(str(field) for field in range(3, 53))
+        stat = f"4242 (a) (b c) {fields}\n".encode()
+        monkeypatch.setattr(
+            sweepmod, "open", lambda path, mode: io.BytesIO(stat), raising=False
+        )
+        assert sweepmod._process_start(4242) == 22
+
+    @needs_procfs
+    def test_start_time_must_match(self):
+        started = sweepmod._process_start(os.getpid())
+        assert sweepmod._pid_alive(os.getpid(), started)
+        assert not sweepmod._pid_alive(os.getpid(), started + 1)
 
 
 class TestLockAndResume:

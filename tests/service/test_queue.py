@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
 
+from repro.analysis.sweep import _process_start
 from repro.core.errors import (
     CheckpointLocked,
     ValidationFailed,
@@ -129,6 +131,28 @@ class TestRetryClassification:
         assert gates[1] == pytest.approx(0.10, abs=0.02)
         assert gates[2] == pytest.approx(0.20, abs=0.02)  # capped
         assert gates[3] == pytest.approx(0.20, abs=0.02)  # stays capped
+
+    def test_claim_records_the_worker_process(self, queue):
+        job_id = queue.submit(make_spec())
+        queue.claim(worker_pid=os.getpid())
+        record = queue.store.experiment(job_id)
+        assert record["worker_pid"] == os.getpid()
+        assert record["worker_start"] == _process_start(os.getpid())
+
+    def test_worker_guard_leaves_a_reclaimed_job_alone(self, queue):
+        job_id = queue.submit(make_spec(), max_attempts=3)
+        queue.claim(worker_pid=os.getpid())
+        started = _process_start(os.getpid())
+        # Another process now holds the job: the guard does not match.
+        assert queue.mark_failed(
+            job_id, WorkerCrashed.kind, "stale", worker=(os.getpid() + 1, started)
+        ) == "running"
+        job = queue.job(job_id)
+        assert (job.status, job.attempts, job.error_kind) == ("running", 1, None)
+        # The recorded process matches: resolved as usual.
+        assert queue.mark_failed(
+            job_id, WorkerCrashed.kind, "lost", worker=(os.getpid(), started)
+        ) == "queued"
 
     def test_taxonomy_wiring(self):
         assert is_retryable(WorkerCrashed.kind)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
 
 import pytest
@@ -20,6 +21,8 @@ from repro.service.queue import JobQueue
 from repro.service.scheduler import KILL_ENV, Scheduler, journal_path, run_job
 from repro.service.specs import SweepSpec
 from repro.service.store import ResultStore
+
+sweepmod = sys.modules["repro.analysis.sweep"]
 
 
 def make_spec(**overrides):
@@ -227,6 +230,22 @@ def _exited_pid():
     return process.pid
 
 
+def drain_in_thread(db_path):
+    """A fresh scheduler's ``drain()``; fails the test if it hangs."""
+
+    def drain():
+        scheduler = make_scheduler(db_path)
+        try:
+            scheduler.drain()
+        finally:
+            scheduler.close()
+
+    drainer = threading.Thread(target=drain, daemon=True)
+    drainer.start()
+    drainer.join(60)
+    assert not drainer.is_alive(), "drain() hung on the orphaned job"
+
+
 class TestOrphanedJobs:
     def test_job_orphaned_by_a_dead_scheduler_is_retried(self, db_path):
         """A ``running`` job whose scheduler and worker both died.
@@ -244,23 +263,61 @@ class TestOrphanedJobs:
                     "UPDATE experiments SET worker_pid = ? WHERE id = ?",
                     (_exited_pid(), job_id),
                 )
-
-        def drain():
-            scheduler = make_scheduler(db_path)
-            try:
-                scheduler.drain()
-            finally:
-                scheduler.close()
-
-        drainer = threading.Thread(target=drain, daemon=True)
-        drainer.start()
-        drainer.join(60)
-        assert not drainer.is_alive(), "drain() hung on the orphaned job"
+        drain_in_thread(db_path)
         with ResultStore(db_path) as store:
             job = JobQueue(store).job(job_id)
             assert job.status == "done"
             assert job.attempts == 2
             assert stored_measurements(store, job_id) == live_measurements(spec)
+
+    @pytest.mark.skipif(
+        sweepmod._process_start(os.getpid()) is None,
+        reason="process start times need /proc",
+    )
+    def test_orphan_whose_pid_was_reused_is_retried(self, db_path):
+        # The orphan's pid now names a live, unrelated process (here: this
+        # one); its recorded start time says the recorded process is gone.
+        spec = make_spec()
+        with ResultStore(db_path) as store:
+            queue = JobQueue(store)
+            job_id = queue.submit(spec)
+            queue.claim(worker_pid=os.getpid())
+            with store._db:
+                store._db.execute(
+                    "UPDATE experiments SET worker_start = worker_start - 1 WHERE id = ?",
+                    (job_id,),
+                )
+        drain_in_thread(db_path)
+        with ResultStore(db_path) as store:
+            job = JobQueue(store).job(job_id)
+            assert (job.status, job.attempts) == ("done", 2)
+            assert stored_measurements(store, job_id) == live_measurements(spec)
+
+    def test_reaper_leaves_a_job_claimed_again_alone(self, db_path, monkeypatch):
+        """Between the reaper's read and its update, another scheduler
+        fails the orphan itself and claims the retry for a live worker."""
+        with ResultStore(db_path) as store:
+            job_id = JobQueue(store).submit(make_spec())
+            JobQueue(store).claim(worker_pid=_exited_pid())
+        real_pid_alive = sweepmod._pid_alive
+
+        def reclaimed_meanwhile(pid, started=None):
+            with ResultStore(db_path) as other:
+                queue = JobQueue(other, backoff_base_s=0.0)
+                queue.mark_failed(job_id, WorkerCrashed.kind, "reconciled")
+                assert queue.claim(worker_pid=os.getpid()).id == job_id
+            return real_pid_alive(pid, started)
+
+        monkeypatch.setattr(sweepmod, "_pid_alive", reclaimed_meanwhile)
+        scheduler = make_scheduler(db_path)
+        try:
+            scheduler._reap_orphans()
+            job = scheduler.queue.job(job_id)
+            # The second attempt is left running; no attempt was burned.
+            assert (job.status, job.attempts) == ("running", 2)
+            assert scheduler.store.experiment(job_id)["worker_pid"] == os.getpid()
+        finally:
+            scheduler.close()
 
     def test_scheduler_stamps_its_pid_at_claim(self, db_path, monkeypatch):
         claimed = []

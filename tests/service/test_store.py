@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import sweep
-from repro.analysis.sweep import _network_csr_arrays
+from repro.analysis.sweep import CHECKPOINT_FORMAT, _network_csr_arrays
 from repro.core.errors import classify_failure
 from repro.service.scheduler import Scheduler
 from repro.service.specs import SweepSpec
@@ -165,6 +165,22 @@ class TestBitIdentity:
             assert failure["kind"] == classify_failure(RuntimeError())
             assert failure["message"] == "factory exploded"
             assert failure["node_times"] is None
+
+    def test_journal_header_is_read_and_format_checked(self, db_path):
+        spec = make_spec(values=(8,), trials=1)
+        with ResultStore(db_path) as store:
+            with pytest.raises(KeyError):
+                store.journal_header(7)
+            sweep(**spec.sweep_kwargs(), checkpoint=(db_path, 7), on_error="record")
+            header = store.journal_header(7)
+            assert (header["format"], header["values"]) == (CHECKPOINT_FORMAT, ["8"])
+            with store._db:
+                store._db.execute(
+                    "UPDATE journals SET header = ? WHERE key = '7'",
+                    ('{"format": "sweep-checkpoint/v0"}',),
+                )
+            with pytest.raises(ValueError, match="checkpoint format"):
+                store.journal_header(7)
 
 
 class TestGraphCache:
