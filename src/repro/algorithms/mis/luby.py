@@ -109,38 +109,41 @@ def luby_joins(
 def _luby_joins_masked(
     priorities: np.ndarray,
     participants: np.ndarray,
-    topology: ArrayTopology,
+    identifiers: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
     deliver_uv: np.ndarray,
     deliver_vu: np.ndarray,
-    identifiers: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """:func:`luby_joins` under per-direction delivery masks (fault mode).
 
-    ``participants`` is the mask of alive, still-undecided nodes;
-    ``deliver_uv`` / ``deliver_vu`` say which directed messages of the
-    priority round arrive.  A participant beats only the priorities it
+    ``participants`` is the per-vertex mask of alive, still-undecided
+    nodes; ``us`` / ``vs`` are the endpoints of the edges to consider and
+    ``deliver_uv`` / ``deliver_vu`` say, per such edge, which directed
+    messages of the priority round arrive.  Any edge subset that contains
+    every edge between two participants gives the same answer (the
+    self-stabilising MIS passes only its live edges; Luby's fault mode
+    passes all of them).  A participant beats only the priorities it
     *received* — exactly the coroutine semantics, where a dropped or
     crashed neighbour is as silent as a decided one (a participant whose
     whole inbox was dropped joins unconditionally).
     """
-    us, vs = topology.edge_us, topology.edge_vs
-    ids = topology.identifiers if identifiers is None else identifiers
     both = participants[us] & participants[vs]
     live_uv = both & deliver_uv
     live_vu = both & deliver_vu
-    best = np.full(topology.n, -1.0)
+    best = np.full(priorities.size, -1.0)
     np.maximum.at(best, vs[live_uv], priorities[us[live_uv]])
     np.maximum.at(best, us[live_vu], priorities[vs[live_vu]])
     joins = participants & (priorities > best)
     ties = participants & (priorities == best)
     if ties.any():
-        best_id = np.full(topology.n, -1, dtype=np.int64)
+        best_id = np.full(priorities.size, -1, dtype=np.int64)
         tie = priorities[us] == priorities[vs]
         e_uv = live_uv & tie
         e_vu = live_vu & tie
-        np.maximum.at(best_id, vs[e_uv], ids[us[e_uv]])
-        np.maximum.at(best_id, us[e_vu], ids[vs[e_vu]])
-        joins |= ties & (ids > best_id)
+        np.maximum.at(best_id, vs[e_uv], identifiers[us[e_uv]])
+        np.maximum.at(best_id, us[e_vu], identifiers[vs[e_vu]])
+        joins |= ties & (identifiers > best_id)
     return joins
 
 
@@ -525,7 +528,9 @@ class LubyMISArray(ArrayAlgorithm):
                 joins = _luby_joins_masked(
                     priorities,
                     participants_mask,
-                    topology,
+                    topology.identifiers,
+                    topology.edge_us,
+                    topology.edge_vs,
                     faults.deliver_uv,
                     faults.deliver_vu,
                 )

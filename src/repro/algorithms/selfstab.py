@@ -38,7 +38,12 @@ Protocol sketches:
   ``neighbor_crashed`` hook makes them revoke and rebid.  The array twin
   implements the same rule from the round view's ``newly_crashed``:
   after a crash, every live ``out`` node without a live in-neighbour is
-  reset to undecided (``node_rounds`` back to ``-1``).
+  reset to undecided (``node_rounds`` back to ``-1``).  Once every alive
+  node has decided, a round is *quiescent*: members beacon and nothing
+  else can happen until the next crash, so the twin only charges the
+  beacon messages (and draws no bids).  A busy round works on its *live
+  edges* only — those with an undecided endpoint, the only edges whose
+  beacons or bids can decide anything.
 * :class:`SelfStabilizingMatching` — parity-phased propose/accept.  Free
   nodes coin-flip into proposer/listener roles on odd rounds; listeners
   accept one live proposal on even rounds, and both endpoints commit the
@@ -177,6 +182,15 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
     the engine's completion check) — exactly the coroutine's
     last-dominator-died rule, since dominator sets refresh from the
     perpetual beacons every round.
+
+    Cost.  After the orphan reset, a round with no alive undecided node is
+    quiescent: it adds the members' beacon messages and returns, without
+    touching the edges and without a bid block (``rng.random(0)`` would
+    leave the PCG64 stream untouched, so the seed schedule is the same).
+    A busy round makes one pass over the edge slots to select the edges
+    with an undecided endpoint; beacons heard and bid maxima are computed
+    on that subset alone, which holds every edge that can affect an
+    undecided node.
     """
 
     name = "selfstab-luby-mis"
@@ -228,10 +242,22 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
 
         undecided = (status == _UNDECIDED) & alive
         members = (status == _IN) & alive
+        beacons = int(topology.degrees[members].sum())
         bidders = np.flatnonzero(undecided)
+        if not bidders.size:
+            # Quiescent round: members beacon and nothing else happens.  No
+            # bid block either — rng.random(0) would not move the stream.
+            state.messages += beacons
+            return
         bids = np.full(n, -1.0)
         bids[bidders] = rng.random(bidders.size)
 
+        # Beacons and rival bids only matter at undecided nodes: one pass
+        # selects the live edges (an undecided endpoint), and the rest of
+        # the round works on that subset.
+        live = np.flatnonzero(undecided[us] | undecided[vs])
+        us, vs = us[live], vs[live]
+        deliver_uv, deliver_vu = deliver_uv[live], deliver_vu[live]
         heard = np.zeros(n, dtype=bool)
         heard[vs[members[us] & deliver_uv]] = True
         heard[us[members[vs] & deliver_vu]] = True
@@ -242,7 +268,9 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
         from repro.algorithms.mis.luby import _luby_joins_masked
 
         joins = (
-            _luby_joins_masked(bids, undecided, topology, deliver_uv, deliver_vu)
+            _luby_joins_masked(
+                bids, undecided, topology.identifiers, us, vs, deliver_uv, deliver_vu
+            )
             & ~heard
         )
         newly_out = undecided & heard
@@ -254,9 +282,7 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
             status[newly_out] = _OUT
             state.node_rounds[newly_out] = round_index
             state.node_values[newly_out] = False
-        state.messages += int(
-            topology.degrees[undecided].sum() + topology.degrees[members].sum()
-        )
+        state.messages += int(topology.degrees[bidders].sum()) + beacons
 
 
 class SelfStabilizingMatching(NodeAlgorithm):

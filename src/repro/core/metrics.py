@@ -45,7 +45,7 @@ agreement to ≤ 1e-12).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +62,7 @@ __all__ = [
     "completion_time_quantiles",
     "ComplexityMeasurement",
     "RecoveryTimeline",
+    "RecoveryRecorder",
     "measure",
     "complexity_hierarchy",
 ]
@@ -316,6 +317,53 @@ class RecoveryTimeline:
     def epochs(self) -> int:
         """Number of fault epochs (distinct crash rounds)."""
         return len(self.crash_rounds)
+
+
+class RecoveryRecorder:
+    """Builds the :class:`RecoveryTimeline` of one run, round by round.
+
+    Both engines use it for self-stabilising runs.  ``final_crash`` is the
+    schedule's last crash round: such a run may not complete before it.
+    :meth:`record` appends one round's entry.  An entry is a function of
+    the outputs, the commit masks and the alive mask alone, so a round in
+    which none of them changed (``changed=False``) and no crash landed
+    reuses the previous entry; the engine's ``entry`` callback — build the
+    arrays, count the pending outputs, validate — runs only on rounds that
+    changed something.
+    """
+
+    __slots__ = ("final_crash", "_crash_rounds", "_pending", "_valid")
+
+    def __init__(self, crashes: Mapping[int, int]) -> None:
+        self.final_crash = max(crashes.values(), default=0)
+        self._crash_rounds: List[int] = []
+        self._pending: List[int] = []
+        self._valid: List[bool] = []
+
+    def record(
+        self,
+        round_index: int,
+        crashed: bool,
+        changed: bool,
+        entry: Callable[[], Tuple[int, bool]],
+    ) -> None:
+        """Append round ``round_index``'s ``(pending, valid)`` entry."""
+        if crashed:
+            self._crash_rounds.append(round_index)
+        if crashed or changed or not self._pending:
+            pending, valid = entry()
+        else:
+            pending, valid = self._pending[-1], self._valid[-1]
+        self._pending.append(pending)
+        self._valid.append(valid)
+
+    def timeline(self) -> RecoveryTimeline:
+        """The timeline of the rounds recorded so far."""
+        return RecoveryTimeline(
+            crash_rounds=tuple(self._crash_rounds),
+            pending=tuple(self._pending),
+            valid=tuple(self._valid),
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -143,10 +143,14 @@ class DeterminismRule(Rule):
 _HOT_PATH_MODULES = {
     "repro/local/engine.py",
     "repro/local/runner.py",
+    "repro/local/faults.py",
     "repro/core/metrics.py",
     "repro/core/trace.py",
     "repro/core/problems.py",
     "repro/graphs/edgelist.py",
+    "repro/algorithms/selfstab.py",
+    "repro/algorithms/mis/luby.py",
+    "repro/algorithms/matching/randomized.py",
 }
 
 #: Calls that materialise a Python object per edge (or the nx graph).

@@ -59,7 +59,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import RoundLimitExceeded
-from repro.core.metrics import RecoveryTimeline
+from repro.core.metrics import RecoveryRecorder, RecoveryTimeline
 from repro.core.problems import ProblemSpec
 from repro.core.trace import ExecutionTrace
 from repro.local.faults import FaultSchedule, RoundFaults
@@ -562,17 +562,46 @@ class ArrayEngine:
         faults: FaultSchedule,
         topology: ArrayTopology,
     ) -> ExecutionTrace:
-        state = algorithm.init_arrays(topology, rng)
+        """The round loop under a fault schedule.
 
-        # Self-stabilising runs mirror the coroutine runner: completion is
-        # additionally gated on the last scheduled crash having landed, and
-        # every executed round appends a (pending, survivor-valid) entry to
-        # the recovery timeline.
-        selfstab = bool(getattr(algorithm, "self_stabilizing", False))
-        final_crash = max(faults.crashes.values(), default=0) if selfstab else 0
-        crash_rounds: list = []
-        recovery_pending: list = []
-        recovery_valid: list = []
+        Self-stabilising runs mirror the coroutine runner: completion is
+        additionally gated on the last scheduled crash having landed, and
+        every executed round appends a ``(pending, survivor-valid)`` entry
+        to the recovery timeline through a
+        :class:`~repro.core.metrics.RecoveryRecorder`.  The entry is only
+        recomputed when a crash landed or the state rows differ from the
+        snapshot taken at the last recomputation — an O(n + m) comparison,
+        far cheaper than validating an unchanged configuration again.
+        """
+        faults.check_vertices(topology.n)
+        state = algorithm.init_arrays(topology, rng)
+        recorder = (
+            RecoveryRecorder(faults.crashes)
+            if getattr(algorithm, "self_stabilizing", False)
+            else None
+        )
+        final_crash = 0 if recorder is None else recorder.final_crash
+        # The state rows at the last recomputed recovery entry (empty until
+        # the first round, whose entry the recorder always computes).
+        snapshot: List[np.ndarray] = []
+
+        def rows() -> List[np.ndarray]:
+            return [
+                row
+                for row in (
+                    state.node_rounds,
+                    state.node_values,
+                    state.edge_rounds,
+                    state.edge_values,
+                )
+                if row is not None
+            ]
+
+        def recovery_entry() -> Tuple[int, bool]:
+            snapshot[:] = [row.copy() for row in rows()]
+            return self._recovery_round_entry(
+                state, problem, round_faults, topology, network
+            )
 
         fault_events: list = []
         rounds = 0
@@ -588,21 +617,21 @@ class ArrayEngine:
             round_faults = faults.round_faults(
                 rounds, topology.n, topology.m, topology.edge_us, topology.edge_vs
             )
-            if round_faults.newly_crashed:
-                crash_rounds.append(rounds)
             fault_events.extend(
                 faults.round_events(rounds, topology.edge_us, topology.edge_vs)
             )
             algorithm.step(rounds, state, topology, rng, faults=round_faults)
-            completed = self._is_complete_faulted(
-                state, problem, round_faults, topology
-            ) and (not selfstab or rounds >= final_crash)
-            if selfstab:
-                pending, valid = self._recovery_round_entry(
-                    state, problem, round_faults, topology, network
+            completed = (
+                self._is_complete_faulted(state, problem, round_faults, topology)
+                and rounds >= final_crash
+            )
+            if recorder is not None:
+                changed = not all(
+                    np.array_equal(row, seen) for row, seen in zip(rows(), snapshot)
                 )
-                recovery_pending.append(pending)
-                recovery_valid.append(valid)
+                recorder.record(
+                    rounds, bool(round_faults.newly_crashed), changed, recovery_entry
+                )
 
         if not completed and self.strict:
             raise RoundLimitExceeded(
@@ -610,13 +639,6 @@ class ArrayEngine:
                 f"n={network.n}, m={network.m} within {self.max_rounds} rounds"
             )
 
-        recovery = None
-        if selfstab:
-            recovery = RecoveryTimeline(
-                crash_rounds=tuple(crash_rounds),
-                pending=tuple(recovery_pending),
-                valid=tuple(recovery_valid),
-            )
         return self._collect_trace(
             algorithm,
             network,
@@ -626,7 +648,7 @@ class ArrayEngine:
             completed,
             fault_events=tuple(fault_events),
             crashed=faults.crashed_within(rounds),
-            recovery=recovery,
+            recovery=None if recorder is None else recorder.timeline(),
         )
 
     @staticmethod

@@ -7,7 +7,9 @@ A :class:`FaultSchedule` describes an adversary for one execution:
   counter).  A node crashed at round ``r`` sends nothing at round ``r``,
   never processes an inbox again and never commits again; whatever it
   committed in rounds ``< r`` stands.  Survivors keep running — graceful
-  degradation, not abort.
+  degradation, not abort.  Every crash vertex must be a vertex of the
+  network: both engines refuse a schedule naming one outside ``0..n-1``
+  before round 1 (:meth:`FaultSchedule.check_vertices`).
 * **seeded message drops/delays** — every directed message of round ``r``
   is independently dropped with probability ``drop_rate`` or delayed by one
   round with probability ``delay_rate``.  Both engines honour delays: the
@@ -41,6 +43,14 @@ means dropped if ``x < drop_rate``, delayed if
 generator by ``(seed, round)`` makes the schedule independent of how many
 rounds the run executes and of the order the engines query it in.
 
+Round views.  The array engine asks for one :class:`RoundFaults` view per
+round.  The schedule indexes its crashes by round once, at construction, so
+crash queries are lookups and the alive mask is one vectorised write.  A
+crash-only schedule's view depends only on the crash *epoch* (how many
+crashes have landed), so its arrays are built once per epoch and topology
+and shared, read-only, by every round of that epoch; drop and delay
+schedules draw fresh masks every round.
+
 Fault events.  :meth:`FaultSchedule.round_events` derives the per-round
 event list *purely from the schedule* (crash rounds + directed masks +
 topology), never from engine state: a drop/delay event is recorded iff the
@@ -53,6 +63,7 @@ are identical by construction (differential tests pin this).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -75,6 +86,12 @@ _DELIVER, _DROP, _DELAY = 0, 1, 2
 #: array; an unbounded cache grew one per executed round).
 _MASK_CACHE_SIZE = 8
 
+#: Capacity of the per-schedule crash-epoch view LRU (crash-only schedules).
+#: A run walks its epochs in order, so a single entry would serve it; a few
+#: let the trials of a cell on one graph share the views of a short wave
+#: schedule.  Each entry is ``n + m`` bools.
+_VIEW_CACHE_SIZE = 4
+
 
 class RoundFaults:
     """The faults of one engine round, in array form.
@@ -96,6 +113,13 @@ class RoundFaults:
       late arrival carries the **previous round's** payload and is
       overwritten by a same-sender fresh delivery, exactly like the
       coroutine runner's ``delayed_messages`` queue.
+
+    Algorithms must treat every array of the view as read-only and derive
+    new arrays from it.  For a crash-only schedule the ``alive`` /
+    ``deliver_uv`` / ``deliver_vu`` arrays depend only on which crashes have
+    landed, so every round of one crash epoch on one topology shares the
+    same arrays (``deliver_uv`` and ``deliver_vu`` are even one array
+    there); those are flagged read-only, and a write into them raises.
     """
 
     __slots__ = (
@@ -131,8 +155,11 @@ class FaultSchedule:
     """A deterministic crash/drop/delay adversary for one execution.
 
     A schedule is immutable and engine-independent; the same instance may be
-    threaded through any number of runs on any engine (an internal per-round
-    mask cache only memoises deterministic draws).
+    threaded through any number of runs on any engine, on any number of
+    graphs.  The crash index (sorted by crash round) is built once, at
+    construction; the internal caches — directed fates per round, and the
+    read-only views of each crash epoch on each topology — only memoise
+    deterministic results.
 
     Args:
         crashes: mapping ``vertex → crash round`` (1-based; the node is dead
@@ -143,7 +170,18 @@ class FaultSchedule:
         seed: master seed of the schedule's own PCG64 streams.
     """
 
-    __slots__ = ("crashes", "drop_rate", "delay_rate", "seed", "_mask_cache")
+    __slots__ = (
+        "crashes",
+        "drop_rate",
+        "delay_rate",
+        "seed",
+        "_mask_cache",
+        "_crash_vertices",
+        "_crash_rounds",
+        "_crashes_at",
+        "_crashed_cache",
+        "_view_cache",
+    )
 
     def __init__(
         self,
@@ -174,6 +212,25 @@ class FaultSchedule:
         # so eviction is safe (a re-query recomputes the identical array);
         # a small LRU keeps memory flat over long runs.
         self._mask_cache: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
+        # The crash index: vertices ordered by (crash round, vertex), so the
+        # casualties of rounds <= r are the prefix of length
+        # bisect_right(_crash_rounds, r) — the crash *epoch* of round r.
+        order = sorted(crashes.items(), key=lambda item: (item[1], item[0]))
+        self._crash_vertices = np.array([v for v, _ in order], dtype=np.int64)
+        self._crash_rounds: List[int] = [r for _, r in order]
+        by_round: Dict[int, List[int]] = {}
+        for vertex, crash_round in order:
+            by_round.setdefault(crash_round, []).append(vertex)
+        self._crashes_at = {r: tuple(vs) for r, vs in by_round.items()}
+        # Epoch → sorted casualties, filled on demand.
+        self._crashed_cache: Dict[int, Tuple[int, ...]] = {}
+        # (id(edge_us), id(edge_vs), n, epoch) → (edge_us, edge_vs, alive,
+        # deliver): the read-only round view arrays of a crash-only schedule.
+        # The entry holds the edge arrays, so their ids cannot be reused by
+        # other arrays while it is cached.
+        self._view_cache: "OrderedDict[Tuple[int, int, int, int], Tuple[np.ndarray, ...]]" = (
+            OrderedDict()
+        )
 
     # ------------------------------------------------------------------ #
     # Crash queries
@@ -190,23 +247,42 @@ class FaultSchedule:
 
     def crashes_at(self, round_index: int) -> Tuple[int, ...]:
         """Vertices crashing exactly at the start of ``round_index`` (sorted)."""
-        return tuple(
-            sorted(v for v, r in self.crashes.items() if r == round_index)
-        )
+        return self._crashes_at.get(round_index, ())
+
+    def _epoch(self, round_index: int) -> int:
+        """How many crashes have landed by ``round_index`` (its crash epoch)."""
+        return bisect_right(self._crash_rounds, round_index)
 
     def crashed_by(self, round_index: int) -> Tuple[int, ...]:
         """Vertices dead during ``round_index`` (crash round ≤ it), sorted."""
-        return tuple(
-            sorted(v for v, r in self.crashes.items() if r <= round_index)
-        )
+        epoch = self._epoch(round_index)
+        crashed = self._crashed_cache.get(epoch)
+        if crashed is None:
+            crashed = self._crashed_cache[epoch] = tuple(
+                sorted(self._crash_vertices[:epoch].tolist())
+            )
+        return crashed
 
     def alive_mask(self, round_index: int, n: int) -> np.ndarray:
         """Bool per vertex: alive during ``round_index``."""
         alive = np.ones(n, dtype=bool)
-        for vertex, crash_round in self.crashes.items():
-            if crash_round <= round_index and vertex < n:
-                alive[vertex] = False
+        dead = self._crash_vertices[: self._epoch(round_index)]
+        alive[dead[dead < n]] = False
         return alive
+
+    def check_vertices(self, n: int) -> None:
+        """Raise :class:`ValueError` unless every crash vertex lies in ``0..n-1``.
+
+        Both engines call this before round 1: a crash that cannot happen
+        must not be silently recorded (nor stretch a self-stabilising run
+        to its round).
+        """
+        outside = self._crash_vertices[self._crash_vertices >= n]
+        if outside.size:
+            raise ValueError(
+                f"crash vertex {int(outside.min())} is not a vertex of the "
+                f"network (n={n})"
+            )
 
     # ------------------------------------------------------------------ #
     # Directed message fates
@@ -257,16 +333,28 @@ class FaultSchedule:
         edge_us: np.ndarray,
         edge_vs: np.ndarray,
     ) -> RoundFaults:
-        """The :class:`RoundFaults` view of ``round_index`` for an ``n``/``m`` graph."""
-        alive = self.alive_mask(round_index, n)
+        """The :class:`RoundFaults` view of ``round_index`` for an ``n``/``m`` graph.
+
+        Crash-only schedules share one read-only set of arrays across the
+        rounds of a crash epoch, cached per topology (keyed on the identity
+        of ``edge_us`` / ``edge_vs``, not on ``n`` and ``m``: a sweep passes
+        one schedule to many graphs of equal size).  Drop and delay
+        schedules draw their masks for every round.
+        """
         fates = self.directed_fates(round_index, m)
-        both_alive = alive[edge_us] & alive[edge_vs]
         if fates is None:
-            deliver_uv = both_alive
-            deliver_vu = both_alive.copy()
-        else:
-            deliver_uv = (fates[0::2] == _DELIVER) & both_alive
-            deliver_vu = (fates[1::2] == _DELIVER) & both_alive
+            alive, deliver = self._epoch_view(round_index, n, edge_us, edge_vs)
+            return RoundFaults(
+                round_index=round_index,
+                alive=alive,
+                newly_crashed=self.crashes_at(round_index),
+                deliver_uv=deliver,
+                deliver_vu=deliver,
+            )
+        alive = self.alive_mask(round_index, n)
+        both_alive = alive[edge_us] & alive[edge_vs]
+        deliver_uv = (fates[0::2] == _DELIVER) & both_alive
+        deliver_vu = (fates[1::2] == _DELIVER) & both_alive
         late_uv = late_vu = None
         if self.delay_rate > 0.0 and round_index >= 2:
             prev_fates = self.directed_fates(round_index - 1, m)
@@ -296,6 +384,30 @@ class FaultSchedule:
             late_vu=late_vu,
         )
 
+    def _epoch_view(
+        self,
+        round_index: int,
+        n: int,
+        edge_us: np.ndarray,
+        edge_vs: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(alive, deliver)`` of ``round_index``'s crash epoch."""
+        epoch = self._epoch(round_index)
+        key = (id(edge_us), id(edge_vs), n, epoch)
+        entry = self._view_cache.get(key)
+        if entry is not None:
+            self._view_cache.move_to_end(key)
+            return entry[2], entry[3]
+        alive = self.alive_mask(round_index, n)
+        deliver = alive[edge_us] & alive[edge_vs]
+        alive.setflags(write=False)
+        deliver.setflags(write=False)
+        self._view_cache[key] = (edge_us, edge_vs, alive, deliver)
+        self._view_cache.move_to_end(key)
+        if len(self._view_cache) > _VIEW_CACHE_SIZE:
+            self._view_cache.popitem(last=False)
+        return alive, deliver
+
     # ------------------------------------------------------------------ #
     # Engine-independent event log
     # ------------------------------------------------------------------ #
@@ -318,7 +430,7 @@ class FaultSchedule:
         fates = self.directed_fates(round_index, len(edge_us))
         if fates is None:
             return events
-        crashed_now = {v for v, r in self.crashes.items() if r <= round_index}
+        crashed_now = set(self.crashed_by(round_index))
         for kind_code, kind in ((_DROP, "drop"), (_DELAY, "delay")):
             for direction in np.flatnonzero(fates == kind_code).tolist():
                 slot, reverse = divmod(direction, 2)

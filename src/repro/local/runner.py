@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import RoundLimitExceeded
-from repro.core.metrics import RecoveryTimeline
+from repro.core.metrics import RecoveryRecorder, RecoveryTimeline
 from repro.core.problems import ProblemSpec
 from repro.core.trace import ExecutionTrace
 from repro.local.algorithm import Broadcast, NodeAlgorithm
@@ -132,6 +132,7 @@ class _CompletionTracker:
         "alive",
         "halt_events",
         "edge_commit_events",
+        "changes",
     )
 
     def __init__(self, network: Network, problem: ProblemSpec) -> None:
@@ -151,12 +152,17 @@ class _CompletionTracker:
         self.alive = bytearray(b"\x01") * network.n
         self.halt_events = 0
         self.edge_commit_events = 0
+        # Bumped on every commit, revoke and crash event: a self-stabilising
+        # run recomputes its recovery entry only when this moved.
+        self.changes = 0
 
     def node_committed(self, vertex: int) -> None:
         self._pending_nodes -= 1
+        self.changes += 1
 
     def edge_committed(self, vertex: int, neighbor: int) -> None:
         self.edge_commit_events += 1
+        self.changes += 1
         # Commits towards vertices outside 0..n-1 are ignored like any other
         # non-neighbour commit — and must never reach the packed lookup,
         # where an out-of-range endpoint would alias another row's key.
@@ -187,6 +193,7 @@ class _CompletionTracker:
     def node_revoked(self, vertex: int) -> None:
         """A node withdrew its committed output: it is pending again."""
         self._pending_nodes += 1
+        self.changes += 1
 
     def edge_revoked(self, vertex: int, neighbor: int) -> None:
         """``vertex`` withdrew its commit for the edge towards ``neighbor``.
@@ -197,6 +204,7 @@ class _CompletionTracker:
         resurrected at trace collection), and a live counterpart's own
         commit keeps it decided.
         """
+        self.changes += 1
         if not 0 <= neighbor < self._n:
             return
         edge_index = self._edge_index
@@ -232,6 +240,7 @@ class _CompletionTracker:
         endpoint commits the edge later).
         """
         self.alive[vertex] = 0
+        self.changes += 1
         if self.labels_nodes and not committed:
             self._pending_nodes -= 1
         if self.labels_edges:
@@ -563,7 +572,15 @@ class Runner:
         schedule's documented per-round PCG64 block.  Node randomness is
         seeded exactly as in the fault-free path, so a run with an empty
         schedule is bit-identical to one without a schedule.
+
+        Self-stabilising runs record their recovery timeline through a
+        :class:`~repro.core.metrics.RecoveryRecorder`.  Its entry — an
+        O(n + m) rebuild of the value lists plus a validation — is only
+        recomputed in rounds where a crash landed or the completion
+        tracker's change counter (bumped by every commit, revoke and crash
+        event) moved; other rounds reuse the previous entry.
         """
+        faults.check_vertices(network.n)
         master_rng = random.Random(seed)
         tracker = _CompletionTracker(network, problem)
         nodes = self._acquire_nodes(network, master_rng, tracker)
@@ -598,10 +615,12 @@ class Runner:
         # not stable — the adversary will strike again), notify survivors of
         # crashed neighbours, and record a per-round recovery timeline.
         selfstab = bool(getattr(algorithm, "self_stabilizing", False))
-        final_crash = max(faults.crashes.values(), default=0) if selfstab else 0
-        crash_rounds: List[int] = []
-        recovery_pending: List[int] = []
-        recovery_valid: List[bool] = []
+        recorder = RecoveryRecorder(faults.crashes) if selfstab else None
+        final_crash = 0 if recorder is None else recorder.final_crash
+        seen_changes = tracker.changes
+
+        def recovery_entry() -> Tuple[int, bool]:
+            return _recovery_round_entry(tracker, nodes, network, problem)
 
         rounds_executed = 0
         completed = tracker.is_complete(len(active)) and rounds_executed >= final_crash
@@ -624,7 +643,6 @@ class Runner:
             # is dead *during* the round (sends nothing, processes nothing).
             newly_crashed = faults.crashes_at(current_round)
             if newly_crashed:
-                crash_rounds.append(current_round)
                 for v in newly_crashed:
                     node = nodes[v]
                     if not node._crashed:
@@ -760,15 +778,18 @@ class Runner:
                         still_active.append(node)
                 active = still_active
 
-            completed = tracker.is_complete(len(active)) and (
-                not selfstab or rounds_executed >= final_crash
+            completed = (
+                tracker.is_complete(len(active)) and rounds_executed >= final_crash
             )
-            if selfstab:
-                pending, valid = _recovery_round_entry(
-                    tracker, nodes, network, problem
+            if recorder is not None:
+                changes = tracker.changes
+                recorder.record(
+                    current_round,
+                    bool(newly_crashed),
+                    changes != seen_changes,
+                    recovery_entry,
                 )
-                recovery_pending.append(pending)
-                recovery_valid.append(valid)
+                seen_changes = changes
 
         if not completed and self.strict:
             raise RoundLimitExceeded(
@@ -776,15 +797,6 @@ class Runner:
                 f"n={network.n}, m={network.m} within {self.max_rounds} rounds"
             )
 
-        recovery = (
-            RecoveryTimeline(
-                crash_rounds=tuple(crash_rounds),
-                pending=tuple(recovery_pending),
-                valid=tuple(recovery_valid),
-            )
-            if selfstab
-            else None
-        )
         return self._collect_trace(
             algorithm,
             network,
@@ -797,7 +809,7 @@ class Runner:
             any_edge_commits=tracker.edge_commit_events > 0,
             fault_events=tuple(fault_events),
             crashed=faults.crashed_within(rounds_executed),
-            recovery=recovery,
+            recovery=None if recorder is None else recorder.timeline(),
         )
 
     # ------------------------------------------------------------------ #

@@ -95,3 +95,19 @@ def test_rules_scope_by_path():
         str(bad), root=str(FIXTURES), logical_path="src/repro/analysis/tables.py"
     )
     assert on_hot_path and not off_hot_path
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "src/repro/local/faults.py",
+        "src/repro/algorithms/selfstab.py",
+        "src/repro/algorithms/mis/luby.py",
+        "src/repro/algorithms/matching/randomized.py",
+    ],
+)
+def test_per_round_fault_modules_are_hot_paths(module):
+    # The fault views and the fault-mode kernels run once per round.
+    bad = FIXTURES / "rep002_bad.py"
+    runner = LintRunner([rule_by_id("REP002")])
+    assert runner.lint_file(str(bad), root=str(FIXTURES), logical_path=module)

@@ -767,3 +767,181 @@ class TestMaskCacheLRU:
         fs.directed_fates(faults_module._MASK_CACHE_SIZE + 1, 10)
         assert (1, 10) in fs._mask_cache
         assert (2, 10) not in fs._mask_cache
+
+
+def _brute_crashed_by(crashes, round_index):
+    return tuple(sorted(v for v, r in crashes.items() if r <= round_index))
+
+
+class TestCrashIndex:
+    """The per-schedule crash index against a scan of the crash mapping."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_queries_match_a_scan_of_the_mapping(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        victims = rng.choice(n + 5, size=15, replace=False)
+        crashes = {int(v): int(rng.integers(1, 8)) for v in victims}
+        fs = FaultSchedule(crashes=crashes)
+        for r in range(0, 10):
+            assert fs.crashes_at(r) == tuple(
+                sorted(v for v, cr in crashes.items() if cr == r)
+            )
+            assert fs.crashed_by(r) == _brute_crashed_by(crashes, r)
+            expected = np.ones(n, dtype=bool)
+            for v in _brute_crashed_by(crashes, r):
+                if v < n:
+                    expected[v] = False
+            assert (fs.alive_mask(r, n) == expected).all()
+
+
+class TestRoundViewCache:
+    """Crash-only round views are shared per crash epoch and topology."""
+
+    @staticmethod
+    def _two_graphs():
+        # Equal n and m, different edges.
+        a = Network.from_edge_list(5, [(0, 1), (1, 2), (2, 3)])
+        b = Network.from_edge_list(5, [(0, 4), (1, 3), (2, 4)])
+        return a, b
+
+    def test_one_schedule_on_two_graphs_of_equal_size(self):
+        a, b = self._two_graphs()
+        fs = FaultSchedule(crashes={4: 2, 1: 3})
+        for r in (1, 2, 3, 2, 1):
+            for net in (a, b, a):
+                us, vs = net.edge_endpoints()
+                view = fs.round_faults(r, net.n, net.m, us, vs)
+                alive = np.ones(net.n, dtype=bool)
+                alive[list(_brute_crashed_by(fs.crashes, r))] = False
+                assert (view.alive == alive).all()
+                expected = alive[us] & alive[vs]
+                assert (view.deliver_uv == expected).all()
+                assert (view.deliver_vu == expected).all()
+                assert view.newly_crashed == fs.crashes_at(r)
+                assert view.round_index == r
+        # Each graph keeps its own cached views while the other is queried.
+        us, vs = a.edge_endpoints()
+        first = fs.round_faults(3, a.n, a.m, us, vs)
+        fs.round_faults(3, b.n, b.m, *b.edge_endpoints())
+        assert fs.round_faults(3, a.n, a.m, us, vs).alive is first.alive
+
+    def test_views_are_shared_within_an_epoch(self):
+        a, _ = self._two_graphs()
+        us, vs = a.edge_endpoints()
+        fs = FaultSchedule(crashes={1: 3})
+        before = [fs.round_faults(r, a.n, a.m, us, vs) for r in (0, 1, 2)]
+        after = [fs.round_faults(r, a.n, a.m, us, vs) for r in (3, 4, 9)]
+        assert all(v.alive is before[0].alive for v in before)
+        assert all(v.deliver_uv is before[0].deliver_uv for v in before)
+        assert all(v.alive is after[0].alive for v in after)
+        assert after[0].alive is not before[0].alive
+        assert after[0].newly_crashed == (1,) and after[1].newly_crashed == ()
+
+    def test_writing_a_cached_view_raises(self):
+        a, _ = self._two_graphs()
+        us, vs = a.edge_endpoints()
+        view = FaultSchedule(crashes={1: 1}).round_faults(1, a.n, a.m, us, vs)
+        for array in (view.alive, view.deliver_uv, view.deliver_vu):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = True
+
+    @pytest.mark.parametrize("rates", [(0.3, 0.0), (0.0, 0.3)])
+    def test_drop_and_delay_views_change_from_round_to_round(self, rates):
+        net = pinned_network()
+        us, vs = net.edge_endpoints()
+        drop, delay = rates
+        fs = FaultSchedule(crashes={3: 5}, drop_rate=drop, delay_rate=delay, seed=2)
+        views = [fs.round_faults(r, net.n, net.m, us, vs) for r in range(1, 5)]
+        assert any(
+            (x.deliver_uv != y.deliver_uv).any() for x, y in zip(views, views[1:])
+        )
+        for r, view in enumerate(views, start=1):
+            fates = fs.directed_fates(r, net.m)
+            assert (view.deliver_uv == (fates[0::2] == 0)).all()
+            assert (view.deliver_vu == (fates[1::2] == 0)).all()
+
+
+class TestCrashVertexOutsideNetwork:
+    """A crash vertex outside ``0..n-1`` is refused before round 1."""
+
+    @staticmethod
+    def path4() -> Network:
+        return Network.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+
+    def test_check_vertices_names_the_vertex_and_n(self):
+        fs = FaultSchedule(crashes={1: 2, 9: 3, 7: 9})
+        fs.check_vertices(10)
+        with pytest.raises(ValueError, match=r"crash vertex 7 .*\(n=4\)"):
+            fs.check_vertices(4)
+        FaultSchedule(crashes={4: 1}).check_vertices(5)
+        with pytest.raises(ValueError, match=r"crash vertex 4 .*\(n=4\)"):
+            FaultSchedule(crashes={4: 1}).check_vertices(4)
+
+    def test_array_engine_refuses(self):
+        with pytest.raises(ValueError, match=r"crash vertex 7 .*n=4"):
+            ArrayEngine().run(
+                LubyMIS().as_array_algorithm(),
+                self.path4(),
+                problems.MIS,
+                seed=0,
+                faults=FaultSchedule(crashes={7: 1}),
+            )
+
+    def test_array_selfstab_run_is_not_stretched_to_an_impossible_crash(self):
+        from repro.algorithms.selfstab import SelfStabilizingLubyMISArray
+
+        with pytest.raises(ValueError, match=r"crash vertex 7 .*n=4"):
+            ArrayEngine().run(
+                SelfStabilizingLubyMISArray(),
+                self.path4(),
+                problems.MIS,
+                seed=0,
+                faults=FaultSchedule(crashes={1: 2, 7: 9}),
+            )
+
+    def test_runner_refuses(self):
+        with pytest.raises(ValueError, match=r"crash vertex 7 .*n=4"):
+            Runner().run(
+                LubyMIS(),
+                self.path4(),
+                problems.MIS,
+                seed=0,
+                faults=FaultSchedule(crashes={7: 1}),
+            )
+
+    @pytest.mark.parametrize("engine", ["node", "array"])
+    def test_run_trials_refuses(self, engine):
+        from repro.core.experiment import run_trials
+
+        with pytest.raises(ValueError, match=r"crash vertex 7 .*n=4"):
+            run_trials(
+                LubyMIS,
+                self.path4(),
+                problems.MIS,
+                trials=2,
+                engine=engine,
+                faults=FaultSchedule(crashes={7: 1}),
+            )
+
+    @pytest.mark.parametrize("engine", ["node", "auto"])
+    def test_experiment_refuses(self, engine):
+        from repro.core.experiment import Experiment
+
+        experiment = Experiment(
+            problem=problems.MIS,
+            algorithm=LubyMIS,
+            graphs=self.path4(),
+            trials=2,
+            engine=engine,
+            faults=FaultSchedule(crashes={7: 1}),
+        )
+        with pytest.raises(ValueError, match=r"crash vertex 7 .*n=4"):
+            experiment.run()
+
+    def test_in_range_crashes_still_run_on_both_engines(self):
+        fs = FaultSchedule(crashes={3: 1})
+        runner_trace, array_trace = run_both(
+            LubyMIS(), self.path4(), problems.MIS, 0, fs
+        )
+        assert runner_trace.crashed == array_trace.crashed == (3,)

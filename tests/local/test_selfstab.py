@@ -18,11 +18,15 @@ so every fault epoch is observed.  The invariants pinned here:
   never declared while a revoked output is outstanding;
 * recovery metrics aggregate through ``measure()``, the ``Experiment``
   facade, and the sweep row protocol (including the JSON checkpoint round
-  trip) without loss.
+  trip) without loss;
+* the recovery memo (one ``RecoveryRecorder`` for both engines) reuses a
+  round's entry only where a full recomputation agrees, and quiescent
+  rounds of the array twin draw no randomness and charge only beacons.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.mis.luby import LubyMIS
@@ -33,14 +37,14 @@ from repro.algorithms.selfstab import (
 )
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials
-from repro.core.metrics import RecoveryTimeline, measure
+from repro.core.metrics import RecoveryRecorder, RecoveryTimeline, measure
 from repro.graphs import generators as gen
 from repro.local.algorithm import NodeAlgorithm
-from repro.local.engine import ArrayEngine
+from repro.local.engine import ArrayEngine, ArrayTopology
 from repro.local.faults import FaultSchedule
 from repro.local.network import Network
 from repro.local.node import NodeRuntime
-from repro.local.runner import Runner
+from repro.local.runner import Runner, _CompletionTracker
 
 
 def er_network(n: int, seed: int) -> Network:
@@ -407,3 +411,137 @@ class TestFacadeThreading:
         for a, b in zip(first, resumed):
             assert a.measurement.as_dict() == b.measurement.as_dict()
             assert a.measurement.recovery_epochs is not None
+
+
+class TestRecoveryRecorder:
+    @staticmethod
+    def _entries(*values):
+        calls = []
+        queue = list(values)
+
+        def entry():
+            calls.append(1)
+            return queue.pop(0)
+
+        return entry, calls
+
+    def test_unchanged_rounds_reuse_the_previous_entry(self):
+        recorder = RecoveryRecorder({3: 2, 5: 4})
+        assert recorder.final_crash == 4
+        entry, calls = self._entries((2, False), (0, True), (0, False))
+        recorder.record(1, False, False, entry)  # the first round is computed
+        recorder.record(2, True, False, entry)  # a crash landed
+        recorder.record(3, False, False, entry)  # nothing moved: reused
+        recorder.record(4, False, True, entry)  # state changed
+        recorder.record(5, False, False, entry)
+        assert len(calls) == 3
+        assert recorder.timeline() == RecoveryTimeline(
+            crash_rounds=(2,),
+            pending=(2, 0, 0, 0, 0),
+            valid=(False, True, True, False, False),
+        )
+
+    def test_no_crashes_means_no_final_crash(self):
+        recorder = RecoveryRecorder({})
+        assert recorder.final_crash == 0
+        assert recorder.timeline() == RecoveryTimeline((), (), ())
+
+
+class TestRecoveryMemo:
+    """The memo reuses entries only where a full recomputation agrees."""
+
+    RUNS = [
+        ("array", SelfStabilizingLubyMIS, problems.MIS),
+        ("node", SelfStabilizingLubyMIS, problems.MIS),
+        ("node", SelfStabilizingMatching, problems.MAXIMAL_MATCHING),
+    ]
+
+    @staticmethod
+    def _run(engine, algorithm, problem, network, seed, faults):
+        if engine == "array":
+            return ArrayEngine(max_rounds=300).run(
+                algorithm().as_array_algorithm(), network, problem, seed=seed,
+                faults=faults,
+            )
+        return Runner(max_rounds=300).run(
+            algorithm(), network, problem, seed=seed, faults=faults
+        )
+
+    @pytest.mark.parametrize("engine, algorithm, problem", RUNS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_timeline_equals_a_full_recomputation(
+        self, monkeypatch, engine, algorithm, problem, seed
+    ):
+        network = er_network(40, seed)
+        faults = wave_schedule(network.n, seed, rounds=(2, 7, 40))
+        memoised = self._run(engine, algorithm, problem, network, seed, faults)
+        record = RecoveryRecorder.record
+
+        def always_recompute(self, round_index, crashed, changed, entry):
+            record(self, round_index, crashed, True, entry)
+
+        monkeypatch.setattr(RecoveryRecorder, "record", always_recompute)
+        full = self._run(engine, algorithm, problem, network, seed, faults)
+        assert memoised.recovery == full.recovery
+        assert memoised == full
+
+    @pytest.mark.parametrize("engine, algorithm, problem", RUNS)
+    def test_quiescent_rounds_are_not_validated_again(
+        self, monkeypatch, engine, algorithm, problem
+    ):
+        calls = []
+        validate_induced = problems.ProblemSpec.validate_induced
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return validate_induced(self, *args, **kwargs)
+
+        monkeypatch.setattr(problems.ProblemSpec, "validate_induced", counting)
+        network = er_network(40, 1)
+        faults = wave_schedule(network.n, 1, rounds=(60,))
+        trace = self._run(engine, algorithm, problem, network, 1, faults)
+        assert trace.rounds >= 60
+        # Valid long before the wave, then idle until it lands: every idle
+        # round reuses the verdict of the round that last changed something.
+        assert sum(trace.recovery.valid) > 40
+        assert len(calls) < 20
+
+
+class TestChangeCounter:
+    def test_commit_revoke_and_crash_events_bump_the_counter(self):
+        import random
+
+        network = Network.from_edge_list(3, [(0, 1), (0, 2)])
+        tracker = _CompletionTracker(network, problems.MAXIMAL_MATCHING)
+        node = NodeRuntime(0, 17, (1, 2), random.Random(0), observer=tracker)
+        node._current_round = 1
+        node.commit(True)
+        node.commit(True)  # same value again: no event
+        assert tracker.changes == 1
+        node.revoke()
+        node.commit_edge(1, True)
+        node.revoke_edge(1)
+        assert tracker.changes == 4
+        tracker.node_crashed(2, False)
+        assert tracker.changes == 5
+
+
+class TestQuiescentRound:
+    def test_draws_nothing_and_charges_only_beacons(self):
+        network = er_network(30, 2)
+        algorithm = SelfStabilizingLubyMISArray()
+        topology = ArrayTopology(network)
+        rng = np.random.Generator(np.random.PCG64(0))
+        state = algorithm.init_arrays(topology, rng)
+        rounds = 0
+        while (state.node_rounds < 0).any():
+            rounds += 1
+            algorithm.step(rounds, state, topology, rng)
+        before = rng.bit_generator.state
+        node_rounds = state.node_rounds.copy()
+        messages = state.messages
+        algorithm.step(rounds + 1, state, topology, rng)
+        assert rng.bit_generator.state == before
+        assert (state.node_rounds == node_rounds).all()
+        members = state.extra["status"] == 1
+        assert state.messages - messages == int(topology.degrees[members].sum())
