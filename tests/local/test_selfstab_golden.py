@@ -115,8 +115,8 @@ GOLDEN = {
 
 
 def trace_payload(trace) -> dict:
-    recovery = trace.recovery
-    return {
+    """Everything a run records; the recovery fields only when it has a timeline."""
+    payload = {
         "node_rounds": trace.node_commit_rounds().tolist(),
         "edge_rounds": trace.edge_commit_rounds().tolist(),
         "node_values": sorted(trace.node_outputs.items()),
@@ -126,12 +126,21 @@ def trace_payload(trace) -> dict:
         "rounds": trace.rounds,
         "completed": trace.completed,
         "total_messages": trace.total_messages,
-        "crash_rounds": list(recovery.crash_rounds),
-        "pending": list(recovery.pending),
-        "valid": list(recovery.valid),
         "fault_events": [list(event) for event in trace.fault_events],
         "crashed": list(trace.crashed),
     }
+    recovery = trace.recovery
+    if recovery is not None:
+        payload["crash_rounds"] = list(recovery.crash_rounds)
+        payload["pending"] = list(recovery.pending)
+        payload["valid"] = list(recovery.valid)
+    return payload
+
+
+def digest_of(payloads: list) -> str:
+    """sha256 (first 16 hex digits) of the payloads' canonical JSON."""
+    text = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def digest(run: str, schedule: str) -> str:
@@ -150,8 +159,7 @@ def digest(run: str, schedule: str) -> str:
             payloads.append({"error": str(exc)})
             continue
         payloads.append(trace_payload(trace))
-    text = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return digest_of(payloads)
 
 
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
