@@ -77,15 +77,15 @@ Cells come in eight kinds (schema ``bench-core/v7``):
   measurement carries the new ``recovery_epochs`` /
   ``mean_time_to_restabilize`` fields.
 * ``kind="batched_run"`` (v7) — the **trial-batching race**, entirely
-  inside the array engine: the seed side steps ``trials`` single-trial
-  :class:`ArrayEngine` runs one after another, the new side steps them all
-  together through :meth:`ArrayEngine.run_batch` over ``(T, n)`` /
-  ``(T, m)`` state arrays (chunked by the ``batch_chunk`` byte budget).
-  Trial ``t`` of the batch draws from the same per-trial
-  ``PCG64(trial_seed(0, t))`` stream the loop side uses, so — unlike the
-  cross-engine ``run`` race — exact identity exists here and every batched
-  trace is asserted **bit-identical** to its single-trial twin
-  (batch-size invariance) before any timing is recorded.
+  inside the array engine: the seed side runs a loop of ``trials`` batches
+  of one (:meth:`ArrayEngine.run`), the new side steps them all together
+  through :meth:`ArrayEngine.run_batch` over ``(T, n)`` / ``(T, m)``
+  state arrays (chunked by the ``batch_chunk`` byte budget).  Trial ``t``
+  of the batch draws from the same per-trial ``PCG64(trial_seed(0, t))``
+  stream the loop side uses, so — unlike the cross-engine ``run`` race —
+  exact identity exists here and every batched trace is asserted
+  **bit-identical** to its batch-of-one twin (batch-size invariance)
+  before any timing is recorded.
 
 Since v3 the seed/new *measurement* comparison of pipeline and validate
 cells is asserted to ≤ 1e-12 relative rather than bitwise: the numpy means
@@ -552,9 +552,9 @@ def _cells(quick: bool) -> List[Cell]:
             expected_degree=10.0,
             reps=1,
         ),
-        # ---- trial-batching race: run_batch vs the single-trial loop ----
+        # ---- trial-batching race: run_batch vs a loop of batches of one ----
         # Both n = 10^4 cells run the ISSUE 8 acceptance shape (T = 1000),
-        # with every batched trace bit-identical to its single-trial twin;
+        # with every batched trace bit-identical to its batch-of-one twin;
         # see benchmarks/README.md "Acceptance status (PR 8)" for how the
         # measured ratios relate to the >= 3x target after this PR's GC
         # fix sped the single-trial baseline itself.  The n = 10^5 cell
@@ -1125,17 +1125,18 @@ def _run_engine_cell(cell: Cell, reps: int) -> Dict[str, object]:
 
 
 def _run_batched_cell(cell: Cell, reps: int) -> Dict[str, object]:
-    """A ``kind="batched_run"`` cell: trial loop vs trial-batched array engine.
+    """A ``kind="batched_run"`` cell: a loop of batches of one vs one batch.
 
-    Both sides *are* the :class:`ArrayEngine` — the seed side steps
-    ``trials`` single-trial runs one after another, the new side steps them
-    all together through :meth:`ArrayEngine.run_batch` over ``(T, n)`` /
-    ``(T, m)`` state arrays (chunked by the ``batch_chunk`` byte budget).
-    Trial ``t`` of the batch draws from its own ``PCG64(trial_seed(0, t))``
-    stream — the same stream the loop side uses — so this is the one engine
-    race with exact identity to assert: every batched trace must be
-    **bit-identical** to its single-trial twin, and all traces must pass the
-    problem kernels, before any timing is recorded.  Identity is asserted
+    Both sides *are* the :class:`ArrayEngine` — the seed side runs
+    ``trials`` batches of one (:meth:`ArrayEngine.run`) one after another,
+    the new side steps them all together through :meth:`ArrayEngine.run_batch`
+    over ``(T, n)`` / ``(T, m)`` state arrays (chunked by the ``batch_chunk``
+    byte budget).  Trial ``t`` of the batch draws from its own
+    ``PCG64(trial_seed(0, t))`` stream — the same stream the loop side
+    uses — so this is the one engine race with exact identity to assert:
+    every batched trace must be **bit-identical** to its batch-of-one twin,
+    and all traces must pass the problem kernels, before any timing is
+    recorded.  Identity is asserted
     via :func:`_trace_digest` fingerprints taken outside the timed regions,
     so neither side is timed while the other side's ~10^7-object reference
     traces are live (tuple-level identity at small T is pinned separately in
@@ -1484,8 +1485,8 @@ def run_suite(quick: bool = False, reps: int = 3, validate: bool = True) -> Dict
             "with the self-stabilising Luby MIS, asserting "
             "surviving+induced-survivor validity, literal fault-event "
             "agreement over common round prefixes, and full recovery of "
-            "every crash epoch on both sides; batched_run cells race the "
-            "single-trial ArrayEngine loop against ArrayEngine.run_batch "
+            "every crash epoch on both sides; batched_run cells race a loop "
+            "of batches of one (ArrayEngine.run) against ArrayEngine.run_batch "
             "stepping all T trials together over (T, n)/(T, m) state arrays "
             "(chunked by the batch_chunk byte budget) — per-trial "
             "PCG64(trial_seed(0, t)) streams make the two sides bit-identical, "

@@ -12,10 +12,12 @@ This example demonstrates the robustness layer:
 3. run the **self-stabilising** Luby MIS through two crash waves on both
    engines: survivors detect crashed neighbours, revoke, and locally
    restart, and the trace's :class:`RecoveryTimeline` records the
-   per-epoch time to restabilise;
+   per-epoch time to restabilise; a batch of four faulted trials on the
+   array engine gives exactly the four single-trial traces;
 4. run a sweep journaled to a sqlite file, interrupt it half-way, and
    resume it cell-exactly — the resumed results are identical to an
-   uninterrupted run.
+   uninterrupted run, on the coroutine runner and batched on the array
+   engine alike, and the journal refuses a sweep with another schedule.
 
 Run with (``make fault-smoke`` runs the same)::
 
@@ -135,6 +137,22 @@ def self_stabilizing_recovery() -> None:
             print(f"    crash wave at round {crash_round}: restabilised after {ttr} round(s)")
         assert bool(strict), "survivors must re-form a valid MIS"
         assert all(t is not None for t in timeline.time_to_restabilize())
+    # Four faulted trials batched on the array engine: each row equals its
+    # single-trial run, fault events, crashes and recovery timeline included.
+    engine = ArrayEngine(max_rounds=500)
+    seeds = [1, 2, 3, 4]
+    batched = engine.run_batch(
+        SelfStabilizingLubyMISArray(), network, problems.MIS, seeds, faults=faults
+    )
+    for seed, trace in zip(seeds, batched):
+        single = engine.run(
+            SelfStabilizingLubyMISArray(), network, problems.MIS, seed=seed, faults=faults
+        )
+        assert trace_record(trace) == trace_record(single), f"seed {seed} differs"
+    print(
+        f"  batch of {len(seeds)} faulted trials == {len(seeds)} single-trial runs "
+        f"(rounds {[trace.rounds for trace in batched]})"
+    )
     # The same timeline aggregates through the measurement layer.
     measurement = measure([runner_trace]).as_dict()
     print(
@@ -146,49 +164,74 @@ def self_stabilizing_recovery() -> None:
 
 def checkpointed_sweep_resumes_exactly() -> None:
     print("\n=== crash-safe sweep: interrupt, then resume cell-exactly ===")
-    settings = dict(
-        parameter="n",
-        values=[20, 30, 40],
-        graph_factory=gen.cycle_edges,
-        algorithms={"luby": (lambda net: LubyMIS(), lambda net: problems.MIS)},
-        trials=3,
-        seed=0,
-        faults=FaultSchedule(crashes={0: 2}),
-    )
-    baseline = sweep(**settings)
-
-    path = os.path.join(tempfile.mkdtemp(prefix="fault-demo-"), "sweep.db")
     import repro.analysis.sweep as _  # noqa: F401  (module, for the hook)
     import sys
 
     sweep_module = sys.modules["repro.analysis.sweep"]
-    rows_before_interrupt = 4
-
-    def interrupt(row):
-        nonlocal rows_before_interrupt
-        rows_before_interrupt -= 1
-        if rows_before_interrupt == 0:
-            raise KeyboardInterrupt
-
-    sweep_module._test_hook = interrupt
-    try:
-        sweep(checkpoint=path, **settings)
-        raise AssertionError("the interrupt hook should have fired")
-    except KeyboardInterrupt:
-        print("  interrupted after 4 cells; their journal rows are committed")
-    finally:
-        sweep_module._test_hook = None
-
-    resumed = sweep(checkpoint=path, **settings)
-    assert resumed == baseline, "resume must reproduce the uninterrupted sweep"
-    print(f"  resumed from {path}")
-    print("  resumed results identical to an uninterrupted sweep:")
-    for point in resumed:
-        row = point.measurement.as_dict()
-        print(
-            f"    n={point.value:3d} node_avg={row['node_averaged']:.2f} "
-            f"worst={row['worst_case']}"
+    workdir = tempfile.mkdtemp(prefix="fault-demo-")
+    for engine in ("node", "auto"):
+        settings = dict(
+            parameter="n",
+            values=[20, 30, 40],
+            graph_factory=gen.cycle_edges,
+            algorithms={"luby": (lambda net: LubyMIS(), lambda net: problems.MIS)},
+            trials=3,
+            seed=0,
+            engine=engine,
+            faults=FaultSchedule(crashes={0: 2}),
         )
+        baseline = sweep(**settings)
+
+        path = os.path.join(workdir, f"sweep-{engine}.db")
+        rows_before_interrupt = 4
+
+        def interrupt(row):
+            nonlocal rows_before_interrupt
+            rows_before_interrupt -= 1
+            if rows_before_interrupt == 0:
+                raise KeyboardInterrupt
+
+        sweep_module._test_hook = interrupt
+        try:
+            sweep(checkpoint=path, **settings)
+            raise AssertionError("the interrupt hook should have fired")
+        except KeyboardInterrupt:
+            print(f"  engine={engine}: interrupted after 4 cells; their rows are committed")
+        finally:
+            sweep_module._test_hook = None
+
+        resumed = sweep(checkpoint=path, **settings)
+        assert resumed == baseline, "resume must reproduce the uninterrupted sweep"
+        print(f"  resumed from {path}")
+        print("  resumed results identical to an uninterrupted sweep:")
+        for point in resumed:
+            row = point.measurement.as_dict()
+            print(
+                f"    n={point.value:3d} node_avg={row['node_averaged']:.2f} "
+                f"worst={row['worst_case']}"
+            )
+
+        # The journal records its schedule: another one is a different sweep.
+        other = dict(settings, faults=FaultSchedule(crashes={0: 3}))
+        try:
+            sweep(checkpoint=path, **other)
+            raise AssertionError("a journal must refuse another fault schedule")
+        except ValueError as error:
+            assert "faults" in str(error), error
+            print("  resuming under another fault schedule is refused")
+
+
+def trace_record(trace) -> tuple:
+    """Everything a run records, for comparing two traces."""
+    return (
+        trace.node_commit_rounds().tolist(),
+        sorted(trace.node_outputs.items()),
+        trace.rounds,
+        trace.total_messages,
+        trace.fault_events,
+        trace.crashed,
+        trace.recovery,
+    )
 
 
 def main() -> None:

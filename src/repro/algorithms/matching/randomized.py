@@ -26,19 +26,12 @@ Each iteration costs four communication rounds.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from typing import Optional, Sequence
-
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.engine import (
-    ArrayAlgorithm,
-    ArrayState,
-    ArrayTopology,
-    BatchState,
-)
+from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState
 from repro.local.faults import RoundFaults
 from repro.local.node import NodeRuntime
 
@@ -147,11 +140,13 @@ class RandomizedMatchingArray(ArrayAlgorithm):
     ``2·U_k − 2·M_k`` (the ``M_k`` matched partners dropped each other
     before announcing), matching the coroutine count round for round.
 
-    Fault mode (``faults`` per round).  An edge participates in iteration
-    ``k`` iff it is undecided, both endpoints are alive, and *both*
-    directions of the degree exchange were delivered; per-node degrees stay
-    the global undecided counts (each node reports its own undecided
-    degree, which drops and crashes cannot change).  The mark block is
+    Fault mode (``faults`` per round) runs a per-row kernel, once per
+    active trial, on row views of the batch arrays, each row drawing from
+    its own generator.  An edge participates in iteration ``k`` iff it is
+    undecided, both endpoints are alive, and *both* directions of the
+    degree exchange were delivered; per-node degrees stay the global
+    undecided counts (each node reports its own undecided degree, which
+    drops and crashes cannot change).  The mark block is
     drawn over the iteration's participating edges in canonical slot order;
     a mark is voided when the marker's notification direction (the
     lower-identifier endpoint tells the other) was dropped — unlike the
@@ -182,7 +177,6 @@ class RandomizedMatchingArray(ArrayAlgorithm):
     name = "randomized-maximal-matching"
     labels_edges = True
     supports_faults = True
-    supports_batch = True
 
     # One scratch set per (topology, trials) shape, reused across every
     # run_batch chunk: the flat worklist double-buffers, gather/compress
@@ -232,14 +226,6 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             raise ValueError("marking_factor must be positive")
         self.marking_factor = marking_factor
 
-    def init_arrays(
-        self, topology: ArrayTopology, rng: np.random.Generator
-    ) -> ArrayState:
-        state = ArrayState(topology.n, topology.m, nodes=False, edges=True)
-        state.halted |= topology.degrees == 0
-        state.extra["undecided"] = np.ones(topology.m, dtype=bool)
-        return state
-
     def init_batch(
         self, topology: ArrayTopology, rngs: Sequence[np.random.Generator]
     ) -> BatchState:
@@ -264,6 +250,8 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         # degree-exchange round reads them for free.
         scratch["deg"].reshape(trials, topology.n)[:] = topology.degrees
         extra["scratch"] = scratch
+        # Per-row iteration state of the fault-mode kernel.
+        extra["fault_rows"] = [{} for _ in range(trials)]
         return batch
 
     def batch_complete(self, batch: BatchState) -> np.ndarray:
@@ -279,7 +267,12 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         topology: ArrayTopology,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray,
+        faults: Optional[RoundFaults] = None,
     ) -> None:
+        if faults is not None:
+            for t in np.flatnonzero(active).tolist():
+                self._step_faulted(round_index, batch, t, topology, rngs[t], faults)
+            return
         extra = batch.extra
         scratch = extra["scratch"]
         trials, n, m = batch.trials, topology.n, topology.m
@@ -386,44 +379,36 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             deg_rows = scratch["deg"].reshape(trials, n)
             batch.halted[active] = deg_rows[active] == 0
 
-    def step(
+    def _step_faulted(
         self,
         round_index: int,
-        state: ArrayState,
+        batch: BatchState,
+        t: int,
         topology: ArrayTopology,
         rng: np.random.Generator,
-        faults: Optional[RoundFaults] = None,
+        faults: RoundFaults,
     ) -> None:
-        extra = state.extra
-        undecided = extra["undecided"]
+        """Round ``round_index`` of trial row ``t`` under ``faults``."""
+        extra = batch.extra["fault_rows"][t]
+        undecided = batch.extra["undecided"][t]
         us, vs = topology.edge_us, topology.edge_vs
+        alive = faults.alive
         phase = round_index % 4
         if phase == 1:
             # Degree exchange (4k−3): snapshot the iteration's undecided
-            # edge set and per-node undecided degrees.
-            if faults is None:
-                live = np.flatnonzero(undecided)
-                state.messages += 2 * live.size
-            else:
-                # Participation needs both exchange directions through;
-                # messages are still charged per alive sender and undecided
-                # incident edge (sends happen whether or not they arrive).
-                live = np.flatnonzero(
-                    undecided & faults.deliver_uv & faults.deliver_vu
-                )
-                every = np.flatnonzero(undecided)
-                alive = faults.alive
-                state.messages += int(
-                    alive[us[every]].sum() + alive[vs[every]].sum()
-                )
+            # edge set and per-node undecided degrees.  Participation needs
+            # both exchange directions through; messages are still charged
+            # per alive sender and undecided incident edge (sends happen
+            # whether or not they arrive).
+            every = np.flatnonzero(undecided)
+            live = np.flatnonzero(undecided & faults.deliver_uv & faults.deliver_vu)
+            batch.messages[t] += int(alive[us[every]].sum() + alive[vs[every]].sum())
             # Degrees over *all* undecided edges: each node reports its own
             # undecided degree, which message faults cannot alter.
-            every = np.flatnonzero(undecided)
-            degrees = np.bincount(us[every], minlength=topology.n) + np.bincount(
-                vs[every], minlength=topology.n
-            )
             extra["iter_edges"] = live
-            extra["iter_degrees"] = degrees
+            extra["iter_degrees"] = np.bincount(
+                us[every], minlength=topology.n
+            ) + np.bincount(vs[every], minlength=topology.n)
         elif phase == 2:
             # Marking (4k−2): one uniform per participating edge, edge-slot
             # order — the documented seed schedule.
@@ -433,62 +418,49 @@ class RandomizedMatchingArray(ArrayAlgorithm):
                 self.marking_factor * (degrees[us[live]] + degrees[vs[live]])
             )
             marked = rng.random(live.size) < rate
-            if faults is not None:
-                alive = faults.alive
-                marked &= alive[us[live]] & alive[vs[live]]
-                # Void marks whose marker → other notification was dropped
-                # (marker = lower-identifier endpoint), keeping mark
-                # knowledge symmetric.
-                ids = topology.identifiers
-                marker_is_u = ids[us[live]] < ids[vs[live]]
-                notified = np.where(
-                    marker_is_u, faults.deliver_uv[live], faults.deliver_vu[live]
-                )
-                marked &= notified
-            extra["marked"] = marked
-            state.messages += 2 * live.size
+            marked &= alive[us[live]] & alive[vs[live]]
+            # Void marks whose marker → other notification was dropped
+            # (marker = lower-identifier endpoint), keeping mark knowledge
+            # symmetric.
+            ids = topology.identifiers
+            marker_is_u = ids[us[live]] < ids[vs[live]]
+            notified = np.where(
+                marker_is_u, faults.deliver_uv[live], faults.deliver_vu[live]
+            )
+            extra["marked"] = marked & notified
+            batch.messages[t] += 2 * live.size
         elif phase == 3:
             # Matching commits (4k−1): a marked edge with no other marked
             # edge at either endpoint joins; its endpoints commit every
             # undecided incident edge.
             live = extra["iter_edges"]
-            marked_mask = extra["marked"]
-            if faults is not None:
-                alive = faults.alive
-                marked_mask = marked_mask & alive[us[live]] & alive[vs[live]]
-            marked = live[marked_mask]
+            marked = live[extra["marked"] & alive[us[live]] & alive[vs[live]]]
             mark_count = np.bincount(us[marked], minlength=topology.n) + np.bincount(
                 vs[marked], minlength=topology.n
             )
             isolated = (mark_count[us[marked]] == 1) & (mark_count[vs[marked]] == 1)
-            if faults is not None:
-                # The mutual "no other marks" confirmation needs both
-                # directions delivered this round.
-                isolated &= faults.deliver_uv[marked] & faults.deliver_vu[marked]
+            # The mutual "no other marks" confirmation needs both
+            # directions delivered this round.
+            isolated &= faults.deliver_uv[marked] & faults.deliver_vu[marked]
             matched = marked[isolated]
             matched_node = np.zeros(topology.n, dtype=bool)
             matched_node[us[matched]] = True
             matched_node[vs[matched]] = True
-            if faults is None:
-                removed = live[matched_node[us[live]] | matched_node[vs[live]]]
-            else:
-                # A matched node commits *all* its undecided edges, not just
-                # the iteration's participating ones (edges to crashed or
-                # silenced neighbours included) — coroutine semantics.
-                removed = np.flatnonzero(
-                    undecided & (matched_node[us] | matched_node[vs])
-                )
-            state.edge_rounds[removed] = round_index
-            state.edge_values[matched] = True
+            # A matched node commits *all* its undecided edges, not just the
+            # iteration's participating ones (edges to crashed or silenced
+            # neighbours included) — coroutine semantics.
+            removed = np.flatnonzero(undecided & (matched_node[us] | matched_node[vs]))
+            batch.edge_rounds[t][removed] = round_index
+            batch.edge_values[t][matched] = True
             undecided[removed] = False
             extra["iter_matched"] = int(matched.size)
-            state.messages += 2 * live.size
+            batch.messages[t] += 2 * live.size
         else:
             # Announcement (4k): matched nodes tell their remaining
             # neighbours and retire; no first-time commits happen here.
-            state.messages += 2 * extra["iter_edges"].size - 2 * extra["iter_matched"]
+            batch.messages[t] += 2 * extra["iter_edges"].size - 2 * extra["iter_matched"]
             still = np.flatnonzero(undecided)
-            active = np.zeros(topology.n, dtype=bool)
-            active[us[still]] = True
-            active[vs[still]] = True
-            np.logical_not(active, out=state.halted)
+            participating = np.zeros(topology.n, dtype=bool)
+            participating[us[still]] = True
+            participating[vs[still]] = True
+            np.logical_not(participating, out=batch.halted[t])

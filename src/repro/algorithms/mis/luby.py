@@ -26,16 +26,11 @@ import numpy as np
 
 from repro.local.algorithm import Broadcast
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.engine import (
-    ArrayAlgorithm,
-    ArrayState,
-    ArrayTopology,
-    BatchState,
-)
+from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState
 from repro.local.faults import RoundFaults
 from repro.local.node import NodeRuntime
 
-__all__ = ["LubyMIS", "LubyMISArray", "luby_joins"]
+__all__ = ["LubyMIS", "LubyMISArray"]
 
 
 class LubyMIS(CoroutineAlgorithm):
@@ -68,44 +63,6 @@ class LubyMIS(CoroutineAlgorithm):
         return LubyMISArray()
 
 
-def luby_joins(
-    priorities: np.ndarray,
-    undecided: np.ndarray,
-    topology: ArrayTopology,
-    identifiers: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Mask of undecided nodes whose priority beats every undecided neighbour.
-
-    ``priorities`` is per-vertex (entries of decided vertices are ignored);
-    comparisons are lexicographic on ``(priority, identifier)``, exactly the
-    coroutine twin's tuple comparison — the identifier only matters on exact
-    float ties, which a continuous draw hits with probability zero but a
-    test (or an adversarial caller) can force.  An undecided node with no
-    undecided neighbour joins unconditionally, like its coroutine twin does
-    when its inbox is empty.
-    """
-    us, vs = topology.edge_us, topology.edge_vs
-    ids = topology.identifiers if identifiers is None else identifiers
-    live = undecided[us] & undecided[vs]
-    lu, lv = us[live], vs[live]
-    best = np.full(topology.n, -1.0)
-    np.maximum.at(best, lu, priorities[lv])
-    np.maximum.at(best, lv, priorities[lu])
-    joins = undecided & (priorities > best)
-    ties = undecided & (priorities == best)
-    if ties.any():
-        # Exact priority tie against the neighbourhood maximum: the winner
-        # is the larger identifier among the tied (measure-zero for real
-        # draws; exercised directly by the unit tests).
-        best_id = np.full(topology.n, -1, dtype=np.int64)
-        tie_lo = priorities[lu] == priorities[lv]
-        tu, tv = lu[tie_lo], lv[tie_lo]
-        np.maximum.at(best_id, tu, ids[tv])
-        np.maximum.at(best_id, tv, ids[tu])
-        joins |= ties & (ids > best_id)
-    return joins
-
-
 def _luby_joins_masked(
     priorities: np.ndarray,
     participants: np.ndarray,
@@ -115,7 +72,7 @@ def _luby_joins_masked(
     deliver_uv: np.ndarray,
     deliver_vu: np.ndarray,
 ) -> np.ndarray:
-    """:func:`luby_joins` under per-direction delivery masks (fault mode).
+    """Mask of participants whose priority beats every priority they received.
 
     ``participants`` is the per-vertex mask of alive, still-undecided
     nodes; ``us`` / ``vs`` are the endpoints of the edges to consider and
@@ -126,7 +83,10 @@ def _luby_joins_masked(
     passes all of them).  A participant beats only the priorities it
     *received* — exactly the coroutine semantics, where a dropped or
     crashed neighbour is as silent as a decided one (a participant whose
-    whole inbox was dropped joins unconditionally).
+    whole inbox was dropped joins unconditionally).  Comparisons are
+    lexicographic on ``(priority, identifier)``, the coroutine twin's tuple
+    comparison: the identifier only matters on exact float ties, which a
+    continuous draw hits with probability zero but a test can force.
     """
     both = participants[us] & participants[vs]
     live_uv = both & deliver_uv
@@ -170,9 +130,12 @@ class LubyMISArray(ArrayAlgorithm):
     the summed degree of the phase's starting undecided set — the coroutine
     twin's count exactly.
 
-    Fault mode (``faults`` is a :class:`~repro.local.faults.RoundFaults`):
-    only alive undecided nodes participate — the priority block is drawn
-    over them in ascending vertex order — and a priority / announcement only
+    Fault mode (``faults`` is a :class:`~repro.local.faults.RoundFaults`)
+    runs a per-row kernel, once per active trial, on row views of the batch
+    arrays; the fault-free worklist kernel never sees a fault.  Only alive
+    undecided nodes participate — each row's priority block is drawn from
+    its own generator over them in ascending vertex order — and a
+    priority / announcement only
     counts at its receiver if the schedule delivered that direction; a
     crashed or silenced neighbour looks exactly like a decided one, as in
     the coroutine.  A joiner that crashes at the announcement round never
@@ -203,23 +166,6 @@ class LubyMISArray(ArrayAlgorithm):
     name = "luby-mis"
     labels_nodes = True
     supports_faults = True
-    supports_batch = True
-
-    def init_arrays(
-        self, topology: ArrayTopology, rng: np.random.Generator
-    ) -> ArrayState:
-        state = ArrayState(topology.n, topology.m, nodes=True, edges=False)
-        isolated = topology.degrees == 0
-        if isolated.any():
-            state.node_rounds[isolated] = 0
-            state.node_values[isolated] = True
-            state.halted |= isolated
-        state.extra["undecided"] = ~isolated
-        state.extra["phase_joined"] = None
-        state.extra["phase_participants"] = None
-        state.extra["phase_messages"] = 0
-        state.extra["prev_senders"] = None
-        return state
 
     # Scratch buffers for the batched kernel, cached on the algorithm
     # instance and reused across the chunks of a `run_batch` call (and
@@ -309,6 +255,11 @@ class LubyMISArray(ArrayAlgorithm):
         batch.extra["wl_fv"] = scratch["wl0_fv"]
         batch.extra["wl_slot"] = "A"
         batch.extra["scratch"] = scratch
+        # Per-row state of the fault-mode kernel (unused without faults).
+        batch.extra["fault_rows"] = [
+            {"phase_joined": None, "phase_participants": None, "prev_senders": None}
+            for _ in range(trials)
+        ]
         return batch
 
     def batch_complete(self, batch: BatchState) -> np.ndarray:
@@ -325,7 +276,12 @@ class LubyMISArray(ArrayAlgorithm):
         topology: ArrayTopology,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray,
+        faults: Optional[RoundFaults] = None,
     ) -> None:
+        if faults is not None:
+            for t in np.flatnonzero(active).tolist():
+                self._step_faulted(round_index, batch, t, topology, rngs[t], faults)
+            return
         extra = batch.extra
         scratch = extra["scratch"]
         undecided = extra["undecided"]
@@ -484,103 +440,87 @@ class LubyMISArray(ArrayAlgorithm):
             return None
         return stale_uv, stale_vu
 
-    def step(
+    def _step_faulted(
         self,
         round_index: int,
-        state: ArrayState,
+        batch: BatchState,
+        t: int,
         topology: ArrayTopology,
         rng: np.random.Generator,
-        faults: Optional[RoundFaults] = None,
+        faults: RoundFaults,
     ) -> None:
-        extra = state.extra
-        undecided = extra["undecided"]
+        """Round ``round_index`` of trial row ``t`` under ``faults``."""
+        extra = batch.extra["fault_rows"][t]
+        undecided = batch.extra["undecided"][t]
+        node_rounds = batch.node_rounds[t]
+        us, vs = topology.edge_us, topology.edge_vs
+        alive = faults.alive
         if round_index % 2 == 1:
-            # Priority round (2k−1): one uniform per (alive) undecided node,
+            # Priority round (2k−1): one uniform per alive undecided node,
             # ascending vertex order.
-            if faults is None:
-                participants_mask = undecided
-            else:
-                participants_mask = undecided & faults.alive
-                stale = self._visible_stale(
-                    faults, topology, extra["prev_senders"], participants_mask
-                )
-                if stale is not None:
-                    stale_uv, stale_vu = stale
-                    us, vs = topology.edge_us, topology.edge_vs
-                    struck = np.zeros(topology.n, dtype=bool)
-                    struck[vs[stale_uv]] = True
-                    struck[us[stale_vu]] = True
-                    if (struck & participants_mask).any():
-                        # A stale announcement flag in a priority inbox: the
-                        # coroutine's max-over-inbox comparison mixes bool
-                        # and tuple payloads and raises — same type here.
-                        raise TypeError(
-                            "'>' not supported between cross-phase straggler "
-                            "payloads: a delayed announcement flag reached a "
-                            "priority-round inbox"
-                        )
+            participants_mask = undecided & alive
+            stale = self._visible_stale(
+                faults, topology, extra["prev_senders"], participants_mask
+            )
+            if stale is not None:
+                stale_uv, stale_vu = stale
+                struck = np.zeros(topology.n, dtype=bool)
+                struck[vs[stale_uv]] = True
+                struck[us[stale_vu]] = True
+                if (struck & participants_mask).any():
+                    # A stale announcement flag in a priority inbox: the
+                    # coroutine's max-over-inbox comparison mixes bool
+                    # and tuple payloads and raises — same type here.
+                    raise TypeError(
+                        "'>' not supported between cross-phase straggler "
+                        "payloads: a delayed announcement flag reached a "
+                        "priority-round inbox"
+                    )
             participants = np.flatnonzero(participants_mask)
             priorities = np.full(topology.n, -1.0)
             priorities[participants] = rng.random(participants.size)
-            if faults is None:
-                joins = luby_joins(priorities, undecided, topology)
-            else:
-                joins = _luby_joins_masked(
-                    priorities,
-                    participants_mask,
-                    topology.identifiers,
-                    topology.edge_us,
-                    topology.edge_vs,
-                    faults.deliver_uv,
-                    faults.deliver_vu,
-                )
-            state.node_rounds[joins] = round_index
-            state.node_values[joins] = True
+            joins = _luby_joins_masked(
+                priorities,
+                participants_mask,
+                topology.identifiers,
+                us,
+                vs,
+                faults.deliver_uv,
+                faults.deliver_vu,
+            )
+            node_rounds[joins] = round_index
+            batch.node_values[t][joins] = True
             undecided &= ~joins
             extra["phase_joined"] = joins
-            extra["phase_participants"] = participants_mask if faults is not None else None
-            extra["phase_messages"] = int(topology.degrees[participants].sum())
-            extra["prev_senders"] = participants_mask if faults is not None else None
-            state.messages += extra["phase_messages"]
+            extra["phase_participants"] = participants_mask
+            extra["prev_senders"] = participants_mask
+            batch.messages[t] += int(topology.degrees[participants].sum())
         else:
             # Announcement round (2k): undecided neighbours of joiners
-            # commit False and everyone decided retires.
-            joined = extra["phase_joined"]
-            us, vs = topology.edge_us, topology.edge_vs
-            if faults is None:
-                near_joiner = np.zeros(topology.n, dtype=bool)
-                near_joiner[vs[joined[us]]] = True
-                near_joiner[us[joined[vs]]] = True
-                removed = undecided & near_joiner
-                state.node_rounds[removed] = round_index
-                # node_values stays False in removed slots.
-                undecided &= ~removed
-                np.logical_not(undecided, out=state.halted)
-                state.messages += extra["phase_messages"]
-            else:
-                # A joiner crashed at this round never announces; delivery
-                # masks silence the dropped directions.
-                alive = faults.alive
-                announcer = joined & alive
-                # Senders this round: the phase's participants (joiners and
-                # all) that are still alive — they all broadcast the flag.
-                senders = extra["phase_participants"] & alive
-                heard = np.zeros(topology.n, dtype=bool)
-                heard[vs[announcer[us] & faults.deliver_uv]] = True
-                heard[us[announcer[vs] & faults.deliver_vu]] = True
-                stale = self._visible_stale(
-                    faults, topology, extra["prev_senders"], senders
-                )
-                if stale is not None:
-                    # A stale priority tuple is truthy in the flag inbox, so
-                    # its receiver "hears a joiner" whether or not one is
-                    # adjacent — the coroutine's spurious-False-commit path.
-                    stale_uv, stale_vu = stale
-                    heard[vs[stale_uv]] = True
-                    heard[us[stale_vu]] = True
-                removed = undecided & alive & heard
-                state.node_rounds[removed] = round_index
-                undecided &= ~removed
-                np.logical_not(undecided, out=state.halted)
-                extra["prev_senders"] = senders
-                state.messages += int(topology.degrees[senders].sum())
+            # commit False and everyone decided retires.  A joiner crashed
+            # at this round never announces; delivery masks silence the
+            # dropped directions.
+            announcer = extra["phase_joined"] & alive
+            # Senders this round: the phase's participants (joiners and
+            # all) that are still alive — they all broadcast the flag.
+            senders = extra["phase_participants"] & alive
+            heard = np.zeros(topology.n, dtype=bool)
+            heard[vs[announcer[us] & faults.deliver_uv]] = True
+            heard[us[announcer[vs] & faults.deliver_vu]] = True
+            stale = self._visible_stale(
+                faults, topology, extra["prev_senders"], senders
+            )
+            if stale is not None:
+                # A stale priority tuple is truthy in the flag inbox, so
+                # its receiver "hears a joiner" whether or not one is
+                # adjacent — the coroutine's spurious-False-commit path.
+                stale_uv, stale_vu = stale
+                heard[vs[stale_uv]] = True
+                heard[us[stale_vu]] = True
+            removed = undecided & alive & heard
+            node_rounds[removed] = round_index
+            # node_values stays False in removed slots.
+            undecided &= ~removed
+            np.logical_not(undecided, out=batch.halted[t])
+            extra["prev_senders"] = senders
+            batch.messages[t] += int(topology.degrees[senders].sum())

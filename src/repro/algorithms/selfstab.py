@@ -63,12 +63,12 @@ Protocol sketches:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.local.algorithm import Broadcast, NodeAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayState, ArrayTopology
+from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState
 from repro.local.faults import RoundFaults
 from repro.local.node import NodeRuntime
 
@@ -183,14 +183,17 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
     last-dominator-died rule, since dominator sets refresh from the
     perpetual beacons every round.
 
-    Cost.  After the orphan reset, a round with no alive undecided node is
-    quiescent: it adds the members' beacon messages and returns, without
-    touching the edges and without a bid block (``rng.random(0)`` would
-    leave the PCG64 stream untouched, so the seed schedule is the same).
-    A busy round makes one pass over the edge slots to select the edges
-    with an undecided endpoint; beacons heard and bid maxima are computed
-    on that subset alone, which holds every edge that can affect an
-    undecided node.
+    Cost, per trial row (each active row runs the kernel on its own row
+    views, drawing from its own generator).  After the orphan reset, a
+    round with no alive undecided node is quiescent for that row: it adds
+    the members' beacon messages and returns, without touching the edges
+    and without a bid block (``rng.random(0)`` would leave the PCG64
+    stream untouched, so the seed schedule is the same).  A busy round
+    makes one pass over the edge slots to select the edges with an
+    undecided endpoint; beacons heard and bid maxima are computed on that
+    subset alone, which holds every edge that can affect an undecided
+    node.  The kernel is deliberately not flattened over the trial axis:
+    its index temporaries would then be ``T · m``-sized.
     """
 
     name = "selfstab-luby-mis"
@@ -198,29 +201,50 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
     supports_faults = True
     self_stabilizing = True
 
-    def init_arrays(
-        self, topology: ArrayTopology, rng: np.random.Generator
-    ) -> ArrayState:
-        state = ArrayState(topology.n, topology.m, nodes=True, edges=False)
-        status = np.full(topology.n, _UNDECIDED, dtype=np.int8)
+    def init_batch(
+        self, topology: ArrayTopology, rngs: Sequence[np.random.Generator]
+    ) -> BatchState:
+        trials = len(rngs)
+        batch = BatchState(trials, topology.n, topology.m, nodes=True, edges=False)
+        status = np.full((trials, topology.n), _UNDECIDED, dtype=np.int8)
         isolated = topology.degrees == 0
         if isolated.any():
-            status[isolated] = _IN
-            state.node_rounds[isolated] = 0
-            state.node_values[isolated] = True
-            state.halted |= isolated
-        state.extra["status"] = status
-        return state
+            status[:, isolated] = _IN
+            batch.node_rounds[:, isolated] = 0
+            batch.node_values[:, isolated] = True
+            batch.halted[:, isolated] = True
+        batch.extra["status"] = status
+        return batch
 
-    def step(
+    def batch_complete(self, batch: BatchState) -> Optional[np.ndarray]:
+        # Revocations re-pend committed nodes, so no monotone per-trial
+        # counter exists; the engine's reduction decides.
+        return None
+
+    def step_batch(
         self,
         round_index: int,
-        state: ArrayState,
+        batch: BatchState,
         topology: ArrayTopology,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
+        active: np.ndarray,
         faults: Optional[RoundFaults] = None,
     ) -> None:
-        status = state.extra["status"]
+        for t in np.flatnonzero(active).tolist():
+            self._step_row(round_index, batch, t, topology, rngs[t], faults)
+
+    def _step_row(
+        self,
+        round_index: int,
+        batch: BatchState,
+        t: int,
+        topology: ArrayTopology,
+        rng: np.random.Generator,
+        faults: Optional[RoundFaults],
+    ) -> None:
+        """Round ``round_index`` of trial row ``t``."""
+        status = batch.extra["status"][t]
+        node_rounds, node_values = batch.node_rounds[t], batch.node_values[t]
         n = topology.n
         us, vs = topology.edge_us, topology.edge_vs
         if faults is None:
@@ -237,8 +261,8 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
                 orphaned = (status == _OUT) & alive & ~covered
                 if orphaned.any():
                     status[orphaned] = _UNDECIDED
-                    state.node_rounds[orphaned] = -1
-                    state.node_values[orphaned] = False
+                    node_rounds[orphaned] = -1
+                    node_values[orphaned] = False
 
         undecided = (status == _UNDECIDED) & alive
         members = (status == _IN) & alive
@@ -247,7 +271,7 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
         if not bidders.size:
             # Quiescent round: members beacon and nothing else happens.  No
             # bid block either — rng.random(0) would not move the stream.
-            state.messages += beacons
+            batch.messages[t] += beacons
             return
         bids = np.full(n, -1.0)
         bids[bidders] = rng.random(bidders.size)
@@ -276,13 +300,13 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
         newly_out = undecided & heard
         if joins.any():
             status[joins] = _IN
-            state.node_rounds[joins] = round_index
-            state.node_values[joins] = True
+            node_rounds[joins] = round_index
+            node_values[joins] = True
         if newly_out.any():
             status[newly_out] = _OUT
-            state.node_rounds[newly_out] = round_index
-            state.node_values[newly_out] = False
-        state.messages += int(topology.degrees[bidders].sum()) + beacons
+            node_rounds[newly_out] = round_index
+            node_values[newly_out] = False
+        batch.messages[t] += int(topology.degrees[bidders].sum()) + beacons
 
 
 class SelfStabilizingMatching(NodeAlgorithm):

@@ -265,7 +265,10 @@ def sweep(
             serial array sweep (same per-cell seed schedule).
         faults: optional :class:`~repro.local.faults.FaultSchedule` injected
             into every trial of every cell (see :mod:`repro.local.faults`
-            for the engine-independent seed schedule).
+            for the engine-independent seed schedule).  On the array
+            engines a cell's trials still run as one batch.  The schedule
+            is part of the journal header: a journal resumes only a sweep
+            with an equal schedule.
         cell_timeout: optional wall-clock budget in seconds per
             ``(value, algorithm, trial)`` cell; an expired cell raises
             :class:`~repro.core.errors.CellTimeout` (a recorded failure row
@@ -331,43 +334,10 @@ def sweep(
     try:
         if spec["parallel"]:
             return _sweep_parallel(spec, min(workers, cells), journal)
-        resilient = (
-            journal is not None or on_error == "record" or cell_timeout is not None
-        )
-        if resilient:
-            return _sweep_serial_resilient(spec, journal)
+        return _sweep_serial(spec, journal)
     finally:
         if journal is not None:
             journal.close()
-
-    # The historical serial fast path: one run_trials batch per
-    # (value, algorithm), identical factory invocation counts and traces.
-    points: List[SweepPoint] = []
-    runner = Runner(max_rounds=max_rounds)
-    for index, value in enumerate(values):
-        graph = graph_factory(value)
-        network = network_from(graph, seed=seed + index)
-        for name, (algorithm_factory, problem_factory) in algorithms.items():
-            problem = problem_factory(network)
-            traces = run_trials(
-                lambda: algorithm_factory(network),
-                network,
-                problem,
-                trials=trials,
-                seed=seed + 1000 * index,
-                runner=runner,
-                validate=validate,
-                engine=engine,
-                faults=faults,
-                batch_budget_bytes=batch_budget_bytes,
-            )
-            measurement = measure(traces)
-            # Attach the display name chosen by the caller rather than the
-            # algorithm's own name, so that two configurations of the same
-            # algorithm can be compared in one sweep.
-            measurement = _renamed(measurement, name)
-            points.append(SweepPoint(parameter=parameter, value=value, measurement=measurement))
-    return SweepResult(points)
 
 
 def _renamed(measurement: ComplexityMeasurement, name: str) -> ComplexityMeasurement:
@@ -398,8 +368,8 @@ def _fork_available() -> bool:
 # ---------------------------------------------------------------------- #
 #
 # A cell is one (value index, algorithm name, trial) triple; its seed is the
-# same trial_seed schedule the serial batch path uses, which is what makes
-# the serial, parallel, and resumed-from-checkpoint paths produce identical
+# trial_seed schedule run_trials uses, which is what makes the serial,
+# parallel, and resumed-from-checkpoint paths produce identical
 # measurements.  Cell results travel as plain dict rows — "ok" rows carry
 # the flat completion-time buffers that measure() consumes, "failure" rows
 # the classify_failure slug — so the same row format serves the pool
@@ -494,18 +464,17 @@ def _grouped_execution(spec: Dict[str, object]) -> bool:
 
     Grouping hands all remaining trials of a ``(value, algorithm)`` cell to a
     single :func:`run_trials` call, which on the array engines steps them as
-    one trial-batched execution (:meth:`ArrayEngine.run_batch`) — same traces,
-    far fewer passes over the topology.  It is restricted to configurations
-    where per-trial semantics cannot be observed to differ: no ``cell_timeout``
-    (the budget is defined per trial), no fault schedules (faulted runs are
-    per-trial by construction), and an array-capable engine (under ``"node"``
-    grouping would only coarsen parallel load-balancing for no gain).
+    one trial-batched execution (:meth:`ArrayEngine.run_batch`), faulted or
+    not — same traces, far fewer passes over the topology.  It is restricted
+    to configurations where per-trial semantics cannot be observed to
+    differ: no ``cell_timeout`` (the budget is defined per trial) and an
+    array-capable engine (under ``"node"`` grouping would only coarsen
+    parallel load-balancing for no gain).
     """
     return (
         int(spec["trials"]) > 1
         and spec["cell_timeout"] is None
         and str(spec["engine"]) in ("array", "auto")
-        and not _faults_active(spec["faults"])  # type: ignore[arg-type]
     )
 
 
@@ -753,8 +722,23 @@ _INSERT_CELL = (
 )
 
 #: Header fields that identify a sweep: a stored header that differs in any
-#: of them belongs to a different sweep.
-_IDENTITY = ("parameter", "values", "algorithms", "trials", "seed", "engine")
+#: of them belongs to a different sweep.  A stored header without a field
+#: reads it as ``None``: journals written before ``faults`` was recorded
+#: hold fault-free sweeps, and still resume as such.
+_IDENTITY = ("parameter", "values", "algorithms", "trials", "seed", "engine", "faults")
+
+
+def _schedule_header(faults: Optional[FaultSchedule]) -> Optional[Dict[str, object]]:
+    """The canonical JSON form of a fault schedule (``None`` when inert,
+    as the engines treat an empty schedule)."""
+    if not _faults_active(faults):
+        return None
+    return {
+        "crashes": sorted([vertex, at] for vertex, at in faults.crashes.items()),  # type: ignore[union-attr]
+        "drop_rate": faults.drop_rate,  # type: ignore[union-attr]
+        "delay_rate": faults.delay_rate,  # type: ignore[union-attr]
+        "seed": faults.seed,  # type: ignore[union-attr]
+    }
 
 
 def _header(spec: Dict[str, object]) -> Dict[str, object]:
@@ -766,6 +750,7 @@ def _header(spec: Dict[str, object]) -> Dict[str, object]:
         "trials": spec["trials"],
         "seed": spec["seed"],
         "engine": spec["engine"],
+        "faults": _schedule_header(spec.get("faults")),  # type: ignore[arg-type]
         # Provenance only: whether the writing run actually fanned out.
         # Deliberately absent from _IDENTITY — the per-cell seed schedule
         # makes serial and parallel rows identical, so a journal may be
@@ -976,7 +961,7 @@ def _pid_alive(pid: int, started: Optional[int] = None) -> bool:
 
 
 # ---------------------------------------------------------------------- #
-# Serial resilient execution
+# Serial execution
 # ---------------------------------------------------------------------- #
 
 
@@ -1000,7 +985,7 @@ def _resume(
     return rows, remaining
 
 
-def _sweep_serial_resilient(
+def _sweep_serial(
     spec: Dict[str, object], journal: Optional[_Journal]
 ) -> SweepResult:
     rows, remaining = _resume(spec, journal)

@@ -109,10 +109,42 @@ def _faults_active(faults: Optional[FaultSchedule]) -> bool:
     return faults is not None and (bool(faults.crashes) or faults.has_message_faults)
 
 
-def _array_supports_faults(algorithm: NodeAlgorithm) -> bool:
-    """Whether ``algorithm``'s array twin implements fault-aware stepping."""
-    twin = getattr(algorithm, "as_array_algorithm", lambda: None)()
-    return twin is not None and getattr(twin, "supports_faults", False)
+def _execute_trials(
+    make_algorithm: Callable[[], NodeAlgorithm],
+    network: Network,
+    problem: ProblemSpec,
+    seeds: Sequence[int],
+    *,
+    engine: str,
+    runner: Runner,
+    array_engine: ArrayEngine,
+    faults: Optional[FaultSchedule],
+    batch_budget_bytes: Optional[int],
+) -> List[ExecutionTrace]:
+    """One trace per seed: the trial dispatcher of :func:`run_trials` and
+    :class:`Experiment`.
+
+    The first instance probes engine dispatch (:func:`resolve_engine`);
+    ``"auto"`` also falls back to the coroutine runner when faults are
+    active and the array twin is not fault-aware, rather than refuse a
+    schedule the runner can honour.  ``make_algorithm`` runs exactly once
+    per seed on every path.  Array trials go to one
+    :meth:`ArrayEngine.run_batch` call (with or without faults; traces are
+    bit-identical to one run per seed), runner trials run one by one.
+    """
+    probe = make_algorithm()
+    twin = probe.as_array_algorithm() if resolve_engine(engine, probe) else None
+    if twin is not None and engine == "auto" and _faults_active(faults):
+        twin = twin if getattr(twin, "supports_faults", False) else None
+    algorithms = [probe] + [make_algorithm() for _ in seeds[1:]]
+    if twin is not None:
+        return array_engine.run_batch(
+            twin, network, problem, seeds, faults=faults, budget_bytes=batch_budget_bytes
+        )
+    return [
+        runner.run(algorithm, network, problem, seed=seed, faults=faults)
+        for algorithm, seed in zip(algorithms, seeds)
+    ]
 
 
 AlgorithmFactory = Callable[[], NodeAlgorithm]
@@ -182,7 +214,8 @@ def run_trials(
         faults: optional :class:`~repro.local.faults.FaultSchedule` injected
             into every trial (the schedule is engine-independent, so trial
             ``i`` sees the same crash rounds and message fates on either
-            engine).  Under ``engine="auto"``, an algorithm whose array twin
+            engine).  Array-engine trials run as one batch with or without
+            it.  Under ``engine="auto"``, an algorithm whose array twin
             does not implement fault-aware stepping silently falls back to
             the coroutine runner; ``engine="array"`` raises ``TypeError``
             for such algorithms, like the engine itself does.
@@ -202,70 +235,24 @@ def run_trials(
         raise ValueError("trials must be at least 1")
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    # Probe the first trial's instance for engine dispatch (and reuse it for
-    # trial 0): the factory is called exactly `trials` times on every path,
-    # so stateful factories see the same invocation count as before the
-    # engine knob existed.
-    probe: Optional[NodeAlgorithm] = None
-    use_array = False
-    if engine != "node":
-        probe = algorithm_factory()
-        use_array = resolve_engine(engine, probe)
-        if use_array and engine == "auto" and _faults_active(faults):
-            # "auto" prefers the array engine but never at the cost of
-            # refusing a fault schedule the coroutine runner can honour.
-            use_array = _array_supports_faults(probe)
     active_runner = runner or Runner()
-    traces: List[ExecutionTrace] = []
     with cell_deadline(timeout_s, what=f"run_trials({trials} trials)"):
-        if use_array:
-            array_engine = ArrayEngine(
+        traces = _execute_trials(
+            algorithm_factory,
+            network,
+            problem,
+            seed_schedule(seed, trials),
+            engine=engine,
+            runner=active_runner,
+            array_engine=ArrayEngine(
                 max_rounds=active_runner.max_rounds, strict=active_runner.strict
-            )
-            # The factory is still invoked exactly `trials` times (documented
-            # contract); each instance's array twin runs its trial.  When the
-            # twin implements the batched protocol and no faults are active,
-            # all trials step together over (T, n)/(T, m) arrays — traces are
-            # bit-identical to the per-trial loop (batch-size invariance), so
-            # this is purely a throughput decision.
-            twins = [
-                (probe if i == 0 else algorithm_factory()).as_array_algorithm()
-                for i in range(trials)
-            ]
-            seeds = [trial_seed(seed, i) for i in range(trials)]
-            if (
-                trials > 1
-                and not _faults_active(faults)
-                and getattr(twins[0], "supports_batch", False)
-            ):
-                traces = array_engine.run_batch(
-                    twins[0],
-                    network,
-                    problem,
-                    seeds,
-                    faults=faults,
-                    budget_bytes=batch_budget_bytes,
-                )
-                if validate:
-                    for trace in traces:
-                        trace.require_valid()
-                return traces
-            for twin, trial_s in zip(twins, seeds):
-                trace = array_engine.run(
-                    twin, network, problem, seed=trial_s, faults=faults
-                )
-                if validate:
-                    trace.require_valid()
-                traces.append(trace)
-            return traces
-        for i in range(trials):
-            algorithm = probe if (i == 0 and probe is not None) else algorithm_factory()
-            trace = active_runner.run(
-                algorithm, network, problem, seed=trial_seed(seed, i), faults=faults
-            )
-            if validate:
+            ),
+            faults=faults,
+            batch_budget_bytes=batch_budget_bytes,
+        )
+        if validate:
+            for trace in traces:
                 trace.require_valid()
-            traces.append(trace)
     return traces
 
 
@@ -497,7 +484,8 @@ class Experiment:
             without an array twin), or ``"auto"`` (array engine exactly when
             the algorithm implements the ArrayAlgorithm protocol).
         faults: optional :class:`~repro.local.faults.FaultSchedule` injected
-            into every trial of every graph.  ``"auto"`` falls back to the
+            into every trial of every graph; array-engine trials still run
+            as one batch per graph.  ``"auto"`` falls back to the
             coroutine runner for algorithms whose array twin is not
             fault-aware; ``"array"`` raises ``TypeError`` for them.
         timeout_s: optional wall-clock budget in seconds per graph (covers
@@ -603,61 +591,21 @@ class Experiment:
             timings["network_s"] = time.perf_counter() - t0
 
             problem = self._make_problem(network)
-            # Probe the first trial's instance for engine dispatch and reuse
-            # it, so the algorithm factory runs once per trial exactly.
-            probe = self._make_algorithm(network)
-            use_array = resolve_engine(self._engine, probe)
-            if use_array and self._engine == "auto" and _faults_active(self._faults):
-                use_array = _array_supports_faults(probe)
             t0 = time.perf_counter()
             with cell_deadline(self._timeout_s, what=f"experiment graph {name!r}"):
-                if use_array:
-                    # Same batching decision as run_trials: the factory runs
-                    # once per trial either way; fault-free batch-capable
-                    # twins step all trials together (bit-identical traces).
-                    twins = tuple(
-                        (
-                            probe if i == 0 else self._make_algorithm(network)
-                        ).as_array_algorithm()
-                        for i in range(len(self._seeds))
+                traces = tuple(
+                    _execute_trials(
+                        lambda: self._make_algorithm(network),
+                        network,
+                        problem,
+                        self._seeds,
+                        engine=self._engine,
+                        runner=self._runner,
+                        array_engine=self._array_engine,
+                        faults=self._faults,
+                        batch_budget_bytes=self._batch_budget_bytes,
                     )
-                    if (
-                        len(self._seeds) > 1
-                        and not _faults_active(self._faults)
-                        and getattr(twins[0], "supports_batch", False)
-                    ):
-                        traces = tuple(
-                            self._array_engine.run_batch(
-                                twins[0],
-                                network,
-                                problem,
-                                list(self._seeds),
-                                faults=self._faults,
-                                budget_bytes=self._batch_budget_bytes,
-                            )
-                        )
-                    else:
-                        traces = tuple(
-                            self._array_engine.run(
-                                twin,
-                                network,
-                                problem,
-                                seed=s,
-                                faults=self._faults,
-                            )
-                            for twin, s in zip(twins, self._seeds)
-                        )
-                else:
-                    traces = tuple(
-                        self._runner.run(
-                            probe if i == 0 else self._make_algorithm(network),
-                            network,
-                            problem,
-                            seed=s,
-                            faults=self._faults,
-                        )
-                        for i, s in enumerate(self._seeds)
-                    )
+                )
             timings["runner_s"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()

@@ -25,7 +25,7 @@ REP001    determinism — no unseeded randomness or wall-clock reads in
 REP002    hot-path purity — no ``to_networkx``/tuple-edge
           materialisation/per-edge Python loops in hot-path modules
 REP003    array-algorithm protocol conformance
-          (``init_arrays``/``step``; batch trio all-or-nothing)
+          (``init_batch``/``step_batch``/``batch_complete``, all or none)
 REP004    schema literals live only in :mod:`repro.core.schemas`
 REP005    resource hygiene — sqlite/SharedMemory/file handles closed
           and unlinked on all paths in ``src/repro/{service,analysis}``

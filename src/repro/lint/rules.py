@@ -246,7 +246,7 @@ class HotPathRule(Rule):
 # REP003 — array-algorithm protocol conformance
 # --------------------------------------------------------------------- #
 
-_BATCH_TRIO = ("init_batch", "step_batch", "batch_complete")
+_PROTOCOL = ("init_batch", "step_batch", "batch_complete")
 
 
 class ProtocolRule(Rule):
@@ -254,16 +254,13 @@ class ProtocolRule(Rule):
 
     The engine duck-types (:class:`repro.local.engine.ArrayAlgorithm` is a
     Protocol), so a half-implemented twin only explodes at run time, deep
-    in a sweep.  Three conformance checks, all syntactic:
+    in a sweep.  Two conformance checks, both syntactic:
 
-    * a class defining ``init_arrays`` must define ``step`` (and vice
-      versa when any batch method marks the class as an array algorithm);
-    * the batch protocol is all-or-nothing: any of
+    * the protocol is all-or-nothing: any of
       ``init_batch``/``step_batch``/``batch_complete`` requires all three;
     * a class whose ``as_array_algorithm`` returns an instance of a class
-      defined in the same module requires that class to implement
-      ``init_arrays``/``step`` (returning ``None`` — coroutine-only — is
-      always legal).
+      defined in the same module requires that class to implement all
+      three (returning ``None`` — coroutine-only — is always legal).
     """
 
     id = "REP003"
@@ -287,27 +284,16 @@ class ProtocolRule(Rule):
                 for stmt in cls.body
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
-            batch_present = [name for name in _BATCH_TRIO if name in methods]
-            if batch_present and len(batch_present) < len(_BATCH_TRIO):
-                missing = sorted(set(_BATCH_TRIO) - set(batch_present))
+            present = [name for name in _PROTOCOL if name in methods]
+            if present and len(present) < len(_PROTOCOL):
+                missing = sorted(set(_PROTOCOL) - set(present))
                 yield module.finding(
                     cls,
                     self.id,
-                    f"class {cls.name} defines {'/'.join(batch_present)} but "
-                    f"not {'/'.join(missing)}; the batch protocol is "
+                    f"class {cls.name} defines {'/'.join(present)} but "
+                    f"not {'/'.join(missing)}; the array protocol is "
                     "all-or-nothing",
                 )
-            is_array_algorithm = "init_arrays" in methods or bool(batch_present)
-            if is_array_algorithm:
-                missing = sorted({"init_arrays", "step"} - methods)
-                if missing:
-                    yield module.finding(
-                        cls,
-                        self.id,
-                        f"class {cls.name} looks like an array algorithm but "
-                        f"lacks {'/'.join(missing)}; the engine requires the "
-                        "single-trial protocol (init_arrays/step)",
-                    )
             if "as_array_algorithm" in own:
                 yield from self._check_advertisement(cls, classes, module)
 
@@ -337,7 +323,7 @@ class ProtocolRule(Rule):
             if target is None or target not in classes:
                 continue  # imported twin — out of this module's sight
             twin_methods = self._methods(classes[target], classes)
-            missing = sorted({"init_arrays", "step"} - twin_methods)
+            missing = sorted(set(_PROTOCOL) - twin_methods)
             if missing:
                 yield module.finding(
                     node,

@@ -10,6 +10,13 @@ topology (``indptr``/``indices`` plus the canonical ``edge_endpoints()``
 arrays) — no :class:`~repro.local.node.NodeRuntime`, no inbox dicts, no
 per-node generator frames.
 
+Every array run is a batch.  :meth:`ArrayEngine.run_batch` steps ``T``
+seeded trials in lockstep over ``(T, n)`` / ``(T, m)`` state arrays, and
+:meth:`ArrayEngine.run` is a batch of one; fault schedules included, both go
+through one round loop.  Each trial draws only from its own generator, so a
+trial's trace is the same for any batch size and any chunking, with or
+without faults (batch-size invariance, ``tests/local/test_batch.py``).
+
 Relation to the coroutine runner (the relaxed trace-identity story).  The
 coroutine path stays the **exact reference**: its traces remain seed-for-seed
 bit-identical to the vendored seed pipeline, as asserted by
@@ -43,6 +50,14 @@ ascending vertex / canonical-edge-slot order:
 The same ``(algorithm, network, seed)`` triple therefore always produces the
 same trace, on every platform numpy supports.
 
+Memory at ``T = 1``.  A batch sizes its scratch for ``T · m`` up front (the
+worklist kernels keep their index and gather buffers for the whole run), so
+one large trial needs more memory than a loop that allocates per round.
+Measured on a 2-CPU container at ``n = 10⁶`` (``m = 5 000 139``), untraced
+time and peak tracemalloc allocations of one ``run``: Luby MIS 0.60 s and
+428 MB, randomized matching 2.4 s and 657 MB — against 0.59 s / 191 MB and
+6.0 s / 216 MB for the single-trial loop this engine replaced.
+
 Routing.  ``run_trials`` / ``evaluate`` / :class:`~repro.core.experiment.
 Experiment` / :func:`repro.analysis.sweep.sweep` accept
 ``engine="node" | "array" | "auto"``: ``"node"`` is the coroutine runner
@@ -54,12 +69,13 @@ when ``algorithm.as_array_algorithm()`` returns one.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import RoundLimitExceeded
-from repro.core.metrics import RecoveryRecorder, RecoveryTimeline
+from repro.core.metrics import RecoveryRecorder
 from repro.core.problems import ProblemSpec
 from repro.core.trace import ExecutionTrace
 from repro.local.faults import FaultSchedule, RoundFaults
@@ -67,7 +83,6 @@ from repro.local.network import Network
 
 __all__ = [
     "ArrayAlgorithm",
-    "ArrayState",
     "ArrayTopology",
     "ArrayEngine",
     "BatchState",
@@ -110,58 +125,37 @@ class ArrayTopology:
         self.identifiers = np.asarray(network.identifiers, dtype=np.int64)
 
 
-class ArrayState:
-    """Per-run mutable state: the engine-facing half of the protocol.
+def _commit_rounds(trials: int, size: int, labelled: bool) -> np.ndarray:
+    """``(trials, size)`` commit rounds, all ``-1``.
 
-    Algorithms allocate one in :meth:`ArrayAlgorithm.init_arrays`, mutate it
-    in :meth:`ArrayAlgorithm.step`, and may hang any private per-run scratch
-    off ``extra``.  The engine reads:
-
-    * ``node_rounds`` / ``node_values`` — per-vertex commit rounds (int64,
-      ``-1`` = uncommitted) and committed values,
-    * ``edge_rounds`` / ``edge_values`` — the same per canonical edge slot,
-    * ``halted`` — bool mask of nodes that stopped participating,
-    * ``messages`` — cumulative point-to-point message count.
-
-    ``node_values`` / ``edge_values`` may be numpy arrays or ``None`` (for
-    the label side the problem does not use); slots whose round is ``-1``
-    are ignored when the trace is filled.
+    An unlabelled side is one read-only row broadcast over the trials: no
+    kernel writes it, so every trial (and every trace) shares that row.
     """
-
-    __slots__ = (
-        "node_rounds",
-        "node_values",
-        "edge_rounds",
-        "edge_values",
-        "halted",
-        "messages",
-        "extra",
-    )
-
-    def __init__(self, n: int, m: int, *, nodes: bool, edges: bool) -> None:
-        self.node_rounds = np.full(n, -1, dtype=np.int64)
-        self.node_values: Optional[np.ndarray] = (
-            np.zeros(n, dtype=bool) if nodes else None
-        )
-        self.edge_rounds = np.full(m, -1, dtype=np.int64)
-        self.edge_values: Optional[np.ndarray] = (
-            np.zeros(m, dtype=bool) if edges else None
-        )
-        self.halted = np.zeros(n, dtype=bool)
-        self.messages = 0
-        self.extra: dict = {}
+    if labelled:
+        return np.full((trials, size), -1, dtype=np.int64)
+    row = np.full(size, -1, dtype=np.int64)
+    row.setflags(write=False)
+    return np.broadcast_to(row, (trials, size))
 
 
 class BatchState:
-    """Batched per-run state: ``T`` independent trials stepped in lockstep.
+    """Per-run state of ``T`` independent trials stepped in lockstep.
 
-    The batched twin of :class:`ArrayState`: every per-entity array gains a
-    leading trial axis (``(T, n)`` / ``(T, m)``), ``messages`` becomes a
-    per-trial int64 vector, and row ``t`` of every array is *exactly* the
-    state the single-trial engine would hold for trial ``t`` — batch
-    execution is a layout change, not a semantics change.  Algorithms
-    allocate one in :meth:`ArrayAlgorithm.init_batch` and mutate it in
-    :meth:`ArrayAlgorithm.step_batch`; private scratch hangs off ``extra``.
+    Algorithms allocate one in :meth:`ArrayAlgorithm.init_batch`, mutate it
+    in :meth:`ArrayAlgorithm.step_batch`, and may hang private scratch off
+    ``extra``.  Row ``t`` of every array is trial ``t``'s state.  The engine
+    reads:
+
+    * ``node_rounds`` / ``node_values`` — ``(T, n)`` per-vertex commit
+      rounds (int64, ``-1`` = uncommitted) and committed values,
+    * ``edge_rounds`` / ``edge_values`` — the same per canonical edge slot,
+      ``(T, m)``,
+    * ``halted`` — ``(T, n)`` bool mask of nodes that stopped participating,
+    * ``messages`` — per-trial cumulative point-to-point message counts.
+
+    Only the side the algorithm labels is allocated.  The other side's
+    values are ``None`` and its rounds one read-only row of ``-1``
+    broadcast over the trials and shared by their traces.
     """
 
     __slots__ = (
@@ -179,17 +173,29 @@ class BatchState:
         self, trials: int, n: int, m: int, *, nodes: bool, edges: bool
     ) -> None:
         self.trials = trials
-        self.node_rounds = np.full((trials, n), -1, dtype=np.int64)
+        self.node_rounds = _commit_rounds(trials, n, nodes)
         self.node_values: Optional[np.ndarray] = (
             np.zeros((trials, n), dtype=bool) if nodes else None
         )
-        self.edge_rounds = np.full((trials, m), -1, dtype=np.int64)
+        self.edge_rounds = _commit_rounds(trials, m, edges)
         self.edge_values: Optional[np.ndarray] = (
             np.zeros((trials, m), dtype=bool) if edges else None
         )
         self.halted = np.zeros((trials, n), dtype=bool)
         self.messages = np.zeros(trials, dtype=np.int64)
         self.extra: dict = {}
+
+    def labelled_rows(self, t: int) -> List[np.ndarray]:
+        """Trial ``t``'s rounds and values rows of the labelled side(s)."""
+        return [
+            array[t]
+            for values, rounds in (
+                (self.node_values, self.node_rounds),
+                (self.edge_values, self.edge_rounds),
+            )
+            if values is not None
+            for array in (rounds, values)
+        ]
 
 
 #: Byte budget for one batched chunk's working state (arrays + scratch).
@@ -224,18 +230,22 @@ class ArrayAlgorithm:
 
     An array algorithm is the vectorised twin of a per-node
     :class:`~repro.local.algorithm.NodeAlgorithm`: instead of one coroutine
-    per node it expresses every synchronous round as whole-graph numpy
-    operations.  Subclasses implement:
+    per node it expresses every synchronous round as numpy operations over
+    ``T`` trials of the whole graph.  Subclasses implement:
 
-    * :meth:`init_arrays` — allocate the :class:`ArrayState` and perform the
+    * :meth:`init_batch` — allocate the :class:`BatchState` and perform the
       round-0 work (e.g. isolated nodes committing immediately),
-    * :meth:`step` — execute one synchronous round, recording commits into
-      the state's round/value arrays with the *same round stamps and message
-      counts* the coroutine twin would produce for the same decisions.
+    * :meth:`step_batch` — execute one synchronous round for every active
+      trial, recording commits into the state's round/value arrays with the
+      *same round stamps and message counts* the coroutine twin would
+      produce for the same decisions,
+    * :meth:`batch_complete` — an optional ``O(T)`` completion mask.
 
-    The engine owns the loop, the round counter, the completion check and
-    the trace assembly; per-node coroutine twins advertise their array twin
-    through ``NodeAlgorithm.as_array_algorithm()``.
+    Row ``t`` draws only from ``rngs[t]``, in the order a lone trial would,
+    so its trace does not depend on ``T`` or on the other rows.  The engine
+    owns the loop, the round counter, the completion check and the trace
+    assembly; per-node coroutine twins advertise their array twin through
+    ``NodeAlgorithm.as_array_algorithm()``.
     """
 
     #: Human-readable name recorded on the trace (match the coroutine twin).
@@ -245,18 +255,10 @@ class ArrayAlgorithm:
     labels_nodes: bool = False
     labels_edges: bool = False
 
-    #: Whether :meth:`step` accepts a ``faults`` keyword (a per-round
-    #: :class:`~repro.local.faults.RoundFaults` view) and implements the
-    #: crash/drop semantics.  The engine refuses fault schedules for
-    #: algorithms that do not opt in.
+    #: Whether :meth:`step_batch` accepts a ``faults`` view and implements
+    #: the crash/drop/delay semantics.  The engine refuses fault schedules
+    #: for algorithms that do not opt in.
     supports_faults: bool = False
-
-    #: Whether the algorithm implements the batched protocol
-    #: (:meth:`init_batch` / :meth:`step_batch`): ``T`` independent trials
-    #: stepped together over ``(T, n)`` / ``(T, m)`` arrays, each trial
-    #: drawing from its own per-trial generator so every row stays
-    #: bit-identical to the single-trial engine (batch-size invariance).
-    supports_batch: bool = False
 
     #: Self-stabilising array algorithms detect crashed neighbours straight
     #: from the round view's ``newly_crashed`` (no engine callback needed,
@@ -264,34 +266,13 @@ class ArrayAlgorithm:
     #: affected nodes by resetting their ``node_rounds`` slots to ``-1``.
     #: The engine keeps such runs going until the last scheduled crash has
     #: landed and records a per-round
-    #: :class:`~repro.core.metrics.RecoveryTimeline` on the trace.
+    #: :class:`~repro.core.metrics.RecoveryTimeline` on each trace.
     self_stabilizing: bool = False
-
-    def init_arrays(
-        self, topology: ArrayTopology, rng: np.random.Generator
-    ) -> ArrayState:
-        """Allocate per-run state and perform round-0 initialisation."""
-        raise NotImplementedError
-
-    def step(
-        self,
-        round_index: int,
-        state: ArrayState,
-        topology: ArrayTopology,
-        rng: np.random.Generator,
-    ) -> None:
-        """Execute synchronous round ``round_index`` (1-based) in place."""
-        raise NotImplementedError
 
     def init_batch(
         self, topology: ArrayTopology, rngs: Sequence[np.random.Generator]
     ) -> BatchState:
-        """Allocate batched state for ``len(rngs)`` trials (round 0 included).
-
-        Row ``t`` must equal what :meth:`init_arrays` would produce with
-        ``rngs[t]``; algorithms whose round 0 draws no randomness (both
-        current implementations) simply broadcast the single-trial init.
-        """
+        """Allocate state for ``len(rngs)`` trials and perform round 0."""
         raise NotImplementedError
 
     def step_batch(
@@ -301,34 +282,38 @@ class ArrayAlgorithm:
         topology: ArrayTopology,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray,
+        faults: Optional[RoundFaults] = None,
     ) -> None:
-        """Execute round ``round_index`` for every trial flagged in ``active``.
+        """Execute round ``round_index`` (1-based) for every trial in ``active``.
 
         ``active[t]`` is False once trial ``t`` completed: such rows must
         not mutate state, must not accrue messages and — crucially for
         batch-size invariance — must not consume randomness from
-        ``rngs[t]``, exactly as the single-trial loop exits before
-        executing further rounds.
+        ``rngs[t]``.  Under a fault schedule the engine passes the round's
+        :class:`~repro.local.faults.RoundFaults` view as ``faults`` (only
+        to algorithms with :attr:`supports_faults`); its masks depend on
+        the schedule and the round alone, so one view serves every row.
         """
         raise NotImplementedError
 
-    def batch_complete(self, batch: "BatchState") -> Optional[np.ndarray]:
-        """Optional O(trials) per-trial completion mask.
+    def batch_complete(self, batch: BatchState) -> Optional[np.ndarray]:
+        """Optional O(trials) per-trial completion mask of a fault-free run.
 
         The engine's generic completion check reduces over every
         ``(trials, n)`` / ``(trials, m)`` round array after *every* round,
         which dominates batched cells with long completion tails.  An
         algorithm that already tracks per-trial liveness (undecided
         counts, degree sums) can return the equivalent boolean mask here;
-        returning ``None`` (the default) falls back to the generic
-        reduction.  The mask must match the generic check exactly — it is
-        a fast path, not a different contract.
+        returning ``None`` falls back to the generic reduction.  The mask
+        must match the generic check exactly — it is a fast path, not a
+        different contract.  Under faults the engine always uses its own
+        reduction, which excuses crashed entities.
         """
         return None
 
 
 class ArrayEngine:
-    """Drives an :class:`ArrayAlgorithm` and assembles the execution trace.
+    """Drives an :class:`ArrayAlgorithm` and assembles the execution traces.
 
     The array twin of :class:`~repro.local.runner.Runner`: same constructor
     knobs (``max_rounds``, ``strict``), same completion semantics (node- /
@@ -376,47 +361,14 @@ class ArrayEngine:
         seed: Optional[int] = None,
         faults: Optional[FaultSchedule] = None,
     ) -> ExecutionTrace:
-        """Execute ``algorithm`` on ``network`` under the documented seed schedule.
+        """Execute one trial of ``algorithm``: a batch of one.
 
-        With a ``faults`` schedule, each round the engine computes the
-        schedule's :class:`~repro.local.faults.RoundFaults` view (alive mask
-        plus per-direction delivery masks) and hands it to
-        ``algorithm.step(..., faults=...)``; completion excuses entities
-        only a crashed node could still decide, fault events are recorded
-        on the trace, and validation scores the surviving subgraph.  Delay
-        faults are exposed to the algorithm as the round view's
-        ``late_uv`` / ``late_vu`` one-round carry masks; fault-aware array
-        algorithms document how their message kernels consume them.
+        The trace is bit-identical to trial ``seed`` of any
+        :meth:`run_batch` call, with or without ``faults``.
         """
         topology = self._topology(network)
-        rng = np.random.Generator(np.random.PCG64(seed))
-
-        if faults is not None and (faults.crashes or faults.has_message_faults):
-            if not getattr(algorithm, "supports_faults", False):
-                raise TypeError(
-                    f"{algorithm.name} has no fault-aware array implementation; "
-                    f"use the coroutine runner (engine='node') for fault injection"
-                )
-            return self._run_faulted(algorithm, network, problem, rng, faults, topology)
-
-        state = algorithm.init_arrays(topology, rng)
-
-        rounds = 0
-        completed = self._is_complete(state, problem)
-        while not completed and rounds < self.max_rounds:
-            rounds += 1
-            algorithm.step(rounds, state, topology, rng)
-            completed = self._is_complete(state, problem)
-
-        if not completed and self.strict:
-            raise RoundLimitExceeded(
-                f"{algorithm.name} did not finish {problem.name} on a graph with "
-                f"n={network.n}, m={network.m} within {self.max_rounds} rounds"
-            )
-
-        return self._collect_trace(
-            algorithm, network, problem, state, rounds, completed
-        )
+        faults = self._injecting(algorithm, faults, topology)
+        return self._run_chunk(algorithm, network, problem, topology, [seed], faults)[0]
 
     def run_batch(
         self,
@@ -429,33 +381,26 @@ class ArrayEngine:
     ) -> List[ExecutionTrace]:
         """Execute one trial per entry of ``seeds``, batched in lockstep.
 
-        Trial ``t`` draws from its own ``PCG64(seeds[t])`` generator —
-        the identical stream the single-trial :meth:`run` would use with
-        ``seed=seeds[t]`` — and completed trials stop stepping, stop
-        accruing messages and stop consuming randomness, so every returned
-        trace is **bit-identical** to the corresponding single-trial run
-        (batch-size invariance; pinned in ``tests/local/test_batch.py``).
-        Large cells are stepped in chunks sized by :func:`batch_chunk`,
-        which cannot change results because the per-trial streams are
-        independent.  ``budget_bytes`` overrides the default
-        :data:`_BATCH_BYTE_BUDGET` cost-model budget (``None`` keeps it);
-        because of batch-size invariance the override is purely a
-        throughput/footprint knob, never a results knob.
+        Trial ``t`` draws from its own ``PCG64(seeds[t])`` generator, and
+        completed trials stop stepping, stop accruing messages and stop
+        consuming randomness, so every returned trace is **bit-identical**
+        to ``run(..., seed=seeds[t])`` (batch-size invariance; pinned in
+        ``tests/local/test_batch.py``).  Large cells are stepped in chunks
+        sized by :func:`batch_chunk`, which cannot change results because
+        the per-trial streams are independent.  ``budget_bytes`` overrides
+        the default :data:`_BATCH_BYTE_BUDGET` cost-model budget (``None``
+        keeps it): a throughput/footprint knob, never a results knob.
 
-        Fault schedules are per-trial-timeline constructs; batched runs
-        refuse them (route faulted trials through :meth:`run`).
+        With a ``faults`` schedule, each round's
+        :class:`~repro.local.faults.RoundFaults` view (alive mask plus
+        per-direction delivery and one-round delay masks) is built once and
+        handed to ``algorithm.step_batch(..., faults=...)`` for every row.
+        Completion excuses entities only a crashed node could still decide;
+        each trace records the fault events of the rounds its trial ran,
+        and validation scores the surviving subgraph.
         """
-        if faults is not None and (faults.crashes or faults.has_message_faults):
-            raise TypeError(
-                "batched execution does not support fault schedules; "
-                "run faulted trials one at a time (ArrayEngine.run)"
-            )
-        if not getattr(algorithm, "supports_batch", False):
-            raise TypeError(
-                f"{algorithm.name} has no batched array implementation; "
-                f"run trials singly (ArrayEngine.run)"
-            )
         topology = self._topology(network)
+        faults = self._injecting(algorithm, faults, topology)
         seeds = list(seeds)
         traces: List[ExecutionTrace] = []
         chunk = batch_chunk(
@@ -466,38 +411,104 @@ class ArrayEngine:
         )
         for start in range(0, len(seeds), chunk):
             traces.extend(
-                self._run_batch_chunk(
-                    algorithm, network, problem, topology, seeds[start : start + chunk]
+                self._run_chunk(
+                    algorithm,
+                    network,
+                    problem,
+                    topology,
+                    seeds[start : start + chunk],
+                    faults,
                 )
             )
         return traces
 
-    def _run_batch_chunk(
+    @staticmethod
+    def _injecting(
+        algorithm: ArrayAlgorithm,
+        faults: Optional[FaultSchedule],
+        topology: ArrayTopology,
+    ) -> Optional[FaultSchedule]:
+        """``faults`` if it injects anything, else ``None`` (empty schedules
+        are inert); refuses algorithms without fault-aware stepping and
+        crashes outside the graph before round 1."""
+        if faults is None or not (faults.crashes or faults.has_message_faults):
+            return None
+        if not getattr(algorithm, "supports_faults", False):
+            raise TypeError(
+                f"{algorithm.name} has no fault-aware array implementation; "
+                f"use the coroutine runner (engine='node') for fault injection"
+            )
+        faults.check_vertices(topology.n)
+        return faults
+
+    def _run_chunk(
         self,
         algorithm: ArrayAlgorithm,
         network: Network,
         problem: ProblemSpec,
         topology: ArrayTopology,
         seeds: Sequence[Optional[int]],
+        faults: Optional[FaultSchedule],
     ) -> List[ExecutionTrace]:
+        """The round loop: one chunk of trials, with or without faults.
+
+        Completion is row-wise.  Under ``faults`` the round view and the
+        round's fault events are built once and shared by every row.
+        Self-stabilising rows also wait for the schedule's final crash and
+        keep one :class:`~repro.core.metrics.RecoveryRecorder` each; a
+        row's entry is only recomputed when a crash landed or its state
+        rows differ from the snapshot taken at its last recomputation — an
+        O(n + m) comparison, far cheaper than validating an unchanged
+        configuration again.
+        """
         rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         trials = len(rngs)
         batch = algorithm.init_batch(topology, rngs)
+        edges = (topology.edge_us, topology.edge_vs)
+        view: Optional[RoundFaults] = None
+        events: List[list] = []
+        recorders: List[RecoveryRecorder] = []
+        # Per row: the state rows at its last recomputed recovery entry
+        # (empty until round 1, whose entry the recorder always computes).
+        snapshots: List[List[np.ndarray]] = [[] for _ in range(trials)]
+        final_crash = 0
+        if faults is not None:
+            view = faults.round_faults(0, topology.n, topology.m, *edges)
+            if getattr(algorithm, "self_stabilizing", False):
+                recorders = [RecoveryRecorder(faults.crashes) for _ in range(trials)]
+                final_crash = recorders[0].final_crash
 
-        def completion() -> np.ndarray:
-            mask = algorithm.batch_complete(batch)
-            if mask is None:
-                mask = self._batch_complete(batch, problem)
-            return mask
+        def recovery_entry(t: int) -> Tuple[int, bool]:
+            snapshots[t] = [row.copy() for row in batch.labelled_rows(t)]
+            return self._recovery_round_entry(batch, t, problem, view, topology, network)
 
         trial_rounds = np.zeros(trials, dtype=np.int64)
-        complete = completion()
-        active = ~complete
+        active = ~(
+            self._complete(algorithm, batch, problem, topology, view)
+            & (final_crash <= 0)
+        )
         rounds = 0
         while active.any() and rounds < self.max_rounds:
             rounds += 1
-            algorithm.step_batch(rounds, batch, topology, rngs, active)
-            complete = completion()
+            if faults is None:
+                algorithm.step_batch(rounds, batch, topology, rngs, active)
+            else:
+                view = faults.round_faults(rounds, topology.n, topology.m, *edges)
+                events.append(faults.round_events(rounds, *edges))
+                algorithm.step_batch(rounds, batch, topology, rngs, active, faults=view)
+            complete = self._complete(algorithm, batch, problem, topology, view) & (
+                rounds >= final_crash
+            )
+            if recorders:
+                crashed = bool(view.newly_crashed)
+                for t in np.flatnonzero(active).tolist():
+                    changed = not all(
+                        np.array_equal(row, seen)
+                        for row, seen in zip(batch.labelled_rows(t), snapshots[t])
+                    )
+                    recorders[t].record(
+                        rounds, crashed, changed, partial(recovery_entry, t)
+                    )
             trial_rounds[active & complete] = rounds
             active &= ~complete
 
@@ -510,194 +521,97 @@ class ArrayEngine:
                     f"{self.max_rounds} rounds"
                 )
 
-        # Each trace gets its own copy of its rows (one memcpy each): a view
-        # into the chunk's (trials, n) / (trials, m) matrices would keep the
-        # whole chunk alive for as long as any one trace is retained.
         traces = []
         for t in range(trials):
-            state = ArrayState.__new__(ArrayState)
-            state.node_rounds = batch.node_rounds[t].copy()
-            state.node_values = (
-                None if batch.node_values is None else batch.node_values[t].copy()
-            )
-            state.edge_rounds = batch.edge_rounds[t].copy()
-            state.edge_values = (
-                None if batch.edge_values is None else batch.edge_values[t].copy()
-            )
-            state.halted = batch.halted[t]
-            state.messages = int(batch.messages[t])
-            state.extra = {}
+            last = int(trial_rounds[t])
             traces.append(
-                self._collect_trace(
-                    algorithm,
+                ExecutionTrace.from_arrays(
                     network,
                     problem,
-                    state,
-                    int(trial_rounds[t]),
-                    bool(complete[t]),
+                    *self._trace_rows(batch.node_values, batch.node_rounds, t),
+                    *self._trace_rows(batch.edge_values, batch.edge_rounds, t),
+                    rounds=last,
+                    completed=not active[t],
+                    total_messages=int(batch.messages[t]),
+                    max_message_bits=None,
+                    algorithm_name=algorithm.name,
+                    fault_events=tuple(
+                        event for round_events in events[:last] for event in round_events
+                    ),
+                    crashed=() if faults is None else faults.crashed_within(last),
+                    recovery=recorders[t].timeline() if recorders else None,
                 )
             )
         return traces
 
     @staticmethod
-    def _batch_complete(batch: BatchState, problem: ProblemSpec) -> np.ndarray:
-        """Per-trial completion mask (row-wise :meth:`_is_complete`)."""
-        # min-reductions rather than `(rounds < 0).any(axis=1)`: one pass,
-        # no (trials, n) boolean temporary — this runs every round.
-        complete = np.ones(batch.trials, dtype=bool)
-        if problem.labels_nodes and batch.node_rounds.size:
-            complete &= batch.node_rounds.min(axis=1) >= 0
-        if problem.labels_edges and batch.edge_rounds.size:
-            complete &= batch.edge_rounds.min(axis=1) >= 0
-        if not problem.labels_nodes and not problem.labels_edges:
-            complete &= batch.halted.all(axis=1)
-        return complete
+    def _trace_rows(
+        values: Optional[np.ndarray], rounds: np.ndarray, t: int
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Trial ``t``'s ``(values, rounds)`` rows as its trace keeps them.
 
-    def _run_faulted(
-        self,
+        A labelled side is copied (one memcpy each): a view into the
+        chunk's matrices would keep the whole chunk alive for as long as
+        any one trace is retained.  An unlabelled side is the shared
+        read-only row of ``-1``, kept as it is.
+        """
+        if values is None:
+            return None, rounds[t]
+        return values[t].copy(), rounds[t].copy()
+
+    @staticmethod
+    def _complete(
         algorithm: ArrayAlgorithm,
-        network: Network,
+        batch: BatchState,
         problem: ProblemSpec,
-        rng: np.random.Generator,
-        faults: FaultSchedule,
         topology: ArrayTopology,
-    ) -> ExecutionTrace:
-        """The round loop under a fault schedule.
+        view: Optional[RoundFaults],
+    ) -> np.ndarray:
+        """Per-trial completion mask.
 
-        Self-stabilising runs mirror the coroutine runner: completion is
-        additionally gated on the last scheduled crash having landed, and
-        every executed round appends a ``(pending, survivor-valid)`` entry
-        to the recovery timeline through a
-        :class:`~repro.core.metrics.RecoveryRecorder`.  The entry is only
-        recomputed when a crash landed or the state rows differ from the
-        snapshot taken at the last recomputation — an O(n + m) comparison,
-        far cheaper than validating an unchanged configuration again.
+        Fault-free, the algorithm's own :meth:`~ArrayAlgorithm.batch_complete`
+        answers when it can.  Under faults (``view``), crash excusals mirror
+        the runner's ``_CompletionTracker``: uncommitted nodes only block
+        completion while alive, uncommitted edges only while both endpoints
+        are alive, and halting-only problems complete when every node has
+        halted or crashed.
         """
-        faults.check_vertices(topology.n)
-        state = algorithm.init_arrays(topology, rng)
-        recorder = (
-            RecoveryRecorder(faults.crashes)
-            if getattr(algorithm, "self_stabilizing", False)
-            else None
-        )
-        final_crash = 0 if recorder is None else recorder.final_crash
-        # The state rows at the last recomputed recovery entry (empty until
-        # the first round, whose entry the recorder always computes).
-        snapshot: List[np.ndarray] = []
-
-        def rows() -> List[np.ndarray]:
-            return [
-                row
-                for row in (
-                    state.node_rounds,
-                    state.node_values,
-                    state.edge_rounds,
-                    state.edge_values,
-                )
-                if row is not None
-            ]
-
-        def recovery_entry() -> Tuple[int, bool]:
-            snapshot[:] = [row.copy() for row in rows()]
-            return self._recovery_round_entry(
-                state, problem, round_faults, topology, network
-            )
-
-        fault_events: list = []
-        rounds = 0
-        round_faults = faults.round_faults(
-            0, topology.n, topology.m, topology.edge_us, topology.edge_vs
-        )
-        completed = (
-            self._is_complete_faulted(state, problem, round_faults, topology)
-            and rounds >= final_crash
-        )
-        while not completed and rounds < self.max_rounds:
-            rounds += 1
-            round_faults = faults.round_faults(
-                rounds, topology.n, topology.m, topology.edge_us, topology.edge_vs
-            )
-            fault_events.extend(
-                faults.round_events(rounds, topology.edge_us, topology.edge_vs)
-            )
-            algorithm.step(rounds, state, topology, rng, faults=round_faults)
-            completed = (
-                self._is_complete_faulted(state, problem, round_faults, topology)
-                and rounds >= final_crash
-            )
-            if recorder is not None:
-                changed = not all(
-                    np.array_equal(row, seen) for row, seen in zip(rows(), snapshot)
-                )
-                recorder.record(
-                    rounds, bool(round_faults.newly_crashed), changed, recovery_entry
-                )
-
-        if not completed and self.strict:
-            raise RoundLimitExceeded(
-                f"{algorithm.name} did not finish {problem.name} on a graph with "
-                f"n={network.n}, m={network.m} within {self.max_rounds} rounds"
-            )
-
-        return self._collect_trace(
-            algorithm,
-            network,
-            problem,
-            state,
-            rounds,
-            completed,
-            fault_events=tuple(fault_events),
-            crashed=faults.crashed_within(rounds),
-            recovery=None if recorder is None else recorder.timeline(),
-        )
-
-    @staticmethod
-    def _is_complete(state: ArrayState, problem: ProblemSpec) -> bool:
-        if problem.labels_nodes and (state.node_rounds < 0).any():
-            return False
-        if problem.labels_edges and (state.edge_rounds < 0).any():
-            return False
-        if not problem.labels_nodes and not problem.labels_edges:
-            return bool(state.halted.all())
-        return True
-
-    @staticmethod
-    def _is_complete_faulted(
-        state: ArrayState,
-        problem: ProblemSpec,
-        round_faults: RoundFaults,
-        topology: ArrayTopology,
-    ) -> bool:
-        """Completion with crash excusals (mirrors ``_CompletionTracker``).
-
-        Uncommitted nodes only block completion while alive; uncommitted
-        edges only while both endpoints are alive; halting-only problems
-        complete when every node has halted or crashed.
-        """
-        alive = round_faults.alive
-        if problem.labels_nodes and ((state.node_rounds < 0) & alive).any():
-            return False
-        if problem.labels_edges:
-            pending = (
-                (state.edge_rounds < 0)
-                & alive[topology.edge_us]
-                & alive[topology.edge_vs]
-            )
-            if pending.any():
-                return False
-        if not problem.labels_nodes and not problem.labels_edges:
-            return bool((state.halted | ~alive).all())
-        return True
+        labels_nodes, labels_edges = problem.labels_nodes, problem.labels_edges
+        if view is None:
+            mask = algorithm.batch_complete(batch)
+            if mask is not None:
+                return mask
+            # min-reductions rather than `(rounds < 0).any(axis=1)`: one
+            # pass, no (trials, n) boolean temporary — this runs every round.
+            complete = np.ones(batch.trials, dtype=bool)
+            if labels_nodes and batch.node_rounds.size:
+                complete &= batch.node_rounds.min(axis=1) >= 0
+            if labels_edges and batch.edge_rounds.size:
+                complete &= batch.edge_rounds.min(axis=1) >= 0
+            if not labels_nodes and not labels_edges:
+                complete &= batch.halted.all(axis=1)
+            return complete
+        alive = view.alive
+        complete = np.ones(batch.trials, dtype=bool)
+        if labels_nodes:
+            complete &= ~((batch.node_rounds < 0) & alive).any(axis=1)
+        if labels_edges:
+            live = alive[topology.edge_us] & alive[topology.edge_vs]
+            complete &= ~((batch.edge_rounds < 0) & live).any(axis=1)
+        if not labels_nodes and not labels_edges:
+            complete &= (batch.halted | ~alive).all(axis=1)
+        return complete
 
     @staticmethod
     def _recovery_round_entry(
-        state: ArrayState,
+        batch: BatchState,
+        t: int,
         problem: ProblemSpec,
         round_faults: RoundFaults,
         topology: ArrayTopology,
         network: Network,
     ) -> Tuple[int, bool]:
-        """One ``(pending, valid)`` recovery-timeline entry (array form).
+        """Trial ``t``'s ``(pending, valid)`` recovery-timeline entry.
 
         Mirrors the coroutine runner's helper: ``pending`` counts required
         outputs still undecided among survivors; survivor-complete
@@ -705,60 +619,28 @@ class ArrayEngine:
         subnetwork so crashed commitments never carry an epoch.
         """
         alive = round_faults.alive
+        node_rounds, edge_rounds = batch.node_rounds[t], batch.edge_rounds[t]
         pending = 0
         if problem.labels_nodes:
-            pending += int(((state.node_rounds < 0) & alive).sum())
+            pending += int(((node_rounds < 0) & alive).sum())
         if problem.labels_edges:
             pending += int(
                 (
-                    (state.edge_rounds < 0)
+                    (edge_rounds < 0)
                     & alive[topology.edge_us]
                     & alive[topology.edge_vs]
                 ).sum()
             )
         if pending > 0:
             return pending, False
-        # The state arrays and the round's alive mask go to the problem's
+        # The state rows and the round's alive mask go to the problem's
         # kernel as they are: no per-round list, crashed set or subnetwork.
         result = problem.validate_induced(
             network,
-            state.node_values,
-            state.edge_values,
-            node_committed=state.node_rounds >= 0,
-            edge_committed=state.edge_rounds >= 0,
+            None if batch.node_values is None else batch.node_values[t],
+            None if batch.edge_values is None else batch.edge_values[t],
+            node_committed=node_rounds >= 0,
+            edge_committed=edge_rounds >= 0,
             alive=alive,
         )
         return 0, bool(result)
-
-    @staticmethod
-    def _collect_trace(
-        algorithm: ArrayAlgorithm,
-        network: Network,
-        problem: ProblemSpec,
-        state: ArrayState,
-        rounds: int,
-        completed: bool,
-        fault_events: Tuple = (),
-        crashed: Tuple[int, ...] = (),
-        recovery: Optional[RecoveryTimeline] = None,
-    ) -> ExecutionTrace:
-        # The state rows become the trace's flat storage as they are (the
-        # run is over, nothing writes them again): no per-slot copy, no
-        # Python object per slot, no dict view.
-        return ExecutionTrace.from_arrays(
-            network,
-            problem,
-            state.node_values,
-            state.node_rounds,
-            state.edge_values,
-            state.edge_rounds,
-            rounds=rounds,
-            completed=completed,
-            total_messages=state.messages,
-            max_message_bits=None,
-            algorithm_name=algorithm.name,
-            fault_events=fault_events,
-            crashed=crashed,
-            recovery=recovery,
-        )
-

@@ -10,12 +10,14 @@ its seed from the same deterministic schedule.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
 import sqlite3
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ import pytest
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
 from repro.core.errors import WorkerCrashed
-from repro.core.experiment import trial_seed
+from repro.core.experiment import run_trials, trial_seed
+from repro.core.metrics import measure
 from repro.graphs import generators as gen
 from repro.local.faults import FaultSchedule
 
@@ -64,12 +67,29 @@ def row_hook(monkeypatch):
 
 
 class TestResultShape:
-    def test_resilient_serial_path_matches_the_fast_path(self):
-        fast = run_sweep()
-        resilient = run_sweep(on_error="record")
-        assert resilient == fast  # SweepResult is list-compatible
-        assert resilient.ok
-        assert resilient.failures == []
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("engine", ["node", "auto"])
+    def test_serial_sweep_matches_measured_run_trials(self, engine, faulted):
+        faults = FaultSchedule(crashes={0: 2, 3: 1}, seed=2) if faulted else None
+        result = run_sweep(engine=engine, faults=faults)
+        expected = []
+        for index, value in enumerate([8, 10]):
+            network = sweepmod.network_from(gen.cycle_edges(value), seed=3 + index)
+            traces = run_trials(
+                LubyMIS,
+                network,
+                problems.MIS,
+                trials=2,
+                seed=3 + 1000 * index,
+                engine=engine,
+                faults=faults,
+            )
+            expected.append(replace(measure(traces), algorithm="luby"))
+        assert [point.value for point in result] == [8, 10]
+        assert [point.measurement for point in result] == expected
+        assert result.ok
+        assert result.failures == []
+        assert run_sweep(engine=engine, faults=faults, on_error="record") == result
 
     def test_single_cell_sweeps_stay_serial_even_when_parallel(self):
         # 1 cell fails the cells > 1 gate: no pool is spun up, results match.
@@ -337,6 +357,65 @@ class TestFaultedSweeps:
         serial = run_sweep(faults=faults)
         parallel = run_sweep(faults=faults, parallel=2)
         assert parallel == serial
+
+    def test_journal_refuses_another_schedule(self, tmp_path):
+        path = str(tmp_path / "sweep.db")
+        run_sweep(faults=FaultSchedule(crashes={0: 2, 3: 1}, seed=2), checkpoint=path)
+        for other in (None, FaultSchedule(crashes={0: 2, 3: 1}, seed=5)):
+            with pytest.raises(ValueError, match="mismatched faults"):
+                run_sweep(faults=other, checkpoint=path)
+
+    def test_fault_free_journal_refuses_a_faulted_sweep(self, tmp_path):
+        path = str(tmp_path / "sweep.db")
+        run_sweep(engine="auto", checkpoint=path)
+        with pytest.raises(ValueError, match="mismatched faults"):
+            run_sweep(engine="auto", faults=FaultSchedule(crashes={1: 1}), checkpoint=path)
+
+    def test_an_equal_schedule_resumes_and_recomputes_nothing(self, tmp_path, row_hook):
+        path = str(tmp_path / "sweep.db")
+        crashes = {3: 1, 0: 2}
+        first = run_sweep(faults=FaultSchedule(crashes=crashes, seed=2), checkpoint=path)
+        header, _ = sweepmod.read_checkpoint(path)
+        assert header["faults"] == {
+            "crashes": [[0, 2], [3, 1]],
+            "drop_rate": 0.0,
+            "delay_rate": 0.0,
+            "seed": 2,
+        }
+        recomputed = []
+        row_hook(recomputed.append)
+        rebuilt = FaultSchedule(crashes=dict(sorted(crashes.items())), seed=2)
+        assert run_sweep(faults=rebuilt, checkpoint=path) == first
+        assert recomputed == []
+
+    def test_inert_schedules_are_recorded_as_none(self, tmp_path, row_hook):
+        path = str(tmp_path / "sweep.db")
+        first = run_sweep(faults=FaultSchedule(seed=9), checkpoint=path)
+        header, _ = sweepmod.read_checkpoint(path)
+        assert header["faults"] is None
+        recomputed = []
+        row_hook(recomputed.append)
+        assert run_sweep(checkpoint=path) == first
+        assert recomputed == []
+
+    def test_header_without_faults_still_resumes_a_fault_free_sweep(
+        self, tmp_path, row_hook
+    ):
+        path = str(tmp_path / "sweep.db")
+        first = run_sweep(engine="auto", checkpoint=path)
+        db = sqlite3.connect(path)
+        with db:
+            (text,) = db.execute("SELECT header FROM journals").fetchone()
+            header = json.loads(text)
+            del header["faults"]
+            db.execute("UPDATE journals SET header = ?", (json.dumps(header),))
+        db.close()
+        recomputed = []
+        row_hook(recomputed.append)
+        assert run_sweep(engine="auto", checkpoint=path) == first
+        assert recomputed == []
+        with pytest.raises(ValueError, match="mismatched faults"):
+            run_sweep(engine="auto", faults=FaultSchedule(crashes={1: 1}), checkpoint=path)
 
     def test_faulted_sweep_checkpoints_and_resumes(self, tmp_path, row_hook):
         faults = FaultSchedule(crashes={0: 2}, drop_rate=0.1, seed=6)

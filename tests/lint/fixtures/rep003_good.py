@@ -2,22 +2,22 @@
 """Good REP003 fixture: complete protocols, None opt-out, inheritance."""
 
 
-class SingleTrialBase:
-    def init_arrays(self, topology, rng):
-        return None
-
-    def step(self, rounds, state, topology, rng):
-        return None
-
-
-class FullBatch(SingleTrialBase):
+class ProtocolBase:
     def init_batch(self, topology, rngs):
         return None
 
-    def step_batch(self, rounds, batch, topology, rngs, active):
+    def step_batch(self, rounds, batch, topology, rngs, active, faults=None):
         return None
 
     def batch_complete(self, batch):
+        return None
+
+
+class InheritsCompletion(ProtocolBase):
+    def init_batch(self, topology, rngs):
+        return None
+
+    def step_batch(self, rounds, batch, topology, rngs, active, faults=None):
         return None
 
 
@@ -28,7 +28,7 @@ class CoroutineOnly:
 
 class Coroutine:
     def as_array_algorithm(self):
-        return FullBatch()
+        return InheritsCompletion()
 
 
 class UnrelatedStepper:

@@ -3,10 +3,10 @@
 The contract under test: stepping ``T`` trials together over ``(T, n)`` /
 ``(T, m)`` state arrays is a *layout* change, not a semantics change.  Trial
 ``t`` of a batch draws from its own ``PCG64(seeds[t])`` stream — the same
-stream the single-trial engine uses — and completed trials stop mutating
-state, stop accruing messages, and stop consuming randomness.  Every trace a
-batch returns must therefore be bit-identical to the corresponding
-single-trial run, for every batch size.
+stream a single-trial run uses — and completed trials stop mutating state,
+stop accruing messages, and stop consuming randomness.  Every trace a batch
+returns must therefore be bit-identical to the corresponding single-trial
+run, for every batch size and chunking, with or without a fault schedule.
 """
 
 from __future__ import annotations
@@ -16,15 +16,19 @@ import sys
 import numpy as np
 import pytest
 
-from repro.algorithms.matching.randomized import RandomizedMaximalMatching
-from repro.algorithms.mis.luby import LubyMIS
+from repro.algorithms.matching.randomized import (
+    RandomizedMatchingArray,
+    RandomizedMaximalMatching,
+)
+from repro.algorithms.mis.luby import LubyMIS, LubyMISArray
+from repro.algorithms.selfstab import SelfStabilizingLubyMISArray
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials, trial_seed
-from repro.graphs import generators as gen
 from repro.local.engine import ArrayEngine, batch_chunk
-from repro.local.faults import FaultSchedule
 from repro.local.network import Network
 from repro.local.runner import Runner
+
+from test_selfstab_golden import GRAPHS, SCHEDULES, graph, trace_payload
 
 engine_module = sys.modules["repro.local.engine"]
 
@@ -108,23 +112,85 @@ class TestBatchSizeInvariance:
         assert_traces_identical(crowded, lone)
 
 
-class TestRunBatchGuards:
-    def test_fault_schedules_are_refused(self):
-        engine = ArrayEngine()
-        with pytest.raises(TypeError, match="fault schedules"):
-            engine.run_batch(
-                LubyMIS().as_array_algorithm(),
-                cycle_network(8),
-                problems.MIS,
-                [1, 2],
-                faults=FaultSchedule(crashes={0: 1}),
-            )
+FAULT_TWINS = [
+    ("luby", LubyMISArray, problems.MIS),
+    ("matching", RandomizedMatchingArray, problems.MAXIMAL_MATCHING),
+    ("selfstab", SelfStabilizingLubyMISArray, problems.MIS),
+]
 
-    def test_algorithms_without_batched_twin_are_refused(self):
-        algorithm = LubyMIS().as_array_algorithm()
-        algorithm.supports_batch = False  # shadow the class attribute
-        with pytest.raises(TypeError, match="no batched array implementation"):
-            ArrayEngine().run_batch(algorithm, cycle_network(8), problems.MIS, [1])
+
+def faulted_outcomes(twin, problem, network, seeds, faults, **batch_options):
+    """Per-seed ``run`` payloads (``None`` for a ``TypeError``) and the
+    ``run_batch`` payloads of the seeds that ran through."""
+    engine = ArrayEngine(max_rounds=400, strict=False)
+    singles = []
+    for seed in seeds:
+        try:
+            singles.append(
+                trace_payload(engine.run(twin(), network, problem, seed=seed, faults=faults))
+            )
+        except TypeError:
+            singles.append(None)
+    finished = [seed for seed, single in zip(seeds, singles) if single is not None]
+    batched = [
+        trace_payload(trace)
+        for trace in engine.run_batch(
+            twin(), network, problem, finished, faults=faults, **batch_options
+        )
+    ]
+    return singles, batched
+
+
+class TestFaultedBatchSizeInvariance:
+    """Faulted batches: one round view shared by every row, row-wise
+    completion, and per-row fault events, crashes and recovery timelines."""
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("name,twin,problem", FAULT_TWINS)
+    def test_batched_traces_match_single_trial_runs(
+        self, name, twin, problem, schedule, monkeypatch
+    ):
+        # The three smallest golden graphs (both network storage paths).
+        for graph_seed, n in GRAPHS[:3]:
+            network = graph(graph_seed, n)
+            faults = SCHEDULES[schedule](n, graph_seed)
+            seeds = [graph_seed + 100 * k for k in range(4)]
+            singles, whole = faulted_outcomes(twin, problem, network, seeds, faults)
+            assert whole == [single for single in singles if single is not None]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine_module, "batch_chunk", lambda *a, **k: 3)
+                _, chunked = faulted_outcomes(twin, problem, network, seeds, faults)
+            assert chunked == whole
+            if None in singles:
+                # A batch raises exactly when one of its trials does.
+                with pytest.raises(TypeError):
+                    ArrayEngine(max_rounds=400, strict=False).run_batch(
+                        twin(), network, problem, seeds, faults=faults
+                    )
+
+    @pytest.mark.parametrize("name,twin,problem", FAULT_TWINS)
+    def test_rows_finishing_in_different_rounds(self, name, twin, problem):
+        graph_seed, n = GRAPHS[0]
+        network = graph(graph_seed, n)
+        faults = SCHEDULES["single-round-1"](n, graph_seed)
+        seeds = list(range(6))
+        singles, batched = faulted_outcomes(
+            twin, problem, network, seeds, faults, budget_bytes=1
+        )
+        assert len({payload["rounds"] for payload in batched}) > 1
+        assert batched == singles
+
+    def test_recovery_timelines_are_per_row(self):
+        network = graph(*GRAPHS[2])
+        faults = SCHEDULES["waves"](GRAPHS[2][1], GRAPHS[2][0])
+        traces = ArrayEngine(max_rounds=400).run_batch(
+            SelfStabilizingLubyMISArray(), network, problems.MIS, [5, 6, 7, 8], faults=faults
+        )
+        timelines = {trace.recovery for trace in traces}
+        assert len(timelines) > 1
+        for trace in traces:
+            assert len(trace.recovery.pending) == trace.rounds
+            assert trace.crashed == faults.crashed_within(trace.rounds)
 
 
 class TestChunking:

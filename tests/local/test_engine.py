@@ -27,7 +27,7 @@ from repro.algorithms.matching.randomized import (
     RandomizedMatchingArray,
     RandomizedMaximalMatching,
 )
-from repro.algorithms.mis.luby import LubyMIS, LubyMISArray, luby_joins
+from repro.algorithms.mis.luby import LubyMIS, LubyMISArray, _luby_joins_masked
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials, trial_seed
 from repro.graphs import generators as gen
@@ -177,16 +177,30 @@ class TestLubyArraySemantics:
             else:
                 assert r % 2 == 0 and r > 0
 
+    @staticmethod
+    def joins(priorities, undecided, topology, identifiers=None):
+        # The masked kernel with every message delivered (fault-free).
+        everywhere = np.ones(topology.m, dtype=bool)
+        return _luby_joins_masked(
+            priorities,
+            undecided,
+            topology.identifiers if identifiers is None else identifiers,
+            topology.edge_us,
+            topology.edge_vs,
+            everywhere,
+            everywhere,
+        )
+
     def test_tie_breaking_uses_identifiers(self):
         net = Network.from_edges(3, [(0, 1), (1, 2)])
         topology = ArrayTopology(net)
         undecided = np.ones(3, dtype=bool)
         priorities = np.array([0.5, 0.5, 0.1])
-        joins = luby_joins(priorities, undecided, topology)
+        joins = self.joins(priorities, undecided, topology)
         # Nodes 0 and 1 tie; the larger identifier (1) wins, exactly the
         # coroutine's (priority, identifier) tuple comparison.
         assert joins.tolist() == [False, True, False]
-        flipped = luby_joins(
+        flipped = self.joins(
             priorities, undecided, topology, identifiers=np.array([5, 1, 0])
         )
         assert flipped.tolist() == [True, False, False]
@@ -197,7 +211,7 @@ class TestLubyArraySemantics:
         net = Network.from_edges(2, [(0, 1)])
         topology = ArrayTopology(net)
         undecided = np.array([True, False])
-        joins = luby_joins(np.array([0.0, 0.9]), undecided, topology)
+        joins = self.joins(np.array([0.0, 0.9]), undecided, topology)
         assert joins.tolist() == [True, False]
 
     def test_first_phase_message_count_matches_coroutine_exactly(self):

@@ -33,7 +33,7 @@ from repro.core.problems import MISSING
 from repro.graphs import generators as gen
 from repro.local.algorithm import Broadcast
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayEngine, ArrayState
+from repro.local.engine import ArrayAlgorithm, ArrayEngine, BatchState
 from repro.local.faults import FaultSchedule
 from repro.local.network import Network
 from repro.local.runner import Runner
@@ -311,13 +311,18 @@ class TestCrossEngineContract:
         class Opaque(ArrayAlgorithm):
             name = "opaque"
 
-            def init_arrays(self, topology, rng):
-                return ArrayState(topology.n, topology.m, nodes=True, edges=False)
+            def init_batch(self, topology, rngs):
+                return BatchState(
+                    len(rngs), topology.n, topology.m, nodes=True, edges=False
+                )
 
-            def step(self, round_index, state, topology, rng):
-                state.node_values[:] = True
-                state.node_rounds[:] = round_index
-                state.halted[:] = True
+            def step_batch(self, round_index, batch, topology, rngs, active):
+                batch.node_values[active] = True
+                batch.node_rounds[active] = round_index
+                batch.halted[active] = True
+
+            def batch_complete(self, batch):
+                return None
 
         with pytest.raises(TypeError, match="no fault-aware array implementation"):
             ArrayEngine().run(
@@ -549,41 +554,49 @@ class _GossipMaxArray(ArrayAlgorithm):
     def __init__(self, rounds: int) -> None:
         self.rounds = rounds
 
-    def init_arrays(self, topology, rng):
-        state = ArrayState(topology.n, topology.m, nodes=True, edges=False)
-        state.node_values = topology.identifiers.copy()
-        state.extra["best"] = topology.identifiers.copy()
-        state.extra["prev_sent"] = None
-        return state
+    def init_batch(self, topology, rngs):
+        trials = len(rngs)
+        batch = BatchState(trials, topology.n, topology.m, nodes=True, edges=False)
+        batch.node_values = np.tile(topology.identifiers, (trials, 1))
+        batch.extra["best"] = np.tile(topology.identifiers, (trials, 1))
+        batch.extra["prev_sent"] = [None] * trials
+        return batch
 
-    def step(self, round_index, state, topology, rng, faults=None):
-        best = state.extra["best"]
+    def batch_complete(self, batch):
+        return None
+
+    def step_batch(self, round_index, batch, topology, rngs, active, faults=None):
+        for t in np.flatnonzero(active):
+            self._step_row(round_index, batch, t, topology, faults)
+
+    def _step_row(self, round_index, batch, t, topology, faults):
+        best = batch.extra["best"][t]
         us, vs = topology.edge_us, topology.edge_vs
         sent_now = best.copy()
         if faults is None:
             np.maximum.at(best, vs, sent_now[us])
             np.maximum.at(best, us, sent_now[vs])
-            state.messages += int(2 * topology.m)
+            batch.messages[t] += int(2 * topology.m)
         else:
             dlv_uv, dlv_vu = faults.deliver_uv, faults.deliver_vu
             np.maximum.at(best, vs[dlv_uv], sent_now[us[dlv_uv]])
             np.maximum.at(best, us[dlv_vu], sent_now[vs[dlv_vu]])
-            prev = state.extra["prev_sent"]
+            prev = batch.extra["prev_sent"][t]
             if faults.late_uv is not None and prev is not None:
                 late_uv, late_vu = faults.late_uv, faults.late_vu
                 np.maximum.at(best, vs[late_uv], prev[us[late_uv]])
                 np.maximum.at(best, us[late_vu], prev[vs[late_vu]])
-            state.messages += int(
+            batch.messages[t] += int(
                 topology.degrees[faults.alive].sum()
             )
-        state.extra["prev_sent"] = sent_now
+        batch.extra["prev_sent"][t] = sent_now
         if round_index == self.rounds:
             commit = (
                 np.ones(topology.n, dtype=bool) if faults is None else faults.alive
             )
-            state.node_values[commit] = best[commit]
-            state.node_rounds[commit] = round_index
-            state.halted |= commit
+            batch.node_values[t][commit] = best[commit]
+            batch.node_rounds[t][commit] = round_index
+            batch.halted[t] |= commit
 
 
 class TestDelays:

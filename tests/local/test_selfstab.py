@@ -531,17 +531,18 @@ class TestQuiescentRound:
         network = er_network(30, 2)
         algorithm = SelfStabilizingLubyMISArray()
         topology = ArrayTopology(network)
-        rng = np.random.Generator(np.random.PCG64(0))
-        state = algorithm.init_arrays(topology, rng)
+        rngs = [np.random.Generator(np.random.PCG64(0))]
+        active = np.ones(1, dtype=bool)
+        batch = algorithm.init_batch(topology, rngs)
         rounds = 0
-        while (state.node_rounds < 0).any():
+        while (batch.node_rounds < 0).any():
             rounds += 1
-            algorithm.step(rounds, state, topology, rng)
-        before = rng.bit_generator.state
-        node_rounds = state.node_rounds.copy()
-        messages = state.messages
-        algorithm.step(rounds + 1, state, topology, rng)
-        assert rng.bit_generator.state == before
-        assert (state.node_rounds == node_rounds).all()
-        members = state.extra["status"] == 1
-        assert state.messages - messages == int(topology.degrees[members].sum())
+            algorithm.step_batch(rounds, batch, topology, rngs, active)
+        before = rngs[0].bit_generator.state
+        node_rounds = batch.node_rounds.copy()
+        messages = int(batch.messages[0])
+        algorithm.step_batch(rounds + 1, batch, topology, rngs, active)
+        assert rngs[0].bit_generator.state == before
+        assert (batch.node_rounds == node_rounds).all()
+        members = batch.extra["status"][0] == 1
+        assert int(batch.messages[0]) - messages == int(topology.degrees[members].sum())
