@@ -164,61 +164,63 @@ def self_stabilizing_recovery() -> None:
 
 def checkpointed_sweep_resumes_exactly() -> None:
     print("\n=== crash-safe sweep: interrupt, then resume cell-exactly ===")
+    with tempfile.TemporaryDirectory(prefix="fault-demo-") as workdir:
+        for engine in ("node", "auto"):
+            interrupt_and_resume(engine, os.path.join(workdir, f"sweep-{engine}.db"))
+
+
+def interrupt_and_resume(engine: str, path: str) -> None:
     import repro.analysis.sweep as _  # noqa: F401  (module, for the hook)
     import sys
 
     sweep_module = sys.modules["repro.analysis.sweep"]
-    workdir = tempfile.mkdtemp(prefix="fault-demo-")
-    for engine in ("node", "auto"):
-        settings = dict(
-            parameter="n",
-            values=[20, 30, 40],
-            graph_factory=gen.cycle_edges,
-            algorithms={"luby": (lambda net: LubyMIS(), lambda net: problems.MIS)},
-            trials=3,
-            seed=0,
-            engine=engine,
-            faults=FaultSchedule(crashes={0: 2}),
+    settings = dict(
+        parameter="n",
+        values=[20, 30, 40],
+        graph_factory=gen.cycle_edges,
+        algorithms={"luby": (lambda net: LubyMIS(), lambda net: problems.MIS)},
+        trials=3,
+        seed=0,
+        engine=engine,
+        faults=FaultSchedule(crashes={0: 2}),
+    )
+    baseline = sweep(**settings)
+    rows_before_interrupt = 4
+
+    def interrupt(row):
+        nonlocal rows_before_interrupt
+        rows_before_interrupt -= 1
+        if rows_before_interrupt == 0:
+            raise KeyboardInterrupt
+
+    sweep_module._test_hook = interrupt
+    try:
+        sweep(checkpoint=path, **settings)
+        raise AssertionError("the interrupt hook should have fired")
+    except KeyboardInterrupt:
+        print(f"  engine={engine}: interrupted after 4 cells; their rows are committed")
+    finally:
+        sweep_module._test_hook = None
+
+    resumed = sweep(checkpoint=path, **settings)
+    assert resumed == baseline, "resume must reproduce the uninterrupted sweep"
+    print(f"  resumed from {os.path.basename(path)}")
+    print("  resumed results identical to an uninterrupted sweep:")
+    for point in resumed:
+        row = point.measurement.as_dict()
+        print(
+            f"    n={point.value:3d} node_avg={row['node_averaged']:.2f} "
+            f"worst={row['worst_case']}"
         )
-        baseline = sweep(**settings)
 
-        path = os.path.join(workdir, f"sweep-{engine}.db")
-        rows_before_interrupt = 4
-
-        def interrupt(row):
-            nonlocal rows_before_interrupt
-            rows_before_interrupt -= 1
-            if rows_before_interrupt == 0:
-                raise KeyboardInterrupt
-
-        sweep_module._test_hook = interrupt
-        try:
-            sweep(checkpoint=path, **settings)
-            raise AssertionError("the interrupt hook should have fired")
-        except KeyboardInterrupt:
-            print(f"  engine={engine}: interrupted after 4 cells; their rows are committed")
-        finally:
-            sweep_module._test_hook = None
-
-        resumed = sweep(checkpoint=path, **settings)
-        assert resumed == baseline, "resume must reproduce the uninterrupted sweep"
-        print(f"  resumed from {path}")
-        print("  resumed results identical to an uninterrupted sweep:")
-        for point in resumed:
-            row = point.measurement.as_dict()
-            print(
-                f"    n={point.value:3d} node_avg={row['node_averaged']:.2f} "
-                f"worst={row['worst_case']}"
-            )
-
-        # The journal records its schedule: another one is a different sweep.
-        other = dict(settings, faults=FaultSchedule(crashes={0: 3}))
-        try:
-            sweep(checkpoint=path, **other)
-            raise AssertionError("a journal must refuse another fault schedule")
-        except ValueError as error:
-            assert "faults" in str(error), error
-            print("  resuming under another fault schedule is refused")
+    # The journal records its schedule: another one is a different sweep.
+    other = dict(settings, faults=FaultSchedule(crashes={0: 3}))
+    try:
+        sweep(checkpoint=path, **other)
+        raise AssertionError("a journal must refuse another fault schedule")
+    except ValueError as error:
+        assert "faults" in str(error), error
+        print("  resuming under another fault schedule is refused")
 
 
 def trace_record(trace) -> tuple:

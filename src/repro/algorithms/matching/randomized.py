@@ -240,7 +240,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         # t·n+v) — trial-major with ascending edge slots inside each
         # trial's segment.  Boolean compression preserves that order, so
         # each trial's marking block stays in canonical slot order and the
-        # per-trial RNG streams match the single-trial engine bit for bit.
+        # per-trial RNG streams match a lone trial's bit for bit.
         extra["wl"] = scratch["wl0"]
         extra["wl_len"] = scratch["wl0"][0].size
         extra["wl_slot"] = "A"
@@ -291,7 +291,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         elif phase == 2:
             # Marking (4k−2): rate from the snapshot degrees, then each
             # active trial draws one contiguous uniform block over its
-            # worklist segment — the single-trial schedule exactly;
+            # worklist segment — a lone trial's schedule exactly;
             # inactive trials consume nothing.
             deg = scratch["deg"]
             du = np.take(deg, wl_fu[:length], out=scratch["du"][:length], mode="clip")
@@ -368,8 +368,8 @@ class RandomizedMatchingArray(ArrayAlgorithm):
                 extra["wl_slot"] = "B" if slot == "A" else "A"
         else:
             # Announcement (4k): no first-time commits.  A trial that
-            # completed at round 4k−1 exited the single-trial loop before
-            # this round, so its messages and halted mask stay untouched.
+            # completed at round 4k−1 is done before this round, so its
+            # messages and halted mask stay untouched.
             batch.messages[active] += (
                 2 * extra["iter_count"][active] - 2 * extra["iter_matched"][active]
             )

@@ -216,8 +216,8 @@ class LubyMISArray(ArrayAlgorithm):
     def init_batch(
         self, topology: ArrayTopology, rngs: Sequence[np.random.Generator]
     ) -> BatchState:
-        # Round 0 draws no randomness, so the batched init is the
-        # single-trial init broadcast over the trial axis.
+        # Round 0 draws no randomness, so every row starts from the same
+        # state, broadcast over the trial axis.
         trials = len(rngs)
         n = topology.n
         batch = BatchState(trials, n, topology.m, nodes=True, edges=False)
@@ -244,7 +244,7 @@ class LubyMISArray(ArrayAlgorithm):
         # incrementally as nodes decide: the per-phase message count
         # without a per-trial gather-and-sum in the RNG loop.  (A
         # completed trial's sum has decayed to zero, so it accrues
-        # nothing — the single-trial early-exit semantics.)
+        # nothing, exactly as if it had stopped.)
         batch.extra["live_degsum"] = np.full(
             trials, int(topology.degrees.sum()), dtype=np.int64
         )
@@ -296,7 +296,7 @@ class LubyMISArray(ArrayAlgorithm):
         if round_index % 2 == 1:
             # Priority round (2k−1).  Each *active* trial draws its own
             # uniform block from its own generator — one per still-undecided
-            # vertex, ascending order — exactly the single-trial schedule;
+            # vertex, ascending order — exactly a lone trial's schedule;
             # inactive trials consume nothing.  Decided slots hold −1.0 (the
             # neutral element), so neighbourhood maxima need no liveness
             # masks anywhere in the kernel.
@@ -350,9 +350,9 @@ class LubyMISArray(ArrayAlgorithm):
             batch.messages += phase_messages
         else:
             # Announcement round (2k).  A trial that completed at round
-            # 2k−1 exited the single-trial loop before this round: its row
-            # must not execute it — no removals (self-gated: nothing is
-            # undecided) and, crucially, no second phase_messages accrual.
+            # 2k−1 is done before this round: its row must not execute it —
+            # no removals (self-gated: nothing is undecided) and,
+            # crucially, no second phase_messages accrual.
             # The worklist still holds the phase's live edges (a joiner was
             # undecided at phase start), so joiner neighbourhoods are two
             # gathers plus two scatter-ORs; an edge to an already-decided

@@ -53,10 +53,12 @@ same trace, on every platform numpy supports.
 Memory at ``T = 1``.  A batch sizes its scratch for ``T · m`` up front (the
 worklist kernels keep their index and gather buffers for the whole run), so
 one large trial needs more memory than a loop that allocates per round.
-Measured on a 2-CPU container at ``n = 10⁶`` (``m = 5 000 139``), untraced
-time and peak tracemalloc allocations of one ``run``: Luby MIS 0.60 s and
-428 MB, randomized matching 2.4 s and 657 MB — against 0.59 s / 191 MB and
-6.0 s / 216 MB for the single-trial loop this engine replaced.
+Measured on a 2-CPU container on G(10⁶, 10/n) (``m = 5 000 139``), best
+untraced time of three runs and peak tracemalloc allocations of one
+``run``: Luby MIS 0.50–0.58 s with 427 MB, randomized matching 1.9–2.2 s
+with 657 MB.  The per-round-allocating single-trial loop that preceded
+the batch protocol took 0.75–0.79 s with 191 MB and 7.5–8.2 s with
+216 MB on the same graph.
 
 Routing.  ``run_trials`` / ``evaluate`` / :class:`~repro.core.experiment.
 Experiment` / :func:`repro.analysis.sweep.sweep` accept
