@@ -25,6 +25,7 @@ of every node and edge.
 
 from __future__ import annotations
 
+import _random
 import gc
 import random
 from array import array
@@ -48,35 +49,26 @@ from repro.local.node import CommitError, NodeRuntime
 __all__ = ["Runner", "RoundLimitExceeded", "estimate_message_bits"]
 
 
-try:  # pragma: no cover - fallback exercised only on exotic interpreters
-    import _random
+_BASE_SEED = _random.Random.seed
 
-    _BASE_SEED = _random.Random.seed
 
-    def _reseed(rng: random.Random, key: int) -> None:
-        """Re-seed ``rng`` to the exact state of a fresh ``random.Random(key)``.
+def _reseed(rng: random.Random, key: int) -> None:
+    """Re-seed ``rng`` to the exact state of a fresh ``random.Random(key)``.
 
-        ``random.Random.seed`` with an int delegates straight to the C-level
-        ``_random.Random.seed`` and resets ``gauss_next``; calling the C
-        method directly skips the Python wrapper on a per-node hot path.
-        """
-        _BASE_SEED(rng, key)
-        rng.gauss_next = None
+    ``random.Random.seed`` with an int delegates straight to the C-level
+    ``_random.Random.seed`` and resets ``gauss_next``; calling the C method
+    directly skips the Python wrapper on a per-node hot path.
+    """
+    _BASE_SEED(rng, key)
+    rng.gauss_next = None
 
-    def _make_node_rng(key: int) -> random.Random:
-        """A ``random.Random(key)`` built without the Python seeding wrapper."""
-        rng = random.Random.__new__(random.Random)
-        _BASE_SEED(rng, key)
-        rng.gauss_next = None
-        return rng
 
-except (ImportError, AttributeError):  # pragma: no cover
-
-    def _reseed(rng: random.Random, key: int) -> None:
-        rng.seed(key)
-
-    def _make_node_rng(key: int) -> random.Random:
-        return random.Random(key)
+def _make_node_rng(key: int) -> random.Random:
+    """A ``random.Random(key)`` built without the Python seeding wrapper."""
+    rng = random.Random.__new__(random.Random)
+    _BASE_SEED(rng, key)
+    rng.gauss_next = None
+    return rng
 
 
 def estimate_message_bits(payload: Any) -> int:
@@ -325,6 +317,12 @@ class Runner:
     freely; they are immutable).  The pool also keeps the most recent
     network and its node runtimes alive for the lifetime of the instance.
 
+    The cyclic garbage collector is disabled while the round loop runs
+    (restored afterwards, even on error): the loop allocates large numbers
+    of short-lived message dicts that the generational collector would
+    otherwise repeatedly traverse, and reference counting alone reclaims
+    them.
+
     Args:
         max_rounds: hard cap on the number of communication rounds.  The
             default is generous enough for every algorithm in this library on
@@ -335,11 +333,6 @@ class Runner:
             execution length.
         track_message_bits: record the size of the largest message, for
             CONGEST sanity checks.
-        pause_gc: disable the cyclic garbage collector while the round loop
-            runs (restored afterwards, even on error).  The loop allocates
-            large numbers of short-lived message dicts that the generational
-            collector would otherwise repeatedly traverse; reference counting
-            alone reclaims them.
     """
 
     def __init__(
@@ -347,14 +340,12 @@ class Runner:
         max_rounds: int = 10_000,
         strict: bool = True,
         track_message_bits: bool = False,
-        pause_gc: bool = True,
     ) -> None:
         if max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
         self.max_rounds = max_rounds
         self.strict = strict
         self.track_message_bits = track_message_bits
-        self.pause_gc = pause_gc
         # Single-entry NodeRuntime pool: repeated runs on the same network
         # (the common shape of every trial loop) re-seed and reset the
         # existing node objects instead of reallocating n runtimes and n
@@ -390,18 +381,23 @@ class Runner:
                 survivors can still decide (uncommitted crashed nodes, and
                 edges with a crashed endpoint, are excused).  Fault events
                 and crashed vertices are recorded on the trace, and
-                validation scores the surviving subgraph.
+                validation scores the surviving subgraph.  A schedule with
+                no crash and no message fault runs exactly like no schedule;
+                otherwise its crash vertices are checked against the network
+                before round 1.
 
         Returns:
             The :class:`ExecutionTrace` of the execution.
         """
-        gc_was_enabled = self.pause_gc and gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
+        if faults is not None:
+            if faults.crashes or faults.has_message_faults:
+                faults.check_vertices(network.n)
+            else:
+                faults = None
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
-            if faults is not None and (faults.crashes or faults.has_message_faults):
-                return self._run_faulted(algorithm, network, problem, seed, faults)
-            return self._run(algorithm, network, problem, seed)
+            return self._run(algorithm, network, problem, seed, faults)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -412,7 +408,29 @@ class Runner:
         network: Network,
         problem: ProblemSpec,
         seed: Optional[int],
+        faults: Optional[FaultSchedule],
     ) -> ExecutionTrace:
+        """The round loop; ``faults`` is ``None`` for a fault-free run.
+
+        Faults are applied in a fixed order per round: crashes at the round
+        start (a node crashing at round ``r`` sends nothing at ``r``), then
+        the previous round's delayed messages are delivered (so a fresh
+        round-``r`` message from the same source overwrites them), then
+        sends with per-directed-edge drop/delay fates from the schedule's
+        documented per-round PCG64 block.  A round without message fates
+        (every fault-free round, and every round of a crash-only schedule)
+        runs the fate-free send loop, so the per-message path of a
+        fault-free run carries no fault branch.  Node randomness is seeded
+        the same way with or without a schedule.
+
+        Self-stabilising runs under a schedule record their recovery
+        timeline through a :class:`~repro.core.metrics.RecoveryRecorder`.
+        Its entry — an O(n + m) rebuild of the value lists plus a
+        validation — is only recomputed in rounds where a crash landed or
+        the completion tracker's change counter (bumped by every commit,
+        revoke and crash event) moved; other rounds reuse the previous
+        entry.
+        """
         master_rng = random.Random(seed)
         tracker = _CompletionTracker(network, problem)
         nodes = self._acquire_nodes(network, master_rng, tracker)
@@ -436,8 +454,32 @@ class Runner:
             inbox_of[node.vertex] = {}
         seen_halt_events = tracker.halt_events
 
+        n = network.n
+        m = network.m
+        fault_events: List[Tuple] = []
+        # Messages delayed by one round: (target, source, payload), delivered
+        # before the next round's sends.
+        delayed_messages: List[Tuple[int, int, Any]] = []
+        # Self-stabilising executions under a schedule keep running until
+        # the last scheduled crash has landed (an output-complete
+        # configuration before that is not stable — the adversary will
+        # strike again), notify survivors of crashed neighbours, and record
+        # a per-round recovery timeline.
+        selfstab = bool(getattr(algorithm, "self_stabilizing", False))
+        recorder: Optional[RecoveryRecorder] = None
+        if faults is not None:
+            edge_us, edge_vs = network.edge_endpoints()
+            packed = network._packed_edge_index() if faults.has_message_faults else None
+            if selfstab:
+                recorder = RecoveryRecorder(faults.crashes)
+        final_crash = 0 if recorder is None else recorder.final_crash
+        seen_changes = tracker.changes
+
+        def recovery_entry() -> Tuple[int, bool]:
+            return _recovery_round_entry(tracker, nodes, network, problem)
+
         rounds_executed = 0
-        completed = tracker.is_complete(len(active))
+        completed = tracker.is_complete(len(active)) and rounds_executed >= final_crash
         send = algorithm.send
         receive = algorithm.receive
         # Coroutine algorithms store their pending outbox in a node slot and
@@ -456,43 +498,150 @@ class Runner:
 
         while not completed and rounds_executed < self.max_rounds:
             current_round = rounds_executed + 1
+            newly_crashed: Tuple[int, ...] = ()
+            fates_list = None
 
-            # Phase 1: every participating node produces its messages based on
-            # its state after `rounds_executed` rounds.
-            for node in active:
-                outgoing = node._coro_outbox if direct_outbox else send(node)
-                if not outgoing:
-                    continue
-                source = node.vertex
-                if type(outgoing) is Broadcast:
-                    # Full-neighbourhood broadcast: targets are valid by
-                    # construction, no per-message dict or validation needed.
-                    payload = outgoing.payload
-                    neighbors = node.neighbors
-                    total_messages += len(neighbors)
-                    if track_bits:
-                        max_message_bits = max(
-                            max_message_bits, estimate_message_bits(payload)
-                        )
-                    for target in neighbors:
+            if faults is not None:
+                # Crash-stop faults land at the start of the round: the
+                # casualty is dead *during* the round (sends nothing,
+                # processes nothing).
+                newly_crashed = faults.crashes_at(current_round)
+                if newly_crashed:
+                    for v in newly_crashed:
+                        node = nodes[v]
+                        if not node._crashed:
+                            node._crashed = True
+                            inbox_of[v] = None
+                            tracker.node_crashed(v, node._output_round is not None)
+                    if selfstab:
+                        # Survivors adjacent to a fresh casualty learn of the
+                        # crash before producing this round's messages; the
+                        # hook may revoke outputs and re-enter the protocol.
+                        for v in newly_crashed:
+                            for u in nodes[v].neighbors:
+                                survivor = nodes[u]
+                                if not survivor._crashed and not survivor._halted:
+                                    algorithm.neighbor_crashed(survivor, v)
+                    active = [node for node in active if not node._crashed]
+
+                fault_events.extend(faults.round_events(current_round, edge_us, edge_vs))
+                fates = faults.directed_fates(current_round, m)
+                if fates is not None:
+                    fates_list = fates.tolist()
+
+                # Last round's delayed messages arrive with this round's
+                # batch; delivering them first lets a newer message from the
+                # same source overwrite, and dead/halted targets (inbox
+                # None) lose them silently.
+                if delayed_messages:
+                    for target, source, payload in delayed_messages:
                         box = inbox_of[target]
                         if box is not None:
                             box[source] = payload
-                    continue
-                neighbor_set = node._neighbor_set
-                for target, payload in outgoing.items():
-                    if target not in neighbor_set:
-                        raise ValueError(
-                            f"node {source} attempted to send to non-neighbour {target}"
-                        )
-                    total_messages += 1
-                    if track_bits:
-                        max_message_bits = max(max_message_bits, estimate_message_bits(payload))
-                    box = inbox_of[target]
-                    if box is not None:
-                        box[source] = payload
+                    delayed_messages = []
 
-            # Phase 2: simultaneous delivery and processing.
+            # Phase 1: every participating node produces its messages based on
+            # its state after `rounds_executed` rounds.
+            if fates_list is None:
+                for node in active:
+                    outgoing = node._coro_outbox if direct_outbox else send(node)
+                    if not outgoing:
+                        continue
+                    source = node.vertex
+                    if type(outgoing) is Broadcast:
+                        # Full-neighbourhood broadcast: targets are valid by
+                        # construction, no per-message dict or validation
+                        # needed.
+                        payload = outgoing.payload
+                        neighbors = node.neighbors
+                        total_messages += len(neighbors)
+                        if track_bits:
+                            max_message_bits = max(
+                                max_message_bits, estimate_message_bits(payload)
+                            )
+                        for target in neighbors:
+                            box = inbox_of[target]
+                            if box is not None:
+                                box[source] = payload
+                        continue
+                    neighbor_set = node._neighbor_set
+                    for target, payload in outgoing.items():
+                        if target not in neighbor_set:
+                            raise ValueError(
+                                f"node {source} attempted to send to non-neighbour {target}"
+                            )
+                        total_messages += 1
+                        if track_bits:
+                            max_message_bits = max(
+                                max_message_bits, estimate_message_bits(payload)
+                            )
+                        box = inbox_of[target]
+                        if box is not None:
+                            box[source] = payload
+            else:
+                # Counts are charged at the sender (a dropped message was
+                # still sent); drops and delays apply per directed edge slot
+                # via the schedule's fate block.
+                for node in active:
+                    outgoing = node._coro_outbox if direct_outbox else send(node)
+                    if not outgoing:
+                        continue
+                    source = node.vertex
+                    if type(outgoing) is Broadcast:
+                        payload = outgoing.payload
+                        neighbors = node.neighbors
+                        total_messages += len(neighbors)
+                        if track_bits:
+                            max_message_bits = max(
+                                max_message_bits, estimate_message_bits(payload)
+                            )
+                        for target in neighbors:
+                            key = (
+                                source * n + target
+                                if source < target
+                                else target * n + source
+                            )
+                            fate = fates_list[
+                                2 * packed[key] + (0 if source < target else 1)
+                            ]
+                            if fate == 1:
+                                continue
+                            if fate == 2:
+                                delayed_messages.append((target, source, payload))
+                                continue
+                            box = inbox_of[target]
+                            if box is not None:
+                                box[source] = payload
+                        continue
+                    neighbor_set = node._neighbor_set
+                    for target, payload in outgoing.items():
+                        if target not in neighbor_set:
+                            raise ValueError(
+                                f"node {source} attempted to send to non-neighbour {target}"
+                            )
+                        total_messages += 1
+                        if track_bits:
+                            max_message_bits = max(
+                                max_message_bits, estimate_message_bits(payload)
+                            )
+                        key = (
+                            source * n + target
+                            if source < target
+                            else target * n + source
+                        )
+                        fate = fates_list[
+                            2 * packed[key] + (0 if source < target else 1)
+                        ]
+                        if fate == 1:
+                            continue
+                        if fate == 2:
+                            delayed_messages.append((target, source, payload))
+                            continue
+                        box = inbox_of[target]
+                        if box is not None:
+                            box[source] = payload
+
+            # Phase 2: simultaneous delivery and processing (survivors only).
             if direct_receive:
                 for node in active:
                     if node._halted:
@@ -533,251 +682,6 @@ class Runner:
                         still_active.append(node)
                 active = still_active
 
-            completed = tracker.is_complete(len(active))
-
-        if not completed and self.strict:
-            raise RoundLimitExceeded(
-                f"{algorithm.name} did not finish {problem.name} on a graph with "
-                f"n={network.n}, m={network.m} within {self.max_rounds} rounds"
-            )
-
-        return self._collect_trace(
-            algorithm,
-            network,
-            problem,
-            nodes,
-            rounds_executed,
-            completed,
-            total_messages,
-            max_message_bits if self.track_message_bits else None,
-            any_edge_commits=tracker.edge_commit_events > 0,
-        )
-
-    def _run_faulted(
-        self,
-        algorithm: NodeAlgorithm,
-        network: Network,
-        problem: ProblemSpec,
-        seed: Optional[int],
-        faults: FaultSchedule,
-    ) -> ExecutionTrace:
-        """The round loop with fault injection (reference semantics).
-
-        A separate loop so the fault-free hot path of :meth:`_run` stays
-        untouched.  Faults are applied in a fixed order per round: crashes
-        at the round start (a node crashing at round ``r`` sends nothing at
-        ``r``), then the previous round's delayed messages are delivered
-        (so a fresh round-``r`` message from the same source overwrites
-        them), then sends with per-directed-edge drop/delay fates from the
-        schedule's documented per-round PCG64 block.  Node randomness is
-        seeded exactly as in the fault-free path, so a run with an empty
-        schedule is bit-identical to one without a schedule.
-
-        Self-stabilising runs record their recovery timeline through a
-        :class:`~repro.core.metrics.RecoveryRecorder`.  Its entry — an
-        O(n + m) rebuild of the value lists plus a validation — is only
-        recomputed in rounds where a crash landed or the completion
-        tracker's change counter (bumped by every commit, revoke and crash
-        event) moved; other rounds reuse the previous entry.
-        """
-        faults.check_vertices(network.n)
-        master_rng = random.Random(seed)
-        tracker = _CompletionTracker(network, problem)
-        nodes = self._acquire_nodes(network, master_rng, tracker)
-        tracker._nodes = nodes
-
-        total_messages = 0
-        max_message_bits = 0
-        track_bits = self.track_message_bits
-
-        for node in nodes:
-            node._current_round = 0
-            algorithm.init(node)
-
-        active: List[NodeRuntime] = [node for node in nodes if not node._halted]
-        inbox_of: List[Optional[Dict[int, Any]]] = [None] * network.n
-        for node in active:
-            inbox_of[node.vertex] = {}
-        seen_halt_events = tracker.halt_events
-
-        n = network.n
-        m = network.m
-        edge_us, edge_vs = network.edge_endpoints()
-        packed = network._packed_edge_index() if faults.has_message_faults else None
-
-        fault_events: List[Tuple] = []
-        # Messages delayed by one round: (target, source, payload), delivered
-        # before the next round's sends.
-        delayed_messages: List[Tuple[int, int, Any]] = []
-
-        # Self-stabilising executions keep running until the last scheduled
-        # crash has landed (an output-complete configuration before that is
-        # not stable — the adversary will strike again), notify survivors of
-        # crashed neighbours, and record a per-round recovery timeline.
-        selfstab = bool(getattr(algorithm, "self_stabilizing", False))
-        recorder = RecoveryRecorder(faults.crashes) if selfstab else None
-        final_crash = 0 if recorder is None else recorder.final_crash
-        seen_changes = tracker.changes
-
-        def recovery_entry() -> Tuple[int, bool]:
-            return _recovery_round_entry(tracker, nodes, network, problem)
-
-        rounds_executed = 0
-        completed = tracker.is_complete(len(active)) and rounds_executed >= final_crash
-        send = algorithm.send
-        algorithm_type = type(algorithm)
-        direct_outbox = (
-            isinstance(algorithm, CoroutineAlgorithm)
-            and algorithm_type.send is CoroutineAlgorithm.send
-        )
-        direct_receive = (
-            isinstance(algorithm, CoroutineAlgorithm)
-            and algorithm_type.receive is CoroutineAlgorithm.receive
-        )
-        receive = algorithm.receive
-
-        while not completed and rounds_executed < self.max_rounds:
-            current_round = rounds_executed + 1
-
-            # Crash-stop faults land at the start of the round: the casualty
-            # is dead *during* the round (sends nothing, processes nothing).
-            newly_crashed = faults.crashes_at(current_round)
-            if newly_crashed:
-                for v in newly_crashed:
-                    node = nodes[v]
-                    if not node._crashed:
-                        node._crashed = True
-                        inbox_of[v] = None
-                        tracker.node_crashed(v, node._output_round is not None)
-                if selfstab:
-                    # Survivors adjacent to a fresh casualty learn of the
-                    # crash before producing this round's messages; the hook
-                    # may revoke outputs and re-enter the protocol.
-                    for v in newly_crashed:
-                        for u in nodes[v].neighbors:
-                            survivor = nodes[u]
-                            if not survivor._crashed and not survivor._halted:
-                                algorithm.neighbor_crashed(survivor, v)
-                active = [node for node in active if not node._crashed]
-
-            fault_events.extend(faults.round_events(current_round, edge_us, edge_vs))
-            fates = faults.directed_fates(current_round, m)
-            fates_list = fates.tolist() if fates is not None else None
-
-            # Last round's delayed messages arrive with this round's batch;
-            # delivering them first lets a newer message from the same
-            # source overwrite, and dead/halted targets (inbox None) lose
-            # them silently.
-            if delayed_messages:
-                for target, source, payload in delayed_messages:
-                    box = inbox_of[target]
-                    if box is not None:
-                        box[source] = payload
-                delayed_messages = []
-
-            # Phase 1: sends.  Counts are charged at the sender (a dropped
-            # message was still sent); drops and delays apply per directed
-            # edge slot via the schedule's fate block.
-            for node in active:
-                outgoing = node._coro_outbox if direct_outbox else send(node)
-                if not outgoing:
-                    continue
-                source = node.vertex
-                if type(outgoing) is Broadcast:
-                    payload = outgoing.payload
-                    neighbors = node.neighbors
-                    total_messages += len(neighbors)
-                    if track_bits:
-                        max_message_bits = max(
-                            max_message_bits, estimate_message_bits(payload)
-                        )
-                    for target in neighbors:
-                        if fates_list is not None:
-                            key = (
-                                source * n + target
-                                if source < target
-                                else target * n + source
-                            )
-                            fate = fates_list[
-                                2 * packed[key] + (0 if source < target else 1)
-                            ]
-                            if fate == 1:
-                                continue
-                            if fate == 2:
-                                delayed_messages.append((target, source, payload))
-                                continue
-                        box = inbox_of[target]
-                        if box is not None:
-                            box[source] = payload
-                    continue
-                neighbor_set = node._neighbor_set
-                for target, payload in outgoing.items():
-                    if target not in neighbor_set:
-                        raise ValueError(
-                            f"node {source} attempted to send to non-neighbour {target}"
-                        )
-                    total_messages += 1
-                    if track_bits:
-                        max_message_bits = max(
-                            max_message_bits, estimate_message_bits(payload)
-                        )
-                    if fates_list is not None:
-                        key = (
-                            source * n + target
-                            if source < target
-                            else target * n + source
-                        )
-                        fate = fates_list[
-                            2 * packed[key] + (0 if source < target else 1)
-                        ]
-                        if fate == 1:
-                            continue
-                        if fate == 2:
-                            delayed_messages.append((target, source, payload))
-                            continue
-                    box = inbox_of[target]
-                    if box is not None:
-                        box[source] = payload
-
-            # Phase 2: simultaneous delivery and processing (survivors only).
-            if direct_receive:
-                for node in active:
-                    if node._halted:
-                        continue
-                    node._current_round = current_round
-                    box = inbox_of[node.vertex]
-                    program = node._coro_program
-                    if program is not None:
-                        try:
-                            node._coro_outbox = program.send(box or {})
-                        except StopIteration:
-                            node._coro_program = None
-                            node._coro_outbox = None
-                            node.halt()
-                    if box:
-                        box.clear()
-            else:
-                for node in active:
-                    if node._halted:
-                        continue
-                    node._current_round = current_round
-                    box = inbox_of[node.vertex]
-                    receive(node, box)
-                    if box:
-                        box.clear()
-
-            rounds_executed = current_round
-
-            if tracker.halt_events != seen_halt_events:
-                seen_halt_events = tracker.halt_events
-                still_active: List[NodeRuntime] = []
-                for node in active:
-                    if node._halted:
-                        inbox_of[node.vertex] = None
-                    else:
-                        still_active.append(node)
-                active = still_active
-
             completed = (
                 tracker.is_complete(len(active)) and rounds_executed >= final_crash
             )
@@ -808,7 +712,7 @@ class Runner:
             max_message_bits if self.track_message_bits else None,
             any_edge_commits=tracker.edge_commit_events > 0,
             fault_events=tuple(fault_events),
-            crashed=faults.crashed_within(rounds_executed),
+            crashed=() if faults is None else faults.crashed_within(rounds_executed),
             recovery=None if recorder is None else recorder.timeline(),
         )
 
@@ -877,10 +781,11 @@ class Runner:
         completed: bool,
         total_messages: int,
         max_message_bits: Optional[int],
-        any_edge_commits: bool = True,
-        fault_events: Tuple = (),
-        crashed: Tuple[int, ...] = (),
-        recovery: Optional[RecoveryTimeline] = None,
+        *,
+        any_edge_commits: bool,
+        fault_events: Tuple,
+        crashed: Tuple[int, ...],
+        recovery: Optional[RecoveryTimeline],
     ) -> ExecutionTrace:
         # Outputs and commit rounds go straight into the trace's flat
         # per-slot arrays (-1 = never committed); the historical dict views
