@@ -1086,10 +1086,10 @@ def _network_csr_arrays(network: Network) -> Dict[str, np.ndarray]:
     """The network's immutable topology as int64 arrays (zero-copy views)."""
     us, vs = network.edge_endpoints()
     return {
-        "indptr": np.frombuffer(network.indptr, dtype=np.int64),
-        "indices": np.frombuffer(network.indices, dtype=np.int64),
-        "edge_us": np.asarray(us, dtype=np.int64),
-        "edge_vs": np.asarray(vs, dtype=np.int64),
+        "indptr": network.indptr,
+        "indices": network.indices,
+        "edge_us": us,
+        "edge_vs": vs,
         "ids": np.asarray(network.identifiers, dtype=np.int64),
     }
 

@@ -99,9 +99,9 @@ class ArrayTopology:
     ``indices`` are the CSR adjacency, ``edge_us`` / ``edge_vs`` the
     canonical edge endpoints in :attr:`Network.edges` slot order,
     ``degrees`` the per-vertex degree vector and ``identifiers`` the
-    per-vertex unique IDs.  Built once per network and cached on the engine
-    (the conversion from the tuple path's ``array('q')`` buffers is
-    zero-copy via ``np.frombuffer``).
+    per-vertex unique IDs.  The CSR and endpoint arrays are the network's
+    own storage, adopted without a copy; the topology is built once per
+    network and cached on the engine.
     """
 
     __slots__ = (
@@ -118,11 +118,9 @@ class ArrayTopology:
     def __init__(self, network: Network) -> None:
         self.n = network.n
         self.m = network.m
-        self.indptr = np.frombuffer(network.indptr, dtype=np.int64)
-        self.indices = np.frombuffer(network.indices, dtype=np.int64)
-        us, vs = network.edge_endpoints()
-        self.edge_us = np.asarray(us)
-        self.edge_vs = np.asarray(vs)
+        self.indptr = network.indptr
+        self.indices = network.indices
+        self.edge_us, self.edge_vs = network.edge_endpoints()
         self.degrees = np.diff(self.indptr)
         self.identifiers = np.asarray(network.identifiers, dtype=np.int64)
 

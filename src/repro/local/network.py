@@ -7,44 +7,36 @@ dynamic per-execution state (inboxes, outputs, commit times) lives in
 :class:`Network` can therefore be reused across many executions and
 algorithms, which is what the experiment harness does.
 
-Vertices are always the integers ``0..n-1``.  Edges are stored as sorted
-tuples ``(u, v)`` with ``u < v`` and are also given a dense integer index so
-that traces can be stored in arrays.
+Vertices are always the integers ``0..n-1``.  Edges are canonical pairs
+``(u, v)`` with ``u < v`` in lexicographic order, and each has a dense
+integer index (its slot) so that traces can be stored in arrays.
 
-Two construction families exist, and they are exact equivalents:
+There is one storage: read-only int64 numpy arrays.  The CSR (compressed
+sparse row) arrays ``indptr`` (length ``n + 1``) and ``indices`` (length
+``2m``) list the neighbours of ``v`` as ``indices[indptr[v]:indptr[v + 1]]``,
+each row ascending, and the endpoint arrays of :meth:`Network.edge_endpoints`
+list the canonical edges in slot order.  Every constructor ends in the same
+vectorised build — canonicalisation, sort and duplicate removal inside
+numpy, with no Python tuple per edge:
 
-* **Tuple path** (:meth:`Network.from_edges`, :meth:`Network.from_edge_list`,
-  :meth:`Network.subnetwork`): the adjacency is built in one pass directly
-  from a canonical edge list — no networkx object on the hot path — with each
-  row stored as a sorted tuple (the representation the per-node simulator
-  consumes).  The CSR (compressed sparse row) view — two flat integer arrays
-  ``indptr`` (length ``n + 1``) and ``indices`` (length ``2m``) such that the
-  neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]`` — is derived
-  lazily on first access so the topology is not stored twice.
-* **Array path** (:meth:`Network.from_endpoint_arrays`,
-  :meth:`Network.from_edge_arrays`): endpoints arrive as two flat int64 numpy
-  arrays (the :class:`repro.graphs.edgelist.EdgeArrays` interchange) and the
-  CSR arrays are built entirely inside numpy — vectorised canonicalisation,
-  lexicographic sort, duplicate removal — with **no Python tuple per edge
-  anywhere on the path**.  Here the relationship inverts: the CSR arrays are
-  the primary storage and the sorted-tuple rows (and the canonical
-  tuple-of-pairs :attr:`edges` view) are derived lazily, only if a per-node
-  consumer such as the round simulator asks for them.  This is the
-  construction path for ``m ≥ 10⁶`` workloads (see the ``kind="build"``
-  cells of ``BENCH_core.json``).
+* ``Network(graph)`` relabels a networkx graph's nodes to ``0..n-1`` and
+  turns its edges into two endpoint arrays;
+* :meth:`Network.from_edges` and :meth:`Network.from_edge_list` turn their
+  ``(u, v)`` pairs into two endpoint arrays;
+* :meth:`Network.from_endpoint_arrays` and :meth:`Network.from_edge_arrays`
+  take the endpoint arrays (the :class:`repro.graphs.edgelist.EdgeArrays`
+  interchange) as they come.
 
-Both paths produce indistinguishable networks for the same topology and
-identifiers — identical rows, edge order, CSR arrays, and therefore
-seed-for-seed identical execution traces (asserted by
-``benchmarks/core_perf.py``).  Degree statistics (``max_degree``,
-``min_degree``) and the identifier bit length are computed once at
-construction time on either path.
+The per-node views — the sorted neighbour tuples the round simulator
+consumes, the tuple-of-pairs :attr:`Network.edges`, and the packed edge-slot
+lookup — are derived lazily, only if a consumer asks, and hold plain Python
+ints.  Degree statistics (``max_degree``, ``min_degree``) and the identifier
+bit length are computed once at construction time.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -73,6 +65,16 @@ def _as_int64(values, name: str) -> np.ndarray:
             )
         array = array.astype(np.int64)
     return array
+
+
+def _pair_columns(edges: Iterable[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Split ``(u, v)`` pairs into two int64 endpoint arrays (floats refused)."""
+    pairs = _as_int64(edges if isinstance(edges, np.ndarray) else list(edges), "edges")
+    if pairs.ndim == 1 and not pairs.size:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _scheme_identifiers(
@@ -121,68 +123,17 @@ class Network:
             pass
         n = len(original_nodes)
 
-        if original_nodes == list(range(n)):
-            # Fast path: the graph is already on 0..n-1, no relabelling map.
-            edges = [(u, v) if u < v else (v, u) for u, v in graph.edges()]
-        else:
+        pairs: Iterable[Tuple[int, int]] = graph.edges()
+        if original_nodes != list(range(n)):
             index_of = {label: i for i, label in enumerate(original_nodes)}
-            edges = []
-            for u_label, v_label in graph.edges():
-                u, v = index_of[u_label], index_of[v_label]
-                edges.append((u, v) if u < v else (v, u))
-        if any(u == v for u, v in edges):
-            raise ValueError("Network does not support self-loops")
-        self._init_from_canonical(n, edges, identifiers, original_nodes)
+            pairs = [(index_of[u], index_of[v]) for u, v in pairs]
+        src, dst = _pair_columns(pairs)
+        self._init_from_endpoint_arrays(n, src, dst, identifiers)
+        self._original_labels = original_nodes
 
     # ------------------------------------------------------------------ #
     # Core construction (CSR build)
     # ------------------------------------------------------------------ #
-
-    def _init_from_canonical(
-        self,
-        n: int,
-        edges: List[Tuple[int, int]],
-        identifiers: Optional[Mapping[int, int]],
-        original_labels: Optional[List],
-    ) -> None:
-        """Initialise from canonical ``(u, v), u < v`` edges on ``0..n-1``.
-
-        ``edges`` may contain duplicates; they are removed.  Self-loops must
-        already have been rejected by the caller.  ``original_labels`` may be
-        ``None`` when the vertices were never relabelled (labels are then the
-        identity, stored implicitly).
-        """
-        self._original_labels: Optional[List] = original_labels
-        self.n = n
-        # Deduplicate parallel edges (networkx Graph already does, but be safe).
-        edges = sorted(set(edges))
-        self._edges_cache: Optional[Tuple[Tuple[int, int], ...]] = tuple(edges)
-        # The edge → dense-index maps are built lazily: node-labelling
-        # workloads never consult them.
-        self._edge_index: Optional[Dict[Tuple[int, int], int]] = None
-        self._packed_index: Optional[Dict[int, int]] = None
-        self.m: int = len(edges)
-
-        # One-pass adjacency build.  Because the deduplicated edge list is
-        # sorted lexicographically, every row comes out sorted ascending: row
-        # u first receives the lower endpoints w < u (from edges (w, u),
-        # which sort before any (u, ·)) in increasing w, then the upper
-        # endpoints v > u in increasing v.  Rows are stored as tuples (the
-        # per-node hot-path representation handed to NodeRuntime); the flat
-        # CSR views are derived lazily so the adjacency is not held twice.
-        rows: List[List[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            rows[u].append(v)
-            rows[v].append(u)
-        self._rows: Optional[List[Tuple[int, ...]]] = [tuple(row) for row in rows]
-        self._max_degree: int = max((len(row) for row in rows), default=0)
-        self._min_degree: int = min((len(row) for row in rows), default=0)
-        self._indptr = None
-        self._indices = None
-        self._edge_us = None
-        self._edge_vs = None
-        self._nx_export: Optional[nx.Graph] = None
-        self._set_identifiers(identifiers)
 
     def _init_from_endpoint_arrays(
         self,
@@ -193,16 +144,16 @@ class Network:
     ) -> None:
         """Initialise from flat endpoint arrays with a fully vectorised CSR build.
 
-        ``src``/``dst`` are parallel integer arrays (any orientation, possibly
-        with duplicate edges); canonicalisation, lexicographic sorting and
-        duplicate removal all happen inside numpy.  No per-edge Python object
-        is created: the sorted-tuple rows and the canonical tuple-of-pairs
-        edge view become lazy derivations of the CSR arrays
-        (:attr:`_adjacency`, :attr:`edges`).
+        Every constructor ends here.  ``src``/``dst`` are parallel integer
+        arrays (any orientation, possibly with duplicate edges);
+        canonicalisation, lexicographic sorting and duplicate removal all
+        happen inside numpy.  No per-edge Python object is created: the
+        sorted-tuple rows and the canonical tuple-of-pairs edge view are lazy
+        derivations of the arrays (:attr:`_adjacency`, :attr:`edges`).
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        self._original_labels = None
+        self._original_labels: Optional[List] = None
         self.n = n
         src = _as_int64(src, "src").ravel()
         dst = _as_int64(dst, "dst").ravel()
@@ -239,8 +190,7 @@ class Network:
             us = key // n
             vs = key % n
             # Doubled keys (owner * n + neighbour), sorted: rows come out in
-            # vertex order with each row ascending — exactly the row order
-            # the tuple-path build produces.
+            # vertex order with each row ascending.
             sym = np.concatenate((key, vs * n + us))
             sym.sort()
             heads = sym // n
@@ -267,15 +217,15 @@ class Network:
         for frozen in (us, vs, indices, indptr):
             frozen.setflags(write=False)
 
-        self._edges_cache = None
-        self._edge_index = None
-        self._packed_index = None
-        self._rows = None
-        self._indptr = indptr
-        self._indices = indices
-        self._edge_us = us
-        self._edge_vs = vs
-        self._nx_export = None
+        # Lazy views of the arrays, built on first use.
+        self._edges_cache: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._packed_index: Optional[Dict[int, int]] = None
+        self._rows: Optional[List[Tuple[int, ...]]] = None
+        self._indptr: np.ndarray = indptr
+        self._indices: np.ndarray = indices
+        self._edge_us: np.ndarray = us
+        self._edge_vs: np.ndarray = vs
+        self._nx_export: Optional[nx.Graph] = None
         self._max_degree = int(counts.max()) if n else 0
         self._min_degree = int(counts.min()) if n else 0
         self._set_identifiers(identifiers)
@@ -291,18 +241,6 @@ class Network:
         ids_module.validate_ids(identifiers, range(n))
         self._ids = tuple(identifiers[v] for v in range(n))
         self._id_bits = max((int(i).bit_length() for i in self._ids), default=0)
-
-    @classmethod
-    def _from_canonical(
-        cls,
-        n: int,
-        edges: List[Tuple[int, int]],
-        identifiers: Optional[Mapping[int, int]] = None,
-    ) -> "Network":
-        """Build directly from canonical edges, bypassing networkx entirely."""
-        net = cls.__new__(cls)
-        net._init_from_canonical(n, edges, identifiers, None)
-        return net
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -351,24 +289,17 @@ class Network:
         edges: Iterable[Tuple[int, int]],
         identifiers: Optional[Mapping[int, int]] = None,
     ) -> "Network":
-        """Build a network on vertices ``0..n-1`` from an edge list.
+        """Build a network on vertices ``0..n-1`` from ``(u, v)`` pairs.
 
-        This constructor never materialises a networkx graph: the CSR arrays
-        are built straight from the edge list, which makes it the cheapest way
-        to stand up large workloads.
+        The pairs become two int64 endpoint arrays and go through the
+        vectorised build of :meth:`from_endpoint_arrays` — no networkx graph
+        and no per-edge tuple.  Endpoint order is free and duplicate edges
+        are removed; self-loops, endpoints outside ``0..n-1`` and
+        non-integer endpoints raise :class:`ValueError`.  Integer endpoints
+        of any type (numpy scalars, ``bool``) are stored as plain ints.
         """
-        canonical: List[Tuple[int, int]] = []
-        append = canonical.append
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("edge list refers to vertices outside 0..n-1")
-            if u < v:
-                append((u, v))
-            elif v < u:
-                append((v, u))
-            else:
-                canonical_edge(u, v)  # raises the canonical self-loop error
-        return cls._from_canonical(n, canonical, identifiers)
+        src, dst = _pair_columns(edges)
+        return cls.from_endpoint_arrays(n, src, dst, identifiers)
 
     @classmethod
     def from_endpoint_arrays(
@@ -381,25 +312,24 @@ class Network:
         id_scheme: Optional[str] = None,
         rng: Optional[random.Random] = None,
     ) -> "Network":
-        """Build a network from flat endpoint arrays — the numpy CSR fast path.
+        """Build a network from flat endpoint arrays.
 
-        The array twin of :meth:`from_edges`: ``src``/``dst`` are parallel
-        integer arrays (numpy arrays, or anything ``np.asarray`` accepts) such
-        that edge ``i`` is ``{src[i], dst[i]}``.  Endpoint order is free and
-        duplicate edges are removed; self-loops raise.  The CSR arrays are
-        built entirely inside numpy — no Python tuple per edge — which makes
-        this the cheapest way to stand up ``m ≥ 10⁶`` workloads (the
-        ``kind="build"`` cells of ``BENCH_core.json`` record the speedup over
-        the tuple-row build).  The sorted-tuple rows and the canonical
-        :attr:`edges` view are derived lazily, so networks that are only ever
-        consumed through the flat views never materialise them.
+        ``src``/``dst`` are parallel integer arrays (numpy arrays, or
+        anything ``np.asarray`` accepts) such that edge ``i`` is
+        ``{src[i], dst[i]}``.  Endpoint order is free and duplicate edges are
+        removed; self-loops, endpoints outside ``0..n-1`` and float arrays
+        raise :class:`ValueError`.  This is the build every constructor ends
+        in, taken without a conversion step, so it is the cheapest way to
+        stand up ``m ≥ 10⁶`` workloads.  The sorted-tuple rows and the
+        canonical :attr:`edges` view are derived lazily, so networks that are
+        only ever consumed through the flat arrays never materialise them.
 
         Identifiers may be given either as an explicit mapping (as in
         :meth:`from_edges`) or via ``id_scheme``/``rng`` (as in
         :meth:`from_edge_list`); passing both is an error.  Given the same
-        topology and identifiers, the resulting network is indistinguishable
-        from its tuple-path twin — same rows, edge order, CSR arrays, and
-        therefore seed-for-seed identical traces.
+        topology and identifiers, every constructor yields the same network
+        — same arrays, rows and edge order, and therefore seed-for-seed
+        identical traces.
         """
         if id_scheme is not None:
             if identifiers is not None:
@@ -438,7 +368,6 @@ class Network:
         net.n = int(n)
         net.m = int(m)
         net._edges_cache = None
-        net._edge_index = None
         net._packed_index = None
         net._rows = None
         net._indptr = indptr
@@ -461,11 +390,11 @@ class Network:
     ) -> "Network":
         """Build a network from an :class:`~repro.graphs.edgelist.EdgeArrays`.
 
-        The array twin of :meth:`from_edge_list`: accepts any object exposing
+        The array form of :meth:`from_edge_list`: accepts any object exposing
         ``n``/``src``/``dst`` (duck-typed so this module needs no import from
         :mod:`repro.graphs`) and applies a named ID scheme.  Given the same
-        topology and ``rng`` state it produces a network identical to the
-        tuple-path constructors.
+        topology and ``rng`` state it produces the same network as
+        :meth:`from_edge_list`.
         """
         return cls.from_endpoint_arrays(
             edge_arrays.n,
@@ -483,9 +412,8 @@ class Network:
     def _adjacency(self) -> List[Tuple[int, ...]]:
         """Per-vertex sorted neighbour tuples (the simulator's representation).
 
-        Eager on the tuple construction path; derived lazily from the CSR
-        arrays on the array path, the first time a per-node consumer (the
-        round simulator, :meth:`subnetwork`) asks for it.
+        Derived from the CSR arrays, as plain ints, the first time a per-node
+        consumer (the round simulator, :meth:`neighbors`) asks for them.
         """
         rows = self._rows
         if rows is None:
@@ -512,65 +440,28 @@ class Network:
         """Minimum degree of the network (0 for the empty graph); cached."""
         return self._min_degree
 
-    def _build_csr(self) -> None:
-        indptr = array("q", bytes(8 * (self.n + 1)))
-        total = 0
-        for v, row in enumerate(self._adjacency):
-            indptr[v] = total
-            total += len(row)
-        indptr[self.n] = total
-        indices = array("q", bytes(8 * total))
-        position = 0
-        for row in self._adjacency:
-            indices[position : position + len(row)] = array("q", row)
-            position += len(row)
-        self._indptr = indptr
-        self._indices = indices
-
     @property
-    def indptr(self):
+    def indptr(self) -> np.ndarray:
         """CSR row pointers: neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``.
 
-        An int64 flat array — ``array('q')`` when derived lazily from the
-        tuple-path adjacency, a read-only numpy array when the network was
-        built on the array path (both support indexing, slicing, and the
-        buffer protocol identically).  Intended for vectorised consumers that
-        want the topology as flat arrays.
+        A read-only int64 numpy array of length ``n + 1``, for vectorised
+        consumers that want the topology as flat arrays.
         """
-        if self._indptr is None:
-            self._build_csr()
         return self._indptr
 
     @property
-    def indices(self):
+    def indices(self) -> np.ndarray:
         """CSR flat neighbour array (each row sorted ascending); see :attr:`indptr`."""
-        if self._indices is None:
-            self._build_csr()
         return self._indices
 
-    def edge_endpoints(self):
-        """Endpoint arrays ``(us, vs)`` of the canonical edge list (lazy).
+    def edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays ``(us, vs)`` of the canonical edge list.
 
-        Two int64 numpy arrays of length ``m`` such that edge slot ``i`` is
-        ``(us[i], vs[i])`` with ``us[i] < vs[i]`` — the vectorised twin of
-        :attr:`edges`, consumed by the numpy measurement path.  Primary
-        storage on the array construction path; on the tuple path they are
-        derived from the CSR views: because every row is sorted ascending and
-        rows are visited in vertex order, keeping only the
-        ``neighbour > vertex`` half reproduces the lexicographic canonical
-        edge order exactly.
+        Two read-only int64 numpy arrays of length ``m`` such that edge slot
+        ``i`` is ``(us[i], vs[i])`` with ``us[i] < vs[i]``, in lexicographic
+        order — the flat form of :attr:`edges`, consumed by the numpy
+        measurement and validation paths.
         """
-        if self._edge_us is None:
-            indptr = np.frombuffer(self.indptr, dtype=np.int64)
-            indices = np.frombuffer(self.indices, dtype=np.int64)
-            owners = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-            upper = indices > owners
-            us = owners[upper]
-            vs = indices[upper]
-            us.setflags(write=False)
-            vs.setflags(write=False)
-            self._edge_us = us
-            self._edge_vs = vs
         return self._edge_us, self._edge_vs
 
     @property
@@ -580,11 +471,10 @@ class Network:
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """All edges as canonical ``(u, v)`` tuples with ``u < v``.
+        """All edges as canonical ``(u, v)`` tuples with ``u < v``, in slot order.
 
-        Eager on the tuple construction path; on the array path it is derived
-        lazily from the endpoint arrays (same lexicographic order), so flat
-        array consumers never pay for the per-edge tuples.
+        Derived lazily from the endpoint arrays, as plain ints, so flat array
+        consumers never pay for the per-edge tuples.
         """
         cached = self._edges_cache
         if cached is None:
@@ -592,32 +482,20 @@ class Network:
             cached = self._edges_cache = tuple(zip(us.tolist(), vs.tolist()))
         return cached
 
-    def _edge_index_map(self) -> Dict[Tuple[int, int], int]:
-        """Canonical edge → dense index mapping (built on first use).
-
-        Kept for tuple-keyed callers; the hot paths (the runner's completion
-        tracker and trace collection) use :meth:`_packed_edge_index` instead,
-        which never materialises a tuple per edge.
-        """
-        index = self._edge_index
-        if index is None:
-            index = self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        return index
-
     def _packed_edge_index(self) -> Dict[int, int]:
         """Packed-key edge → dense index mapping: ``u * n + v ↦ slot``.
 
-        The int-keyed twin of :meth:`_edge_index_map`, built straight from
-        the flat :meth:`edge_endpoints` arrays — no tuple per edge anywhere,
-        so array-built networks can resolve edge slots without materialising
-        their lazy :attr:`edges` view.  Keys are ``u * n + v`` for canonical
-        ``u < v`` (the same packing the vectorised CSR build sorts on).
+        Built on first use straight from the flat :meth:`edge_endpoints`
+        arrays — no tuple per edge anywhere, so edge slots resolve without
+        materialising the lazy :attr:`edges` view.  Keys are ``u * n + v``
+        for canonical ``u < v`` (the same packing the vectorised CSR build
+        sorts on).
         """
         index = self._packed_index
         if index is None:
             us, vs = self.edge_endpoints()
             if self.n < 3_000_000_000:
-                keys = (np.asarray(us) * self.n + np.asarray(vs)).tolist()
+                keys = (us * self.n + vs).tolist()
             else:  # pragma: no cover - needs n ≥ 3·10⁹ to exercise
                 # The int64 multiply would wrap exactly where the CSR build
                 # falls back to lexsort; Python ints never overflow.
@@ -674,11 +552,9 @@ class Network:
 
     def with_identifiers(self, identifiers: Mapping[int, int]) -> "Network":
         """Return a copy of this network with different identifiers."""
-        if self._edge_us is not None:
-            return Network.from_endpoint_arrays(
-                self.n, self._edge_us, self._edge_vs, identifiers
-            )
-        return Network._from_canonical(self.n, list(self.edges), identifiers)
+        return Network.from_endpoint_arrays(
+            self.n, self._edge_us, self._edge_vs, identifiers
+        )
 
     def id_bit_length(self) -> int:
         """Bits needed for the largest identifier; cached."""
@@ -720,43 +596,19 @@ class Network:
 
         Identifiers are preserved, which keeps the sub-network a legitimate
         LOCAL-model input.  Cost is O(sum of degrees of the kept vertices),
-        not O(m): only the adjacency rows of the kept vertices are scanned —
-        on array-built networks by slicing the CSR arrays directly (the lazy
-        sorted-tuple rows stay unmaterialised), on tuple-built networks over
-        the eager rows.
+        not O(m): only the CSR segments of the kept vertices are gathered,
+        their kept neighbours re-indexed vectorised, and the result rebuilt
+        through :meth:`from_endpoint_arrays` — no per-node tuple row and no
+        per-edge tuple anywhere.
         """
         vertex_list = sorted(set(vertices))
-        if self._rows is None:
-            return self._subnetwork_csr(vertex_list)
-        index = {v: i for i, v in enumerate(vertex_list)}
-        edges: List[Tuple[int, int]] = []
-        for v in vertex_list:
-            iv = index[v]
-            for u in self._adjacency[v]:
-                # vertex_list is sorted, so v < u implies index[v] < index[u].
-                if u > v:
-                    iu = index.get(u)
-                    if iu is not None:
-                        edges.append((iv, iu))
-        identifiers = {index[v]: self._ids[v] for v in vertex_list}
-        return Network._from_canonical(len(vertex_list), edges, identifiers)
-
-    def _subnetwork_csr(self, vertex_list: List[int]) -> "Network":
-        """Array-path :meth:`subnetwork`: slice the kept rows out of the CSR.
-
-        Gathers only the CSR segments of the kept vertices (O(sum of kept
-        degrees)), keeps the neighbours that are themselves kept, re-indexes
-        vectorised, and rebuilds through the numpy CSR constructor — no
-        per-node tuple row and no per-edge tuple anywhere.
-        """
         kept = np.asarray(vertex_list, dtype=np.int64)
         k = int(kept.size)
         if not k:
             return Network.from_endpoint_arrays(0, kept, kept, {})
         if kept[0] < 0 or kept[-1] >= self.n:
             raise IndexError("subnetwork vertices outside 0..n-1")
-        indptr = np.asarray(self.indptr)
-        indices = np.asarray(self.indices)
+        indptr = self._indptr
         starts = indptr[kept]
         lengths = indptr[kept + 1] - starts
         total = int(lengths.sum())
@@ -766,7 +618,7 @@ class Network:
             + np.arange(total, dtype=np.int64)
         )
         owners = np.repeat(kept, lengths)
-        neighbors = indices[positions]
+        neighbors = self._indices[positions]
         new_index = np.full(self.n, -1, dtype=np.int64)
         new_index[kept] = np.arange(k, dtype=np.int64)
         # Keep each induced edge once (owner < neighbour) with both ends kept.

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.local import ids
@@ -73,6 +75,26 @@ class TestNetworkConstruction:
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Network.from_edges(3, [(0, 5)])
+
+    @pytest.mark.parametrize(
+        "pair, edge",
+        [
+            ((np.int64(0), np.int64(2)), (0, 2)),
+            ((True, 2), (1, 2)),
+            ((0.0, 1.0), None),
+        ],
+        ids=["numpy-int64", "bool", "float"],
+    )
+    def test_from_edges_stores_plain_ints(self, pair, edge):
+        if edge is None:
+            with pytest.raises(ValueError, match="integer"):
+                Network.from_edges(3, [pair])
+            return
+        net = Network.from_edges(3, [pair])
+        assert net.edges == (edge,)
+        endpoints = net.edges[0] + sum((net.neighbors(v) for v in net.vertices), ())
+        assert all(type(x) is int for x in endpoints)
+        assert json.loads(json.dumps(net.edges)) == [list(edge)]
 
     def test_non_integer_labels_are_relabelled(self):
         g = nx.Graph([("a", "b"), ("b", "c")])
@@ -199,7 +221,6 @@ class TestFromEndpointArrays:
     """The vectorised numpy CSR construction path (Network.from_endpoint_arrays)."""
 
     def _assert_indistinguishable(self, a: Network, b: Network) -> None:
-        np = pytest.importorskip("numpy")
         assert (a.n, a.m) == (b.n, b.m)
         assert a.edges == b.edges
         assert [a.neighbors(v) for v in a.vertices] == [b.neighbors(v) for v in b.vertices]
@@ -231,8 +252,17 @@ class TestFromEndpointArrays:
         assert net.m == 2
         assert net.edges == ((0, 1), (1, 2))
 
-    def test_rows_and_edges_are_lazy_until_asked(self):
-        net = Network.from_endpoint_arrays(4, [0, 1, 2], [1, 2, 3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Network.from_endpoint_arrays(4, [0, 1, 2], [1, 2, 3]),
+            lambda: Network.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+            lambda: Network(nx.path_graph(4)),
+        ],
+        ids=["from_endpoint_arrays", "from_edges", "graph"],
+    )
+    def test_rows_and_edges_are_lazy_until_asked(self, build):
+        net = build()
         assert net._rows is None and net._edges_cache is None
         # flat consumers never materialise them
         assert len(net.indices) == 2 * net.m
@@ -393,18 +423,9 @@ class TestHotPathLaziness:
         assert net.edge_index(u, v) == 0
         with pytest.raises(KeyError):
             net.edge_index(u, u + 1 if not net.has_edge(u, u + 1) else u + 2)
-        # Resolving edge slots went through the packed int index: neither
-        # the tuple edge view nor the tuple-keyed map was built.
+        # Resolving edge slots went through the packed int index: the tuple
+        # edge view was not built.
         assert net._edges_cache is None
-        assert net._edge_index is None
-
-    def test_packed_and_tuple_edge_index_agree(self):
-        net = Network.from_graph(nx.gnp_random_graph(40, 0.2, seed=1))
-        packed = net._packed_edge_index()
-        legacy = net._edge_index_map()
-        assert len(packed) == len(legacy) == net.m
-        for (u, v), slot in legacy.items():
-            assert packed[u * net.n + v] == slot
 
     def test_out_of_range_lookups_do_not_alias_packed_keys(self):
         # n=5: the out-of-range pair (0, 7) packs to 0*5+7 == 1*5+2, the

