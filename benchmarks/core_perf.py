@@ -43,14 +43,15 @@ Cells come in eight kinds (schema ``bench-core/v7``):
   both edge counts must fall within a 6σ band of the expected
   ``n·(n−1)/2·p``.
 * ``kind="build"`` (v4) — ``Network`` construction alone is timed on one
-  shared workload: the tuple-row build (``Network.from_edges`` consuming a
-  tuple-per-edge list — the seed side) against the vectorised numpy CSR
-  build (``Network.from_endpoint_arrays`` consuming the ``EdgeArrays``
-  endpoint arrays).  Both networks are asserted **indistinguishable** after
-  timing — same canonical edge tuples, same adjacency rows, same CSR
-  arrays, same identifiers — which is what guarantees seed-for-seed
-  identical traces through the array path.  Identifiers are sequential so
-  the cell isolates the topology build itself.
+  shared workload: the pair-list build (``Network.from_edges`` consuming a
+  tuple-per-edge list — the seed side) against the array build
+  (``Network.from_endpoint_arrays`` consuming the ``EdgeArrays`` endpoint
+  arrays).  Both end in the same vectorised numpy CSR build —
+  ``from_edges`` first turns its pairs into two int64 arrays — so the cell
+  times that conversion.  Both networks are asserted
+  **indistinguishable** after timing — same canonical edge tuples, same
+  adjacency rows, same CSR arrays, same identifiers.  Identifiers are
+  sequential so the cell isolates the topology build itself.
 * ``kind="run"`` (v5) — the **execution-engine race**: the per-node
   coroutine :class:`repro.local.runner.Runner` (the seed side here — it *is*
   today's exact-reference path) against the vectorised
@@ -257,8 +258,9 @@ def _cells(quick: bool) -> List[Cell]:
                 kind="generate",
                 expected_degree=8.0,
             ),
-            # v4 cell kind, smoke-sized: the tuple-row vs numpy-CSR Network
-            # build race, with full network-indistinguishability asserted.
+            # v4 cell kind, smoke-sized: the pair-list vs endpoint-array
+            # Network build race, with full network-indistinguishability
+            # asserted.
             Cell(
                 "network-build",
                 "fast-gnp-8",
@@ -483,12 +485,12 @@ def _cells(quick: bool) -> List[Cell]:
             expected_degree=10.0,
             reps=1,
         ),
-        # ---- Network-build race: tuple-row build vs numpy CSR build ----
-        # m = 10^5 and m = 10^6 G(n, 10/(n-1)) workloads (ISSUE 4): the
-        # tuple side consumes a tuple-per-edge list through from_edges, the
-        # array side consumes the same EdgeArrays through
-        # from_endpoint_arrays; indistinguishability is asserted after the
-        # timed reps.
+        # ---- Network-build race: pair-list build vs array build ----
+        # m = 10^5 and m = 10^6 G(n, 10/(n-1)) workloads: the pair side
+        # consumes a tuple-per-edge list through from_edges (converted to
+        # two int64 arrays), the array side consumes the same EdgeArrays
+        # through from_endpoint_arrays; both end in the one numpy CSR build,
+        # and indistinguishability is asserted after the timed reps.
         Cell(
             "network-build",
             "fast-gnp-10",
@@ -981,14 +983,13 @@ def _run_build_cell(cell: Cell, reps: int) -> Dict[str, object]:
 
     One ``G(n, p)`` workload is generated untimed through the array-native
     ``fast_gnp_edges(..., as_arrays=True)`` path; the **seed** side then
-    builds the network from the tuple-per-edge list (``Network.from_edges``
-    — the tuple-row build, today's default path), the **new** side from the
-    flat endpoint arrays (``Network.from_endpoint_arrays`` — the vectorised
-    numpy CSR build).  Identifiers are sequential on both sides so the cell
-    isolates the topology build.  After timing, the two networks are
-    asserted indistinguishable: same canonical edge tuples, same sorted
-    adjacency rows, same CSR arrays, same identifiers — the invariant that
-    makes traces through the array path seed-for-seed identical.
+    builds the network from the tuple-per-edge list (``Network.from_edges``,
+    which turns the pairs into two int64 arrays), the **new** side from the
+    flat endpoint arrays (``Network.from_endpoint_arrays``); both end in the
+    one vectorised numpy CSR build.  Identifiers are sequential on both
+    sides so the cell isolates the topology build.  After timing, the two
+    networks are asserted indistinguishable: same canonical edge tuples,
+    same sorted adjacency rows, same CSR arrays, same identifiers.
     """
     import numpy as np
 
@@ -1473,9 +1474,10 @@ def run_suite(quick: bool = False, reps: int = 3, validate: bool = True) -> Dict
             "on identical traces; generate cells race the O(n^2) Gilbert twin "
             "against the geometric-skip fast_gnp_edges (different documented "
             "seed schedules, edge counts asserted within 6 sigma of n(n-1)/2*p); "
-            "build cells race the tuple-row Network.from_edges build against "
-            "the numpy CSR Network.from_endpoint_arrays build on one shared "
-            "workload, asserting the two networks are indistinguishable; "
+            "build cells race the pair-list Network.from_edges build against "
+            "the endpoint-array Network.from_endpoint_arrays build (both end "
+            "in one numpy CSR build) on one shared workload, asserting the "
+            "two networks are indistinguishable; "
             "run cells race the per-node coroutine Runner against the "
             "vectorised ArrayEngine on one shared network (different "
             "documented seed schedules -> no trace identity; every trace on "

@@ -83,8 +83,8 @@ def test_quick_suite_produces_identical_pipelines(tmp_path):
         assert cell["seed_m"] > 0 and cell["new_m"] > 0
         assert cell["m"] == cell["new_m"]
 
-    # ... and the v4 cell kind: the tuple-row vs numpy-CSR Network build
-    # race (indistinguishability of the two networks is asserted inside
+    # ... and the v4 cell kind: the pair-list vs endpoint-array Network
+    # build race (indistinguishability of the two networks is asserted inside
     # _run_build_cell; the flag records it in the committed document).
     build_cells = [cell for cell in cells if cell["kind"] == "build"]
     assert build_cells, "quick suite lost its network-build cell"

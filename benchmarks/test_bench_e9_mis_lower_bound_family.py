@@ -2,11 +2,15 @@
 
 Runs the MIS algorithms and the (2,2)-ruling set algorithm on lifted cluster
 tree graphs (the family behind the Ω(min{log Δ / log log Δ, √(log n / log
-log n)}) node-averaged lower bound).  The measurable shape at demo scale: on
-these graphs the MIS algorithms pay a clearly higher node-averaged cost than
-the (2,2)-ruling set relaxation, and the cost is concentrated on the huge
+log n)}) node-averaged lower bound).  The shape asserted at demo scale has
+two parts: each MIS algorithm's node-averaged cost concentrates on the huge
 independent cluster S(c0) — exactly the population the lower-bound argument
-shows cannot decide early.
+shows cannot decide early — and the (2,2)-ruling set relaxation stays
+bounded (Theorem 2).  At this scale MIS is not uniformly dearer than the
+relaxation: Luby's node average (≈ 2.5–2.7) sits below the ruling set's
+(≈ 4.0–4.3), whose iterations cost four rounds each, while Ghaffari's
+(≈ 8.3–8.5) sits above it.  Whether the MIS curve crosses the ruling set's
+as the family grows needs larger instances than these.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def run_e9():
     return rows
 
 
-def test_e9_mis_pays_more_than_ruling_set_on_lower_bound_family(run_experiment):
+def test_e9_mis_cost_concentrates_on_s0_and_ruling_set_stays_bounded(run_experiment):
     rows = run_experiment(run_e9)
     emit(
         format_table(

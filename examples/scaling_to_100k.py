@@ -13,10 +13,9 @@ a ``networkx.Graph`` **or a Python tuple per edge**:
   ``G(n, p)`` in ``O(n + m)`` and hands its numpy arrays straight through
   (the quadratic Gilbert twin would need hours at n = 10⁶, and the old
   tuple round-trip would rebuild a million tuples just to throw them away);
-* the facade builds the network through the vectorised numpy CSR path
-  (``Network.from_endpoint_arrays`` — the ``kind="build"`` cells of
-  ``BENCH_core.json`` record the speedup over the tuple-row build), runs
-  the seeded trials, validates through the problems' numpy kernels, and
+* the facade builds the network through the vectorised numpy CSR build
+  (``Network.from_endpoint_arrays``, the one storage every ``Network``
+  constructor ends in), runs the seeded trials, validates through the problems' numpy kernels, and
   measures over numpy float64 reductions with tail quantiles;
 * the trials themselves run with ``engine="auto"``: Luby MIS implements the
   :class:`repro.local.engine.ArrayAlgorithm` protocol, so the round loop

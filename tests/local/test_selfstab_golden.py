@@ -11,10 +11,11 @@ must leave every digest unchanged.
 
 Coverage: :class:`SelfStabilizingLubyMISArray` on the array engine and
 :class:`SelfStabilizingLubyMIS` / :class:`SelfStabilizingMatching` on the
-coroutine runner, each over six small G(n, p) graphs (both network storage
-paths) and five schedules — three crash waves; the waves with 10 % drops;
-the waves with 10 % delays; a single crash at round 1; one wave landing long
-after convergence (many quiescent rounds before it).  Matching under drops
+coroutine runner, each over six small G(n, p) graphs (built from endpoint
+arrays and from edge lists) and five schedules — three crash waves; the
+waves with 10 % drops; the waves with 10 % delays; a single crash at round
+1; one wave landing long after convergence (many quiescent rounds before
+it).  Matching under drops
 or delays can end in a :class:`~repro.local.node.CommitError` (an accept
 lost in flight leaves one endpoint matched; recovery is only claimed for
 crash schedules), and that outcome is pinned as well.
@@ -49,7 +50,7 @@ MAX_ROUNDS = 400
 
 
 def graph(seed: int, n: int) -> Network:
-    """Odd seeds use the array-built network, even seeds the tuple path."""
+    """Odd seeds build from endpoint arrays, even seeds from an edge list."""
     if seed % 2:
         arrays = gen.fast_gnp_edges(n, 4.0 / (n - 1), seed=seed, as_arrays=True)
         return Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
