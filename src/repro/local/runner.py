@@ -163,9 +163,8 @@ class _CompletionTracker:
         edge_index = self._edge_index
         if edge_index is None:
             # Packed-key int lookup (u * n + v for canonical u < v) built
-            # from the flat endpoint arrays: no tuple per edge, and on
-            # array-built networks no materialisation of the lazy `edges`
-            # tuple view either.
+            # from the flat endpoint arrays: no tuple per edge, and no
+            # materialisation of the lazy `edges` tuple view either.
             edge_index = self._edge_index = self._network._packed_edge_index()
         key = (
             vertex * self._n + neighbor
@@ -805,9 +804,9 @@ class Runner:
         edge_values: list = [None] * m
         if any_edge_commits:
             # Walk the committing nodes' own output dicts instead of scanning
-            # all m edges of the (possibly lazy) tuple edge view: cost is
-            # O(n + commits), and array-built networks never materialise a
-            # tuple per edge — slots resolve through the packed-key index.
+            # all m edges of the lazy tuple edge view: cost is O(n + commits),
+            # and no tuple per edge is materialised — slots resolve through
+            # the packed-key index.
             packed = network._packed_edge_index()
             for node in nodes:
                 outputs = node._edge_outputs

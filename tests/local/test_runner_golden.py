@@ -97,6 +97,11 @@ def build_pair(seed: int, g: nx.Graph) -> Tuple[Network, Network]:
     )
 
 
+def _deterministic_ruling_set(net: Network) -> tuple:
+    algorithm = DeterministicRulingSet.for_network(net)
+    return algorithm, problems.ruling_set(2, algorithm.coverage_radius)
+
+
 #: name -> factory(network) -> (algorithm, problem).
 ALGORITHMS: Dict[str, Callable[[Network], tuple]] = {
     "luby-mis": lambda net: (LubyMIS(), problems.MIS),
@@ -106,7 +111,7 @@ ALGORITHMS: Dict[str, Callable[[Network], tuple]] = {
         RandomizedTwoTwoRulingSet(),
         problems.ruling_set(2, 2),
     ),
-    "deterministic-ruling-set": lambda net: _deterministic_ruling_set(net),
+    "deterministic-ruling-set": _deterministic_ruling_set,
     "randomized-matching": lambda net: (
         RandomizedMaximalMatching(),
         problems.MAXIMAL_MATCHING,
@@ -133,11 +138,6 @@ ALGORITHMS: Dict[str, Callable[[Network], tuple]] = {
         problems.MAXIMAL_MATCHING,
     ),
 }
-
-
-def _deterministic_ruling_set(net: Network) -> tuple:
-    algorithm = DeterministicRulingSet.for_network(net)
-    return algorithm, problems.ruling_set(2, algorithm.coverage_radius)
 
 
 FAULTED = {
