@@ -133,7 +133,12 @@ class RandomizedMatchingArray(ArrayAlgorithm):
     the iteration-start undecided degrees — the coroutine rate exactly
     (there the lower-identifier endpoint draws; here the engine draws per
     edge — the same per-edge Bernoulli, one draw per undecided edge either
-    way).
+    way).  Only a draw below ``c / 2``, with ``c = 1 / factor``, can mark an
+    edge: an undecided edge has ``d_u + d_v ≥ 2`` and rounding is monotone,
+    so ``fl(c / (d_u + d_v)) ≤ fl(c / 2)``.  The fault-free kernel therefore
+    computes the rate for those candidates only (about an eighth of the
+    worklist at factor 4); the draws, the floats and the comparisons are
+    the same as for a full-length rate, so the seed schedule is unchanged.
 
     Messages: rounds ``4k−3``/``4k−2``/``4k−1`` each send one message per
     direction of every undecided edge (``2·U_k``); round ``4k`` sends
@@ -178,11 +183,14 @@ class RandomizedMatchingArray(ArrayAlgorithm):
     labels_edges = True
     supports_faults = True
 
-    # One scratch set per (topology, trials) shape, reused across every
-    # run_batch chunk: the flat worklist double-buffers, gather/compress
-    # targets and node-mask scratch are multi-MB and would otherwise be
-    # mapped, faulted and zeroed afresh every iteration.  Identity compare
-    # is safe — ArrayTopology has no __eq__ and the engine caches it.
+    # Scratch for the fault-free kernel, sized for ``trials · m`` and kept
+    # for the whole run: the worklist double buffers, the draw block and
+    # the mask scratch are multi-MB and would otherwise be mapped, faulted
+    # and zeroed afresh every iteration.  Cached on the instance, it is
+    # shared by the equal-size chunks of one run_batch call
+    # (`_execute_trials` builds a fresh twin for every call).  Identity
+    # compare is safe — ArrayTopology has no __eq__ and the engine caches
+    # it.
     _scratch_for: Optional[Tuple[ArrayTopology, int]] = None
     _scratch: Optional[dict] = None
 
@@ -193,22 +201,20 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             # Flat indices are always int64: numpy's advanced-indexing fast
             # path only fires for intp index arrays, and int32 gathers
             # measure ~3× slower.
-            base_e = (np.arange(trials, dtype=np.int64) * m)[:, None]
-            base_n = (np.arange(trials, dtype=np.int64) * n)[:, None]
-            wl0_fe = (base_e + np.arange(m, dtype=np.int64)).ravel()
-            wl0_fu = (base_n + topology.edge_us).ravel()
-            wl0_fv = (base_n + topology.edge_vs).ravel()
-            for arr in (wl0_fe, wl0_fu, wl0_fv):
-                arr.setflags(write=False)
+            if trials == 1:
+                # A lone trial's endpoint slots are the topology's own
+                # endpoint arrays: nothing is copied.
+                slot_u, slot_v = topology.edge_us, topology.edge_vs
+            else:
+                base = (np.arange(trials, dtype=np.int64) * n)[:, None]
+                slot_u = (base + topology.edge_us).ravel()
+                slot_v = (base + topology.edge_vs).ravel()
             self._scratch = {
-                "wl0": (wl0_fe, wl0_fu, wl0_fv),
-                "wlA": tuple(np.empty(flat, dtype=np.int64) for _ in range(3)),
-                "wlB": tuple(np.empty(flat, dtype=np.int64) for _ in range(3)),
-                "du": np.empty(flat, dtype=np.int64),
-                "dv": np.empty(flat, dtype=np.int64),
-                "rate": np.empty(flat),
+                # Endpoint slots (t·n+u, t·n+v) of flat edge slot t·m+e.
+                "ends": (slot_u, slot_v),
+                "wl": (np.empty(flat, dtype=np.int64), np.empty(flat, dtype=np.int64)),
                 "draws": np.empty(flat),
-                "marked": np.empty(flat, dtype=bool),
+                "mask": np.empty(flat, dtype=bool),
                 "rem": np.empty(flat, dtype=bool),
                 # `nodes` and `mcount` carry an all-False / all-zero
                 # invariant between rounds: users reset exactly the
@@ -235,15 +241,20 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         scratch = self._batch_scratch(topology, trials)
         extra = batch.extra
         extra["undecided"] = np.ones((trials, topology.m), dtype=bool)
-        # The worklist holds every still-undecided (trial, edge) as flat
-        # indices — edge slot (t·m+e) plus both endpoint slots (t·n+u,
-        # t·n+v) — trial-major with ascending edge slots inside each
-        # trial's segment.  Boolean compression preserves that order, so
-        # each trial's marking block stays in canonical slot order and the
-        # per-trial RNG streams match a lone trial's bit for bit.
-        extra["wl"] = scratch["wl0"]
-        extra["wl_len"] = scratch["wl0"][0].size
-        extra["wl_slot"] = "A"
+        # The worklist holds every still-undecided (trial, edge) as its
+        # flat edge slot t·m+e (the endpoint slots are looked up in
+        # `ends`), trial-major with ascending edge slots inside each
+        # trial's segment.  Compaction preserves that order, so each
+        # trial's marking block stays in canonical slot order and the
+        # per-trial RNG streams match a lone trial's bit for bit.  The
+        # first worklist, 0 … T·m−1, is written in place into buffer 0:
+        # an `arange` would allocate a second T·m block beside the scratch.
+        wl = scratch["wl"][0]
+        wl.fill(1)
+        wl[:1] = 0
+        np.cumsum(wl, out=wl)
+        extra["wl"] = wl
+        extra["idle"] = 1
         extra["counts"] = np.full(trials, topology.m, dtype=np.int64)
         # Per-node undecided degrees, maintained incrementally: committed
         # edges decrement both endpoints at the commit round, so the
@@ -275,10 +286,11 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             return
         extra = batch.extra
         scratch = extra["scratch"]
-        trials, n, m = batch.trials, topology.n, topology.m
+        trials, n = batch.trials, topology.n
         counts = extra["counts"]
-        wl_fe, wl_fu, wl_fv = extra["wl"]
-        length = extra["wl_len"]
+        wl = extra["wl"]
+        length = wl.size
+        slot_u, slot_v = scratch["ends"]
         phase = round_index % 4
         if phase == 1:
             # Degree exchange (4k−3): the worklist already equals the
@@ -289,40 +301,39 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             extra["iter_count"] = counts.copy()
             batch.messages[active] += 2 * counts[active]
         elif phase == 2:
-            # Marking (4k−2): rate from the snapshot degrees, then each
-            # active trial draws one contiguous uniform block over its
-            # worklist segment — a lone trial's schedule exactly;
-            # inactive trials consume nothing.
-            deg = scratch["deg"]
-            du = np.take(deg, wl_fu[:length], out=scratch["du"][:length], mode="clip")
-            dv = np.take(deg, wl_fv[:length], out=scratch["dv"][:length], mode="clip")
-            np.add(du, dv, out=du)
-            rate = scratch["rate"][:length]
-            np.divide(1.0 / self.marking_factor, du, out=rate)
-            draws = scratch["draws"]
+            # Marking (4k−2): each active trial draws one contiguous
+            # uniform block over its worklist segment — a lone trial's
+            # schedule exactly; inactive trials consume nothing.
+            draws = scratch["draws"][:length]
             offsets = np.zeros(trials + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
             for t in np.flatnonzero(active):
                 size = int(counts[t])
                 if size:
                     rngs[t].random(out=draws[offsets[t] : offsets[t] + size])
-            marked = scratch["marked"][:length]
-            np.less(draws[:length], rate, out=marked)
+            # Only a draw below c/2 can mark (see the class docstring), so
+            # the snapshot-degree rate is computed for those candidates
+            # only: the same floats and comparisons as a full-length rate.
+            rate_scale = 1.0 / self.marking_factor
+            cand = np.flatnonzero(
+                np.less(draws, rate_scale / 2, out=scratch["mask"][:length])
+            )
+            cand_fe = wl[cand]
+            deg = scratch["deg"]
+            rate = np.divide(rate_scale, deg[slot_u[cand_fe]] + deg[slot_v[cand_fe]])
+            # Worklist positions of the marked edges, ascending.
+            extra["marked"] = cand[draws[cand] < rate]
+            extra["offsets"] = offsets
             batch.messages[active] += 2 * extra["iter_count"][active]
         elif phase == 3:
             # Matching commits (4k−1): isolated marked edges join; their
             # endpoints commit every live incident edge.  Everything runs
-            # over the compressed worklist, so per-round cost tracks the
+            # over the compacted worklist, so per-round cost tracks the
             # live edge sets, never (T, m).
-            # Marked edges are a small fraction of the worklist (the
-            # marking rate is 1/(factor·(d_u+d_v))), so they are pulled
-            # out with one boolean scan plus O(marked) gathers rather than
-            # full-length compress passes.
-            marked = scratch["marked"][:length]
-            midx = np.flatnonzero(marked)
-            mk_fe = wl_fe[midx]
-            mk_fu = wl_fu[midx]
-            mk_fv = wl_fv[midx]
+            midx = extra["marked"]
+            mk_fe = wl[midx]
+            mk_fu = slot_u[mk_fe]
+            mk_fv = slot_v[mk_fe]
             mcount = scratch["mcount"]
             np.add.at(mcount, mk_fu, 1)
             np.add.at(mcount, mk_fv, 1)
@@ -335,37 +346,34 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             nodes = scratch["nodes"]
             nodes[mt_fu] = True
             nodes[mt_fv] = True
-            rem = np.take(nodes, wl_fu[:length], out=scratch["rem"][:length], mode="clip")
-            other = np.take(nodes, wl_fv[:length], out=marked, mode="clip")
-            rem |= other
+            # The idle worklist buffer holds the endpoint slots while they
+            # are tested; the compaction below overwrites it afterwards.
+            idle = scratch["wl"][extra["idle"]]
+            ends = np.take(slot_u, wl, out=idle[:length], mode="clip")
+            rem = np.take(nodes, ends, out=scratch["rem"][:length], mode="clip")
+            np.take(slot_v, wl, out=ends, mode="clip")
+            rem |= np.take(nodes, ends, out=scratch["mask"][:length], mode="clip")
             nodes[mt_fu] = False
             nodes[mt_fv] = False
-            ridx = np.flatnonzero(rem)
-            rm_count = ridx.size
-            extra["iter_matched"] = np.bincount(mt_fe // m, minlength=trials)
+            # Per-trial counts from ascending worklist positions: trial t
+            # owns positions [offsets[t], offsets[t+1]).
+            offsets = extra["offsets"]
+            extra["iter_matched"] = np.diff(np.searchsorted(midx[isolated], offsets))
             batch.messages[active] += 2 * extra["iter_count"][active]
-            if rm_count:
-                rm_fe = wl_fe[ridx]
+            rm_fe = wl[rem]
+            if rm_fe.size:
                 batch.edge_rounds.reshape(-1)[rm_fe] = round_index
                 batch.edge_values.reshape(-1)[mt_fe] = True
                 extra["undecided"].reshape(-1)[rm_fe] = False
-                counts -= np.bincount(rm_fe // m, minlength=trials)
                 deg = scratch["deg"]
-                np.subtract.at(deg, wl_fu[ridx], 1)
-                np.subtract.at(deg, wl_fv[ridx], 1)
-                # Compress the worklist down to the surviving undecided
-                # edges (keep = ¬removed) into the idle buffer set.
-                keep = rem
-                np.logical_not(rem, out=keep)
-                kept = length - rm_count
-                slot = extra["wl_slot"]
-                out_fe, out_fu, out_fv = scratch["wl" + slot]
-                np.compress(keep, wl_fe[:length], out=out_fe[:kept])
-                np.compress(keep, wl_fu[:length], out=out_fu[:kept])
-                np.compress(keep, wl_fv[:length], out=out_fv[:kept])
-                extra["wl"] = (out_fe, out_fu, out_fv)
-                extra["wl_len"] = kept
-                extra["wl_slot"] = "B" if slot == "A" else "A"
+                np.subtract.at(deg, slot_u[rm_fe], 1)
+                np.subtract.at(deg, slot_v[rm_fe], 1)
+                # Compact the worklist down to the surviving undecided
+                # edges (keep = ¬removed) into the idle buffer.
+                keep = np.flatnonzero(np.logical_not(rem, out=rem))
+                counts[:] = np.diff(np.searchsorted(keep, offsets))
+                extra["wl"] = np.take(wl, keep, out=idle[: keep.size], mode="clip")
+                extra["idle"] ^= 1
         else:
             # Announcement (4k): no first-time commits.  A trial that
             # completed at round 4k−1 is done before this round, so its

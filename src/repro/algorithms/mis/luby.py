@@ -167,12 +167,12 @@ class LubyMISArray(ArrayAlgorithm):
     labels_nodes = True
     supports_faults = True
 
-    # Scratch buffers for the batched kernel, cached on the algorithm
-    # instance and reused across the chunks of a `run_batch` call (and
-    # across calls on the same topology/chunk shape).  Steady-state
-    # stepping then allocates nothing: every multi-megabyte temporary
-    # would otherwise cross the allocator's mmap threshold and be
-    # mapped, faulted and zeroed afresh on every round.
+    # Scratch buffers for the fault-free kernel, sized for ``trials · m``
+    # and kept for the whole run: every multi-megabyte temporary would
+    # otherwise cross the allocator's mmap threshold and be mapped,
+    # faulted and zeroed afresh on every round.  Cached on the algorithm
+    # instance, they are shared by the equal-size chunks of one run_batch
+    # call (`_execute_trials` builds a fresh twin for every call).
     _scratch_for: Optional[Tuple[ArrayTopology, int]] = None
     _scratch: Optional[dict] = None
 
@@ -181,26 +181,15 @@ class LubyMISArray(ArrayAlgorithm):
             n, m = topology.n, topology.m
             flat_m = trials * m
             flat_n = trials * n
-            # The initial worklist: flat block-diagonal endpoint indices
-            # (``t·n + u`` / ``t·n + v``), one entry per (trial, edge)
-            # pair, trial-major with ascending edge order inside each
-            # trial.  Edge endpoints are never isolated, so every edge is
-            # live at phase 1.  Shared read-only across chunks;
-            # compression writes into the double-buffered slots below.
-            base = (np.arange(trials, dtype=np.int64) * n)[:, None]
-            wl0_fu = (base + topology.edge_us).ravel()
-            wl0_fv = (base + topology.edge_vs).ravel()
-            wl0_fu.setflags(write=False)
-            wl0_fv.setflags(write=False)
             self._scratch = {
-                "wl0_fu": wl0_fu,
-                "wl0_fv": wl0_fv,
-                "wlA_fu": np.empty(flat_m, dtype=np.int64),
-                "wlA_fv": np.empty(flat_m, dtype=np.int64),
-                "wlB_fu": np.empty(flat_m, dtype=np.int64),
-                "wlB_fv": np.empty(flat_m, dtype=np.int64),
-                "pu": np.empty(flat_m),
-                "pv": np.empty(flat_m),
+                # Worklist double buffers: (endpoint-slot u, endpoint-slot
+                # v) pairs.  The idle pair is also the priority round's
+                # gather target (viewed as float64) and the announcement
+                # round's index scratch.
+                "wl": tuple(
+                    (np.empty(flat_m, dtype=np.int64), np.empty(flat_m, dtype=np.int64))
+                    for _ in range(2)
+                ),
                 "gu": np.empty(flat_m, dtype=bool),
                 "gv": np.empty(flat_m, dtype=bool),
                 "best": np.empty(flat_n),
@@ -248,12 +237,23 @@ class LubyMISArray(ArrayAlgorithm):
         batch.extra["live_degsum"] = np.full(
             trials, int(topology.degrees.sum()), dtype=np.int64
         )
-        # The round kernels run over a compressed worklist, one entry per
-        # still-live (trial, edge) pair, re-compressed each announcement
-        # round so kernel work tracks the shrinking live sets.
-        batch.extra["wl_fu"] = scratch["wl0_fu"]
-        batch.extra["wl_fv"] = scratch["wl0_fv"]
-        batch.extra["wl_slot"] = "A"
+        # The round kernels run over a compacted worklist, one entry per
+        # still-live (trial, edge) pair as flat endpoint slots
+        # (``t·n + u`` / ``t·n + v``), trial-major with ascending edge
+        # order inside each trial, re-compacted each announcement round so
+        # kernel work tracks the shrinking live sets.  Edge endpoints are
+        # never isolated, so every edge is live at phase 1, and the first
+        # worklist is written into buffer pair 0 — for a lone trial too:
+        # `np.take` copies a read-only index array (it wants writeable
+        # indices), so gathering through the topology's own endpoint
+        # arrays would pay a hidden copy per gather.
+        wl_fu, wl_fv = scratch["wl"][0]
+        base = (np.arange(trials, dtype=np.int64) * n)[:, None]
+        np.add(base, topology.edge_us, out=wl_fu.reshape(trials, -1))
+        np.add(base, topology.edge_vs, out=wl_fv.reshape(trials, -1))
+        batch.extra["wl_fu"] = wl_fu
+        batch.extra["wl_fv"] = wl_fv
+        batch.extra["idle"] = 1
         batch.extra["scratch"] = scratch
         # Per-row state of the fault-mode kernel (unused without faults).
         batch.extra["fault_rows"] = [
@@ -305,16 +305,24 @@ class LubyMISArray(ArrayAlgorithm):
             for t in np.flatnonzero(active):
                 participants = np.flatnonzero(undecided[t])
                 priorities[t, participants] = rngs[t].random(participants.size)
-            # Scatter-max over the compressed worklist.  The announcement
-            # round already re-compressed it to exactly this phase's live
+            # Scatter-max over the compacted worklist.  The announcement
+            # round already re-compacted it to exactly this phase's live
             # edges (both endpoints still undecided), so every entry
             # carries two fresh draws and no liveness pass is needed; a
             # full reset of the scratch block is a streaming fill, far
-            # cheaper than tracking stale slots.
+            # cheaper than tracking stale slots.  The endpoint priorities
+            # are gathered into the idle worklist pair, viewed as float64:
+            # this round never compacts, so the pair is free until the
+            # announcement round.
             best = scratch["best"]
             best.fill(-1.0)
-            pu = np.take(pri_flat, wl_fu, out=scratch["pu"][:live_count], mode="clip")
-            pv = np.take(pri_flat, wl_fv, out=scratch["pv"][:live_count], mode="clip")
+            idle_fu, idle_fv = scratch["wl"][extra["idle"]]
+            pu = np.take(
+                pri_flat, wl_fu, out=idle_fu[:live_count].view(np.float64), mode="clip"
+            )
+            pv = np.take(
+                pri_flat, wl_fv, out=idle_fv[:live_count].view(np.float64), mode="clip"
+            )
             np.maximum.at(best, wl_fu, pv)
             np.maximum.at(best, wl_fv, pu)
             best_rows = best.reshape(trials, n)
@@ -363,18 +371,16 @@ class LubyMISArray(ArrayAlgorithm):
             gv = np.take(joined_flat, wl_fv, out=scratch["gv"][:live_count], mode="clip")
             near = scratch["near"]
             near.fill(False)
-            # Joiner-adjacency scatter via compress-then-assign (the idle
-            # worklist buffers serve as index scratch; they are rewritten
-            # by the compression below only after these reads are done) —
+            # Joiner-adjacency scatter via gather-then-assign (the idle
+            # worklist pair serves as index scratch; the compaction below
+            # rewrites it only after these reads are done) —
             # `logical_or.at` computes the same thing an order of
             # magnitude slower.
-            slot = extra["wl_slot"]
-            idle_fu = scratch["wl%s_fu" % slot]
-            idle_fv = scratch["wl%s_fv" % slot]
-            k = int(np.count_nonzero(gu))
-            near[np.compress(gu, wl_fv, out=idle_fu[:k])] = True
-            k = int(np.count_nonzero(gv))
-            near[np.compress(gv, wl_fu, out=idle_fv[:k])] = True
+            idle_fu, idle_fv = scratch["wl"][extra["idle"]]
+            pos = np.flatnonzero(gu)
+            near[np.take(wl_fv, pos, out=idle_fu[: pos.size], mode="clip")] = True
+            pos = np.flatnonzero(gv)
+            near[np.take(wl_fu, pos, out=idle_fv[: pos.size], mode="clip")] = True
             np.logical_and(near, undec_flat, out=near)
             ridx = np.flatnonzero(near)
             batch.node_rounds.ravel()[ridx] = round_index
@@ -389,25 +395,22 @@ class LubyMISArray(ArrayAlgorithm):
             # without the fancy-indexed row copies.
             np.logical_not(undecided, out=batch.halted)
             batch.messages[active] += extra["phase_messages"][active]
-            # Re-compress the worklist against the post-removal undecided
+            # Re-compact the worklist against the post-removal undecided
             # sets: entries that survive are exactly the next phase's live
             # edges, so the priority round runs gather-scatter only, with
             # no liveness bookkeeping of its own.  (Cheap here — two
             # byte-sized gathers — where the priority round would need
-            # float passes.)  Output goes to the idle double-buffer slot;
-            # the live set only shrinks, so the buffers never overflow.
+            # float passes.)  Output goes to the idle buffer pair; the
+            # live set only shrinks, so the buffers never overflow.
             lu = np.take(undec_flat, wl_fu, out=scratch["gu"][:live_count], mode="clip")
             lv = np.take(undec_flat, wl_fv, out=scratch["gv"][:live_count], mode="clip")
             lu &= lv
-            kept = int(np.count_nonzero(lu))
-            if kept != live_count:
-                out_fu = idle_fu
-                out_fv = idle_fv
-                np.compress(lu, wl_fu, out=out_fu[:kept])
-                np.compress(lu, wl_fv, out=out_fv[:kept])
-                extra["wl_fu"] = out_fu[:kept]
-                extra["wl_fv"] = out_fv[:kept]
-                extra["wl_slot"] = "B" if slot == "A" else "A"
+            keep = np.flatnonzero(lu)
+            if keep.size != live_count:
+                kept = keep.size
+                extra["wl_fu"] = np.take(wl_fu, keep, out=idle_fu[:kept], mode="clip")
+                extra["wl_fv"] = np.take(wl_fv, keep, out=idle_fv[:kept], mode="clip")
+                extra["idle"] ^= 1
 
     @staticmethod
     def _visible_stale(
