@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import time
@@ -317,7 +318,11 @@ class Scheduler:
                     time.sleep(self.poll_s)  # a backoff gate is in the future
                     continue
                 return launched
-            time.sleep(self.poll_s)
+            # Wake as soon as a worker exits (its sentinel becomes ready),
+            # or after poll_s to look for new submissions.
+            multiprocessing.connection.wait(
+                [process.sentinel for process in active], timeout=self.poll_s
+            )
 
     def run_once(self) -> Optional[int]:
         """Claim and fully resolve one job (retries included); its id or None."""

@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -92,6 +93,20 @@ class TestHappyPath:
             )
         finally:
             scheduler.close()
+
+    def test_drain_wakes_when_the_worker_exits(self, db_path):
+        # The drain waits on the worker's sentinel, so a finished job is
+        # noticed at once rather than at the next poll_s tick.
+        scheduler = make_scheduler(db_path, poll_s=5.0)
+        try:
+            job_id = scheduler.queue.submit(make_spec())
+            start = time.monotonic()
+            assert scheduler.drain() == [job_id]
+            elapsed = time.monotonic() - start
+            assert scheduler.queue.job(job_id).status == "done"
+        finally:
+            scheduler.close()
+        assert elapsed < 2.5
 
     def test_provenance_records_the_full_execution_recipe(self, db_path):
         scheduler = make_scheduler(db_path)
