@@ -12,6 +12,7 @@ run, for every batch size and chunking, with or without a fault schedule.
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.algorithms.mis.luby import LubyMIS, LubyMISArray
 from repro.algorithms.selfstab import SelfStabilizingLubyMISArray
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials, trial_seed
+from repro.graphs.generators import fast_gnp_edges
 from repro.local.engine import ArrayEngine, batch_chunk
 from repro.local.network import Network
 from repro.local.runner import Runner
@@ -216,6 +218,28 @@ class TestChunking:
         chunked = engine.run_batch(factory(), network, problem, SEEDS[:10])
         for got, want in zip(chunked, whole):
             assert_traces_identical(got, want)
+
+
+class TestFootprint:
+    """A lone trial's scratch is sized to its live work, not to the
+    (trials, m) worst case of the old worklists."""
+
+    @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
+    def test_single_trial_peak_allocation_per_edge(self, name, factory, problem):
+        n = 20_000
+        edges = fast_gnp_edges(n, 10 / (n - 1), seed=1, as_arrays=True)
+        network = Network.from_endpoint_arrays(
+            n, edges.src, edges.dst, id_scheme="sequential"
+        )
+        engine = ArrayEngine()
+        engine.run(factory(), network, problem, seed=0)  # caches the topology
+        tracemalloc.start()
+        try:
+            engine.run(factory(), network, problem, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / network.m <= 70
 
 
 class TestBatchRouting:
