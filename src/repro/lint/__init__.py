@@ -31,6 +31,8 @@ REP005    resource hygiene — sqlite/SharedMemory/file handles closed
           and unlinked on all paths in ``src/repro/{service,analysis}``
 REP006    error taxonomy — no ``raise Exception``/``assert`` for runtime
           failures; use :mod:`repro.core.errors` kinds
+REP007    buffered ``out=`` — no ``compress(out=)`` or ``take(out=)``
+          outside ``mode="clip"``/``"wrap"`` in hot-path modules
 ========  ==============================================================
 
 A finding is suppressed by a trailing (or immediately preceding) comment

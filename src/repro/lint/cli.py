@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based invariant checker for this repository "
-        "(rules REP001-REP006; see docs/lint.md).",
+        "(rules REP001-REP007; see docs/lint.md).",
     )
     parser.add_argument(
         "paths",

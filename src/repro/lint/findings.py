@@ -29,7 +29,7 @@ class Finding:
     line: int
     #: 0-indexed column of the offending node.
     col: int
-    #: Rule identifier (``REP001`` … ``REP006``).
+    #: Rule identifier (``REP001`` … ``REP007``).
     rule: str
     #: Human-readable statement of the violation (one sentence).
     message: str

@@ -1,4 +1,4 @@
-"""The repo-specific rule suite (REP001–REP006).
+"""The repo-specific rule suite (REP001–REP007).
 
 Each rule machine-enforces one of the contracts the reproduction's
 correctness rests on; ``docs/lint.md`` states the invariant behind each
@@ -564,6 +564,67 @@ class ErrorTaxonomyRule(Rule):
             )
 
 
+# --------------------------------------------------------------------- #
+# REP007 — buffered out=
+# --------------------------------------------------------------------- #
+
+#: ``take`` modes under which numpy writes straight into ``out``; with
+#: ``mode="raise"`` (the default, and the only mode ``compress`` has) it
+#: fills a temporary and copies it into ``out`` afterwards.
+_UNBUFFERED_TAKE_MODES = {"clip", "wrap"}
+
+
+class BufferedOutRule(Rule):
+    """REP007: no ``compress``/``take`` output that numpy buffers anyway."""
+
+    id = "REP007"
+    title = "buffered out=: compress/take fills a temporary, then copies it"
+    interests = (ast.Call,)
+
+    def applies_to(self, logical_path: str) -> bool:
+        return _logical(logical_path) in _HOT_PATH_MODULES
+
+    def visit(self, node: ast.AST, module: ModuleSource) -> Iterator[Finding]:
+        if not isinstance(node, ast.Call):
+            return
+        func = node.func
+        if not isinstance(func, ast.Attribute) or func.attr not in ("compress", "take"):
+            return
+        # np.take(a, indices, axis, out, mode) / a.take(indices, axis, out,
+        # mode): the module form has the array as one extra leading argument.
+        shift = 1 if dotted_name(func.value) in ("np", "numpy") else 0
+        out = self._argument(node, "out", 2 + shift)
+        if out is None or (isinstance(out, ast.Constant) and out.value is None):
+            return
+        if func.attr == "compress":
+            yield module.finding(
+                node,
+                self.id,
+                "compress(out=...) always buffers its output (mode='raise'); "
+                "use np.flatnonzero plus np.take(..., mode='clip', out=...)",
+            )
+            return
+        mode = self._argument(node, "mode", 3 + shift)
+        if isinstance(mode, ast.Constant) and mode.value in _UNBUFFERED_TAKE_MODES:
+            return
+        yield module.finding(
+            node,
+            self.id,
+            "take(out=...) without mode='clip' or 'wrap' fills a temporary "
+            "and copies it into out; pass mode='clip' for in-range indices",
+        )
+
+    @staticmethod
+    def _argument(node: ast.Call, name: str, position: int) -> Optional[ast.AST]:
+        """The expression passed as ``name``, by keyword or at ``position``."""
+        for keyword in node.keywords:
+            if keyword.arg == name:
+                return keyword.value
+        if position < len(node.args):
+            return node.args[position]
+        return None
+
+
 DEFAULT_RULES: Tuple[Rule, ...] = (
     DeterminismRule(),
     HotPathRule(),
@@ -571,6 +632,7 @@ DEFAULT_RULES: Tuple[Rule, ...] = (
     SchemaLiteralRule(),
     ResourceRule(),
     ErrorTaxonomyRule(),
+    BufferedOutRule(),
 )
 
 
