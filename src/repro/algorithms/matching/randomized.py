@@ -211,7 +211,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
                 slot_v = (base + topology.edge_vs).ravel()
             self._scratch = {
                 # Endpoint slots (t·n+u, t·n+v) of flat edge slot t·m+e.
-                "ends": (slot_u, slot_v),
+                "slots": (slot_u, slot_v),
                 "wl": (np.empty(flat, dtype=np.int64), np.empty(flat, dtype=np.int64)),
                 "draws": np.empty(flat),
                 "mask": np.empty(flat, dtype=bool),
@@ -243,7 +243,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         extra["undecided"] = np.ones((trials, topology.m), dtype=bool)
         # The worklist holds every still-undecided (trial, edge) as its
         # flat edge slot t·m+e (the endpoint slots are looked up in
-        # `ends`), trial-major with ascending edge slots inside each
+        # `slots`), trial-major with ascending edge slots inside each
         # trial's segment.  Compaction preserves that order, so each
         # trial's marking block stays in canonical slot order and the
         # per-trial RNG streams match a lone trial's bit for bit.  The
@@ -290,7 +290,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         counts = extra["counts"]
         wl = extra["wl"]
         length = wl.size
-        slot_u, slot_v = scratch["ends"]
+        slot_u, slot_v = scratch["slots"]
         phase = round_index % 4
         if phase == 1:
             # Degree exchange (4k−3): the worklist already equals the
@@ -349,10 +349,10 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             # The idle worklist buffer holds the endpoint slots while they
             # are tested; the compaction below overwrites it afterwards.
             idle = scratch["wl"][extra["idle"]]
-            ends = np.take(slot_u, wl, out=idle[:length], mode="clip")
-            rem = np.take(nodes, ends, out=scratch["rem"][:length], mode="clip")
-            np.take(slot_v, wl, out=ends, mode="clip")
-            rem |= np.take(nodes, ends, out=scratch["mask"][:length], mode="clip")
+            end_slots = np.take(slot_u, wl, out=idle[:length], mode="clip")
+            rem = np.take(nodes, end_slots, out=scratch["rem"][:length], mode="clip")
+            np.take(slot_v, wl, out=end_slots, mode="clip")
+            rem |= np.take(nodes, end_slots, out=scratch["mask"][:length], mode="clip")
             nodes[mt_fu] = False
             nodes[mt_fv] = False
             # Per-trial counts from ascending worklist positions: trial t

@@ -221,8 +221,8 @@ class TestChunking:
 
 
 class TestFootprint:
-    """A lone trial's scratch is sized to its live work, not to the
-    (trials, m) worst case of the old worklists."""
+    """A lone trial's traced allocations stay within a fixed number of
+    bytes per edge: the kernels' scratch is sized to live work."""
 
     @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
     def test_single_trial_peak_allocation_per_edge(self, name, factory, problem):
