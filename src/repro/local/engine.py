@@ -51,14 +51,17 @@ The same ``(algorithm, network, seed)`` triple therefore always produces the
 same trace, on every platform numpy supports.
 
 Memory at ``T = 1``.  A batch sizes its scratch for ``T · m`` up front (the
-worklist kernels keep their index and gather buffers for the whole run), so
+worklist kernels keep their double buffers and masks for the whole run), so
 one large trial needs more memory than a loop that allocates per round.
-Measured on a 2-CPU container on G(10⁶, 10/n) (``m = 5 000 139``), best
-untraced time of three runs and peak tracemalloc allocations of one
-``run``: Luby MIS 0.50–0.58 s with 427 MB, randomized matching 1.9–2.2 s
-with 657 MB.  The per-round-allocating single-trial loop that preceded
-the batch protocol took 0.75–0.79 s with 191 MB and 7.5–8.2 s with
-216 MB on the same graph.
+Per (trial, edge) the scratch is 34 bytes for Luby MIS and 42 for
+randomized matching (26 for a lone trial, whose endpoint-slot tables are
+the topology's own endpoint arrays).  Measured on a 2-CPU Xeon container on
+G(10⁶, 10/(n−1)) with seed 1 (``m = 5 000 139``), best untraced time of
+three runs and peak tracemalloc allocations of one ``run``, two runs each:
+Luby MIS 0.33–0.34 s with 262 MB, randomized matching 1.58–1.64 s with
+251 MB.  The per-round-allocating single-trial loop that preceded the
+batch protocol took 0.75–0.79 s with 191 MB and 7.5–8.2 s with 216 MB on
+the same graph.
 
 Routing.  ``run_trials`` / ``evaluate`` / :class:`~repro.core.experiment.
 Experiment` / :func:`repro.analysis.sweep.sweep` accept
