@@ -26,12 +26,12 @@ Each iteration costs four communication rounds.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState
+from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState, ScratchArena
 from repro.local.faults import RoundFaults
 from repro.local.node import NodeRuntime
 
@@ -183,49 +183,61 @@ class RandomizedMatchingArray(ArrayAlgorithm):
     labels_edges = True
     supports_faults = True
 
-    # Scratch for the fault-free kernel, sized for ``trials · m`` and kept
-    # for the whole run: the worklist double buffers, the draw block and
-    # the mask scratch are multi-MB and would otherwise be mapped, faulted
-    # and zeroed afresh every iteration.  Cached on the instance, it is
-    # shared by the equal-size chunks of one run_batch call
-    # (`_execute_trials` builds a fresh twin for every call).  Identity
-    # compare is safe — ArrayTopology has no __eq__ and the engine caches
-    # it.
-    _scratch_for: Optional[Tuple[ArrayTopology, int]] = None
-    _scratch: Optional[dict] = None
+    @staticmethod
+    def _batch_scratch(
+        topology: ArrayTopology, trials: int, arena: ScratchArena
+    ) -> dict:
+        """The fault-free kernel's scratch, carved from the engine's arena.
 
-    def _batch_scratch(self, topology: ArrayTopology, trials: int) -> dict:
-        if self._scratch_for != (topology, trials):
-            n, m = topology.n, topology.m
-            flat = trials * m
-            # Flat indices are always int64: numpy's advanced-indexing fast
-            # path only fires for intp index arrays, and int32 gathers
-            # measure ~3× slower.
-            if trials == 1:
-                # A lone trial's endpoint slots are the topology's own
-                # endpoint arrays: nothing is copied.
-                slot_u, slot_v = topology.edge_us, topology.edge_vs
-            else:
-                base = (np.arange(trials, dtype=np.int64) * n)[:, None]
-                slot_u = (base + topology.edge_us).ravel()
-                slot_v = (base + topology.edge_vs).ravel()
-            self._scratch = {
-                # Endpoint slots (t·n+u, t·n+v) of flat edge slot t·m+e.
-                "slots": (slot_u, slot_v),
-                "wl": (np.empty(flat, dtype=np.int64), np.empty(flat, dtype=np.int64)),
-                "draws": np.empty(flat),
-                "mask": np.empty(flat, dtype=bool),
-                "rem": np.empty(flat, dtype=bool),
-                # `nodes` and `mcount` carry an all-False / all-zero
-                # invariant between rounds: users reset exactly the
-                # entries they touched, so tail iterations with a handful
-                # of live edges never pay an O(trials·n) fill.
-                "nodes": np.zeros(trials * n, dtype=bool),
-                "mcount": np.zeros(trials * n, dtype=np.int64),
-                "deg": np.empty(trials * n, dtype=np.int64),
-            }
-            self._scratch_for = (topology, trials)
-        return self._scratch
+        Sized for ``trials · m`` and kept for the whole chunk: the worklist
+        double buffers, the draw block and the mask scratch are multi-MB
+        and would otherwise be mapped, faulted and zeroed afresh every
+        iteration.  The arrays hold whatever an earlier chunk left:
+        :meth:`init_batch` writes worklist buffer 0, ``nodes``, ``mcount``
+        and ``deg``, the endpoint-slot tables are written here, and every
+        round writes the rest before reading it.
+        """
+        n, m = topology.n, topology.m
+        flat = trials * m
+        # Flat indices are always int64: numpy's advanced-indexing fast
+        # path only fires for intp index arrays, and int32 gathers measure
+        # ~3× slower.
+        wl0, wl1, draws, mask, rem, nodes, mcount, deg, *slots = arena.carve(
+            (flat, np.int64),
+            (flat, np.int64),
+            (flat, np.float64),
+            (flat, bool),
+            (flat, bool),
+            (trials * n, bool),
+            (trials * n, np.int64),
+            (trials * n, np.int64),
+            *[((trials, m), np.int64)] * (2 if trials > 1 else 0),
+        )
+        if slots:
+            # Recomputed for every chunk: the tables depend on the topology.
+            base = (np.arange(trials, dtype=np.int64) * n)[:, None]
+            np.add(base, topology.edge_us, out=slots[0])
+            np.add(base, topology.edge_vs, out=slots[1])
+            slot_u, slot_v = slots[0].ravel(), slots[1].ravel()
+        else:
+            # A lone trial's endpoint slots are the topology's own
+            # endpoint arrays: nothing is copied.
+            slot_u, slot_v = topology.edge_us, topology.edge_vs
+        return {
+            # Endpoint slots (t·n+u, t·n+v) of flat edge slot t·m+e.
+            "slots": (slot_u, slot_v),
+            "wl": (wl0, wl1),
+            "draws": draws,
+            "mask": mask,
+            "rem": rem,
+            # `nodes` and `mcount` carry an all-False / all-zero invariant
+            # between rounds: users reset exactly the entries they touched,
+            # so tail iterations with a handful of live edges never pay an
+            # O(trials·n) fill.
+            "nodes": nodes,
+            "mcount": mcount,
+            "deg": deg,
+        }
 
     def __init__(self, marking_factor: float = 4.0) -> None:
         if marking_factor <= 0:
@@ -233,12 +245,15 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         self.marking_factor = marking_factor
 
     def init_batch(
-        self, topology: ArrayTopology, rngs: Sequence[np.random.Generator]
+        self,
+        topology: ArrayTopology,
+        rngs: Sequence[np.random.Generator],
+        scratch: ScratchArena,
     ) -> BatchState:
         trials = len(rngs)
         batch = BatchState(trials, topology.n, topology.m, nodes=False, edges=True)
         batch.halted[:, topology.degrees == 0] = True
-        scratch = self._batch_scratch(topology, trials)
+        buffers = self._batch_scratch(topology, trials, scratch)
         extra = batch.extra
         extra["undecided"] = np.ones((trials, topology.m), dtype=bool)
         # The worklist holds every still-undecided (trial, edge) as its
@@ -249,7 +264,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         # per-trial RNG streams match a lone trial's bit for bit.  The
         # first worklist, 0 … T·m−1, is written in place into buffer 0:
         # an `arange` would allocate a second T·m block beside the scratch.
-        wl = scratch["wl"][0]
+        wl = buffers["wl"][0]
         wl.fill(1)
         wl[:1] = 0
         np.cumsum(wl, out=wl)
@@ -259,8 +274,10 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         # Per-node undecided degrees, maintained incrementally: committed
         # edges decrement both endpoints at the commit round, so the
         # degree-exchange round reads them for free.
-        scratch["deg"].reshape(trials, topology.n)[:] = topology.degrees
-        extra["scratch"] = scratch
+        buffers["deg"].reshape(trials, topology.n)[:] = topology.degrees
+        buffers["nodes"].fill(False)
+        buffers["mcount"].fill(0)
+        extra["scratch"] = buffers
         # Per-row iteration state of the fault-mode kernel.
         extra["fault_rows"] = [{} for _ in range(trials)]
         return batch

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.local.algorithm import Broadcast
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState
+from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState, ScratchArena
 from repro.local.faults import RoundFaults
 from repro.local.node import NodeRuntime
 
@@ -167,43 +167,54 @@ class LubyMISArray(ArrayAlgorithm):
     labels_nodes = True
     supports_faults = True
 
-    # Scratch buffers for the fault-free kernel, sized for ``trials · m``
-    # and kept for the whole run: every multi-megabyte temporary would
-    # otherwise cross the allocator's mmap threshold and be mapped,
-    # faulted and zeroed afresh on every round.  Cached on the algorithm
-    # instance, they are shared by the equal-size chunks of one run_batch
-    # call (`_execute_trials` builds a fresh twin for every call).
-    _scratch_for: Optional[Tuple[ArrayTopology, int]] = None
-    _scratch: Optional[dict] = None
+    @staticmethod
+    def _batch_scratch(
+        topology: ArrayTopology, trials: int, arena: ScratchArena
+    ) -> dict:
+        """The fault-free kernel's scratch, carved from the engine's arena.
 
-    def _batch_scratch(self, topology: ArrayTopology, trials: int) -> dict:
-        if self._scratch_for != (topology, trials):
-            n, m = topology.n, topology.m
-            flat_m = trials * m
-            flat_n = trials * n
-            self._scratch = {
-                # Worklist double buffers: (endpoint-slot u, endpoint-slot
-                # v) pairs.  The idle pair is also the priority round's
-                # gather target (viewed as float64) and the announcement
-                # round's index scratch.
-                "wl": tuple(
-                    (np.empty(flat_m, dtype=np.int64), np.empty(flat_m, dtype=np.int64))
-                    for _ in range(2)
-                ),
-                "gu": np.empty(flat_m, dtype=bool),
-                "gv": np.empty(flat_m, dtype=bool),
-                "best": np.empty(flat_n),
-                "near": np.empty(flat_n, dtype=bool),
-                "joins": np.empty((trials, n), dtype=bool),
-                "ties": np.empty((trials, n), dtype=bool),
-                "priorities": np.empty((trials, n)),
-                "undecided": np.empty((trials, n), dtype=bool),
-            }
-            self._scratch_for = (topology, trials)
-        return self._scratch
+        Sized for ``trials · m`` and kept for the whole chunk: every
+        multi-megabyte temporary would otherwise cross the allocator's mmap
+        threshold and be mapped, faulted and zeroed afresh on every round.
+        The arrays hold whatever an earlier chunk left: :meth:`init_batch`
+        writes ``undecided``, ``priorities`` and worklist pair 0, and every
+        round writes the rest before reading it.
+        """
+        n, flat_m = topology.n, trials * topology.m
+        fu0, fv0, fu1, fv1, gu, gv, best, near, joins, ties, priorities, undecided = (
+            arena.carve(
+                *[(flat_m, np.int64)] * 4,
+                (flat_m, bool),
+                (flat_m, bool),
+                (trials * n, np.float64),
+                (trials * n, bool),
+                ((trials, n), bool),
+                ((trials, n), bool),
+                ((trials, n), np.float64),
+                ((trials, n), bool),
+            )
+        )
+        return {
+            # Worklist double buffers: (endpoint-slot u, endpoint-slot v)
+            # pairs.  The idle pair is also the priority round's gather
+            # target (viewed as float64) and the announcement round's
+            # index scratch.
+            "wl": ((fu0, fv0), (fu1, fv1)),
+            "gu": gu,
+            "gv": gv,
+            "best": best,
+            "near": near,
+            "joins": joins,
+            "ties": ties,
+            "priorities": priorities,
+            "undecided": undecided,
+        }
 
     def init_batch(
-        self, topology: ArrayTopology, rngs: Sequence[np.random.Generator]
+        self,
+        topology: ArrayTopology,
+        rngs: Sequence[np.random.Generator],
+        scratch: ScratchArena,
     ) -> BatchState:
         # Round 0 draws no randomness, so every row starts from the same
         # state, broadcast over the trial axis.
@@ -215,8 +226,8 @@ class LubyMISArray(ArrayAlgorithm):
             batch.node_rounds[:, isolated] = 0
             batch.node_values[:, isolated] = True
             batch.halted[:, isolated] = True
-        scratch = self._batch_scratch(topology, trials)
-        undecided = scratch["undecided"]
+        buffers = self._batch_scratch(topology, trials, scratch)
+        undecided = buffers["undecided"]
         undecided[:] = ~isolated
         batch.extra["undecided"] = undecided
         # Priorities persist across rounds with the invariant that decided
@@ -224,7 +235,7 @@ class LubyMISArray(ArrayAlgorithm):
         # contributes the neutral element to every max-reduction, which is
         # exactly the coroutine's "decided neighbours are silent" rule and
         # lets the worklist kernel skip explicit liveness masks.
-        priorities = scratch["priorities"]
+        priorities = buffers["priorities"]
         priorities.fill(-1.0)
         batch.extra["priorities"] = priorities
         batch.extra["phase_joined"] = None
@@ -247,14 +258,14 @@ class LubyMISArray(ArrayAlgorithm):
         # `np.take` copies a read-only index array (it wants writeable
         # indices), so gathering through the topology's own endpoint
         # arrays would pay a hidden copy per gather.
-        wl_fu, wl_fv = scratch["wl"][0]
+        wl_fu, wl_fv = buffers["wl"][0]
         base = (np.arange(trials, dtype=np.int64) * n)[:, None]
         np.add(base, topology.edge_us, out=wl_fu.reshape(trials, -1))
         np.add(base, topology.edge_vs, out=wl_fv.reshape(trials, -1))
         batch.extra["wl_fu"] = wl_fu
         batch.extra["wl_fv"] = wl_fv
         batch.extra["idle"] = 1
-        batch.extra["scratch"] = scratch
+        batch.extra["scratch"] = buffers
         # Per-row state of the fault-mode kernel (unused without faults).
         batch.extra["fault_rows"] = [
             {"phase_joined": None, "phase_participants": None, "prev_senders": None}

@@ -68,7 +68,7 @@ from typing import Any, Dict, Optional, Sequence
 import numpy as np
 
 from repro.local.algorithm import Broadcast, NodeAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState
+from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState, ScratchArena
 from repro.local.faults import RoundFaults
 from repro.local.node import NodeRuntime
 
@@ -202,8 +202,12 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
     self_stabilizing = True
 
     def init_batch(
-        self, topology: ArrayTopology, rngs: Sequence[np.random.Generator]
+        self,
+        topology: ArrayTopology,
+        rngs: Sequence[np.random.Generator],
+        scratch: ScratchArena,
     ) -> BatchState:
+        # The per-row kernel carves nothing from the engine's arena.
         trials = len(rngs)
         batch = BatchState(trials, topology.n, topology.m, nodes=True, edges=False)
         status = np.full((trials, topology.n), _UNDECIDED, dtype=np.int8)

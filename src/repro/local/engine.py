@@ -51,17 +51,19 @@ The same ``(algorithm, network, seed)`` triple therefore always produces the
 same trace, on every platform numpy supports.
 
 Memory at ``T = 1``.  A batch sizes its scratch for ``T · m`` up front (the
-worklist kernels keep their double buffers and masks for the whole run), so
-one large trial needs more memory than a loop that allocates per round.
+worklist kernels keep their double buffers and masks for the whole chunk),
+so one large trial needs more memory than a loop that allocates per round.
 Per (trial, edge) the scratch is 34 bytes for Luby MIS and 42 for
 randomized matching (26 for a lone trial, whose endpoint-slot tables are
 the topology's own endpoint arrays).  Measured on a 2-CPU Xeon container on
-G(10⁶, 10/(n−1)) with seed 1 (``m = 5 000 139``), best untraced time of
-three runs and peak tracemalloc allocations of one ``run``, two runs each:
-Luby MIS 0.33–0.34 s with 262 MB, randomized matching 1.58–1.64 s with
-251 MB.  The per-round-allocating single-trial loop that preceded the
-batch protocol took 0.75–0.79 s with 191 MB and 7.5–8.2 s with 216 MB on
-the same graph.
+G(10⁶, 10/(n−1)) with seed 1 (``m = 5 000 139``), two runs each: the first
+``run`` of a fresh engine, which builds the topology and fills the
+engine's scratch arena, peaks at 278 MB of tracemalloc allocations for
+Luby MIS and 267 MB for randomized matching; a rerun on the same engine
+reuses the arena and peaks at 72 MB and 104 MB; the best untraced time of
+three warm reruns is 0.31–0.32 s and 1.31 s.  The per-round-allocating
+single-trial loop that preceded the batch protocol took 0.75–0.79 s with
+191 MB and 7.5–8.2 s with 216 MB on the same graph.
 
 Routing.  ``run_trials`` / ``evaluate`` / :class:`~repro.core.experiment.
 Experiment` / :func:`repro.analysis.sweep.sweep` accept
@@ -75,9 +77,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.core.errors import RoundLimitExceeded
 from repro.core.metrics import RecoveryRecorder
@@ -91,6 +94,7 @@ __all__ = [
     "ArrayTopology",
     "ArrayEngine",
     "BatchState",
+    "ScratchArena",
     "batch_chunk",
 ]
 
@@ -201,6 +205,59 @@ class BatchState:
         ]
 
 
+#: Alignment of every array :meth:`ScratchArena.carve` hands out, in bytes
+#: (one cache line).
+_ARENA_ALIGN = 64
+
+
+class ScratchArena:
+    """One growable block of kernel scratch, owned by an :class:`ArrayEngine`.
+
+    :meth:`carve` hands out uninitialised arrays, all views of one block at
+    64-byte-aligned addresses.  The block grows to the largest total any
+    carve has requested and never shrinks, so the chunks and calls after
+    the first reuse pages that are already mapped instead of faulting in
+    (and zero-filling) multi-megabyte scratch afresh.  A growth drops the
+    old block before allocating the new one, so an arena never holds two.
+
+    Every carve hands out the same bytes again: arrays from an earlier
+    carve alias the new ones.  A kernel therefore carves once per chunk, in
+    :meth:`ArrayAlgorithm.init_batch`, and keeps the arrays no longer than
+    that chunk.
+    """
+
+    __slots__ = ("_block", "_start")
+
+    def __init__(self) -> None:
+        self._block = np.empty(0, dtype=np.uint8)
+        self._start = 0  # first aligned byte of the block
+
+    def carve(
+        self, *specs: Tuple[Union[int, Tuple[int, ...]], DTypeLike]
+    ) -> List[np.ndarray]:
+        """One uninitialised array per ``(shape, dtype)`` spec, in order."""
+        layout = []
+        total = 0
+        for shape, dtype in specs:
+            dtype = np.dtype(dtype)
+            total += -total % _ARENA_ALIGN
+            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            layout.append((total, nbytes, shape, dtype))
+            total += nbytes
+        if self._start + total > self._block.size:
+            self._block = np.empty(0, dtype=np.uint8)  # free the old block first
+            block = np.empty(total + _ARENA_ALIGN, dtype=np.uint8)
+            self._start = -block.ctypes.data % _ARENA_ALIGN
+            self._block = block
+        start = self._start
+        return [
+            self._block[start + offset : start + offset + nbytes]
+            .view(dtype)
+            .reshape(shape)
+            for offset, nbytes, shape, dtype in layout
+        ]
+
+
 #: Byte budget for one batched chunk's working state (arrays + scratch).
 #: Tuned to keep the chunk's gather/scatter targets cache-resident rather
 #: than merely fitting RAM: measured throughput at n = 10⁴ / m = 5·10⁴
@@ -273,9 +330,21 @@ class ArrayAlgorithm:
     self_stabilizing: bool = False
 
     def init_batch(
-        self, topology: ArrayTopology, rngs: Sequence[np.random.Generator]
+        self,
+        topology: ArrayTopology,
+        rngs: Sequence[np.random.Generator],
+        scratch: ScratchArena,
     ) -> BatchState:
-        """Allocate state for ``len(rngs)`` trials and perform round 0."""
+        """Allocate state for ``len(rngs)`` trials and perform round 0.
+
+        ``scratch`` is the engine's :class:`ScratchArena`.  A kernel that
+        needs ``T · m``- or ``T · n``-sized scratch carves all of it here,
+        with one :meth:`~ScratchArena.carve` call per chunk (a second carve
+        would hand out the same bytes again), and writes each carved array
+        before it first reads it: the bytes are whatever the engine's
+        previous chunk left there.  The arrays live no longer than the
+        chunk.  An algorithm without such scratch ignores the argument.
+        """
         raise NotImplementedError
 
     def step_batch(
@@ -327,6 +396,21 @@ class ArrayEngine:
     :class:`~repro.local.faults.FaultSchedule`'s mask cache), so trial
     loops — including sweeps alternating between a handful of networks —
     pay the (cheap, mostly zero-copy) view construction once per network.
+
+    Kernel scratch comes from one :class:`ScratchArena` that lives as long
+    as the engine and is handed to every
+    :meth:`~ArrayAlgorithm.init_batch`.  Every chunk after the first, and
+    every call after the first, reuses its warm pages, whatever the
+    network: a graph source that rebuilds its network per call gets the
+    reuse too.  Memory at rest: the engine keeps its largest chunk's kernel
+    scratch until it is dropped — after one ``T = 1`` run on ``G(10⁶,
+    10/(n−1))``, 190 MB for Luby MIS (34 bytes per edge plus 20 per node)
+    and 147 MB for randomized matching (26 plus 17).
+    :class:`~repro.core.experiment.Experiment` keeps one engine for its
+    lifetime; ``run_trials``, ``evaluate`` and sweep cells build one per
+    call and keep nothing after they return.  An engine runs one chunk at
+    a time, which the topology cache also assumes: do not share an engine
+    between threads.
     """
 
     _TOPOLOGY_CACHE_SIZE = 8
@@ -339,6 +423,7 @@ class ArrayEngine:
         self._topology_cache: "OrderedDict[int, Tuple[Network, ArrayTopology]]" = (
             OrderedDict()
         )
+        self._scratch = ScratchArena()
 
     def _topology(self, network: Network) -> ArrayTopology:
         # Keyed by id() with the network held strongly in the entry: the
@@ -466,7 +551,7 @@ class ArrayEngine:
         """
         rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         trials = len(rngs)
-        batch = algorithm.init_batch(topology, rngs)
+        batch = algorithm.init_batch(topology, rngs, self._scratch)
         edges = (topology.edge_us, topology.edge_vs)
         view: Optional[RoundFaults] = None
         events: List[list] = []

@@ -30,7 +30,7 @@ from repro.local.engine import ArrayEngine, batch_chunk
 from repro.local.network import Network
 from repro.local.runner import Runner
 
-from test_selfstab_golden import GRAPHS, SCHEDULES, graph, trace_payload
+from test_selfstab_golden import GRAPHS, SCHEDULES, digest_of, graph, trace_payload
 
 engine_module = sys.modules["repro.local.engine"]
 
@@ -220,26 +220,74 @@ class TestChunking:
             assert_traces_identical(got, want)
 
 
+def _gnp(n: int, degree: float, seed: int) -> Network:
+    """``fast_gnp_edges`` at expected degree ``degree``, as a network."""
+    edges = fast_gnp_edges(n, degree / (n - 1), seed=seed, as_arrays=True)
+    return Network.from_endpoint_arrays(n, edges.src, edges.dst, id_scheme="sequential")
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFootprint:
     """A lone trial's traced allocations stay within a fixed number of
-    bytes per edge: the kernels' scratch is sized to live work."""
+    bytes per edge: the kernels' scratch is sized to live work, and an
+    engine's later runs reuse the scratch of its first."""
 
     @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
     def test_single_trial_peak_allocation_per_edge(self, name, factory, problem):
-        n = 20_000
-        edges = fast_gnp_edges(n, 10 / (n - 1), seed=1, as_arrays=True)
-        network = Network.from_endpoint_arrays(
-            n, edges.src, edges.dst, id_scheme="sequential"
-        )
+        # The first run of a fresh engine allocates its kernel scratch
+        # (and builds the topology, about 3 bytes per edge).
+        network = _gnp(20_000, 10, seed=1)
         engine = ArrayEngine()
-        engine.run(factory(), network, problem, seed=0)  # caches the topology
-        tracemalloc.start()
-        try:
-            engine.run(factory(), network, problem, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: engine.run(factory(), network, problem, seed=0))
         assert peak / network.m <= 70
+
+    @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
+    def test_rerun_reuses_the_engine_scratch(self, name, factory, problem):
+        network = _gnp(20_000, 10, seed=1)
+        engine = ArrayEngine()
+        engine.run(factory(), network, problem, seed=0)
+        peak = _traced_peak(lambda: engine.run(factory(), network, problem, seed=0))
+        assert peak / network.m <= 30
+
+
+class TestScratchReuse:
+    """One engine's arena serves batches of every shape, in any order,
+    without an earlier chunk's bytes reaching a later trace."""
+
+    def test_reused_engine_traces_match_fresh_engines(self):
+        dense, sparse = _gnp(5_000, 10, seed=1), _gnp(2_000, 2, seed=2)
+        # Two chunks (17 + 3) for the 20-seed Luby batches on `dense`, and
+        # isolated vertices on `sparse`.
+        assert batch_chunk(dense.n, dense.m, 20) == 17
+        assert (np.diff(sparse.indptr) == 0).any()
+        luby, matching = ALGORITHMS[0][1:], ALGORITHMS[1][1:]
+        calls = [
+            (luby, dense, list(range(20))),
+            (matching, dense, list(range(10))),
+            (matching, sparse, None),
+            (luby, sparse, [3, 4, 5]),
+            (luby, dense, list(range(20))),
+        ]
+
+        def digest(engine, call) -> str:
+            (factory, problem), network, seeds = call
+            if seeds is None:
+                traces = [engine.run(factory(), network, problem, seed=0)]
+            else:
+                traces = engine.run_batch(factory(), network, problem, seeds)
+            return digest_of([trace_payload(trace) for trace in traces])
+
+        reused = ArrayEngine()
+        for call in calls:
+            assert digest(reused, call) == digest(ArrayEngine(), call)
 
 
 class TestBatchRouting:

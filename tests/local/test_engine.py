@@ -31,7 +31,7 @@ from repro.algorithms.mis.luby import LubyMIS, LubyMISArray, _luby_joins_masked
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials, trial_seed
 from repro.graphs import generators as gen
-from repro.local.engine import ArrayEngine, ArrayTopology
+from repro.local.engine import ArrayEngine, ArrayTopology, ScratchArena
 from repro.local.network import Network
 from repro.local.runner import RoundLimitExceeded, Runner
 
@@ -163,6 +163,28 @@ class TestEngineBasics:
         assert a.node_outputs == b.node_outputs
         assert a.node_commit_round == b.node_commit_round
         assert a.rounds == b.rounds and a.total_messages == b.total_messages
+
+
+class TestScratchArena:
+    def test_carve_hands_out_aligned_disjoint_arrays(self):
+        arena = ScratchArena()
+        specs = ((3, np.int64), ((2, 5), bool), (7, np.float64), (0, np.int64))
+        arrays = arena.carve(*specs)
+        for array, (shape, dtype) in zip(arrays, specs):
+            assert array.shape == np.empty(shape).shape and array.dtype == dtype
+            assert array.size == 0 or array.ctypes.data % 64 == 0
+        a, b, c, _ = arrays
+        assert not (np.shares_memory(a, b) or np.shares_memory(b, c))
+        # A second carve hands out the same bytes again.
+        again = arena.carve(*specs)
+        assert [x.ctypes.data for x in again] == [x.ctypes.data for x in arrays]
+
+    def test_block_grows_and_never_shrinks(self):
+        arena = ScratchArena()
+        arena.carve((10, np.int64))
+        (large,) = arena.carve((10_000, np.int64))
+        (small,) = arena.carve((10, np.int64))
+        assert small.ctypes.data == large.ctypes.data
 
 
 class TestLubyArraySemantics:

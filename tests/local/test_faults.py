@@ -311,7 +311,7 @@ class TestCrossEngineContract:
         class Opaque(ArrayAlgorithm):
             name = "opaque"
 
-            def init_batch(self, topology, rngs):
+            def init_batch(self, topology, rngs, scratch):
                 return BatchState(
                     len(rngs), topology.n, topology.m, nodes=True, edges=False
                 )
@@ -554,7 +554,7 @@ class _GossipMaxArray(ArrayAlgorithm):
     def __init__(self, rounds: int) -> None:
         self.rounds = rounds
 
-    def init_batch(self, topology, rngs):
+    def init_batch(self, topology, rngs, scratch):
         trials = len(rngs)
         batch = BatchState(trials, topology.n, topology.m, nodes=True, edges=False)
         batch.node_values = np.tile(topology.identifiers, (trials, 1))

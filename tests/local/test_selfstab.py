@@ -40,7 +40,7 @@ from repro.core.experiment import Experiment, run_trials
 from repro.core.metrics import RecoveryRecorder, RecoveryTimeline, measure
 from repro.graphs import generators as gen
 from repro.local.algorithm import NodeAlgorithm
-from repro.local.engine import ArrayEngine, ArrayTopology
+from repro.local.engine import ArrayEngine, ArrayTopology, ScratchArena
 from repro.local.faults import FaultSchedule
 from repro.local.network import Network
 from repro.local.node import NodeRuntime
@@ -533,7 +533,7 @@ class TestQuiescentRound:
         topology = ArrayTopology(network)
         rngs = [np.random.Generator(np.random.PCG64(0))]
         active = np.ones(1, dtype=bool)
-        batch = algorithm.init_batch(topology, rngs)
+        batch = algorithm.init_batch(topology, rngs, ScratchArena())
         rounds = 0
         while (batch.node_rounds < 0).any():
             rounds += 1
