@@ -339,7 +339,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             deg = scratch["deg"]
             rate = np.divide(rate_scale, deg[slot_u[cand_fe]] + deg[slot_v[cand_fe]])
             # Worklist positions of the marked edges, ascending.
-            extra["marked"] = cand[draws[cand] < rate]
+            extra["marked"] = np.take(cand, np.flatnonzero(draws[cand] < rate))
             extra["offsets"] = offsets
             batch.messages[active] += 2 * extra["iter_count"][active]
         elif phase == 3:
@@ -377,7 +377,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             offsets = extra["offsets"]
             extra["iter_matched"] = np.diff(np.searchsorted(midx[isolated], offsets))
             batch.messages[active] += 2 * extra["iter_count"][active]
-            rm_fe = wl[rem]
+            rm_fe = np.take(wl, np.flatnonzero(rem))
             if rm_fe.size:
                 batch.edge_rounds.reshape(-1)[rm_fe] = round_index
                 batch.edge_values.reshape(-1)[mt_fe] = True
