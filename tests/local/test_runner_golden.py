@@ -20,6 +20,12 @@ the payloads of one configuration are hashed together.
   straggler and raise ``TypeError``, and matching under drops or delays can
   end in a :class:`~repro.local.node.CommitError`; those outcomes are pinned
   as well.
+* Seed cells: five workloads on which the seed commit's own pipeline
+  (networkx network, scan-per-round runner) gave traces identical to the
+  runner's, with its inputs: identifiers permuted by ``random.Random(7)``,
+  trial ``i`` seeded ``trial_seed(0, i)``, ``Runner(max_rounds=20_000)``.
+  Their digests were taken while that identity was still asserted, so they
+  carry it forward.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from repro.algorithms.orientation import (
 from repro.algorithms.ruling_set import DeterministicRulingSet, RandomizedTwoTwoRulingSet
 from repro.algorithms.selfstab import SelfStabilizingLubyMIS, SelfStabilizingMatching
 from repro.core import problems
+from repro.core.experiment import trial_seed
 from repro.graphs import generators as gen
 from repro.local import ids
 from repro.local.network import Network
@@ -172,6 +179,46 @@ GOLDEN = {
 }
 
 
+#: name -> (algorithm, problem, workload, trials).  A workload is a networkx
+#: graph or an ``(n, edges)`` pair on the vertices ``0..n-1``.
+SEED_CELLS: Dict[str, tuple] = {
+    "luby-mis/cycle-150": (LubyMIS, problems.MIS, lambda: gen.cycle_graph(150), 3),
+    "luby-mis/random-4-regular-120": (
+        LubyMIS,
+        problems.MIS,
+        lambda: gen.random_regular_graph(4, 120, seed=1),
+        3,
+    ),
+    "randomized-matching/random-tree-120": (
+        RandomizedMaximalMatching,
+        problems.MAXIMAL_MATCHING,
+        lambda: gen.random_tree(120, seed=2),
+        2,
+    ),
+    "randomized-orientation/random-4-regular-100": (
+        RandomizedSinklessOrientation,
+        problems.SINKLESS_ORIENTATION,
+        lambda: gen.random_regular_graph(4, 100, seed=3),
+        2,
+    ),
+    "luby-mis/random-4-regular-edges-400": (
+        LubyMIS,
+        problems.MIS,
+        lambda: gen.random_regular_edges(4, 400, seed=1),
+        2,
+    ),
+}
+
+#: sha256 (first 16 hex digits) over one seed cell's ``trace_payload``s.
+SEED_CELL_GOLDEN = {
+    "luby-mis/cycle-150": "d9dd722e4782fc31",
+    "luby-mis/random-4-regular-120": "b68ba1ce37a8ed3b",
+    "randomized-matching/random-tree-120": "58b402631b1ac7d8",
+    "randomized-orientation/random-4-regular-100": "a05504d5d3130254",
+    "luby-mis/random-4-regular-edges-400": "c766b4061a171661",
+}
+
+
 def runner() -> Runner:
     return Runner(max_rounds=MAX_ROUNDS, strict=False, track_message_bits=True)
 
@@ -225,3 +272,27 @@ def test_fault_free_digest_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(FAULTED))
 def test_faulted_digest_is_pinned(name, schedule):
     assert faulted_digest(name, schedule) == GOLDEN[name, schedule]
+
+
+def seed_cell_digest(name: str) -> str:
+    algorithm, problem, workload, trials = SEED_CELLS[name]
+    source = workload()
+    if isinstance(source, tuple):
+        n, pairs = source
+    else:
+        n, pairs = source.number_of_nodes(), source.edges()
+    edges = [(u, v) if u < v else (v, u) for u, v in pairs]
+    identifiers = ids.permuted_ids(list(range(n)), random.Random(7))
+    network = Network.from_edges(n, edges, identifiers)
+    seed_runner = Runner(max_rounds=20_000)
+    payloads = []
+    for i in range(trials):
+        trace = seed_runner.run(algorithm(), network, problem, seed=trial_seed(0, i))
+        assert trace.validate(), trace.validate().reason
+        payloads.append(trace_payload(trace))
+    return digest_of(payloads)
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CELLS))
+def test_seed_cell_digest_is_pinned(name):
+    assert seed_cell_digest(name) == SEED_CELL_GOLDEN[name]
