@@ -141,6 +141,37 @@ class TestExperimentFacade:
 
         assert result.run.measurement == measure(reference)
 
+    def test_edge_arrays_match_a_hand_built_network_and_runner(self):
+        # Same workload, identifiers and per-trial seeds: the facade hands
+        # back the traces and measurement of the explicit plumbing.
+        from repro.core.experiment import Experiment, trial_seed
+        from repro.core.metrics import measure
+        from repro.graphs import generators as gen
+
+        arrays = gen.fast_gnp_edges(400, 8.0 / 399, seed=11, as_arrays=True)
+        network = Network.from_edge_arrays(arrays, id_scheme="sequential")
+        runner = Runner(max_rounds=20_000)
+        traces = [
+            runner.run(LubyMIS(), network, problems.MIS, seed=trial_seed(0, i))
+            for i in range(2)
+        ]
+        run = Experiment(
+            problem=problems.MIS,
+            algorithm=LubyMIS,
+            graphs=arrays,
+            trials=2,
+            id_scheme="sequential",
+            max_rounds=20_000,
+            quantiles=None,
+        ).run().run
+        assert run.ok
+        assert run.measurement == measure(traces)
+        assert [t.node_outputs for t in run.traces] == [t.node_outputs for t in traces]
+        assert [t.node_commit_round for t in run.traces] == [
+            t.node_commit_round for t in traces
+        ]
+        assert [t.rounds for t in run.traces] == [t.rounds for t in traces]
+
     def test_named_graphs_and_rows(self):
         from repro.core.experiment import Experiment
         from repro.graphs import generators as gen

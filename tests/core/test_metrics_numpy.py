@@ -1,12 +1,15 @@
-"""Differential tests: numpy metric reductions vs the seed pure-Python path.
+"""Differential tests: numpy metric reductions vs Definition 1 per entity.
 
-PR 3 rewrote ``repro.core.metrics`` (and the completion-time computation in
-``repro.core.trace``) over numpy float64/int64 arrays.  The seed
-implementation survives, vendored verbatim, in
-``benchmarks/_legacy_metrics.py`` — per-entity completion times recomputed
-from the dict views, pure-Python float accumulation, ``statistics.mean``.
-These tests drive both implementations over randomized traces and pin
-agreement to ≤ 1e-12 relative:
+``repro.core.metrics`` (and the completion-time computation in
+``repro.core.trace``) reduce over numpy float64/int64 arrays.  The oracle
+here is the paper's Definition 1 transcribed one entity at a time from the
+dict views: a node's time is the latest commit among its own output and
+its incident edges' outputs, an edge's among its own output and its
+endpoints' outputs (only the kinds the problem labels count), an
+uncommitted entity counts as the full execution length, and a problem
+that labels neither costs nothing.  The scalars are ``statistics.mean``
+and ``max`` over those per-entity times.  These tests drive both over
+randomized traces:
 
 * hand-built **dict-first** traces with random commit rounds and random gaps
   (uncommitted entities, the −1 sentinel after array conversion),
@@ -23,28 +26,21 @@ from ``statistics.mean`` in the last ulp).
 
 from __future__ import annotations
 
-import pathlib
 import random
-import sys
 from array import array
+from statistics import mean
 
 import numpy as np
 import pytest
 
-BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
-if str(BENCHMARKS) not in sys.path:
-    sys.path.insert(0, str(BENCHMARKS))
-
-import _legacy_metrics as legacy  # noqa: E402  (vendored seed implementation)
-
-from repro.algorithms.matching.randomized import RandomizedMaximalMatching  # noqa: E402
-from repro.algorithms.mis.luby import LubyMIS  # noqa: E402
-from repro.core import metrics, problems  # noqa: E402
-from repro.core.experiment import run_trials  # noqa: E402
-from repro.core.trace import ExecutionTrace  # noqa: E402
-from repro.graphs import generators as gen  # noqa: E402
-from repro.local.network import Network  # noqa: E402
-from repro.local.runner import Runner  # noqa: E402
+from repro.algorithms.matching.randomized import RandomizedMaximalMatching
+from repro.algorithms.mis.luby import LubyMIS
+from repro.core import metrics, problems
+from repro.core.experiment import run_trials
+from repro.core.trace import ExecutionTrace
+from repro.graphs import generators as gen
+from repro.local.network import Network
+from repro.local.runner import Runner
 
 RTOL = 1e-12
 
@@ -93,25 +89,57 @@ def _random_dict_trace(network: Network, problem, rng: random.Random) -> Executi
     return trace
 
 
+def _node_time(trace, v: int) -> int:
+    """Definition 1 for node ``v``: the latest commit among ``v`` and its edges."""
+    never = trace.rounds
+    times = []
+    if trace.problem.labels_nodes:
+        times.append(trace.node_commit_round.get(v, never))
+    if trace.problem.labels_edges:
+        times.extend(
+            trace.edge_commit_round.get((min(u, v), max(u, v)), never)
+            for u in trace.network.neighbors(v)
+        )
+    return max(times, default=0)
+
+
+def _edge_time(trace, u: int, v: int) -> int:
+    """Definition 1 for edge ``{u, v}``: the latest commit among it and its endpoints."""
+    never = trace.rounds
+    times = []
+    if trace.problem.labels_edges:
+        times.append(trace.edge_commit_round.get((u, v), never))
+    if trace.problem.labels_nodes:
+        times.extend(trace.node_commit_round.get(w, never) for w in (u, v))
+    return max(times, default=0)
+
+
 def _assert_agreement(traces) -> None:
-    """Every metric of the numpy path agrees with the vendored seed path."""
-    for trace in traces:
-        assert trace.node_completion_times() == legacy.legacy_node_completion_times(trace)
-        assert trace.edge_completion_times() == legacy.legacy_edge_completion_times(trace)
-    seed = legacy.legacy_measure(list(traces))
+    """Every metric of the numpy path agrees with the Definition 1 oracle."""
+    node_times = [[_node_time(t, v) for v in t.network.vertices] for t in traces]
+    edge_times = [[_edge_time(t, u, v) for u, v in t.network.edges] for t in traces]
+    for trace, nodes, edges in zip(traces, node_times, edge_times):
+        assert trace.node_completion_times() == nodes
+        assert trace.edge_completion_times() == edges
+    # Per-entity expectation over the trials, then the four scalars.
+    expected_nodes = [mean(column) for column in zip(*node_times)]
+    expected_edges = [mean(column) for column in zip(*edge_times)]
+    first = traces[0]
     new = metrics.measure(traces)
-    assert (seed.algorithm, seed.problem, seed.n, seed.m, seed.trials) == (
-        new.algorithm,
-        new.problem,
-        new.n,
-        new.m,
-        new.trials,
+    assert (new.algorithm, new.problem, new.n, new.m, new.trials) == (
+        first.algorithm_name,
+        first.problem.name,
+        first.network.n,
+        first.network.m,
+        len(traces),
     )
-    assert seed.worst_case == new.worst_case
-    assert _close(seed.node_averaged, new.node_averaged)
-    assert _close(seed.edge_averaged, new.edge_averaged)
-    assert _close(seed.node_expected, new.node_expected)
-    assert _close(seed.edge_expected, new.edge_expected)
+    assert new.worst_case == max(
+        max([0, *nodes, *edges]) for nodes, edges in zip(node_times, edge_times)
+    )
+    assert _close(new.node_averaged, mean(expected_nodes) if expected_nodes else 0.0)
+    assert _close(new.edge_averaged, mean(expected_edges) if expected_edges else 0.0)
+    assert _close(new.node_expected, max(expected_nodes, default=0.0))
+    assert _close(new.edge_expected, max(expected_edges, default=0.0))
 
 
 class TestRandomizedDictTraces:

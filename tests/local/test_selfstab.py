@@ -36,7 +36,7 @@ from repro.algorithms.selfstab import (
     SelfStabilizingMatching,
 )
 from repro.core import problems
-from repro.core.experiment import Experiment, run_trials
+from repro.core.experiment import Experiment, run_trials, trial_seed
 from repro.core.metrics import RecoveryRecorder, RecoveryTimeline, measure
 from repro.graphs import generators as gen
 from repro.local.algorithm import NodeAlgorithm
@@ -84,6 +84,14 @@ def assert_recovered(trace, problem, network) -> None:
     if times:
         assert times[-1] is not None
         assert times[-1] >= 0
+
+
+def assert_fault_events_agree(runner_trace, array_trace) -> None:
+    """The engines record the same fault events on the rounds both executed."""
+    common = min(runner_trace.rounds, array_trace.rounds)
+    runner_prefix = tuple(e for e in runner_trace.fault_events if e[1] <= common)
+    array_prefix = tuple(e for e in array_trace.fault_events if e[1] <= common)
+    assert runner_prefix == array_prefix
 
 
 class TestRecoveryTimeline:
@@ -173,10 +181,38 @@ class TestSelfStabLubyRecovery:
             seed=seed,
             faults=faults,
         )
-        common = min(runner_trace.rounds, array_trace.rounds)
-        runner_prefix = tuple(e for e in runner_trace.fault_events if e[1] <= common)
-        array_prefix = tuple(e for e in array_trace.fault_events if e[1] <= common)
-        assert runner_prefix == array_prefix
+        assert_fault_events_agree(runner_trace, array_trace)
+
+    def test_every_crash_epoch_restabilizes_on_both_engines(self):
+        # assert_recovered checks the final epoch only.  Twelve crashes spread
+        # evenly over G(1000, 8/(n-1)), in waves at rounds 2 and 14, and two
+        # trials per engine: every epoch must restabilise.
+        n = 1000
+        arrays = gen.fast_gnp_edges(n, 8.0 / (n - 1), seed=1, as_arrays=True)
+        network = Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
+        faults = FaultSchedule(
+            crashes={i * (n // 12): (2, 14)[i % 2] for i in range(12)}, seed=0
+        )
+        for trial in range(2):
+            seed = trial_seed(0, trial)
+            runner_trace = Runner(max_rounds=500).run(
+                SelfStabilizingLubyMIS(), network, problems.MIS, seed=seed, faults=faults
+            )
+            array_trace = ArrayEngine(max_rounds=500).run(
+                SelfStabilizingLubyMISArray(),
+                network,
+                problems.MIS,
+                seed=seed,
+                faults=faults,
+            )
+            for trace in (runner_trace, array_trace):
+                trace.require_valid()
+                assert problems.MIS.validate_induced(
+                    network, trace.node_outputs, trace.edge_outputs, trace.crashed
+                )
+                times = trace.recovery.time_to_restabilize()
+                assert len(times) == 2 and None not in times
+            assert_fault_events_agree(runner_trace, array_trace)
 
     def test_execution_waits_for_the_final_crash(self):
         # Luby on a path finishes in a couple of rounds, but a crash is
