@@ -3,14 +3,12 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test lint bench-smoke perfbench-check bench example serve-smoke fault-smoke
+.PHONY: help test lint perfbench-check example serve-smoke fault-smoke
 
 help:
 	@echo "make test         tier-1 suite (the gate every PR must keep green)"
 	@echo "make lint         repro.lint invariant checker (+ ruff when installed)"
-	@echo "make bench-smoke  perf-harness self-check (tiny sizes, asserts invariants)"
 	@echo "make perfbench-check  benchmark self-check (tiny sizes, golden digests, metric names vs BENCHMARK.json)"
-	@echo "make bench        full perf suite -> BENCH_core.json (+ parallel sweep section)"
 	@echo "make example      the 10^5-10^6-node scaling tour (skip the finale: EXAMPLE_FLAGS=--no-million)"
 	@echo "make serve-smoke  experiment-service smoke: submit/schedule/SIGKILL-resume/HTTP round trip"
 	@echo "make fault-smoke  fault-injection demo: both engines + interrupted sweep resumed from its sqlite journal"
@@ -26,15 +24,8 @@ lint:
 		echo "ruff not installed; skipped (CI pins ruff==0.8.4 — see docs/lint.md)"; \
 	fi
 
-bench-smoke:
-	$(PYTHON) -m pytest -m bench_smoke -q
-
 perfbench-check:
 	$(PYTHON) perfbench/run.py --self-check
-
-bench:
-	$(PYTHON) benchmarks/core_perf.py
-	$(PYTHON) benchmarks/sweep_scaling.py
 
 example:
 	$(PYTHON) examples/scaling_to_100k.py $(EXAMPLE_FLAGS)

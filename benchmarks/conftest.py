@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixture for the experiment regenerations.
 
 Every benchmark regenerates one experiment of EXPERIMENTS.md (one theorem,
 figure, or construction of the paper), prints the measured rows as a table,
@@ -10,14 +10,7 @@ timing table without multiplying the workload.
 
 from __future__ import annotations
 
-import pathlib
-import sys
-
 import pytest
-
-SRC = pathlib.Path(__file__).parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
 
 
 @pytest.fixture
@@ -28,9 +21,3 @@ def run_experiment(benchmark):
         return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return _run
-
-
-def emit(text: str) -> None:
-    """Print a benchmark table (shown with pytest -s; always kept in captured output)."""
-    print()
-    print(text)

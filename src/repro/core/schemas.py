@@ -3,9 +3,9 @@
 Every on-disk or over-the-wire artifact this repo produces carries a
 ``name/vN`` schema string so readers can refuse payloads they don't speak:
 the service's job language and sqlite store, the resilient sweep's
-checkpoint journal, the benchmark documents, and the lint baseline itself.
-Those strings are *contracts* — a drifted literal silently breaks resume,
-store validation, or harness comparison without failing a unit test.
+checkpoint journal, and the lint baseline and report.  Those strings are
+*contracts* — a drifted literal silently breaks resume, store validation,
+or a baseline load without failing a unit test.
 
 This module is therefore the only place in ``src/repro`` allowed to spell
 a schema literal out; everything else imports the constant.  The rule is
@@ -14,8 +14,8 @@ which flags any ``name/vN`` string constant elsewhere under ``src/repro``.
 
 Bumping a version is a deliberate act: change it here, update the readers
 and writers in the same commit, and document the migration in
-``benchmarks/README.md`` (benchmark schemas) or ``docs/service.md``
-(service schemas).
+``docs/service.md`` (service schemas), ``docs/seed-schedules.md`` (the
+sweep journal) or ``docs/lint.md`` (the lint formats).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "SWEEP_SPEC",
     "RESULT_STORE",
     "SWEEP_CHECKPOINT",
-    "BENCH_CORE",
     "LINT_BASELINE",
     "LINT_REPORT",
     "ALL_SCHEMAS",
@@ -46,10 +45,6 @@ RESULT_STORE = "result-store/v2"
 #: BLOBs; v1 was a JSON-lines file.
 SWEEP_CHECKPOINT = "sweep-checkpoint/v2"
 
-#: Benchmark document written by ``benchmarks/core_perf.py`` /
-#: ``benchmarks/sweep_scaling.py`` into ``BENCH_core.json``.
-BENCH_CORE = "bench-core/v7"
-
 #: Grandfathered-findings file consumed by ``python -m repro.lint``
 #: (:mod:`repro.lint.baseline`).
 LINT_BASELINE = "lint-baseline/v1"
@@ -63,7 +58,6 @@ ALL_SCHEMAS: Mapping[str, str] = {
     "sweep_spec": SWEEP_SPEC,
     "result_store": RESULT_STORE,
     "sweep_checkpoint": SWEEP_CHECKPOINT,
-    "bench_core": BENCH_CORE,
     "lint_baseline": LINT_BASELINE,
     "lint_report": LINT_REPORT,
 }

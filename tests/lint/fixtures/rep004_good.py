@@ -11,8 +11,8 @@ FORMAT = schemas.SWEEP_SPEC
 
 
 def stamp(document):
-    """Stamp the ``bench-core/v7`` identifier onto ``document``."""
-    document["schema"] = schemas.BENCH_CORE
+    """Stamp the ``lint-report/v1`` identifier onto ``document``."""
+    document["schema"] = schemas.LINT_REPORT
     url = "/v1/jobs"  # URL paths are not schema identifiers
     almost = "not/v" + "1"  # built strings are out of syntactic reach
     return document, url, almost

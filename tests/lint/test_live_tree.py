@@ -67,7 +67,6 @@ def test_schema_strings_resolve_to_the_constants_module():
     assert SPEC_FORMAT is schemas.SWEEP_SPEC
     assert RESULT_STORE_SCHEMA is schemas.RESULT_STORE
     assert CHECKPOINT_FORMAT is schemas.SWEEP_CHECKPOINT
-    assert schemas.ALL_SCHEMAS["bench_core"] == schemas.BENCH_CORE
     for slug, value in schemas.ALL_SCHEMAS.items():
         name, _, version = value.partition("/v")
         assert name and version.isdigit(), (slug, value)
