@@ -20,8 +20,7 @@ a ``networkx.Graph`` **or a Python tuple per edge**:
 * the trials themselves run with ``engine="auto"``: Luby MIS implements the
   :class:`repro.local.engine.ArrayAlgorithm` protocol, so the round loop
   executes as vectorised numpy operations over the CSR topology
-  (:class:`repro.local.engine.ArrayEngine`) instead of per-node coroutines —
-  the ``kind="run"`` cells of ``BENCH_core.json`` record the speedup
+  (:class:`repro.local.engine.ArrayEngine`) instead of per-node coroutines
   (pass ``--engine node`` to feel the difference: the n = 10⁶ finale's
   runner phase drops from ≈ 60 s to well under a second);
 * per-phase wall-clock timings come back on the result

@@ -20,7 +20,7 @@ arbitrary exception abort a multi-hour sweep:
 
 All types carry a stable machine-readable :attr:`ReproError.kind` slug — the
 ``kind`` field of the failure rows the sweep checkpoint records (schema
-documented in ``benchmarks/README.md``).
+documented in ``docs/seed-schedules.md``).
 """
 
 from __future__ import annotations

@@ -83,8 +83,8 @@ def resolve_engine(engine: str, algorithm: NodeAlgorithm) -> bool:
     """Whether ``algorithm`` should run on the array engine under ``engine``.
 
     ``"node"`` always uses the per-node coroutine
-    :class:`~repro.local.runner.Runner` (the exact-reference path — traces
-    stay seed-for-seed bit-identical to the vendored seed pipeline);
+    :class:`~repro.local.runner.Runner` (the exact-reference path, pinned by
+    the golden digests in ``tests/local/test_runner_golden.py``);
     ``"array"`` demands the vectorised
     :class:`~repro.local.engine.ArrayEngine` and raises ``TypeError`` when
     the algorithm has no array twin; ``"auto"`` picks the array engine

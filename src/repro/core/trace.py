@@ -27,8 +27,8 @@ are not tracked by the cyclic collector), so the thousands of traces a sweep
 or a batched run holds never lengthen a gen-2 collection.  The historical
 dict views (``node_outputs``, ``node_commit_round``, ``edge_outputs``,
 ``edge_commit_round``) are lazy properties returning Python scalars, and
-remain assignable so that hand-built traces (and the vendored seed pipeline
-in ``benchmarks/``) can keep constructing traces dict-first.  Whichever
+remain assignable so that hand-built traces (tests, the Definition 1
+oracle's random traces) can keep constructing dict-first.  Whichever
 representation a trace was built from is canonical; the other is derived on
 first access and cached.  Traces are treated as immutable once handed out,
 so the two never diverge.  Validation feeds the rows and ``rounds >= 0``

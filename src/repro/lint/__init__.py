@@ -7,8 +7,8 @@ the versioned schema strings that gate resume and store validation.  One
 unseeded RNG or one ``to_networkx()`` in an engine kernel breaks
 bit-identity without failing a single tier-1 test.  This package turns
 those prose invariants (ROADMAP's standing-invariants item,
-``benchmarks/README.md``'s seed-schedule sections) into machine-checked
-rules over the Python AST.
+``docs/seed-schedules.md``) into machine-checked rules over the Python
+AST.
 
 Usage::
 

@@ -3,7 +3,7 @@
 Each rule machine-enforces one of the contracts the reproduction's
 correctness rests on; ``docs/lint.md`` states the invariant behind each
 one and links back to ROADMAP's standing-invariants item and the seed
-schedules in ``benchmarks/README.md``.  Rules are deliberately syntactic
+schedules in ``docs/seed-schedules.md``.  Rules are deliberately syntactic
 and conservative: they flag the patterns that have actually bitten (or
 nearly bitten) this code base, and the ``# repro-lint: allow[...]``
 comment plus the committed baseline absorb the documented exceptions.
@@ -139,7 +139,7 @@ class DeterminismRule(Rule):
 # --------------------------------------------------------------------- #
 
 #: Modules on the per-round/per-trial hot path: one Python object per edge
-#: here undoes the array-engine speedups (benchmarks bench-core/v5+).
+#: here undoes the array-engine speedups.
 _HOT_PATH_MODULES = {
     "repro/local/engine.py",
     "repro/local/runner.py",

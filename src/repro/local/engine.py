@@ -18,9 +18,9 @@ trial's trace is the same for any batch size and any chunking, with or
 without faults (batch-size invariance, ``tests/local/test_batch.py``).
 
 Relation to the coroutine runner (the relaxed trace-identity story).  The
-coroutine path stays the **exact reference**: its traces remain seed-for-seed
-bit-identical to the vendored seed pipeline, as asserted by
-``benchmarks/core_perf.py``.  The array engine mirrors the precedent set by
+coroutine path stays the **exact reference**: its traces are pinned by the
+golden digests in ``tests/local/test_runner_golden.py``.  The array engine
+mirrors the precedent set by
 :func:`repro.graphs.generators.fast_gnp_edges`: exact RNG-stream parity with
 the per-node Mersenne path is mathematically impossible (one block-generated
 PCG64 stream cannot replay ``n`` interleaved per-node Mersenne streams), so

@@ -2,8 +2,7 @@
 
 The runner stores outputs and commit rounds in flat per-slot arrays
 (:meth:`ExecutionTrace.from_arrays`); the historical dict attributes are
-derived lazily.  Hand-built traces (tests, the vendored seed pipeline) still
-construct dict-first.  These tests pin that the two representations are
+derived lazily.  Hand-built traces (tests) still construct dict-first.  These tests pin that the two representations are
 interchangeable: same dict views, same completion times, same validation
 verdicts, and that the hot paths never export the topology to networkx.
 """
@@ -222,7 +221,7 @@ class TestRunnerProducesArrayTraces:
 
 class TestLegacyDictConstruction:
     def test_post_construction_assignment_still_works(self):
-        """The vendored seed pipeline fills dicts after construction."""
+        """Hand-built traces fill dicts after construction."""
         network = Network.from_edges(*gen.path_edges(4))
         trace = ExecutionTrace(network=network, problem=problems.MAXIMAL_MATCHING, rounds=2)
         trace.edge_outputs[(0, 1)] = True

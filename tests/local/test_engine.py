@@ -399,7 +399,7 @@ class TestPinnedSeedSchedule:
     If these fail after a refactor, the engine's seed schedule drifted —
     that is a breaking change for reproducibility and must be deliberate
     (bump the documentation in ``repro/local/engine.py`` and
-    ``benchmarks/README.md`` alongside).
+    ``docs/seed-schedules.md`` alongside).
     """
 
     def test_luby_on_cycle9_seed7(self):
