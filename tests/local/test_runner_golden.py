@@ -281,9 +281,8 @@ def seed_cell_digest(name: str) -> str:
         n, pairs = source
     else:
         n, pairs = source.number_of_nodes(), source.edges()
-    edges = [(u, v) if u < v else (v, u) for u, v in pairs]
-    identifiers = ids.permuted_ids(list(range(n)), random.Random(7))
-    network = Network.from_edges(n, edges, identifiers)
+    identifiers = ids.permuted_ids(range(n), random.Random(7))
+    network = Network.from_edges(n, pairs, identifiers)
     seed_runner = Runner(max_rounds=20_000)
     payloads = []
     for i in range(trials):
