@@ -217,6 +217,34 @@ class TestIdentifierSchemes:
         assert renamed.m == net.m
 
 
+class TestIdentifierSeedSchedule:
+    """The permuted scheme is ``random.Random(seed).shuffle(list(range(n)))``.
+
+    The runner digests pin traces that depend on these identifiers, so the
+    schedule is part of contract (1): the identifiers, and the state the
+    caller's generator is left in, match a plain shuffle exactly.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 5_000])
+    def test_permuted_identifiers_are_the_seeded_shuffle(self, n, seed):
+        reference = random.Random(seed)
+        expected = list(range(n))
+        reference.shuffle(expected)
+
+        rng = random.Random(seed)
+        net = Network.from_endpoint_arrays(
+            n, range(n - 1), range(1, n), id_scheme="permuted", rng=rng
+        )
+        assert net.identifiers == tuple(expected)
+        assert all(type(i) is int for i in net.identifiers)
+        assert rng.getstate() == reference.getstate()
+
+        rng = random.Random(seed)
+        assert ids.permuted_ids(range(n), rng) == dict(zip(range(n), expected))
+        assert rng.getstate() == reference.getstate()
+
+
 class TestFromEndpointArrays:
     """The vectorised numpy CSR construction path (Network.from_endpoint_arrays)."""
 
