@@ -1090,7 +1090,7 @@ def _network_csr_arrays(network: Network) -> Dict[str, np.ndarray]:
         "indices": network.indices,
         "edge_us": us,
         "edge_vs": vs,
-        "ids": np.asarray(network.identifiers, dtype=np.int64),
+        "ids": network.identifier_array,
     }
 
 

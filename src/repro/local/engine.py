@@ -106,9 +106,9 @@ class ArrayTopology:
     ``indices`` are the CSR adjacency, ``edge_us`` / ``edge_vs`` the
     canonical edge endpoints in :attr:`Network.edges` slot order,
     ``degrees`` the per-vertex degree vector and ``identifiers`` the
-    per-vertex unique IDs.  The CSR and endpoint arrays are the network's
-    own storage, adopted without a copy; the topology is built once per
-    network and cached on the engine.
+    per-vertex unique IDs.  The CSR, endpoint and identifier arrays are the
+    network's own storage, adopted without a copy; the topology is built
+    once per network and cached on the engine.
     """
 
     __slots__ = (
@@ -129,7 +129,7 @@ class ArrayTopology:
         self.indices = network.indices
         self.edge_us, self.edge_vs = network.edge_endpoints()
         self.degrees = np.diff(self.indptr)
-        self.identifiers = np.asarray(network.identifiers, dtype=np.int64)
+        self.identifiers = network.identifier_array
 
 
 def _commit_rounds(trials: int, size: int, labelled: bool) -> np.ndarray:

@@ -15,21 +15,37 @@ simulator supports several assignment schemes:
 * :func:`adversarial_interval_ids` — identifiers chosen from widely separated
   intervals, which is a simple adversarial pattern that maximises the number
   of rounds used by colour-reduction style algorithms.
+
+A :class:`~repro.local.network.Network` stores its identifiers as one
+read-only int64 array, so every identifier must lie in
+``[0, MAX_ID]`` with ``MAX_ID = 2**63 - 1``; :func:`id_array` (and through it
+:func:`validate_ids` and every network constructor) refuses other values with
+a :class:`ValueError`.  All four schemes stay below the bound for
+``n < 10⁹``: :func:`random_ids`, the widest, draws below ``8 n²``.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
+    "MAX_ID",
     "sequential_ids",
     "random_ids",
     "permuted_ids",
+    "permuted_id_array",
     "adversarial_interval_ids",
+    "id_array",
     "id_bit_length",
     "validate_ids",
 ]
+
+#: Largest identifier a network can store (identifiers are int64).
+MAX_ID = (1 << 63) - 1
 
 
 def sequential_ids(vertices: Sequence[int]) -> Dict[int, int]:
@@ -61,11 +77,22 @@ def random_ids(
     return {v: ident for v, ident in zip(vertices, chosen)}
 
 
+def permuted_id_array(n: int, rng: random.Random) -> np.ndarray:
+    """The identifiers ``0..n-1`` in a uniformly random order, as int64.
+
+    Entry ``v`` is vertex ``v``'s identifier.  The order is exactly
+    ``rng.shuffle(list(range(n)))``, and ``rng`` is left in the state that
+    shuffle leaves it in: the runner digests pin traces that depend on it.
+    """
+    perm: List[int] = list(range(n))
+    rng.shuffle(perm)
+    return np.fromiter(perm, dtype=np.int64, count=n)
+
+
 def permuted_ids(vertices: Sequence[int], rng: random.Random) -> Dict[int, int]:
     """Assign the identifiers ``0..n-1`` in a uniformly random order."""
-    perm: List[int] = list(range(len(vertices)))
-    rng.shuffle(perm)
-    return {v: perm[i] for i, v in enumerate(vertices)}
+    perm = permuted_id_array(len(vertices), rng)
+    return dict(zip(vertices, perm.tolist()))
 
 
 def adversarial_interval_ids(
@@ -91,18 +118,52 @@ def id_bit_length(ids: Dict[int, int]) -> int:
     return max(int(i).bit_length() for i in ids.values())
 
 
-def validate_ids(ids: Dict[int, int], vertices: Iterable[int]) -> None:
-    """Raise ``ValueError`` unless ``ids`` is an injection defined on ``vertices``.
+def _int64_values(values: List) -> np.ndarray:
+    """Identifier values as int64, refusing non-integers and values past int64."""
+    array = np.array(values) if values else np.empty(0, dtype=np.int64)
+    if array.ndim == 1 and array.dtype.kind in "bi":
+        return array.astype(np.int64, copy=False)
+    # numpy infers float64, uint64 or object for ints past int64 (and for
+    # floats or anything else): check each value exactly.
+    try:
+        exact = [operator.index(value) for value in values]
+    except TypeError:
+        raise ValueError("identifiers must be integers") from None
+    if max(exact) > MAX_ID:
+        raise ValueError("identifiers must be at most 2**63 - 1 (they are stored as int64)")
+    if min(exact) < 0:
+        raise ValueError("identifiers must be non-negative")
+    return np.array(exact, dtype=np.int64)
 
-    Membership is checked with ``in`` (never ``ids[v]``) so mappings with
-    default-value semantics cannot fabricate identifiers for missing vertices.
+
+def id_array(ids: Mapping[int, int], vertices: Iterable[int]) -> np.ndarray:
+    """``ids`` on ``vertices`` as one read-only int64 array, in vertex order.
+
+    Raises ``ValueError`` unless ``ids`` is an injection defined on
+    ``vertices`` into ``[0, MAX_ID]``.  The mapping is read once; the range
+    and uniqueness checks run on the array (uniqueness by sorting and
+    comparing neighbours).  Membership is checked with ``in`` (never
+    ``ids[v]``) so mappings with default-value semantics cannot fabricate
+    identifiers for missing vertices.
     """
     vertices = list(vertices)
     missing = [v for v in vertices if v not in ids]
     if missing:
         raise ValueError(f"identifiers missing for vertices {missing[:5]}")
-    values = [ids[v] for v in vertices]
-    if len(set(values)) != len(values):
-        raise ValueError("identifiers must be unique")
-    if any(val < 0 for val in values):
-        raise ValueError("identifiers must be non-negative")
+    array = _int64_values([ids[v] for v in vertices])
+    if array.size:
+        ordered = np.sort(array)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("identifiers must be unique")
+        if ordered[0] < 0:
+            raise ValueError("identifiers must be non-negative")
+    array.setflags(write=False)
+    return array
+
+
+def validate_ids(ids: Mapping[int, int], vertices: Iterable[int]) -> None:
+    """Raise ``ValueError`` unless ``ids`` is an injection defined on ``vertices``.
+
+    The identifiers must lie in ``[0, MAX_ID]``; see :func:`id_array`.
+    """
+    id_array(ids, vertices)

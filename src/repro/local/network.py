@@ -14,10 +14,12 @@ integer index (its slot) so that traces can be stored in arrays.
 There is one storage: read-only int64 numpy arrays.  The CSR (compressed
 sparse row) arrays ``indptr`` (length ``n + 1``) and ``indices`` (length
 ``2m``) list the neighbours of ``v`` as ``indices[indptr[v]:indptr[v + 1]]``,
-each row ascending, and the endpoint arrays of :meth:`Network.edge_endpoints`
-list the canonical edges in slot order.  Every constructor ends in the same
-vectorised build — canonicalisation, sort and duplicate removal inside
-numpy, with no Python tuple per edge:
+each row ascending, the endpoint arrays of :meth:`Network.edge_endpoints`
+list the canonical edges in slot order, and
+:attr:`Network.identifier_array` holds the identifiers in vertex order, each
+in ``[0, 2**63 - 1]`` (see :mod:`repro.local.ids`).  Every constructor ends
+in the same vectorised build — canonicalisation, sort and duplicate removal
+inside numpy, with no Python tuple per edge:
 
 * ``Network(graph)`` relabels a networkx graph's nodes to ``0..n-1`` and
   turns its edges into two endpoint arrays;
@@ -27,11 +29,12 @@ numpy, with no Python tuple per edge:
   take the endpoint arrays (the :class:`repro.graphs.edgelist.EdgeArrays`
   interchange) as they come.
 
-The per-node views — the sorted neighbour tuples the round simulator
-consumes, the tuple-of-pairs :attr:`Network.edges`, and the packed edge-slot
-lookup — are derived lazily, only if a consumer asks, and hold plain Python
-ints.  Degree statistics (``max_degree``, ``min_degree``) and the identifier
-bit length are computed once at construction time.
+The per-node views — the sorted neighbour tuples and the identifier tuple
+the round simulator consumes, the tuple-of-pairs :attr:`Network.edges`, and
+the packed edge-slot lookup — are derived lazily, only if a consumer asks,
+and hold plain Python ints.  Degree statistics (``max_degree``,
+``min_degree``) and the identifier bit length are computed once at
+construction time.
 """
 
 from __future__ import annotations
@@ -79,18 +82,34 @@ def _pair_columns(edges: Iterable[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndar
 
 def _scheme_identifiers(
     n: int, id_scheme: str, rng: Optional[random.Random]
-) -> Mapping[int, int]:
-    """Identifiers for vertices ``0..n-1`` under a named ID scheme."""
-    vertices = list(range(n))
+) -> np.ndarray:
+    """Identifiers for vertices ``0..n-1`` under a named ID scheme, as int64.
+
+    The permuted scheme (the benchmark convention) is built as an array
+    straight from its seeded shuffle; the random and adversarial schemes go
+    through their mappings and the validator.
+    """
     if id_scheme == "sequential":
-        return ids_module.sequential_ids(vertices)
-    if id_scheme == "random":
-        return ids_module.random_ids(vertices, rng or random.Random(0))
+        return np.arange(n, dtype=np.int64)
     if id_scheme == "permuted":
-        return ids_module.permuted_ids(vertices, rng or random.Random(0))
-    if id_scheme == "adversarial":
-        return ids_module.adversarial_interval_ids(vertices)
-    raise ValueError(f"unknown id scheme: {id_scheme!r}")
+        return ids_module.permuted_id_array(n, rng or random.Random(0))
+    vertices = range(n)
+    if id_scheme == "random":
+        assignment = ids_module.random_ids(vertices, rng or random.Random(0))
+    elif id_scheme == "adversarial":
+        assignment = ids_module.adversarial_interval_ids(vertices)
+    else:
+        raise ValueError(f"unknown id scheme: {id_scheme!r}")
+    return ids_module.id_array(assignment, vertices)
+
+
+def _checked_identifiers(
+    identifiers: Optional[Mapping[int, int]], n: int
+) -> Optional[np.ndarray]:
+    """A caller's identifier mapping as a validated int64 array (``None`` kept)."""
+    if identifiers is None:
+        return None
+    return ids_module.id_array(identifiers, range(n))
 
 
 class Network:
@@ -101,7 +120,8 @@ class Network:
             Nodes are relabelled to ``0..n-1`` internally (in sorted order of
             the original labels when possible, insertion order otherwise).
         identifiers: optional mapping from *internal vertex index* to unique
-            identifier.  When omitted, sequential identifiers are used.
+            identifier in ``[0, 2**63 - 1]``.  When omitted, sequential
+            identifiers are used.
 
     Attributes:
         n: number of vertices.
@@ -113,6 +133,16 @@ class Network:
         graph: nx.Graph,
         identifiers: Optional[Mapping[int, int]] = None,
     ) -> None:
+        self._init_from_graph(
+            graph, _checked_identifiers(identifiers, graph.number_of_nodes())
+        )
+
+    # ------------------------------------------------------------------ #
+    # Core construction (CSR build)
+    # ------------------------------------------------------------------ #
+
+    def _init_from_graph(self, graph: nx.Graph, id_array: Optional[np.ndarray]) -> None:
+        """Relabel a networkx graph to ``0..n-1`` and build from its edges."""
         if graph.is_directed():
             raise ValueError("Network requires an undirected graph")
 
@@ -128,19 +158,15 @@ class Network:
             index_of = {label: i for i, label in enumerate(original_nodes)}
             pairs = [(index_of[u], index_of[v]) for u, v in pairs]
         src, dst = _pair_columns(pairs)
-        self._init_from_endpoint_arrays(n, src, dst, identifiers)
+        self._init_from_endpoint_arrays(n, src, dst, id_array)
         self._original_labels = original_nodes
-
-    # ------------------------------------------------------------------ #
-    # Core construction (CSR build)
-    # ------------------------------------------------------------------ #
 
     def _init_from_endpoint_arrays(
         self,
         n: int,
         src,
         dst,
-        identifiers: Optional[Mapping[int, int]],
+        id_array: Optional[np.ndarray],
     ) -> None:
         """Initialise from flat endpoint arrays with a fully vectorised CSR build.
 
@@ -150,6 +176,8 @@ class Network:
         happen inside numpy.  No per-edge Python object is created: the
         sorted-tuple rows and the canonical tuple-of-pairs edge view are lazy
         derivations of the arrays (:attr:`_adjacency`, :attr:`edges`).
+        ``id_array`` holds valid identifiers in vertex order (``None`` means
+        sequential) and is adopted without a copy.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -228,19 +256,16 @@ class Network:
         self._nx_export: Optional[nx.Graph] = None
         self._max_degree = int(counts.max()) if n else 0
         self._min_degree = int(counts.min()) if n else 0
-        self._set_identifiers(identifiers)
+        self._set_identifiers(
+            np.arange(n, dtype=np.int64) if id_array is None else id_array
+        )
 
-    def _set_identifiers(self, identifiers: Optional[Mapping[int, int]]) -> None:
-        n = self.n
-        if identifiers is None:
-            # Sequential identifiers, materialised without the mapping round
-            # trip (identical to ``sequential_ids(range(n))``).
-            self._ids: Tuple[int, ...] = tuple(range(n))
-            self._id_bits: int = (n - 1).bit_length() if n > 0 else 0
-            return
-        ids_module.validate_ids(identifiers, range(n))
-        self._ids = tuple(identifiers[v] for v in range(n))
-        self._id_bits = max((int(i).bit_length() for i in self._ids), default=0)
+    def _set_identifiers(self, id_array: np.ndarray) -> None:
+        """Adopt valid int64 identifiers in vertex order as the storage."""
+        id_array.setflags(write=False)
+        self._id_array: np.ndarray = id_array
+        self._ids_cache: Optional[Tuple[int, ...]] = None
+        self._id_bits = int(id_array.max()).bit_length() if id_array.size else 0
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -261,8 +286,11 @@ class Network:
                 ``"adversarial"``.
             rng: randomness source, required for the randomized schemes.
         """
-        identifiers = _scheme_identifiers(graph.number_of_nodes(), id_scheme, rng)
-        return cls(graph, identifiers)
+        net = cls.__new__(cls)
+        net._init_from_graph(
+            graph, _scheme_identifiers(graph.number_of_nodes(), id_scheme, rng)
+        )
+        return net
 
     @classmethod
     def from_edge_list(
@@ -279,8 +307,8 @@ class Network:
         networkx — the construction path for ``n ≥ 10⁵`` workloads fed by the
         direct generators in :mod:`repro.graphs.generators`.
         """
-        identifiers = _scheme_identifiers(n, id_scheme, rng)
-        return cls.from_edges(n, edges, identifiers)
+        src, dst = _pair_columns(edges)
+        return cls.from_endpoint_arrays(n, src, dst, id_scheme=id_scheme, rng=rng)
 
     @classmethod
     def from_edges(
@@ -331,13 +359,14 @@ class Network:
         — same arrays, rows and edge order, and therefore seed-for-seed
         identical traces.
         """
-        if id_scheme is not None:
-            if identifiers is not None:
-                raise ValueError("pass either identifiers or id_scheme, not both")
-            if id_scheme != "sequential":  # sequential is the fast default below
-                identifiers = _scheme_identifiers(n, id_scheme, rng)
+        if id_scheme is None:
+            id_array = _checked_identifiers(identifiers, n)
+        elif identifiers is not None:
+            raise ValueError("pass either identifiers or id_scheme, not both")
+        else:
+            id_array = _scheme_identifiers(n, id_scheme, rng)
         net = cls.__new__(cls)
-        net._init_from_endpoint_arrays(n, src, dst, identifiers)
+        net._init_from_endpoint_arrays(n, src, dst, id_array)
         return net
 
     @classmethod
@@ -357,7 +386,7 @@ class Network:
 
         Trusted constructor for the shared-memory sweep path: the arrays must
         be exactly an existing network's :attr:`indptr` / :attr:`indices` /
-        :meth:`edge_endpoints` / :attr:`identifiers` views, typically
+        :meth:`edge_endpoints` / :attr:`identifier_array` views, typically
         re-attached across a process boundary.  No validation, sorting, or
         copying happens here — the arrays are adopted as-is, so they may be
         (read-only) views into a ``multiprocessing.shared_memory`` buffer
@@ -377,8 +406,7 @@ class Network:
         net._nx_export = None
         net._max_degree = int(max_degree)
         net._min_degree = int(min_degree)
-        net._ids = tuple(int(i) for i in ids)
-        net._id_bits = max((int(i).bit_length() for i in net._ids), default=0)
+        net._set_identifiers(ids)
         return net
 
     @classmethod
@@ -542,13 +570,25 @@ class Network:
     # ------------------------------------------------------------------ #
 
     def identifier(self, v: int) -> int:
-        """Unique identifier of vertex ``v``."""
-        return self._ids[v]
+        """Unique identifier of vertex ``v``, as a Python int."""
+        return int(self._id_array[v])
+
+    @property
+    def identifier_array(self) -> np.ndarray:
+        """Identifiers indexed by vertex: the read-only int64 storage."""
+        return self._id_array
 
     @property
     def identifiers(self) -> Tuple[int, ...]:
-        """Identifiers indexed by vertex."""
-        return self._ids
+        """Identifiers indexed by vertex, as a tuple of Python ints.
+
+        Derived lazily from :attr:`identifier_array` and cached; the
+        coroutine runner builds it, array consumers never do.
+        """
+        cached = self._ids_cache
+        if cached is None:
+            cached = self._ids_cache = tuple(self._id_array.tolist())
+        return cached
 
     def with_identifiers(self, identifiers: Mapping[int, int]) -> "Network":
         """Return a copy of this network with different identifiers."""
@@ -625,9 +665,9 @@ class Network:
         keep_edge = (neighbors > owners) & (new_index[neighbors] >= 0)
         src = new_index[owners[keep_edge]]
         dst = new_index[neighbors[keep_edge]]
-        ids = self._ids
-        identifiers = {i: ids[v] for i, v in enumerate(vertex_list)}
-        return Network.from_endpoint_arrays(k, src, dst, identifiers)
+        net = Network.__new__(Network)
+        net._init_from_endpoint_arrays(k, src, dst, self._id_array[kept])
+        return net
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Network(n={self.n}, m={self.m}, max_degree={self.max_degree()})"

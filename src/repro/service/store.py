@@ -366,7 +366,7 @@ class ResultStore:
         chunks: List[bytes] = []
         offset = 0
         for field in _SHARED_FIELDS:
-            data = np.ascontiguousarray(arrays[field], dtype=np.int64)
+            data = arrays[field]
             layout.append((field, offset, int(data.size)))
             chunks.append(data.tobytes())
             offset += data.nbytes

@@ -24,6 +24,7 @@ import sys
 import warnings
 from multiprocessing import shared_memory
 
+import numpy as np
 import pytest
 
 from repro.algorithms.mis.luby import LubyMIS
@@ -52,6 +53,20 @@ def run_sweep(**overrides):
     )
     settings.update(overrides)
     return sweep(**settings)
+
+
+def release_exported(manifest, segments):
+    """Close this process's attachments and unlink the exported segments."""
+    for entry in manifest.values():
+        handle = sweepmod._WORKER_SEGMENTS.pop(str(entry["name"]), None)
+        if handle is not None:
+            try:
+                handle.close()
+            except BufferError:  # a view outlived the frame; leak, don't fail
+                pass
+    for segment in segments:
+        segment.unlink()
+        segment.close()
 
 
 def edit_journal(path, statement, params=()):
@@ -129,16 +144,29 @@ class TestSharedMemoryLifecycle:
         try:
             compare()
         finally:
-            for entry in manifest.values():
-                handle = sweepmod._WORKER_SEGMENTS.pop(str(entry["name"]), None)
-                if handle is not None:
-                    try:
-                        handle.close()
-                    except BufferError:  # a view outlived the frame; leak, don't fail
-                        pass
-            for segment in segments:
-                segment.unlink()
-                segment.close()
+            release_exported(manifest, segments)
+
+    def test_shared_network_adopts_the_segment_identifiers(self):
+        spec = {"graph_factory": gen.cycle_edges, "values": [12], "seed": 3}
+        manifest, segments, networks = sweepmod._export_shared_networks(spec, [0])
+
+        def check() -> None:
+            previous = sweepmod._SHARED_MANIFEST
+            sweepmod._SHARED_MANIFEST = manifest
+            try:
+                attached = sweepmod._attach_shared_network(0)
+            finally:
+                sweepmod._SHARED_MANIFEST = previous
+            mapping = sweepmod._WORKER_SEGMENTS[str(manifest[0]["name"])].buf
+            ids = attached.identifier_array
+            assert np.shares_memory(ids, np.frombuffer(mapping, dtype=np.uint8))
+            assert attached._ids_cache is None  # no tuple built on attach
+            assert ids.tolist() == list(networks[0].identifiers)
+
+        try:
+            check()
+        finally:
+            release_exported(manifest, segments)
 
 
 class TestBatchedCells:

@@ -24,9 +24,10 @@ from repro.algorithms.matching.randomized import (
 from repro.algorithms.mis.luby import LubyMIS, LubyMISArray
 from repro.algorithms.selfstab import SelfStabilizingLubyMISArray
 from repro.core import problems
-from repro.core.experiment import Experiment, run_trials, trial_seed
+from repro.core.experiment import Experiment, resolve_network, run_trials, trial_seed
+from repro.core.metrics import measure
 from repro.graphs.generators import fast_gnp_edges
-from repro.local.engine import ArrayEngine, batch_chunk
+from repro.local.engine import ArrayEngine, ArrayTopology, batch_chunk
 from repro.local.network import Network
 from repro.local.runner import Runner
 
@@ -256,6 +257,37 @@ class TestFootprint:
         engine.run(factory(), network, problem, seed=0)
         peak = _traced_peak(lambda: engine.run(factory(), network, problem, seed=0))
         assert peak / network.m <= 30
+
+    def test_permuted_network_build_peak_allocation_per_node(self):
+        # The benchmarks' network (permuted identifiers) and its engine
+        # topology: the identifiers stay one int64 array from the seeded
+        # shuffle to the kernels.  Through a dict and a tuple of ints this
+        # build peaked at about 660 bytes per node.
+        n = 20_000
+        edges = fast_gnp_edges(n, 10 / (n - 1), seed=1, as_arrays=True)
+        peak = _traced_peak(lambda: ArrayTopology(resolve_network(edges, seed=1)))
+        assert peak / n <= 500
+
+
+class TestIdentifierArray:
+    """Array consumers take the network's identifier array as it is: the
+    engine topology shares its memory, and no array run builds the tuple
+    view that only the coroutine runner needs."""
+
+    def test_topology_shares_the_identifier_array(self):
+        network = resolve_network(fast_gnp_edges(500, 0.02, seed=3, as_arrays=True))
+        topology = ArrayTopology(network)
+        assert np.shares_memory(topology.identifiers, network.identifier_array)
+
+    @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
+    def test_array_run_validate_and_measure_leave_the_tuple_unbuilt(
+        self, name, factory, problem
+    ):
+        network = resolve_network(fast_gnp_edges(500, 0.02, seed=3, as_arrays=True))
+        trace = ArrayEngine().run(factory(), network, problem, seed=0)
+        assert trace.validate()
+        measure(trace)
+        assert network._ids_cache is None
 
 
 class TestScratchReuse:

@@ -217,6 +217,103 @@ class TestIdentifierSchemes:
         assert renamed.m == net.m
 
 
+IDENTIFIER_BUILDERS = {
+    "graph": lambda identifiers: Network(nx.path_graph(3), identifiers),
+    "from_edges": lambda identifiers: Network.from_edges(
+        3, [(0, 1), (1, 2)], identifiers
+    ),
+    "from_endpoint_arrays": lambda identifiers: Network.from_endpoint_arrays(
+        3, [0, 1], [1, 2], identifiers
+    ),
+    "with_identifiers": lambda identifiers: Network.from_edges(
+        3, [(0, 1), (1, 2)]
+    ).with_identifiers(identifiers),
+}
+
+
+class TestIdentifierStorage:
+    """Identifiers are one read-only int64 array in vertex order; every
+    constructor refuses values outside ``[0, 2**63 - 1]``."""
+
+    @pytest.mark.parametrize("too_big", [2**63, 2**64])
+    @pytest.mark.parametrize(
+        "build", IDENTIFIER_BUILDERS.values(), ids=list(IDENTIFIER_BUILDERS)
+    )
+    def test_identifiers_past_int64_are_refused(self, build, too_big):
+        # Such identifiers used to build a network whose array engine run,
+        # parallel sweep export and graph-cache store raised a bare
+        # OverflowError.
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            build({0: too_big, 1: 5, 2: 7})
+
+    @pytest.mark.parametrize(
+        "build", IDENTIFIER_BUILDERS.values(), ids=list(IDENTIFIER_BUILDERS)
+    )
+    def test_largest_int64_identifier_is_accepted(self, build):
+        net = build({0: 2**63 - 1, 1: 5, 2: 7})
+        assert net.identifiers == (2**63 - 1, 5, 7)
+        assert net.id_bit_length() == 63
+        assert net.identifier(0) == ids.MAX_ID and type(net.identifier(0)) is int
+
+    def test_array_engine_runs_on_the_largest_identifier(self):
+        from repro.algorithms.mis.luby import LubyMISArray
+        from repro.core import problems
+        from repro.local.engine import ArrayEngine
+
+        net = Network.from_edges(3, [(0, 1), (1, 2)], {0: 2**63 - 1, 1: 5, 2: 7})
+        trace = ArrayEngine().run(LubyMISArray(), net, problems.MIS, seed=1)
+        assert trace.validate()
+
+    @pytest.mark.parametrize(
+        "identifiers, message",
+        [
+            ({0: -(2**64), 1: 5}, "non-negative"),
+            ({0: 1.5, 1: 5}, "integers"),
+            ({0: "a", 1: 5}, "integers"),
+            ({0: 2**64, 1: 5}, r"2\*\*63 - 1"),
+        ],
+    )
+    def test_validate_ids_names_the_fault(self, identifiers, message):
+        with pytest.raises(ValueError, match=message):
+            ids.validate_ids(identifiers, [0, 1])
+
+    def test_numpy_and_bool_identifiers_are_stored_as_ints(self):
+        net = Network.from_edges(
+            3, [(0, 1)], {0: np.uint64(9), 1: True, 2: np.int32(4)}
+        )
+        assert net.identifiers == (9, 1, 4)
+        assert all(type(i) is int for i in net.identifiers)
+
+    @pytest.mark.parametrize("scheme", ["sequential", "random", "permuted", "adversarial"])
+    def test_storage_is_one_read_only_int64_array(self, scheme):
+        net = Network.from_edge_list(
+            *_cycle(20), id_scheme=scheme, rng=random.Random(1)
+        )
+        array = net.identifier_array
+        assert array.dtype == np.int64 and array.shape == (20,)
+        assert not array.flags.writeable
+        # The tuple view is built on first use only, as plain ints.
+        assert net._ids_cache is None
+        assert net.identifier(3) == int(array[3])
+        assert net.id_bit_length() == int(array.max()).bit_length()
+        assert net._ids_cache is None
+        assert net.identifiers == tuple(array.tolist())
+        assert net.identifiers is net.identifiers
+
+    def test_subnetwork_gathers_the_identifier_array(self):
+        net = Network.from_edge_list(
+            *_cycle(12), id_scheme="permuted", rng=random.Random(5)
+        )
+        sub = net.subnetwork([2, 3, 9])
+        assert np.array_equal(sub.identifier_array, net.identifier_array[[2, 3, 9]])
+        assert not sub.identifier_array.flags.writeable
+        assert net._ids_cache is None and sub._ids_cache is None
+
+
+def _cycle(n: int):
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
 class TestIdentifierSeedSchedule:
     """The permuted scheme is ``random.Random(seed).shuffle(list(range(n)))``.
 

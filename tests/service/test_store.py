@@ -204,6 +204,22 @@ class TestGraphCache:
         assert cached.identifiers == network.identifiers
         assert cached.max_degree() == network.max_degree()
 
+    def test_cache_hit_adopts_the_payload_identifiers(self, db_path):
+        from repro.analysis.sweep import network_from
+
+        spec = make_spec()
+        network = network_from(spec.graph_source(8), seed=spec.network_seed(0))
+        with ResultStore(db_path) as store:
+            key = spec.graph_key(0)
+            assert store.claim_graph_build(key, {"family": "cycle"})
+            store.store_network(key, network)
+            cached = store.cached_network(key)
+        # Every field is a view of the one payload the row returned.
+        payload = np.frombuffer(cached.indptr.base, dtype=np.uint8)
+        assert np.shares_memory(cached.identifier_array, payload)
+        assert cached._ids_cache is None
+        assert np.array_equal(cached.identifier_array, network.identifier_array)
+
     def test_claim_is_exclusive_until_released(self, db_path):
         with ResultStore(db_path) as store:
             assert store.claim_graph_build("k1", {"r": 1})
