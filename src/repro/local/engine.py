@@ -58,8 +58,9 @@ randomized matching (26 for a lone trial, whose endpoint-slot tables are
 the topology's own endpoint arrays).  Measured on a 2-CPU Xeon container on
 G(10⁶, 10/(n−1)) with seed 1 (``m = 5 000 139``), two runs each: the first
 ``run`` of a fresh engine, which builds the topology and fills the
-engine's scratch arena, peaks at 278 MB of tracemalloc allocations for
-Luby MIS and 267 MB for randomized matching; a rerun on the same engine
+engine's scratch arena, peaks at 270 MB of tracemalloc allocations for
+Luby MIS and 259 MB for randomized matching (the topology adopts the
+network's identifier array, 8 MB at this size); a rerun on the same engine
 reuses the arena and peaks at 72 MB and 104 MB; the best untraced time of
 three warm reruns is 0.31–0.32 s and 1.31 s.  The per-round-allocating
 single-trial loop that preceded the batch protocol took 0.75–0.79 s with

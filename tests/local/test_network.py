@@ -9,6 +9,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.graphs.generators import cycle_edges
 from repro.local import ids
 from repro.local.network import Network, canonical_edge
 
@@ -240,9 +241,9 @@ class TestIdentifierStorage:
         "build", IDENTIFIER_BUILDERS.values(), ids=list(IDENTIFIER_BUILDERS)
     )
     def test_identifiers_past_int64_are_refused(self, build, too_big):
-        # Such identifiers used to build a network whose array engine run,
-        # parallel sweep export and graph-cache store raised a bare
-        # OverflowError.
+        # The array engine, the parallel sweep export and the graph-cache
+        # store hold identifiers as int64, so the constructor refuses these
+        # up front instead of letting those layers overflow.
         with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
             build({0: too_big, 1: 5, 2: 7})
 
@@ -287,7 +288,7 @@ class TestIdentifierStorage:
     @pytest.mark.parametrize("scheme", ["sequential", "random", "permuted", "adversarial"])
     def test_storage_is_one_read_only_int64_array(self, scheme):
         net = Network.from_edge_list(
-            *_cycle(20), id_scheme=scheme, rng=random.Random(1)
+            *cycle_edges(20), id_scheme=scheme, rng=random.Random(1)
         )
         array = net.identifier_array
         assert array.dtype == np.int64 and array.shape == (20,)
@@ -302,16 +303,12 @@ class TestIdentifierStorage:
 
     def test_subnetwork_gathers_the_identifier_array(self):
         net = Network.from_edge_list(
-            *_cycle(12), id_scheme="permuted", rng=random.Random(5)
+            *cycle_edges(12), id_scheme="permuted", rng=random.Random(5)
         )
         sub = net.subnetwork([2, 3, 9])
         assert np.array_equal(sub.identifier_array, net.identifier_array[[2, 3, 9]])
         assert not sub.identifier_array.flags.writeable
         assert net._ids_cache is None and sub._ids_cache is None
-
-
-def _cycle(n: int):
-    return n, [(i, (i + 1) % n) for i in range(n)]
 
 
 class TestIdentifierSeedSchedule:
@@ -421,8 +418,6 @@ class TestFromEndpointArrays:
         assert [edgeless.neighbors(v) for v in edgeless.vertices] == [()] * 5
 
     def test_id_scheme_parity_with_from_edge_list(self):
-        from repro.graphs.generators import cycle_edges
-
         n, edges = cycle_edges(40)
         arrays = cycle_edges(40, as_arrays=True)
         via_list = Network.from_edge_list(n, edges, id_scheme="permuted", rng=random.Random(3))
