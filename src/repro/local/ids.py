@@ -119,45 +119,37 @@ def id_bit_length(ids: Dict[int, int]) -> int:
 
 
 def _int64_values(values: List) -> np.ndarray:
-    """Identifier values as int64, refusing non-integers and values past int64."""
-    array = np.array(values) if values else np.empty(0, dtype=np.int64)
-    if array.ndim == 1 and array.dtype.kind in "bi":
-        return array.astype(np.int64, copy=False)
-    # numpy infers float64, uint64 or object for ints past int64 (and for
-    # floats or anything else): check each value exactly.
+    """Identifier values as int64, refusing non-integers and values outside
+    ``[0, MAX_ID]``."""
     try:
         exact = [operator.index(value) for value in values]
     except TypeError:
         raise ValueError("identifiers must be integers") from None
-    if max(exact) > MAX_ID:
+    if exact and max(exact) > MAX_ID:
         raise ValueError("identifiers must be at most 2**63 - 1 (they are stored as int64)")
-    if min(exact) < 0:
+    if exact and min(exact) < 0:
         raise ValueError("identifiers must be non-negative")
     return np.array(exact, dtype=np.int64)
 
 
 def id_array(ids: Mapping[int, int], vertices: Iterable[int]) -> np.ndarray:
-    """``ids`` on ``vertices`` as one read-only int64 array, in vertex order.
+    """``ids`` on ``vertices`` as one int64 array, in vertex order.
 
     Raises ``ValueError`` unless ``ids`` is an injection defined on
-    ``vertices`` into ``[0, MAX_ID]``.  The mapping is read once; the range
-    and uniqueness checks run on the array (uniqueness by sorting and
-    comparing neighbours).  Membership is checked with ``in`` (never
-    ``ids[v]``) so mappings with default-value semantics cannot fabricate
-    identifiers for missing vertices.
+    ``vertices`` into ``[0, MAX_ID]``.  The mapping is read once; the
+    uniqueness check runs on the array (by sorting and comparing
+    neighbours).  Membership is checked with ``in`` (never ``ids[v]``) so
+    mappings with default-value semantics cannot fabricate identifiers for
+    missing vertices.
     """
     vertices = list(vertices)
     missing = [v for v in vertices if v not in ids]
     if missing:
         raise ValueError(f"identifiers missing for vertices {missing[:5]}")
     array = _int64_values([ids[v] for v in vertices])
-    if array.size:
-        ordered = np.sort(array)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("identifiers must be unique")
-        if ordered[0] < 0:
-            raise ValueError("identifiers must be non-negative")
-    array.setflags(write=False)
+    ordered = np.sort(array)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("identifiers must be unique")
     return array
 
 

@@ -103,15 +103,6 @@ def _scheme_identifiers(
     return ids_module.id_array(assignment, vertices)
 
 
-def _checked_identifiers(
-    identifiers: Optional[Mapping[int, int]], n: int
-) -> Optional[np.ndarray]:
-    """A caller's identifier mapping as a validated int64 array (``None`` kept)."""
-    if identifiers is None:
-        return None
-    return ids_module.id_array(identifiers, range(n))
-
-
 class Network:
     """Immutable communication graph with identifiers.
 
@@ -133,9 +124,10 @@ class Network:
         graph: nx.Graph,
         identifiers: Optional[Mapping[int, int]] = None,
     ) -> None:
-        self._init_from_graph(
-            graph, _checked_identifiers(identifiers, graph.number_of_nodes())
-        )
+        id_array = None
+        if identifiers is not None:
+            id_array = ids_module.id_array(identifiers, range(graph.number_of_nodes()))
+        self._init_from_graph(graph, id_array)
 
     # ------------------------------------------------------------------ #
     # Core construction (CSR build)
@@ -359,12 +351,14 @@ class Network:
         — same arrays, rows and edge order, and therefore seed-for-seed
         identical traces.
         """
-        if id_scheme is None:
-            id_array = _checked_identifiers(identifiers, n)
-        elif identifiers is not None:
-            raise ValueError("pass either identifiers or id_scheme, not both")
-        else:
+        if id_scheme is not None:
+            if identifiers is not None:
+                raise ValueError("pass either identifiers or id_scheme, not both")
             id_array = _scheme_identifiers(n, id_scheme, rng)
+        elif identifiers is not None:
+            id_array = ids_module.id_array(identifiers, range(n))
+        else:
+            id_array = None
         net = cls.__new__(cls)
         net._init_from_endpoint_arrays(n, src, dst, id_array)
         return net
@@ -638,8 +632,9 @@ class Network:
         LOCAL-model input.  Cost is O(sum of degrees of the kept vertices),
         not O(m): only the CSR segments of the kept vertices are gathered,
         their kept neighbours re-indexed vectorised, and the result rebuilt
-        through :meth:`from_endpoint_arrays` — no per-node tuple row and no
-        per-edge tuple anywhere.
+        by the vectorised CSR build every constructor ends in, with the kept
+        vertices' identifiers gathered from :attr:`identifier_array` — no
+        per-node tuple row and no per-edge tuple anywhere.
         """
         vertex_list = sorted(set(vertices))
         kept = np.asarray(vertex_list, dtype=np.int64)
