@@ -3,7 +3,7 @@
 A sweep runs one or more algorithms over a family of networks (e.g. growing
 ``n`` or growing ``Δ``), measures every averaged-complexity notion for each
 combination, and returns the rows that the benchmark scripts print and that
-EXPERIMENTS.md records.
+``benchmarks/README.md`` tabulates.
 
 Sweeps can fan their ``(value, algorithm, trial)`` cells across a
 ``multiprocessing`` pool (``parallel=``).  Every cell derives its seed from
@@ -13,9 +13,8 @@ the same deterministic schedule as the serial path
 wall-clock time, never results.
 
 Crash safety.  Long sweeps die for boring reasons — an OOM-killed pool
-worker, a wall-clock limit, a Ctrl-C — and before this module grew its
-resilience layer any of those lost the whole run.  The layer has three
-parts, all opt-in:
+worker, a wall-clock limit, a Ctrl-C — and without a resilience layer any
+of those loses the whole run.  The layer has three parts, all opt-in:
 
 * ``on_error="record"`` turns per-cell exceptions (validation failures,
   round-limit overruns, :class:`~repro.core.errors.CellTimeout` when
@@ -30,15 +29,17 @@ parts, all opt-in:
   computing.  Re-running the same sweep on the same journal skips cells
   whose ``ok`` rows are committed and retries recorded failures, so an
   interrupted sweep resumes cell-exactly — the per-cell seed schedule makes
-  the resumed results identical to an uninterrupted run;
+  the resumed results identical to an uninterrupted run.  Under
+  ``on_error="raise"`` the failing cell's row is journaled before its error
+  propagates, on the serial, pool and lost-worker paths alike;
 * the parallel path survives *lost* workers: a pool worker that dies
   without reporting (the classic OOM SIGKILL, which would hang
   ``Pool.map`` forever) is detected via a result stall, the pool is torn
   down, and every unfinished cell is re-run serially in the parent with its
   original seed.  A cell that fails again is recorded as a
-  :class:`~repro.core.errors.WorkerCrashed` failure row (or re-raised under
-  ``on_error="raise"``).  ``KeyboardInterrupt`` tears the pool down, releases
-  the journal, and re-raises.
+  :class:`~repro.core.errors.WorkerCrashed` failure row (or raised as one
+  under ``on_error="raise"``).  ``KeyboardInterrupt`` tears the pool down,
+  releases the journal, and re-raises.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
+from multiprocessing.pool import ExceptionWithTraceback
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
@@ -246,8 +248,8 @@ def sweep(
             pool uses the ``fork`` start method so the (possibly
             unpicklable) factories can be inherited by the workers; on
             platforms where ``fork`` is not the default start method (e.g.
-            macOS, Windows) the sweep silently falls back to the serial
-            path.  Results are identical either way **provided the
+            macOS, Windows) the sweep warns with a ``RuntimeWarning`` and
+            runs serially.  Results are identical either way **provided the
             factories are pure functions of their arguments** (take
             randomness from an explicit seed, e.g.
             ``lambda n: gnp_random_graph(n, p, seed=n)``): workers may
@@ -282,7 +284,8 @@ def sweep(
             skipped and recorded failures are retried — interrupted sweeps
             resume cell-exactly.
         on_error: ``"raise"`` (default) propagates the first broken cell's
-            exception; ``"record"`` converts broken cells into
+            exception, after journaling its failure row when a
+            ``checkpoint`` is given; ``"record"`` converts broken cells into
             :class:`CellFailure` rows on the result and keeps sweeping.
         batch_budget_bytes: optional override of the trial-batched array
             engine's chunk byte budget
@@ -332,9 +335,33 @@ def sweep(
     spec["parallel"] = bool(workers > 1 and cells > 1 and fork_ok)
     journal = _Journal(checkpoint, spec) if checkpoint is not None else None
     try:
-        if spec["parallel"]:
-            return _sweep_parallel(spec, min(workers, cells), journal)
-        return _sweep_serial(spec, journal)
+        rows = dict(journal.rows) if journal is not None else {}
+        # Cells with a committed ok row are done; recorded failures re-run.
+        remaining = [
+            (index, name, trial)
+            for index in range(len(values))
+            for name in algorithms
+            for trial in range(trials)
+            if rows.get((index, name, trial), {}).get("status") != "ok"
+        ]
+
+        def consume(
+            task_rows: List[Dict[str, object]], error: Optional[Exception]
+        ) -> None:
+            for row in task_rows:
+                rows[_cell_key(row)] = row
+                if journal is not None:
+                    journal.record(row)
+            if error is not None:
+                raise error
+
+        if spec["parallel"] and remaining:
+            _sweep_parallel(spec, min(workers, cells), remaining, consume)
+        else:
+            cache: Dict[int, Network] = {}
+            for task in _tasks(spec, remaining):
+                consume(*_execute(spec, task, cache))
+        return _collect(spec, rows)
     finally:
         if journal is not None:
             journal.close()
@@ -375,8 +402,14 @@ def _fork_available() -> bool:
 # the classify_failure slug — so the same row format serves the pool
 # protocol, the journal (whose columns are the row keys), and the
 # aggregation step.
+#
+# A task is one (value index, algorithm name, trials) group of cells, built
+# by _tasks.  _execute runs a task and is the only code that runs cells:
+# the serial loop calls it in order, the pool workers map it, and after a
+# lost worker the parent calls it for every unfinished cell.
 
 CellKey = Tuple[int, str, int]
+Task = Tuple[int, str, Tuple[int, ...]]
 
 
 def _cell_key(row: Mapping[str, object]) -> CellKey:
@@ -394,8 +427,8 @@ def _cell_network(
     if network is None:
         # Pool workers first try to reassemble the network zero-copy from the
         # shared CSR manifest published by the parent; outside a parallel
-        # sweep (or for indices the parent could not export) the factory
-        # rebuild below is the path, exactly as before.
+        # sweep, and for indices the parent could not export, the factory
+        # builds it.
         network = _attach_shared_network(index)
         if network is None:
             graph = spec["graph_factory"](spec["values"][index])  # type: ignore[operator, index]
@@ -436,29 +469,6 @@ def _ok_row(
     return row
 
 
-def _run_cell(
-    spec: Dict[str, object], index: int, name: str, trial: int, cache: Dict[int, Network]
-) -> Dict[str, object]:
-    """Execute one cell and return its ``ok`` row."""
-    network = _cell_network(spec, index, cache)
-    algorithm_factory, problem_factory = spec["algorithms"][name]  # type: ignore[index]
-    problem = problem_factory(network)
-    traces = run_trials(
-        lambda: algorithm_factory(network),
-        network,
-        problem,
-        trials=1,
-        seed=_cell_seed(spec, index, trial),
-        runner=Runner(max_rounds=int(spec["max_rounds"])),  # type: ignore[arg-type]
-        validate=bool(spec["validate"]),
-        engine=str(spec["engine"]),
-        faults=spec["faults"],  # type: ignore[arg-type]
-        timeout_s=spec["cell_timeout"],  # type: ignore[arg-type]
-        batch_budget_bytes=spec.get("batch_budget"),  # type: ignore[arg-type]
-    )
-    return _ok_row(network, problem, index, name, trial, traces[0])
-
-
 def _grouped_execution(spec: Dict[str, object]) -> bool:
     """Whether a cell's remaining trials may run as one batched ``run_trials``.
 
@@ -478,12 +488,16 @@ def _grouped_execution(spec: Dict[str, object]) -> bool:
     )
 
 
-def _group_cells(keys: Sequence[CellKey]) -> List[Tuple[Tuple[int, str], List[int]]]:
-    """Group cell keys by ``(index, name)``, preserving iteration order."""
+def _tasks(spec: Dict[str, object], cells: Sequence[CellKey]) -> List[Task]:
+    """Group ``cells`` into tasks, preserving their order: all of a
+    ``(value, algorithm)``'s trials per task under
+    :func:`_grouped_execution`, else one trial per task."""
+    if not _grouped_execution(spec):
+        return [(index, name, (trial,)) for index, name, trial in cells]
     groups: Dict[Tuple[int, str], List[int]] = {}
-    for index, name, trial in keys:
+    for index, name, trial in cells:
         groups.setdefault((index, name), []).append(trial)
-    return list(groups.items())
+    return [(index, name, tuple(trials)) for (index, name), trials in groups.items()]
 
 
 def _contiguous_runs(trials: Sequence[int]) -> List[List[int]]:
@@ -497,29 +511,30 @@ def _contiguous_runs(trials: Sequence[int]) -> List[List[int]]:
     return runs
 
 
-def _run_cell_group(
+def _trial_rows(
     spec: Dict[str, object],
     index: int,
     name: str,
-    trials_group: Sequence[int],
+    trials: Sequence[int],
     cache: Dict[int, Network],
 ) -> List[Dict[str, object]]:
-    """Execute several trials of one cell as batched runs; one row per trial.
+    """Run ``trials`` of one cell as batched runs; one ``ok`` row per trial.
 
     The per-trial seed schedule is arithmetic (``_cell_seed`` is
     ``base + trial``), so a maximal run of consecutive trial numbers maps
     onto one ``run_trials(trials=k, seed=_cell_seed(.., run[0]))`` call whose
-    trial ``i`` receives exactly the seed the per-cell path would have used
-    for trial ``run[0] + i``.  Non-consecutive remainders (a checkpoint
-    resumed mid-cell) split into several runs — batch-size invariance of the
-    array engine makes the rows identical either way.
+    trial ``i`` receives exactly the seed a run of trial ``run[0] + i``
+    alone would use.  Non-consecutive remainders (a checkpoint resumed
+    mid-cell) split into several runs — batch-size invariance of the array
+    engine makes the rows identical either way.  ``cell_timeout`` bounds
+    each call; it is set only when every task holds one trial.
     """
     network = _cell_network(spec, index, cache)
     algorithm_factory, problem_factory = spec["algorithms"][name]  # type: ignore[index]
     problem = problem_factory(network)
     runner = Runner(max_rounds=int(spec["max_rounds"]))  # type: ignore[arg-type]
     rows: List[Dict[str, object]] = []
-    for run in _contiguous_runs(trials_group):
+    for run in _contiguous_runs(trials):
         traces = run_trials(
             lambda: algorithm_factory(network),
             network,
@@ -530,6 +545,7 @@ def _run_cell_group(
             validate=bool(spec["validate"]),
             engine=str(spec["engine"]),
             faults=spec["faults"],  # type: ignore[arg-type]
+            timeout_s=spec["cell_timeout"],  # type: ignore[arg-type]
             batch_budget_bytes=spec.get("batch_budget"),  # type: ignore[arg-type]
         )
         for trial, trace in zip(run, traces):
@@ -537,18 +553,45 @@ def _run_cell_group(
     return rows
 
 
-def _failure_row(
-    spec: Dict[str, object], index: int, name: str, trial: int, kind: str, message: str
-) -> Dict[str, object]:
-    return {
-        "status": "failure",
-        "value_index": index,
-        "algorithm": name,
-        "trial": trial,
-        "seed": _cell_seed(spec, index, trial),
-        "kind": kind,
-        "message": message,
-    }
+def _execute(
+    spec: Dict[str, object], task: Task, cache: Dict[int, Network]
+) -> Tuple[List[Dict[str, object]], Optional[Exception]]:
+    """Run one task; return its rows in trial order and the error that
+    stopped it, if any.
+
+    The trials run batched first.  A batched run cannot attribute its
+    failure to one trial, so a failed batch re-runs trial by trial, and
+    each failing trial becomes a ``failure`` row carrying its own seed.
+    Under ``on_error="raise"`` the first failing trial ends the task: its
+    row comes last, and its error is returned beside the rows so that the
+    caller journals them before raising it.  Otherwise the error is
+    ``None``.
+    """
+    index, name, trials = task
+    if len(trials) > 1:
+        try:
+            return _trial_rows(spec, index, name, trials, cache), None
+        except Exception:
+            pass
+    rows: List[Dict[str, object]] = []
+    for trial in trials:
+        try:
+            rows += _trial_rows(spec, index, name, (trial,), cache)
+        except Exception as error:
+            rows.append(
+                {
+                    "status": "failure",
+                    "value_index": index,
+                    "algorithm": name,
+                    "trial": trial,
+                    "seed": _cell_seed(spec, index, trial),
+                    "kind": classify_failure(error),
+                    "message": str(error),
+                }
+            )
+            if spec["on_error"] == "raise":
+                return rows, error
+    return rows, None
 
 
 class _CellTrace:
@@ -961,91 +1004,15 @@ def _pid_alive(pid: int, started: Optional[int] = None) -> bool:
 
 
 # ---------------------------------------------------------------------- #
-# Serial execution
-# ---------------------------------------------------------------------- #
-
-
-def _cell_keys(spec: Dict[str, object]) -> List[CellKey]:
-    return [
-        (index, name, trial)
-        for index in range(len(spec["values"]))  # type: ignore[arg-type]
-        for name in spec["algorithms"]  # type: ignore[union-attr]
-        for trial in range(int(spec["trials"]))
-    ]
-
-
-def _resume(
-    spec: Dict[str, object], journal: Optional[_Journal]
-) -> Tuple[Dict[CellKey, Dict[str, object]], List[CellKey]]:
-    """The journaled rows and the cells still to run (failures are retried)."""
-    rows = dict(journal.rows) if journal is not None else {}
-    remaining = [
-        key for key in _cell_keys(spec) if rows.get(key, {}).get("status") != "ok"
-    ]
-    return rows, remaining
-
-
-def _sweep_serial(
-    spec: Dict[str, object], journal: Optional[_Journal]
-) -> SweepResult:
-    rows, remaining = _resume(spec, journal)
-    cache: Dict[int, Network] = {}
-
-    def record(row: Dict[str, object]) -> None:
-        rows[_cell_key(row)] = row
-        if journal is not None:
-            journal.record(row)
-
-    def run_one(index: int, name: str, trial: int) -> None:
-        try:
-            row = _run_cell(spec, index, name, trial, cache)
-        except KeyboardInterrupt:
-            raise  # the journal already holds every finished cell
-        except Exception as error:
-            row = _failure_row(
-                spec, index, name, trial, classify_failure(error), str(error)
-            )
-            if spec["on_error"] == "raise":
-                if journal is not None:
-                    journal.record(row)
-                raise
-        record(row)
-
-    if _grouped_execution(spec):
-        for (index, name), trials_group in _group_cells(remaining):
-            group_rows: Optional[List[Dict[str, object]]] = None
-            if len(trials_group) > 1:
-                try:
-                    group_rows = _run_cell_group(spec, index, name, trials_group, cache)
-                except KeyboardInterrupt:
-                    raise
-                except Exception:
-                    # A batched run cannot attribute its failure to one trial;
-                    # re-run the group per cell so the failure row (or the
-                    # raised error) carries the exact trial and seed.
-                    group_rows = None
-            if group_rows is not None:
-                for row in group_rows:
-                    record(row)
-            else:
-                for trial in trials_group:
-                    run_one(index, name, trial)
-    else:
-        for index, name, trial in remaining:
-            run_one(index, name, trial)
-    return _collect(spec, rows)
-
-
-# ---------------------------------------------------------------------- #
 # Parallel execution
 # ---------------------------------------------------------------------- #
 #
 # The graph/algorithm/problem factories handed to sweep() are commonly
 # closures or lambdas, which cannot be pickled.  The pool therefore uses the
 # `fork` start method and the workers read the sweep specification from a
-# module global inherited from the parent process at fork time; the task
-# tuples sent through the pool are plain picklable (index, name, trials)
-# groups, and the results are lists of plain row dicts.
+# module global inherited from the parent process at fork time; the tasks
+# sent through the pool are plain picklable (index, name, trials) tuples,
+# and each result is _execute's pair of plain row dicts and error.
 #
 # Network topology travels through ``multiprocessing.shared_memory`` rather
 # than per-task rebuilds: the parent constructs each value's network once,
@@ -1058,9 +1025,8 @@ def _sweep_serial(
 # copied, into every worker.  The parent owns the segment lifecycle: the
 # segments are unlinked in a ``finally`` after the pool is torn down, so they
 # are reclaimed even when a worker was SIGKILLed mid-task.  Indices missing
-# from the manifest (the factory raised in the parent) fall back to the
-# historical in-worker ``graph_factory`` rebuild so the failure surfaces as
-# per-cell rows exactly like before.
+# from the manifest (the factory raised in the parent) are rebuilt by
+# ``graph_factory`` in the worker, so the failure surfaces as per-cell rows.
 
 _PARALLEL_SPEC: Optional[Dict[str, object]] = None
 _WORKER_NETWORKS: Dict[int, Network] = {}
@@ -1116,8 +1082,7 @@ def _export_shared_networks(
                 network = _cell_network(spec, index, networks)
             except Exception:
                 # Leave the index out of the manifest: the workers rebuild via
-                # graph_factory and report the failure per cell, as they always
-                # did when the factory was broken.
+                # graph_factory, so the failure becomes their cells' rows.
                 continue
             arrays = _network_csr_arrays(network)
             layout: List[Tuple[str, int, int]] = []
@@ -1196,34 +1161,16 @@ def _attach_shared_network(index: int) -> Optional[Network]:
     )
 
 
-GroupTask = Tuple[int, str, Tuple[int, ...]]
-
-
-def _parallel_worker(task: GroupTask) -> List[Dict[str, object]]:
-    index, name, trials_group = task
+def _parallel_worker(task: Task) -> Tuple[List[Dict[str, object]], object]:
     spec = _PARALLEL_SPEC
     if spec is None:
         raise ReproError("worker forked without a sweep specification")
-    if len(trials_group) > 1:
-        try:
-            return _run_cell_group(
-                spec, index, name, list(trials_group), _WORKER_NETWORKS
-            )
-        except Exception:
-            pass  # re-run per trial below for exact failure attribution
-    rows: List[Dict[str, object]] = []
-    for trial in trials_group:
-        try:
-            rows.append(_run_cell(spec, index, name, trial, _WORKER_NETWORKS))
-        except Exception as error:
-            if spec["on_error"] == "raise":
-                raise
-            rows.append(
-                _failure_row(
-                    spec, index, name, trial, classify_failure(error), str(error)
-                )
-            )
-    return rows
+    rows, error = _execute(spec, task, _WORKER_NETWORKS)
+    if error is None:
+        return rows, None
+    # A traceback does not pickle, so send its text the way Pool does for a
+    # task that raised: the parent's re-raise then shows the worker's stack.
+    return rows, ExceptionWithTraceback(error, error.__traceback__)
 
 
 def _stall_timeout(spec: Dict[str, object]) -> float:
@@ -1234,94 +1181,72 @@ def _stall_timeout(spec: Dict[str, object]) -> float:
 
 
 def _sweep_parallel(
-    spec: Dict[str, object], workers: int, journal: Optional[_Journal]
-) -> SweepResult:
+    spec: Dict[str, object],
+    workers: int,
+    remaining: Sequence[CellKey],
+    consume: Callable[[List[Dict[str, object]], Optional[Exception]], None],
+) -> None:
+    """Run ``remaining`` on a fork pool, handing each task's result to
+    ``consume`` in the parent as it arrives."""
     global _PARALLEL_SPEC, _SHARED_MANIFEST
-    rows, remaining = _resume(spec, journal)
-    if _grouped_execution(spec):
-        tasks: List[GroupTask] = [
-            (index, name, tuple(trials_group))
-            for (index, name), trials_group in _group_cells(remaining)
-        ]
-    else:
-        tasks = [(index, name, (trial,)) for index, name, trial in remaining]
-    pending = set(remaining)
-
-    def take(row: Dict[str, object]) -> None:
-        key = _cell_key(row)
-        pending.discard(key)
-        rows[key] = row
-        if journal is not None:
-            journal.record(row)
-
-    if tasks:
-        context = multiprocessing.get_context("fork")
-        previous_spec = _PARALLEL_SPEC
-        previous_manifest = _SHARED_MANIFEST
-        manifest, segments, parent_networks = _export_shared_networks(
-            spec, sorted({index for index, _, _ in remaining})
-        )
-        _LAST_SEGMENT_NAMES[:] = [segment.name for segment in segments]
-        _PARALLEL_SPEC = spec
-        _SHARED_MANIFEST = manifest
-        # A grouped task reports once per *group*, so the lost-worker stall
-        # window scales with the largest group (a batch of k trials may
-        # legitimately stay silent k times longer than a single cell).
-        stall = _stall_timeout(spec) * max(len(task[2]) for task in tasks)
-        stalled = False
+    tasks = _tasks(spec, remaining)
+    unfinished = set(remaining)
+    context = multiprocessing.get_context("fork")
+    previous_spec = _PARALLEL_SPEC
+    previous_manifest = _SHARED_MANIFEST
+    manifest, segments, parent_networks = _export_shared_networks(
+        spec, sorted({index for index, _, _ in remaining})
+    )
+    _LAST_SEGMENT_NAMES[:] = [segment.name for segment in segments]
+    _PARALLEL_SPEC = spec
+    _SHARED_MANIFEST = manifest
+    # A grouped task reports once per *group*, so the lost-worker stall
+    # window scales with the largest group (a batch of k trials may
+    # legitimately stay silent k times longer than a single cell).
+    stall = _stall_timeout(spec) * max(len(trials) for _, _, trials in tasks)
+    try:
         try:
-            try:
-                # Pool.__exit__ terminates the pool, which is exactly the clean
-                # teardown both the KeyboardInterrupt and the lost-worker paths
-                # need (never join a pool whose worker was SIGKILLed mid-task —
-                # the task is lost and the join would hang forever).
-                with context.Pool(processes=min(workers, len(tasks))) as pool:
-                    results = pool.imap_unordered(_parallel_worker, tasks)
-                    while pending:
-                        try:
-                            task_rows = results.next(timeout=stall)
-                        except StopIteration:  # pragma: no cover - pending guards this
-                            break
-                        except multiprocessing.TimeoutError:
-                            # No result for a full stall window: a worker died
-                            # without reporting (OOM killer).  Fall back to the
-                            # parent for every unfinished cell.
-                            stalled = True
-                            break
-                        for row in task_rows:
-                            take(row)
-            finally:
-                _PARALLEL_SPEC = previous_spec
-                _SHARED_MANIFEST = previous_manifest
-
-            if stalled and pending:
-                for key in sorted(pending):
-                    index, name, trial = key
+            # Pool.__exit__ terminates the pool, which is exactly the clean
+            # teardown both the KeyboardInterrupt and the lost-worker paths
+            # need (never join a pool whose worker was SIGKILLed mid-task —
+            # the task is lost and the join would hang forever).
+            with context.Pool(processes=min(workers, len(tasks))) as pool:
+                results = pool.imap_unordered(_parallel_worker, tasks)
+                for _ in tasks:
                     try:
-                        row = _run_cell(spec, index, name, trial, parent_networks)
-                    except Exception as retry_error:
-                        message = (
-                            f"pool worker was lost (no result within {stall:.0f}s) and "
-                            f"the serial re-run failed: {retry_error}"
-                        )
-                        row = _failure_row(
-                            spec, index, name, trial, WorkerCrashed.kind, message
-                        )
-                        if spec["on_error"] == "raise":
-                            if journal is not None:
-                                journal.record(row)
-                            raise WorkerCrashed(message) from retry_error
-                    take(row)
+                        task_rows, error = results.next(timeout=stall)
+                    except multiprocessing.TimeoutError:
+                        # No result for a full stall window: a worker died
+                        # without reporting (OOM killer).
+                        break
+                    unfinished.difference_update(map(_cell_key, task_rows))
+                    consume(task_rows, error)
         finally:
-            # Parent-owned lifecycle: reclaim the shared segments no matter
-            # how the pool went down (clean drain, stall teardown, Ctrl-C, or
-            # a SIGKILLed worker — the kernel frees the mapping with the
-            # process; the name is removed here).
-            for segment in segments:
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-                segment.close()
-
-    return _collect(spec, rows)
+            _PARALLEL_SPEC = previous_spec
+            _SHARED_MANIFEST = previous_manifest
+        # After a lost worker, the parent re-runs every unfinished cell with
+        # its original seed; a failure there is recorded as worker-crashed.
+        lost = (
+            f"pool worker was lost (no result within {stall:.0f}s) and "
+            "the serial re-run failed: "
+        )
+        for task in _tasks(spec, [key for key in remaining if key in unfinished]):
+            task_rows, error = _execute(spec, task, parent_networks)
+            for row in task_rows:
+                if row["status"] == "failure":
+                    row["kind"] = WorkerCrashed.kind
+                    row["message"] = lost + str(row["message"])
+            consume(task_rows, None)
+            if error is not None:
+                raise WorkerCrashed(lost + str(error)) from error
+    finally:
+        # Parent-owned lifecycle: reclaim the shared segments no matter
+        # how the pool went down (clean drain, stall teardown, Ctrl-C, or
+        # a SIGKILLed worker — the kernel frees the mapping with the
+        # process; the name is removed here).
+        for segment in segments:
+            try:
+                segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+            segment.close()

@@ -212,19 +212,27 @@ def _die_mid_row(path):
     os.kill(os.getpid(), signal.SIGKILL)  # no COMMIT ever reaches the WAL
 
 
+def with_broken_algorithm():
+    def broken_factory(net):
+        raise RuntimeError("factory exploded")
+
+    algorithms = luby_algorithms()
+    algorithms["broken"] = (broken_factory, lambda net: problems.MIS)
+    return algorithms
+
+
 class TestFailureRows:
-    def test_record_converts_broken_cells_into_failure_rows(self):
-        algorithms = dict(luby_algorithms())
-
-        def broken_factory(net):
-            raise RuntimeError("factory exploded")
-
-        algorithms["broken"] = (broken_factory, lambda net: problems.MIS)
-        result = run_sweep(algorithms=algorithms, on_error="record")
+    @pytest.mark.parametrize("parallel", [None, 2])
+    @pytest.mark.parametrize("engine", ["node", "auto"])
+    def test_record_converts_broken_cells_into_failure_rows(self, engine, parallel):
+        algorithms = with_broken_algorithm()
+        result = run_sweep(
+            algorithms=algorithms, engine=engine, parallel=parallel, on_error="record"
+        )
         assert not result.ok
         # The healthy algorithm still produced one point per value...
         assert [p.measurement.algorithm for p in result] == ["luby", "luby"]
-        assert result == run_sweep()  # ...identical to a luby-only sweep.
+        assert result == run_sweep(engine=engine)  # ...identical to a luby-only sweep.
         # ...and every broken cell became a classified, reproducible row.
         assert len(result.failures) == 2 * 2
         for failure in result.failures:
@@ -233,16 +241,35 @@ class TestFailureRows:
             assert "factory exploded" in failure.message
         first = result.failures[0]
         assert first.seed == trial_seed(3 + 1000 * 0, first.trial)
+        # The pool reports the same failures as the serial loop.
+        serial = run_sweep(algorithms=algorithms, engine=engine, on_error="record")
+        assert result == serial
+        assert result.failures == serial.failures
 
-    def test_raise_propagates_the_first_broken_cell(self):
-        def broken_factory(net):
-            raise RuntimeError("factory exploded")
-
-        with pytest.raises(RuntimeError, match="factory exploded"):
+    @pytest.mark.parametrize("parallel", [None, 2])
+    @pytest.mark.parametrize("engine", ["node", "auto"])
+    def test_raise_propagates_the_first_broken_cell(self, tmp_path, engine, parallel):
+        path = str(tmp_path / "sweep.db")
+        with pytest.raises(RuntimeError, match="factory exploded") as raised:
             run_sweep(
-                algorithms={"broken": (broken_factory, lambda net: problems.MIS)},
+                algorithms=with_broken_algorithm(),
+                engine=engine,
+                parallel=parallel,
                 on_error="raise",
+                checkpoint=path,
             )
+        assert raised.type is RuntimeError
+        # The failing cell is journaled before its error propagates.  Which
+        # broken cell fails first depends on the order the pool reports in.
+        _, rows = sweepmod.read_checkpoint(path)
+        failed = [row for row in rows.values() if row["status"] == "failure"]
+        assert len(failed) == 1
+        (row,) = failed
+        assert row["algorithm"] == "broken"
+        assert row["kind"] == "exception:RuntimeError"
+        assert row["seed"] == sweepmod._cell_seed(
+            {"seed": 3}, row["value_index"], row["trial"]
+        )
 
     def test_round_limit_overruns_are_recorded(self):
         result = run_sweep(values=[12], max_rounds=1, on_error="record")
