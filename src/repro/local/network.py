@@ -446,13 +446,19 @@ class Network:
             ]
         return rows
 
+    def _vertex(self, v: int) -> int:
+        """``v`` itself if it names a vertex; a negative index does not wrap."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} outside 0..{self.n - 1}")
+        return v
+
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """Neighbours of vertex ``v`` (sorted tuple of vertex indices)."""
-        return self._adjacency[v]
+        return self._adjacency[self._vertex(v)]
 
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""
-        return len(self._adjacency[v])
+        return len(self._adjacency[self._vertex(v)])
 
     def max_degree(self) -> int:
         """Maximum degree Δ of the network (0 for the empty graph); cached."""
@@ -548,7 +554,7 @@ class Network:
 
     def incident_edges(self, v: int) -> List[Tuple[int, int]]:
         """Canonical edges incident to vertex ``v``."""
-        return [(v, u) if v < u else (u, v) for u in self._adjacency[v]]
+        return [(v, u) if v < u else (u, v) for u in self._adjacency[self._vertex(v)]]
 
     def incident_edge_indices(self, v: int) -> List[int]:
         """Dense indices of the edges incident to vertex ``v``."""
@@ -556,7 +562,7 @@ class Network:
         n = self.n
         return [
             edge_index[(v * n + u) if v < u else (u * n + v)]
-            for u in self._adjacency[v]
+            for u in self._adjacency[self._vertex(v)]
         ]
 
     # ------------------------------------------------------------------ #
@@ -565,7 +571,7 @@ class Network:
 
     def identifier(self, v: int) -> int:
         """Unique identifier of vertex ``v``, as a Python int."""
-        return int(self._id_array[v])
+        return int(self._id_array[self._vertex(v)])
 
     @property
     def identifier_array(self) -> np.ndarray:
@@ -620,10 +626,8 @@ class Network:
         relabelled, so the label is the vertex index itself.
         """
         if self._original_labels is None:
-            if not 0 <= v < self.n:
-                raise IndexError(f"vertex {v} outside 0..{self.n - 1}")
-            return v
-        return self._original_labels[v]
+            return self._vertex(v)
+        return self._original_labels[self._vertex(v)]
 
     def subnetwork(self, vertices: Sequence[int]) -> "Network":
         """Induced sub-network on ``vertices`` (re-indexed to ``0..k-1``).

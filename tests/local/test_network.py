@@ -103,6 +103,33 @@ class TestNetworkConstruction:
         assert set(net.vertices) == {0, 1, 2}
         assert {net.original_label(v) for v in net.vertices} == {"a", "b", "c"}
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Network.from_edges(3, [(0, 1)]),
+            lambda: Network.from_graph(nx.Graph([("a", "b"), ("b", "c")])),
+        ],
+        ids=["edges", "networkx"],
+    )
+    @pytest.mark.parametrize(
+        "accessor",
+        [
+            "identifier",
+            "neighbors",
+            "degree",
+            "incident_edges",
+            "incident_edge_indices",
+            "original_label",
+        ],
+    )
+    def test_vertex_outside_the_network_raises(self, accessor, build, v):
+        # A negative index must not wrap to the last vertex's data.
+        query = getattr(build(), accessor)
+        query(2)
+        with pytest.raises(IndexError, match=rf"vertex {v} outside 0\.\.2"):
+            query(v)
+
     def test_to_networkx_round_trip(self):
         g = nx.gnp_random_graph(20, 0.3, seed=5)
         net = Network.from_graph(g)
