@@ -1,9 +1,10 @@
 """Shared fixture for the experiment regenerations.
 
-Every benchmark regenerates one experiment of EXPERIMENTS.md (one theorem,
-figure, or construction of the paper), prints the measured rows as a table,
-and asserts the qualitative *shape* the paper predicts (who wins, what stays
-flat, what grows).  The pytest-benchmark fixture times a single run of each
+Every benchmark regenerates one experiment of the table in
+``benchmarks/README.md`` (one theorem, figure, or construction of the
+paper), prints the measured rows as a table, and asserts the qualitative
+*shape* the paper predicts (who wins, what stays flat, what grows).  The
+pytest-benchmark fixture times a single run of each
 experiment (``pedantic`` with one round) so ``--benchmark-only`` produces a
 timing table without multiplying the workload.
 """

@@ -6,8 +6,9 @@ node-averaged complexity O(1).  The sweep grows ``n`` on 3-regular graphs and
 reports both algorithms.  Expected shape: both node-averaged columns stay
 essentially flat while the worst case is larger and tends to grow with ``n``
 (the deterministic algorithm's gap between average and worst case is the
-qualitative content of the theorem; see EXPERIMENTS.md for the substitution
-discussion).
+qualitative content of the theorem; the
+:mod:`repro.algorithms.orientation.deterministic` docstring explains the
+substitution).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Two parts:
 * indistinguishability (Theorem 11 / Figure 2): for tree-like pairs
   ``(v0 ∈ S(c0), v1 ∈ S(c1))`` Algorithm 1 produces a view isomorphism —
   checked on lifted graphs at k = 1 and on tree unfoldings at k = 2 (where
-  laptop-scale lifts cannot reach the required girth; see EXPERIMENTS.md).
+  laptop-scale lifts cannot reach the required girth).
 """
 
 from __future__ import annotations

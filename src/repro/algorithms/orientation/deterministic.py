@@ -23,8 +23,7 @@ population of nodes near short cycles after a constant number of rounds —
 which is the node-averaged-versus-worst-case separation the theorem is
 about.  The true O(log* n) node-averaged bound needs the paper's
 cluster-contraction recursion, whose constants (cluster radius ≥ 31, girth
-≥ 90) are far beyond laptop-scale graphs; EXPERIMENTS.md discusses this
-substitution.
+≥ 90) are far beyond laptop-scale graphs.
 
 Stage (i) is conflict-free because it uses a single synchronised checkpoint:
 for ``flood_rounds`` rounds every node forwards newly learnt edges and

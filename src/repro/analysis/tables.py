@@ -2,8 +2,9 @@
 
 The benchmark harness prints the same rows/series the paper's theorems talk
 about; this module renders them as aligned plain-text tables so that
-``pytest benchmarks/ --benchmark-only`` output (and EXPERIMENTS.md) stays
-readable without any plotting dependency.
+``pytest benchmarks/ --benchmark-only`` output (the experiments
+``benchmarks/README.md`` lists) stays readable without any plotting
+dependency.
 """
 
 from __future__ import annotations
