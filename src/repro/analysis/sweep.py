@@ -642,12 +642,6 @@ class _CellTrace:
     def edge_completion_array(self) -> np.ndarray:
         return self._edge_times
 
-    def node_completion_times(self) -> Sequence[int]:
-        return self._node_times.tolist()
-
-    def edge_completion_times(self) -> Sequence[int]:
-        return self._edge_times.tolist()
-
     def worst_case_rounds(self) -> int:
         return int(
             max(

@@ -30,15 +30,13 @@ consumes the trace's flat per-slot storage directly
 (:meth:`ExecutionTrace.node_completion_array` /
 :meth:`~ExecutionTrace.edge_completion_array`), so there is no per-node
 Python loop anywhere on the measurement path — the layer that made
-million-node measurement batches feasible.  Duck-typed traces that only
-offer the list-returning accessors (e.g. the parallel sweep's worker
-payloads, which ship ``array('q')`` buffers) are converted with a single
-buffer-protocol ``np.asarray`` call.  The per-trial accumulation adds the
-trial vectors in trace order and divides once, exactly the float64 operation
-sequence of the seed implementation, so expected-time vectors are
-bit-identical to the pure-Python path; the final scalar means use numpy's
-pairwise summation and may differ from ``statistics.mean`` in the last ulp
-(the differential tests in ``tests/core/test_metrics_numpy.py`` pin
+million-node measurement batches feasible.  The sweep aggregates journaled
+cells through stand-ins that offer the same two arrays.  The per-trial
+accumulation adds the trial vectors in trace order and divides once, exactly
+the float64 operation sequence of the seed implementation, so expected-time
+vectors are bit-identical to the pure-Python path; the final scalar means use
+numpy's pairwise summation and may differ from ``statistics.mean`` in the
+last ulp (the differential tests in ``tests/core/test_metrics_numpy.py`` pin
 agreement to ≤ 1e-12).
 """
 
@@ -86,22 +84,6 @@ def _as_list(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> List[Execut
     return traces
 
 
-def _node_times_i64(trace) -> np.ndarray:
-    """A trace's node completion times as an int64 array (zero-copy when possible)."""
-    getter = getattr(trace, "node_completion_array", None)
-    if getter is not None:
-        return getter()
-    return np.asarray(trace.node_completion_times(), dtype=np.int64)
-
-
-def _edge_times_i64(trace) -> np.ndarray:
-    """A trace's edge completion times as an int64 array (zero-copy when possible)."""
-    getter = getattr(trace, "edge_completion_array", None)
-    if getter is not None:
-        return getter()
-    return np.asarray(trace.edge_completion_times(), dtype=np.int64)
-
-
 def _expected_times(vectors: List[np.ndarray], length: int, trials: int) -> np.ndarray:
     """Element-wise mean of per-trial completion-time vectors (float64).
 
@@ -118,12 +100,12 @@ def _expected_times(vectors: List[np.ndarray], length: int, trials: int) -> np.n
 
 def _expected_node_times(traces: List[ExecutionTrace]) -> np.ndarray:
     n = traces[0].network.n
-    return _expected_times([_node_times_i64(t) for t in traces], n, len(traces))
+    return _expected_times([t.node_completion_array() for t in traces], n, len(traces))
 
 
 def _expected_edge_times(traces: List[ExecutionTrace]) -> np.ndarray:
     m = traces[0].network.m
-    return _expected_times([_edge_times_i64(t) for t in traces], m, len(traces))
+    return _expected_times([t.edge_completion_array() for t in traces], m, len(traces))
 
 
 def _quantile_pairs(

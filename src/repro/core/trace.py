@@ -16,33 +16,32 @@ fixed and an edge completes when both endpoint labels are fixed — exactly the
 reading spelled out in Section 2 of the paper.  Symmetrically for problems
 that only label edges (matching, orientations).
 
-Storage.  Commit rounds and outputs live in **flat arrays indexed by vertex
-and edge slot** (the :attr:`Network.edges` order): a read-only int64 numpy
-row of commit rounds with ``-1`` marking "never committed", and an aligned
-value row.  The array engine hands over numpy rows — a single run's state
-rows as they are, a batched run one contiguous copy of each trial's rows, so
-a retained trace never pins its whole batch — with no Python object per
-slot; the coroutine runner hands over a value tuple.  Both are GC-inert (numpy arrays and tuples of atomic values
-are not tracked by the cyclic collector), so the thousands of traces a sweep
-or a batched run holds never lengthen a gen-2 collection.  The historical
-dict views (``node_outputs``, ``node_commit_round``, ``edge_outputs``,
-``edge_commit_round``) are lazy properties returning Python scalars, and
-remain assignable so that hand-built traces (tests, the Definition 1
-oracle's random traces) can keep constructing dict-first.  Whichever
-representation a trace was built from is canonical; the other is derived on
-first access and cached.  Traces are treated as immutable once handed out,
-so the two never diverge.  Validation feeds the rows and ``rounds >= 0``
-commit masks straight to the problem's kernel.
+Storage.  A trace has one storage: commit rounds and outputs in **flat rows
+indexed by vertex and edge slot** (the :attr:`Network.edges` order), a
+read-only int64 numpy row of commit rounds with ``-1`` marking "never
+committed" and an aligned value row.  The array engine hands over numpy
+rows — a single run's state rows as they are, a batched run one contiguous
+copy of each trial's rows, so a retained trace never pins its whole batch —
+with no Python object per slot; the coroutine runner hands over a value
+tuple.  Both are GC-inert (numpy arrays and tuples of atomic values are not
+tracked by the cyclic collector), so the thousands of traces a sweep or a
+batched run holds never lengthen a gen-2 collection.  Everything else is
+derived from the rows on first use and cached: the dict views
+(``node_outputs``, ``node_commit_round``, ``edge_outputs``,
+``edge_commit_round``), read-only mappings of Python scalars, and the
+completion-time arrays of Definition 1.  Validation feeds the rows and
+``rounds >= 0`` commit masks straight to the problem's kernel.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.errors import ValidationFailed
-from repro.core.problems import ProblemSpec, ValidationResult, _edge_mapping_slots
+from repro.core.problems import ProblemSpec, ValidationResult
 
 __all__ = ["ExecutionTrace"]
 
@@ -86,13 +85,24 @@ def _slot_values(values: Values, slots: np.ndarray) -> List[Any]:
 class ExecutionTrace:
     """Result of one execution of a distributed algorithm.
 
+    Built from flat per-slot rows: ``node_values``/``node_rounds`` are
+    vertex-indexed (length ``n``), ``edge_values``/``edge_rounds`` follow
+    :attr:`Network.edges` order (length ``m``); round ``-1`` marks a slot
+    that never committed and the value of such a slot is ignored.  Rounds
+    are int64 numpy arrays or ``array('q')`` buffers, adopted without
+    copying; values are numpy arrays (adopted as read-only views), sequences
+    (stored as a tuple) or ``None`` for a side that is never labelled.
+
     Attributes:
         network: the :class:`repro.local.network.Network` the algorithm ran on.
         problem: the problem being solved (drives completion-time semantics).
-        node_outputs: committed node outputs, vertex → value (lazy dict view).
-        node_commit_round: vertex → round of the node-output commit (lazy view).
-        edge_outputs: committed edge outputs, canonical edge → value (lazy view).
-        edge_commit_round: canonical edge → round of the edge-output commit.
+        node_outputs: committed node outputs, vertex → value (read-only view).
+        node_commit_round: vertex → round of the node-output commit
+            (read-only view).
+        edge_outputs: committed edge outputs, canonical edge → value
+            (read-only view).
+        edge_commit_round: canonical edge → round of the edge-output commit
+            (read-only view).
         rounds: number of communication rounds executed.
         completed: whether all required outputs were committed before the
             round limit.
@@ -120,10 +130,11 @@ class ExecutionTrace:
         self,
         network: Any,
         problem: ProblemSpec,
-        node_outputs: Optional[Dict[int, Any]] = None,
-        node_commit_round: Optional[Dict[int, int]] = None,
-        edge_outputs: Optional[Dict[Edge, Any]] = None,
-        edge_commit_round: Optional[Dict[Edge, int]] = None,
+        node_values: Optional[Union[np.ndarray, Sequence[Any]]],
+        node_rounds: Any,
+        edge_values: Optional[Union[np.ndarray, Sequence[Any]]],
+        edge_rounds: Any,
+        *,
         rounds: int = 0,
         completed: bool = True,
         total_messages: int = 0,
@@ -143,207 +154,72 @@ class ExecutionTrace:
         self.fault_events = tuple(fault_events)
         self.crashed = tuple(crashed)
         self.recovery = recovery
-        # Dict-canonical storage (legacy construction path).  ``None`` means
-        # the corresponding flat arrays below are canonical instead.
-        self._node_outputs: Optional[Dict[int, Any]] = (
-            node_outputs if node_outputs is not None else {}
-        )
-        self._node_commit_round: Optional[Dict[int, int]] = (
-            node_commit_round if node_commit_round is not None else {}
-        )
-        self._edge_outputs: Optional[Dict[Edge, Any]] = (
-            edge_outputs if edge_outputs is not None else {}
-        )
-        self._edge_commit_round: Optional[Dict[Edge, int]] = (
-            edge_commit_round if edge_commit_round is not None else {}
-        )
-        # Flat per-slot storage: value rows aligned with read-only int64
-        # round rows (-1 = never committed).  Canonical when built via
-        # `from_arrays` (then the value row is never None), otherwise the
-        # round rows are derived lazily from the dicts.
-        self._node_values: Optional[Values] = None
-        self._node_rounds: Optional[np.ndarray] = None
-        self._edge_values: Optional[Values] = None
-        self._edge_rounds: Optional[np.ndarray] = None
-        # Lazily computed completion-time vectors.  A trace is immutable once
-        # the runner hands it out, and the metrics layer asks for the same
-        # vectors several times per trace (averaged, expected, worst-case).
-        # The int64 numpy arrays are canonical; the list views derive from
-        # them for API compatibility.
-        self._node_times: Optional[List[int]] = None
-        self._edge_times: Optional[List[int]] = None
-        self._node_times_np: Optional[np.ndarray] = None
-        self._edge_times_np: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        network: Any,
-        problem: ProblemSpec,
-        node_values: Optional[Union[np.ndarray, Sequence[Any]]],
-        node_rounds: Any,
-        edge_values: Optional[Union[np.ndarray, Sequence[Any]]],
-        edge_rounds: Any,
-        *,
-        rounds: int = 0,
-        completed: bool = True,
-        total_messages: int = 0,
-        max_message_bits: Optional[int] = None,
-        algorithm_name: str = "",
-        fault_events: Tuple = (),
-        crashed: Tuple[int, ...] = (),
-        recovery: Optional[Any] = None,
-    ) -> "ExecutionTrace":
-        """Build a trace directly from flat per-slot arrays (the hot path).
-
-        ``node_values``/``node_rounds`` are vertex-indexed (length ``n``),
-        ``edge_values``/``edge_rounds`` follow :attr:`Network.edges` order
-        (length ``m``); round ``-1`` marks a slot that never committed and
-        the value of such a slot is ignored.  Rounds are int64 numpy arrays
-        or ``array('q')`` buffers, adopted without copying; values are numpy
-        arrays (adopted as read-only views), sequences (stored as a tuple)
-        or ``None`` for a side that is never labelled.
-        """
-        trace = cls(
-            network,
-            problem,
-            rounds=rounds,
-            completed=completed,
-            total_messages=total_messages,
-            max_message_bits=max_message_bits,
-            algorithm_name=algorithm_name,
-            fault_events=fault_events,
-            crashed=crashed,
-            recovery=recovery,
-        )
-        trace._node_outputs = None
-        trace._node_commit_round = None
-        trace._edge_outputs = None
-        trace._edge_commit_round = None
-        trace._node_rounds = _round_row(node_rounds)
-        trace._node_values = _value_row(node_values, len(trace._node_rounds))
-        trace._edge_rounds = _round_row(edge_rounds)
-        trace._edge_values = _value_row(edge_values, len(trace._edge_rounds))
-        return trace
+        self._node_commits = _round_row(node_rounds)
+        self._node_values = _value_row(node_values, len(self._node_commits))
+        self._edge_commits = _round_row(edge_rounds)
+        self._edge_values = _value_row(edge_values, len(self._edge_commits))
+        # Derived from the rows on first use.  The metrics layer asks for the
+        # same completion times several times per trace (averaged, expected,
+        # worst-case).  The views are cached as plain dicts, not as
+        # MappingProxyType, so that traces stay picklable.
+        self._views: Dict[str, Dict[Any, Any]] = {}
+        self._node_times: Optional[np.ndarray] = None
+        self._edge_times: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
-    # Dict views (lazy; canonical when assigned)
+    # Dict views (read-only, built from the rows on first use)
     # ------------------------------------------------------------------ #
 
-    @property
-    def node_outputs(self) -> Dict[int, Any]:
-        if self._node_outputs is None:
-            slots = np.flatnonzero(self._node_rounds >= 0)
-            self._node_outputs = dict(
-                zip(slots.tolist(), _slot_values(self._node_values, slots))
-            )
-        return self._node_outputs
-
-    @node_outputs.setter
-    def node_outputs(self, mapping: Dict[int, Any]) -> None:
-        # Assignment flips the node group back to dict-canonical; materialise
-        # the sibling dict view first so the arrays can be dropped together
-        # (a half-array, half-dict state would corrupt later derivations).
-        if self._node_commit_round is None:
-            _ = self.node_commit_round
-        self._node_outputs = mapping
-        self._node_values = None
-        self._node_rounds = None
-        self._invalidate_times()
+    def _view(
+        self,
+        name: str,
+        rounds: np.ndarray,
+        values: Values,
+        keys: Callable[[np.ndarray], List[Any]],
+    ) -> Mapping[Any, Any]:
+        """The cached view ``name``: ``keys`` of the committed slots → ``values``."""
+        view = self._views.get(name)
+        if view is None:
+            slots = np.flatnonzero(rounds >= 0)
+            view = self._views[name] = dict(zip(keys(slots), _slot_values(values, slots)))
+        return MappingProxyType(view)
 
     @property
-    def node_commit_round(self) -> Dict[int, int]:
-        if self._node_commit_round is None:
-            rounds_arr = self._node_rounds
-            slots = np.flatnonzero(rounds_arr >= 0)
-            self._node_commit_round = dict(zip(slots.tolist(), rounds_arr[slots].tolist()))
-        return self._node_commit_round
-
-    @node_commit_round.setter
-    def node_commit_round(self, mapping: Dict[int, int]) -> None:
-        if self._node_outputs is None:
-            _ = self.node_outputs
-        self._node_commit_round = mapping
-        self._node_rounds = None
-        self._node_values = None
-        self._invalidate_times()
+    def node_outputs(self) -> Mapping[int, Any]:
+        return self._view("node_outputs", self._node_commits, self._node_values, np.ndarray.tolist)
 
     @property
-    def edge_outputs(self) -> Dict[Edge, Any]:
-        if self._edge_outputs is None:
-            slots = np.flatnonzero(self._edge_rounds >= 0)
-            self._edge_outputs = dict(
-                zip(self._edge_keys(slots), _slot_values(self._edge_values, slots))
-            )
-        return self._edge_outputs
-
-    @edge_outputs.setter
-    def edge_outputs(self, mapping: Dict[Edge, Any]) -> None:
-        if self._edge_commit_round is None:
-            _ = self.edge_commit_round
-        self._edge_outputs = mapping
-        self._edge_values = None
-        self._edge_rounds = None
-        self._invalidate_times()
+    def node_commit_round(self) -> Mapping[int, int]:
+        return self._view(
+            "node_commit_round", self._node_commits, self._node_commits, np.ndarray.tolist
+        )
 
     @property
-    def edge_commit_round(self) -> Dict[Edge, int]:
-        if self._edge_commit_round is None:
-            rounds_arr = self._edge_rounds
-            slots = np.flatnonzero(rounds_arr >= 0)
-            self._edge_commit_round = dict(
-                zip(self._edge_keys(slots), rounds_arr[slots].tolist())
-            )
-        return self._edge_commit_round
+    def edge_outputs(self) -> Mapping[Edge, Any]:
+        return self._view("edge_outputs", self._edge_commits, self._edge_values, self._edge_keys)
 
-    @edge_commit_round.setter
-    def edge_commit_round(self, mapping: Dict[Edge, int]) -> None:
-        if self._edge_outputs is None:
-            _ = self.edge_outputs
-        self._edge_commit_round = mapping
-        self._edge_rounds = None
-        self._edge_values = None
-        self._invalidate_times()
+    @property
+    def edge_commit_round(self) -> Mapping[Edge, int]:
+        return self._view(
+            "edge_commit_round", self._edge_commits, self._edge_commits, self._edge_keys
+        )
 
     def _edge_keys(self, slots: np.ndarray) -> List[Edge]:
         """Canonical ``(u, v)`` tuples of the given edge slots."""
         us, vs = self.network.edge_endpoints()
         return list(zip(us[slots].tolist(), vs[slots].tolist()))
 
-    def _invalidate_times(self) -> None:
-        self._node_times = None
-        self._edge_times = None
-        self._node_times_np = None
-        self._edge_times_np = None
-
     # ------------------------------------------------------------------ #
-    # Flat array views (lazy; canonical when built via `from_arrays`)
+    # Flat rows
     # ------------------------------------------------------------------ #
 
     def node_commit_rounds(self) -> np.ndarray:
         """Per-vertex commit rounds, a read-only int64 array (``-1`` = uncommitted)."""
-        if self._node_rounds is None:
-            arr = np.full(self.network.n, -1, dtype=np.int64)
-            mapping = self._node_commit_round
-            if mapping:
-                count = len(mapping)
-                arr[np.fromiter(mapping.keys(), np.int64, count)] = np.fromiter(
-                    mapping.values(), np.int64, count
-                )
-            self._node_rounds = _round_row(arr)
-        return self._node_rounds
+        return self._node_commits
 
     def edge_commit_rounds(self) -> np.ndarray:
         """Per-edge-slot commit rounds (``network.edges`` order, ``-1`` = uncommitted)."""
-        if self._edge_rounds is None:
-            arr = np.full(self.network.m, -1, dtype=np.int64)
-            mapping = self._edge_commit_round
-            if mapping:
-                # Keys that are not canonical edges of the network are ignored.
-                slots, rounds, _ = _edge_mapping_slots(self.network, mapping)
-                arr[slots] = rounds
-            self._edge_rounds = _round_row(arr)
-        return self._edge_rounds
+        return self._edge_commits
 
     # ------------------------------------------------------------------ #
     # Completion times (Definition 1 semantics)
@@ -351,97 +227,63 @@ class ExecutionTrace:
 
     def node_completion_time(self, v: int) -> int:
         """Round at which node ``v`` completed its computation."""
-        times: List[int] = []
-        if self.problem.labels_nodes:
-            times.append(self._node_round(v))
-        if self.problem.labels_edges:
-            edge_rounds = self.edge_commit_rounds()
-            rounds = self.rounds
-            for i in self.network.incident_edge_indices(v):
-                r = int(edge_rounds[i])
-                times.append(r if r >= 0 else rounds)
-        if not times:
-            return 0
-        return max(times)
+        return int(self.node_completion_array()[self.network._vertex(v)])
 
     def edge_completion_time(self, u: int, v: int) -> int:
-        """Round at which edge ``{u, v}`` completed its computation."""
-        times: List[int] = []
-        if self.problem.labels_edges:
-            edge_rounds = self.edge_commit_rounds()
-            r = int(edge_rounds[self.network.edge_index(u, v)])
-            times.append(r if r >= 0 else self.rounds)
-        if self.problem.labels_nodes:
-            times.append(self._node_round(u))
-            times.append(self._node_round(v))
-        if not times:
-            return 0
-        return max(times)
+        """Round at which edge ``{u, v}`` completed; ``KeyError`` if it is no edge."""
+        return int(self.edge_completion_array()[self.network.edge_index(u, v)])
 
     def node_completion_times(self) -> List[int]:
-        """Completion times of all nodes, indexed by vertex (cached)."""
-        if self._node_times is None:
-            self._node_times = self.node_completion_array().tolist()
-        return self._node_times
+        """Completion times of all nodes, indexed by vertex."""
+        return self.node_completion_array().tolist()
 
     def edge_completion_times(self) -> List[int]:
-        """Completion times of all edges, in the network's edge order (cached)."""
-        if self._edge_times is None:
-            self._edge_times = self.edge_completion_array().tolist()
-        return self._edge_times
+        """Completion times of all edges, in the network's edge order."""
+        return self.edge_completion_array().tolist()
 
-    def _node_rounds_np(self) -> np.ndarray:
-        """Per-vertex commit rounds (uncommitted charged the full length)."""
-        rounds = self.node_commit_rounds()
-        return np.where(rounds >= 0, rounds, self.rounds)
+    def _charged(self, rounds: np.ndarray) -> np.ndarray:
+        """``rounds`` with uncommitted slots charged the full execution length.
 
-    def _edge_rounds_np(self) -> np.ndarray:
-        """Per-edge commit rounds in network edge order."""
-        rounds = self.edge_commit_rounds()
+        Only incomplete executions (round limit hit) have such slots.
+        """
         return np.where(rounds >= 0, rounds, self.rounds)
 
     def node_completion_array(self) -> np.ndarray:
-        """Vectorised :meth:`node_completion_times`: an int64 numpy array.
+        """Completion times of all nodes, indexed by vertex: an int64 array.
 
-        Computed entirely over the trace's flat per-slot round arrays — no
-        per-node Python loop — and cached (the array is marked read-only so
-        the list view and repeated metric reductions stay consistent).
+        Computed over the flat rows with no per-node Python loop — a node's
+        own commit maxed with its incident edges' commits (each only when the
+        problem labels that kind) — and cached read-only.
         """
-        if self._node_times_np is None:
-            labels_nodes = self.problem.labels_nodes
-            labels_edges = self.problem.labels_edges
-            n = self.network.n
-            if labels_nodes:
-                acc = self._node_rounds_np()
+        if self._node_times is None:
+            if self.problem.labels_nodes:
+                times = self._charged(self._node_commits)
             else:
-                acc = np.zeros(n, dtype=np.int64)
-            if labels_edges:
-                edge_times = self._edge_rounds_np()
+                times = np.zeros(self.network.n, dtype=np.int64)
+            if self.problem.labels_edges:
+                edge_rounds = self._charged(self._edge_commits)
                 us, vs = self.network.edge_endpoints()
-                np.maximum.at(acc, us, edge_times)
-                np.maximum.at(acc, vs, edge_times)
-            acc.setflags(write=False)
-            self._node_times_np = acc
-        return self._node_times_np
+                np.maximum.at(times, us, edge_rounds)
+                np.maximum.at(times, vs, edge_rounds)
+            times.setflags(write=False)
+            self._node_times = times
+        return self._node_times
 
     def edge_completion_array(self) -> np.ndarray:
-        """Vectorised :meth:`edge_completion_times`: an int64 numpy array."""
-        if self._edge_times_np is None:
-            labels_nodes = self.problem.labels_nodes
-            labels_edges = self.problem.labels_edges
-            m = self.network.m
-            if labels_edges:
-                acc = self._edge_rounds_np()
+        """Completion times of all edges, in edge order: an int64 array (cached)."""
+        if self._edge_times is None:
+            if self.problem.labels_edges:
+                times = self._charged(self._edge_commits)
             else:
-                acc = np.zeros(m, dtype=np.int64)
-            if labels_nodes:
-                node_rounds = self._node_rounds_np()
+                times = np.zeros(self.network.m, dtype=np.int64)
+            if self.problem.labels_nodes:
+                node_rounds = self._charged(self._node_commits)
                 us, vs = self.network.edge_endpoints()
-                np.maximum(acc, node_rounds[us], out=acc)
-                np.maximum(acc, node_rounds[vs], out=acc)
-            acc.setflags(write=False)
-            self._edge_times_np = acc
-        return self._edge_times_np
+                np.maximum(times, node_rounds[us], out=times)
+                np.maximum(times, node_rounds[vs], out=times)
+            times.setflags(write=False)
+            self._edge_times = times
+        return self._edge_times
 
     def worst_case_rounds(self) -> int:
         """Maximum completion time over all nodes and edges."""
@@ -451,14 +293,6 @@ class ExecutionTrace:
                 np.max(self.edge_completion_array(), initial=0),
             )
         )
-
-    def _node_round(self, v: int) -> int:
-        r = int(self.node_commit_rounds()[v])
-        if r < 0:
-            # Uncommitted entities are charged the full execution length; this
-            # only happens for incomplete executions (round-limit hit).
-            return self.rounds
-        return r
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -472,29 +306,23 @@ class ExecutionTrace:
         validate_network`); the topology is never exported to networkx.
         Executions with crash-stop faults (:attr:`crashed` non-empty) are
         scored on the surviving subgraph (:meth:`ProblemSpec.
-        validate_surviving`).  Dict-canonical traces pass their mappings.
+        validate_surviving`).
         """
-        if self._node_values is not None:
-            node_outputs, node_committed = self._node_values, self._node_rounds >= 0
-        else:
-            node_outputs, node_committed = self._node_outputs, None
-        if self._edge_values is not None:
-            edge_outputs, edge_committed = self._edge_values, self._edge_rounds >= 0
-        else:
-            edge_outputs, edge_committed = self._edge_outputs, None
+        node_committed = self._node_commits >= 0
+        edge_committed = self._edge_commits >= 0
         if self.crashed:
             return self.problem.validate_surviving(
                 self.network,
-                node_outputs,
-                edge_outputs,
+                self._node_values,
+                self._edge_values,
                 self.crashed,
                 node_committed=node_committed,
                 edge_committed=edge_committed,
             )
         return self.problem.validate_network(
             self.network,
-            node_outputs,
-            edge_outputs,
+            self._node_values,
+            self._edge_values,
             node_committed=node_committed,
             edge_committed=edge_committed,
         )
@@ -519,20 +347,16 @@ class ExecutionTrace:
 
     def selected_nodes(self) -> List[int]:
         """Vertices whose committed output is truthy (e.g. MIS members)."""
-        if self._node_values is not None:
-            slots = np.flatnonzero(self._node_rounds >= 0)
-            values = _slot_values(self._node_values, slots)
-            return [v for v, value in zip(slots.tolist(), values) if value]
-        return [v for v, value in self._node_outputs.items() if value]
+        slots = np.flatnonzero(self._node_commits >= 0)
+        values = _slot_values(self._node_values, slots)
+        return [v for v, value in zip(slots.tolist(), values) if value]
 
     def selected_edges(self) -> List[Edge]:
         """Edges whose committed output is truthy (e.g. matching edges)."""
-        if self._edge_values is not None:
-            slots = np.flatnonzero(self._edge_rounds >= 0)
-            values = _slot_values(self._edge_values, slots)
-            chosen = [i for i, value in zip(slots.tolist(), values) if value]
-            return self._edge_keys(np.asarray(chosen, dtype=np.int64))
-        return [e for e, value in self._edge_outputs.items() if value]
+        slots = np.flatnonzero(self._edge_commits >= 0)
+        values = _slot_values(self._edge_values, slots)
+        chosen = [i for i, value in zip(slots.tolist(), values) if value]
+        return self._edge_keys(np.asarray(chosen, dtype=np.int64))
 
     def summary(self) -> Dict[str, Any]:
         """Small dictionary of headline numbers for quick inspection."""
@@ -553,8 +377,8 @@ class ExecutionTrace:
 
     def __eq__(self, other: object) -> bool:
         # Field-based equality over the same fields the former dataclass
-        # compared (the lazy completion-time caches were compare=False), so
-        # dict-built and array-built traces of the same execution are equal.
+        # compared (the lazy completion-time caches were compare=False); the
+        # views ignore the values of uncommitted slots.
         if not isinstance(other, ExecutionTrace):
             return NotImplemented
         return (

@@ -614,7 +614,7 @@ class ArrayEngine:
         for t in range(trials):
             last = int(trial_rounds[t])
             traces.append(
-                ExecutionTrace.from_arrays(
+                ExecutionTrace(
                     network,
                     problem,
                     *self._trace_rows(batch.node_values, batch.node_rounds, t),

@@ -787,8 +787,8 @@ class Runner:
         recovery: Optional[RecoveryTimeline],
     ) -> ExecutionTrace:
         # Outputs and commit rounds go straight into the trace's flat
-        # per-slot arrays (-1 = never committed); the historical dict views
-        # are derived lazily by ExecutionTrace only if somebody asks.
+        # per-slot rows (-1 = never committed), its only storage; its
+        # read-only dict views are built from them only if somebody asks.
         n = network.n
         node_rounds = array("q", [-1]) * n
         node_values: list = [None] * n
@@ -840,7 +840,7 @@ class Runner:
                     if r < edge_rounds[i]:
                         edge_rounds[i] = r
 
-        return ExecutionTrace.from_arrays(
+        return ExecutionTrace(
             network,
             problem,
             node_values,

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.core.trace import ExecutionTrace
 from repro.local.network import Network
 from repro.local.runner import Runner
 
@@ -42,3 +44,41 @@ def make_network(graph: nx.Graph, seed: int = 0) -> Network:
 def network_factory():
     """Factory fixture building networks with permuted identifiers."""
     return make_network
+
+
+def make_trace(
+    network: Network,
+    problem,
+    node_outputs=None,
+    node_commit_round=None,
+    edge_outputs=None,
+    edge_commit_round=None,
+    **fields,
+) -> ExecutionTrace:
+    """A hand-made trace: commit dicts turned into the rows a trace stores.
+
+    Every vertex in ``node_commit_round`` and canonical edge in
+    ``edge_commit_round`` committed in that round, with its value from
+    ``node_outputs`` / ``edge_outputs``; every other slot never committed.
+    ``fields`` are the trace's keyword arguments (``rounds``, ...).
+    """
+    node_rounds = np.full(network.n, -1, dtype=np.int64)
+    node_values = [None] * network.n
+    for v, r in (node_commit_round or {}).items():
+        node_rounds[v] = r
+        node_values[v] = node_outputs[v]
+    edge_rounds = np.full(network.m, -1, dtype=np.int64)
+    edge_values = [None] * network.m
+    for (u, v), r in (edge_commit_round or {}).items():
+        slot = network.edge_index(u, v)
+        edge_rounds[slot] = r
+        edge_values[slot] = edge_outputs[(u, v)]
+    return ExecutionTrace(
+        network, problem, node_values, node_rounds, edge_values, edge_rounds, **fields
+    )
+
+
+@pytest.fixture
+def trace_factory():
+    """Factory fixture building hand-made traces from commit dicts."""
+    return make_trace

@@ -1,27 +1,28 @@
 """Differential tests: numpy metric reductions vs Definition 1 per entity.
 
 ``repro.core.metrics`` (and the completion-time computation in
-``repro.core.trace``) reduce over numpy float64/int64 arrays.  The oracle
-here is the paper's Definition 1 transcribed one entity at a time from the
-dict views: a node's time is the latest commit among its own output and
-its incident edges' outputs, an edge's among its own output and its
-endpoints' outputs (only the kinds the problem labels count), an
-uncommitted entity counts as the full execution length, and a problem
-that labels neither costs nothing.  The scalars are ``statistics.mean``
-and ``max`` over those per-entity times.  These tests drive both over
-randomized traces:
+``repro.core.trace``, the only one in the library) reduce over numpy
+float64/int64 arrays.  The oracle here is the paper's Definition 1
+transcribed one entity at a time from the dict views: a node's time is the
+latest commit among its own output and its incident edges' outputs, an
+edge's among its own output and its endpoints' outputs (only the kinds the
+problem labels count), an uncommitted entity counts as the full execution
+length, and a problem that labels neither costs nothing.  The scalars are
+``statistics.mean`` and ``max`` over those per-entity times.  These tests
+drive both over randomized traces:
 
-* hand-built **dict-first** traces with random commit rounds and random gaps
-  (uncommitted entities, the −1 sentinel after array conversion),
-* **runner-produced array traces** (``ExecutionTrace.from_arrays`` is the
-  canonical storage on that path),
+* hand-built traces (commit dicts turned into rows by the ``make_trace``
+  test helper) with random commit rounds and random gaps (uncommitted
+  entities, the −1 sentinel),
+* **runner-produced traces**, which keep the rows the runner hands over,
 * node-labelled, edge-labelled and node+edge-labelled problems (the latter
   exercises the scatter/gather fusion of Definition 1's completion rule),
 * edge cases: empty outputs, all-halted executions, empty graphs.
 
-Completion-time *vectors* must agree exactly (they are integer-valued);
-the scalar reductions to ≤ 1e-12 (numpy's pairwise-summed means may differ
-from ``statistics.mean`` in the last ulp).
+Completion-time *vectors*, and the per-entity accessors
+``node_completion_time`` / ``edge_completion_time``, must agree exactly
+(they are integer-valued); the scalar reductions to ≤ 1e-12 (numpy's
+pairwise-summed means may differ from ``statistics.mean`` in the last ulp).
 """
 
 from __future__ import annotations
@@ -65,28 +66,27 @@ def _random_network(rng: random.Random) -> Network:
     return Network.from_edges(n, edges)
 
 
-def _random_dict_trace(network: Network, problem, rng: random.Random) -> ExecutionTrace:
-    """A dict-first trace with random commit rounds and random gaps."""
+def _random_trace(make_trace, network: Network, problem, rng: random.Random) -> ExecutionTrace:
+    """A hand-built trace with random commit rounds and random gaps."""
     rounds = rng.randint(0, 12)
-    trace = ExecutionTrace(
-        network=network, problem=problem, rounds=rounds, algorithm_name="random"
-    )
+    node_outputs, node_commit_round, edge_outputs, edge_commit_round = {}, {}, {}, {}
     if problem.labels_nodes:
-        trace.node_outputs = {
-            v: rng.randint(0, 1) for v in range(network.n) if rng.random() < 0.9
-        }
-        trace.node_commit_round = {
-            v: rng.randint(0, rounds) for v in trace.node_outputs
-        }
+        node_outputs = {v: rng.randint(0, 1) for v in range(network.n) if rng.random() < 0.9}
+        node_commit_round = {v: rng.randint(0, rounds) for v in node_outputs}
     if problem.labels_edges:
-        trace.edge_outputs = {
-            e: rng.randint(0, 1) for e in network.edges if rng.random() < 0.9
-        }
-        trace.edge_commit_round = {
-            e: rng.randint(0, rounds) for e in trace.edge_outputs
-        }
-    trace.completed = False  # gaps are allowed; validation is not the point here
-    return trace
+        edge_outputs = {e: rng.randint(0, 1) for e in network.edges if rng.random() < 0.9}
+        edge_commit_round = {e: rng.randint(0, rounds) for e in edge_outputs}
+    return make_trace(
+        network,
+        problem,
+        node_outputs,
+        node_commit_round,
+        edge_outputs,
+        edge_commit_round,
+        rounds=rounds,
+        completed=False,  # gaps are allowed; validation is not the point here
+        algorithm_name="random",
+    )
 
 
 def _node_time(trace, v: int) -> int:
@@ -121,6 +121,8 @@ def _assert_agreement(traces) -> None:
     for trace, nodes, edges in zip(traces, node_times, edge_times):
         assert trace.node_completion_times() == nodes
         assert trace.edge_completion_times() == edges
+        assert [trace.node_completion_time(v) for v in trace.network.vertices] == nodes
+        assert [trace.edge_completion_time(u, v) for u, v in trace.network.edges] == edges
     # Per-entity expectation over the trials, then the four scalars.
     expected_nodes = [mean(column) for column in zip(*node_times)]
     expected_edges = [mean(column) for column in zip(*edge_times)]
@@ -145,7 +147,7 @@ def _assert_agreement(traces) -> None:
 class TestRandomizedDictTraces:
     @pytest.mark.parametrize("problem_key", ["nodes", "edges", "both"])
     @pytest.mark.parametrize("seed", range(8))
-    def test_randomized_traces_agree(self, problem_key, seed):
+    def test_randomized_traces_agree(self, problem_key, seed, trace_factory):
         problem = {
             "nodes": problems.MIS,
             "edges": problems.MAXIMAL_MATCHING,
@@ -154,12 +156,14 @@ class TestRandomizedDictTraces:
         rng = random.Random(1000 * seed + {"nodes": 1, "edges": 2, "both": 3}[problem_key])
         network = _random_network(rng)
         trials = rng.randint(1, 4)
-        _assert_agreement([_random_dict_trace(network, problem, rng) for _ in range(trials)])
+        _assert_agreement(
+            [_random_trace(trace_factory, network, problem, rng) for _ in range(trials)]
+        )
 
-    def test_quantiles_match_numpy_reference(self):
+    def test_quantiles_match_numpy_reference(self, trace_factory):
         rng = random.Random(7)
         network = _random_network(rng)
-        traces = [_random_dict_trace(network, problems.MIS, rng) for _ in range(3)]
+        traces = [_random_trace(trace_factory, network, problems.MIS, rng) for _ in range(3)]
         qs = metrics.completion_time_quantiles(traces, quantiles=(0.0, 0.5, 1.0))
         expected = np.zeros(network.n)
         for t in traces:
@@ -207,21 +211,23 @@ class TestRunnerArrayTraces:
 
 
 class TestEdgeCases:
-    def test_empty_outputs_trace(self):
+    def test_empty_outputs_trace(self, trace_factory):
         """No entity ever committed: every completion time is the full length."""
         network = Network.from_edges(*gen.cycle_edges(5))
-        trace = ExecutionTrace(
-            network=network, problem=problems.MIS, rounds=9, completed=False
-        )
+        trace = trace_factory(network, problems.MIS, rounds=9, completed=False)
         assert trace.node_completion_times() == [9] * 5
         _assert_agreement([trace])
 
-    def test_all_halted_at_round_zero(self):
+    def test_all_halted_at_round_zero(self, trace_factory):
         """Everyone commits immediately: all-zero vectors, zero averages."""
         network = Network.from_edges(*gen.cycle_edges(6))
-        trace = ExecutionTrace(network=network, problem=problems.MIS, rounds=0)
-        trace.node_outputs = {v: v % 2 for v in range(6)}
-        trace.node_commit_round = {v: 0 for v in range(6)}
+        trace = trace_factory(
+            network,
+            problems.MIS,
+            node_outputs={v: v % 2 for v in range(6)},
+            node_commit_round={v: 0 for v in range(6)},
+            rounds=0,
+        )
         assert metrics.node_averaged_complexity(trace) == 0.0
         assert metrics.worst_case_complexity(trace) == 0
         _assert_agreement([trace])
@@ -230,7 +236,7 @@ class TestEdgeCases:
         """Array-built trace with explicit −1 slots (never committed)."""
         network = Network.from_edges(*gen.path_edges(4))
         node_rounds = array("q", [0, -1, 2, -1])
-        trace = ExecutionTrace.from_arrays(
+        trace = ExecutionTrace(
             network,
             problems.MIS,
             [True, None, True, None],
@@ -244,11 +250,15 @@ class TestEdgeCases:
         assert trace.node_completion_times() == [0, 5, 2, 5]
         _assert_agreement([trace])
 
-    def test_edgeless_network(self):
+    def test_edgeless_network(self, trace_factory):
         network = Network.from_edges(3, [])
-        trace = ExecutionTrace(network=network, problem=problems.MIS, rounds=2)
-        trace.node_outputs = {0: 1, 1: 1, 2: 1}
-        trace.node_commit_round = {0: 0, 1: 1, 2: 2}
+        trace = trace_factory(
+            network,
+            problems.MIS,
+            node_outputs={0: 1, 1: 1, 2: 1},
+            node_commit_round={0: 0, 1: 1, 2: 2},
+            rounds=2,
+        )
         assert metrics.edge_averaged_complexity(trace) == 0.0
         assert metrics.edge_expected_complexity(trace) == 0.0
         assert metrics.completion_time_quantiles(trace, entity="edge") == {
@@ -258,20 +268,24 @@ class TestEdgeCases:
         }
         _assert_agreement([trace])
 
-    def test_quantiles_reject_bad_input(self):
+    def test_quantiles_reject_bad_input(self, trace_factory):
         network = Network.from_edges(*gen.cycle_edges(4))
-        trace = ExecutionTrace(network=network, problem=problems.MIS, rounds=0)
+        trace = trace_factory(network, problems.MIS, rounds=0)
         with pytest.raises(ValueError):
             metrics.completion_time_quantiles(trace, quantiles=(1.5,))
         with pytest.raises(ValueError):
             metrics.completion_time_quantiles(trace, entity="faces")
 
 
-def test_measure_quantiles_validate_levels():
+def test_measure_quantiles_validate_levels(trace_factory):
     """measure() and completion_time_quantiles share one validated helper."""
     network = Network.from_edges(*gen.cycle_edges(4))
-    trace = ExecutionTrace(network=network, problem=problems.MIS, rounds=0)
-    trace.node_outputs = {v: 1 for v in range(4)}
-    trace.node_commit_round = {v: 0 for v in range(4)}
+    trace = trace_factory(
+        network,
+        problems.MIS,
+        node_outputs={v: 1 for v in range(4)},
+        node_commit_round={v: 0 for v in range(4)},
+        rounds=0,
+    )
     with pytest.raises(ValueError):
         metrics.measure(trace, quantiles=(1.5,))

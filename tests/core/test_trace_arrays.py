@@ -1,19 +1,17 @@
-"""Array-backed ExecutionTrace storage and its lazy dict views.
+"""ExecutionTrace storage: flat per-slot rows and their read-only dict views.
 
-The runner stores outputs and commit rounds in flat per-slot arrays
-(:meth:`ExecutionTrace.from_arrays`); the historical dict attributes are
-derived lazily.  Hand-built traces (tests) still construct dict-first.  These tests pin that the two representations are
-interchangeable: same dict views, same completion times, same validation
-verdicts, and that the hot paths never export the topology to networkx.
+Both engines hand a trace its outputs and commit rounds as flat per-slot
+rows, its only storage; the dict views are derived from them on first use.
+These tests pin that uncommitted slots stay out of the views, that the views
+are read-only, that traces keep the engines' rows and pickle, and that the
+hot paths never export the topology to networkx.
 """
 
 from __future__ import annotations
 
 import pickle
-import random
 from array import array
 
-import networkx as nx
 import pytest
 
 from repro.algorithms.mis.luby import LubyMIS
@@ -26,73 +24,10 @@ from repro.local.network import Network
 from repro.local.runner import Runner
 
 
-def _mis_trace_pair():
-    """The same MIS execution result built dict-first and array-first."""
-    network = Network.from_edges(*gen.cycle_edges(6))
-    node_outputs = {0: True, 1: False, 2: True, 3: False, 4: True, 5: False}
-    node_rounds_dict = {0: 0, 1: 1, 2: 0, 3: 2, 4: 1, 5: 1}
-    dict_trace = ExecutionTrace(
-        network=network,
-        problem=problems.MIS,
-        node_outputs=dict(node_outputs),
-        node_commit_round=dict(node_rounds_dict),
-        rounds=3,
-        algorithm_name="manual",
-    )
-    node_values = [node_outputs[v] for v in range(6)]
-    node_rounds = array("q", [node_rounds_dict[v] for v in range(6)])
-    array_trace = ExecutionTrace.from_arrays(
-        network,
-        problems.MIS,
-        node_values,
-        node_rounds,
-        [None] * network.m,
-        array("q", [-1]) * network.m,
-        rounds=3,
-        algorithm_name="manual",
-    )
-    return dict_trace, array_trace
-
-
-class TestRepresentationEquivalence:
-    def test_dict_views_match(self):
-        dict_trace, array_trace = _mis_trace_pair()
-        assert array_trace.node_outputs == dict_trace.node_outputs
-        assert array_trace.node_commit_round == dict_trace.node_commit_round
-        assert array_trace.edge_outputs == dict_trace.edge_outputs == {}
-        assert array_trace.edge_commit_round == dict_trace.edge_commit_round == {}
-
-    def test_array_views_match(self):
-        dict_trace, array_trace = _mis_trace_pair()
-        assert list(dict_trace.node_commit_rounds()) == list(array_trace.node_commit_rounds())
-        assert list(dict_trace.edge_commit_rounds()) == list(array_trace.edge_commit_rounds())
-
-    def test_completion_times_match(self):
-        dict_trace, array_trace = _mis_trace_pair()
-        assert dict_trace.node_completion_times() == array_trace.node_completion_times()
-        assert dict_trace.edge_completion_times() == array_trace.edge_completion_times()
-        assert dict_trace.worst_case_rounds() == array_trace.worst_case_rounds()
-        for v in range(6):
-            assert dict_trace.node_completion_time(v) == array_trace.node_completion_time(v)
-        for u, v in dict_trace.network.edges:
-            assert dict_trace.edge_completion_time(u, v) == array_trace.edge_completion_time(u, v)
-
-    def test_validation_and_selection_match(self):
-        dict_trace, array_trace = _mis_trace_pair()
-        assert bool(dict_trace.validate()) == bool(array_trace.validate())
-        assert dict_trace.selected_nodes() == array_trace.selected_nodes()
-        assert dict_trace.selected_edges() == array_trace.selected_edges()
-        assert dict_trace.summary() == array_trace.summary()
-
-    def test_measure_matches(self):
-        dict_trace, array_trace = _mis_trace_pair()
-        assert measure([dict_trace]) == measure([array_trace])
-
-
 class TestUncommittedSlots:
     def test_missing_slots_charged_full_length(self):
         network = Network.from_edges(*gen.path_edges(3))
-        trace = ExecutionTrace.from_arrays(
+        trace = ExecutionTrace(
             network,
             problems.MIS,
             [True, None, None],
@@ -111,7 +46,7 @@ class TestUncommittedSlots:
     def test_committed_none_is_not_missing(self):
         """A node that committed the value None must count as committed."""
         network = Network.from_edges(2, [(0, 1)])
-        trace = ExecutionTrace.from_arrays(
+        trace = ExecutionTrace(
             network,
             problems.coloring(None),
             [None, 0],
@@ -131,7 +66,7 @@ class TestRunnerProducesArrayTraces:
         network = Network.from_edges(*gen.cycle_edges(12))
         trace = Runner().run(LubyMIS(), network, problems.MIS, seed=0)
         assert trace._node_values is not None
-        assert trace._node_rounds is not None
+        assert trace._node_commits is not None
         # Dict views derive lazily and agree with the arrays.
         rounds_arr = trace.node_commit_rounds()
         assert set(trace.node_outputs) == {v for v in range(12) if rounds_arr[v] >= 0}
@@ -148,7 +83,7 @@ class TestRunnerProducesArrayTraces:
         trace = ArrayEngine().run(
             LubyMIS().as_array_algorithm(), network, problems.MIS, seed=0
         )
-        for row in (trace._node_values, trace._node_rounds, trace._edge_values):
+        for row in (trace._node_values, trace._node_commits, trace._edge_values):
             assert not gc.is_tracked(row)
         assert not trace.node_commit_rounds().flags.writeable
         assert {type(value) for value in trace.node_outputs.values()} == {bool}
@@ -172,6 +107,22 @@ class TestRunnerProducesArrayTraces:
         assert copy.edge_outputs == trace.edge_outputs
         assert copy.node_completion_times() == trace.node_completion_times()
         assert copy.validate()
+        # A trace whose four views were built before pickling: the cached
+        # views travel as plain dicts.
+        views = (
+            trace.node_outputs,
+            trace.node_commit_round,
+            trace.edge_outputs,
+            trace.edge_commit_round,
+        )
+        again = pickle.loads(pickle.dumps(trace))
+        assert (
+            again.node_outputs,
+            again.node_commit_round,
+            again.edge_outputs,
+            again.edge_commit_round,
+        ) == views
+        assert again.edge_completion_times() == trace.edge_completion_times()
 
     def test_batch_traces_own_their_rows(self):
         """A retained batch trace must not keep the whole chunk's matrices alive."""
@@ -182,7 +133,7 @@ class TestRunnerProducesArrayTraces:
             LubyMIS().as_array_algorithm(), network, problems.MIS, seeds=range(4)
         )
         for trace in traces:
-            for row in (trace._node_values, trace._node_rounds, trace._edge_rounds):
+            for row in (trace._node_values, trace._node_commits, trace._edge_commits):
                 owner = row
                 while owner.base is not None:
                     owner = owner.base
@@ -219,50 +170,34 @@ class TestRunnerProducesArrayTraces:
         assert all(p.measurement.n in (12, 18) for p in points)
 
 
-class TestLegacyDictConstruction:
-    def test_post_construction_assignment_still_works(self):
-        """Hand-built traces fill dicts after construction."""
-        network = Network.from_edges(*gen.path_edges(4))
-        trace = ExecutionTrace(network=network, problem=problems.MAXIMAL_MATCHING, rounds=2)
-        trace.edge_outputs[(0, 1)] = True
-        trace.edge_outputs[(1, 2)] = False
-        trace.edge_outputs[(2, 3)] = True
-        trace.edge_commit_round[(0, 1)] = 0
-        trace.edge_commit_round[(1, 2)] = 1
-        trace.edge_commit_round[(2, 3)] = 1
-        assert trace.validate()
-        assert list(trace.edge_commit_rounds()) == [0, 1, 1]
-        assert trace.edge_completion_times() == [0, 1, 1]
-        assert trace.selected_edges() == [(0, 1), (2, 3)]
+class TestReadOnlyViews:
+    @pytest.mark.parametrize(
+        "view, value",
+        [
+            ("node_outputs", True),
+            ("node_commit_round", 0),
+            ("edge_outputs", True),
+            ("edge_commit_round", 0),
+        ],
+    )
+    @pytest.mark.parametrize("engine", ["auto", "node"])
+    def test_assignment_through_a_view_raises(self, engine, view, value):
+        """No view can drift from the rows that validate() and the
+        completion times read: engine-built ("auto") and runner-built
+        ("node") traces refuse assignment through each of the four views."""
+        network = Network.from_edges(*gen.cycle_edges(8))
 
-    def test_setter_invalidates_caches(self):
-        network = Network.from_edges(*gen.path_edges(3))
-        trace = ExecutionTrace(network=network, problem=problems.MIS, rounds=4)
-        trace.node_outputs = {0: True, 1: False, 2: True}
-        trace.node_commit_round = {0: 0, 1: 2, 2: 4}
-        assert trace.node_completion_times() == [0, 2, 4]
-        trace.node_commit_round = {0: 1, 1: 1, 2: 1}
-        assert trace.node_completion_times() == [1, 1, 1]
+        def luby_trace():
+            (trace,) = run_trials(LubyMIS, network, problems.MIS, trials=1, seed=0, engine=engine)
+            return trace
 
-    def test_assignment_on_array_backed_trace(self):
-        """Assigning one dict view of an array-canonical trace must not leave
-        a half-array, half-dict state behind (the sibling view is preserved)."""
-        _, trace = _mis_trace_pair()
-        original_outputs = dict(trace.node_outputs)
-        trace.node_commit_round = {v: 0 for v in range(6)}
-        assert trace.node_outputs == original_outputs
-        assert trace.node_completion_times() == [0] * 6
+        trace, twin = luby_trace(), luby_trace()
+        selected = trace.selected_nodes()
+        # A neighbour of a selected vertex (True there breaks the MIS), or
+        # an edge, which no MIS trace holds.
+        key = network.neighbors(selected[0])[0] if view.startswith("node") else network.edges[0]
+        with pytest.raises(TypeError):
+            getattr(trace, view)[key] = value
+        assert trace == twin
+        assert trace.selected_nodes() == selected
         assert trace.validate()
-        edge_trace = ExecutionTrace.from_arrays(
-            trace.network,
-            problems.MAXIMAL_MATCHING,
-            [None] * 6,
-            array("q", [-1]) * 6,
-            [True, False, True, False, True, False],
-            array("q", [1] * 6),
-            rounds=2,
-        )
-        original_edge_rounds = dict(edge_trace.edge_commit_round)
-        edge_trace.edge_outputs = {e: False for e in trace.network.edges}
-        assert edge_trace.edge_commit_round == original_edge_rounds
-        assert not edge_trace.validate()

@@ -59,10 +59,11 @@ class TestEngineBasics:
         assert trace.completed
         assert trace.validate()
         assert trace.algorithm_name == "luby-mis"
-        # Filled through from_arrays: the dict views stay unmaterialised
+        # The trace keeps the engine's rows: the dict views stay unbuilt
         # until asked for.
-        assert trace._node_outputs is None
+        assert not trace._views
         assert len(trace.node_outputs) == net.n
+        assert set(trace._views) == {"node_outputs"}
 
     def test_matching_trace_is_valid(self, engine):
         net = Network.from_edge_list(*gen.random_regular_edges(4, 30, seed=1))
