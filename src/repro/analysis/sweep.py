@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 import sqlite3
 import warnings
 from array import array
@@ -286,7 +287,10 @@ def sweep(
         on_error: ``"raise"`` (default) propagates the first broken cell's
             exception, after journaling its failure row when a
             ``checkpoint`` is given; ``"record"`` converts broken cells into
-            :class:`CellFailure` rows on the result and keeps sweeping.
+            :class:`CellFailure` rows on the result and keeps sweeping.  On
+            the parallel path an exception the parent cannot rebuild from
+            its pickle arrives as a :class:`~repro.core.errors.ReproError`
+            whose message names its type and message.
         batch_budget_bytes: optional override of the trial-batched array
             engine's chunk byte budget
             (:func:`repro.local.engine.batch_chunk`; the engine's 24 MiB
@@ -1162,6 +1166,18 @@ def _parallel_worker(task: Task) -> Tuple[List[Dict[str, object]], object]:
     rows, error = _execute(spec, task, _WORKER_NETWORKS)
     if error is None:
         return rows, None
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:  # whatever the error's own pickling hooks raise
+        # An error the parent cannot rebuild (say, one whose __init__ does
+        # not take its own args) would kill the pool's result handler and
+        # stall the sweep, so send a ReproError that names it, caused by it.
+        cause = error
+        error = ReproError(
+            f"{type(cause).__name__}: {cause} (raised in a pool worker; "
+            "the error cannot be rebuilt in the parent)"
+        )
+        error.__cause__ = cause
     # A traceback does not pickle, so send its text the way Pool does for a
     # task that raised: the parent's re-raise then shows the worker's stack.
     return rows, ExceptionWithTraceback(error, error.__traceback__)

@@ -24,7 +24,7 @@ import pytest
 
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
-from repro.core.errors import WorkerCrashed
+from repro.core.errors import ReproError, WorkerCrashed
 from repro.core.experiment import run_trials, trial_seed
 from repro.core.metrics import measure
 from repro.graphs import generators as gen
@@ -221,6 +221,13 @@ def with_broken_algorithm():
     return algorithms
 
 
+class TwoPartError(Exception):
+    """Pickles, but cannot be rebuilt: ``__init__`` does not take its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
 class TestFailureRows:
     @pytest.mark.parametrize("parallel", [None, 2])
     @pytest.mark.parametrize("engine", ["node", "auto"])
@@ -270,6 +277,26 @@ class TestFailureRows:
         assert row["seed"] == sweepmod._cell_seed(
             {"seed": 3}, row["value_index"], row["trial"]
         )
+
+    def test_unrebuildable_pool_error_arrives_as_repro_error(self, tmp_path, monkeypatch):
+        # The stall window a dead result handler would leave the sweep in.
+        monkeypatch.setattr(sweepmod, "_DEFAULT_STALL_TIMEOUT", 3.0)
+
+        def broken_factory(net):
+            raise TwoPartError("factory", "exploded")
+
+        path = str(tmp_path / "sweep.db")
+        with pytest.raises(ReproError, match="TwoPartError: factory/exploded") as raised:
+            run_sweep(
+                algorithms={"broken": (broken_factory, lambda net: problems.MIS)},
+                parallel=2,
+                checkpoint=path,
+            )
+        assert raised.type is ReproError
+        assert "TwoPartError" in str(raised.value.__cause__)  # the worker's traceback
+        _, rows = sweepmod.read_checkpoint(path)
+        failed = [row for row in rows.values() if row["status"] == "failure"]
+        assert [row["kind"] for row in failed] == ["exception:TwoPartError"]
 
     def test_round_limit_overruns_are_recorded(self):
         result = run_sweep(values=[12], max_rounds=1, on_error="record")
