@@ -457,8 +457,9 @@ class Network:
         return self._adjacency[self._vertex(v)]
 
     def degree(self, v: int) -> int:
-        """Degree of vertex ``v``."""
-        return len(self._adjacency[self._vertex(v)])
+        """Degree of vertex ``v``, read from :attr:`indptr` (no rows built)."""
+        v = self._vertex(v)
+        return int(self._indptr[v + 1] - self._indptr[v])
 
     def max_degree(self) -> int:
         """Maximum degree Δ of the network (0 for the empty graph); cached."""

@@ -415,12 +415,15 @@ class TestFromEndpointArrays:
         assert net._rows is None and net._edges_cache is None
         # flat consumers never materialise them
         assert len(net.indices) == 2 * net.m
+        degrees = [net.degree(v) for v in net.vertices]
+        assert all(type(d) is int for d in degrees)
         assert net._rows is None and net._edges_cache is None
         # a per-node consumer derives them on demand, as plain-int tuples
         assert net.neighbors(1) == (0, 2)
         assert all(type(u) is int for u in net.neighbors(1))
         assert net.edges[0] == (0, 1)
         assert all(type(x) is int for x in net.edges[0])
+        assert degrees == [len(net.neighbors(v)) for v in net.vertices]
 
     def test_self_loops_rejected_with_canonical_error(self):
         with pytest.raises(ValueError, match="self-loops"):
