@@ -173,19 +173,6 @@ class NodeRuntime:
         """The committed node output (``None`` before any commit)."""
         return self._output
 
-    @property
-    def output_round(self) -> Optional[int]:
-        """Round at which the node output was committed, if any."""
-        return self._output_round
-
-    def edge_output(self, neighbor: int) -> Any:
-        """Output committed by this node for the edge towards ``neighbor``."""
-        return self._edge_outputs.get(neighbor)
-
-    def has_committed_edge(self, neighbor: int) -> bool:
-        """Whether this node committed an output for the edge towards ``neighbor``."""
-        return neighbor in self._edge_outputs
-
     # ------------------------------------------------------------------ #
     # Participation control
     # ------------------------------------------------------------------ #

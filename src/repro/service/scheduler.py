@@ -324,11 +324,6 @@ class Scheduler:
                 [process.sentinel for process in active], timeout=self.poll_s
             )
 
-    def run_once(self) -> Optional[int]:
-        """Claim and fully resolve one job (retries included); its id or None."""
-        jobs = self.drain(max_jobs=1)
-        return jobs[0] if jobs else None
-
     def serve_forever(self) -> None:  # pragma: no cover - interactive loop
         """Drain, then keep polling for new submissions until interrupted."""
         while True:
