@@ -3,13 +3,14 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test lint perfbench-check example serve-smoke fault-smoke
+.PHONY: help test lint perfbench-check example examples-smoke serve-smoke fault-smoke
 
 help:
 	@echo "make test         tier-1 suite (the gate every PR must keep green)"
 	@echo "make lint         repro.lint invariant checker (+ ruff when installed)"
 	@echo "make perfbench-check  benchmark self-check (tiny sizes, golden digests, metric names vs BENCHMARK.json)"
 	@echo "make example      the 10^5-10^6-node scaling tour (skip the finale: EXAMPLE_FLAGS=--no-million)"
+	@echo "make examples-smoke  the five small example scripts; fails on the first non-zero exit"
 	@echo "make serve-smoke  experiment-service smoke: submit/schedule/SIGKILL-resume/HTTP round trip"
 	@echo "make fault-smoke  fault-injection demo: both engines + interrupted sweep resumed from its sqlite journal"
 
@@ -29,6 +30,15 @@ perfbench-check:
 
 example:
 	$(PYTHON) examples/scaling_to_100k.py $(EXAMPLE_FLAGS)
+
+SMOKE_EXAMPLES := quickstart sinkless_orientation_demo matching_edge_vs_node \
+	wireless_scheduling lower_bound_explorer
+
+examples-smoke:
+	@for example in $(SMOKE_EXAMPLES); do \
+		echo "== examples/$$example.py"; \
+		$(PYTHON) examples/$$example.py || exit 1; \
+	done
 
 serve-smoke:
 	$(PYTHON) examples/service_quickstart.py
