@@ -75,6 +75,23 @@ def _value_row(values: Optional[Any], count: int) -> Values:
     return tuple(values)
 
 
+def _same_network(a: Any, b: Any) -> bool:
+    """Whether two networks have equal vertices, edges and identifiers.
+
+    :class:`~repro.local.network.Network` compares by identity, so a trace
+    and its pickled copy, or traces on two builds of one graph, would
+    never compare equal.
+    """
+    if a is b:
+        return True
+    return (
+        a.n == b.n
+        and a.m == b.m
+        and all(map(np.array_equal, a.edge_endpoints(), b.edge_endpoints()))
+        and np.array_equal(a.identifier_array, b.identifier_array)
+    )
+
+
 def _slot_values(values: Values, slots: np.ndarray) -> List[Any]:
     """The Python values of ``slots`` (numpy scalars converted)."""
     if isinstance(values, np.ndarray):
@@ -378,11 +395,12 @@ class ExecutionTrace:
     def __eq__(self, other: object) -> bool:
         # Field-based equality over the same fields the former dataclass
         # compared (the lazy completion-time caches were compare=False); the
-        # views ignore the values of uncommitted slots.
+        # views ignore the values of uncommitted slots, and the networks
+        # compare by structure.
         if not isinstance(other, ExecutionTrace):
             return NotImplemented
         return (
-            self.network == other.network
+            _same_network(self.network, other.network)
             and self.problem == other.problem
             and self.rounds == other.rounds
             and self.completed == other.completed

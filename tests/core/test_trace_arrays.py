@@ -12,6 +12,7 @@ from __future__ import annotations
 import pickle
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.algorithms.mis.luby import LubyMIS
@@ -201,3 +202,44 @@ class TestReadOnlyViews:
         assert trace == twin
         assert trace.selected_nodes() == selected
         assert trace.validate()
+
+
+class TestEqualityAcrossProcesses:
+    """Traces compare their networks by structure, so a trace that crossed a
+    process (a pool worker, the service) still equals the original."""
+
+    def test_pickled_engine_trace_is_equal(self):
+        from repro.local.engine import ArrayEngine
+
+        network = Network.from_edges(*gen.cycle_edges(12))
+        trace = ArrayEngine().run(
+            LubyMIS().as_array_algorithm(), network, problems.MIS, seed=0
+        )
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy.network is not trace.network
+        assert copy == trace
+
+    def test_traces_on_two_builds_are_equal(self):
+        traces = [
+            Runner().run(LubyMIS(), Network.from_edges(*gen.cycle_edges(12)), problems.MIS, seed=0)
+            for _ in range(2)
+        ]
+        assert traces[0].network is not traces[1].network
+        assert traces[0] == traces[1]
+
+    def test_other_identifiers_are_unequal(self):
+        n, edges = gen.cycle_edges(12)
+        network = Network.from_edges(n, edges)
+        other = Network.from_edges(n, edges, identifiers={v: 100 + v for v in range(n)})
+        trace = ExecutionTrace(
+            network, problems.MIS, [True] * n, [0] * n, None, [-1] * len(edges)
+        )
+        twin = ExecutionTrace(
+            other, problems.MIS, [True] * n, [0] * n, None, [-1] * len(edges)
+        )
+        assert not np.array_equal(network.identifier_array, other.identifier_array)
+        assert trace != twin
+        assert trace == ExecutionTrace(
+            Network.from_edges(n, edges), problems.MIS, [True] * n, [0] * n, None,
+            [-1] * len(edges),
+        )
