@@ -25,19 +25,21 @@ holds per graph for the worst-case weight distribution; the helper
 benchmarks can verify the chain empirically (with the weighted value computed
 for a caller-supplied or worst-case-per-node weighting).
 
-Implementation.  Every reduction runs over numpy float64/int64 arrays and
+Implementation.  Every reduction runs over numpy int64/float64 arrays and
 consumes the trace's flat per-slot storage directly
 (:meth:`ExecutionTrace.node_completion_array` /
 :meth:`~ExecutionTrace.edge_completion_array`), so there is no per-node
 Python loop anywhere on the measurement path — the layer that made
-million-node measurement batches feasible.  The sweep aggregates journaled
-cells through stand-ins that offer the same two arrays.  The per-trial
-accumulation adds the trial vectors in trace order and divides once, exactly
-the float64 operation sequence of the seed implementation, so expected-time
-vectors are bit-identical to the pure-Python path; the final scalar means use
-numpy's pairwise summation and may differ from ``statistics.mean`` in the
-last ulp (the differential tests in ``tests/core/test_metrics_numpy.py`` pin
-agreement to ≤ 1e-12).
+million-node measurement batches feasible.  Trials are folded one at a time
+into a :class:`CompletionTotals`, which keeps only integer reductions (int64
+per-entity sums, the trial count, the worst case, restabilisation counts)
+and divides once; :func:`measure`, the other public reductions and the
+sweep's streamed aggregation of journaled cells all go through it.  Sums of
+integers are exact in float64, so the expected-time vectors are
+bit-identical to a trial-by-trial float64 accumulation in any arrival order;
+the final scalar means use numpy's pairwise summation and may differ from
+``statistics.mean`` in the last ulp (the differential tests in
+``tests/core/test_metrics_numpy.py`` pin agreement to ≤ 1e-12).
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "ComplexityMeasurement",
     "RecoveryTimeline",
     "RecoveryRecorder",
+    "CompletionTotals",
     "measure",
     "complexity_hierarchy",
 ]
@@ -77,35 +80,16 @@ def _as_list(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> List[Execut
     traces = list(traces)
     if not traces:
         raise ValueError("at least one execution trace is required")
-    first = traces[0]
-    for t in traces[1:]:
-        if t.network is not first.network and t.network.n != first.network.n:
-            raise ValueError("all traces must come from executions on the same network")
     return traces
 
 
-def _expected_times(vectors: List[np.ndarray], length: int, trials: int) -> np.ndarray:
-    """Element-wise mean of per-trial completion-time vectors (float64).
-
-    Accumulates trial by trial and divides once — the same float64 operation
-    order as the seed implementation, so the resulting vector is bit-identical
-    to the pure-Python accumulation.
-    """
-    sums = np.zeros(length, dtype=np.float64)
-    for times in vectors:
-        sums += times
-    sums /= trials
-    return sums
-
-
-def _expected_node_times(traces: List[ExecutionTrace]) -> np.ndarray:
-    n = traces[0].network.n
-    return _expected_times([t.node_completion_array() for t in traces], n, len(traces))
-
-
-def _expected_edge_times(traces: List[ExecutionTrace]) -> np.ndarray:
-    m = traces[0].network.m
-    return _expected_times([t.edge_completion_array() for t in traces], m, len(traces))
+def _totals(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> "CompletionTotals":
+    """The :class:`CompletionTotals` of ``traces``, folded in order."""
+    ts = _as_list(traces)
+    totals = CompletionTotals(ts[0].algorithm_name, ts[0].problem.name)
+    for trace in ts:
+        totals.add_trace(trace)
+    return totals
 
 
 def _quantile_pairs(
@@ -141,18 +125,17 @@ def _max(expected: np.ndarray) -> float:
 
 def node_averaged_complexity(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> float:
     """``AVG_V``: average over nodes of the expected completion time."""
-    return _mean(_expected_node_times(_as_list(traces)))
+    return _mean(_totals(traces).expected_node_times())
 
 
 def edge_averaged_complexity(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> float:
     """``AVG_E``: average over edges of the expected completion time."""
-    return _mean(_expected_edge_times(_as_list(traces)))
+    return _mean(_totals(traces).expected_edge_times())
 
 
 def worst_case_complexity(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> int:
     """Maximum completion time over all trials, nodes and edges."""
-    ts = _as_list(traces)
-    return max(trace.worst_case_rounds() for trace in ts)
+    return _totals(traces).worst_case
 
 
 # ---------------------------------------------------------------------- #
@@ -171,8 +154,7 @@ def weighted_node_averaged_complexity(
     coincide with the node expected complexity (the supremum over weight
     distributions, as in Appendix A).
     """
-    ts = _as_list(traces)
-    expected = _expected_node_times(ts)
+    expected = _totals(traces).expected_node_times()
     if expected.size == 0:
         return 0.0
     if weights is None:
@@ -193,7 +175,7 @@ def weighted_edge_averaged_complexity(
 ) -> float:
     """``AVG^w_E``: weighted average of expected edge completion times."""
     ts = _as_list(traces)
-    expected = _expected_edge_times(ts)
+    expected = _totals(ts).expected_edge_times()
     if expected.size == 0:
         return 0.0
     if weights is None:
@@ -210,12 +192,12 @@ def weighted_edge_averaged_complexity(
 
 def node_expected_complexity(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> float:
     """``EXP_V``: maximum over nodes of the expected completion time."""
-    return _max(_expected_node_times(_as_list(traces)))
+    return _max(_totals(traces).expected_node_times())
 
 
 def edge_expected_complexity(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> float:
     """``EXP_E``: maximum over edges of the expected completion time."""
-    return _max(_expected_edge_times(_as_list(traces)))
+    return _max(_totals(traces).expected_edge_times())
 
 
 def completion_time_quantiles(
@@ -230,11 +212,10 @@ def completion_time_quantiles(
     (per-trial averaged) completion times.  Empty vectors (e.g. edge
     quantiles on an edgeless graph) report 0.0 at every level.
     """
-    ts = _as_list(traces)
     if entity == "node":
-        expected = _expected_node_times(ts)
+        expected = _totals(traces).expected_node_times()
     elif entity == "edge":
-        expected = _expected_edge_times(ts)
+        expected = _totals(traces).expected_edge_times()
     else:
         raise ValueError(f"entity must be 'node' or 'edge', got {entity!r}")
     return dict(_quantile_pairs(expected, quantiles))
@@ -417,59 +398,133 @@ class ComplexityMeasurement:
         return record
 
 
+class CompletionTotals:
+    """Running integer totals of one algorithm's trials on one network.
+
+    Each trial is folded in as it arrives — an :class:`ExecutionTrace`
+    through :meth:`add_trace`, or bare completion-time rows (a sweep's cell
+    rows, of any integer dtype) through :meth:`add` — and nothing of it is
+    kept but integer reductions: int64 per-node and per-edge sums, the trial
+    count, the worst case (the max over trials of each trial's node and
+    edge maxima) and, for self-stabilising trials, the fault epochs and the
+    count, sum and max of their restabilisation times.  None of these
+    depends on the order of the trials, and :meth:`measurement` divides
+    once (``sums.astype(float64) / trials``), so a measurement is
+    bit-identical in any arrival order.
+    """
+
+    def __init__(self, algorithm: str, problem: str) -> None:
+        self.algorithm = algorithm
+        self.problem = problem
+        self.trials = 0
+        self.node_sums = np.zeros(0, dtype=np.int64)
+        self.edge_sums = np.zeros(0, dtype=np.int64)
+        self.worst_case = 0
+        #: Fault epochs over the trials (``None``: no trial had a timeline).
+        self.recovery_epochs: Optional[int] = None
+        self.recovered = 0
+        self.recovered_sum = 0
+        self.recovered_max = 0
+
+    def add(
+        self,
+        node_times: np.ndarray,
+        edge_times: np.ndarray,
+        recovery: Optional[RecoveryTimeline] = None,
+    ) -> None:
+        """Fold one trial's completion times and its recovery timeline."""
+        if not self.trials:
+            self.node_sums = np.zeros(len(node_times), dtype=np.int64)
+            self.edge_sums = np.zeros(len(edge_times), dtype=np.int64)
+        elif (len(node_times), len(edge_times)) != (self.node_sums.size, self.edge_sums.size):
+            raise ValueError("all traces must come from executions on the same network")
+        self.node_sums += node_times
+        self.edge_sums += edge_times
+        self.worst_case = max(
+            self.worst_case,
+            int(np.max(node_times, initial=0)),
+            int(np.max(edge_times, initial=0)),
+        )
+        self.trials += 1
+        if recovery is not None:
+            times = recovery.time_to_restabilize()
+            recovered = [t for t in times if t is not None]
+            self.recovery_epochs = (self.recovery_epochs or 0) + len(times)
+            self.recovered += len(recovered)
+            self.recovered_sum += sum(recovered)
+            self.recovered_max = max([self.recovered_max, *recovered])
+
+    def add_trace(self, trace: ExecutionTrace) -> None:
+        """Fold one execution trace."""
+        self.add(
+            trace.node_completion_array(), trace.edge_completion_array(), trace.recovery
+        )
+
+    def _expected(self, sums: np.ndarray) -> np.ndarray:
+        if not self.trials:
+            raise ValueError("at least one execution trace is required")
+        return sums.astype(np.float64) / self.trials
+
+    def expected_node_times(self) -> np.ndarray:
+        """Per-node expected completion times (float64)."""
+        return self._expected(self.node_sums)
+
+    def expected_edge_times(self) -> np.ndarray:
+        """Per-edge expected completion times (float64)."""
+        return self._expected(self.edge_sums)
+
+    def measurement(
+        self, quantiles: Optional[Sequence[float]] = None
+    ) -> ComplexityMeasurement:
+        """Every complexity measure of the trials folded so far."""
+        expected_nodes = self.expected_node_times()
+        expected_edges = self.expected_edge_times()
+        node_quantiles: Tuple[Tuple[float, float], ...] = ()
+        edge_quantiles: Tuple[Tuple[float, float], ...] = ()
+        if quantiles is not None:
+            node_quantiles = _quantile_pairs(expected_nodes, quantiles)
+            edge_quantiles = _quantile_pairs(expected_edges, quantiles)
+        unrecovered = mean_restab = max_restab = None
+        if self.recovery_epochs is not None:
+            unrecovered = self.recovery_epochs - self.recovered
+            if self.recovered:
+                mean_restab = float(self.recovered_sum) / self.recovered
+                max_restab = self.recovered_max
+        return ComplexityMeasurement(
+            algorithm=self.algorithm,
+            problem=self.problem,
+            n=expected_nodes.size,
+            m=expected_edges.size,
+            trials=self.trials,
+            node_averaged=_mean(expected_nodes),
+            edge_averaged=_mean(expected_edges),
+            node_expected=_max(expected_nodes),
+            edge_expected=_max(expected_edges),
+            worst_case=self.worst_case,
+            node_quantiles=node_quantiles,
+            edge_quantiles=edge_quantiles,
+            recovery_epochs=self.recovery_epochs,
+            mean_time_to_restabilize=mean_restab,
+            max_time_to_restabilize=max_restab,
+            unrecovered_epochs=unrecovered,
+        )
+
+
 def measure(
     traces: "ExecutionTrace | Iterable[ExecutionTrace]",
     quantiles: Optional[Sequence[float]] = None,
 ) -> ComplexityMeasurement:
     """Compute every complexity measure for a collection of traces.
 
-    The expected completion-time vectors are computed once (as float64 numpy
-    arrays) and shared by the averaged, expected and quantile measures — they
-    are pure reductions of the same vectors, which matters when measuring
-    million-node graphs.  Pass ``quantiles`` (e.g. ``DEFAULT_QUANTILES``) to
-    additionally record completion-time quantiles in the measurement.
+    The traces are folded into one :class:`CompletionTotals`, whose
+    expected completion-time vectors are computed once (as float64 numpy
+    arrays) and shared by the averaged, expected and quantile measures —
+    they are pure reductions of the same vectors, which matters when
+    measuring million-node graphs.  Pass ``quantiles`` (e.g.
+    ``DEFAULT_QUANTILES``) to additionally record completion-time quantiles
+    in the measurement.
     """
-    ts = _as_list(traces)
-    first = ts[0]
-    expected_nodes = _expected_node_times(ts)
-    expected_edges = _expected_edge_times(ts)
-    node_quantiles: Tuple[Tuple[float, float], ...] = ()
-    edge_quantiles: Tuple[Tuple[float, float], ...] = ()
-    if quantiles is not None:
-        node_quantiles = _quantile_pairs(expected_nodes, quantiles)
-        edge_quantiles = _quantile_pairs(expected_edges, quantiles)
-    recovery_epochs = mean_restab = max_restab = unrecovered = None
-    timelines = [
-        timeline
-        for timeline in (getattr(t, "recovery", None) for t in ts)
-        if timeline is not None
-    ]
-    if timelines:
-        times = [t for tl in timelines for t in tl.time_to_restabilize()]
-        recovered = [t for t in times if t is not None]
-        recovery_epochs = len(times)
-        unrecovered = len(times) - len(recovered)
-        if recovered:
-            mean_restab = float(sum(recovered)) / len(recovered)
-            max_restab = max(recovered)
-    return ComplexityMeasurement(
-        algorithm=first.algorithm_name,
-        problem=first.problem.name,
-        n=first.network.n,
-        m=first.network.m,
-        trials=len(ts),
-        node_averaged=_mean(expected_nodes),
-        edge_averaged=_mean(expected_edges),
-        node_expected=_max(expected_nodes),
-        edge_expected=_max(expected_edges),
-        worst_case=worst_case_complexity(ts),
-        node_quantiles=node_quantiles,
-        edge_quantiles=edge_quantiles,
-        recovery_epochs=recovery_epochs,
-        mean_time_to_restabilize=mean_restab,
-        max_time_to_restabilize=max_restab,
-        unrecovered_epochs=unrecovered,
-    )
+    return _totals(traces).measurement(quantiles)
 
 
 def complexity_hierarchy(

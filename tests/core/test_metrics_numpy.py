@@ -27,6 +27,7 @@ pairwise-summed means may differ from ``statistics.mean`` in the last ulp).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from array import array
 from statistics import mean
@@ -176,6 +177,62 @@ class TestRandomizedDictTraces:
         assert measured.node_quantiles == ((0.5, qs[0.5]),)
         # Quantile fields never participate in equality.
         assert measured == metrics.measure(traces)
+
+
+class TestCompletionTotals:
+    """The running totals that ``measure`` and the sweep fold trials into:
+    integer reductions divided once, so arrival order cannot matter."""
+
+    @staticmethod
+    def _folded(rows, quantiles=None):
+        totals = metrics.CompletionTotals("random", BOTH_LABELS.name)
+        for node_times, edge_times, timeline in rows:
+            totals.add(node_times, edge_times, timeline)
+        return totals.measurement(quantiles)
+
+    def test_two_fold_orders_give_identical_floats(self, trace_factory):
+        rng = random.Random(11)
+        network = _random_network(rng)
+        traces = [_random_trace(trace_factory, network, BOTH_LABELS, rng) for _ in range(7)]
+        # Rows as a sweep ships them: narrow where they fit, some left int64.
+        rows = [
+            (
+                t.node_completion_array().astype(np.uint16 if i % 2 else np.int64),
+                t.edge_completion_array().astype(np.uint16 if i % 3 else np.int64),
+                metrics.RecoveryTimeline(
+                    crash_rounds=(1, 4),
+                    pending=tuple(rng.randint(0, 1) for _ in range(6)),
+                    valid=tuple(rng.random() < 0.5 for _ in range(6)),
+                ),
+            )
+            for i, t in enumerate(traces)
+        ]
+        forward = self._folded(rows, quantiles=(0.1, 0.5, 0.9))
+        backward = self._folded(rows[::-1], quantiles=(0.1, 0.5, 0.9))
+        assert forward == backward
+        # Every field, the compare-excluded quantiles and recovery included.
+        assert dataclasses.astuple(forward) == dataclasses.astuple(backward)
+        assert forward.recovery_epochs == 2 * len(rows)
+
+    def test_folded_rows_measure_like_their_traces(self, trace_factory):
+        rng = random.Random(12)
+        network = _random_network(rng)
+        traces = [_random_trace(trace_factory, network, BOTH_LABELS, rng) for _ in range(5)]
+        rows = [
+            (t.node_completion_array().astype(np.uint16), t.edge_completion_array(), None)
+            for t in traces
+        ]
+        assert dataclasses.astuple(self._folded(rows[::-1], (0.5,))) == dataclasses.astuple(
+            metrics.measure(traces, quantiles=(0.5,))
+        )
+
+    def test_rows_of_another_network_are_refused(self):
+        totals = metrics.CompletionTotals("luby", "mis")
+        totals.add(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="same network"):
+            totals.add(np.zeros(5, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="at least one"):
+            metrics.CompletionTotals("luby", "mis").measurement()
 
 
 class TestRunnerArrayTraces:
