@@ -21,15 +21,17 @@ of those loses the whole run.  The layer has three parts, all opt-in:
   ``cell_timeout`` is set) into structured :class:`CellFailure` rows on the
   returned :class:`SweepResult` instead of aborting the sweep;
 * ``checkpoint=`` journals every finished cell to sqlite (format
-  ``sweep-checkpoint/v2``).  A path gives the sweep a database file of its
+  ``sweep-checkpoint/v3``).  A path gives the sweep a database file of its
   own; a ``(database, key)`` pair journals under ``key`` in an existing
   database (the experiment service passes its result store and the job
   id).  Each cell row commits in its own transaction, completion times as
-  raw int64 BLOBs, so a killed process loses at most the cell it was
-  computing.  Re-running the same sweep on the same journal skips cells
-  whose ``ok`` rows are committed and retries recorded failures, so an
-  interrupted sweep resumes cell-exactly — the per-cell seed schedule makes
-  the resumed results identical to an uninterrupted run.  Under
+  uint16 BLOBs (int64 for a row whose times do not fit), so a killed
+  process loses at most the cell it was computing.  Re-running the same
+  sweep on the same journal skips cells whose ``ok`` rows are committed and
+  retries recorded failures, so an interrupted sweep resumes cell-exactly —
+  the per-cell seed schedule makes the resumed results identical to an
+  uninterrupted run.  v2 journals, whose rows are all int64, still resume;
+  the resuming writer re-stamps their header as v3.  Under
   ``on_error="raise"`` the failing cell's row is journaled before its error
   propagates, on the serial, pool and lost-worker paths alike;
 * the parallel path survives *lost* workers: a pool worker that dies
@@ -40,6 +42,12 @@ of those loses the whole run.  The layer has three parts, all opt-in:
   :class:`~repro.core.errors.WorkerCrashed` failure row (or raised as one
   under ``on_error="raise"``).  ``KeyboardInterrupt`` tears the pool down,
   releases the journal, and re-raises.
+
+Aggregation is streamed: every ``ok`` row — fresh from a cell, or read back
+from the journal on resume — is folded into the running
+:class:`~repro.core.metrics.CompletionTotals` of its ``(value, algorithm)``
+as it lands, so a sweep holds no completion-time row beyond the task that
+produced it.
 """
 
 from __future__ import annotations
@@ -50,11 +58,22 @@ import os
 import pickle
 import sqlite3
 import warnings
-from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from multiprocessing.pool import ExceptionWithTraceback
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import networkx as nx
 import numpy as np
@@ -67,7 +86,7 @@ from repro.core.errors import (
     classify_failure,
 )
 from repro.core.experiment import _faults_active, resolve_network, run_trials, trial_seed
-from repro.core.metrics import ComplexityMeasurement, RecoveryTimeline, measure
+from repro.core.metrics import ComplexityMeasurement, CompletionTotals, RecoveryTimeline
 from repro.core.problems import ProblemSpec
 from repro.graphs.edgelist import EdgeArrays
 from repro.local.algorithm import NodeAlgorithm
@@ -278,12 +297,14 @@ def sweep(
             under ``on_error="record"``).  Enforced via ``SIGALRM``, in the
             worker itself on the parallel path.
         checkpoint: optional sqlite journal of finished cells (format
-            ``sweep-checkpoint/v2``): a database path, or a ``(database,
-            key)`` pair for one journal among several in a shared database.
-            When the journal already holds rows for the same sweep
-            (validated against its header), cells with ``ok`` rows are
-            skipped and recorded failures are retried — interrupted sweeps
-            resume cell-exactly.
+            ``sweep-checkpoint/v3``, completion times as uint16 BLOBs where
+            they fit): a database path, or a ``(database, key)`` pair for
+            one journal among several in a shared database.  When the
+            journal already holds rows for the same sweep (validated
+            against its header), cells with ``ok`` rows are folded into the
+            result and skipped, and recorded failures are retried —
+            interrupted sweeps resume cell-exactly.  A ``v2`` journal
+            resumes too, and is re-stamped ``v3``.
         on_error: ``"raise"`` (default) propagates the first broken cell's
             exception, after journaling its failure row when a
             ``checkpoint`` is given; ``"record"`` converts broken cells into
@@ -339,23 +360,25 @@ def sweep(
     spec["parallel"] = bool(workers > 1 and cells > 1 and fork_ok)
     journal = _Journal(checkpoint, spec) if checkpoint is not None else None
     try:
-        rows = dict(journal.rows) if journal is not None else {}
+        aggregation = _Aggregation()
+        if journal is not None:
+            aggregation.fold(journal.cells())
         # Cells with a committed ok row are done; recorded failures re-run.
         remaining = [
             (index, name, trial)
             for index in range(len(values))
             for name in algorithms
             for trial in range(trials)
-            if rows.get((index, name, trial), {}).get("status") != "ok"
+            if (index, name, trial) not in aggregation.folded
         ]
 
         def consume(
             task_rows: List[Dict[str, object]], error: Optional[Exception]
         ) -> None:
-            for row in task_rows:
-                rows[_cell_key(row)] = row
-                if journal is not None:
+            if journal is not None:
+                for row in task_rows:
                     journal.record(row)
+            aggregation.fold(task_rows)
             if error is not None:
                 raise error
 
@@ -365,14 +388,10 @@ def sweep(
             cache: Dict[int, Network] = {}
             for task in _tasks(spec, remaining):
                 consume(*_execute(spec, task, cache))
-        return _collect(spec, rows)
+        return aggregation.result(spec)
     finally:
         if journal is not None:
             journal.close()
-
-
-def _renamed(measurement: ComplexityMeasurement, name: str) -> ComplexityMeasurement:
-    return replace(measurement, algorithm=name)
 
 
 def _resolve_workers(parallel: Union[bool, int, None]) -> int:
@@ -402,8 +421,8 @@ def _fork_available() -> bool:
 # trial_seed schedule run_trials uses, which is what makes the serial,
 # parallel, and resumed-from-checkpoint paths produce identical
 # measurements.  Cell results travel as plain dict rows — "ok" rows carry
-# the flat completion-time buffers that measure() consumes, "failure" rows
-# the classify_failure slug — so the same row format serves the pool
+# the flat completion-time buffers that CompletionTotals folds, "failure"
+# rows the classify_failure slug — so the same row format serves the pool
 # protocol, the journal (whose columns are the row keys), and the
 # aggregation step.
 #
@@ -441,6 +460,18 @@ def _cell_network(
     return network
 
 
+def _narrow(times: np.ndarray) -> np.ndarray:
+    """``times`` as uint16 when its maximum fits, else as it is (int64).
+
+    Completion times are rounds: never negative, and bounded by
+    ``max_rounds`` (20 000 by default), so a row is narrow unless a sweep
+    runs longer than 65 535 rounds.
+    """
+    if times.size and times.max() > np.iinfo(np.uint16).max:
+        return times
+    return times.astype(np.uint16)
+
+
 def _ok_row(
     network: Network, problem: ProblemSpec, index: int, name: str, trial: int, trace
 ) -> Dict[str, object]:
@@ -453,18 +484,17 @@ def _ok_row(
         "m": network.m,
         "problem": problem.name,
         "algorithm_name": trace.algorithm_name,
-        # Flat int64 buffers: they pickle through the pool and bind into
-        # the journal as raw bytes (8 B/entry) instead of per-int items,
-        # and measure() consumes them exactly like lists.
-        "node_times": array("q", trace.node_completion_array().tobytes()),
-        "edge_times": array("q", trace.edge_completion_array().tobytes()),
+        # Narrow numpy buffers: they pickle through the pool and bind into
+        # the journal as BLOBs of 2 B/entry (8 when a time exceeds uint16).
+        "node_times": _narrow(trace.node_completion_array()),
+        "edge_times": _narrow(trace.edge_completion_array()),
     }
     recovery = getattr(trace, "recovery", None)
     if recovery is not None:
         # Self-stabilising runs carry a per-round recovery timeline; ship it
         # as plain lists so the row survives pickling and the journal's JSON
-        # column, and measure() can aggregate restabilisation times in the
-        # parent exactly like on the serial path.
+        # column, and the parent folds restabilisation times exactly like
+        # measure() does on a trace.
         row["recovery"] = {
             "crash_rounds": list(recovery.crash_rounds),
             "pending": list(recovery.pending),
@@ -598,118 +628,78 @@ def _execute(
     return rows, None
 
 
-class _CellTrace:
-    """Duck-typed stand-in for :class:`ExecutionTrace` built from cell rows.
-
-    Exposes exactly what :func:`repro.core.metrics.measure` consumes, so the
-    parent process can aggregate parallel / checkpointed cells through the
-    same code path as serial traces (and hence produce bit-identical
-    measurements).
-    """
-
-    class _Net:
-        __slots__ = ("n", "m")
-
-        def __init__(self, n: int, m: int) -> None:
-            self.n = n
-            self.m = m
-
-    class _Problem:
-        __slots__ = ("name",)
-
-        def __init__(self, name: str) -> None:
-            self.name = name
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        problem_name: str,
-        algorithm_name: str,
-        node_times: Sequence[int],
-        edge_times: Sequence[int],
-        recovery: Optional[RecoveryTimeline] = None,
-    ) -> None:
-        self.network = _CellTrace._Net(n, m)
-        self.problem = _CellTrace._Problem(problem_name)
-        self.algorithm_name = algorithm_name
-        self.recovery = recovery
-        # np.asarray wraps array('q') buffers and journal BLOB views
-        # zero-copy, so aggregation runs on int64 arrays exactly like the
-        # serial measurement path.
-        self._node_times = np.asarray(node_times, dtype=np.int64)
-        self._edge_times = np.asarray(edge_times, dtype=np.int64)
-
-    def node_completion_array(self) -> np.ndarray:
-        return self._node_times
-
-    def edge_completion_array(self) -> np.ndarray:
-        return self._edge_times
-
-    def worst_case_rounds(self) -> int:
-        return int(
-            max(
-                np.max(self._node_times, initial=0),
-                np.max(self._edge_times, initial=0),
-            )
-        )
-
-
-def _row_to_trace(row: Dict[str, object]) -> _CellTrace:
-    recovery_row = row.get("recovery")
-    recovery = None
-    if recovery_row is not None:
-        recovery = RecoveryTimeline(
-            crash_rounds=tuple(int(r) for r in recovery_row["crash_rounds"]),  # type: ignore[index]
-            pending=tuple(int(p) for p in recovery_row["pending"]),  # type: ignore[index]
-            valid=tuple(bool(v) for v in recovery_row["valid"]),  # type: ignore[index]
-        )
-    return _CellTrace(
-        n=row["n"],  # type: ignore[arg-type]
-        m=row["m"],  # type: ignore[arg-type]
-        problem_name=row["problem"],  # type: ignore[arg-type]
-        algorithm_name=row["algorithm_name"],  # type: ignore[arg-type]
-        node_times=row["node_times"],  # type: ignore[arg-type]
-        edge_times=row["edge_times"],  # type: ignore[arg-type]
-        recovery=recovery,
+def _timeline(recovery: Optional[Mapping[str, Sequence]]) -> Optional[RecoveryTimeline]:
+    """The :class:`RecoveryTimeline` of an ok row's ``recovery`` lists."""
+    if recovery is None:
+        return None
+    return RecoveryTimeline(
+        crash_rounds=tuple(int(r) for r in recovery["crash_rounds"]),
+        pending=tuple(int(p) for p in recovery["pending"]),
+        valid=tuple(bool(v) for v in recovery["valid"]),
     )
 
 
-def _collect(spec: Dict[str, object], rows: Dict[CellKey, Dict[str, object]]) -> SweepResult:
-    """Aggregate cell rows into points (per value × algorithm) and failures."""
-    parameter = str(spec["parameter"])
-    values: List[object] = spec["values"]  # type: ignore[assignment]
-    algorithms: Dict[str, object] = spec["algorithms"]  # type: ignore[assignment]
-    trials = int(spec["trials"])
-    points: List[SweepPoint] = []
-    failures: List[CellFailure] = []
-    for index, value in enumerate(values):
-        for name in algorithms:
-            traces: List[_CellTrace] = []
-            for trial in range(trials):
-                row = rows.get((index, name, trial))
-                if row is None:
-                    continue
-                if row["status"] == "ok":
-                    traces.append(_row_to_trace(row))
-                else:
-                    failures.append(
-                        CellFailure(
-                            parameter=parameter,
-                            value=value,
-                            algorithm=name,
-                            trial=trial,
-                            seed=int(row["seed"]),  # type: ignore[arg-type]
-                            kind=str(row["kind"]),
-                            message=str(row["message"]),
+class _Aggregation:
+    """A sweep's results so far, kept small.
+
+    :meth:`fold` adds each ``ok`` row to the running
+    :class:`~repro.core.metrics.CompletionTotals` of its ``(value,
+    algorithm)`` and drops it; only the keys of the folded cells and the
+    failure rows are kept.  An ``ok`` row may replace nothing or a failure
+    (a retried cell), never another ``ok`` row, so no cell counts twice.
+    """
+
+    def __init__(self) -> None:
+        self.totals: Dict[Tuple[int, str], CompletionTotals] = {}
+        self.folded: Set[CellKey] = set()
+        self.failed: Dict[CellKey, Dict[str, object]] = {}
+
+    def fold(self, rows: Iterable[Dict[str, object]]) -> None:
+        for row in rows:
+            key = _cell_key(row)
+            if row["status"] != "ok":
+                self.failed[key] = row
+                continue
+            if key in self.folded:
+                raise ReproError(f"cell {key} delivered a second ok row")
+            self.folded.add(key)
+            self.failed.pop(key, None)
+            totals = self.totals.get(key[:2])
+            if totals is None:
+                totals = self.totals[key[:2]] = CompletionTotals(key[1], str(row["problem"]))
+            totals.add(
+                row["node_times"],  # type: ignore[arg-type]
+                row["edge_times"],  # type: ignore[arg-type]
+                _timeline(row.get("recovery")),  # type: ignore[arg-type]
+            )
+
+    def result(self, spec: Dict[str, object]) -> SweepResult:
+        """The points (per value × algorithm) and failures, in sweep order."""
+        parameter = str(spec["parameter"])
+        values: List[object] = spec["values"]  # type: ignore[assignment]
+        algorithms: Dict[str, object] = spec["algorithms"]  # type: ignore[assignment]
+        points: List[SweepPoint] = []
+        failures: List[CellFailure] = []
+        for index, value in enumerate(values):
+            for name in algorithms:
+                for trial in range(int(spec["trials"])):  # type: ignore[arg-type]
+                    row = self.failed.get((index, name, trial))
+                    if row is not None:
+                        failures.append(
+                            CellFailure(
+                                parameter=parameter,
+                                value=value,
+                                algorithm=name,
+                                trial=trial,
+                                seed=int(row["seed"]),  # type: ignore[arg-type]
+                                kind=str(row["kind"]),
+                                message=str(row["message"]),
+                            )
                         )
-                    )
-            if traces:
-                measurement = _renamed(measure(traces), name)
-                points.append(
-                    SweepPoint(parameter=parameter, value=value, measurement=measurement)
-                )
-    return SweepResult(points, failures)
+                totals = self.totals.get((index, name))
+                if totals is not None:
+                    points.append(SweepPoint(parameter, value, totals.measurement()))
+        return SweepResult(points, failures)
 
 
 # ---------------------------------------------------------------------- #
@@ -815,7 +805,7 @@ def _journal_header(
     if found is None:
         return None
     header = json.loads(found[0])
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if header.get("format") not in (CHECKPOINT_FORMAT, schemas.SWEEP_CHECKPOINT_V2):
         raise ValueError(
             f"{where} has checkpoint format {header.get('format')!r}, "
             f"expected {CHECKPOINT_FORMAT!r}"
@@ -824,32 +814,42 @@ def _journal_header(
 
 
 def _encode_cell(key: str, row: Mapping[str, object]) -> List[object]:
-    """The ``journal_cells`` values of a row; time buffers bind as BLOBs."""
+    """The ``journal_cells`` values of a row; time arrays bind as BLOBs."""
     recovery = row.get("recovery")
     encoded = {**row, "recovery": None if recovery is None else json.dumps(recovery)}
     return [key] + [encoded.get(column) for column in _CELL_COLUMNS]
 
 
+#: Completion-time BLOB item dtypes by width: v3's narrow rows, and the
+#: int64 rows of v2 and of v3 rows too wide for uint16.
+_BLOB_DTYPES = {2: np.uint16, 8: np.int64}
+
+
+def _widened(blob: bytes, count: int) -> np.ndarray:
+    """A completion-time BLOB of ``count`` entries as an int64 array; its
+    item width is ``len(blob) // count``."""
+    width = len(blob) // count if count else 8
+    return np.frombuffer(blob, dtype=_BLOB_DTYPES[width]).astype(np.int64, copy=False)
+
+
 def _journal_cells(
     db: sqlite3.Connection, key: object, status: Optional[str] = None
-) -> List[Dict[str, object]]:
+) -> Iterator[Dict[str, object]]:
     """The committed rows of journal ``key`` in cell order, optionally of
-    one ``status``; completion times as int64 views of the BLOBs."""
+    one ``status``, one at a time; completion times widened to int64."""
     query = f"SELECT {', '.join(_CELL_COLUMNS)} FROM journal_cells WHERE journal = ?"
     params = [str(key)]
     if status is not None:
         query += " AND status = ?"
         params.append(status)
-    rows = []
     for values in db.execute(query + " ORDER BY value_index, algorithm, trial", params):
         row = dict(zip(_CELL_COLUMNS, values))
         if row["status"] == "ok":
-            row["node_times"] = np.frombuffer(row["node_times"], dtype=np.int64)
-            row["edge_times"] = np.frombuffer(row["edge_times"], dtype=np.int64)
+            row["node_times"] = _widened(row["node_times"], row["n"])
+            row["edge_times"] = _widened(row["edge_times"], row["m"])
             if row["recovery"] is not None:
                 row["recovery"] = json.loads(row["recovery"])
-        rows.append(row)
-    return rows
+        yield row
 
 
 def read_checkpoint(
@@ -858,7 +858,8 @@ def read_checkpoint(
     """Read the journal of ``sweep(checkpoint=path)``: ``(header, rows)``.
 
     ``rows`` maps ``(value index, algorithm name, trial)`` to the committed
-    cell row.  A row whose transaction never committed (the writer died
+    cell row, completion times widened to int64 arrays (a v2 journal reads
+    too).  A row whose transaction never committed (the writer died
     mid-row) is absent.  No claim is taken: readers never conflict with a
     live writer, whose rows commit one transaction each.
     """
@@ -880,11 +881,12 @@ def read_checkpoint(
 class _Journal:
     """The sqlite journal of one sweep's finished cells.
 
-    Opening validates the stored header against the current sweep, takes
-    the writer claim and loads the committed rows into ``rows``, all in one
-    ``BEGIN IMMEDIATE`` transaction; the caller skips cells whose ``ok``
-    rows are loaded and retries recorded failures.  :meth:`record` commits
-    each new row in its own transaction (a retried cell's row replaces the
+    Opening validates the stored header against the current sweep and
+    takes the writer claim, in one ``BEGIN IMMEDIATE`` transaction that
+    also re-stamps a ``v2`` header as the current format.  :meth:`cells`
+    then yields the committed rows; the caller skips cells whose ``ok``
+    rows it has and retries recorded failures.  :meth:`record` commits each
+    new row in its own transaction (a retried cell's row replaces the
     failure it retries), so a killed process loses at most the cell it was
     computing.
 
@@ -908,13 +910,13 @@ class _Journal:
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.executescript(_JOURNAL_DDL)
-            self.rows = self._claim(_header(spec))
+            self._claim(_header(spec))
         except BaseException:
             # A failed claim rolled back, so only the connection is ours.
             self._db.close()
             raise
 
-    def _claim(self, header: Dict[str, object]) -> Dict[CellKey, Dict[str, object]]:
+    def _claim(self, header: Dict[str, object]) -> None:
         db = self._db
         writer = (os.getpid(), _process_start(os.getpid()))
         with db:
@@ -926,7 +928,7 @@ class _Journal:
                     "VALUES (?, ?, ?, ?)",
                     (self.key, json.dumps(header, sort_keys=True), *writer),
                 )
-                return {}
+                return
             holder, started = db.execute(
                 "SELECT writer_pid, writer_start FROM journals WHERE key = ?", (self.key,)
             ).fetchone()
@@ -942,11 +944,22 @@ class _Journal:
                     f"{self.where} belongs to a different sweep (mismatched "
                     f"{', '.join(mismatched)}); delete it or pass another checkpoint"
                 )
+            # A v2 journal is re-stamped before any narrow row joins it, so
+            # that a v2 writer refuses to resume it instead of misreading
+            # those rows.
             db.execute(
-                "UPDATE journals SET writer_pid = ?, writer_start = ? WHERE key = ?",
-                (*writer, self.key),
+                "UPDATE journals SET header = ?, writer_pid = ?, writer_start = ? "
+                "WHERE key = ?",
+                (
+                    json.dumps({**stored, "format": CHECKPOINT_FORMAT}, sort_keys=True),
+                    *writer,
+                    self.key,
+                ),
             )
-            return {_cell_key(row): row for row in _journal_cells(db, self.key)}
+
+    def cells(self) -> Iterator[Dict[str, object]]:
+        """The committed rows, one at a time (see :func:`_journal_cells`)."""
+        return _journal_cells(self._db, self.key)
 
     def record(self, row: Dict[str, object]) -> None:
         """Commit ``row`` in its own transaction, then fire the test hook."""

@@ -26,6 +26,7 @@ __all__ = [
     "SWEEP_SPEC",
     "RESULT_STORE",
     "SWEEP_CHECKPOINT",
+    "SWEEP_CHECKPOINT_V2",
     "LINT_BASELINE",
     "LINT_REPORT",
     "ALL_SCHEMAS",
@@ -41,9 +42,15 @@ SWEEP_SPEC = "sweep-spec/v1"
 RESULT_STORE = "result-store/v2"
 
 #: Sqlite journal of finished sweep cells (:mod:`repro.analysis.sweep`).
-#: v2: header and cell rows in sqlite tables, completion times as int64
-#: BLOBs; v1 was a JSON-lines file.
-SWEEP_CHECKPOINT = "sweep-checkpoint/v2"
+#: v3: completion times as uint16 BLOBs, or int64 for a row whose times do
+#: not fit; a reader takes the item width from the BLOB length.  v2 stored
+#: every row as int64 BLOBs (header and cell rows already in sqlite
+#: tables); v1 was a JSON-lines file.
+SWEEP_CHECKPOINT = "sweep-checkpoint/v3"
+
+#: The previous journal format.  v3 readers read it, and a writer that
+#: claims a v2 journal re-stamps its header as v3.
+SWEEP_CHECKPOINT_V2 = "sweep-checkpoint/v2"
 
 #: Grandfathered-findings file consumed by ``python -m repro.lint``
 #: (:mod:`repro.lint.baseline`).
@@ -58,6 +65,7 @@ ALL_SCHEMAS: Mapping[str, str] = {
     "sweep_spec": SWEEP_SPEC,
     "result_store": RESULT_STORE,
     "sweep_checkpoint": SWEEP_CHECKPOINT,
+    "sweep_checkpoint_v2": SWEEP_CHECKPOINT_V2,
     "lint_baseline": LINT_BASELINE,
     "lint_report": LINT_REPORT,
 }

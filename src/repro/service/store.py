@@ -10,13 +10,14 @@ One sqlite database holds everything the service knows:
   the cache key, engine and batch-chunk choice, and the sweep journal's
   header).
 * ``journals`` / ``journal_cells`` — each job's sweep journal (format
-  ``sweep-checkpoint/v2``, owned by :mod:`repro.analysis.sweep`), keyed by
+  ``sweep-checkpoint/v3``, owned by :mod:`repro.analysis.sweep`), keyed by
   the job id.  The worker's sweep commits one cell row per ``(value index,
-  algorithm, trial)`` as the cell finishes: completion times as raw int64
-  BLOBs for ``ok`` rows (verdicts are implied — a validated sweep only
-  journals cells whose solutions passed), failure slug/seed/message for
-  ``failure`` rows, and the recovery timeline JSON when the run was
-  self-stabilising.  :meth:`ResultStore.cells` reads them from there; the
+  algorithm, trial)`` as the cell finishes: completion times as uint16
+  BLOBs for ``ok`` rows (int64 for a row whose times do not fit; verdicts
+  are implied — a validated sweep only journals cells whose solutions
+  passed), failure slug/seed/message for ``failure`` rows, and the
+  recovery timeline JSON when the run was self-stabilising.
+  :meth:`ResultStore.cells` reads them from there, widened to int64; the
   store keeps no second copy.
 * ``points`` — the aggregated per-``(value, algorithm)`` measurements, at
   full float precision (the exact ``ComplexityMeasurement`` fields, not the
@@ -261,12 +262,13 @@ class ResultStore:
         return out
 
     def cells(self, job_id: int) -> List[Dict[str, object]]:
-        """The job's journaled per-trial cells; completion times as int64 arrays."""
-        return _journal_cells(self._db, job_id)
+        """The job's journaled per-trial cells; completion times as int64
+        arrays, whatever width the journal stores them at."""
+        return list(_journal_cells(self._db, job_id))
 
     def failures(self, job_id: int) -> List[Dict[str, object]]:
         """The job's journaled failure cells (kind / seed / message)."""
-        return _journal_cells(self._db, job_id, status="failure")
+        return list(_journal_cells(self._db, job_id, status="failure"))
 
     def journal_header(self, job_id: int) -> Dict[str, object]:
         """The header of the job's sweep journal (the sweep's identity)."""

@@ -17,6 +17,7 @@ import signal
 import sqlite3
 import sys
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,9 +27,11 @@ from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
 from repro.core.errors import ReproError, WorkerCrashed
 from repro.core.experiment import run_trials, trial_seed
+from repro.core import metrics
 from repro.core.metrics import measure
 from repro.graphs import generators as gen
 from repro.local.faults import FaultSchedule
+from repro.local.network import Network
 
 # ``repro.analysis.sweep`` the *module*: the package __init__ rebinds the
 # attribute ``sweep`` to the function, so ``import repro.analysis.sweep as x``
@@ -481,3 +484,162 @@ class TestFaultedSweeps:
         row_hook(recomputed.append)
         assert run_sweep(faults=faults, validate=False, checkpoint=path) == baseline
         assert recomputed == []
+
+
+def _stored_widths(path, key="sweep"):
+    """``(n, m, node BLOB bytes, edge BLOB bytes)`` of each ok row, in SQL."""
+    db = sqlite3.connect(path)
+    try:
+        return db.execute(
+            "SELECT n, m, length(node_times), length(edge_times) FROM journal_cells "
+            "WHERE journal = ? AND status = 'ok' ORDER BY value_index, trial",
+            (key,),
+        ).fetchall()
+    finally:
+        db.close()
+
+
+class TestNarrowJournal:
+    def test_ok_rows_are_stored_as_uint16(self, tmp_path):
+        path = str(tmp_path / "sweep.db")
+        run_sweep(checkpoint=path)
+        widths = _stored_widths(path)
+        assert [(n, m) for n, m, _, _ in widths] == [(8, 8), (8, 8), (10, 10), (10, 10)]
+        assert all((node, edge) == (2 * n, 2 * m) for n, m, node, edge in widths)
+
+    @pytest.mark.parametrize("top, width", [(65_535, 2), (65_536, 8)])
+    def test_times_round_trip_exactly_at_their_width(
+        self, tmp_path, trace_factory, top, width
+    ):
+        # A hand-made trace: no sweep runs 65 536 rounds in a test.
+        network = Network.from_edges(*gen.path_edges(3))
+        trace = trace_factory(
+            network,
+            problems.MIS,
+            node_outputs={0: True, 1: False, 2: True},
+            node_commit_round={0: 7, 1: top, 2: 0},
+            rounds=top,
+        )
+        spec = {
+            "parameter": "n",
+            "values": [3],
+            "algorithms": {"luby": None},
+            "trials": 1,
+            "seed": 0,
+            "engine": "node",
+        }
+        path = str(tmp_path / "sweep.db")
+        journal = sweepmod._Journal(path, spec)
+        try:
+            journal.record(sweepmod._ok_row(network, problems.MIS, 0, "luby", 0, trace))
+        finally:
+            journal.close()
+        assert _stored_widths(path) == [(3, 2, 3 * width, 2 * width)]
+        _, rows = sweepmod.read_checkpoint(path)
+        row = rows[0, "luby", 0]
+        assert row["node_times"].dtype == row["edge_times"].dtype == np.int64
+        assert row["node_times"].tolist() == trace.node_completion_times() == [7, top, 0]
+        assert row["edge_times"].tolist() == trace.edge_completion_times() == [top, top]
+        # Folded as a sweep folds it, the row measures like its trace.
+        totals = metrics.CompletionTotals(trace.algorithm_name, problems.MIS.name)
+        totals.add(row["node_times"], row["edge_times"])
+        assert totals.measurement() == measure(trace)
+
+    def test_v2_journal_resumes_and_is_restamped(self, tmp_path, row_hook):
+        baseline = run_sweep()
+        # A v2 journal holding the first value's cells, written through
+        # sqlite: every completion time an int64 BLOB.
+        source = str(tmp_path / "source.db")
+        run_sweep(checkpoint=source)
+        header, rows = sweepmod.read_checkpoint(source)
+        path = str(tmp_path / "v2.db")
+        db = sqlite3.connect(path)
+        try:
+            db.executescript(sweepmod._JOURNAL_DDL)
+            db.execute(
+                "INSERT INTO journals (key, header) VALUES ('sweep', ?)",
+                (json.dumps({**header, "format": "sweep-checkpoint/v2"}, sort_keys=True),),
+            )
+            for (index, name, trial), row in rows.items():
+                if index != 0:
+                    continue
+                db.execute(
+                    "INSERT INTO journal_cells (journal, value_index, algorithm, trial, "
+                    "status, n, m, problem, algorithm_name, node_times, edge_times) "
+                    "VALUES ('sweep', ?, ?, ?, 'ok', ?, ?, ?, ?, ?, ?)",
+                    (
+                        index, name, trial, row["n"], row["m"], row["problem"],
+                        row["algorithm_name"],
+                        row["node_times"].astype(np.int64).tobytes(),
+                        row["edge_times"].astype(np.int64).tobytes(),
+                    ),
+                )
+            db.commit()
+        finally:
+            db.close()
+
+        recomputed = []
+        row_hook(recomputed.append)
+        assert run_sweep(checkpoint=path) == baseline
+        assert [sweepmod._cell_key(row) for row in recomputed] == [
+            (1, "luby", 0),
+            (1, "luby", 1),
+        ]
+        header, rows = sweepmod.read_checkpoint(path)
+        assert header["format"] == sweepmod.CHECKPOINT_FORMAT == "sweep-checkpoint/v3"
+        # The v2 rows keep their width beside the new narrow ones.
+        assert _stored_widths(path) == [
+            (8, 8, 64, 64), (8, 8, 64, 64), (10, 10, 20, 20), (10, 10, 20, 20)
+        ]
+        assert all(row["node_times"].dtype == np.int64 for row in rows.values())
+
+
+class TestStreamedAggregation:
+    def test_ok_rows_are_released_once_folded(self, tmp_path, monkeypatch, row_hook):
+        """No completion-time row outlives its fold: neither the rows a resume
+        reads back from the journal nor the rows fresh cells return."""
+        baseline = run_sweep()
+        path = str(tmp_path / "sweep.db")
+
+        def stop_after_two(row):
+            if (row["value_index"], row["trial"]) == (0, 1):
+                raise KeyboardInterrupt
+
+        row_hook(stop_after_two)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(checkpoint=path)
+
+        refs = []
+
+        def track(row):
+            if row["status"] == "ok":
+                refs.extend(weakref.ref(row[field]) for field in ("node_times", "edge_times"))
+
+        execute, journal_cells = sweepmod._execute, sweepmod._journal_cells
+
+        def tracked_execute(spec, task, cache):
+            rows, error = execute(spec, task, cache)
+            for row in rows:
+                track(row)
+            return rows, error
+
+        def tracked_cells(*args, **kwargs):
+            for row in journal_cells(*args, **kwargs):
+                track(row)
+                yield row
+
+        monkeypatch.setattr(sweepmod, "_execute", tracked_execute)
+        monkeypatch.setattr(sweepmod, "_journal_cells", tracked_cells)
+        alive = []
+
+        def check(row):
+            if len(refs) == 4 * 2:  # the last cell's row: every array seen
+                own = (row["node_times"], row["edge_times"])
+                alive.extend(
+                    ref() for ref in refs if ref() is not None and not any(ref() is a for a in own)
+                )
+                alive.append("checked")
+
+        row_hook(check)
+        assert run_sweep(checkpoint=path) == baseline
+        assert alive == ["checked"]
