@@ -387,6 +387,10 @@ def sweep(
         else:
             cache: Dict[int, Network] = {}
             for task in _tasks(spec, remaining):
+                if task[0] not in cache:
+                    # Tasks are index-major: the previous value's network
+                    # is done with.
+                    cache.clear()
                 consume(*_execute(spec, task, cache))
         return aggregation.result(spec)
     finally:

@@ -10,6 +10,7 @@ its seed from the same deterministic schedule.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -643,3 +644,30 @@ class TestStreamedAggregation:
         row_hook(check)
         assert run_sweep(checkpoint=path) == baseline
         assert alive == ["checked"]
+
+    @pytest.mark.parametrize("engine", ["node", "auto"])
+    def test_serial_sweep_keeps_one_value_network(self, monkeypatch, engine):
+        baseline = run_sweep(engine=engine)
+        built = []
+        network_from, execute = sweepmod.network_from, sweepmod._execute
+
+        def tracked_network_from(*args, **kwargs):
+            network = network_from(*args, **kwargs)
+            built.append(weakref.ref(network))
+            return network
+
+        first_alive = []
+
+        def checked_execute(spec, task, cache):
+            if task[0] == 1:
+                # The coroutine runner's node objects reference the network
+                # from within cycles, which only the collector frees.
+                gc.collect()
+                first_alive.append(built[0]() is not None)
+            return execute(spec, task, cache)
+
+        monkeypatch.setattr(sweepmod, "network_from", tracked_network_from)
+        monkeypatch.setattr(sweepmod, "_execute", checked_execute)
+        assert run_sweep(engine=engine) == baseline
+        assert len(built) == 2
+        assert first_alive and not any(first_alive)
