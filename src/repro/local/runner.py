@@ -398,6 +398,14 @@ class Runner:
         try:
             return self._run(algorithm, network, problem, seed, faults)
         finally:
+            # A node's tracker holds the node tuple, and an unfinished
+            # node's program holds its node: break both cycles so that
+            # reference counting frees the run once the runner is dropped.
+            # _acquire_nodes sets all three again on reuse.
+            for node in self._pool_nodes or ():
+                node._observer = None
+                node._coro_program = None
+                node._coro_outbox = None
             if gc_was_enabled:
                 gc.enable()
 

@@ -9,11 +9,16 @@ rejected.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
+from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
 from repro.core.problems import ProblemSpec, ValidationResult
+from repro.graphs.generators import cycle_edges
 from repro.local.algorithm import Broadcast, NodeAlgorithm
 from repro.local.coroutine import CoroutineAlgorithm
 from repro.local.network import Network
@@ -335,6 +340,30 @@ class TestCoroutineWrapper:
         chatty = runner.run(Talker(), net, _always_valid("p"), seed=0)
         assert all(v == 0 for v in silent.node_outputs.values())
         assert chatty.node_outputs[1] == 2
+
+
+class TestRunLifetime:
+    def test_finished_run_is_freed_without_the_collector(self):
+        # Each node references the run's completion tracker, which holds
+        # the node tuple, and an unfinished node's program holds its node.
+        # The runner breaks both cycles, so dropping the runner, the trace
+        # and the network frees the run by reference counting alone.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            network = Network.from_edges(*cycle_edges(2000))
+            runner = Runner()
+            trace = runner.run(LubyMIS(), network, problems.MIS, seed=0)
+            network_ref = weakref.ref(network)
+            # NodeRuntime has no weakref slot; each node's own Random dies
+            # with it.
+            rng_refs = [weakref.ref(node.rng) for node in runner._pool_nodes]
+            del runner, trace, network
+            assert network_ref() is None
+            assert not any(ref() is not None for ref in rng_refs)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestEdgeHotPathLaziness:
