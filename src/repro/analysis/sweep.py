@@ -5,16 +5,17 @@ A sweep runs one or more algorithms over a family of networks (e.g. growing
 combination, and returns the rows that the benchmark scripts print and that
 ``benchmarks/README.md`` tabulates.
 
-Sweeps can fan their ``(value, algorithm, trial)`` cells across a
-``multiprocessing`` pool (``parallel=``).  Every cell derives its seed from
-the same deterministic schedule as the serial path
-(:func:`repro.core.experiment.trial_seed`), so a parallel sweep produces
-**identical measurements** to a serial one — parallelism only changes
-wall-clock time, never results.
+A sweep runs its ``(value, algorithm, trial)`` cells one after another in
+the calling process, holding one value's network at a time.  Every cell
+derives its seed from a deterministic schedule
+(:func:`repro.core.experiment.trial_seed`), so a resumed sweep produces
+**identical measurements** to an uninterrupted one.  Sweeps run side by side
+in separate processes: the experiment service runs each job as a sweep in
+its own forked worker (:class:`repro.service.scheduler.Scheduler`).
 
-Crash safety.  Long sweeps die for boring reasons — an OOM-killed pool
-worker, a wall-clock limit, a Ctrl-C — and without a resilience layer any
-of those loses the whole run.  The layer has three parts, all opt-in:
+Crash safety.  Long sweeps die for boring reasons — an OOM-killed process,
+a wall-clock limit, a Ctrl-C — and without a resilience layer any of those
+loses the whole run.  The layer has two parts, both opt-in:
 
 * ``on_error="record"`` turns per-cell exceptions (validation failures,
   round-limit overruns, :class:`~repro.core.errors.CellTimeout` when
@@ -33,15 +34,9 @@ of those loses the whole run.  The layer has three parts, all opt-in:
   uninterrupted run.  v2 journals, whose rows are all int64, still resume;
   the resuming writer re-stamps their header as v3.  Under
   ``on_error="raise"`` the failing cell's row is journaled before its error
-  propagates, on the serial, pool and lost-worker paths alike;
-* the parallel path survives *lost* workers: a pool worker that dies
-  without reporting (the classic OOM SIGKILL, which would hang
-  ``Pool.map`` forever) is detected via a result stall, the pool is torn
-  down, and every unfinished cell is re-run serially in the parent with its
-  original seed.  A cell that fails again is recorded as a
-  :class:`~repro.core.errors.WorkerCrashed` failure row (or raised as one
-  under ``on_error="raise"``).  ``KeyboardInterrupt`` tears the pool down,
-  releases the journal, and re-raises.
+  propagates, and a ``KeyboardInterrupt`` releases the journal and
+  re-raises, so a resume retries or continues from the last committed
+  row.
 
 Aggregation is streamed: every ``ok`` row — fresh from a cell, or read back
 from the journal on resume — is folded into the running
@@ -53,14 +48,9 @@ produced it.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import pickle
 import sqlite3
-import warnings
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from multiprocessing.pool import ExceptionWithTraceback
 from typing import (
     Callable,
     Dict,
@@ -79,12 +69,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core import schemas
-from repro.core.errors import (
-    CheckpointLocked,
-    ReproError,
-    WorkerCrashed,
-    classify_failure,
-)
+from repro.core.errors import CheckpointLocked, ReproError, classify_failure
 from repro.core.experiment import _faults_active, resolve_network, run_trials, trial_seed
 from repro.core.metrics import ComplexityMeasurement, CompletionTotals, RecoveryTimeline
 from repro.core.problems import ProblemSpec
@@ -126,12 +111,6 @@ CHECKPOINT_FORMAT = schemas.SWEEP_CHECKPOINT
 #: Journal key of a sweep whose ``checkpoint=`` is a bare path.
 _DEFAULT_KEY = "sweep"
 
-#: Result-stall window (seconds) used to detect lost pool workers when no
-#: ``cell_timeout`` bounds the cells.  With a ``cell_timeout``, the window is
-#: the timeout plus :data:`_STALL_GRACE`.  Module-level so tests can shrink it.
-_DEFAULT_STALL_TIMEOUT = 300.0
-_STALL_GRACE = 60.0
-
 #: Test seam: when set, called with each journal row right after its
 #: transaction commits (used to inject interrupts at precise points).
 _test_hook: Optional[Callable[[Dict[str, object]], None]] = None
@@ -156,9 +135,9 @@ class CellFailure:
     """A (value, algorithm, trial) cell that failed under ``on_error="record"``.
 
     ``kind`` is the :func:`repro.core.errors.classify_failure` slug of the
-    error (``"validation-failed"``, ``"round-limit"``, ``"timeout"``,
-    ``"worker-crashed"``, or ``"exception:<TypeName>"``); ``seed`` is the
-    cell's trial seed, so the failure reproduces with a single serial run.
+    error (``"validation-failed"``, ``"round-limit"``, ``"timeout"``, or
+    ``"exception:<TypeName>"``); ``seed`` is the cell's trial seed, so the
+    failure reproduces with a single run.
     """
 
     parameter: str
@@ -232,7 +211,6 @@ def sweep(
     seed: int = 0,
     max_rounds: int = 20_000,
     validate: bool = True,
-    parallel: Union[bool, int, None] = None,
     engine: str = "node",
     faults: Optional[FaultSchedule] = None,
     cell_timeout: Optional[float] = None,
@@ -262,29 +240,11 @@ def sweep(
         seed: base randomness.
         max_rounds: round cap of the runner.
         validate: assert solution validity on every trial.
-        parallel: fan the ``(value, algorithm, trial)`` cells across a
-            process pool: ``True`` uses one worker per CPU, an integer pins
-            the worker count, ``None``/``False``/``1`` runs serially.  The
-            pool uses the ``fork`` start method so the (possibly
-            unpicklable) factories can be inherited by the workers; on
-            platforms where ``fork`` is not the default start method (e.g.
-            macOS, Windows) the sweep warns with a ``RuntimeWarning`` and
-            runs serially.  Results are identical either way **provided the
-            factories are pure functions of their arguments** (take
-            randomness from an explicit seed, e.g.
-            ``lambda n: gnp_random_graph(n, p, seed=n)``): workers may
-            re-invoke ``graph_factory`` for the same value from
-            forked-at-pool-creation state, so a factory that draws from a
-            shared RNG or mutates external state produces different graphs
-            in parallel than serially.
         engine: ``"node"`` (default, per-node coroutine runner — bit-exact
             traces), ``"array"`` (the vectorised
             :class:`repro.local.engine.ArrayEngine`; raises for algorithms
             without an array twin), or ``"auto"`` (array engine exactly for
-            algorithms implementing the ArrayAlgorithm protocol).  Applies
-            to serial and parallel execution alike — a parallel sweep on
-            the array engine still produces measurements identical to the
-            serial array sweep (same per-cell seed schedule).
+            algorithms implementing the ArrayAlgorithm protocol).
         faults: optional :class:`~repro.local.faults.FaultSchedule` injected
             into every trial of every cell (see :mod:`repro.local.faults`
             for the engine-independent seed schedule).  On the array
@@ -294,8 +254,9 @@ def sweep(
         cell_timeout: optional wall-clock budget in seconds per
             ``(value, algorithm, trial)`` cell; an expired cell raises
             :class:`~repro.core.errors.CellTimeout` (a recorded failure row
-            under ``on_error="record"``).  Enforced via ``SIGALRM``, in the
-            worker itself on the parallel path.
+            under ``on_error="record"``).  Enforced via ``SIGALRM``
+            (:func:`~repro.core.errors.cell_deadline`), so only when the
+            sweep runs on a Unix main thread; elsewhere it is not enforced.
         checkpoint: optional sqlite journal of finished cells (format
             ``sweep-checkpoint/v3``, completion times as uint16 BLOBs where
             they fit): a database path, or a ``(database, key)`` pair for
@@ -308,10 +269,7 @@ def sweep(
         on_error: ``"raise"`` (default) propagates the first broken cell's
             exception, after journaling its failure row when a
             ``checkpoint`` is given; ``"record"`` converts broken cells into
-            :class:`CellFailure` rows on the result and keeps sweeping.  On
-            the parallel path an exception the parent cannot rebuild from
-            its pickle arrives as a :class:`~repro.core.errors.ReproError`
-            whose message names its type and message.
+            :class:`CellFailure` rows on the result and keeps sweeping.
         batch_budget_bytes: optional override of the trial-batched array
             engine's chunk byte budget
             (:func:`repro.local.engine.batch_chunk`; the engine's 24 MiB
@@ -341,23 +299,6 @@ def sweep(
         "on_error": on_error,
         "batch_budget": batch_budget_bytes,
     }
-    workers = _resolve_workers(parallel)
-    cells = len(values) * len(algorithms) * trials
-    fork_ok = _fork_available()
-    if workers > 1 and cells > 1 and not fork_ok:
-        # The silent serial fallback hid real throughput regressions (a sweep
-        # configured with parallel=8 quietly running on one core); surface it.
-        warnings.warn(
-            "parallel sweep requested but the 'fork' start method is not the "
-            f"platform default (got {multiprocessing.get_start_method(allow_none=True)!r}); "
-            "running serially — results are identical, only slower",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    # Effective parallelism is recorded in the journal header (provenance
-    # only, never mismatch-enforced), so a journal written on a fork platform
-    # and resumed on a spawn platform still loads.
-    spec["parallel"] = bool(workers > 1 and cells > 1 and fork_ok)
     journal = _Journal(checkpoint, spec) if checkpoint is not None else None
     try:
         aggregation = _Aggregation()
@@ -372,49 +313,27 @@ def sweep(
             if (index, name, trial) not in aggregation.folded
         ]
 
-        def consume(
-            task_rows: List[Dict[str, object]], error: Optional[Exception]
-        ) -> None:
+        def consume(rows: List[Dict[str, object]], error: Optional[Exception]) -> None:
+            # A call of its own, so that a task's rows are freed once folded,
+            # before the next task runs.
             if journal is not None:
-                for row in task_rows:
+                for row in rows:
                     journal.record(row)
-            aggregation.fold(task_rows)
+            aggregation.fold(rows)
             if error is not None:
                 raise error
 
-        if spec["parallel"] and remaining:
-            _sweep_parallel(spec, min(workers, cells), remaining, consume)
-        else:
-            cache: Dict[int, Network] = {}
-            for task in _tasks(spec, remaining):
-                if task[0] not in cache:
-                    # Tasks are index-major: the previous value's network
-                    # is done with.
-                    cache.clear()
-                consume(*_execute(spec, task, cache))
+        cache: Dict[int, Network] = {}
+        for task in _tasks(spec, remaining):
+            if task[0] not in cache:
+                # Tasks are index-major: the previous value's network is
+                # done with.
+                cache.clear()
+            consume(*_execute(spec, task, cache))
         return aggregation.result(spec)
     finally:
         if journal is not None:
             journal.close()
-
-
-def _resolve_workers(parallel: Union[bool, int, None]) -> int:
-    if parallel is True:
-        return os.cpu_count() or 1
-    if parallel in (None, False):
-        return 1
-    return max(1, int(parallel))
-
-
-def _fork_available() -> bool:
-    # Fork must be the platform's *default* start method (Linux), not merely
-    # available: on macOS fork is offered but unsafe once system frameworks
-    # or threads are initialised (CPython switched the default to spawn for
-    # that reason), so there we fall back to the serial path instead.
-    try:
-        return multiprocessing.get_start_method() == "fork"
-    except RuntimeError:  # pragma: no cover - start method not determinable
-        return False
 
 
 # ---------------------------------------------------------------------- #
@@ -422,18 +341,16 @@ def _fork_available() -> bool:
 # ---------------------------------------------------------------------- #
 #
 # A cell is one (value index, algorithm name, trial) triple; its seed is the
-# trial_seed schedule run_trials uses, which is what makes the serial,
-# parallel, and resumed-from-checkpoint paths produce identical
+# trial_seed schedule run_trials uses, which is what makes an uninterrupted
+# sweep and a sweep resumed from its checkpoint produce identical
 # measurements.  Cell results travel as plain dict rows — "ok" rows carry
 # the flat completion-time buffers that CompletionTotals folds, "failure"
-# rows the classify_failure slug — so the same row format serves the pool
-# protocol, the journal (whose columns are the row keys), and the
-# aggregation step.
+# rows the classify_failure slug — so the same row format serves the journal
+# (whose columns are the row keys) and the aggregation step.
 #
 # A task is one (value index, algorithm name, trials) group of cells, built
-# by _tasks.  _execute runs a task and is the only code that runs cells:
-# the serial loop calls it in order, the pool workers map it, and after a
-# lost worker the parent calls it for every unfinished cell.
+# by _tasks.  _execute runs a task and is the only code that runs cells;
+# sweep() calls it for each task in order.
 
 CellKey = Tuple[int, str, int]
 Task = Tuple[int, str, Tuple[int, ...]]
@@ -452,15 +369,8 @@ def _cell_network(
 ) -> Network:
     network = cache.get(index)
     if network is None:
-        # Pool workers first try to reassemble the network zero-copy from the
-        # shared CSR manifest published by the parent; outside a parallel
-        # sweep, and for indices the parent could not export, the factory
-        # builds it.
-        network = _attach_shared_network(index)
-        if network is None:
-            graph = spec["graph_factory"](spec["values"][index])  # type: ignore[operator, index]
-            network = network_from(graph, seed=int(spec["seed"]) + index)
-        cache[index] = network
+        graph = spec["graph_factory"](spec["values"][index])  # type: ignore[operator, index]
+        network = cache[index] = network_from(graph, seed=int(spec["seed"]) + index)
     return network
 
 
@@ -488,17 +398,17 @@ def _ok_row(
         "m": network.m,
         "problem": problem.name,
         "algorithm_name": trace.algorithm_name,
-        # Narrow numpy buffers: they pickle through the pool and bind into
-        # the journal as BLOBs of 2 B/entry (8 when a time exceeds uint16).
+        # Narrow numpy buffers: they bind into the journal as BLOBs of
+        # 2 B/entry (8 when a time exceeds uint16).
         "node_times": _narrow(trace.node_completion_array()),
         "edge_times": _narrow(trace.edge_completion_array()),
     }
     recovery = getattr(trace, "recovery", None)
     if recovery is not None:
-        # Self-stabilising runs carry a per-round recovery timeline; ship it
-        # as plain lists so the row survives pickling and the journal's JSON
-        # column, and the parent folds restabilisation times exactly like
-        # measure() does on a trace.
+        # Self-stabilising runs carry a per-round recovery timeline; keep it
+        # as plain lists so the row fits the journal's JSON column, and the
+        # sweep folds restabilisation times exactly like measure() does on a
+        # trace.
         row["recovery"] = {
             "crash_rounds": list(recovery.crash_rounds),
             "pending": list(recovery.pending),
@@ -516,8 +426,8 @@ def _grouped_execution(spec: Dict[str, object]) -> bool:
     not — same traces, far fewer passes over the topology.  It is restricted
     to configurations where per-trial semantics cannot be observed to
     differ: no ``cell_timeout`` (the budget is defined per trial) and an
-    array-capable engine (under ``"node"`` grouping would only coarsen
-    parallel load-balancing for no gain).
+    array-capable engine.  Under ``"node"`` nothing is batched, so grouping
+    would only hold each trial's journal row until its group ends.
     """
     return (
         int(spec["trials"]) > 1
@@ -786,15 +696,11 @@ def _header(spec: Dict[str, object]) -> Dict[str, object]:
         "seed": spec["seed"],
         "engine": spec["engine"],
         "faults": _schedule_header(spec.get("faults")),  # type: ignore[arg-type]
-        # Provenance only: whether the writing run actually fanned out.
-        # Deliberately absent from _IDENTITY — the per-cell seed schedule
-        # makes serial and parallel rows identical, so a journal may be
-        # written parallel and resumed serial (or on a platform without
-        # fork) and still agree cell-exactly.
-        "parallel": bool(spec.get("parallel", False)),
-        # Provenance only, same reasoning: batch-size invariance makes rows
-        # identical under every chunk budget, so a journal written under one
-        # budget may be resumed under another.
+        # Provenance only, absent from _IDENTITY: batch-size invariance makes
+        # rows identical under every chunk budget, so a journal written under
+        # one budget may be resumed under another.  (Older headers also carry
+        # a provenance-only "parallel" field; it is never compared, so they
+        # resume too.)
         "batch_budget": spec.get("batch_budget"),
     }
 
@@ -1016,264 +922,3 @@ def _pid_alive(pid: int, started: Optional[int] = None) -> bool:
         return True
     current = _process_start(pid)
     return current is None or current == started
-
-
-# ---------------------------------------------------------------------- #
-# Parallel execution
-# ---------------------------------------------------------------------- #
-#
-# The graph/algorithm/problem factories handed to sweep() are commonly
-# closures or lambdas, which cannot be pickled.  The pool therefore uses the
-# `fork` start method and the workers read the sweep specification from a
-# module global inherited from the parent process at fork time; the tasks
-# sent through the pool are plain picklable (index, name, trials) tuples,
-# and each result is _execute's pair of plain row dicts and error.
-#
-# Network topology travels through ``multiprocessing.shared_memory`` rather
-# than per-task rebuilds: the parent constructs each value's network once,
-# copies its immutable CSR arrays (indptr / indices / edge endpoints /
-# identifiers) into one shared segment per value, and publishes a manifest of
-# segment names and offsets.  Workers attach the segment and reassemble a
-# :class:`Network` around read-only zero-copy views
-# (:meth:`Network._from_csr_arrays`) — ``graph_factory`` runs once per value
-# in the parent instead of once per worker, and the array data is mapped, not
-# copied, into every worker.  The parent owns the segment lifecycle: the
-# segments are unlinked in a ``finally`` after the pool is torn down, so they
-# are reclaimed even when a worker was SIGKILLed mid-task.  Indices missing
-# from the manifest (the factory raised in the parent) are rebuilt by
-# ``graph_factory`` in the worker, so the failure surfaces as per-cell rows.
-
-_PARALLEL_SPEC: Optional[Dict[str, object]] = None
-_WORKER_NETWORKS: Dict[int, Network] = {}
-#: Manifest of shared CSR segments, set in the parent just before the pool
-#: forks: ``{value index: {"name", "n", "m", "max_degree", "min_degree",
-#: "arrays": [(field, offset, count), ...]}}``.
-_SHARED_MANIFEST: Optional[Dict[int, Dict[str, object]]] = None
-#: Worker-side attached segments, keyed by segment *name* (unique per
-#: export — an index key would let a stale segment from an earlier sweep in
-#: the same process shadow the current manifest).  Keeps the mmap alive for
-#: as long as the reassembled networks hold views into it.
-_WORKER_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
-#: Test seam: segment names created by the most recent parallel sweep, so
-#: lifecycle tests can assert they were unlinked after the sweep returned.
-_LAST_SEGMENT_NAMES: List[str] = []
-
-#: Field order of the int64 CSR arrays packed into each shared segment, and
-#: into each graph-cache payload of the experiment service's result store.
-_SHARED_FIELDS = ("indptr", "indices", "edge_us", "edge_vs", "ids")
-
-
-def _network_csr_arrays(network: Network) -> Dict[str, np.ndarray]:
-    """The network's immutable topology as int64 arrays (zero-copy views)."""
-    us, vs = network.edge_endpoints()
-    return {
-        "indptr": network.indptr,
-        "indices": network.indices,
-        "edge_us": us,
-        "edge_vs": vs,
-        "ids": network.identifier_array,
-    }
-
-
-def _export_shared_networks(
-    spec: Dict[str, object], indices: Sequence[int]
-) -> Tuple[
-    Dict[int, Dict[str, object]],
-    List[shared_memory.SharedMemory],
-    Dict[int, Network],
-]:
-    """Build each value's network in the parent and export its CSR to shm.
-
-    Returns the manifest for the workers, the created segments (the caller
-    must unlink them when the pool is done), and the parent-side network
-    cache (reused verbatim by the lost-worker serial retry).
-    """
-    manifest: Dict[int, Dict[str, object]] = {}
-    segments: List[shared_memory.SharedMemory] = []
-    networks: Dict[int, Network] = {}
-    try:
-        for index in indices:
-            try:
-                network = _cell_network(spec, index, networks)
-            except Exception:
-                # Leave the index out of the manifest: the workers rebuild via
-                # graph_factory, so the failure becomes their cells' rows.
-                continue
-            arrays = _network_csr_arrays(network)
-            layout: List[Tuple[str, int, int]] = []
-            offset = 0
-            for field in _SHARED_FIELDS:
-                layout.append((field, offset, int(arrays[field].size)))
-                offset += arrays[field].nbytes
-            segment = shared_memory.SharedMemory(create=True, size=max(offset, 8))
-            segments.append(segment)
-            for field, start, count in layout:
-                if count:
-                    view = np.frombuffer(
-                        segment.buf, dtype=np.int64, count=count, offset=start
-                    )
-                    view[:] = arrays[field]
-            manifest[index] = {
-                "name": segment.name,
-                "n": network.n,
-                "m": network.m,
-                "max_degree": network.max_degree(),
-                "min_degree": network.min_degree(),
-                "arrays": layout,
-            }
-    except BaseException:
-        # Segments created so far would outlive the raising call with no
-        # owner to reclaim them (the caller only sees segments it received),
-        # so /dev/shm names would pile up run over run.  Reclaim and re-raise.
-        for segment in segments:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            try:
-                segment.close()
-            except BufferError:
-                # A CSR view in this frame still pins the mapping; the
-                # unlink above already reclaimed the name, and the mapping
-                # dies with the process.
-                pass
-        raise
-    return manifest, segments, networks
-
-
-def _attach_shared_network(index: int) -> Optional[Network]:
-    """Reassemble the network for ``index`` from its shared CSR segment."""
-    manifest = _SHARED_MANIFEST
-    entry = manifest.get(index) if manifest is not None else None
-    if entry is None:
-        return None
-    name = str(entry["name"])
-    segment = _WORKER_SEGMENTS.get(name)
-    if segment is None:
-        try:
-            # Worker-lifetime cache: the attached segment is reused for every
-            # cell this fork worker runs; the parent owns the unlink.
-            # repro-lint: allow[REP005] released by _sweep_parallel's finally
-            segment = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:  # pragma: no cover - parent died mid-sweep
-            return None
-        _WORKER_SEGMENTS[name] = segment
-    views: Dict[str, np.ndarray] = {}
-    for field, offset, count in entry["arrays"]:  # type: ignore[union-attr]
-        view = np.frombuffer(segment.buf, dtype=np.int64, count=count, offset=offset)
-        view.setflags(write=False)
-        views[field] = view
-    return Network._from_csr_arrays(
-        n=int(entry["n"]),  # type: ignore[arg-type]
-        m=int(entry["m"]),  # type: ignore[arg-type]
-        indptr=views["indptr"],
-        indices=views["indices"],
-        edge_us=views["edge_us"],
-        edge_vs=views["edge_vs"],
-        ids=views["ids"],
-        max_degree=int(entry["max_degree"]),  # type: ignore[arg-type]
-        min_degree=int(entry["min_degree"]),  # type: ignore[arg-type]
-    )
-
-
-def _parallel_worker(task: Task) -> Tuple[List[Dict[str, object]], object]:
-    spec = _PARALLEL_SPEC
-    if spec is None:
-        raise ReproError("worker forked without a sweep specification")
-    rows, error = _execute(spec, task, _WORKER_NETWORKS)
-    if error is None:
-        return rows, None
-    try:
-        pickle.loads(pickle.dumps(error))
-    except Exception:  # whatever the error's own pickling hooks raise
-        # An error the parent cannot rebuild (say, one whose __init__ does
-        # not take its own args) would kill the pool's result handler and
-        # stall the sweep, so send a ReproError that names it, caused by it.
-        cause = error
-        error = ReproError(
-            f"{type(cause).__name__}: {cause} (raised in a pool worker; "
-            "the error cannot be rebuilt in the parent)"
-        )
-        error.__cause__ = cause
-    # A traceback does not pickle, so send its text the way Pool does for a
-    # task that raised: the parent's re-raise then shows the worker's stack.
-    return rows, ExceptionWithTraceback(error, error.__traceback__)
-
-
-def _stall_timeout(spec: Dict[str, object]) -> float:
-    cell_timeout = spec["cell_timeout"]
-    if cell_timeout is not None:
-        return float(cell_timeout) + _STALL_GRACE  # type: ignore[arg-type]
-    return _DEFAULT_STALL_TIMEOUT
-
-
-def _sweep_parallel(
-    spec: Dict[str, object],
-    workers: int,
-    remaining: Sequence[CellKey],
-    consume: Callable[[List[Dict[str, object]], Optional[Exception]], None],
-) -> None:
-    """Run ``remaining`` on a fork pool, handing each task's result to
-    ``consume`` in the parent as it arrives."""
-    global _PARALLEL_SPEC, _SHARED_MANIFEST
-    tasks = _tasks(spec, remaining)
-    unfinished = set(remaining)
-    context = multiprocessing.get_context("fork")
-    previous_spec = _PARALLEL_SPEC
-    previous_manifest = _SHARED_MANIFEST
-    manifest, segments, parent_networks = _export_shared_networks(
-        spec, sorted({index for index, _, _ in remaining})
-    )
-    _LAST_SEGMENT_NAMES[:] = [segment.name for segment in segments]
-    _PARALLEL_SPEC = spec
-    _SHARED_MANIFEST = manifest
-    # A grouped task reports once per *group*, so the lost-worker stall
-    # window scales with the largest group (a batch of k trials may
-    # legitimately stay silent k times longer than a single cell).
-    stall = _stall_timeout(spec) * max(len(trials) for _, _, trials in tasks)
-    try:
-        try:
-            # Pool.__exit__ terminates the pool, which is exactly the clean
-            # teardown both the KeyboardInterrupt and the lost-worker paths
-            # need (never join a pool whose worker was SIGKILLed mid-task —
-            # the task is lost and the join would hang forever).
-            with context.Pool(processes=min(workers, len(tasks))) as pool:
-                results = pool.imap_unordered(_parallel_worker, tasks)
-                for _ in tasks:
-                    try:
-                        task_rows, error = results.next(timeout=stall)
-                    except multiprocessing.TimeoutError:
-                        # No result for a full stall window: a worker died
-                        # without reporting (OOM killer).
-                        break
-                    unfinished.difference_update(map(_cell_key, task_rows))
-                    consume(task_rows, error)
-        finally:
-            _PARALLEL_SPEC = previous_spec
-            _SHARED_MANIFEST = previous_manifest
-        # After a lost worker, the parent re-runs every unfinished cell with
-        # its original seed; a failure there is recorded as worker-crashed.
-        lost = (
-            f"pool worker was lost (no result within {stall:.0f}s) and "
-            "the serial re-run failed: "
-        )
-        for task in _tasks(spec, [key for key in remaining if key in unfinished]):
-            task_rows, error = _execute(spec, task, parent_networks)
-            for row in task_rows:
-                if row["status"] == "failure":
-                    row["kind"] = WorkerCrashed.kind
-                    row["message"] = lost + str(row["message"])
-            consume(task_rows, None)
-            if error is not None:
-                raise WorkerCrashed(lost + str(error)) from error
-    finally:
-        # Parent-owned lifecycle: reclaim the shared segments no matter
-        # how the pool went down (clean drain, stall teardown, Ctrl-C, or
-        # a SIGKILLed worker — the kernel frees the mapping with the
-        # process; the name is removed here).
-        for segment in segments:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            segment.close()

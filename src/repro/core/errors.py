@@ -10,10 +10,10 @@ arbitrary exception abort a multi-hour sweep:
   in strict mode (moved here from ``repro.local.runner``, which re-exports it
   for compatibility).
 * :class:`CellTimeout` — a cell exceeded its wall-clock budget (raised by
-  :func:`cell_deadline`, the SIGALRM-based guard used by the resilient sweep
-  workers and ``run_trials(timeout_s=...)``).
-* :class:`WorkerCrashed` — a fork-pool worker died (e.g. OOM-killed) and the
-  bounded same-seed serial retry failed as well.
+  :func:`cell_deadline`, the SIGALRM-based guard behind
+  ``sweep(cell_timeout=...)`` and ``run_trials(timeout_s=...)``).
+* :class:`WorkerCrashed` — an experiment-service worker process died (e.g.
+  OOM-killed) while running a job; the job's queue entry records it.
 * :class:`ValidationFailed` — an execution produced an invalid solution
   (raised by ``ExecutionTrace.require_valid``; subclasses ``AssertionError``
   so pre-taxonomy callers catching that keep working).
@@ -68,7 +68,12 @@ class CellTimeout(ReproError):
 
 
 class WorkerCrashed(ReproError):
-    """A pool worker died running a cell and the serial retry failed too."""
+    """An experiment-service worker died while running a job (e.g. OOM-killed).
+
+    The scheduler fails the job with this kind when it finds the worker
+    process gone; the kind is retryable, so the job re-queues and its retry
+    resumes from the journal.
+    """
 
     kind = "worker-crashed"
 
@@ -130,9 +135,9 @@ def _deadline_supported() -> bool:
 
     SIGALRM exists on Unix only and signal handlers can only be installed
     from the main thread; everywhere else :func:`cell_deadline` degrades to
-    a no-op (documented best-effort behaviour — the resilient sweep's fork
-    workers are Unix main threads, so the guard is always live where it
-    matters).
+    a no-op (documented best-effort behaviour — a sweep called from a
+    script and the experiment service's forked workers run on a Unix main
+    thread, so the guard is live where it matters).
     """
     return (
         hasattr(signal, "SIGALRM")

@@ -160,9 +160,10 @@ GraphSource = object
 def trial_seed(base_seed: int, trial: int) -> int:
     """Seed of trial ``trial`` for a batch with base seed ``base_seed``.
 
-    This is the single definition of the per-trial seed schedule; the serial
-    trial loop and the parallel sweep both use it, which is what makes the
-    two paths produce identical RNG streams cell for cell.
+    This is the single definition of the per-trial seed schedule: the trial
+    loop and every sweep cell use it, which is what makes a sweep's cells,
+    batched or one trial at a time, resumed or not, draw identical RNG
+    streams.
     """
     return base_seed + trial
 

@@ -378,13 +378,13 @@ class Network:
     ) -> "Network":
         """Reassemble a network from externally held CSR arrays — zero copy.
 
-        Trusted constructor for the shared-memory sweep path: the arrays must
-        be exactly an existing network's :attr:`indptr` / :attr:`indices` /
-        :meth:`edge_endpoints` / :attr:`identifier_array` views, typically
-        re-attached across a process boundary.  No validation, sorting, or
+        Trusted constructor for the experiment service's graph cache: the
+        arrays must be exactly an existing network's :attr:`indptr` /
+        :attr:`indices` / :meth:`edge_endpoints` / :attr:`identifier_array`
+        views, read back from a cache payload.  No validation, sorting, or
         copying happens here — the arrays are adopted as-is, so they may be
-        (read-only) views into a ``multiprocessing.shared_memory`` buffer
-        that outlives the constructed network.
+        (read-only) views into a payload buffer that the network then keeps
+        alive.
         """
         net = cls.__new__(cls)
         net._original_labels = None

@@ -49,11 +49,9 @@ import numpy as np
 
 from repro.analysis.sweep import (
     _JOURNAL_DDL,
-    _SHARED_FIELDS,
     SweepResult,
     _journal_cells,
     _journal_header,
-    _network_csr_arrays,
     _pid_alive,
 )
 from repro.core import schemas
@@ -64,6 +62,22 @@ __all__ = ["RESULT_STORE_SCHEMA", "ResultStore"]
 #: Identifier of the on-disk schema (recorded in the ``meta`` table);
 #: spelled out once in :mod:`repro.core.schemas`.
 RESULT_STORE_SCHEMA = schemas.RESULT_STORE
+
+#: Field order of the int64 CSR arrays packed into each graph-cache payload.
+_CSR_FIELDS = ("indptr", "indices", "edge_us", "edge_vs", "ids")
+
+
+def _network_csr_arrays(network: Network) -> Dict[str, np.ndarray]:
+    """The network's immutable topology as int64 arrays (zero-copy views)."""
+    us, vs = network.edge_endpoints()
+    return {
+        "indptr": network.indptr,
+        "indices": network.indices,
+        "edge_us": us,
+        "edge_vs": vs,
+        "ids": network.identifier_array,
+    }
+
 
 #: Seconds after which a ``building`` graph-cache claim whose writer has
 #: stopped refreshing is considered dead and may be stolen.
@@ -284,10 +298,10 @@ class ResultStore:
     def cached_network(self, key: str) -> Optional[Network]:
         """The ready network stored under ``key``, or ``None``.
 
-        Reassembles through :meth:`Network._from_csr_arrays` on zero-copy
-        views of the payload bytes — the same trusted constructor the
-        parallel sweep's shared-memory path uses, so a cache-hit network is
-        indistinguishable from the freshly built original.
+        Reassembles through the trusted constructor
+        :meth:`Network._from_csr_arrays` on zero-copy read-only views of the
+        payload bytes, so a cache-hit network is indistinguishable from the
+        freshly built original.
         """
         row = self._db.execute(
             "SELECT * FROM graph_cache WHERE key = ? AND status = 'ready'",
@@ -367,7 +381,7 @@ class ResultStore:
         layout: List[Tuple[str, int, int]] = []
         chunks: List[bytes] = []
         offset = 0
-        for field in _SHARED_FIELDS:
+        for field in _CSR_FIELDS:
             data = arrays[field]
             layout.append((field, offset, int(data.size)))
             chunks.append(data.tobytes())

@@ -1,16 +1,15 @@
-"""Tests for the crash-safe sweep layer (checkpointing, failure rows, lost
-workers) in `repro.analysis.sweep`.
+"""Tests for the crash-safe sweep layer (checkpointing, failure rows,
+trial-batched cells) in `repro.analysis.sweep`.
 
 The invariant under test throughout: resilience must never change results.
-A sweep that is checkpointed, interrupted and resumed, fanned across a pool,
-or recovered from a SIGKILLed worker produces measurements identical to the
-plain serial sweep, because every ``(value, algorithm, trial)`` cell derives
-its seed from the same deterministic schedule.
+A sweep that is checkpointed, interrupted and resumed, or whose cells run
+batched, produces measurements identical to the plain sweep, because every
+``(value, algorithm, trial)`` cell derives its seed from the same
+deterministic schedule.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import multiprocessing
 import os
@@ -18,6 +17,7 @@ import signal
 import sqlite3
 import sys
 import time
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -26,7 +26,6 @@ import pytest
 
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
-from repro.core.errors import ReproError, WorkerCrashed
 from repro.core.experiment import run_trials, trial_seed
 from repro.core import metrics
 from repro.core.metrics import measure
@@ -58,6 +57,16 @@ def run_sweep(**overrides):
     )
     settings.update(overrides)
     return sweep(**settings)
+
+
+def edit_journal(path, statement, params=()):
+    """Run one SQL statement against a closed sweep journal."""
+    db = sqlite3.connect(path)
+    try:
+        with db:
+            db.execute(statement, params)
+    finally:
+        db.close()
 
 
 @pytest.fixture
@@ -95,11 +104,10 @@ class TestResultShape:
         assert result.failures == []
         assert run_sweep(engine=engine, faults=faults, on_error="record") == result
 
-    def test_single_cell_sweeps_stay_serial_even_when_parallel(self):
-        # 1 cell fails the cells > 1 gate: no pool is spun up, results match.
-        serial = run_sweep(values=[8], trials=1)
-        parallel = run_sweep(values=[8], trials=1, parallel=2)
-        assert parallel == serial
+    def test_sweeps_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_sweep(engine="auto", trials=3)
 
 
 class TestCheckpointing:
@@ -148,25 +156,26 @@ class TestCheckpointing:
         # Only the two unfinished cells were recomputed.
         assert len(written) == 4
 
-    def test_keyboard_interrupt_in_parallel_sweep_flushes_and_reraises(
-        self, tmp_path, row_hook
-    ):
-        baseline = run_sweep()
+    def test_header_omits_the_parallel_field(self, tmp_path):
         path = str(tmp_path / "sweep.db")
+        run_sweep(checkpoint=path)
+        header, _ = sweepmod.read_checkpoint(path)
+        assert "parallel" not in header
+        assert header["batch_budget"] is None
 
-        def interrupt_immediately(row):
-            raise KeyboardInterrupt
-
-        row_hook(interrupt_immediately)
-        with pytest.raises(KeyboardInterrupt):
-            run_sweep(checkpoint=path, parallel=2)
-        # The journal holds the interrupting cell, committed before the hook
-        # fired; resuming serially from it reproduces the uninterrupted sweep.
-        header, rows = sweepmod.read_checkpoint(path)
-        assert len(rows) >= 1
-        row_hook(lambda row: None)
-        resumed = run_sweep(checkpoint=path)
-        assert resumed == baseline
+    def test_header_with_a_parallel_field_resumes(self, tmp_path, row_hook):
+        # Journals written while sweeps still had a pool carry the
+        # provenance-only "parallel" field; it is never compared.
+        path = str(tmp_path / "sweep.db")
+        first = run_sweep(checkpoint=path)
+        header, _ = sweepmod.read_checkpoint(path)
+        header["parallel"] = True
+        edit_journal(path, "UPDATE journals SET header = ?", (json.dumps(header),))
+        recomputed = []
+        row_hook(recomputed.append)
+        assert run_sweep(checkpoint=path) == first
+        assert recomputed == []
+        assert sweepmod.read_checkpoint(path)[0]["parallel"] is True
 
     def test_checkpoint_of_a_different_sweep_is_rejected(self, tmp_path):
         path = str(tmp_path / "sweep.db")
@@ -225,21 +234,11 @@ def with_broken_algorithm():
     return algorithms
 
 
-class TwoPartError(Exception):
-    """Pickles, but cannot be rebuilt: ``__init__`` does not take its args."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a}/{b}")
-
-
 class TestFailureRows:
-    @pytest.mark.parametrize("parallel", [None, 2])
     @pytest.mark.parametrize("engine", ["node", "auto"])
-    def test_record_converts_broken_cells_into_failure_rows(self, engine, parallel):
+    def test_record_converts_broken_cells_into_failure_rows(self, engine):
         algorithms = with_broken_algorithm()
-        result = run_sweep(
-            algorithms=algorithms, engine=engine, parallel=parallel, on_error="record"
-        )
+        result = run_sweep(algorithms=algorithms, engine=engine, on_error="record")
         assert not result.ok
         # The healthy algorithm still produced one point per value...
         assert [p.measurement.algorithm for p in result] == ["luby", "luby"]
@@ -252,55 +251,28 @@ class TestFailureRows:
             assert "factory exploded" in failure.message
         first = result.failures[0]
         assert first.seed == trial_seed(3 + 1000 * 0, first.trial)
-        # The pool reports the same failures as the serial loop.
-        serial = run_sweep(algorithms=algorithms, engine=engine, on_error="record")
-        assert result == serial
-        assert result.failures == serial.failures
 
-    @pytest.mark.parametrize("parallel", [None, 2])
     @pytest.mark.parametrize("engine", ["node", "auto"])
-    def test_raise_propagates_the_first_broken_cell(self, tmp_path, engine, parallel):
+    def test_raise_propagates_the_first_broken_cell(self, tmp_path, engine):
         path = str(tmp_path / "sweep.db")
         with pytest.raises(RuntimeError, match="factory exploded") as raised:
             run_sweep(
                 algorithms=with_broken_algorithm(),
                 engine=engine,
-                parallel=parallel,
                 on_error="raise",
                 checkpoint=path,
             )
         assert raised.type is RuntimeError
-        # The failing cell is journaled before its error propagates.  Which
-        # broken cell fails first depends on the order the pool reports in.
+        # The failing cell, the broken algorithm's first, is journaled
+        # before its error propagates; the healthy cells before it are too.
         _, rows = sweepmod.read_checkpoint(path)
+        assert sorted(rows) == [(0, "broken", 0), (0, "luby", 0), (0, "luby", 1)]
         failed = [row for row in rows.values() if row["status"] == "failure"]
         assert len(failed) == 1
         (row,) = failed
         assert row["algorithm"] == "broken"
         assert row["kind"] == "exception:RuntimeError"
-        assert row["seed"] == sweepmod._cell_seed(
-            {"seed": 3}, row["value_index"], row["trial"]
-        )
-
-    def test_unrebuildable_pool_error_arrives_as_repro_error(self, tmp_path, monkeypatch):
-        # The stall window a dead result handler would leave the sweep in.
-        monkeypatch.setattr(sweepmod, "_DEFAULT_STALL_TIMEOUT", 3.0)
-
-        def broken_factory(net):
-            raise TwoPartError("factory", "exploded")
-
-        path = str(tmp_path / "sweep.db")
-        with pytest.raises(ReproError, match="TwoPartError: factory/exploded") as raised:
-            run_sweep(
-                algorithms={"broken": (broken_factory, lambda net: problems.MIS)},
-                parallel=2,
-                checkpoint=path,
-            )
-        assert raised.type is ReproError
-        assert "TwoPartError" in str(raised.value.__cause__)  # the worker's traceback
-        _, rows = sweepmod.read_checkpoint(path)
-        failed = [row for row in rows.values() if row["status"] == "failure"]
-        assert [row["kind"] for row in failed] == ["exception:TwoPartError"]
+        assert row["seed"] == sweepmod._cell_seed({"seed": 3}, 0, 0)
 
     def test_round_limit_overruns_are_recorded(self):
         result = run_sweep(values=[12], max_rounds=1, on_error="record")
@@ -341,81 +313,7 @@ class TestCellTimeouts:
         assert run_sweep(cell_timeout=60.0) == run_sweep()
 
 
-def _kill_if_pool_worker():
-    if multiprocessing.parent_process() is not None:
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-class TestParallelResilience:
-    def test_parallel_with_checkpoint_equals_serial(self, tmp_path, row_hook):
-        serial = run_sweep()
-        path = str(tmp_path / "sweep.db")
-        parallel = run_sweep(parallel=2, checkpoint=path)
-        assert parallel == serial
-        # Cross-path resume: the parallel-written journal seeds a serial
-        # resume that recomputes nothing.
-        recomputed = []
-        row_hook(recomputed.append)
-        resumed = run_sweep(checkpoint=path)
-        assert resumed == serial
-        assert recomputed == []
-
-    def test_sigkilled_workers_are_detected_and_rerun_serially(self, monkeypatch):
-        monkeypatch.setattr(sweepmod, "_DEFAULT_STALL_TIMEOUT", 2.0)
-
-        def fragile_factory(net):
-            _kill_if_pool_worker()  # every worker dies; the parent survives
-            return LubyMIS()
-
-        result = run_sweep(
-            algorithms={"luby": (fragile_factory, lambda net: problems.MIS)},
-            parallel=2,
-        )
-        assert result.ok
-        assert result == run_sweep()  # serial rerun used the original seeds
-
-    def test_worker_crash_with_failing_retry_records_rows(self, monkeypatch):
-        monkeypatch.setattr(sweepmod, "_DEFAULT_STALL_TIMEOUT", 2.0)
-
-        def doomed_factory(net):
-            _kill_if_pool_worker()
-            raise RuntimeError("still broken in the parent")
-
-        result = run_sweep(
-            values=[8],
-            algorithms={"doomed": (doomed_factory, lambda net: problems.MIS)},
-            parallel=2,
-            on_error="record",
-        )
-        assert result == []
-        assert len(result.failures) == 2
-        for failure in result.failures:
-            assert failure.kind == "worker-crashed"
-            assert "worker was lost" in failure.message
-            assert "still broken in the parent" in failure.message
-
-    def test_worker_crash_with_failing_retry_raises_by_default(self, monkeypatch):
-        monkeypatch.setattr(sweepmod, "_DEFAULT_STALL_TIMEOUT", 2.0)
-
-        def doomed_factory(net):
-            _kill_if_pool_worker()
-            raise RuntimeError("still broken in the parent")
-
-        with pytest.raises(WorkerCrashed, match="worker was lost"):
-            run_sweep(
-                values=[8],
-                algorithms={"doomed": (doomed_factory, lambda net: problems.MIS)},
-                parallel=2,
-            )
-
-
 class TestFaultedSweeps:
-    def test_faulted_sweep_is_parallel_invariant(self):
-        faults = FaultSchedule(crashes={0: 2, 3: 1})
-        serial = run_sweep(faults=faults)
-        parallel = run_sweep(faults=faults, parallel=2)
-        assert parallel == serial
-
     def test_journal_refuses_another_schedule(self, tmp_path):
         path = str(tmp_path / "sweep.db")
         run_sweep(faults=FaultSchedule(crashes={0: 2, 3: 1}, seed=2), checkpoint=path)
@@ -618,7 +516,11 @@ class TestStreamedAggregation:
 
         execute, journal_cells = sweepmod._execute, sweepmod._journal_cells
 
+        alive = []
+
         def tracked_execute(spec, task, cache):
+            # Every row seen so far was folded before this task runs.
+            alive.extend(ref() for ref in refs if ref() is not None)
             rows, error = execute(spec, task, cache)
             for row in rows:
                 track(row)
@@ -631,7 +533,6 @@ class TestStreamedAggregation:
 
         monkeypatch.setattr(sweepmod, "_execute", tracked_execute)
         monkeypatch.setattr(sweepmod, "_journal_cells", tracked_cells)
-        alive = []
 
         def check(row):
             if len(refs) == 4 * 2:  # the last cell's row: every array seen
@@ -660,9 +561,6 @@ class TestStreamedAggregation:
 
         def checked_execute(spec, task, cache):
             if task[0] == 1:
-                # The coroutine runner's node objects reference the network
-                # from within cycles, which only the collector frees.
-                gc.collect()
                 first_alive.append(built[0]() is not None)
             return execute(spec, task, cache)
 
@@ -671,3 +569,52 @@ class TestStreamedAggregation:
         assert run_sweep(engine=engine) == baseline
         assert len(built) == 2
         assert first_alive and not any(first_alive)
+
+
+class TestBatchedCells:
+    """Multi-trial cells on the array engines run as one batched group per
+    ``(value, algorithm)`` and still journal one row per trial."""
+
+    def run_batched(self, **overrides):
+        return run_sweep(engine="auto", trials=3, **overrides)
+
+    def test_batched_checkpoint_resumes_cell_exactly(self, tmp_path, row_hook):
+        baseline = self.run_batched()
+        path = str(tmp_path / "sweep.db")
+        assert self.run_batched(checkpoint=path) == baseline
+        _, rows = sweepmod.read_checkpoint(path)
+        # One row per trial even though the cells ran batched.
+        assert len(rows) == 2 * 3
+        recomputed = []
+        row_hook(recomputed.append)
+        assert self.run_batched(checkpoint=path) == baseline
+        assert recomputed == []
+
+    def test_mid_cell_resume_reruns_only_missing_trials(self, tmp_path, row_hook):
+        baseline = self.run_batched()
+        path = str(tmp_path / "sweep.db")
+        self.run_batched(checkpoint=path)
+        # Keep trials 0 and 2 of every cell: the remaining trial set {1}
+        # is non-contiguous with nothing, exercising the split-run path.
+        edit_journal(path, "DELETE FROM journal_cells WHERE trial = 1")
+        recomputed = []
+        row_hook(recomputed.append)
+        assert self.run_batched(checkpoint=path) == baseline
+        assert sorted(sweepmod._cell_key(row) for row in recomputed) == [
+            (0, "luby", 1),
+            (1, "luby", 1),
+        ]
+
+    def test_grouped_failures_still_attribute_per_trial(self):
+        def broken_factory(net):
+            raise RuntimeError("factory exploded")
+
+        result = self.run_batched(
+            algorithms={"broken": (broken_factory, lambda net: problems.MIS)},
+            on_error="record",
+        )
+        assert result == []
+        assert len(result.failures) == 2 * 3  # values x trials
+        trials = sorted(f.trial for f in result.failures if f.value == 8)
+        assert trials == [0, 1, 2]
+        assert all(f.kind == "exception:RuntimeError" for f in result.failures)

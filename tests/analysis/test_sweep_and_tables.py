@@ -45,38 +45,6 @@ class TestSweep:
         net = network_from(nx.path_graph(10), seed=3)
         assert sorted(net.identifiers) == list(range(10))
 
-    def test_parallel_sweep_matches_serial_exactly(self):
-        kwargs = dict(
-            parameter="n",
-            values=[15, 25, 35],
-            graph_factory=lambda n: nx.gnp_random_graph(n, 0.2, seed=n),
-            algorithms={
-                "luby": (lambda net: LubyMIS(), lambda net: problems.MIS),
-                "ruling": (
-                    lambda net: RandomizedTwoTwoRulingSet(),
-                    lambda net: problems.ruling_set(2, 2),
-                ),
-            },
-            trials=2,
-            seed=11,
-        )
-        serial = sweep(**kwargs)
-        parallel = sweep(**kwargs, parallel=2)
-        assert serial == parallel
-
-    def test_parallel_flag_values_accept_serial_fallbacks(self):
-        kwargs = dict(
-            parameter="n",
-            values=[12],
-            graph_factory=lambda n: nx.cycle_graph(n),
-            algorithms={"luby": (lambda net: LubyMIS(), lambda net: problems.MIS)},
-            trials=1,
-            seed=2,
-        )
-        baseline = sweep(**kwargs)
-        for flag in (None, False, 1):
-            assert sweep(**kwargs, parallel=flag) == baseline
-
 
 class TestTables:
     def test_format_table_alignment(self):

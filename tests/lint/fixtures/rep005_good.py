@@ -28,6 +28,21 @@ def cleanup_in_handler(name):
         raise
 
 
+def transfer_to_caller(path):
+    # Ownership transfer: the handle outlives this function on purpose.
+    # repro-lint: allow[REP005] the caller closes it (see read_one)
+    db = sqlite3.connect(path)
+    return db
+
+
+def read_one(path):
+    db = transfer_to_caller(path)
+    try:
+        return db.execute("SELECT 1").fetchone()
+    finally:
+        db.close()
+
+
 def ternary_then_with(path, use_stdin):
     stream = sys.stdin if use_stdin else open(path)
     with stream:

@@ -268,9 +268,9 @@ class TestIdentifierStorage:
         "build", IDENTIFIER_BUILDERS.values(), ids=list(IDENTIFIER_BUILDERS)
     )
     def test_identifiers_past_int64_are_refused(self, build, too_big):
-        # The array engine, the parallel sweep export and the graph-cache
-        # store hold identifiers as int64, so the constructor refuses these
-        # up front instead of letting those layers overflow.
+        # The array engine and the graph-cache store hold identifiers as
+        # int64, so the constructor refuses these up front instead of
+        # letting those layers overflow.
         with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
             build({0: too_big, 1: 5, 2: 7})
 

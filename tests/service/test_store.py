@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import sweep
-from repro.analysis.sweep import CHECKPOINT_FORMAT, _network_csr_arrays
+from repro.analysis.sweep import CHECKPOINT_FORMAT
 from repro.core.errors import classify_failure
 from repro.service.scheduler import Scheduler
 from repro.service.specs import SweepSpec
-from repro.service.store import RESULT_STORE_SCHEMA, ResultStore
+from repro.service.store import RESULT_STORE_SCHEMA, ResultStore, _network_csr_arrays
 
 
 def make_spec(**overrides):
