@@ -5,13 +5,12 @@ so they can be handed directly to :class:`repro.local.network.Network`.  They
 cover the graph families the paper's results talk about:
 
 * cycles and paths (Feuilloley's Ω(log* n) deterministic node-averaged bound),
-* bounded-degree and d-regular graphs (the O(1) node-averaged regime for
-  Luby-style algorithms),
-* trees (the worst-case MIS lower bound of Theorem 16),
+* d-regular graphs (the O(1) node-averaged regime for Luby-style
+  algorithms; with d = 3, the sinkless-orientation workloads of Theorem 6),
+* random trees (the worst-case MIS lower bound of Theorem 16),
 * general random graphs with a degree parameter (the Δ sweeps of the
   benchmark harness),
-* graphs of minimum degree ≥ 3 with controllable girth (sinkless
-  orientation, Theorem 6).
+* grids, stars and complete graphs.
 
 Each family is additionally available as a **direct edge-list generator**
 (``cycle_edges``, ``random_regular_edges``, …) returning an ``(n, edges)``
@@ -28,17 +27,15 @@ build those arrays **directly in numpy**, never materialising a Python tuple
 per edge; the stream-exact randomized twins necessarily replay their
 tuple-based reference algorithms first and convert at the end (the RNG
 stream, and hence the edge set, is identical either way).  The direct
-generators are
-**stream-exact** twins of their networkx counterparts: for a matching seed
-they produce the same edge set, because they replay the counterpart's RNG
-consumption call for call (the randomized ones replicate the algorithm of
-the *installed* networkx version — Steger–Wormald pairing for
-``random_regular_edges``, the O(n²) Gilbert loop for ``erdos_renyi_edges``,
-the incremental repair loop for ``min_degree_edges``).  networkx is an
-installed dependency, not vendored, so a future upgrade that reorders its
-internal draws would break the stream parity — the seed-for-seed
-equivalence tests in ``tests/graphs/test_generator_edges.py`` exist to
-catch exactly that drift.
+generators are **stream-exact** twins of their networkx counterparts: for a
+matching seed they produce the same edge set, because they replay the
+counterpart's RNG consumption call for call (the randomized ones replicate
+the algorithm of the *installed* networkx version — Steger–Wormald pairing
+for ``random_regular_edges``, the O(n²) Gilbert loop for
+``erdos_renyi_edges``).  networkx is an installed dependency, not
+vendored, so a future upgrade that reorders its internal draws would break
+the stream parity — the seed-for-seed equivalence tests in
+``tests/graphs/test_generator_edges.py`` exist to catch exactly that drift.
 
 One generator deliberately breaks the stream-exactness rule:
 :func:`fast_gnp_edges` is the geometric-skip (Batagelj–Brandes) Erdős–Rényi
@@ -69,12 +66,7 @@ __all__ = [
     "grid_graph",
     "random_regular_graph",
     "erdos_renyi_graph",
-    "random_bipartite_regular_graph",
     "random_tree",
-    "complete_binary_tree",
-    "spider_tree",
-    "bounded_degree_graph",
-    "min_degree_graph",
     "relabel_to_integers",
     "cycle_edges",
     "path_edges",
@@ -84,7 +76,6 @@ __all__ = [
     "random_regular_edges",
     "erdos_renyi_edges",
     "fast_gnp_edges",
-    "min_degree_edges",
 ]
 
 Edge = Tuple[int, int]
@@ -159,53 +150,6 @@ def erdos_renyi_graph(n: int, expected_degree: float, seed: int = 0) -> nx.Graph
     return nx.gnp_random_graph(n, p, seed=seed)
 
 
-def random_bipartite_regular_graph(
-    left: int, right: int, left_degree: int, seed: int = 0
-) -> nx.Graph:
-    """A random bipartite graph where every left node has degree ``left_degree``.
-
-    Right-side degrees are ``left * left_degree / right`` on average; when
-    ``left * left_degree`` is a multiple of ``right`` the construction is
-    biregular (every right node has exactly that degree), which is the shape
-    of the inter-cluster connections of the KMW construction.
-    """
-    if left < 1 or right < 1:
-        raise ValueError("both sides must be non-empty")
-    if not 0 <= left_degree <= right:
-        raise ValueError("left_degree must be between 0 and right")
-    rng = random.Random(seed)
-    total = left * left_degree
-    if total % right != 0:
-        # Fall back to a non-biregular random assignment.
-        g = nx.Graph()
-        g.add_nodes_from(range(left + right))
-        for u in range(left):
-            for v in rng.sample(range(left, left + right), left_degree):
-                g.add_edge(u, v)
-        return g
-    right_degree = total // right
-    # Configuration-style construction: repeat each left node `left_degree`
-    # times, each right node `right_degree` times, and match the two lists.
-    left_slots = [u for u in range(left) for _ in range(left_degree)]
-    right_slots = [v for v in range(left, left + right) for _ in range(right_degree)]
-    for _ in range(200):
-        rng.shuffle(right_slots)
-        pairs = set(zip(left_slots, right_slots))
-        if len(pairs) == total:  # no parallel edges
-            g = nx.Graph()
-            g.add_nodes_from(range(left + right))
-            g.add_edges_from(pairs)
-            return g
-    # Deterministic fallback: round-robin assignment (always simple).
-    g = nx.Graph()
-    g.add_nodes_from(range(left + right))
-    for u in range(left):
-        for j in range(left_degree):
-            v = left + (u * left_degree + j) % right
-            g.add_edge(u, v)
-    return g
-
-
 def random_tree(n: int, seed: int = 0) -> nx.Graph:
     """A uniformly random labelled tree on ``n`` nodes (Prüfer-based)."""
     if n < 1:
@@ -215,93 +159,6 @@ def random_tree(n: int, seed: int = 0) -> nx.Graph:
     rng = random.Random(seed)
     prufer = [rng.randrange(n) for _ in range(n - 2)]
     return nx.from_prufer_sequence(prufer)
-
-
-def complete_binary_tree(depth: int) -> nx.Graph:
-    """The complete binary tree of the given depth (``2^(depth+1) - 1`` nodes)."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    return relabel_to_integers(nx.balanced_tree(2, depth))
-
-
-def spider_tree(legs: int, leg_length: int) -> nx.Graph:
-    """A spider: ``legs`` paths of length ``leg_length`` glued at a centre."""
-    if legs < 1 or leg_length < 1:
-        raise ValueError("legs and leg_length must be positive")
-    g = nx.Graph()
-    g.add_node(0)
-    next_vertex = 1
-    for _ in range(legs):
-        prev = 0
-        for _ in range(leg_length):
-            g.add_edge(prev, next_vertex)
-            prev = next_vertex
-            next_vertex += 1
-    return g
-
-
-def bounded_degree_graph(n: int, max_degree: int, seed: int = 0) -> nx.Graph:
-    """A random graph with maximum degree at most ``max_degree``.
-
-    Built by sampling random candidate edges and keeping those that do not
-    violate the degree bound; dense enough to be interesting, sparse enough to
-    keep the degree cap exact.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    rng = random.Random(seed)
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    if n < 2 or max_degree == 0:
-        return g
-    attempts = 4 * n * max(1, max_degree)
-    for _ in range(attempts):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or g.has_edge(u, v):
-            continue
-        if g.degree(u) >= max_degree or g.degree(v) >= max_degree:
-            continue
-        g.add_edge(u, v)
-    return g
-
-
-def min_degree_graph(n: int, min_degree: int, seed: int = 0) -> nx.Graph:
-    """A random graph where every node has degree at least ``min_degree``.
-
-    Starts from a ``min_degree``-regular random graph when parity allows, and
-    otherwise from a Hamiltonian cycle augmented with random edges until the
-    minimum-degree constraint is met.  Used for sinkless-orientation
-    workloads (minimum degree ≥ 3).
-    """
-    if n <= min_degree:
-        raise ValueError("need n > min_degree")
-    if (n * min_degree) % 2 == 0:
-        return nx.random_regular_graph(min_degree, n, seed=seed)
-    rng = random.Random(seed)
-    g = nx.cycle_graph(n)
-    vertices: List[int] = list(range(n))
-    # Deficient vertices, tracked incrementally in ascending order — the same
-    # list the former per-iteration rebuild produced, so the rng.choice
-    # stream (and hence the generated graph) is unchanged seed for seed.
-    degrees = [2] * n
-    low = [v for v in vertices if degrees[v] < min_degree]
-    guard = 0
-    while low and guard < 100 * n:
-        guard += 1
-        u = rng.choice(low)
-        v = rng.choice(vertices)
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v)
-            degrees[u] += 1
-            degrees[v] += 1
-            if degrees[u] == min_degree:
-                low.remove(u)
-            if degrees[v] == min_degree:
-                low.remove(v)
-    return g
 
 
 # ---------------------------------------------------------------------- #
@@ -622,54 +479,3 @@ def fast_gnp_edges(
         v.setflags(write=False)
         return EdgeArrays(n=n, src=w, dst=v, meta=meta)
     return n, list(zip(w.tolist(), v.tolist()))
-
-
-def min_degree_edges(
-    n: int, min_degree: int, seed: int = 0, as_arrays: bool = False
-) -> EdgeResult:
-    """Edge-list twin of :func:`min_degree_graph` (stream-exact).
-
-    The even-parity case delegates to :func:`random_regular_edges`; the odd
-    case replays the cycle-plus-repair loop with set-based adjacency, drawing
-    from ``random.Random(seed)`` at exactly the same points as the networkx
-    version, so matching seeds produce the same graph.  ``as_arrays=True``
-    converts the identical edge list to :class:`EdgeArrays`.
-    """
-    if n <= min_degree:
-        raise ValueError("need n > min_degree")
-    meta = {"family": "min_degree", "n": n, "min_degree": min_degree, "seed": seed}
-    if (n * min_degree) % 2 == 0:
-        if as_arrays:
-            # Keep min_degree provenance on the delegated regular graph.
-            return random_regular_edges(
-                min_degree, n, seed=seed, as_arrays=True
-            ).with_meta(**meta)
-        return random_regular_edges(min_degree, n, seed=seed)
-    rng = random.Random(seed)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((n - 1, 0))
-    adjacency: List[Set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    vertices: List[int] = list(range(n))
-    degrees = [2] * n
-    low = [v for v in vertices if degrees[v] < min_degree]
-    guard = 0
-    while low and guard < 100 * n:
-        guard += 1
-        u = rng.choice(low)
-        v = rng.choice(vertices)
-        if u != v and v not in adjacency[u]:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-            edges.append((u, v))
-            degrees[u] += 1
-            degrees[v] += 1
-            if degrees[u] == min_degree:
-                low.remove(u)
-            if degrees[v] == min_degree:
-                low.remove(v)
-    if as_arrays:
-        return EdgeArrays.from_pairs(n, edges, meta=meta)
-    return n, edges

@@ -1,4 +1,4 @@
-"""Girth computation and high-girth graph construction.
+"""Girth and tree-like views.
 
 The lower-bound machinery of the paper hinges on (almost) high-girth graphs:
 a node whose ``k``-hop view is tree-like cannot distinguish the two special
@@ -7,19 +7,17 @@ clusters.  This module provides:
 * :func:`girth` — exact girth via BFS from every vertex,
 * :func:`shortest_cycle_through` — length of the shortest cycle through a
   given vertex (∞ if none),
+* :func:`has_cycle_within_distance` — whether a vertex's ``r``-hop view
+  contains a cycle,
 * :func:`nodes_with_tree_like_view` — the set of nodes whose ``r``-hop view
-  contains no cycle,
-* :func:`high_girth_regular_graph` — a d-regular graph of girth > ``g`` built
-  by local edge rewiring (a pragmatic stand-in for explicit high-girth
-  constructions, sufficient at benchmark scale).
+  contains no cycle.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 import networkx as nx
 
@@ -28,8 +26,6 @@ __all__ = [
     "shortest_cycle_through",
     "has_cycle_within_distance",
     "nodes_with_tree_like_view",
-    "tree_like_fraction",
-    "high_girth_regular_graph",
 ]
 
 
@@ -125,74 +121,3 @@ def has_cycle_within_distance(graph: nx.Graph, source: int, radius: int) -> bool
 def nodes_with_tree_like_view(graph: nx.Graph, radius: int) -> Set[int]:
     """All nodes whose ``radius``-hop view is a tree."""
     return {v for v in graph.nodes() if not has_cycle_within_distance(graph, v, radius)}
-
-
-def tree_like_fraction(graph: nx.Graph, radius: int) -> float:
-    """Fraction of nodes whose ``radius``-hop view is a tree."""
-    n = graph.number_of_nodes()
-    if n == 0:
-        return 1.0
-    return len(nodes_with_tree_like_view(graph, radius)) / n
-
-
-def high_girth_regular_graph(
-    degree: int, n: int, min_girth: int, seed: int = 0, max_attempts: int = 2000
-) -> nx.Graph:
-    """A ``degree``-regular graph on ``n`` nodes with girth > ``min_girth - 1``.
-
-    Strategy: start from a random regular graph and repeatedly break short
-    cycles by 2-opt edge swaps (replace edges ``{a, b}, {c, d}`` of a short
-    cycle and a random partner by ``{a, c}, {b, d}``), which preserves
-    regularity.  For moderate parameters (the scales used in tests and
-    benchmarks) this converges quickly; if the target girth cannot be reached
-    within ``max_attempts`` swaps a ``RuntimeError`` is raised so callers
-    never silently get a low-girth graph.
-    """
-    if min_girth < 3:
-        return nx.random_regular_graph(degree, n, seed=seed)
-    rng = random.Random(seed)
-    g = nx.random_regular_graph(degree, n, seed=seed)
-    for _ in range(max_attempts):
-        cycle_edge = _find_short_cycle_edge(g, min_girth - 1)
-        if cycle_edge is None:
-            return g
-        a, b = cycle_edge
-        # Pick a random other edge {c, d} and try the swap {a,c}, {b,d}.
-        candidates = list(g.edges())
-        rng.shuffle(candidates)
-        swapped = False
-        for c, d in candidates:
-            if len({a, b, c, d}) < 4:
-                continue
-            if g.has_edge(a, c) or g.has_edge(b, d):
-                continue
-            g.remove_edge(a, b)
-            g.remove_edge(c, d)
-            g.add_edge(a, c)
-            g.add_edge(b, d)
-            swapped = True
-            break
-        if not swapped:
-            continue
-    if _find_short_cycle_edge(g, min_girth - 1) is None:
-        return g
-    raise RuntimeError(
-        f"could not reach girth {min_girth} for a {degree}-regular graph on {n} nodes; "
-        "increase n or lower the girth requirement"
-    )
-
-
-def _find_short_cycle_edge(graph: nx.Graph, max_length: int) -> Optional[tuple]:
-    """Return an edge lying on a cycle of length ≤ ``max_length``, if any."""
-    for u, v in graph.edges():
-        # Shortest alternative path between u and v (without the edge itself).
-        graph.remove_edge(u, v)
-        try:
-            alt = nx.shortest_path_length(graph, u, v)
-        except nx.NetworkXNoPath:
-            alt = math.inf
-        finally:
-            graph.add_edge(u, v)
-        if alt + 1 <= max_length:
-            return (u, v)
-    return None

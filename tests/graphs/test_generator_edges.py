@@ -91,19 +91,6 @@ class TestRandomizedFamilies:
             gen.erdos_renyi_graph(n, deg, seed=seed),
         )
 
-    @pytest.mark.parametrize("n,min_degree", [(10, 3), (11, 3), (21, 3), (14, 4), (15, 3)])
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_min_degree_stream_exact(self, n, min_degree, seed):
-        edge_list = gen.min_degree_edges(n, min_degree, seed=seed)
-        _assert_twin(edge_list, gen.min_degree_graph(n, min_degree, seed=seed))
-        _, edges = edge_list
-        degrees = [0] * n
-        for u, v in edges:
-            degrees[u] += 1
-            degrees[v] += 1
-        assert min(degrees) >= min_degree
-
 
 class TestNetworkIntegration:
     def test_from_edge_list_equals_from_graph(self):
@@ -171,8 +158,6 @@ class TestAsArraysTwins:
         ("erdos_renyi_edges", (1, 3.0, 0)),
         ("erdos_renyi_edges", (4, 0.0, 0)),
         ("erdos_renyi_edges", (4, 99.0, 0)),
-        ("min_degree_edges", (11, 3, 5)),
-        ("min_degree_edges", (12, 3, 5)),
     ]
 
     @pytest.mark.parametrize("name,args", CASES)
@@ -196,7 +181,6 @@ class TestAsArraysTwins:
         regular = gen.random_regular_edges(4, 10, seed=3, as_arrays=True)
         assert regular.meta["family"] == "random_regular"
         assert regular.meta["seed"] == 3
-        assert gen.min_degree_edges(11, 3, seed=5, as_arrays=True).meta["family"] == "min_degree"
 
     def test_network_from_edge_arrays_equals_tuple_network(self):
         arrays = gen.grid_edges(6, 5, as_arrays=True)
@@ -205,10 +189,3 @@ class TestAsArraysTwins:
         b = Network.from_edge_list(n, edges)
         assert a.edges == b.edges
         assert [a.neighbors(v) for v in a.vertices] == [b.neighbors(v) for v in b.vertices]
-
-    def test_min_degree_even_parity_keeps_min_degree_provenance(self):
-        arrays = gen.min_degree_edges(12, 3, seed=5, as_arrays=True)
-        assert arrays.meta["family"] == "min_degree"
-        assert arrays.meta["min_degree"] == 3 and arrays.meta["seed"] == 5
-        n, edges = gen.min_degree_edges(12, 3, seed=5)
-        assert arrays.as_pairs() == [tuple(e) for e in edges]

@@ -1,6 +1,6 @@
 """Tests for ``repro.graphs.girth`` (previously the only untested module
-alongside ``transforms``): exact girth, per-vertex shortest cycles,
-tree-like views, and the high-girth construction."""
+alongside ``transforms``): exact girth, per-vertex shortest cycles and
+tree-like views."""
 
 from __future__ import annotations
 
@@ -69,12 +69,11 @@ class TestTreeLikeViews:
         g = nx.balanced_tree(2, 4)
         for radius in (1, 2, 5):
             assert girth_mod.nodes_with_tree_like_view(g, radius) == set(g.nodes())
-            assert girth_mod.tree_like_fraction(g, radius) == 1.0
 
     def test_cycle_views_flip_at_half_girth(self):
         g = nx.cycle_graph(12)
-        assert girth_mod.tree_like_fraction(g, 5) == 1.0
-        assert girth_mod.tree_like_fraction(g, 6) == 0.0
+        assert girth_mod.nodes_with_tree_like_view(g, 5) == set(g.nodes())
+        assert girth_mod.nodes_with_tree_like_view(g, 6) == set()
 
     def test_has_cycle_within_distance_localises(self):
         """Triangle with a long tail: only vertices near the triangle see it."""
@@ -95,20 +94,6 @@ class TestTreeLikeViews:
         assert not girth_mod.has_cycle_within_distance(g, 8, 7)
         assert girth_mod.has_cycle_within_distance(g, 8, 8)
 
-    def test_empty_graph_fraction_is_one(self):
-        assert girth_mod.tree_like_fraction(nx.empty_graph(0), 2) == 1.0
+    def test_empty_graph_has_no_views(self):
+        assert girth_mod.nodes_with_tree_like_view(nx.empty_graph(0), 2) == set()
 
-
-class TestHighGirthConstruction:
-    def test_reaches_requested_girth(self):
-        g = girth_mod.high_girth_regular_graph(3, 60, min_girth=5, seed=1)
-        assert all(d == 3 for _, d in g.degree())
-        assert girth_mod.girth(g) >= 5
-
-    def test_min_girth_below_three_is_plain_regular(self):
-        g = girth_mod.high_girth_regular_graph(3, 20, min_girth=2, seed=0)
-        assert all(d == 3 for _, d in g.degree())
-
-    def test_impossible_girth_raises(self):
-        with pytest.raises(RuntimeError):
-            girth_mod.high_girth_regular_graph(4, 12, min_girth=12, seed=0, max_attempts=30)
