@@ -10,7 +10,7 @@ help:
 	@echo "make lint         repro.lint invariant checker (+ ruff when installed)"
 	@echo "make perfbench-check  benchmark self-check (tiny sizes, golden digests, metric names vs BENCHMARK.json)"
 	@echo "make example      the 10^5-10^6-node scaling tour (skip the finale: EXAMPLE_FLAGS=--no-million)"
-	@echo "make examples-smoke  the five small example scripts; fails on the first non-zero exit"
+	@echo "make examples-smoke  the five small example scripts; fails on a non-zero exit or stdout unlike examples/expected/"
 	@echo "make serve-smoke  experiment-service smoke: submit/schedule/SIGKILL-resume/HTTP round trip"
 	@echo "make fault-smoke  fault-injection demo: both engines + interrupted sweep resumed from its sqlite journal"
 
@@ -34,10 +34,16 @@ example:
 SMOKE_EXAMPLES := quickstart sinkless_orientation_demo matching_edge_vs_node \
 	wireless_scheduling lower_bound_explorer
 
+# Each example's stdout is deterministic and must equal
+# examples/expected/<name>.txt byte for byte (the diff goes to stderr).  After
+# an intended output change: python examples/<name>.py > examples/expected/<name>.txt
 examples-smoke:
-	@for example in $(SMOKE_EXAMPLES); do \
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for example in $(SMOKE_EXAMPLES); do \
 		echo "== examples/$$example.py"; \
-		$(PYTHON) examples/$$example.py || exit 1; \
+		$(PYTHON) examples/$$example.py > "$$out" || exit 1; \
+		cat "$$out"; \
+		diff -u examples/expected/$$example.txt "$$out" >&2 || exit 1; \
 	done
 
 serve-smoke:
