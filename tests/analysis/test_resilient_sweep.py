@@ -177,6 +177,25 @@ class TestCheckpointing:
         assert recomputed == []
         assert sweepmod.read_checkpoint(path)[0]["parallel"] is True
 
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("engine", ["node", "auto"])
+    def test_a_cut_journal_with_a_parallel_field_reruns_only_missing_cells(
+        self, tmp_path, row_hook, engine, flag
+    ):
+        # Serial sweeps stored "parallel": false, pool sweeps true.
+        baseline = run_sweep(engine=engine)
+        path = str(tmp_path / "sweep.db")
+        run_sweep(engine=engine, checkpoint=path)
+        header, _ = sweepmod.read_checkpoint(path)
+        header["parallel"] = flag
+        edit_journal(path, "UPDATE journals SET header = ?", (json.dumps(header),))
+        edit_journal(path, "DELETE FROM journal_cells WHERE value_index = 1")
+        recomputed = []
+        row_hook(lambda row: recomputed.append(sweepmod._cell_key(row)))
+        assert run_sweep(engine=engine, checkpoint=path) == baseline
+        assert recomputed == [(1, "luby", 0), (1, "luby", 1)]
+        assert sweepmod.read_checkpoint(path)[0]["parallel"] is flag
+
     def test_checkpoint_of_a_different_sweep_is_rejected(self, tmp_path):
         path = str(tmp_path / "sweep.db")
         run_sweep(checkpoint=path)
@@ -211,6 +230,40 @@ class TestCheckpointing:
             (1, "luby", 0),
             (1, "luby", 1),
         ]
+
+
+class TestResumeAtEveryCut:
+    """A sweep cut after any committed row resumes to the uninterrupted
+    result and recomputes exactly the cells its journal lacks.  Under
+    ``"auto"`` a cut after an odd row splits a batched cell's trials."""
+
+    CELLS = [(i, "luby", t) for i in (0, 1) for t in (0, 1)]
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4])
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("engine", ["node", "auto"])
+    def test_cut_sweep_resumes_to_the_uninterrupted_result(
+        self, tmp_path, row_hook, engine, faulted, cut
+    ):
+        faults = FaultSchedule(crashes={0: 2, 3: 1}, seed=2) if faulted else None
+        baseline = run_sweep(engine=engine, faults=faults)
+        path = str(tmp_path / "sweep.db")
+        written = []
+
+        def cut_after(row):
+            written.append(sweepmod._cell_key(row))
+            if len(written) == cut:
+                raise KeyboardInterrupt
+
+        row_hook(cut_after)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(engine=engine, faults=faults, checkpoint=path)
+        assert sorted(sweepmod.read_checkpoint(path)[1]) == sorted(written)
+
+        recomputed = []
+        row_hook(lambda row: recomputed.append(sweepmod._cell_key(row)))
+        assert run_sweep(engine=engine, faults=faults, checkpoint=path) == baseline
+        assert written + recomputed == self.CELLS
 
 
 def _die_mid_row(path):

@@ -25,6 +25,10 @@ from repro.local.network import Network
 from repro.local.node import CommitError
 from repro.local.runner import Runner, RoundLimitExceeded, estimate_message_bits
 
+from test_runner_golden import ALGORITHMS as GOLDEN_ALGORITHMS, FAULTED
+from test_selfstab_golden import MAX_ROUNDS, SCHEDULES, trace_payload
+from test_selfstab_golden import graph as golden_graph
+
 
 def _always_valid(name: str, labels_nodes: bool = True, labels_edges: bool = False) -> ProblemSpec:
     return ProblemSpec(
@@ -342,28 +346,88 @@ class TestCoroutineWrapper:
         assert chatty.node_outputs[1] == 2
 
 
+def run_and_drop(build, seed, faults=None):
+    """Run ``build() -> (network, algorithm, problem)`` with the collector
+    off, drop the runner, the trace and the network, and return the type of
+    the error the run raised (``None`` when it finished).
+
+    Each node references the run's completion tracker, which holds the node
+    tuple, and an unfinished node's program holds its node.  The runner
+    breaks both cycles, so reference counting alone must free the network
+    and every node, whether the run finished or raised.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        network, algorithm, problem = build()
+        runner = Runner(max_rounds=MAX_ROUNDS, strict=False)
+        trace, raised = None, None
+        try:
+            trace = runner.run(algorithm, network, problem, seed=seed, faults=faults)
+        except (TypeError, CommitError) as exc:
+            raised = type(exc)
+        network_ref = weakref.ref(network)
+        # NodeRuntime has no weakref slot; each node's own Random dies
+        # with it.
+        rng_refs = [weakref.ref(node.rng) for node in runner._pool_nodes]
+        del runner, trace, network, algorithm
+        assert network_ref() is None
+        assert not any(ref() is not None for ref in rng_refs)
+        return raised
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+#: The golden faulted runs that raise on ``golden_graph(1, 30)``.
+RAISING = [
+    ("luby-mis", "waves-delay", TypeError),
+    ("randomized-matching", "waves-drop", CommitError),
+]
+
+
 class TestRunLifetime:
     def test_finished_run_is_freed_without_the_collector(self):
-        # Each node references the run's completion tracker, which holds
-        # the node tuple, and an unfinished node's program holds its node.
-        # The runner breaks both cycles, so dropping the runner, the trace
-        # and the network frees the run by reference counting alone.
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            network = Network.from_edges(*cycle_edges(2000))
-            runner = Runner()
-            trace = runner.run(LubyMIS(), network, problems.MIS, seed=0)
-            network_ref = weakref.ref(network)
-            # NodeRuntime has no weakref slot; each node's own Random dies
-            # with it.
-            rng_refs = [weakref.ref(node.rng) for node in runner._pool_nodes]
-            del runner, trace, network
-            assert network_ref() is None
-            assert not any(ref() is not None for ref in rng_refs)
-        finally:
-            if was_enabled:
-                gc.enable()
+        def build():
+            return Network.from_edges(*cycle_edges(2000)), LubyMIS(), problems.MIS
+
+        assert run_and_drop(build, seed=0) is None
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ALGORITHMS))
+    def test_every_algorithm_frees_its_run(self, name):
+        def build():
+            network = golden_graph(1, 30)
+            return (network, *GOLDEN_ALGORITHMS[name](network))
+
+        assert run_and_drop(build, seed=1) is None
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("name", sorted(FAULTED))
+    def test_faulted_run_is_freed_whether_it_finishes_or_raises(self, name, schedule):
+        raised = run_and_drop(
+            lambda: (golden_graph(1, 30), *FAULTED[name]()),
+            seed=1,
+            faults=SCHEDULES[schedule](30, 1),
+        )
+        expected = {(n, s): error for n, s, error in RAISING}.get((name, schedule))
+        assert raised is expected
+
+    @pytest.mark.parametrize("name, schedule, error", RAISING)
+    def test_runner_reused_after_a_raising_run_matches_a_fresh_one(
+        self, name, schedule, error
+    ):
+        # The raising run leaves its nodes mid-program; the pooled rerun on
+        # the same network must start them afresh.
+        network = golden_graph(1, 30)
+        shared = Runner(max_rounds=MAX_ROUNDS, strict=False)
+        algorithm, problem = FAULTED[name]()
+        with pytest.raises(error):
+            shared.run(algorithm, network, problem, seed=1, faults=SCHEDULES[schedule](30, 1))
+        payloads = []
+        for runner in (shared, Runner(max_rounds=MAX_ROUNDS, strict=False)):
+            algorithm, problem = FAULTED[name]()
+            payloads.append(trace_payload(runner.run(algorithm, network, problem, seed=2)))
+        assert payloads[0] == payloads[1]
 
 
 class TestEdgeHotPathLaziness:

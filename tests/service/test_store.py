@@ -13,11 +13,14 @@ import sqlite3
 import numpy as np
 import pytest
 
+from repro.algorithms.mis.luby import LubyMIS
 from repro.analysis import sweep
 from repro.analysis.sweep import CHECKPOINT_FORMAT
+from repro.core import problems
 from repro.core.errors import classify_failure
+from repro.local.runner import Runner
 from repro.service.scheduler import Scheduler
-from repro.service.specs import SweepSpec
+from repro.service.specs import GRAPH_FAMILIES, SweepSpec
 from repro.service.store import RESULT_STORE_SCHEMA, ResultStore, _network_csr_arrays
 
 
@@ -203,6 +206,31 @@ class TestGraphCache:
             assert np.array_equal(original[field], restored[field])
         assert cached.identifiers == network.identifiers
         assert cached.max_degree() == network.max_degree()
+
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_every_family_reassembles_identically(self, db_path, family):
+        # Every topology view the engines read, and a run on the cache hit.
+        from repro.analysis.sweep import network_from
+
+        spec = make_spec(family=family, values=(10,))
+        network = network_from(spec.graph_source(10), seed=spec.network_seed(0))
+        with ResultStore(db_path) as store:
+            key = spec.graph_key(0)
+            assert store.claim_graph_build(key, {"family": family})
+            store.store_network(key, network)
+            cached = store.cached_network(key)
+        assert (cached.n, cached.m) == (network.n, network.m)
+        assert cached.edges == network.edges
+        assert [cached.neighbors(v) for v in cached.vertices] == [
+            network.neighbors(v) for v in network.vertices
+        ]
+        assert cached.identifiers == network.identifiers
+        assert (cached.max_degree(), cached.min_degree()) == (
+            network.max_degree(),
+            network.min_degree(),
+        )
+        runs = [Runner().run(LubyMIS(), net, problems.MIS, seed=5) for net in (network, cached)]
+        assert runs[0] == runs[1]
 
     def test_cache_hit_adopts_the_payload_identifiers(self, db_path):
         from repro.analysis.sweep import network_from
