@@ -8,9 +8,10 @@ a perfect matching that any maximal matching must almost entirely contain).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - maximum_matching_size imports it where it runs
+    import networkx as nx
 
 __all__ = ["sequential_greedy_matching", "random_order_matching", "maximum_matching_size"]
 
@@ -43,4 +44,6 @@ def random_order_matching(graph: nx.Graph, seed: int = 0) -> Set[Edge]:
 
 def maximum_matching_size(graph: nx.Graph) -> int:
     """Size of a maximum (not just maximal) matching, via networkx."""
+    import networkx as nx
+
     return len(nx.max_weight_matching(graph, maxcardinality=True))

@@ -9,9 +9,10 @@ MIS has a sensible size).
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - the graphs arrive built; no networkx call here
+    import networkx as nx
 
 __all__ = [
     "sequential_greedy_mis",

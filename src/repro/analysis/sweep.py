@@ -52,6 +52,7 @@ import os
 import sqlite3
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -65,7 +66,6 @@ from typing import (
     Union,
 )
 
-import networkx as nx
 import numpy as np
 
 from repro.core import schemas
@@ -78,6 +78,9 @@ from repro.local.algorithm import NodeAlgorithm
 from repro.local.faults import FaultSchedule
 from repro.local.network import Network
 from repro.local.runner import Runner
+
+if TYPE_CHECKING:  # pragma: no cover - GraphLike names nx.Graph as a string
+    import networkx as nx
 
 __all__ = [
     "SweepPoint",
@@ -95,9 +98,11 @@ ProblemFactory = Callable[[Network], ProblemSpec]
 #: ready-made :class:`Network`, a ``(n, edges)`` pair from the direct
 #: edge-list generators, or an :class:`EdgeArrays` (the array-first
 #: interchange; the fastest option at large ``n``) — everything but the
-#: networkx graph stays off networkx entirely.
+#: networkx graph stays off networkx entirely.  ``nx.Graph`` is a forward
+#: reference: this module never imports networkx, so a sweep whose factory
+#: returns no networkx graph runs without loading it.
 GraphLike = Union[
-    nx.Graph, Network, EdgeArrays, Tuple[int, Sequence[Tuple[int, int]]]
+    "nx.Graph", Network, EdgeArrays, Tuple[int, Sequence[Tuple[int, int]]]
 ]
 
 #: What ``sweep(checkpoint=)`` takes: a database path, or a ``(database,
@@ -323,12 +328,12 @@ def sweep(
             if error is not None:
                 raise error
 
-        cache: Dict[int, Network] = {}
+        cache: Optional[_ValueCache] = None
         for task in _tasks(spec, remaining):
-            if task[0] not in cache:
-                # Tasks are index-major: the previous value's network is
-                # done with.
-                cache.clear()
+            if cache is None or cache.index != task[0]:
+                # Tasks are index-major: the previous value's network and
+                # runner are done with.
+                cache = _ValueCache(task[0], Runner(max_rounds=int(max_rounds)))
             consume(*_execute(spec, task, cache))
         return aggregation.result(spec)
     finally:
@@ -350,10 +355,24 @@ def sweep(
 #
 # A task is one (value index, algorithm name, trials) group of cells, built
 # by _tasks.  _execute runs a task and is the only code that runs cells;
-# sweep() calls it for each task in order.
+# sweep() calls it for each task in order, with the _ValueCache of the
+# task's value.
 
 CellKey = Tuple[int, str, int]
 Task = Tuple[int, str, Tuple[int, ...]]
+
+
+@dataclass
+class _ValueCache:
+    """What the tasks of one swept value share: the value's network, built
+    on first use, and one :class:`Runner`, whose node pool its node-engine
+    trials reuse instead of rebuilding n node runtimes per trial.
+    ``sweep()`` replaces the cache when its tasks reach the next value,
+    which frees both."""
+
+    index: int
+    runner: Runner
+    network: Optional[Network] = None
 
 
 def _cell_key(row: Mapping[str, object]) -> CellKey:
@@ -364,14 +383,12 @@ def _cell_seed(spec: Dict[str, object], index: int, trial: int) -> int:
     return trial_seed(int(spec["seed"]) + 1000 * index, trial)
 
 
-def _cell_network(
-    spec: Dict[str, object], index: int, cache: Dict[int, Network]
-) -> Network:
-    network = cache.get(index)
-    if network is None:
+def _cell_network(spec: Dict[str, object], cache: _ValueCache) -> Network:
+    if cache.network is None:
+        index = cache.index
         graph = spec["graph_factory"](spec["values"][index])  # type: ignore[operator, index]
-        network = cache[index] = network_from(graph, seed=int(spec["seed"]) + index)
-    return network
+        cache.network = network_from(graph, seed=int(spec["seed"]) + index)
+    return cache.network
 
 
 def _narrow(times: np.ndarray) -> np.ndarray:
@@ -460,11 +477,7 @@ def _contiguous_runs(trials: Sequence[int]) -> List[List[int]]:
 
 
 def _trial_rows(
-    spec: Dict[str, object],
-    index: int,
-    name: str,
-    trials: Sequence[int],
-    cache: Dict[int, Network],
+    spec: Dict[str, object], cache: _ValueCache, name: str, trials: Sequence[int]
 ) -> List[Dict[str, object]]:
     """Run ``trials`` of one cell as batched runs; one ``ok`` row per trial.
 
@@ -475,12 +488,13 @@ def _trial_rows(
     alone would use.  Non-consecutive remainders (a checkpoint resumed
     mid-cell) split into several runs — batch-size invariance of the array
     engine makes the rows identical either way.  ``cell_timeout`` bounds
-    each call; it is set only when every task holds one trial.
+    each call; it is set only when every task holds one trial.  The
+    node-engine runs share the value's runner.
     """
-    network = _cell_network(spec, index, cache)
+    index = cache.index
+    network = _cell_network(spec, cache)
     algorithm_factory, problem_factory = spec["algorithms"][name]  # type: ignore[index]
     problem = problem_factory(network)
-    runner = Runner(max_rounds=int(spec["max_rounds"]))  # type: ignore[arg-type]
     rows: List[Dict[str, object]] = []
     for run in _contiguous_runs(trials):
         traces = run_trials(
@@ -489,7 +503,7 @@ def _trial_rows(
             problem,
             trials=len(run),
             seed=_cell_seed(spec, index, run[0]),
-            runner=runner,
+            runner=cache.runner,
             validate=bool(spec["validate"]),
             engine=str(spec["engine"]),
             faults=spec["faults"],  # type: ignore[arg-type]
@@ -502,7 +516,7 @@ def _trial_rows(
 
 
 def _execute(
-    spec: Dict[str, object], task: Task, cache: Dict[int, Network]
+    spec: Dict[str, object], task: Task, cache: _ValueCache
 ) -> Tuple[List[Dict[str, object]], Optional[Exception]]:
     """Run one task; return its rows in trial order and the error that
     stopped it, if any.
@@ -518,13 +532,13 @@ def _execute(
     index, name, trials = task
     if len(trials) > 1:
         try:
-            return _trial_rows(spec, index, name, trials, cache), None
+            return _trial_rows(spec, cache, name, trials), None
         except Exception:
             pass
     rows: List[Dict[str, object]] = []
     for trial in trials:
         try:
-            rows += _trial_rows(spec, index, name, (trial,), cache)
+            rows += _trial_rows(spec, cache, name, (trial,))
         except Exception as error:
             rows.append(
                 {

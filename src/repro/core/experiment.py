@@ -9,7 +9,11 @@ The whole trial pipeline stays free of networkx and per-entity dicts:
 ``validate=True`` checks each trace through the problem's numpy kernel
 (:meth:`ProblemSpec.validate_network` on the trace's array storage), so even
 ``n ≥ 10⁵`` trial batches never export the topology back to a
-``networkx.Graph``.
+``networkx.Graph``.  No module on the pipeline imports networkx at module
+level either: it loads only when something asks for a networkx graph (a
+networkx generator or transform, :meth:`Network.to_networkx`,
+:mod:`repro.lowerbound`), so an :meth:`Experiment.run` on any other graph
+source runs with numpy alone.
 
 The functions take an *algorithm factory* (a zero-argument callable returning
 a fresh :class:`~repro.local.algorithm.NodeAlgorithm`) rather than an
@@ -151,8 +155,9 @@ AlgorithmFactory = Callable[[], NodeAlgorithm]
 #: A graph source the facade understands: a finished :class:`Network`, a
 #: legacy ``(n, edges)`` pair, flat :class:`EdgeArrays` endpoints, a
 #: networkx-like graph, or a zero-argument callable producing any of those.
-#: Annotated as ``object`` (networkx is deliberately not imported here, so
-#: the set is not expressible as a Union); dispatch happens at runtime in
+#: Annotated as ``object``: nothing on this path imports networkx, so a
+#: networkx-like graph is recognised by duck typing and the set is not
+#: expressible as a Union; dispatch happens at runtime in
 #: :func:`resolve_network`.
 GraphSource = object
 
@@ -301,9 +306,9 @@ def resolve_network(
     :class:`EdgeArrays` (built through the vectorised
     :meth:`Network.from_endpoint_arrays` CSR path), a legacy ``(n, edges)``
     pair, a networkx-like graph (anything with ``number_of_nodes()``;
-    duck-typed so this module never imports networkx), or a zero-argument
-    callable producing any of those.  Equivalent sources produce identical
-    networks for the same ``seed`` — the same guarantee
+    duck-typed, so resolving any other source leaves networkx unloaded), or
+    a zero-argument callable producing any of those.  Equivalent sources
+    produce identical networks for the same ``seed`` — the same guarantee
     :func:`repro.analysis.sweep.network_from` gives.
     """
     if callable(source) and not isinstance(source, Network):

@@ -64,11 +64,25 @@ passed through without copies).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - the reference validators' graph type only
+    import networkx as nx
 
 __all__ = [
     "MISSING",
@@ -168,9 +182,13 @@ class ProblemSpec:
 
         ``graph`` may be a :class:`networkx.Graph` (the seed signature: runs
         the reference validator) or a :class:`repro.local.network.Network`,
-        which dispatches to :meth:`validate_network`.
+        which dispatches to :meth:`validate_network`.  The dispatch looks
+        networkx up in ``sys.modules`` instead of importing it: a graph can
+        only be a networkx graph once networkx is loaded, so validating a
+        :class:`Network` never loads networkx.
         """
-        if not isinstance(graph, nx.Graph):
+        networkx = sys.modules.get("networkx")
+        if networkx is None or not isinstance(graph, networkx.Graph):
             return self.validate_network(graph, node_outputs, edge_outputs)
         # An explicit MISSING value in a mapping is equivalent to the key
         # being absent (the sentinel means "never committed"); stripping the

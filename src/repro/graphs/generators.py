@@ -1,8 +1,9 @@
 """Workload graph generators.
 
 All generators return :class:`networkx.Graph` objects on vertices ``0..n-1``
-so they can be handed directly to :class:`repro.local.network.Network`.  They
-cover the graph families the paper's results talk about:
+so they can be handed directly to :class:`repro.local.network.Network`.  Each
+imports networkx when it runs, so importing this module does not load
+networkx.  They cover the graph families the paper's results talk about:
 
 * cycles and paths (Feuilloley's Ω(log* n) deterministic node-averaged bound),
 * d-regular graphs (the O(1) node-averaged regime for Luby-style
@@ -51,12 +52,14 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from typing import List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.graphs.edgelist import EdgeArrays
+
+if TYPE_CHECKING:  # pragma: no cover - the networkx generators import it where they run
+    import networkx as nx
 
 __all__ = [
     "cycle_graph",
@@ -87,6 +90,8 @@ EdgeResult = Union[EdgeList, EdgeArrays]
 
 def relabel_to_integers(graph: nx.Graph) -> nx.Graph:
     """Relabel an arbitrary graph to consecutive integer vertices ``0..n-1``."""
+    import networkx as nx
+
     mapping = {v: i for i, v in enumerate(graph.nodes())}
     return nx.relabel_nodes(graph, mapping, copy=True)
 
@@ -95,6 +100,8 @@ def cycle_graph(n: int) -> nx.Graph:
     """The n-cycle ``C_n`` (requires ``n ≥ 3``)."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 nodes")
+    import networkx as nx
+
     return nx.cycle_graph(n)
 
 
@@ -102,6 +109,8 @@ def path_graph(n: int) -> nx.Graph:
     """The path on ``n`` nodes."""
     if n < 1:
         raise ValueError("a path needs at least 1 node")
+    import networkx as nx
+
     return nx.path_graph(n)
 
 
@@ -109,6 +118,8 @@ def complete_graph(n: int) -> nx.Graph:
     """The complete graph ``K_n``."""
     if n < 1:
         raise ValueError("a complete graph needs at least 1 node")
+    import networkx as nx
+
     return nx.complete_graph(n)
 
 
@@ -116,6 +127,8 @@ def star_graph(leaves: int) -> nx.Graph:
     """A star with one centre and ``leaves`` leaves (``n = leaves + 1``)."""
     if leaves < 1:
         raise ValueError("a star needs at least one leaf")
+    import networkx as nx
+
     return nx.star_graph(leaves)
 
 
@@ -123,6 +136,8 @@ def grid_graph(rows: int, cols: int) -> nx.Graph:
     """The ``rows × cols`` grid, relabelled to integer vertices."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
+    import networkx as nx
+
     return relabel_to_integers(nx.grid_2d_graph(rows, cols))
 
 
@@ -135,6 +150,8 @@ def random_regular_graph(degree: int, n: int, seed: int = 0) -> nx.Graph:
         raise ValueError("need 0 <= degree < n")
     if (degree * n) % 2 != 0:
         raise ValueError("degree * n must be even")
+    import networkx as nx
+
     return nx.random_regular_graph(degree, n, seed=seed)
 
 
@@ -142,6 +159,8 @@ def erdos_renyi_graph(n: int, expected_degree: float, seed: int = 0) -> nx.Graph
     """An Erdős–Rényi graph ``G(n, p)`` with ``p = expected_degree / (n - 1)``."""
     if n < 1:
         raise ValueError("n must be positive")
+    import networkx as nx
+
     if n == 1:
         g = nx.Graph()
         g.add_node(0)
@@ -154,6 +173,8 @@ def random_tree(n: int, seed: int = 0) -> nx.Graph:
     """A uniformly random labelled tree on ``n`` nodes (Prüfer-based)."""
     if n < 1:
         raise ValueError("n must be positive")
+    import networkx as nx
+
     if n <= 2:
         return nx.path_graph(n)
     rng = random.Random(seed)

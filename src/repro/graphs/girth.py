@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Optional, Set
+from typing import TYPE_CHECKING, Optional, Set
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - the graphs arrive built; no networkx call here
+    import networkx as nx
 
 __all__ = [
     "girth",

@@ -14,9 +14,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - each transform imports networkx where it runs
+    import networkx as nx
 
 __all__ = [
     "line_graph",
@@ -39,6 +40,8 @@ def line_graph(graph: nx.Graph) -> Tuple[nx.Graph, Dict[int, Edge]]:
     edges: List[Edge] = [tuple(sorted(e)) for e in graph.edges()]
     edges.sort()
     index = {e: i for i, e in enumerate(edges)}
+    import networkx as nx
+
     h = nx.Graph()
     h.add_nodes_from(range(len(edges)))
     for v in graph.nodes():
@@ -53,6 +56,8 @@ def power_graph(graph: nx.Graph, k: int) -> nx.Graph:
     """The k-th power ``G^k``: an edge between every pair at distance ≤ k."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    import networkx as nx
+
     power = nx.Graph()
     power.add_nodes_from(graph.nodes())
     for source in graph.nodes():
@@ -80,6 +85,8 @@ def disjoint_union(first: nx.Graph, second: nx.Graph) -> Tuple[nx.Graph, Dict[in
     map_first = {v: i for i, v in enumerate(first.nodes())}
     offset = len(map_first)
     map_second = {v: offset + i for i, v in enumerate(second.nodes())}
+    import networkx as nx
+
     union = nx.Graph()
     union.add_nodes_from(range(offset + len(map_second)))
     union.add_edges_from((map_first[u], map_first[v]) for u, v in first.edges())

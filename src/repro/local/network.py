@@ -40,12 +40,14 @@ construction time.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.local import ids as ids_module
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where it runs
+    import networkx as nx
 
 __all__ = ["Network", "canonical_edge"]
 
@@ -611,9 +613,13 @@ class Network:
         Networks are immutable, so the export is built once and cached —
         repeated legacy callers stop paying O(n + m) per call.  Treat the
         returned graph as **read-only**; mutating it corrupts the shared
-        cache (copy it first if you need a scratch graph).
+        cache (copy it first if you need a scratch graph).  networkx is
+        imported here, on the first export, and nowhere else in this
+        module, so building and running networks never loads it.
         """
         if self._nx_export is None:
+            import networkx as nx
+
             g = nx.Graph()
             g.add_nodes_from(range(self.n))
             g.add_edges_from(self.edges)

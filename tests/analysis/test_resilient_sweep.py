@@ -24,7 +24,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.algorithms.matching.randomized import RandomizedMaximalMatching
 from repro.algorithms.mis.luby import LubyMIS
+from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
 from repro.core import problems
 from repro.core.experiment import run_trials, trial_seed
 from repro.core import metrics
@@ -32,6 +34,7 @@ from repro.core.metrics import measure
 from repro.graphs import generators as gen
 from repro.local.faults import FaultSchedule
 from repro.local.network import Network
+from repro.local.runner import Runner
 
 # ``repro.analysis.sweep`` the *module*: the package __init__ rebinds the
 # attribute ``sweep`` to the function, so ``import repro.analysis.sweep as x``
@@ -622,6 +625,52 @@ class TestStreamedAggregation:
         assert run_sweep(engine=engine) == baseline
         assert len(built) == 2
         assert first_alive and not any(first_alive)
+
+
+class TestValueRunner:
+    """Under ``engine="node"`` every task of a swept value runs on one
+    runner, so the value's trials reuse its node pool."""
+
+    def test_node_pool_is_built_once_per_value(self, monkeypatch):
+        builds = []
+        build_nodes = Runner._build_nodes
+
+        def counted(*args, **kwargs):
+            builds.append(None)
+            return build_nodes(*args, **kwargs)
+
+        monkeypatch.setattr(Runner, "_build_nodes", staticmethod(counted))
+        assert len(run_sweep(engine="node", trials=5)) == 2
+        assert len(builds) == 2  # one per value, not one per trial
+
+    def test_points_equal_a_fresh_runner_per_trial(self, monkeypatch):
+        settings = dict(
+            values=[20, 30],
+            graph_factory=lambda n: gen.random_regular_edges(3, n, seed=n),
+            algorithms={
+                "luby": (lambda net: LubyMIS(), lambda net: problems.MIS),
+                "matching": (
+                    lambda net: RandomizedMaximalMatching(),
+                    lambda net: problems.MAXIMAL_MATCHING,
+                ),
+                "ruling": (
+                    lambda net: RandomizedTwoTwoRulingSet(),
+                    lambda net: problems.ruling_set(2, 2),
+                ),
+            },
+            trials=5,
+            engine="node",
+        )
+        shared = run_sweep(**settings)
+
+        class FreshRunner(Runner):
+            def run(self, *args, **kwargs):
+                return Runner(max_rounds=self.max_rounds).run(*args, **kwargs)
+
+        monkeypatch.setattr(sweepmod, "Runner", FreshRunner)
+        fresh = run_sweep(**settings)
+        assert len(shared) == 2 * 3
+        assert shared == fresh
 
 
 class TestBatchedCells:
