@@ -14,7 +14,8 @@ import networkx as nx
 from repro.algorithms.ruling_set import DeterministicRulingSet
 from repro.analysis import format_table, network_from
 from repro.core import problems
-from repro.core.experiment import evaluate
+from repro.core.experiment import run_trials
+from repro.core.metrics import measure
 from repro.local.runner import Runner
 
 from _bench_utils import emit
@@ -32,12 +33,14 @@ def run_e5():
         for variant in ("log-delta", "log-log-n"):
             algorithm = DeterministicRulingSet.for_network(network, variant=variant)
             problem = problems.ruling_set(2, algorithm.coverage_radius)
-            measurement = evaluate(
-                lambda: DeterministicRulingSet.for_network(network, variant=variant),
-                network,
-                problem,
-                trials=1,
-                runner=runner,
+            measurement = measure(
+                run_trials(
+                    lambda: DeterministicRulingSet.for_network(network, variant=variant),
+                    network,
+                    problem,
+                    trials=1,
+                    runner=runner,
+                )
             )
             row = measurement.as_dict()
             row["delta"] = degree

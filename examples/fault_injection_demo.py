@@ -43,8 +43,8 @@ from repro.local.runner import Runner
 
 def crash_and_drop_on_both_engines() -> None:
     print("=== crashes + drops through both engines ===")
-    network = Network.from_edge_list(
-        *gen.erdos_renyi_edges(40, 4.0, seed=1), id_scheme="permuted"
+    network = Network.from_edge_arrays(
+        gen.erdos_renyi_edges(40, 4.0, seed=1), id_scheme="permuted"
     )
     faults = FaultSchedule(crashes={3: 2, 11: 1}, drop_rate=0.05, seed=7)
     runner_trace = Runner(strict=False, max_rounds=500).run(
@@ -68,7 +68,7 @@ def crash_and_drop_on_both_engines() -> None:
 
 def delays_on_both_engines() -> None:
     print("\n=== one-round message delays through both engines ===")
-    network = Network.from_edge_list(*gen.cycle_edges(16), id_scheme="permuted")
+    network = Network.from_edge_arrays(gen.cycle_edges(16), id_scheme="permuted")
     faults = FaultSchedule(delay_rate=0.05, seed=1)
     # A mild delay schedule usually just slows Luby down.  The same schedule
     # object drives both engines: the coroutine runner re-queues each delayed
@@ -111,7 +111,7 @@ def delays_on_both_engines() -> None:
 
 def self_stabilizing_recovery() -> None:
     print("\n=== self-stabilising Luby MIS: crash waves, then recovery ===")
-    network = Network.from_edge_list(*gen.erdos_renyi_edges(40, 3.0, seed=3))
+    network = Network.from_edge_arrays(gen.erdos_renyi_edges(40, 3.0, seed=3))
     # Two crash waves: three vertices die at round 2, three more at round 6.
     crashes = {5: 2, 17: 2, 29: 2, 8: 6, 23: 6, 36: 6}
     faults = FaultSchedule(crashes=crashes, seed=5)

@@ -6,13 +6,12 @@ network → run → validate → measure — through the single documented entry
 point, :class:`repro.core.experiment.Experiment`, without ever materialising
 a ``networkx.Graph`` **or a Python tuple per edge**:
 
-* workload generation uses the direct generators' ``as_arrays=True`` mode,
-  which emits :class:`repro.graphs.edgelist.EdgeArrays` — flat int64
-  endpoint arrays with provenance metadata.  The million-node finale uses
-  the **geometric-skip** ``fast_gnp_edges`` generator, which samples
+* workload generation uses the direct generators, which return
+  :class:`repro.graphs.edgelist.EdgeArrays` — flat int64 endpoint arrays
+  with provenance metadata.  The million-node finale uses the
+  **geometric-skip** ``fast_gnp_edges`` generator, which samples
   ``G(n, p)`` in ``O(n + m)`` and hands its numpy arrays straight through
-  (the quadratic Gilbert twin would need hours at n = 10⁶, and the old
-  tuple round-trip would rebuild a million tuples just to throw them away);
+  (the quadratic Gilbert twin would need hours at n = 10⁶);
 * the facade builds the network through the vectorised numpy CSR build
   (``Network.from_endpoint_arrays``, the one storage every ``Network``
   constructor ends in), runs the seeded trials, validates through the problems' numpy kernels, and
@@ -91,12 +90,12 @@ def main() -> None:
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    arrays = gen.cycle_edges(100_000, as_arrays=True)
+    arrays = gen.cycle_edges(100_000)
     print(f"generated C_100000 endpoint arrays in {time.perf_counter() - t0:.2f} s")
     run_workload("cycle", arrays, engine=args.engine)
 
     t0 = time.perf_counter()
-    arrays = gen.random_regular_edges(4, 50_000, seed=1, as_arrays=True)
+    arrays = gen.random_regular_edges(4, 50_000, seed=1)
     print(f"\ngenerated random 4-regular (n=50k) arrays in {time.perf_counter() - t0:.2f} s")
     run_workload("random-4-regular", arrays, engine=args.engine)
 
@@ -110,7 +109,7 @@ def main() -> None:
     # a matter of seconds — no phase is per-node Python any more.
     big_n = 1_000_000
     t0 = time.perf_counter()
-    arrays = gen.fast_gnp_edges(big_n, 10.0 / big_n, seed=1, as_arrays=True)
+    arrays = gen.fast_gnp_edges(big_n, 10.0 / big_n, seed=1)
     print(
         f"\ngenerated G(n=10⁶, p=10/n) endpoint arrays in {time.perf_counter() - t0:.2f} s "
         f"(geometric skip; the Gilbert loop would flip {big_n * (big_n - 1) // 2:,} coins)"

@@ -20,7 +20,7 @@ Quickstart::
 """
 
 from repro.core import metrics, problems
-from repro.core.experiment import evaluate, run_trials
+from repro.core.experiment import run_trials
 from repro.core.metrics import (
     ComplexityMeasurement,
     complexity_hierarchy,
@@ -47,7 +47,6 @@ __all__ = [
     "problems",
     "metrics",
     "measure",
-    "evaluate",
     "run_trials",
     "node_averaged_complexity",
     "edge_averaged_complexity",

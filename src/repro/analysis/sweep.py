@@ -94,16 +94,13 @@ __all__ = [
 
 AlgorithmFactory = Callable[[Network], NodeAlgorithm]
 ProblemFactory = Callable[[Network], ProblemSpec]
-#: What a sweep's ``graph_factory`` may return: a networkx graph (legacy), a
-#: ready-made :class:`Network`, a ``(n, edges)`` pair from the direct
-#: edge-list generators, or an :class:`EdgeArrays` (the array-first
-#: interchange; the fastest option at large ``n``) — everything but the
-#: networkx graph stays off networkx entirely.  ``nx.Graph`` is a forward
-#: reference: this module never imports networkx, so a sweep whose factory
-#: returns no networkx graph runs without loading it.
-GraphLike = Union[
-    "nx.Graph", Network, EdgeArrays, Tuple[int, Sequence[Tuple[int, int]]]
-]
+#: What a sweep's ``graph_factory`` may return: an :class:`EdgeArrays` (what
+#: the direct edge-list generators return; the fastest option at large
+#: ``n``), a ready-made :class:`Network`, or a networkx graph — everything
+#: but the networkx graph stays off networkx entirely.  ``nx.Graph`` is a
+#: forward reference: this module never imports networkx, so a sweep whose
+#: factory returns no networkx graph runs without loading it.
+GraphLike = Union["nx.Graph", Network, EdgeArrays]
 
 #: What ``sweep(checkpoint=)`` takes: a database path, or a ``(database,
 #: key)`` pair naming one journal in a shared database.
@@ -191,13 +188,13 @@ class SweepResult(List[SweepPoint]):
 def network_from(graph: GraphLike, seed: int = 0, id_scheme: str = "permuted") -> Network:
     """Wrap a workload into a network with the benchmark's default ID scheme.
 
-    Accepts a networkx graph, an ``(n, edges)`` pair (the direct edge-list
-    generators' output — no networkx object is ever built), an
-    :class:`EdgeArrays` (the array-first interchange, built through the
-    vectorised :meth:`Network.from_endpoint_arrays` CSR path), or an
-    existing :class:`Network` (returned as-is, its identifiers already
-    fixed).  A graph, its ``(n, edges)`` form, and its :class:`EdgeArrays`
-    form all produce identical networks for the same ``seed``.
+    Accepts an :class:`EdgeArrays` (the direct edge-list generators'
+    output, built through the vectorised
+    :meth:`Network.from_endpoint_arrays` CSR path — no networkx object is
+    ever built), a networkx graph, or an existing :class:`Network`
+    (returned as-is, its identifiers already fixed); anything else raises
+    :class:`TypeError`.  A graph and its :class:`EdgeArrays` form produce
+    identical networks for the same ``seed``.
 
     This is the sweep-facing name for
     :func:`repro.core.experiment.resolve_network` — one dispatcher, so the
@@ -228,15 +225,14 @@ def sweep(
     Args:
         parameter: name of the swept parameter (for reporting).
         values: the parameter values.
-        graph_factory: builds the workload for a parameter value — a
-            networkx graph, an ``(n, edges)`` pair, an :class:`EdgeArrays`,
-            or a :class:`Network` (see :func:`network_from`).  Large-``n``
-            sweeps should return :class:`EdgeArrays` from the direct
-            generators' ``as_arrays=True`` mode so neither the factory nor
-            the network build touches per-edge Python objects (for
-            Erdős–Rényi workloads at ``n ≥ 10⁵`` use the geometric-skip
-            :func:`repro.graphs.generators.fast_gnp_edges` with
-            ``as_arrays=True``).
+        graph_factory: builds the workload for a parameter value — an
+            :class:`EdgeArrays`, a networkx graph, or a :class:`Network`
+            (see :func:`network_from`).  The direct generators of
+            :mod:`repro.graphs.generators` return :class:`EdgeArrays`, so
+            neither the factory nor the network build touches per-edge
+            Python objects (for Erdős–Rényi workloads at ``n ≥ 10⁵`` use
+            the geometric-skip
+            :func:`repro.graphs.generators.fast_gnp_edges`).
         algorithms: mapping from a display name to a pair
             ``(algorithm_factory, problem_factory)``; both factories receive
             the constructed :class:`Network` so that algorithms can consume

@@ -22,12 +22,12 @@ configuration on ``self`` without leaking state across trials.
 
 :class:`Experiment` is the single documented entry point over the whole
 generate → network → run → validate → measure plumbing.  It accepts graph
-sources in every interchange form the lower layers understand —
-ready-made :class:`Network` objects, legacy ``(n, edges)`` tuple pairs,
-:class:`repro.graphs.edgelist.EdgeArrays` (the array-first interchange, built
-through the vectorised numpy CSR path), networkx graphs, or zero-argument
-callables producing any of those — and returns structured results: the
-traces, per-trial validation verdicts, per-phase wall-clock timings, and a
+sources in the forms the lower layers understand — ready-made
+:class:`Network` objects, :class:`repro.graphs.edgelist.EdgeArrays` (the
+edge-list interchange every direct generator returns, built through the
+vectorised numpy CSR path), networkx graphs, or zero-argument callables
+producing any of those — and returns structured results: the traces,
+per-trial validation verdicts, per-phase wall-clock timings, and a
 :class:`ComplexityMeasurement` with tail quantiles.  A complete run is three
 lines::
 
@@ -38,7 +38,7 @@ lines::
     >>> result = Experiment(
     ...     problem=problems.MIS,
     ...     algorithm=LubyMIS,
-    ...     graphs=fast_gnp_edges(10_000, 8 / 9_999, seed=3, as_arrays=True),
+    ...     graphs=fast_gnp_edges(10_000, 8 / 9_999, seed=3),
     ...     seeds=range(3),
     ... ).run()
     >>> run = result.runs[0]
@@ -49,7 +49,6 @@ lines::
 from __future__ import annotations
 
 import inspect
-import numbers
 import random
 import time
 from dataclasses import dataclass
@@ -68,7 +67,6 @@ from repro.local.runner import Runner
 
 __all__ = [
     "run_trials",
-    "evaluate",
     "trial_seed",
     "seed_schedule",
     "resolve_network",
@@ -152,9 +150,9 @@ def _execute_trials(
 
 
 AlgorithmFactory = Callable[[], NodeAlgorithm]
-#: A graph source the facade understands: a finished :class:`Network`, a
-#: legacy ``(n, edges)`` pair, flat :class:`EdgeArrays` endpoints, a
-#: networkx-like graph, or a zero-argument callable producing any of those.
+#: A graph source the facade understands: a finished :class:`Network`, flat
+#: :class:`EdgeArrays` endpoints, a networkx-like graph, or a zero-argument
+#: callable producing any of those.
 #: Annotated as ``object``: nothing on this path imports networkx, so a
 #: networkx-like graph is recognised by duck typing and the set is not
 #: expressible as a Union; dispatch happens at runtime in
@@ -262,36 +260,6 @@ def run_trials(
     return traces
 
 
-def evaluate(
-    algorithm_factory: AlgorithmFactory,
-    network: Network,
-    problem: ProblemSpec,
-    trials: int = 5,
-    seed: int = 0,
-    runner: Optional[Runner] = None,
-    validate: bool = True,
-    engine: str = "node",
-    faults: Optional[FaultSchedule] = None,
-    timeout_s: Optional[float] = None,
-    batch_budget_bytes: Optional[int] = None,
-) -> ComplexityMeasurement:
-    """Run trials and aggregate them into a single complexity measurement."""
-    traces = run_trials(
-        algorithm_factory,
-        network,
-        problem,
-        trials=trials,
-        seed=seed,
-        runner=runner,
-        validate=validate,
-        engine=engine,
-        faults=faults,
-        timeout_s=timeout_s,
-        batch_budget_bytes=batch_budget_bytes,
-    )
-    return measure(traces)
-
-
 # ---------------------------------------------------------------------- #
 # The Experiment facade
 # ---------------------------------------------------------------------- #
@@ -304,12 +272,12 @@ def resolve_network(
 
     Accepts a ready-made :class:`Network` (returned as-is), an
     :class:`EdgeArrays` (built through the vectorised
-    :meth:`Network.from_endpoint_arrays` CSR path), a legacy ``(n, edges)``
-    pair, a networkx-like graph (anything with ``number_of_nodes()``;
-    duck-typed, so resolving any other source leaves networkx unloaded), or
-    a zero-argument callable producing any of those.  Equivalent sources
-    produce identical networks for the same ``seed`` — the same guarantee
-    :func:`repro.analysis.sweep.network_from` gives.
+    :meth:`Network.from_endpoint_arrays` CSR path), a networkx-like graph
+    (anything with ``number_of_nodes()``; duck-typed, so resolving any
+    other source leaves networkx unloaded), or a zero-argument callable
+    producing any of those; anything else raises :class:`TypeError`.
+    Equivalent sources produce identical networks for the same ``seed`` —
+    the same guarantee :func:`repro.analysis.sweep.network_from` gives.
     """
     if callable(source) and not isinstance(source, Network):
         source = source()
@@ -317,15 +285,12 @@ def resolve_network(
         return source
     if isinstance(source, EdgeArrays):
         return Network.from_edge_arrays(source, id_scheme=id_scheme, rng=random.Random(seed))
-    if isinstance(source, tuple) and len(source) == 2:
-        n, edges = source
-        return Network.from_edge_list(n, edges, id_scheme=id_scheme, rng=random.Random(seed))
     if callable(getattr(source, "number_of_nodes", None)):
         return Network.from_graph(source, id_scheme=id_scheme, rng=random.Random(seed))
     raise TypeError(
         f"cannot interpret {type(source).__name__!r} as a graph source "
-        "(expected Network, EdgeArrays, (n, edges), a networkx graph, or a "
-        "callable producing one)"
+        "(expected Network, EdgeArrays, a networkx graph, or a callable "
+        "producing one)"
     )
 
 
@@ -402,10 +367,6 @@ class ExperimentResult:
     def measurements(self) -> Tuple[ComplexityMeasurement, ...]:
         return tuple(run.measurement for run in self.runs)
 
-    def as_rows(self) -> List[Dict[str, object]]:
-        """One flat dictionary per graph (for table rendering)."""
-        return [run.as_row() for run in self.runs]
-
 
 def _make_algorithm_factory(algorithm: object) -> Callable[[Network], NodeAlgorithm]:
     """Normalise the ``algorithm`` argument into a ``network -> algorithm`` maker.
@@ -467,10 +428,9 @@ class Experiment:
             factory, or a one-argument factory receiving the network.
         graphs: the workload(s): a single graph source, a sequence of them,
             or a mapping ``name -> source`` (names appear in the results).
-            Every interchange form is accepted — :class:`Network`,
-            :class:`EdgeArrays`, ``(n, edges)`` pair, networkx graph, or a
-            zero-argument callable producing any of those (callables are
-            timed as the ``generate_s`` phase).
+            A source is a :class:`Network`, an :class:`EdgeArrays`, a
+            networkx graph, or a zero-argument callable producing any of
+            those (callables are timed as the ``generate_s`` phase).
         seeds: explicit per-trial seeds (one trial per entry).  Mutually
             exclusive with ``trials``/``seed``, which derive the schedule
             ``[trial_seed(seed, i) for i in range(trials)]`` — the exact
@@ -549,13 +509,7 @@ class Experiment:
         # metadata on generated EdgeArrays still reaches the display name.
         if isinstance(graphs, Mapping):
             self._graphs: List[Tuple[Optional[str], GraphSource]] = list(graphs.items())
-        elif isinstance(graphs, (list, tuple)) and not (
-            # A 2-tuple led by an integer (numpy integers included) is one
-            # legacy (n, edges) pair, not a sequence of two graph sources.
-            isinstance(graphs, tuple)
-            and len(graphs) == 2
-            and isinstance(graphs[0], numbers.Integral)
-        ):
+        elif isinstance(graphs, (list, tuple)):
             self._graphs = [(None, g) for g in graphs]
         else:
             self._graphs = [(None, graphs)]

@@ -1,7 +1,7 @@
 """Workload graph generators, the array edge-list interchange, girth utilities, and transforms."""
 
 from repro.graphs import edgelist, generators, girth, transforms
-from repro.graphs.edgelist import EdgeArrays, as_edge_arrays
+from repro.graphs.edgelist import EdgeArrays
 from repro.graphs.transforms import line_graph, power_graph, two_copies_with_perfect_matching
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "girth",
     "transforms",
     "EdgeArrays",
-    "as_edge_arrays",
     "line_graph",
     "power_graph",
     "two_copies_with_perfect_matching",

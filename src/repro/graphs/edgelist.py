@@ -1,13 +1,11 @@
 """The array-first edge-list interchange format (:class:`EdgeArrays`).
 
 Every layer of the trial pipeline — generators, :class:`Network`
-construction, sweeps, the :class:`~repro.core.experiment.Experiment` facade —
-historically exchanged graphs as ``(n, [(u, v), ...])`` pairs: one Python
-tuple per edge.  At ``m = 5·10⁶`` those tuples dominate the pipeline's
-memory traffic and the :class:`Network` build time.  :class:`EdgeArrays` is
-the flat replacement: the endpoints live in two parallel int64 numpy arrays
-(``src``/``dst``), so a million-edge workload is two 8 MB buffers instead of
-five million tuple objects, and the CSR build
+construction, sweeps, the :class:`~repro.core.experiment.Experiment` facade,
+the experiment service — exchanges graphs as :class:`EdgeArrays`: the
+endpoints live in two parallel int64 numpy arrays (``src``/``dst``), so a
+million-edge workload is two 8 MB buffers instead of five million tuple
+objects, and the CSR build
 (:meth:`repro.local.network.Network.from_endpoint_arrays`) can sort and
 deduplicate them entirely inside numpy.
 
@@ -23,15 +21,14 @@ produced the arrays, with which parameters and seed — so results can name
 their workloads without re-deriving anything::
 
     >>> from repro.graphs.generators import fast_gnp_edges
-    >>> arrays = fast_gnp_edges(1000, 0.01, seed=7, as_arrays=True)
+    >>> arrays = fast_gnp_edges(1000, 0.01, seed=7)
     >>> arrays.n, arrays.m, arrays.meta["family"]
     (1000, ..., 'fast_gnp')
 
-Compat wrappers: :meth:`EdgeArrays.from_pairs` lifts a legacy
-``(n, edges)`` pair into arrays, :meth:`EdgeArrays.as_pairs` lowers back to
-the tuple-per-edge form (for consumers not yet array-aware; avoid it on the
-large-``n`` path — it materialises exactly the per-edge objects this type
-exists to remove).
+:meth:`EdgeArrays.from_pairs` builds the arrays from ``(u, v)`` pairs (the
+stream-exact generators' replays end there), and :meth:`EdgeArrays.as_pairs`
+lists them back as tuples, one Python object per edge, for tests and
+oracles off the large-``n`` path.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-__all__ = ["EdgeArrays", "as_edge_arrays"]
+__all__ = ["EdgeArrays"]
 
 Edge = Tuple[int, int]
 
@@ -127,7 +124,7 @@ class EdgeArrays:
         return f"EdgeArrays(n={self.n}, m={self.m}{tag})"
 
     # ------------------------------------------------------------------ #
-    # Compat wrappers (tuple-of-pairs interchange)
+    # Tuple-of-pairs conversions
     # ------------------------------------------------------------------ #
 
     @classmethod
@@ -137,7 +134,7 @@ class EdgeArrays:
         edges: Iterable[Edge],
         meta: Mapping[str, object] | None = None,
     ) -> "EdgeArrays":
-        """Lift a legacy ``(n, edges)`` tuple-of-pairs edge list into arrays."""
+        """Build the arrays from ``(u, v)`` pairs on vertices ``0..n-1``."""
         pairs = np.asarray(list(edges) if not isinstance(edges, (list, tuple)) else edges)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2).astype(np.int64)
@@ -153,13 +150,8 @@ class EdgeArrays:
         return cls(n=n, src=pairs[:, 0], dst=pairs[:, 1], meta=dict(meta or {}))
 
     def as_pairs(self) -> List[Edge]:
-        """The tuple-per-edge view (compat; costs one Python object per edge)."""
+        """The edges as ``(u, v)`` tuples (one Python object per edge)."""
         return list(zip(self.src.tolist(), self.dst.tolist()))
-
-    def as_edge_list(self) -> Tuple[int, List[Edge]]:
-        """The legacy ``(n, edges)`` pair consumed by tuple-era call sites."""
-        # repro-lint: allow[REP002] this IS the documented compat wrapper
-        return self.n, self.as_pairs()
 
     def with_meta(self, **meta: object) -> "EdgeArrays":
         """A copy with extra provenance merged into ``meta`` (arrays shared)."""
@@ -167,25 +159,3 @@ class EdgeArrays:
         merged.update(meta)
         return EdgeArrays(n=self.n, src=self.src, dst=self.dst, meta=merged)
 
-
-def as_edge_arrays(source: object) -> EdgeArrays:
-    """Coerce a graph source into :class:`EdgeArrays`.
-
-    Accepts an :class:`EdgeArrays` (returned as-is), a legacy ``(n, edges)``
-    pair, or a networkx-like graph (anything with ``number_of_nodes()`` /
-    ``edges()``; nodes must be ``0..n-1``).  :class:`Network` objects are
-    deliberately *not* accepted — they already hold a finished topology, and
-    every consumer of this helper accepts them directly.
-    """
-    if isinstance(source, EdgeArrays):
-        return source
-    if isinstance(source, tuple) and len(source) == 2:
-        n, edges = source
-        return EdgeArrays.from_pairs(int(n), edges)
-    number_of_nodes = getattr(source, "number_of_nodes", None)
-    if callable(number_of_nodes):
-        # repro-lint: allow[REP002] nx-graph coercion boundary (cold path)
-        return EdgeArrays.from_pairs(int(number_of_nodes()), list(source.edges()))
-    raise TypeError(
-        f"cannot interpret {type(source).__name__!r} as an edge-array graph source"
-    )

@@ -14,29 +14,26 @@ networkx.  They cover the graph families the paper's results talk about:
 * grids, stars and complete graphs.
 
 Each family is additionally available as a **direct edge-list generator**
-(``cycle_edges``, ``random_regular_edges``, …) returning an ``(n, edges)``
-pair without ever instantiating a networkx graph — the construction path for
-``n ≥ 10⁵`` sweeps, consumed by :meth:`Network.from_edge_list` and
-:func:`repro.analysis.sweep.network_from`.  Every direct generator also
-accepts ``as_arrays=True`` and then returns the same edge list as an
+(``cycle_edges``, ``random_regular_edges``, …) returning an
 :class:`repro.graphs.edgelist.EdgeArrays` — flat int64 endpoint arrays with
-provenance metadata, the array-first interchange consumed by
-:meth:`Network.from_endpoint_arrays` / :meth:`Network.from_edge_arrays` and
-accepted everywhere ``(n, edges)`` pairs are.  The deterministic families
-(cycles, paths, stars, grids, complete graphs) and :func:`fast_gnp_edges`
-build those arrays **directly in numpy**, never materialising a Python tuple
-per edge; the stream-exact randomized twins necessarily replay their
-tuple-based reference algorithms first and convert at the end (the RNG
-stream, and hence the edge set, is identical either way).  The direct
-generators are **stream-exact** twins of their networkx counterparts: for a
-matching seed they produce the same edge set, because they replay the
-counterpart's RNG consumption call for call (the randomized ones replicate
-the algorithm of the *installed* networkx version — Steger–Wormald pairing
-for ``random_regular_edges``, the O(n²) Gilbert loop for
-``erdos_renyi_edges``).  networkx is an installed dependency, not
-vendored, so a future upgrade that reorders its internal draws would break
-the stream parity — the seed-for-seed equivalence tests in
-``tests/graphs/test_generator_edges.py`` exist to catch exactly that drift.
+provenance metadata — without ever instantiating a networkx graph: the
+construction path for ``n ≥ 10⁵`` sweeps, consumed by
+:meth:`Network.from_edge_arrays`, :func:`repro.analysis.sweep.network_from`
+and the :class:`~repro.core.experiment.Experiment` facade.  The
+deterministic families (cycles, paths, stars, grids, complete graphs) and
+:func:`fast_gnp_edges` build those arrays **directly in numpy**, never
+materialising a Python tuple per edge; the stream-exact randomized twins
+necessarily replay their tuple-based reference algorithms first and convert
+at the end.  The direct generators are **stream-exact** twins of their
+networkx counterparts: for a matching seed they produce the same edge set,
+because they replay the counterpart's RNG consumption call for call (the
+randomized ones replicate the algorithm of the *installed* networkx
+version — Steger–Wormald pairing for ``random_regular_edges``, the O(n²)
+Gilbert loop for ``erdos_renyi_edges``).  networkx is an installed
+dependency, not vendored, so a future upgrade that reorders its internal
+draws would break the stream parity — the seed-for-seed equivalence tests
+in ``tests/graphs/test_generator_edges.py`` exist to catch exactly that
+drift.
 
 One generator deliberately breaks the stream-exactness rule:
 :func:`fast_gnp_edges` is the geometric-skip (Batagelj–Brandes) Erdős–Rényi
@@ -52,7 +49,7 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -82,10 +79,6 @@ __all__ = [
 ]
 
 Edge = Tuple[int, int]
-EdgeList = Tuple[int, List[Edge]]
-#: What a direct generator returns: the legacy ``(n, edges)`` pair, or —
-#: with ``as_arrays=True`` — the flat :class:`EdgeArrays` interchange.
-EdgeResult = Union[EdgeList, EdgeArrays]
 
 
 def relabel_to_integers(graph: nx.Graph) -> nx.Graph:
@@ -187,130 +180,78 @@ def random_tree(n: int, seed: int = 0) -> nx.Graph:
 # ---------------------------------------------------------------------- #
 
 
-def cycle_edges(n: int, as_arrays: bool = False) -> EdgeResult:
-    """Edge-list twin of :func:`cycle_graph`: the n-cycle as ``(n, edges)``.
+def _edge_arrays(n: int, src: np.ndarray, dst: np.ndarray, /, **meta: object) -> EdgeArrays:
+    """Freeze freshly built endpoint arrays, so :class:`EdgeArrays` adopts
+    them without a copy, and label them with their provenance."""
+    src.setflags(write=False)
+    dst.setflags(write=False)
+    return EdgeArrays(n=n, src=src, dst=dst, meta=meta)
 
-    With ``as_arrays=True`` the endpoints are built directly as numpy arange
-    blocks (same edge order) and returned as :class:`EdgeArrays`.
-    """
+
+def cycle_edges(n: int) -> EdgeArrays:
+    """Edge-list twin of :func:`cycle_graph`: ``(i, i + 1)`` for each
+    ``i < n − 1``, then ``(0, n − 1)``."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 nodes")
-    if as_arrays:
-        body = np.arange(n - 1, dtype=np.int64)
-        src = np.concatenate((body, np.zeros(1, dtype=np.int64)))
-        dst = np.concatenate((body + 1, np.full(1, n - 1, dtype=np.int64)))
-        src.setflags(write=False)
-        dst.setflags(write=False)
-        return EdgeArrays(n=n, src=src, dst=dst, meta={"family": "cycle", "n": n})
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((0, n - 1))
-    return n, edges
+    src = np.arange(n, dtype=np.int64)
+    dst = src + 1
+    src[-1], dst[-1] = 0, n - 1
+    return _edge_arrays(n, src, dst, family="cycle", n=n)
 
 
-def path_edges(n: int, as_arrays: bool = False) -> EdgeResult:
-    """Edge-list twin of :func:`path_graph` (arrays built natively in numpy)."""
+def path_edges(n: int) -> EdgeArrays:
+    """Edge-list twin of :func:`path_graph`: ``(i, i + 1)`` for each ``i < n − 1``."""
     if n < 1:
         raise ValueError("a path needs at least 1 node")
-    if as_arrays:
-        src = np.arange(max(0, n - 1), dtype=np.int64)
-        dst = src + 1
-        src.setflags(write=False)
-        dst.setflags(write=False)
-        return EdgeArrays(n=n, src=src, dst=dst, meta={"family": "path", "n": n})
-    return n, [(i, i + 1) for i in range(n - 1)]
+    src = np.arange(n - 1, dtype=np.int64)
+    return _edge_arrays(n, src, src + 1, family="path", n=n)
 
 
-def complete_edges(n: int, as_arrays: bool = False) -> EdgeResult:
-    """Edge-list twin of :func:`complete_graph`.
-
-    The array mode uses ``np.triu_indices`` — row-major upper-triangle order,
-    exactly the ``itertools.combinations`` order of the tuple mode.
-    """
+def complete_edges(n: int) -> EdgeArrays:
+    """Edge-list twin of :func:`complete_graph`, in row-major
+    upper-triangle order (``np.triu_indices``)."""
     if n < 1:
         raise ValueError("a complete graph needs at least 1 node")
-    if as_arrays:
-        src, dst = np.triu_indices(n, k=1)
-        src = src.astype(np.int64, copy=False)
-        dst = dst.astype(np.int64, copy=False)
-        src.setflags(write=False)
-        dst.setflags(write=False)
-        return EdgeArrays(n=n, src=src, dst=dst, meta={"family": "complete", "n": n})
-    return n, list(itertools.combinations(range(n), 2))
+    src, dst = np.triu_indices(n, k=1)
+    return _edge_arrays(n, src, dst, family="complete", n=n)
 
 
-def star_edges(leaves: int, as_arrays: bool = False) -> EdgeResult:
+def star_edges(leaves: int) -> EdgeArrays:
     """Edge-list twin of :func:`star_graph` (``n = leaves + 1``, centre 0)."""
     if leaves < 1:
         raise ValueError("a star needs at least one leaf")
-    if as_arrays:
-        src = np.zeros(leaves, dtype=np.int64)
-        dst = np.arange(1, leaves + 1, dtype=np.int64)
-        src.setflags(write=False)
-        dst.setflags(write=False)
-        return EdgeArrays(
-            n=leaves + 1, src=src, dst=dst, meta={"family": "star", "leaves": leaves}
-        )
-    return leaves + 1, [(0, i) for i in range(1, leaves + 1)]
+    src = np.zeros(leaves, dtype=np.int64)
+    dst = np.arange(1, leaves + 1, dtype=np.int64)
+    return _edge_arrays(leaves + 1, src, dst, family="star", leaves=leaves)
 
 
-def grid_edges(rows: int, cols: int, as_arrays: bool = False) -> EdgeResult:
+def grid_edges(rows: int, cols: int) -> EdgeArrays:
     """Edge-list twin of :func:`grid_graph`.
 
     Vertex ``(i, j)`` of the grid maps to ``i * cols + j`` — the same
     numbering :func:`relabel_to_integers` assigns (networkx inserts grid
-    nodes row-major), so the edge sets coincide exactly.  The array mode
-    builds the right-going and down-going edge blocks vectorised and
-    interleaves them with one stable sort into the tuple mode's
-    per-vertex (right, down) order.
+    nodes row-major), so the edge sets coincide exactly.  The right-going
+    edges come first, then the down-going ones, each block row-major.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    if as_arrays:
-        ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-        right = ids[:, :-1].ravel()
-        down = ids[:-1, :].ravel()
-        src = np.concatenate((right, down))
-        dst = np.concatenate((right + 1, down + cols))
-        # Tuple order is per-vertex right-then-down: stable sort by source
-        # vertex with the right-block (priority 0) before the down-block.
-        priority = np.concatenate(
-            (np.zeros(right.size, dtype=np.int64), np.ones(down.size, dtype=np.int64))
-        )
-        order = np.lexsort((priority, src))
-        src = src[order]
-        dst = dst[order]
-        src.setflags(write=False)
-        dst.setflags(write=False)
-        return EdgeArrays(
-            n=rows * cols,
-            src=src,
-            dst=dst,
-            meta={"family": "grid", "rows": rows, "cols": cols},
-        )
-    edges: List[Edge] = []
-    for i in range(rows):
-        base = i * cols
-        for j in range(cols):
-            v = base + j
-            if j + 1 < cols:
-                edges.append((v, v + 1))
-            if i + 1 < rows:
-                edges.append((v, v + cols))
-    return rows * cols, edges
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    right = ids[:, :-1].ravel()
+    down = ids[:-1, :].ravel()
+    src = np.concatenate((right, down))
+    dst = np.concatenate((right + 1, down + cols))
+    return _edge_arrays(rows * cols, src, dst, family="grid", rows=rows, cols=cols)
 
 
-def random_regular_edges(
-    degree: int, n: int, seed: int = 0, as_arrays: bool = False
-) -> EdgeResult:
+def random_regular_edges(degree: int, n: int, seed: int = 0) -> EdgeArrays:
     """Edge-list twin of :func:`random_regular_graph` (stream-exact).
 
     Replays the Steger–Wormald pairing algorithm of the installed networkx
     ``random_regular_graph`` with a ``random.Random(seed)`` — the same RNG
     ``py_random_state`` would build — so a matching seed yields the same
-    graph, without constructing it as a networkx object.  ``as_arrays=True``
-    returns the identical edge set as :class:`EdgeArrays` (the pairing
-    algorithm itself stays tuple-based — that is the price of stream
-    exactness; see the module docstring).
+    graph, without constructing it as a networkx object.  The pairing
+    itself stays tuple-based (the price of stream exactness; see the module
+    docstring); its sorted edge list becomes the arrays at the end.
     """
     if degree < 0 or n <= degree:
         raise ValueError("need 0 <= degree < n")
@@ -318,7 +259,7 @@ def random_regular_edges(
         raise ValueError("degree * n must be even")
     meta = {"family": "random_regular", "degree": degree, "n": n, "seed": seed}
     if degree == 0:
-        return EdgeArrays.from_pairs(n, [], meta=meta) if as_arrays else (n, [])
+        return EdgeArrays.from_pairs(n, [], meta=meta)
     rng = random.Random(seed)
 
     def _suitable(edges: Set[Edge], potential_edges) -> bool:
@@ -361,15 +302,10 @@ def random_regular_edges(
     edges = _try_creation()
     while edges is None:
         edges = _try_creation()
-    ordered = sorted(edges)
-    if as_arrays:
-        return EdgeArrays.from_pairs(n, ordered, meta=meta)
-    return n, ordered
+    return EdgeArrays.from_pairs(n, sorted(edges), meta=meta)
 
 
-def erdos_renyi_edges(
-    n: int, expected_degree: float, seed: int = 0, as_arrays: bool = False
-) -> EdgeResult:
+def erdos_renyi_edges(n: int, expected_degree: float, seed: int = 0) -> EdgeArrays:
     """Edge-list twin of :func:`erdos_renyi_graph` (stream-exact).
 
     Replays the O(n²) Gilbert loop of networkx's ``gnp_random_graph``
@@ -378,8 +314,8 @@ def erdos_renyi_edges(
     stays stream-exact rather than fast at very large ``n``; the sparse
     families (cycles, regular graphs, grids) are the intended ``n ≥ 10⁵``
     workloads (and :func:`fast_gnp_edges` the intended large-``n``
-    Erdős–Rényi generator).  ``as_arrays=True`` converts the identical edge
-    list to :class:`EdgeArrays` after the replay.
+    Erdős–Rényi generator).  The replay's edge list becomes the arrays at
+    the end.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -389,27 +325,19 @@ def erdos_renyi_edges(
         "expected_degree": expected_degree,
         "seed": seed,
     }
-
-    def _result(num: int, edges: List[Edge]) -> EdgeResult:
-        if as_arrays:
-            return EdgeArrays.from_pairs(num, edges, meta=meta)
-        return num, edges
-
-    if n == 1:
-        return _result(1, [])
-    p = min(1.0, max(0.0, expected_degree / (n - 1)))
+    p = min(1.0, max(0.0, expected_degree / (n - 1))) if n > 1 else 0.0
     if p >= 1.0:
-        return _result(*complete_edges(n))
-    if p <= 0.0:
-        return _result(n, [])
-    rng = random.Random(seed)
-    rnd = rng.random
-    return _result(n, [e for e in itertools.combinations(range(n), 2) if rnd() < p])
+        return complete_edges(n).with_meta(**meta)
+    edges: List[Edge] = []
+    if p > 0.0:
+        rnd = random.Random(seed).random
+        edges = [e for e in itertools.combinations(range(n), 2) if rnd() < p]
+    return EdgeArrays.from_pairs(n, edges, meta=meta)
 
 
 def fast_gnp_edges(
-    n: int, p: float, seed: int = 0, as_arrays: bool = False
-) -> EdgeResult:
+    n: int, p: float, seed: int = 0, *, as_arrays: bool = True
+) -> EdgeArrays:
     """Geometric-skip Erdős–Rényi generator: ``G(n, p)`` in ``O(n + m)`` time.
 
     The sub-quadratic twin of :func:`erdos_renyi_edges` for the ``n ≥ 10⁵``
@@ -438,34 +366,28 @@ def fast_gnp_edges(
     an expected degree.  Use ``p = expected_degree / (n - 1)`` to match.
 
     Returns canonical ``(u, v), u < v`` edges, ordered by pair index (larger
-    endpoint first, then smaller — the skip-walk order), ready for
-    :meth:`Network.from_edge_list`, :func:`repro.analysis.sweep.network_from`
-    and ``sweep(graph_factory=...)``, all of which canonicalise order
-    themselves.  With ``as_arrays=True`` the endpoints are returned **as the
-    numpy arrays the skip walk computed them in** (an :class:`EdgeArrays`,
-    zero per-edge Python objects end to end) — the intended form for the
-    ``n ≥ 10⁵`` regime, feeding :meth:`Network.from_endpoint_arrays`
-    directly.  The default tuple mode is kept as a compatibility wrapper and
-    is **deprecated on the large-n path**: it rebuilds one tuple per edge
-    from the arrays (at ``m = 5·10⁶`` that round trip costs more than
-    generating the edges), and large-``n`` call sites should pass
-    ``as_arrays=True`` instead.  The same ``(n, p, seed)`` triple produces
-    the same edge list in either mode.
+    endpoint first, then smaller — the skip-walk order), **as the numpy
+    arrays the skip walk computed them in**: zero per-edge Python objects
+    end to end.  :meth:`Network.from_edge_arrays`,
+    :func:`repro.analysis.sweep.network_from` and
+    ``sweep(graph_factory=...)`` canonicalise the order themselves.
+    ``as_arrays`` is accepted only as ``True``; ``False`` (the
+    ``(n, edges)`` pair) raises :class:`ValueError`.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if not as_arrays:
+        raise ValueError(
+            "fast_gnp_edges returns EdgeArrays only; as_arrays=False is not supported"
+        )
     meta = {"family": "fast_gnp", "n": n, "p": p, "seed": seed}
     if n == 1 or p == 0.0:
-        if as_arrays:
-            return EdgeArrays.from_pairs(n, [], meta=meta)
-        return n, []
+        return EdgeArrays.from_pairs(n, [], meta=meta)
     if p >= 1.0:
-        if as_arrays:
-            # Keep the fast_gnp provenance (p, seed) on the delegated K_n.
-            return complete_edges(n, as_arrays=True).with_meta(**meta)
-        return complete_edges(n)
+        # Keep the fast_gnp provenance (p, seed) on the delegated K_n.
+        return complete_edges(n).with_meta(**meta)
 
     total_pairs = n * (n - 1) // 2
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -492,11 +414,4 @@ def fast_gnp_edges(
     v = np.where(v * (v - 1) // 2 > k, v - 1, v)
     v = np.where(v * (v + 1) // 2 <= k, v + 1, v)
     w = k - v * (v - 1) // 2
-    if as_arrays:
-        # Hand the skip walk's own arrays straight through — the large-n
-        # path, with zero per-edge Python objects.  Freezing them first lets
-        # EdgeArrays adopt the buffers instead of defensively copying.
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return EdgeArrays(n=n, src=w, dst=v, meta=meta)
-    return n, list(zip(w.tolist(), v.tolist()))
+    return _edge_arrays(n, w, v, **meta)

@@ -37,8 +37,8 @@ REP007    buffered ``out=`` — no ``compress(out=)`` or ``take(out=)``
 
 A finding is suppressed by a trailing (or immediately preceding) comment
 ``# repro-lint: allow[REP00X] <why>`` — the sanctioned escape hatch for
-documented exceptions such as the block-PCG64 helpers and the tuple-edge
-compat wrappers.  Findings that predate a rule live in the committed
+documented exceptions such as the block-PCG64 helpers and the networkx
+reference validators.  Findings that predate a rule live in the committed
 ``lint-baseline.json`` (format ``lint-baseline/v1``) with a justification.
 
 Dependency discipline mirrors ``repro.service``: standard library

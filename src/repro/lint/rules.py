@@ -154,7 +154,7 @@ _HOT_PATH_MODULES = {
 }
 
 #: Calls that materialise a Python object per edge (or the nx graph).
-_MATERIALISERS = {"to_networkx", "as_edge_list", "as_pairs"}
+_MATERIALISERS = {"to_networkx", "as_pairs"}
 
 #: Builtins that copy their argument into a container, one entry per edge.
 _COPIES = {"list", "tuple", "sorted", "set"}

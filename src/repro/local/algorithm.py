@@ -17,8 +17,9 @@ round complexity counted in the paper.
 
 Messages can be arbitrary Python objects in the LOCAL model.  Algorithms that
 claim CONGEST bounds should keep messages to ``O(log n)``-bit payloads (small
-tuples of integers/booleans); :class:`repro.local.runner.Runner` can verify
-this with ``congest_check=True``.
+tuples of integers/booleans); ``Runner(track_message_bits=True)``
+(:class:`repro.local.runner.Runner`) records the largest message's size in
+the trace's ``max_message_bits`` to check that bound.
 """
 
 from __future__ import annotations

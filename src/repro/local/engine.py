@@ -5,10 +5,10 @@ Python coroutine: at ``n = 10⁶`` the round loop is ~60 s of a ~65 s pipeline
 even after every other phase went array-native.  :class:`ArrayEngine` removes
 that last per-node cost for algorithms that implement the
 :class:`ArrayAlgorithm` protocol: a round is executed as a handful of numpy
-operations over flat per-node/per-edge state arrays and the network's CSR
-topology (``indptr``/``indices`` plus the canonical ``edge_endpoints()``
-arrays) — no :class:`~repro.local.node.NodeRuntime`, no inbox dicts, no
-per-node generator frames.
+operations over flat per-node/per-edge state arrays and the network's
+canonical ``edge_endpoints()`` arrays — no
+:class:`~repro.local.node.NodeRuntime`, no inbox dicts, no per-node
+generator frames.
 
 Every array run is a batch.  :meth:`ArrayEngine.run_batch` steps ``T``
 seeded trials in lockstep over ``(T, n)`` / ``(T, m)`` state arrays, and
@@ -61,13 +61,14 @@ G(10⁶, 10/(n−1)) with seed 1 (``m = 5 000 139``), two runs each: the first
 engine's scratch arena, peaks at 270 MB of tracemalloc allocations for
 Luby MIS and 259 MB for randomized matching (the topology adopts the
 network's identifier array, 8 MB at this size); a rerun on the same engine
-reuses the arena and peaks at 72 MB and 104 MB; the best untraced time of
-three warm reruns is 0.31–0.32 s and 1.31 s.  The per-round-allocating
+reuses the arena and peaks at 80 MB and 112 MB, 8 MB of it the degree
+vector of the topology each call builds; the best untraced time of three
+warm reruns is 0.31–0.32 s and 1.31 s.  The per-round-allocating
 single-trial loop that preceded the batch protocol took 0.75–0.79 s with
 191 MB and 7.5–8.2 s with 216 MB on the same graph.
 
-Routing.  ``run_trials`` / ``evaluate`` / :class:`~repro.core.experiment.
-Experiment` / :func:`repro.analysis.sweep.sweep` accept
+Routing.  ``run_trials`` / :class:`~repro.core.experiment.Experiment` /
+:func:`repro.analysis.sweep.sweep` accept
 ``engine="node" | "array" | "auto"``: ``"node"`` is the coroutine runner
 (default — bit-exact traces), ``"array"`` demands the engine (raising if the
 algorithm has no array implementation), ``"auto"`` picks the engine exactly
@@ -76,7 +77,6 @@ when ``algorithm.as_array_algorithm()`` returns one.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -101,35 +101,24 @@ __all__ = [
 
 
 class ArrayTopology:
-    """Flat numpy views of a :class:`Network`, shared by every engine run.
+    """Flat numpy views of a :class:`Network`, shared by one engine call's runs.
 
-    All arrays are int64 and read-only (or treated as such): ``indptr`` /
-    ``indices`` are the CSR adjacency, ``edge_us`` / ``edge_vs`` the
-    canonical edge endpoints in :attr:`Network.edges` slot order,
-    ``degrees`` the per-vertex degree vector and ``identifiers`` the
-    per-vertex unique IDs.  The CSR, endpoint and identifier arrays are the
-    network's own storage, adopted without a copy; the topology is built
-    once per network and cached on the engine.
+    All arrays are int64 and read-only (or treated as such): ``edge_us`` /
+    ``edge_vs`` are the canonical edge endpoints in :attr:`Network.edges`
+    slot order, ``degrees`` the per-vertex degree vector and
+    ``identifiers`` the per-vertex unique IDs.  The endpoint and identifier
+    arrays are the network's own storage, adopted without a copy; only
+    ``degrees`` is computed, so :meth:`ArrayEngine.run` and
+    :meth:`ArrayEngine.run_batch` build one per call.
     """
 
-    __slots__ = (
-        "n",
-        "m",
-        "indptr",
-        "indices",
-        "edge_us",
-        "edge_vs",
-        "degrees",
-        "identifiers",
-    )
+    __slots__ = ("n", "m", "edge_us", "edge_vs", "degrees", "identifiers")
 
     def __init__(self, network: Network) -> None:
         self.n = network.n
         self.m = network.m
-        self.indptr = network.indptr
-        self.indices = network.indices
         self.edge_us, self.edge_vs = network.edge_endpoints()
-        self.degrees = np.diff(self.indptr)
+        self.degrees = np.diff(network.indptr)
         self.identifiers = network.identifier_array
 
 
@@ -392,11 +381,10 @@ class ArrayEngine:
     knobs (``max_rounds``, ``strict``), same completion semantics (node- /
     edge-labelling problems complete when every node / edge committed,
     problems labelling neither when every node halted), same strict-mode
-    :class:`~repro.local.runner.RoundLimitExceeded`.  Per-network
-    :class:`ArrayTopology` views are cached in a small LRU (like
-    :class:`~repro.local.faults.FaultSchedule`'s mask cache), so trial
-    loops — including sweeps alternating between a handful of networks —
-    pay the (cheap, mostly zero-copy) view construction once per network.
+    :class:`~repro.local.runner.RoundLimitExceeded`.  Each :meth:`run` and
+    :meth:`run_batch` call builds its own :class:`ArrayTopology` (mostly
+    zero-copy views), so the engine holds no reference to a network after
+    the call returns.
 
     Kernel scratch comes from one :class:`ScratchArena` that lives as long
     as the engine and is handed to every
@@ -408,39 +396,17 @@ class ArrayEngine:
     10/(n−1))``, 190 MB for Luby MIS (34 bytes per edge plus 20 per node)
     and 147 MB for randomized matching (26 plus 17).
     :class:`~repro.core.experiment.Experiment` keeps one engine for its
-    lifetime; ``run_trials``, ``evaluate`` and sweep cells build one per
-    call and keep nothing after they return.  An engine runs one chunk at
-    a time, which the topology cache also assumes: do not share an engine
-    between threads.
+    lifetime; ``run_trials`` and sweep cells build one per call and keep
+    nothing after they return.  An engine runs one chunk at a time, which
+    its arena assumes: do not share an engine between threads.
     """
-
-    _TOPOLOGY_CACHE_SIZE = 8
 
     def __init__(self, max_rounds: int = 10_000, strict: bool = True) -> None:
         if max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
         self.max_rounds = max_rounds
         self.strict = strict
-        self._topology_cache: "OrderedDict[int, Tuple[Network, ArrayTopology]]" = (
-            OrderedDict()
-        )
         self._scratch = ScratchArena()
-
-    def _topology(self, network: Network) -> ArrayTopology:
-        # Keyed by id() with the network held strongly in the entry: the
-        # stored reference keeps the id from being reused while cached, and
-        # the identity check guards against a stale hit regardless.
-        key = id(network)
-        entry = self._topology_cache.get(key)
-        if entry is not None and entry[0] is network:
-            self._topology_cache.move_to_end(key)
-            return entry[1]
-        topology = ArrayTopology(network)
-        self._topology_cache[key] = (network, topology)
-        self._topology_cache.move_to_end(key)
-        while len(self._topology_cache) > self._TOPOLOGY_CACHE_SIZE:
-            self._topology_cache.popitem(last=False)
-        return topology
 
     def run(
         self,
@@ -455,7 +421,7 @@ class ArrayEngine:
         The trace is bit-identical to trial ``seed`` of any
         :meth:`run_batch` call, with or without ``faults``.
         """
-        topology = self._topology(network)
+        topology = ArrayTopology(network)
         faults = self._injecting(algorithm, faults, topology)
         return self._run_chunk(algorithm, network, problem, topology, [seed], faults)[0]
 
@@ -488,7 +454,7 @@ class ArrayEngine:
         each trace records the fault events of the rounds its trial ran,
         and validation scores the surviving subgraph.
         """
-        topology = self._topology(network)
+        topology = ArrayTopology(network)
         faults = self._injecting(algorithm, faults, topology)
         seeds = list(seeds)
         traces: List[ExecutionTrace] = []

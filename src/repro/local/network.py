@@ -21,13 +21,14 @@ in ``[0, 2**63 - 1]`` (see :mod:`repro.local.ids`).  Every constructor ends
 in the same vectorised build — canonicalisation, sort and duplicate removal
 inside numpy, with no Python tuple per edge:
 
+* :meth:`Network.from_edge_arrays` and :meth:`Network.from_endpoint_arrays`
+  take the endpoint arrays as they come: the
+  :class:`repro.graphs.edgelist.EdgeArrays` every direct generator of
+  :mod:`repro.graphs.generators` returns, or two bare arrays;
 * ``Network(graph)`` relabels a networkx graph's nodes to ``0..n-1`` and
   turns its edges into two endpoint arrays;
-* :meth:`Network.from_edges` and :meth:`Network.from_edge_list` turn their
-  ``(u, v)`` pairs into two endpoint arrays;
-* :meth:`Network.from_endpoint_arrays` and :meth:`Network.from_edge_arrays`
-  take the endpoint arrays (the :class:`repro.graphs.edgelist.EdgeArrays`
-  interchange) as they come.
+* :meth:`Network.from_edges` and :meth:`Network.from_edge_list` turn
+  literal ``(u, v)`` pairs into two endpoint arrays.
 
 The per-node views — the sorted neighbour tuples and the identifier tuple
 the round simulator consumes, the tuple-of-pairs :attr:`Network.edges`, and
@@ -153,7 +154,6 @@ class Network:
             pairs = [(index_of[u], index_of[v]) for u, v in pairs]
         src, dst = _pair_columns(pairs)
         self._init_from_endpoint_arrays(n, src, dst, id_array)
-        self._original_labels = original_nodes
 
     def _init_from_endpoint_arrays(
         self,
@@ -175,7 +175,6 @@ class Network:
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        self._original_labels: Optional[List] = None
         self.n = n
         src = _as_int64(src, "src").ravel()
         dst = _as_int64(dst, "dst").ravel()
@@ -294,12 +293,13 @@ class Network:
         id_scheme: str = "sequential",
         rng: Optional[random.Random] = None,
     ) -> "Network":
-        """Build a network straight from an edge list with a named ID scheme.
+        """Build a network from literal ``(u, v)`` pairs with a named ID scheme.
 
         The edge-list twin of :meth:`from_graph`: given the same topology and
         ``rng`` state it produces an identical network, but never touches
-        networkx — the construction path for ``n ≥ 10⁵`` workloads fed by the
-        direct generators in :mod:`repro.graphs.generators`.
+        networkx.  The direct generators in :mod:`repro.graphs.generators`
+        return :class:`~repro.graphs.edgelist.EdgeArrays`, which
+        :meth:`from_edge_arrays` takes without the per-pair conversion.
         """
         src, dst = _pair_columns(edges)
         return cls.from_endpoint_arrays(n, src, dst, id_scheme=id_scheme, rng=rng)
@@ -389,7 +389,6 @@ class Network:
         alive.
         """
         net = cls.__new__(cls)
-        net._original_labels = None
         net.n = int(n)
         net.m = int(m)
         net._edges_cache = None
@@ -414,7 +413,8 @@ class Network:
     ) -> "Network":
         """Build a network from an :class:`~repro.graphs.edgelist.EdgeArrays`.
 
-        The array form of :meth:`from_edge_list`: accepts any object exposing
+        The construction path of the direct generators' output, and the
+        array form of :meth:`from_edge_list`: accepts any object exposing
         ``n``/``src``/``dst`` (duck-typed so this module needs no import from
         :mod:`repro.graphs`) and applies a named ID scheme.  Given the same
         topology and ``rng`` state it produces the same network as
@@ -555,10 +555,6 @@ class Network:
             return False
         return u * self.n + v in self._packed_edge_index()
 
-    def incident_edges(self, v: int) -> List[Tuple[int, int]]:
-        """Canonical edges incident to vertex ``v``."""
-        return [(v, u) if v < u else (u, v) for u in self._adjacency[self._vertex(v)]]
-
     def incident_edge_indices(self, v: int) -> List[int]:
         """Dense indices of the edges incident to vertex ``v``."""
         edge_index = self._packed_edge_index()
@@ -593,12 +589,6 @@ class Network:
             cached = self._ids_cache = tuple(self._id_array.tolist())
         return cached
 
-    def with_identifiers(self, identifiers: Mapping[int, int]) -> "Network":
-        """Return a copy of this network with different identifiers."""
-        return Network.from_endpoint_arrays(
-            self.n, self._edge_us, self._edge_vs, identifiers
-        )
-
     def id_bit_length(self) -> int:
         """Bits needed for the largest identifier; cached."""
         return self._id_bits
@@ -625,16 +615,6 @@ class Network:
             g.add_edges_from(self.edges)
             self._nx_export = g
         return self._nx_export
-
-    def original_label(self, v: int) -> object:
-        """The label the vertex had in the graph the network was built from.
-
-        Networks built straight from edge lists or endpoint arrays were never
-        relabelled, so the label is the vertex index itself.
-        """
-        if self._original_labels is None:
-            return self._vertex(v)
-        return self._original_labels[self._vertex(v)]
 
     def subnetwork(self, vertices: Sequence[int]) -> "Network":
         """Induced sub-network on ``vertices`` (re-indexed to ``0..k-1``).

@@ -13,10 +13,11 @@ Registries
 ----------
 
 ``GRAPH_FAMILIES`` maps a family name to a builder
-``(value, **params) -> graph source`` (an :class:`EdgeArrays` or an
-``(n, edges)`` pair — anything :func:`repro.analysis.sweep.network_from`
-accepts).  ``ALGORITHMS`` maps an algorithm name to the sweep convention's
-``(algorithm_factory, problem_factory)`` pair of one-argument factories.
+``(value, **params) -> graph source`` (an :class:`EdgeArrays`, as every
+built-in family returns, or anything else
+:func:`repro.analysis.sweep.network_from` accepts).  ``ALGORITHMS`` maps an
+algorithm name to the sweep convention's ``(algorithm_factory,
+problem_factory)`` pair of one-argument factories.
 Both registries are extensible (:func:`register_family`,
 :func:`register_algorithm`) so embedding applications can expose their own
 workloads through the same service verbs.
@@ -63,9 +64,8 @@ ID_SCHEME = "permuted"
 # Registries
 # ---------------------------------------------------------------------- #
 
-#: ``family name -> (value, **params) -> graph source``.  Builders return
-#: :class:`~repro.graphs.edgelist.EdgeArrays` where a native array path
-#: exists (zero per-edge Python objects) and ``(n, edges)`` pairs otherwise.
+#: ``family name -> (value, **params) -> graph source``.  The built-in
+#: builders return :class:`~repro.graphs.edgelist.EdgeArrays`.
 GRAPH_FAMILIES: Dict[str, Callable[..., object]] = {}
 
 #: ``algorithm name -> (algorithm_factory, problem_factory)`` in the sweep
@@ -85,16 +85,14 @@ def register_algorithm(
     ALGORITHMS[name] = (algorithm_factory, problem_factory)
 
 
-register_family("cycle", lambda value: gen.cycle_edges(int(value), as_arrays=True))
-register_family("path", lambda value: gen.path_edges(int(value), as_arrays=True))
-register_family(
-    "complete", lambda value: gen.complete_edges(int(value), as_arrays=True)
-)
-register_family("star", lambda value: gen.star_edges(int(value), as_arrays=True))
+register_family("cycle", lambda value: gen.cycle_edges(int(value)))
+register_family("path", lambda value: gen.path_edges(int(value)))
+register_family("complete", lambda value: gen.complete_edges(int(value)))
+register_family("star", lambda value: gen.star_edges(int(value)))
 register_family(
     "grid",
     lambda value, cols=None: gen.grid_edges(
-        int(value), int(value if cols is None else cols), as_arrays=True
+        int(value), int(value if cols is None else cols)
     ),
 )
 register_family(
@@ -105,13 +103,12 @@ register_family(
         int(value),
         float(expected_degree) / max(int(value) - 1, 1),
         seed=int(graph_seed),
-        as_arrays=True,
     ),
 )
 register_family(
     "random_regular",
     lambda value, degree=4, graph_seed=0: gen.random_regular_edges(
-        int(degree), int(value), seed=int(graph_seed), as_arrays=True
+        int(degree), int(value), seed=int(graph_seed)
     ),
 )
 

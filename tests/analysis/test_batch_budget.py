@@ -1,7 +1,7 @@
 """Tests for the batch memory-budget override threaded through the stack.
 
 ``batch_budget_bytes`` reaches the array engine from every entry point —
-``run_trials`` / ``evaluate`` / ``Experiment`` / ``sweep`` — and batch-size
+``run_trials`` / ``Experiment`` / ``sweep`` — and batch-size
 invariance guarantees it is a pure throughput knob: results are identical
 under every budget.  The chosen budget is recorded as provenance in the
 sweep journal's header (and, one layer up, in the service result store).
@@ -13,7 +13,7 @@ import sys
 
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
-from repro.core.experiment import Experiment, evaluate, run_trials, seed_schedule
+from repro.core.experiment import Experiment, run_trials, seed_schedule
 from repro.graphs import generators as gen
 
 import repro.analysis.sweep  # noqa: F401  (loads the module into sys.modules)
@@ -28,7 +28,7 @@ def luby_algorithms():
 
 
 def cycle_network(n=12, seed=5):
-    return network_from(gen.cycle_edges(n, as_arrays=True), seed=seed)
+    return network_from(gen.cycle_edges(n), seed=seed)
 
 
 class TestRunTrialsBudget:
@@ -50,18 +50,6 @@ class TestRunTrialsBudget:
             [dict(t.node_commit_round) for t in default]
         )
         assert [t.rounds for t in tiny] == [t.rounds for t in default]
-
-    def test_evaluate_accepts_the_budget(self):
-        network = cycle_network()
-        default = evaluate(
-            lambda: LubyMIS(), network, problems.MIS,
-            trials=3, seed=2, engine="array",
-        )
-        tiny = evaluate(
-            lambda: LubyMIS(), network, problems.MIS,
-            trials=3, seed=2, engine="array", batch_budget_bytes=64,
-        )
-        assert tiny == default
 
     def test_experiment_accepts_the_budget(self):
         default = Experiment(

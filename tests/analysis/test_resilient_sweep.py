@@ -467,7 +467,7 @@ class TestNarrowJournal:
         self, tmp_path, trace_factory, top, width
     ):
         # A hand-made trace: no sweep runs 65 536 rounds in a test.
-        network = Network.from_edges(*gen.path_edges(3))
+        network = Network.from_edge_arrays(gen.path_edges(3))
         trace = trace_factory(
             network,
             problems.MIS,

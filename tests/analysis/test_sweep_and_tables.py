@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import pytest
 
 from repro.algorithms.mis import LubyMIS
 from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
@@ -81,34 +82,23 @@ class TestTables:
 
 
 class TestEdgeArraysWorkloads:
-    """sweep/network_from accept EdgeArrays everywhere tuple pairs work."""
+    """sweep/network_from take EdgeArrays and refuse ``(n, edges)`` pairs."""
 
-    def test_network_from_edge_arrays_equals_pair_and_graph_forms(self):
+    def test_network_from_edge_arrays_equals_graph_form(self):
         from repro.graphs import generators as gen
 
-        pair = gen.random_regular_edges(4, 60, seed=1)
-        arrays = gen.random_regular_edges(4, 60, seed=1, as_arrays=True)
+        arrays = gen.random_regular_edges(4, 60, seed=1)
         graph = gen.random_regular_graph(4, 60, seed=1)
-        from_pair = network_from(pair, seed=5)
         from_arrays = network_from(arrays, seed=5)
         from_graph = network_from(graph, seed=5)
-        assert from_pair.edges == from_arrays.edges == from_graph.edges
-        assert from_pair.identifiers == from_arrays.identifiers == from_graph.identifiers
+        assert from_arrays.edges == from_graph.edges
+        assert from_arrays.identifiers == from_graph.identifiers
 
-    def test_sweep_identical_for_edge_arrays_and_tuple_factories(self):
-        from repro.graphs import generators as gen
-
+    def test_sweep_refuses_an_edge_pair_factory(self):
         algorithms = {"luby": (lambda net: LubyMIS(), lambda net: problems.MIS)}
-        tuple_points = sweep(
-            "n", [20, 30],
-            lambda n: gen.cycle_edges(n),
-            algorithms, trials=2, seed=3,
-        )
-        array_points = sweep(
-            "n", [20, 30],
-            lambda n: gen.cycle_edges(n, as_arrays=True),
-            algorithms, trials=2, seed=3,
-        )
-        assert [p.measurement for p in tuple_points] == [
-            p.measurement for p in array_points
-        ]
+        with pytest.raises(TypeError, match="expected Network, EdgeArrays"):
+            sweep(
+                "n", [4],
+                lambda n: (n, [(i, i + 1) for i in range(n - 1)]),
+                algorithms, trials=1, seed=3,
+            )

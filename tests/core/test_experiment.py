@@ -6,9 +6,8 @@ import networkx as nx
 import pytest
 
 from repro.algorithms.mis import LubyMIS
-from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
 from repro.core import problems
-from repro.core.experiment import evaluate, run_trials
+from repro.core.experiment import run_trials
 from repro.local.network import Network
 from repro.local.runner import Runner
 
@@ -55,22 +54,6 @@ class TestRunTrials:
         assert not traces[0].completed
 
 
-class TestEvaluate:
-    def test_evaluate_aggregates_measurement(self, small_network):
-        measurement = evaluate(LubyMIS, small_network, problems.MIS, trials=3, seed=0)
-        assert measurement.trials == 3
-        assert measurement.n == small_network.n
-        assert measurement.node_averaged <= measurement.worst_case
-
-    def test_evaluate_different_problems(self, small_network):
-        mis = evaluate(LubyMIS, small_network, problems.MIS, trials=2, seed=0)
-        ruling = evaluate(
-            RandomizedTwoTwoRulingSet, small_network, problems.ruling_set(2, 2), trials=2, seed=0
-        )
-        assert mis.problem == "maximal-independent-set"
-        assert ruling.problem == "(2,2)-ruling-set"
-
-
 class TestResolveNetwork:
     def test_network_returned_as_is(self, small_network):
         from repro.core.experiment import resolve_network
@@ -81,14 +64,12 @@ class TestResolveNetwork:
         from repro.core.experiment import resolve_network
         from repro.graphs import generators as gen
 
-        pair = gen.cycle_edges(30)
-        arrays = gen.cycle_edges(30, as_arrays=True)
+        arrays = gen.cycle_edges(30)
         graph = gen.cycle_graph(30)
         nets = [
-            resolve_network(pair, seed=4),
             resolve_network(arrays, seed=4),
             resolve_network(graph, seed=4),
-            resolve_network(lambda: gen.cycle_edges(30, as_arrays=True), seed=4),
+            resolve_network(lambda: gen.cycle_edges(30), seed=4),
         ]
         assert len({net.edges for net in nets}) == 1
         assert len({net.identifiers for net in nets}) == 1
@@ -99,6 +80,12 @@ class TestResolveNetwork:
         with pytest.raises(TypeError, match="graph source"):
             resolve_network(3.14)
 
+    def test_edge_pair_is_not_a_graph_source(self):
+        from repro.core.experiment import resolve_network
+
+        with pytest.raises(TypeError, match="expected Network, EdgeArrays"):
+            resolve_network((3, [(0, 1), (1, 2)]))
+
 
 class TestExperimentFacade:
     def test_run_returns_structured_results(self):
@@ -108,7 +95,7 @@ class TestExperimentFacade:
         result = Experiment(
             problem=problems.MIS,
             algorithm=LubyMIS,
-            graphs=gen.fast_gnp_edges(120, 0.05, seed=2, as_arrays=True),
+            graphs=gen.fast_gnp_edges(120, 0.05, seed=2),
             seeds=[0, 1, 2],
         ).run()
         run = result.run
@@ -148,7 +135,7 @@ class TestExperimentFacade:
         from repro.core.metrics import measure
         from repro.graphs import generators as gen
 
-        arrays = gen.fast_gnp_edges(400, 8.0 / 399, seed=11, as_arrays=True)
+        arrays = gen.fast_gnp_edges(400, 8.0 / 399, seed=11)
         network = Network.from_edge_arrays(arrays, id_scheme="sequential")
         runner = Runner(max_rounds=20_000)
         traces = [
@@ -180,8 +167,8 @@ class TestExperimentFacade:
             problem=problems.MIS,
             algorithm=LubyMIS,
             graphs={
-                "cycle": gen.cycle_edges(24, as_arrays=True),
-                "grid": lambda: gen.grid_edges(4, 6, as_arrays=True),
+                "cycle": gen.cycle_edges(24),
+                "grid": lambda: gen.grid_edges(4, 6),
             },
             seeds=[0],
         ).run()
@@ -189,9 +176,9 @@ class TestExperimentFacade:
         assert [run.name for run in result] == ["cycle", "grid"]
         assert "generate_s" not in result[0].timings
         assert "generate_s" in result[1].timings
-        rows = result.as_rows()
-        assert rows[0]["graph"] == "cycle" and rows[0]["valid"] is True
-        assert rows[0]["problem"] == "maximal-independent-set"
+        row = result[0].as_row()
+        assert row["graph"] == "cycle" and row["valid"] is True
+        assert row["problem"] == "maximal-independent-set"
         with pytest.raises(ValueError, match="2 runs"):
             result.run
 
@@ -202,23 +189,22 @@ class TestExperimentFacade:
         result = Experiment(
             problem=problems.MIS,
             algorithm=LubyMIS,
-            graphs=[gen.path_edges(10), gen.path_edges(12)],
+            graphs=[gen.path_graph(10), gen.path_graph(12)],  # no provenance
             seeds=[0],
         ).run()
         assert [run.name for run in result] == ["graph-0", "graph-1"]
 
-    def test_single_pair_is_one_graph_not_a_sequence(self):
+    def test_edge_pair_is_refused_as_a_graph_source(self):
         from repro.core.experiment import Experiment
-        from repro.graphs import generators as gen
 
-        result = Experiment(
+        experiment = Experiment(
             problem=problems.MIS,
             algorithm=LubyMIS,
-            graphs=gen.cycle_edges(12),
+            graphs=(3, [(0, 1), (1, 2)]),
             seeds=[0],
-        ).run()
-        assert len(result) == 1
-        assert result.run.network.n == 12
+        )
+        with pytest.raises(TypeError, match="expected Network, EdgeArrays"):
+            experiment.run()
 
     def test_problem_and_algorithm_factories_receive_network(self, small_network):
         from repro.core.experiment import Experiment
@@ -329,22 +315,6 @@ class TestExperimentFacade:
                 seeds=[0],
             )
 
-    def test_pair_with_numpy_integer_n_is_one_graph(self):
-        import numpy as np
-
-        from repro.core.experiment import Experiment
-        from repro.graphs import generators as gen
-
-        n, edges = gen.cycle_edges(12)
-        result = Experiment(
-            problem=problems.MIS,
-            algorithm=LubyMIS,
-            graphs=(np.int64(n), edges),
-            seeds=[0],
-        ).run()
-        assert len(result) == 1
-        assert result.run.network.n == 12
-
     def test_callable_sources_are_named_from_their_provenance(self):
         from repro.core.experiment import Experiment
         from repro.graphs import generators as gen
@@ -353,8 +323,8 @@ class TestExperimentFacade:
             problem=problems.MIS,
             algorithm=LubyMIS,
             graphs=[
-                lambda: gen.fast_gnp_edges(60, 0.1, seed=1, as_arrays=True),
-                lambda: gen.path_edges(20),  # no provenance -> positional
+                lambda: gen.fast_gnp_edges(60, 0.1, seed=1),
+                lambda: gen.path_graph(20),  # no provenance -> positional
             ],
             seeds=[0],
         ).run()
@@ -376,8 +346,8 @@ class TestExperimentFacade:
             problem=problems.MIS,
             algorithm=LubyMIS,
             graphs=[
-                gen.fast_gnp_edges(40, 0.1, seed=1, as_arrays=True),
-                gen.fast_gnp_edges(40, 0.1, seed=2, as_arrays=True),
+                gen.fast_gnp_edges(40, 0.1, seed=1),
+                gen.fast_gnp_edges(40, 0.1, seed=2),
             ],
             seeds=[0],
         ).run()

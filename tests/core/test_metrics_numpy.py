@@ -260,7 +260,7 @@ class TestRunnerArrayTraces:
         _assert_agreement(traces)
 
     def test_direct_edge_list_workload_agrees(self):
-        network = Network.from_edge_list(*gen.fast_gnp_edges(500, 8 / 499, seed=9))
+        network = Network.from_edge_arrays(gen.fast_gnp_edges(500, 8 / 499, seed=9))
         traces = run_trials(
             LubyMIS, network, problems.MIS, trials=2, seed=1, runner=Runner(max_rounds=200)
         )
@@ -270,14 +270,14 @@ class TestRunnerArrayTraces:
 class TestEdgeCases:
     def test_empty_outputs_trace(self, trace_factory):
         """No entity ever committed: every completion time is the full length."""
-        network = Network.from_edges(*gen.cycle_edges(5))
+        network = Network.from_edge_arrays(gen.cycle_edges(5))
         trace = trace_factory(network, problems.MIS, rounds=9, completed=False)
         assert trace.node_completion_times() == [9] * 5
         _assert_agreement([trace])
 
     def test_all_halted_at_round_zero(self, trace_factory):
         """Everyone commits immediately: all-zero vectors, zero averages."""
-        network = Network.from_edges(*gen.cycle_edges(6))
+        network = Network.from_edge_arrays(gen.cycle_edges(6))
         trace = trace_factory(
             network,
             problems.MIS,
@@ -291,7 +291,7 @@ class TestEdgeCases:
 
     def test_minus_one_sentinel_array_trace(self):
         """Array-built trace with explicit −1 slots (never committed)."""
-        network = Network.from_edges(*gen.path_edges(4))
+        network = Network.from_edge_arrays(gen.path_edges(4))
         node_rounds = array("q", [0, -1, 2, -1])
         trace = ExecutionTrace(
             network,
@@ -326,7 +326,7 @@ class TestEdgeCases:
         _assert_agreement([trace])
 
     def test_quantiles_reject_bad_input(self, trace_factory):
-        network = Network.from_edges(*gen.cycle_edges(4))
+        network = Network.from_edge_arrays(gen.cycle_edges(4))
         trace = trace_factory(network, problems.MIS, rounds=0)
         with pytest.raises(ValueError):
             metrics.completion_time_quantiles(trace, quantiles=(1.5,))
@@ -336,7 +336,7 @@ class TestEdgeCases:
 
 def test_measure_quantiles_validate_levels(trace_factory):
     """measure() and completion_time_quantiles share one validated helper."""
-    network = Network.from_edges(*gen.cycle_edges(4))
+    network = Network.from_edge_arrays(gen.cycle_edges(4))
     trace = trace_factory(
         network,
         problems.MIS,

@@ -27,7 +27,7 @@ from repro.local.runner import Runner
 
 class TestUncommittedSlots:
     def test_missing_slots_charged_full_length(self):
-        network = Network.from_edges(*gen.path_edges(3))
+        network = Network.from_edge_arrays(gen.path_edges(3))
         trace = ExecutionTrace(
             network,
             problems.MIS,
@@ -64,7 +64,7 @@ class TestUncommittedSlots:
 
 class TestRunnerProducesArrayTraces:
     def test_runner_trace_is_array_canonical(self):
-        network = Network.from_edges(*gen.cycle_edges(12))
+        network = Network.from_edge_arrays(gen.cycle_edges(12))
         trace = Runner().run(LubyMIS(), network, problems.MIS, seed=0)
         assert type(trace._node_values) is tuple  # the runner's value row
         assert not trace._views
@@ -80,7 +80,7 @@ class TestRunnerProducesArrayTraces:
 
         from repro.local.engine import ArrayEngine
 
-        network = Network.from_edges(*gen.cycle_edges(12))
+        network = Network.from_edge_arrays(gen.cycle_edges(12))
         trace = ArrayEngine().run(
             LubyMIS().as_array_algorithm(), network, problems.MIS, seed=0
         )
@@ -100,7 +100,7 @@ class TestRunnerProducesArrayTraces:
             "mis": (LubyMIS(), problems.MIS),
             "matching": (RandomizedMaximalMatching(), problems.MAXIMAL_MATCHING),
         }[name]
-        network = Network.from_edges(*gen.cycle_edges(12))
+        network = Network.from_edge_arrays(gen.cycle_edges(12))
         trace = ArrayEngine().run(algorithm.as_array_algorithm(), network, problem, seed=0)
         copy = pickle.loads(pickle.dumps(trace))
         assert copy.problem == problem
@@ -129,7 +129,7 @@ class TestRunnerProducesArrayTraces:
         """A retained batch trace must not keep the whole chunk's matrices alive."""
         from repro.local.engine import ArrayEngine
 
-        network = Network.from_edges(*gen.cycle_edges(12))
+        network = Network.from_edge_arrays(gen.cycle_edges(12))
         traces = ArrayEngine().run_batch(
             LubyMIS().as_array_algorithm(), network, problems.MIS, seeds=range(4)
         )
@@ -142,7 +142,7 @@ class TestRunnerProducesArrayTraces:
 
     def test_hot_path_never_exports_networkx(self, monkeypatch):
         """run_trials(validate=True) must not call Network.to_networkx()."""
-        network = Network.from_edges(*gen.random_regular_edges(4, 40, seed=1))
+        network = Network.from_edge_arrays(gen.random_regular_edges(4, 40, seed=1))
 
         def _boom(self):
             raise AssertionError("to_networkx() called on the hot path")
@@ -186,7 +186,7 @@ class TestReadOnlyViews:
         """No view can drift from the rows that validate() and the
         completion times read: engine-built ("auto") and runner-built
         ("node") traces refuse assignment through each of the four views."""
-        network = Network.from_edges(*gen.cycle_edges(8))
+        network = Network.from_edge_arrays(gen.cycle_edges(8))
 
         def luby_trace():
             (trace,) = run_trials(LubyMIS, network, problems.MIS, trials=1, seed=0, engine=engine)
@@ -211,7 +211,7 @@ class TestEqualityAcrossProcesses:
     def test_pickled_engine_trace_is_equal(self):
         from repro.local.engine import ArrayEngine
 
-        network = Network.from_edges(*gen.cycle_edges(12))
+        network = Network.from_edge_arrays(gen.cycle_edges(12))
         trace = ArrayEngine().run(
             LubyMIS().as_array_algorithm(), network, problems.MIS, seed=0
         )
@@ -221,14 +221,17 @@ class TestEqualityAcrossProcesses:
 
     def test_traces_on_two_builds_are_equal(self):
         traces = [
-            Runner().run(LubyMIS(), Network.from_edges(*gen.cycle_edges(12)), problems.MIS, seed=0)
+            Runner().run(
+                LubyMIS(), Network.from_edge_arrays(gen.cycle_edges(12)), problems.MIS, seed=0
+            )
             for _ in range(2)
         ]
         assert traces[0].network is not traces[1].network
         assert traces[0] == traces[1]
 
     def test_other_identifiers_are_unequal(self):
-        n, edges = gen.cycle_edges(12)
+        arrays = gen.cycle_edges(12)
+        n, edges = arrays.n, arrays.as_pairs()
         network = Network.from_edges(n, edges)
         other = Network.from_edges(n, edges, identifiers={v: 100 + v for v in range(n)})
         trace = ExecutionTrace(

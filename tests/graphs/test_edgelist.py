@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs.edgelist import EdgeArrays, as_edge_arrays
+from repro.graphs.edgelist import EdgeArrays
 
 
 class TestConstruction:
@@ -69,8 +69,6 @@ class TestCompatWrappers:
         pairs = [(0, 1), (2, 1), (3, 0)]
         arrays = EdgeArrays.from_pairs(4, pairs)
         assert arrays.as_pairs() == pairs
-        n, edges = arrays.as_edge_list()
-        assert n == 4 and edges == pairs
 
     def test_from_pairs_empty(self):
         arrays = EdgeArrays.from_pairs(2, [])
@@ -87,33 +85,6 @@ class TestCompatWrappers:
         assert tagged.meta == {"family": "test", "seed": 3, "trial": 7}
         assert tagged.src is arrays.src  # arrays shared, not copied
         assert arrays.meta == {"family": "test", "seed": 3}  # original untouched
-
-
-class TestAsEdgeArrays:
-    def test_identity_on_edge_arrays(self):
-        arrays = EdgeArrays(n=3, src=[0], dst=[1])
-        assert as_edge_arrays(arrays) is arrays
-
-    def test_pair_coercion(self):
-        arrays = as_edge_arrays((3, [(0, 1), (1, 2)]))
-        assert isinstance(arrays, EdgeArrays)
-        assert arrays.n == 3
-        assert arrays.as_pairs() == [(0, 1), (1, 2)]
-
-    def test_networkx_like_coercion(self):
-        nx = pytest.importorskip("networkx")
-        graph = nx.path_graph(4)
-        arrays = as_edge_arrays(graph)
-        assert arrays.n == 4
-        assert sorted(tuple(sorted(e)) for e in arrays.as_pairs()) == [
-            (0, 1),
-            (1, 2),
-            (2, 3),
-        ]
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(TypeError, match="edge-array graph source"):
-            as_edge_arrays(42)
 
 
 class TestAliasSafety:

@@ -48,34 +48,37 @@ class TestDeterminismAndShape:
         for seed in (0, 1, 17):
             a = gen.fast_gnp_edges(2000, 0.004, seed=seed)
             b = gen.fast_gnp_edges(2000, 0.004, seed=seed)
-            assert a == b
+            assert a.as_pairs() == b.as_pairs()
 
     def test_different_seeds_differ(self):
-        _, a = gen.fast_gnp_edges(2000, 0.004, seed=0)
-        _, b = gen.fast_gnp_edges(2000, 0.004, seed=1)
-        assert a != b
+        a = gen.fast_gnp_edges(2000, 0.004, seed=0)
+        b = gen.fast_gnp_edges(2000, 0.004, seed=1)
+        assert a.as_pairs() != b.as_pairs()
 
     def test_edges_canonical_unique_in_range(self):
-        n, edges = gen.fast_gnp_edges(3000, 0.003, seed=5)
+        arrays = gen.fast_gnp_edges(3000, 0.003, seed=5)
+        n, edges = arrays.n, arrays.as_pairs()
         assert n == 3000
         assert all(0 <= u < v < n for u, v in edges)
         assert len(set(edges)) == len(edges)
+        assert arrays.meta == {"family": "fast_gnp", "n": 3000, "p": 0.003, "seed": 5}
 
     def test_degenerate_parameters(self):
-        assert gen.fast_gnp_edges(1, 0.5) == (1, [])
-        assert gen.fast_gnp_edges(7, 0.0) == (7, [])
-        n, edges = gen.fast_gnp_edges(4, 1.0)
-        assert (n, sorted(edges)) == gen.complete_edges(4)
+        for n, p in ((1, 0.5), (7, 0.0)):
+            empty = gen.fast_gnp_edges(n, p)
+            assert (empty.n, empty.m) == (n, 0)
+        full = gen.fast_gnp_edges(4, 1.0)
+        assert sorted(full.as_pairs()) == gen.complete_edges(4).as_pairs()
         with pytest.raises(ValueError):
             gen.fast_gnp_edges(0, 0.5)
         with pytest.raises(ValueError):
             gen.fast_gnp_edges(10, 1.5)
 
-    def test_feeds_network_from_edge_list(self):
-        n, edges = gen.fast_gnp_edges(500, 10 / 499, seed=3)
-        network = Network.from_edge_list(n, edges)
+    def test_feeds_network_from_edge_arrays(self):
+        arrays = gen.fast_gnp_edges(500, 10 / 499, seed=3)
+        network = Network.from_edge_arrays(arrays)
         assert network.n == 500
-        assert network.m == len(edges)
+        assert network.m == arrays.m
         # Sorted CSR rows double as a parallel-edge / self-loop audit.
         assert all(network.degree(v) >= 0 for v in network.vertices)
 
@@ -92,16 +95,16 @@ class TestEdgeCountChernoff:
         law, off-by-one in the skip walk) shifts μ by Θ(μ) ≫ 6√μ.
         """
         p = 10.0 / (n - 1)
-        _, edges = gen.fast_gnp_edges(n, p, seed=seed)
+        m = gen.fast_gnp_edges(n, p, seed=seed).m
         mu = n * (n - 1) / 2 * p
-        assert abs(len(edges) - mu) <= 6.0 * math.sqrt(mu)
+        assert abs(m - mu) <= 6.0 * math.sqrt(mu)
 
     def test_gilbert_reference_same_band(self):
         """The stream-exact Gilbert twin lands in the same band (sanity)."""
         n = 1_000
-        _, edges = gen.erdos_renyi_edges(n, 10.0, seed=0)
+        m = gen.erdos_renyi_edges(n, 10.0, seed=0).m
         mu = n * 10.0 / 2
-        assert abs(len(edges) - mu) <= 6.0 * math.sqrt(mu)
+        assert abs(m - mu) <= 6.0 * math.sqrt(mu)
 
 
 class TestDegreeDistributionChiSquare:
@@ -122,8 +125,8 @@ class TestDegreeDistributionChiSquare:
         n = 4_000
         expected_degree = 8.0
         p = expected_degree / (n - 1)
-        _, fast_edges = gen.fast_gnp_edges(n, p, seed=12)
-        _, gilbert_edges = gen.erdos_renyi_edges(n, expected_degree, seed=12)
+        fast_edges = gen.fast_gnp_edges(n, p, seed=12).as_pairs()
+        gilbert_edges = gen.erdos_renyi_edges(n, expected_degree, seed=12).as_pairs()
 
         fast_hist = _degrees(n, fast_edges)
         gilbert_hist = _degrees(n, gilbert_edges)
@@ -157,35 +160,22 @@ class TestDegreeDistributionChiSquare:
 
 
 class TestNativeArrayMode:
-    """``as_arrays=True`` hands the skip walk's numpy arrays straight through."""
+    """The skip walk's numpy arrays are handed straight through, and the
+    ``(n, edges)`` pair is refused."""
 
-    def test_array_mode_equals_tuple_mode_exactly(self):
-        for n, p, seed in [(500, 0.02, 1), (1000, 0.004, 9), (50, 0.5, 3)]:
-            n_t, edges = gen.fast_gnp_edges(n, p, seed=seed)
-            arrays = gen.fast_gnp_edges(n, p, seed=seed, as_arrays=True)
-            assert arrays.n == n_t == n
-            assert arrays.as_pairs() == [tuple(e) for e in edges]
-            assert arrays.meta == {"family": "fast_gnp", "n": n, "p": p, "seed": seed}
+    def test_as_arrays_false_is_refused(self):
+        assert gen.fast_gnp_edges(50, 0.1, seed=3, as_arrays=True).n == 50
+        with pytest.raises(ValueError, match="EdgeArrays only"):
+            gen.fast_gnp_edges(50, 0.1, seed=3, as_arrays=False)
 
     def test_degenerate_parameters_in_array_mode(self):
-        assert gen.fast_gnp_edges(1, 0.5, as_arrays=True).m == 0
-        assert gen.fast_gnp_edges(10, 0.0, as_arrays=True).m == 0
-        full = gen.fast_gnp_edges(6, 1.0, as_arrays=True)
+        assert gen.fast_gnp_edges(1, 0.5).m == 0
+        assert gen.fast_gnp_edges(10, 0.0).m == 0
+        full = gen.fast_gnp_edges(6, 1.0)
         assert full.m == 15  # K_6, delegated to complete_edges
 
-    def test_arrays_feed_the_numpy_csr_network_build(self):
-        arrays = gen.fast_gnp_edges(800, 0.01, seed=4, as_arrays=True)
-        via_arrays = Network.from_edge_arrays(arrays)
-        n, edges = gen.fast_gnp_edges(800, 0.01, seed=4)
-        via_tuples = Network.from_edge_list(n, edges)
-        assert via_arrays.edges == via_tuples.edges
-        assert via_arrays.identifiers == via_tuples.identifiers
-        assert [via_arrays.neighbors(v) for v in range(20)] == [
-            via_tuples.neighbors(v) for v in range(20)
-        ]
-
     def test_dense_delegation_keeps_fast_gnp_provenance(self):
-        full = gen.fast_gnp_edges(6, 1.0, seed=3, as_arrays=True)
+        full = gen.fast_gnp_edges(6, 1.0, seed=3)
         assert full.m == 15
         assert full.meta["family"] == "fast_gnp"
         assert full.meta["p"] == 1.0 and full.meta["seed"] == 3

@@ -5,7 +5,8 @@ a **stream-exact** twin of its networkx-backed sibling: for a matching seed
 it emits exactly the same edge set (it replays the counterpart's RNG
 consumption call for call), just without ever building a ``networkx.Graph``.
 These tests pin that contract for the deterministic families and, via
-hypothesis-driven seeds, for the randomized ones.
+hypothesis-driven seeds, for the randomized ones, comparing the returned
+:class:`EdgeArrays` through :meth:`EdgeArrays.as_pairs`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import generators as gen
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 
 
@@ -23,9 +25,10 @@ def _canon(edges):
     return {(u, v) if u < v else (v, u) for u, v in edges}
 
 
-def _assert_twin(edge_list, graph):
-    n, edges = edge_list
-    assert n == graph.number_of_nodes()
+def _assert_twin(arrays, graph):
+    assert isinstance(arrays, EdgeArrays)
+    edges = arrays.as_pairs()
+    assert arrays.n == graph.number_of_nodes()
     assert len(edges) == graph.number_of_edges()
     assert _canon(edges) == _canon(graph.edges())
 
@@ -76,7 +79,8 @@ class TestRandomizedFamilies:
         )
 
     def test_random_regular_degree_zero_and_errors(self):
-        assert gen.random_regular_edges(0, 5) == (5, [])
+        empty = gen.random_regular_edges(0, 5)
+        assert (empty.n, empty.m) == (5, 0)
         with pytest.raises(ValueError):
             gen.random_regular_edges(3, 9)
         with pytest.raises(ValueError):
@@ -94,98 +98,53 @@ class TestRandomizedFamilies:
 
 class TestNetworkIntegration:
     def test_from_edge_list_equals_from_graph(self):
-        """A graph and its (n, edges) twin yield identical networks."""
+        """A graph, its edge arrays and their pairs yield identical networks."""
         import random
 
         for scheme in ("sequential", "permuted", "random", "adversarial"):
-            n, edges = gen.random_regular_edges(4, 30, seed=2)
-            direct = Network.from_edge_list(
-                n, edges, id_scheme=scheme, rng=random.Random(5)
-            )
+            arrays = gen.random_regular_edges(4, 30, seed=2)
             via_nx = Network.from_graph(
                 gen.random_regular_graph(4, 30, seed=2),
                 id_scheme=scheme,
                 rng=random.Random(5),
             )
-            assert direct.n == via_nx.n and direct.m == via_nx.m
-            assert direct.edges == via_nx.edges
-            assert direct.identifiers == via_nx.identifiers
+            for direct in (
+                Network.from_edge_arrays(arrays, id_scheme=scheme, rng=random.Random(5)),
+                Network.from_edge_list(
+                    arrays.n, arrays.as_pairs(), id_scheme=scheme, rng=random.Random(5)
+                ),
+            ):
+                assert direct.n == via_nx.n and direct.m == via_nx.m
+                assert direct.edges == via_nx.edges
+                assert direct.identifiers == via_nx.identifiers
 
     def test_network_from_accepts_all_workload_forms(self):
         from repro.analysis.sweep import network_from
 
-        n, edges = gen.cycle_edges(12)
-        from_pair = network_from((n, edges), seed=3)
+        arrays = gen.cycle_edges(12)
+        from_arrays = network_from(arrays, seed=3)
         from_graph = network_from(gen.cycle_graph(12), seed=3)
-        assert from_pair.edges == from_graph.edges
-        assert from_pair.identifiers == from_graph.identifiers
-        ready = Network.from_edges(n, edges)
+        assert from_arrays.edges == from_graph.edges
+        assert from_arrays.identifiers == from_graph.identifiers
+        ready = Network.from_edge_arrays(arrays)
         assert network_from(ready, seed=3) is ready
 
     def test_to_networkx_is_cached(self):
-        net = Network.from_edges(*gen.cycle_edges(8))
+        net = Network.from_edge_arrays(gen.cycle_edges(8))
         assert net.to_networkx() is net.to_networkx()
         exported = net.to_networkx()
         assert exported.number_of_nodes() == 8
         assert _canon(exported.edges()) == _canon(net.edges)
 
 
-class TestAsArraysTwins:
-    """``as_arrays=True`` must emit the exact same edge list as tuple mode.
-
-    The deterministic families build their arrays natively in numpy, so this
-    pins that the vectorised constructions reproduce the Python loops
-    element for element (same order, not just the same set); the randomized
-    families replay the same RNG stream either way.
-    """
-
-    CASES = [
-        ("cycle_edges", (3,)),
-        ("cycle_edges", (17,)),
-        ("path_edges", (1,)),
-        ("path_edges", (23,)),
-        ("complete_edges", (1,)),
-        ("complete_edges", (9,)),
-        ("star_edges", (1,)),
-        ("star_edges", (12,)),
-        ("grid_edges", (1, 1)),
-        ("grid_edges", (1, 7)),
-        ("grid_edges", (5, 1)),
-        ("grid_edges", (4, 6)),
-        ("random_regular_edges", (3, 18, 4)),
-        ("random_regular_edges", (0, 5, 0)),
-        ("erdos_renyi_edges", (25, 4.0, 2)),
-        ("erdos_renyi_edges", (1, 3.0, 0)),
-        ("erdos_renyi_edges", (4, 0.0, 0)),
-        ("erdos_renyi_edges", (4, 99.0, 0)),
-    ]
-
-    @pytest.mark.parametrize("name,args", CASES)
-    def test_array_twin_matches_tuple_twin_exactly(self, name, args):
-        from repro.graphs.edgelist import EdgeArrays
-
-        generator = getattr(gen, name)
-        n, edges = generator(*args)
-        arrays = generator(*args, as_arrays=True)
-        assert isinstance(arrays, EdgeArrays)
-        assert arrays.n == n
-        assert arrays.as_pairs() == [tuple(e) for e in edges]
-
+class TestProvenance:
     def test_provenance_metadata_names_the_family(self):
-        assert gen.cycle_edges(5, as_arrays=True).meta["family"] == "cycle"
-        assert gen.grid_edges(2, 3, as_arrays=True).meta == {
+        assert gen.cycle_edges(5).meta["family"] == "cycle"
+        assert gen.grid_edges(2, 3).meta == {
             "family": "grid",
             "rows": 2,
             "cols": 3,
         }
-        regular = gen.random_regular_edges(4, 10, seed=3, as_arrays=True)
+        regular = gen.random_regular_edges(4, 10, seed=3)
         assert regular.meta["family"] == "random_regular"
         assert regular.meta["seed"] == 3
-
-    def test_network_from_edge_arrays_equals_tuple_network(self):
-        arrays = gen.grid_edges(6, 5, as_arrays=True)
-        n, edges = gen.grid_edges(6, 5)
-        a = Network.from_edge_arrays(arrays)
-        b = Network.from_edge_list(n, edges)
-        assert a.edges == b.edges
-        assert [a.neighbors(v) for v in a.vertices] == [b.neighbors(v) for v in b.vertices]

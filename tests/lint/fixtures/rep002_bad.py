@@ -4,14 +4,13 @@
 
 def per_edge_python(network, arrays):
     graph = network.to_networkx()  # expect[REP002]
-    n, edges = arrays.as_edge_list()  # expect[REP002]
     pairs = arrays.as_pairs()  # expect[REP002]
     edge_view = list(network.edges())  # expect[REP002]
     total = 0
     for u, v in network.edges():  # expect[REP002]
         total += u + v
     weights = [u for u, _ in network.edges()]  # expect[REP002]
-    return graph, n, edges, pairs, edge_view, total, weights
+    return graph, pairs, edge_view, total, weights
 
 
 def per_edge_property(network, values):

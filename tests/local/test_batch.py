@@ -223,7 +223,7 @@ class TestChunking:
 
 def _gnp(n: int, degree: float, seed: int) -> Network:
     """``fast_gnp_edges`` at expected degree ``degree``, as a network."""
-    edges = fast_gnp_edges(n, degree / (n - 1), seed=seed, as_arrays=True)
+    edges = fast_gnp_edges(n, degree / (n - 1), seed=seed)
     return Network.from_endpoint_arrays(n, edges.src, edges.dst, id_scheme="sequential")
 
 
@@ -265,7 +265,7 @@ class TestFootprint:
         # way the whole build peaked at about 660 bytes per node; without
         # them, about 400.
         n = 20_000
-        edges = fast_gnp_edges(n, 10 / (n - 1), seed=1, as_arrays=True)
+        edges = fast_gnp_edges(n, 10 / (n - 1), seed=1)
         peak = _traced_peak(lambda: ArrayTopology(resolve_network(edges, seed=1)))
         assert peak / n <= 500
 
@@ -276,7 +276,7 @@ class TestIdentifierArray:
     view that only the coroutine runner needs."""
 
     def test_topology_shares_the_identifier_array(self):
-        network = resolve_network(fast_gnp_edges(500, 0.02, seed=3, as_arrays=True))
+        network = resolve_network(fast_gnp_edges(500, 0.02, seed=3))
         topology = ArrayTopology(network)
         assert np.shares_memory(topology.identifiers, network.identifier_array)
 
@@ -284,7 +284,7 @@ class TestIdentifierArray:
     def test_array_run_validate_and_measure_leave_the_tuple_unbuilt(
         self, name, factory, problem
     ):
-        network = resolve_network(fast_gnp_edges(500, 0.02, seed=3, as_arrays=True))
+        network = resolve_network(fast_gnp_edges(500, 0.02, seed=3))
         trace = ArrayEngine().run(factory(), network, problem, seed=0)
         assert trace.validate()
         measure(trace)

@@ -18,6 +18,7 @@ engine is pinned by
 from __future__ import annotations
 
 import statistics
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -54,7 +55,7 @@ def _tvd(a: Counter, b: Counter) -> float:
 
 class TestEngineBasics:
     def test_luby_trace_is_valid_and_array_backed(self, engine):
-        net = Network.from_edge_list(*gen.cycle_edges(20))
+        net = Network.from_edge_arrays(gen.cycle_edges(20))
         trace = engine.run(LubyMISArray(), net, problems.MIS, seed=0)
         assert trace.completed
         assert trace.validate()
@@ -66,7 +67,7 @@ class TestEngineBasics:
         assert set(trace._views) == {"node_outputs"}
 
     def test_matching_trace_is_valid(self, engine):
-        net = Network.from_edge_list(*gen.random_regular_edges(4, 30, seed=1))
+        net = Network.from_edge_arrays(gen.random_regular_edges(4, 30, seed=1))
         trace = engine.run(
             RandomizedMatchingArray(), net, problems.MAXIMAL_MATCHING, seed=0
         )
@@ -94,25 +95,25 @@ class TestEngineBasics:
         assert trace.validate()
 
     def test_same_seed_reproduces_the_trace_exactly(self, engine):
-        net = Network.from_edge_list(*gen.erdos_renyi_edges(40, 4.0, seed=5))
+        net = Network.from_edge_arrays(gen.erdos_renyi_edges(40, 4.0, seed=5))
         first = engine.run(LubyMISArray(), net, problems.MIS, seed=11)
         second = ArrayEngine().run(LubyMISArray(), net, problems.MIS, seed=11)
         assert first == second
 
     def test_different_seeds_usually_differ(self, engine):
-        net = Network.from_edge_list(*gen.erdos_renyi_edges(40, 4.0, seed=5))
+        net = Network.from_edge_arrays(gen.erdos_renyi_edges(40, 4.0, seed=5))
         traces = [engine.run(LubyMISArray(), net, problems.MIS, seed=s) for s in range(6)]
         outputs = {tuple(sorted(t.selected_nodes())) for t in traces}
         assert len(outputs) > 1
 
     def test_round_limit_strict_raises(self):
-        net = Network.from_edge_list(*gen.cycle_edges(64))
+        net = Network.from_edge_arrays(gen.cycle_edges(64))
         engine = ArrayEngine(max_rounds=1, strict=True)
         with pytest.raises(RoundLimitExceeded):
             engine.run(LubyMISArray(), net, problems.MIS, seed=0)
 
     def test_round_limit_lenient_returns_incomplete(self):
-        net = Network.from_edge_list(*gen.cycle_edges(64))
+        net = Network.from_edge_arrays(gen.cycle_edges(64))
         engine = ArrayEngine(max_rounds=1, strict=False)
         trace = engine.run(LubyMISArray(), net, problems.MIS, seed=0)
         assert not trace.completed
@@ -125,39 +126,26 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             ArrayEngine(max_rounds=-1)
 
-    def test_topology_is_pooled_per_network(self, engine):
-        net = Network.from_edge_list(*gen.cycle_edges(10))
-        engine.run(LubyMISArray(), net, problems.MIS, seed=0)
-        topo = engine._topology(net)
-        engine.run(LubyMISArray(), net, problems.MIS, seed=1)
-        assert engine._topology(net) is topo
-
-    def test_topology_cache_keeps_alternating_networks(self, engine):
-        # Regression: the cache used to hold a single entry, so a sweep
-        # alternating two networks rebuilt ArrayTopology on every call.
-        nets = [Network.from_edge_list(*gen.cycle_edges(10 + i)) for i in range(4)]
-        topos = [engine._topology(net) for net in nets]
-        for net, topo in zip(nets, topos):
-            assert engine._topology(net) is topo
-
-    def test_topology_cache_evicts_least_recently_used(self, engine):
-        cap = ArrayEngine._TOPOLOGY_CACHE_SIZE
-        nets = [Network.from_edge_list(*gen.cycle_edges(8 + i)) for i in range(cap + 1)]
-        topos = [engine._topology(net) for net in nets]
-        # The oldest entry fell out; everything younger survived.
-        assert len(engine._topology_cache) == cap
-        assert engine._topology(nets[0]) is not topos[0]
-        for net, topo in zip(nets[2:], topos[2:]):
-            assert engine._topology(net) is topo
+    def test_experiment_engine_keeps_no_network_of_a_dropped_run(self):
+        # An Experiment keeps one ArrayEngine across run() calls, and a
+        # callable source builds a new network on every call: once a run's
+        # result is dropped, nothing may keep that run's network alive.
+        experiment = Experiment(
+            problem=problems.MIS,
+            algorithm=LubyMIS,
+            graphs=lambda: gen.cycle_edges(40),
+            seeds=[0, 1],
+            engine="auto",
+        )
+        result = experiment.run()
+        network = weakref.ref(result.run.network)
+        del result
+        assert network() is None
 
     def test_works_on_tuple_and_array_built_networks(self, engine):
-        n, edges = gen.erdos_renyi_edges(50, 4.0, seed=9)
-        tuple_net = Network.from_edges(n, edges)
-        array_net = Network.from_endpoint_arrays(
-            n,
-            np.asarray([u for u, _ in edges], dtype=np.int64),
-            np.asarray([v for _, v in edges], dtype=np.int64),
-        )
+        arrays = gen.erdos_renyi_edges(50, 4.0, seed=9)
+        tuple_net = Network.from_edges(arrays.n, arrays.as_pairs())
+        array_net = Network.from_endpoint_arrays(arrays.n, arrays.src, arrays.dst)
         a = engine.run(LubyMISArray(), tuple_net, problems.MIS, seed=4)
         b = ArrayEngine().run(LubyMISArray(), array_net, problems.MIS, seed=4)
         # Same topology + identifiers + seed schedule → identical execution.
@@ -190,7 +178,7 @@ class TestScratchArena:
 
 class TestLubyArraySemantics:
     def test_commit_round_parity_matches_the_coroutine_timeline(self, engine):
-        net = Network.from_edge_list(*gen.erdos_renyi_edges(80, 5.0, seed=3))
+        net = Network.from_edge_arrays(gen.erdos_renyi_edges(80, 5.0, seed=3))
         trace = engine.run(LubyMISArray(), net, problems.MIS, seed=2)
         for v, value in trace.node_outputs.items():
             r = trace.node_commit_round[v]
@@ -242,7 +230,7 @@ class TestLubyArraySemantics:
         # first phase is deterministic: every node broadcasts in both of its
         # rounds, 2m messages each.  Cap the run at the first phase and the
         # two engines must agree exactly.
-        net = Network.from_edge_list(*gen.cycle_edges(30))
+        net = Network.from_edge_arrays(gen.cycle_edges(30))
         a = ArrayEngine(max_rounds=2, strict=False).run(
             LubyMISArray(), net, problems.MIS, seed=1
         )
@@ -254,7 +242,7 @@ class TestLubyArraySemantics:
 
 class TestMatchingArraySemantics:
     def test_completion_rounds_are_3_mod_4_on_both_engines(self, engine, runner):
-        net = Network.from_edge_list(*gen.random_regular_edges(3, 20, seed=2))
+        net = Network.from_edge_arrays(gen.random_regular_edges(3, 20, seed=2))
         for seed in range(5):
             a = engine.run(
                 RandomizedMatchingArray(), net, problems.MAXIMAL_MATCHING, seed=seed
@@ -266,7 +254,7 @@ class TestMatchingArraySemantics:
             assert c.rounds % 4 == 3
 
     def test_matched_edges_commit_before_removals_propagate(self, engine):
-        net = Network.from_edge_list(*gen.erdos_renyi_edges(40, 3.0, seed=8))
+        net = Network.from_edge_arrays(gen.erdos_renyi_edges(40, 3.0, seed=8))
         trace = engine.run(
             RandomizedMatchingArray(), net, problems.MAXIMAL_MATCHING, seed=1
         )
@@ -278,7 +266,7 @@ class TestMatchingArraySemantics:
         # Rounds 4k−3 / 4k−2 / 4k−1 each cost one message per direction of
         # every undecided edge; capped at round 3 the count is exactly 6m on
         # both engines (round 4k is the first decision-dependent count).
-        net = Network.from_edge_list(*gen.cycle_edges(20))
+        net = Network.from_edge_arrays(gen.cycle_edges(20))
         a = ArrayEngine(max_rounds=3, strict=False).run(
             RandomizedMatchingArray(), net, problems.MAXIMAL_MATCHING, seed=1
         )
@@ -306,7 +294,7 @@ class TestDifferentialAgainstCoroutine:
         ids=["cycle", "regular", "gnp"],
     )
     def test_verdicts_agree_on_shared_graphs(self, workload, engine, runner):
-        net = Network.from_edge_list(*workload, id_scheme="permuted")
+        net = Network.from_edge_arrays(workload, id_scheme="permuted")
         for seed in range(4):
             mis_a = engine.run(LubyMISArray(), net, problems.MIS, seed=seed)
             mis_c = runner.run(LubyMIS(), net, problems.MIS, seed=seed)
@@ -322,7 +310,7 @@ class TestDifferentialAgainstCoroutine:
     def test_luby_round_distributions_agree_over_seed_sweep(self, engine, runner):
         """Exhaustive fixed-seed sweep: the two engines sample the same
         round-count distribution (deterministic test: fixed seeds)."""
-        net = Network.from_edge_list(*gen.cycle_edges(12))
+        net = Network.from_edge_arrays(gen.cycle_edges(12))
         seeds = range(300)
         dist_a = Counter(
             engine.run(LubyMISArray(), net, problems.MIS, seed=s).rounds for s in seeds
@@ -333,7 +321,7 @@ class TestDifferentialAgainstCoroutine:
         assert _tvd(dist_a, dist_c) < 0.15
 
     def test_luby_round_distributions_agree_on_gnp(self, engine, runner):
-        net = Network.from_edge_list(*gen.erdos_renyi_edges(60, 5.0, seed=2))
+        net = Network.from_edge_arrays(gen.erdos_renyi_edges(60, 5.0, seed=2))
         seeds = range(200)
         dist_a = Counter(
             engine.run(LubyMISArray(), net, problems.MIS, seed=s).rounds for s in seeds
@@ -364,7 +352,7 @@ class TestDifferentialAgainstCoroutine:
         assert abs(statistics.mean(iters_c) - 8.0) < 1.0
 
     def test_matching_mean_rounds_agree_over_seed_sweep(self, engine, runner):
-        net = Network.from_edge_list(*gen.cycle_edges(12))
+        net = Network.from_edge_arrays(gen.cycle_edges(12))
         seeds = range(800)
         mean_a = statistics.mean(
             engine.run(
@@ -381,7 +369,7 @@ class TestDifferentialAgainstCoroutine:
         assert abs(mean_a - mean_c) / mean_c < 0.10
 
     def test_mis_sizes_agree_in_expectation(self, engine, runner):
-        net = Network.from_edge_list(*gen.erdos_renyi_edges(60, 5.0, seed=2))
+        net = Network.from_edge_arrays(gen.erdos_renyi_edges(60, 5.0, seed=2))
         seeds = range(200)
         mean_a = statistics.mean(
             len(engine.run(LubyMISArray(), net, problems.MIS, seed=s).selected_nodes())
@@ -404,7 +392,7 @@ class TestPinnedSeedSchedule:
     """
 
     def test_luby_on_cycle9_seed7(self):
-        net = Network.from_edge_list(*gen.cycle_edges(9))
+        net = Network.from_edge_arrays(gen.cycle_edges(9))
         trace = ArrayEngine().run(LubyMISArray(), net, problems.MIS, seed=7)
         assert trace.node_outputs == {
             0: False, 1: True, 2: False, 3: True, 4: False,
@@ -417,7 +405,7 @@ class TestPinnedSeedSchedule:
         assert trace.total_messages == 38
 
     def test_matching_on_cycle9_seed7(self):
-        net = Network.from_edge_list(*gen.cycle_edges(9))
+        net = Network.from_edge_arrays(gen.cycle_edges(9))
         trace = ArrayEngine().run(
             RandomizedMatchingArray(), net, problems.MAXIMAL_MATCHING, seed=7
         )
@@ -432,7 +420,7 @@ class TestPinnedSeedSchedule:
 
 class TestEngineRouting:
     def test_run_trials_engine_array_uses_the_engine(self):
-        net = Network.from_edge_list(*gen.cycle_edges(16))
+        net = Network.from_edge_arrays(gen.cycle_edges(16))
         traces = run_trials(
             LubyMIS, net, problems.MIS, trials=3, seed=5, engine="array"
         )
@@ -444,7 +432,7 @@ class TestEngineRouting:
         assert [t.rounds for t in traces] == [t.rounds for t in expected]
 
     def test_run_trials_engine_auto_picks_array_for_protocol_algorithms(self):
-        net = Network.from_edge_list(*gen.cycle_edges(16))
+        net = Network.from_edge_arrays(gen.cycle_edges(16))
         auto = run_trials(LubyMIS, net, problems.MIS, trials=2, seed=1, engine="auto")
         explicit = run_trials(
             LubyMIS, net, problems.MIS, trials=2, seed=1, engine="array"
@@ -452,7 +440,7 @@ class TestEngineRouting:
         assert [t.node_outputs for t in auto] == [t.node_outputs for t in explicit]
 
     def test_run_trials_engine_node_stays_on_the_coroutine_path(self):
-        net = Network.from_edge_list(*gen.cycle_edges(16))
+        net = Network.from_edge_arrays(gen.cycle_edges(16))
         node = run_trials(LubyMIS, net, problems.MIS, trials=2, seed=1, engine="node")
         reference = [
             Runner().run(LubyMIS(), net, problems.MIS, seed=trial_seed(1, i))
@@ -463,7 +451,7 @@ class TestEngineRouting:
     def test_engine_auto_falls_back_for_non_protocol_algorithms(self):
         from repro.algorithms.ruling_set.randomized import RandomizedTwoTwoRulingSet
 
-        net = Network.from_edge_list(*gen.cycle_edges(12))
+        net = Network.from_edge_arrays(gen.cycle_edges(12))
         problem = problems.ruling_set(2, 2)
         traces = run_trials(
             lambda: RandomizedTwoTwoRulingSet(),
@@ -480,7 +468,7 @@ class TestEngineRouting:
     def test_engine_array_rejects_non_protocol_algorithms(self):
         from repro.algorithms.ruling_set.randomized import RandomizedTwoTwoRulingSet
 
-        net = Network.from_edge_list(*gen.cycle_edges(12))
+        net = Network.from_edge_arrays(gen.cycle_edges(12))
         with pytest.raises(TypeError):
             run_trials(
                 lambda: RandomizedTwoTwoRulingSet(),
@@ -491,7 +479,7 @@ class TestEngineRouting:
             )
 
     def test_unknown_engine_rejected(self):
-        net = Network.from_edge_list(*gen.cycle_edges(12))
+        net = Network.from_edge_arrays(gen.cycle_edges(12))
         with pytest.raises(ValueError):
             run_trials(LubyMIS, net, problems.MIS, trials=1, engine="vectorised")
         with pytest.raises(ValueError):
@@ -504,7 +492,7 @@ class TestEngineRouting:
             )
 
     def test_experiment_engine_auto_matches_manual_engine_runs(self):
-        arrays = gen.fast_gnp_edges(300, 8.0 / 299, seed=11, as_arrays=True)
+        arrays = gen.fast_gnp_edges(300, 8.0 / 299, seed=11)
         result = Experiment(
             problem=problems.MIS,
             algorithm=LubyMIS,
@@ -528,7 +516,7 @@ class TestEngineRouting:
         assert [t.rounds for t in run.traces] == [t.rounds for t in expected]
 
     def test_experiment_default_stays_bit_exact_on_the_node_path(self):
-        arrays = gen.fast_gnp_edges(300, 8.0 / 299, seed=11, as_arrays=True)
+        arrays = gen.fast_gnp_edges(300, 8.0 / 299, seed=11)
         result = Experiment(
             problem=problems.MIS,
             algorithm=LubyMIS,
@@ -553,7 +541,7 @@ class TestEngineRouting:
         points = sweep(
             "n",
             [24, 36],
-            lambda n: gen.cycle_edges(n, as_arrays=True),
+            lambda n: gen.cycle_edges(n),
             {
                 "luby": (lambda net: LubyMIS(), lambda net: problems.MIS),
                 "matching": (

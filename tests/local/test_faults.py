@@ -49,8 +49,8 @@ def p3() -> Network:
 
 def pinned_network() -> Network:
     """The n=12, m=19 G(n, p) instance all pinned fault executions use."""
-    return Network.from_edge_list(
-        *gen.erdos_renyi_edges(12, 3.0, seed=7), id_scheme="permuted"
+    return Network.from_edge_arrays(
+        gen.erdos_renyi_edges(12, 3.0, seed=7), id_scheme="permuted"
     )
 
 
@@ -167,8 +167,8 @@ class TestForcedParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_empty_schedule_is_bit_identical_to_no_faults(self, seed):
         """``FaultSchedule()`` must not perturb either engine in any way."""
-        net = Network.from_edge_list(
-            *gen.erdos_renyi_edges(10, 2.5, seed=3), id_scheme="permuted"
+        net = Network.from_edge_arrays(
+            gen.erdos_renyi_edges(10, 2.5, seed=3), id_scheme="permuted"
         )
         fs = FaultSchedule()
         plain = Runner(max_rounds=500).run(LubyMIS(), net, problems.MIS, seed=seed)

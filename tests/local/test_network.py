@@ -52,12 +52,6 @@ class TestNetworkConstruction:
         assert not net.has_edge(0, 4)
         assert not net.has_edge(2, 2)
 
-    def test_incident_edges(self):
-        net = Network.from_graph(nx.star_graph(4))
-        centre_edges = net.incident_edges(0)
-        assert len(centre_edges) == 4
-        assert all(0 in e for e in centre_edges)
-
     def test_rejects_directed_graph(self):
         with pytest.raises(ValueError):
             Network(nx.DiGraph([(0, 1)]))
@@ -101,7 +95,7 @@ class TestNetworkConstruction:
         g = nx.Graph([("a", "b"), ("b", "c")])
         net = Network.from_graph(g)
         assert set(net.vertices) == {0, 1, 2}
-        assert {net.original_label(v) for v in net.vertices} == {"a", "b", "c"}
+        assert net.edges == ((0, 1), (1, 2))  # sorted labels a, b, c
 
     @pytest.mark.parametrize("v", [-1, 3])
     @pytest.mark.parametrize(
@@ -118,9 +112,7 @@ class TestNetworkConstruction:
             "identifier",
             "neighbors",
             "degree",
-            "incident_edges",
             "incident_edge_indices",
-            "original_label",
         ],
     )
     def test_vertex_outside_the_network_raises(self, accessor, build, v):
@@ -238,11 +230,6 @@ class TestIdentifierSchemes:
         assert ids.id_bit_length({0: 0, 1: 255}) == 8
         assert ids.id_bit_length({}) == 0
 
-    def test_with_identifiers(self):
-        net = Network.from_graph(nx.path_graph(3))
-        renamed = net.with_identifiers({0: 10, 1: 20, 2: 30})
-        assert renamed.identifier(2) == 30
-        assert renamed.m == net.m
 
 
 IDENTIFIER_BUILDERS = {
@@ -253,9 +240,6 @@ IDENTIFIER_BUILDERS = {
     "from_endpoint_arrays": lambda identifiers: Network.from_endpoint_arrays(
         3, [0, 1], [1, 2], identifiers
     ),
-    "with_identifiers": lambda identifiers: Network.from_edges(
-        3, [(0, 1), (1, 2)]
-    ).with_identifiers(identifiers),
 }
 
 
@@ -314,8 +298,8 @@ class TestIdentifierStorage:
 
     @pytest.mark.parametrize("scheme", ["sequential", "random", "permuted", "adversarial"])
     def test_storage_is_one_read_only_int64_array(self, scheme):
-        net = Network.from_edge_list(
-            *cycle_edges(20), id_scheme=scheme, rng=random.Random(1)
+        net = Network.from_edge_arrays(
+            cycle_edges(20), id_scheme=scheme, rng=random.Random(1)
         )
         array = net.identifier_array
         assert array.dtype == np.int64 and array.shape == (20,)
@@ -329,8 +313,8 @@ class TestIdentifierStorage:
         assert net.identifiers is net.identifiers
 
     def test_subnetwork_gathers_the_identifier_array(self):
-        net = Network.from_edge_list(
-            *cycle_edges(12), id_scheme="permuted", rng=random.Random(5)
+        net = Network.from_edge_arrays(
+            cycle_edges(12), id_scheme="permuted", rng=random.Random(5)
         )
         sub = net.subnetwork([2, 3, 9])
         assert np.array_equal(sub.identifier_array, net.identifier_array[[2, 3, 9]])
@@ -384,7 +368,8 @@ class TestFromEndpointArrays:
     def test_matches_tuple_path_on_random_workload(self):
         from repro.graphs.generators import random_regular_edges
 
-        n, edges = random_regular_edges(4, 200, seed=1)
+        arrays = random_regular_edges(4, 200, seed=1)
+        n, edges = arrays.n, arrays.as_pairs()
         identifiers = ids.permuted_ids(list(range(n)), random.Random(7))
         tuple_net = Network.from_edges(n, edges, identifiers)
         array_net = Network.from_endpoint_arrays(
@@ -448,8 +433,8 @@ class TestFromEndpointArrays:
         assert [edgeless.neighbors(v) for v in edgeless.vertices] == [()] * 5
 
     def test_id_scheme_parity_with_from_edge_list(self):
-        n, edges = cycle_edges(40)
-        arrays = cycle_edges(40, as_arrays=True)
+        arrays = cycle_edges(40)
+        n, edges = arrays.n, arrays.as_pairs()
         via_list = Network.from_edge_list(n, edges, id_scheme="permuted", rng=random.Random(3))
         via_arrays = Network.from_endpoint_arrays(
             n, arrays.src, arrays.dst, id_scheme="permuted", rng=random.Random(3)
@@ -478,24 +463,12 @@ class TestFromEndpointArrays:
         assert net.edges == ((0, 1), (1, 2), (2, 3))
         assert net.identifiers == (0, 1, 2, 3)
 
-    def test_with_identifiers_on_array_built_network(self):
-        net = Network.from_endpoint_arrays(3, [0, 1], [1, 2])
-        renamed = net.with_identifiers({0: 5, 1: 6, 2: 7})
-        assert renamed.identifiers == (5, 6, 7)
-        assert renamed.edges == net.edges
-
     def test_subnetwork_on_array_built_network(self):
         net = Network.from_endpoint_arrays(5, [0, 1, 2, 3], [1, 2, 3, 4])
         sub = net.subnetwork([1, 2, 3])
         assert sub.n == 3
         assert sub.edges == ((0, 1), (1, 2))
         assert sub.identifiers == (1, 2, 3)
-
-    def test_original_labels_are_identity(self):
-        net = Network.from_endpoint_arrays(3, [0], [1])
-        assert net.original_label(2) == 2
-        with pytest.raises(IndexError):
-            net.original_label(3)
 
     def test_traces_identical_across_construction_paths(self):
         """Seed-for-seed trace identity: the acceptance invariant of the array path."""
@@ -504,7 +477,8 @@ class TestFromEndpointArrays:
         from repro.graphs.generators import random_regular_edges
         from repro.local.runner import Runner
 
-        n, edges = random_regular_edges(4, 120, seed=2)
+        arrays = random_regular_edges(4, 120, seed=2)
+        n, edges = arrays.n, arrays.as_pairs()
         identifiers = ids.permuted_ids(list(range(n)), random.Random(9))
         tuple_net = Network.from_edges(n, edges, identifiers)
         array_net = Network.from_endpoint_arrays(
@@ -528,7 +502,7 @@ class TestHotPathLaziness:
     def _gnp_array_network(self, n=200, seed=3):
         from repro.graphs.generators import fast_gnp_edges
 
-        arrays = fast_gnp_edges(n, 6.0 / (n - 1), seed=seed, as_arrays=True)
+        arrays = fast_gnp_edges(n, 6.0 / (n - 1), seed=seed)
         return Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
 
     def test_subnetwork_keeps_rows_lazy_on_array_built_networks(self):
@@ -541,7 +515,8 @@ class TestHotPathLaziness:
     def test_csr_subnetwork_matches_the_tuple_path(self):
         from repro.graphs.generators import erdos_renyi_edges
 
-        n, edges = erdos_renyi_edges(60, 5.0, seed=4)
+        arrays = erdos_renyi_edges(60, 5.0, seed=4)
+        n, edges = arrays.n, arrays.as_pairs()
         identifiers = ids.permuted_ids(list(range(n)), random.Random(2))
         tuple_net = Network.from_edges(n, edges, identifiers)
         array_net = Network.from_endpoint_arrays(

@@ -32,7 +32,7 @@ CAPS = (0, 1, 2, 3, 4, 7, 8)
 
 
 def cycle12() -> Network:
-    return Network.from_edge_list(*gen.cycle_edges(12), id_scheme="permuted")
+    return Network.from_edge_arrays(gen.cycle_edges(12), id_scheme="permuted")
 
 
 CASES = [

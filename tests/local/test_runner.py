@@ -389,7 +389,7 @@ RAISING = [
 class TestRunLifetime:
     def test_finished_run_is_freed_without_the_collector(self):
         def build():
-            return Network.from_edges(*cycle_edges(2000)), LubyMIS(), problems.MIS
+            return Network.from_edge_arrays(cycle_edges(2000)), LubyMIS(), problems.MIS
 
         assert run_and_drop(build, seed=0) is None
 
@@ -438,7 +438,7 @@ class TestEdgeHotPathLaziness:
     def _array_network(self, n=60, seed=4):
         from repro.graphs.generators import fast_gnp_edges
 
-        arrays = fast_gnp_edges(n, 5.0 / (n - 1), seed=seed, as_arrays=True)
+        arrays = fast_gnp_edges(n, 5.0 / (n - 1), seed=seed)
         return Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
 
     def test_matching_run_keeps_edge_tuples_lazy(self):
@@ -458,7 +458,8 @@ class TestEdgeHotPathLaziness:
         from repro.algorithms.matching.randomized import RandomizedMaximalMatching
         from repro.graphs.generators import erdos_renyi_edges
 
-        n, edges = erdos_renyi_edges(50, 4.0, seed=7)
+        arrays = erdos_renyi_edges(50, 4.0, seed=7)
+        n, edges = arrays.n, arrays.as_pairs()
         tuple_net = Network.from_edges(n, edges)
         array_net = Network.from_endpoint_arrays(
             n, [u for u, _ in edges], [v for _, v in edges]

@@ -48,6 +48,7 @@ from repro.algorithms.selfstab import SelfStabilizingLubyMIS, SelfStabilizingMat
 from repro.core import problems
 from repro.core.experiment import trial_seed
 from repro.graphs import generators as gen
+from repro.graphs.edgelist import EdgeArrays
 from repro.local import ids
 from repro.local.network import Network
 from repro.local.node import CommitError
@@ -70,6 +71,10 @@ def _with_vertices(n: int, edges) -> nx.Graph:
     return g
 
 
+def _arrays_graph(arrays: EdgeArrays) -> nx.Graph:
+    return _with_vertices(arrays.n, arrays.as_pairs())
+
+
 def _golden_graph(seed: int, n: int) -> nx.Graph:
     net = graph(seed, n)
     return _with_vertices(n, net.edges)
@@ -84,9 +89,9 @@ def _tree(n: int, seed: int) -> nx.Graph:
 #: name -> (seed, graph).  The seed drives identifiers and the runs.
 FAULT_FREE_GRAPHS: Dict[str, Tuple[int, nx.Graph]] = {
     **{f"gnp-{seed}-{n}": (seed, _golden_graph(seed, n)) for seed, n in GRAPHS},
-    "cycle-31": (7, _with_vertices(*gen.cycle_edges(31))),
+    "cycle-31": (7, _arrays_graph(gen.cycle_edges(31))),
     "tree-40": (8, _tree(40, seed=8)),
-    "regular4-36": (9, _with_vertices(*gen.random_regular_edges(4, 36, seed=9))),
+    "regular4-36": (9, _arrays_graph(gen.random_regular_edges(4, 36, seed=9))),
 }
 
 
@@ -277,8 +282,8 @@ def test_faulted_digest_is_pinned(name, schedule):
 def seed_cell_digest(name: str) -> str:
     algorithm, problem, workload, trials = SEED_CELLS[name]
     source = workload()
-    if isinstance(source, tuple):
-        n, pairs = source
+    if isinstance(source, EdgeArrays):
+        n, pairs = source.n, source.as_pairs()
     else:
         n, pairs = source.number_of_nodes(), source.edges()
     identifiers = ids.permuted_ids(range(n), random.Random(7))

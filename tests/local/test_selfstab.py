@@ -48,7 +48,7 @@ from repro.local.runner import Runner, _CompletionTracker
 
 
 def er_network(n: int, seed: int) -> Network:
-    return Network.from_edge_list(*gen.erdos_renyi_edges(n, 3.0, seed=seed))
+    return Network.from_edge_arrays(gen.erdos_renyi_edges(n, 3.0, seed=seed))
 
 
 def wave_schedule(n: int, seed: int, rounds=(2, 6)) -> FaultSchedule:
@@ -188,7 +188,7 @@ class TestSelfStabLubyRecovery:
         # evenly over G(1000, 8/(n-1)), in waves at rounds 2 and 14, and two
         # trials per engine: every epoch must restabilise.
         n = 1000
-        arrays = gen.fast_gnp_edges(n, 8.0 / (n - 1), seed=1, as_arrays=True)
+        arrays = gen.fast_gnp_edges(n, 8.0 / (n - 1), seed=1)
         network = Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
         faults = FaultSchedule(
             crashes={i * (n // 12): (2, 14)[i % 2] for i in range(12)}, seed=0

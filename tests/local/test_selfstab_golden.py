@@ -52,9 +52,9 @@ MAX_ROUNDS = 400
 def graph(seed: int, n: int) -> Network:
     """Odd seeds build from endpoint arrays, even seeds from an edge list."""
     if seed % 2:
-        arrays = gen.fast_gnp_edges(n, 4.0 / (n - 1), seed=seed, as_arrays=True)
+        arrays = gen.fast_gnp_edges(n, 4.0 / (n - 1), seed=seed)
         return Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
-    return Network.from_edge_list(*gen.erdos_renyi_edges(n, 4.0, seed=seed))
+    return Network.from_edge_arrays(gen.erdos_renyi_edges(n, 4.0, seed=seed))
 
 
 def waves(n: int, seed: int, rounds: Tuple[int, ...]) -> Dict[int, int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.graphs.edgelist import EdgeArrays
 from repro.service.specs import (
     ALGORITHMS,
     GRAPH_FAMILIES,
@@ -122,6 +123,12 @@ class TestReconstitution:
         assert kwargs["batch_budget_bytes"] == 123456
         assert kwargs["cell_timeout"] == 9.0
         assert set(kwargs["algorithms"]) == {"luby_mis"}
+
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_every_family_builds_edge_arrays(self, family):
+        source = GRAPH_FAMILIES[family](20)
+        assert isinstance(source, EdgeArrays)
+        assert source.meta["family"] == family
 
     def test_graph_source_dispatches_the_registry(self):
         source = make_spec().graph_source(8)

@@ -48,7 +48,7 @@ from repro.local.network import Network
 from repro.service import JobQueue, ResultStore, SweepSpec
 from repro.service.scheduler import run_job
 
-graph = fast_gnp_edges(300, 8 / 299, seed=1, as_arrays=True)
+graph = fast_gnp_edges(300, 8 / 299, seed=1)
 for engine in ("auto", "node"):
     result = Experiment(
         problem=problems.MIS, algorithm=LubyMIS, graphs=graph, seeds=range(2),
