@@ -14,6 +14,7 @@ import sys
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials, seed_schedule
+from repro.core.metrics import measure
 from repro.graphs import generators as gen
 
 import repro.analysis.sweep  # noqa: F401  (loads the module into sys.modules)
@@ -50,6 +51,18 @@ class TestRunTrialsBudget:
             [dict(t.node_commit_round) for t in default]
         )
         assert [t.rounds for t in tiny] == [t.rounds for t in default]
+
+    def test_measurement_is_invariant_under_the_budget(self):
+        network = cycle_network()
+        default = measure(run_trials(
+            lambda: LubyMIS(), network, problems.MIS,
+            trials=3, seed=2, engine="array",
+        ))
+        tiny = measure(run_trials(
+            lambda: LubyMIS(), network, problems.MIS,
+            trials=3, seed=2, engine="array", batch_budget_bytes=64,
+        ))
+        assert tiny == default
 
     def test_experiment_accepts_the_budget(self):
         default = Experiment(

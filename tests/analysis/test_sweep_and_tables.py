@@ -94,6 +94,24 @@ class TestEdgeArraysWorkloads:
         assert from_arrays.edges == from_graph.edges
         assert from_arrays.identifiers == from_graph.identifiers
 
+    def test_sweep_identical_for_edge_arrays_and_graph_factories(self):
+        from repro.graphs import generators as gen
+
+        algorithms = {"luby": (lambda net: LubyMIS(), lambda net: problems.MIS)}
+        graph_points = sweep(
+            "n", [20, 30],
+            lambda n: gen.cycle_graph(n),
+            algorithms, trials=2, seed=3,
+        )
+        array_points = sweep(
+            "n", [20, 30],
+            lambda n: gen.cycle_edges(n),
+            algorithms, trials=2, seed=3,
+        )
+        assert [p.measurement for p in graph_points] == [
+            p.measurement for p in array_points
+        ]
+
     def test_sweep_refuses_an_edge_pair_factory(self):
         algorithms = {"luby": (lambda net: LubyMIS(), lambda net: problems.MIS)}
         with pytest.raises(TypeError, match="expected Network, EdgeArrays"):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.algorithms.mis import LubyMIS
+from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
 from repro.core import problems
 from repro.core.experiment import run_trials
+from repro.core.metrics import measure
 from repro.local.network import Network
 from repro.local.runner import Runner
 
@@ -54,6 +57,30 @@ class TestRunTrials:
         assert not traces[0].completed
 
 
+class TestMeasureOfRunTrials:
+    """``measure(run_trials(...))`` gives one graph's measurement."""
+
+    def test_aggregates_measurement(self, small_network):
+        measurement = measure(run_trials(LubyMIS, small_network, problems.MIS, trials=3, seed=0))
+        assert measurement.trials == 3
+        assert measurement.n == small_network.n
+        assert measurement.node_averaged <= measurement.worst_case
+
+    def test_different_problems(self, small_network):
+        mis = measure(run_trials(LubyMIS, small_network, problems.MIS, trials=2, seed=0))
+        ruling = measure(
+            run_trials(
+                RandomizedTwoTwoRulingSet,
+                small_network,
+                problems.ruling_set(2, 2),
+                trials=2,
+                seed=0,
+            )
+        )
+        assert mis.problem == "maximal-independent-set"
+        assert ruling.problem == "(2,2)-ruling-set"
+
+
 class TestResolveNetwork:
     def test_network_returned_as_is(self, small_network):
         from repro.core.experiment import resolve_network
@@ -85,6 +112,21 @@ class TestResolveNetwork:
 
         with pytest.raises(TypeError, match="expected Network, EdgeArrays"):
             resolve_network((3, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            (np.int64(3), [(0, 1), (1, 2)]),
+            [(0, 1), (1, 2)],
+            lambda: (3, [(0, 1), (1, 2)]),
+        ],
+        ids=["numpy-led-pair", "pair-list", "callable-pair"],
+    )
+    def test_refusal_names_the_accepted_sources(self, source):
+        from repro.core.experiment import resolve_network
+
+        with pytest.raises(TypeError, match="expected Network, EdgeArrays, a networkx graph"):
+            resolve_network(source)
 
 
 class TestExperimentFacade:
@@ -205,6 +247,31 @@ class TestExperimentFacade:
         )
         with pytest.raises(TypeError, match="expected Network, EdgeArrays"):
             experiment.run()
+
+    def test_pair_with_numpy_integer_n_is_refused(self):
+        from repro.core.experiment import Experiment
+
+        experiment = Experiment(
+            problem=problems.MIS,
+            algorithm=LubyMIS,
+            graphs=(np.int64(3), [(0, 1), (1, 2)]),
+            seeds=[0],
+        )
+        with pytest.raises(TypeError, match="expected Network, EdgeArrays"):
+            experiment.run()
+
+    def test_tuple_of_two_sources_is_two_graphs(self):
+        from repro.core.experiment import Experiment
+        from repro.graphs import generators as gen
+
+        result = Experiment(
+            problem=problems.MIS,
+            algorithm=LubyMIS,
+            graphs=(gen.cycle_edges(12), gen.path_edges(10)),
+            seeds=[0],
+        ).run()
+        assert [run.name for run in result] == ["cycle", "path"]
+        assert [run.network.n for run in result] == [12, 10]
 
     def test_problem_and_algorithm_factories_receive_network(self, small_network):
         from repro.core.experiment import Experiment

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
@@ -167,6 +168,30 @@ class TestNativeArrayMode:
         assert gen.fast_gnp_edges(50, 0.1, seed=3, as_arrays=True).n == 50
         with pytest.raises(ValueError, match="EdgeArrays only"):
             gen.fast_gnp_edges(50, 0.1, seed=3, as_arrays=False)
+
+    @pytest.mark.parametrize("n,p,seed", [(500, 0.02, 1), (1000, 0.004, 9), (50, 0.5, 3)])
+    def test_arrays_list_canonical_pairs_in_skip_walk_order(self, n, p, seed):
+        arrays = gen.fast_gnp_edges(n, p, seed=seed)
+        src, dst = arrays.src, arrays.dst
+        assert src.dtype == dst.dtype == np.int64
+        assert not (src.flags.writeable or dst.flags.writeable)
+        assert bool(np.all(src < dst))
+        # Pair (w, v), w < v, has index v(v-1)/2 + w: the walk emits the
+        # indices strictly increasing, larger endpoint first.
+        pair_index = dst * (dst - 1) // 2 + src
+        assert bool(np.all(np.diff(pair_index) > 0))
+        assert arrays.meta == {"family": "fast_gnp", "n": n, "p": p, "seed": seed}
+
+    def test_arrays_feed_the_numpy_csr_network_build(self):
+        arrays = gen.fast_gnp_edges(800, 0.01, seed=4)
+        via_arrays = Network.from_edge_arrays(arrays)
+        via_pairs = Network.from_edge_list(arrays.n, arrays.as_pairs())
+        assert via_arrays.edges == tuple(sorted(arrays.as_pairs()))
+        assert via_arrays.edges == via_pairs.edges
+        assert via_arrays.identifiers == via_pairs.identifiers
+        assert [via_arrays.neighbors(v) for v in range(20)] == [
+            via_pairs.neighbors(v) for v in range(20)
+        ]
 
     def test_degenerate_parameters_in_array_mode(self):
         assert gen.fast_gnp_edges(1, 0.5).m == 0

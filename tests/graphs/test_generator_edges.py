@@ -6,12 +6,16 @@ it emits exactly the same edge set (it replays the counterpart's RNG
 consumption call for call), just without ever building a ``networkx.Graph``.
 These tests pin that contract for the deterministic families and, via
 hypothesis-driven seeds, for the randomized ones, comparing the returned
-:class:`EdgeArrays` through :meth:`EdgeArrays.as_pairs`.
+:class:`EdgeArrays` through :meth:`EdgeArrays.as_pairs`.  They also pin the
+order each generator documents for its edges, entry for entry.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +133,19 @@ class TestNetworkIntegration:
         ready = Network.from_edge_arrays(arrays)
         assert network_from(ready, seed=3) is ready
 
+    def test_network_canonicalises_the_grid_block_order(self):
+        """The grid lists its right-going block before its down-going one;
+        every construction path sorts that into the same network."""
+        arrays = gen.grid_edges(6, 5)
+        via_arrays = Network.from_edge_arrays(arrays)
+        via_pairs = Network.from_edge_list(arrays.n, arrays.as_pairs())
+        via_nx = Network.from_graph(gen.grid_graph(6, 5))
+        assert via_arrays.edges == tuple(sorted(arrays.as_pairs()))
+        assert via_arrays.edges == via_pairs.edges == via_nx.edges
+        assert [via_arrays.neighbors(v) for v in via_arrays.vertices] == [
+            via_nx.neighbors(v) for v in via_nx.vertices
+        ]
+
     def test_to_networkx_is_cached(self):
         net = Network.from_edge_arrays(gen.cycle_edges(8))
         assert net.to_networkx() is net.to_networkx()
@@ -148,3 +165,76 @@ class TestProvenance:
         regular = gen.random_regular_edges(4, 10, seed=3)
         assert regular.meta["family"] == "random_regular"
         assert regular.meta["seed"] == 3
+
+
+def _documented_order(name, args):
+    """``(n, pairs)`` in the edge order ``name``'s docstring gives.
+
+    Plain loops spell out the deterministic families; the randomized ones
+    list their networkx twin's edge set in lexicographic order, which is
+    the sorted pairing of ``random_regular_edges`` and the pair loop of
+    ``erdos_renyi_edges``.
+    """
+    if name == "cycle_edges":
+        (n,) = args
+        return n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    if name == "path_edges":
+        (n,) = args
+        return n, [(i, i + 1) for i in range(n - 1)]
+    if name == "complete_edges":
+        (n,) = args
+        return n, list(itertools.combinations(range(n), 2))
+    if name == "star_edges":
+        (leaves,) = args
+        return leaves + 1, [(0, i) for i in range(1, leaves + 1)]
+    if name == "grid_edges":
+        rows, cols = args
+        right = [
+            (i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)
+        ]
+        down = [
+            (i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)
+        ]
+        return rows * cols, right + down
+    twin = {
+        "random_regular_edges": gen.random_regular_graph,
+        "erdos_renyi_edges": gen.erdos_renyi_graph,
+    }[name](*args)
+    return twin.number_of_nodes(), sorted(_canon(twin.edges()))
+
+
+class TestDocumentedEdgeOrder:
+    """Each direct generator returns read-only int64 :class:`EdgeArrays`
+    listing its edges in the documented order, at the degenerate sizes too
+    (one vertex, a single row or column, degree 0, ``p`` of 0 and past 1)."""
+
+    CASES = [
+        ("cycle_edges", (3,)),
+        ("cycle_edges", (17,)),
+        ("path_edges", (1,)),
+        ("path_edges", (23,)),
+        ("complete_edges", (1,)),
+        ("complete_edges", (9,)),
+        ("star_edges", (1,)),
+        ("star_edges", (12,)),
+        ("grid_edges", (1, 1)),
+        ("grid_edges", (1, 7)),
+        ("grid_edges", (5, 1)),
+        ("grid_edges", (4, 6)),
+        ("random_regular_edges", (3, 18, 4)),
+        ("random_regular_edges", (0, 5, 0)),
+        ("erdos_renyi_edges", (25, 4.0, 2)),
+        ("erdos_renyi_edges", (1, 3.0, 0)),
+        ("erdos_renyi_edges", (4, 0.0, 0)),
+        ("erdos_renyi_edges", (4, 99.0, 0)),
+    ]
+
+    @pytest.mark.parametrize("name,args", CASES)
+    def test_edges_follow_the_documented_order(self, name, args):
+        arrays = getattr(gen, name)(*args)
+        n, pairs = _documented_order(name, args)
+        assert isinstance(arrays, EdgeArrays)
+        assert arrays.n == n
+        assert arrays.src.dtype == arrays.dst.dtype == np.int64
+        assert not (arrays.src.flags.writeable or arrays.dst.flags.writeable)
+        assert arrays.as_pairs() == pairs

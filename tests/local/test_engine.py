@@ -142,6 +142,42 @@ class TestEngineBasics:
         del result
         assert network() is None
 
+    @pytest.mark.parametrize("call", ["run", "run_batch"])
+    def test_engine_keeps_no_network_after_a_call(self, engine, call):
+        # The engine outlives the networks it ran on: once the caller drops
+        # a network and its traces, nothing in the engine keeps it alive.
+        net = Network.from_edge_arrays(gen.cycle_edges(30))
+        if call == "run":
+            traces = [engine.run(LubyMISArray(), net, problems.MIS, seed=0)]
+        else:
+            traces = engine.run_batch(LubyMISArray(), net, problems.MIS, seeds=[0, 1, 2])
+        assert all(trace.validate() for trace in traces)
+        network = weakref.ref(net)
+        del net, traces
+        assert network() is None
+
+    @pytest.mark.parametrize(
+        "algorithm, problem",
+        [
+            (LubyMISArray, problems.MIS),
+            (RandomizedMatchingArray, problems.MAXIMAL_MATCHING),
+        ],
+        ids=["luby", "matching"],
+    )
+    def test_alternating_networks_match_fresh_engines(self, engine, algorithm, problem):
+        # One engine serving networks of different sizes in turn (its
+        # scratch arena is reused across calls) gives each network the
+        # traces a fresh engine gives it.
+        nets = [
+            Network.from_edge_arrays(gen.erdos_renyi_edges(n, 4.0, seed=n))
+            for n in (40, 12, 25)
+        ]
+        for _ in range(2):
+            for net in nets:
+                seeds = [net.n, net.n + 1]
+                fresh = ArrayEngine().run_batch(algorithm(), net, problem, seeds)
+                assert engine.run_batch(algorithm(), net, problem, seeds) == fresh
+
     def test_works_on_tuple_and_array_built_networks(self, engine):
         arrays = gen.erdos_renyi_edges(50, 4.0, seed=9)
         tuple_net = Network.from_edges(arrays.n, arrays.as_pairs())

@@ -103,8 +103,10 @@ class TestNetworkConstruction:
         [
             lambda: Network.from_edges(3, [(0, 1)]),
             lambda: Network.from_graph(nx.Graph([("a", "b"), ("b", "c")])),
+            # Vertex 3 exists in the parent, not in the sub-network.
+            lambda: Network.from_edges(5, [(0, 1), (2, 3)]).subnetwork([0, 1, 2]),
         ],
-        ids=["edges", "networkx"],
+        ids=["edges", "networkx", "subnetwork"],
     )
     @pytest.mark.parametrize(
         "accessor",
