@@ -15,9 +15,9 @@ from statistics import mean
 import networkx as nx
 
 from repro.algorithms.matching import RandomizedMaximalMatching
-from repro.analysis import format_table, network_from
+from repro.analysis import format_table
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import resolve_network, run_trials
 from repro.core.metrics import measure
 from repro.local.runner import Runner
 from repro.lowerbound.matching_construction import build_matching_lower_bound_graph
@@ -32,7 +32,7 @@ def run_e10():
     # k = 0, β = 12: the two copies of S(c1) hold only a third of |S(c0)|,
     # so at least two thirds of the S(c0) twin pairs must use their cross edge.
     instance = build_matching_lower_bound_graph(0, 12)
-    network = network_from(instance.graph, seed=5)
+    network = resolve_network(instance.graph, seed=5)
     s0_nodes = set(instance.s0_copy_a) | set(instance.s0_copy_b)
     cross_s0 = set(instance.cross_matching_between_s0())
 
@@ -62,7 +62,7 @@ def run_e10():
 
     # Ordinary-graph baseline of comparable size for the edge-averaged O(1).
     baseline_graph = nx.random_regular_graph(6, network.n, seed=9)
-    baseline_network = network_from(baseline_graph, seed=6)
+    baseline_network = resolve_network(baseline_graph, seed=6)
     baseline_traces = run_trials(
         RandomizedMaximalMatching, baseline_network, problems.MAXIMAL_MATCHING,
         trials=2, seed=3, runner=runner,

@@ -14,9 +14,9 @@ from repro.algorithms.matching import RandomizedMaximalMatching
 from repro.algorithms.mis import LubyMIS
 from repro.algorithms.orientation import RandomizedSinklessOrientation
 from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
-from repro.analysis import format_table, network_from
+from repro.analysis import format_table
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import resolve_network, run_trials
 from repro.core.metrics import complexity_hierarchy
 from repro.local.runner import Runner
 
@@ -28,9 +28,9 @@ N = 200
 def run_e11():
     runner = Runner(max_rounds=50_000)
     graph = nx.random_regular_graph(4, N, seed=71)
-    network = network_from(graph, seed=8)
+    network = resolve_network(graph, seed=8)
     min3_graph = nx.random_regular_graph(3, N, seed=72)
-    min3_network = network_from(min3_graph, seed=9)
+    min3_network = resolve_network(min3_graph, seed=9)
 
     cases = [
         ("luby-mis", LubyMIS, problems.MIS, network),

@@ -12,9 +12,9 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.algorithms.ruling_set import DeterministicRulingSet
-from repro.analysis import format_table, network_from
+from repro.analysis import format_table
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import resolve_network, run_trials
 from repro.core.metrics import measure
 from repro.local.runner import Runner
 
@@ -29,7 +29,7 @@ def run_e5():
     runner = Runner(max_rounds=50_000)
     for degree in DEGREES:
         graph = nx.random_regular_graph(degree, N, seed=53)
-        network = network_from(graph, seed=degree)
+        network = resolve_network(graph, seed=degree)
         for variant in ("log-delta", "log-log-n"):
             algorithm = DeterministicRulingSet.for_network(network, variant=variant)
             problem = problems.ruling_set(2, algorithm.coverage_radius)

@@ -19,9 +19,9 @@ from statistics import mean
 
 from repro.algorithms.mis import GhaffariMIS, LubyMIS
 from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
-from repro.analysis import format_table, network_from
+from repro.analysis import format_table
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import resolve_network, run_trials
 from repro.core.metrics import measure, node_averaged_complexity
 from repro.local.runner import Runner
 from repro.lowerbound.base_graph import build_base_graph
@@ -42,7 +42,7 @@ def run_e9():
         gk = build_base_graph(k, beta)
         if lift_order > 1:
             gk = lift_cluster_graph(gk, lift_order, seed=3)
-        network = network_from(gk.graph, seed=7)
+        network = resolve_network(gk.graph, seed=7)
         s0 = set(gk.special_cluster(0))
 
         for name, factory, problem in (

@@ -20,9 +20,9 @@ from __future__ import annotations
 from statistics import mean
 
 from repro.algorithms.mis import LubyMIS
-from repro.analysis import format_table, network_from
+from repro.analysis import format_table
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import resolve_network, run_trials
 from repro.core.metrics import measure
 from repro.local.runner import Runner
 from repro.lowerbound import (
@@ -64,7 +64,7 @@ def main() -> None:
     )
 
     # 5. Where does an MIS algorithm spend its node-averaged budget?
-    network = network_from(lifted.graph, seed=3)
+    network = resolve_network(lifted.graph, seed=3)
     traces = run_trials(LubyMIS, network, problems.MIS, trials=3, seed=0, runner=Runner())
     m = measure(traces)
     s0 = lifted.special_cluster(0)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.algorithms.matching import DeterministicMaximalMatching, RandomizedMaximalMatching
-from repro.analysis import format_table, network_from
+from repro.analysis import format_table
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import resolve_network, run_trials
 from repro.core.metrics import measure
 from repro.local.runner import Runner
 
@@ -30,7 +30,7 @@ def main() -> None:
     rows = []
     for n in (100, 300, 900):
         graph = nx.random_regular_graph(4, n, seed=7)
-        network = network_from(graph, seed=n)
+        network = resolve_network(graph, seed=n)
         for label, factory in (
             ("randomized (Thm 4)", RandomizedMaximalMatching),
             ("deterministic (Thm 5)", DeterministicMaximalMatching),

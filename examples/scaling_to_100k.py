@@ -13,9 +13,9 @@ a ``networkx.Graph`` **or a Python tuple per edge**:
   ``G(n, p)`` in ``O(n + m)`` and hands its numpy arrays straight through
   (the quadratic Gilbert twin would need hours at n = 10⁶);
 * the facade builds the network through the vectorised numpy CSR build
-  (``Network.from_endpoint_arrays``, the one storage every ``Network``
-  constructor ends in), runs the seeded trials, validates through the problems' numpy kernels, and
-  measures over numpy float64 reductions with tail quantiles;
+  (``Network.from_edge_arrays``, the one build every ``Network`` goes
+  through), runs the seeded trials, validates through the problems' numpy
+  kernels, and measures over numpy float64 reductions with tail quantiles;
 * the trials themselves run with ``engine="auto"``: Luby MIS implements the
   :class:`repro.local.engine.ArrayAlgorithm` protocol, so the round loop
   executes as vectorised numpy operations over the CSR topology

@@ -22,9 +22,9 @@ from repro.algorithms.orientation import (
     DeterministicSinklessOrientation,
     RandomizedSinklessOrientation,
 )
-from repro.analysis import format_table, network_from
+from repro.analysis import format_table
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import resolve_network, run_trials
 from repro.core.metrics import measure
 from repro.local.runner import Runner
 
@@ -34,7 +34,7 @@ def main() -> None:
     rows = []
     for n in (90, 270, 810):
         graph = nx.random_regular_graph(3, n, seed=11)
-        network = network_from(graph, seed=n)
+        network = resolve_network(graph, seed=n)
         for label, factory in (
             ("randomized", RandomizedSinklessOrientation),
             ("deterministic (Thm 6)", DeterministicSinklessOrientation),
@@ -63,7 +63,7 @@ def main() -> None:
     # Show the distribution of decision times for one deterministic run: most
     # servers decide in the first few rounds, a few stragglers pay the worst case.
     graph = nx.random_regular_graph(3, 270, seed=11)
-    network = network_from(graph, seed=270)
+    network = resolve_network(graph, seed=270)
     trace = Runner(max_rounds=50_000).run(
         DeterministicSinklessOrientation(), network, problems.SINKLESS_ORIENTATION, seed=2
     )

@@ -24,9 +24,9 @@ import networkx as nx
 
 from repro.algorithms.mis import GhaffariMIS, LubyMIS
 from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
-from repro.analysis import format_table, network_from
+from repro.analysis import format_table
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import resolve_network, run_trials
 from repro.core.metrics import measure
 from repro.local.runner import Runner
 
@@ -41,7 +41,7 @@ def main() -> None:
     rows = []
     for density in (4, 8, 16, 32):
         graph = deployment(density)
-        network = network_from(graph, seed=density)
+        network = resolve_network(graph, seed=density)
         for label, factory, problem in (
             ("MIS (Luby)", LubyMIS, problems.MIS),
             ("MIS (degree-adaptive)", GhaffariMIS, problems.MIS),

@@ -31,8 +31,9 @@ from typing import Dict, Optional, Sequence, Set
 import numpy as np
 
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState, ScratchArena
+from repro.local.engine import ArrayAlgorithm, BatchState, ScratchArena
 from repro.local.faults import RoundFaults
+from repro.local.network import Network
 from repro.local.node import NodeRuntime
 
 __all__ = ["RandomizedMaximalMatching", "RandomizedMatchingArray"]
@@ -185,7 +186,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
 
     @staticmethod
     def _batch_scratch(
-        topology: ArrayTopology, trials: int, arena: ScratchArena
+        network: Network, trials: int, arena: ScratchArena
     ) -> dict:
         """The fault-free kernel's scratch, carved from the engine's arena.
 
@@ -197,7 +198,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         and ``deg``, the endpoint-slot tables are written here, and every
         round writes the rest before reading it.
         """
-        n, m = topology.n, topology.m
+        n, m = network.n, network.m
         flat = trials * m
         # Flat indices are always int64: numpy's advanced-indexing fast
         # path only fires for intp index arrays, and int32 gathers measure
@@ -214,15 +215,16 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             *[((trials, m), np.int64)] * (2 if trials > 1 else 0),
         )
         if slots:
-            # Recomputed for every chunk: the tables depend on the topology.
+            # Recomputed for every chunk: the tables depend on the network.
+            us, vs = network.edge_endpoints()
             base = (np.arange(trials, dtype=np.int64) * n)[:, None]
-            np.add(base, topology.edge_us, out=slots[0])
-            np.add(base, topology.edge_vs, out=slots[1])
+            np.add(base, us, out=slots[0])
+            np.add(base, vs, out=slots[1])
             slot_u, slot_v = slots[0].ravel(), slots[1].ravel()
         else:
-            # A lone trial's endpoint slots are the topology's own
+            # A lone trial's endpoint slots are the network's own
             # endpoint arrays: nothing is copied.
-            slot_u, slot_v = topology.edge_us, topology.edge_vs
+            slot_u, slot_v = network.edge_endpoints()
         return {
             # Endpoint slots (t·n+u, t·n+v) of flat edge slot t·m+e.
             "slots": (slot_u, slot_v),
@@ -246,16 +248,16 @@ class RandomizedMatchingArray(ArrayAlgorithm):
 
     def init_batch(
         self,
-        topology: ArrayTopology,
+        network: Network,
         rngs: Sequence[np.random.Generator],
         scratch: ScratchArena,
     ) -> BatchState:
         trials = len(rngs)
-        batch = BatchState(trials, topology.n, topology.m, nodes=False, edges=True)
-        batch.halted[:, topology.degrees == 0] = True
-        buffers = self._batch_scratch(topology, trials, scratch)
+        batch = BatchState(trials, network.n, network.m, nodes=False, edges=True)
+        batch.halted[:, network.degrees == 0] = True
+        buffers = self._batch_scratch(network, trials, scratch)
         extra = batch.extra
-        extra["undecided"] = np.ones((trials, topology.m), dtype=bool)
+        extra["undecided"] = np.ones((trials, network.m), dtype=bool)
         # The worklist holds every still-undecided (trial, edge) as its
         # flat edge slot t·m+e (the endpoint slots are looked up in
         # `slots`), trial-major with ascending edge slots inside each
@@ -270,11 +272,11 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         np.cumsum(wl, out=wl)
         extra["wl"] = wl
         extra["idle"] = 1
-        extra["counts"] = np.full(trials, topology.m, dtype=np.int64)
+        extra["counts"] = np.full(trials, network.m, dtype=np.int64)
         # Per-node undecided degrees, maintained incrementally: committed
         # edges decrement both endpoints at the commit round, so the
         # degree-exchange round reads them for free.
-        buffers["deg"].reshape(trials, topology.n)[:] = topology.degrees
+        buffers["deg"].reshape(trials, network.n)[:] = network.degrees
         buffers["nodes"].fill(False)
         buffers["mcount"].fill(0)
         extra["scratch"] = buffers
@@ -292,18 +294,18 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         self,
         round_index: int,
         batch: BatchState,
-        topology: ArrayTopology,
+        network: Network,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray,
         faults: Optional[RoundFaults] = None,
     ) -> None:
         if faults is not None:
             for t in np.flatnonzero(active).tolist():
-                self._step_faulted(round_index, batch, t, topology, rngs[t], faults)
+                self._step_faulted(round_index, batch, t, network, rngs[t], faults)
             return
         extra = batch.extra
         scratch = extra["scratch"]
-        trials, n = batch.trials, topology.n
+        trials, n = batch.trials, network.n
         counts = extra["counts"]
         wl = extra["wl"]
         length = wl.size
@@ -409,14 +411,14 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         round_index: int,
         batch: BatchState,
         t: int,
-        topology: ArrayTopology,
+        network: Network,
         rng: np.random.Generator,
         faults: RoundFaults,
     ) -> None:
         """Round ``round_index`` of trial row ``t`` under ``faults``."""
         extra = batch.extra["fault_rows"][t]
         undecided = batch.extra["undecided"][t]
-        us, vs = topology.edge_us, topology.edge_vs
+        us, vs = network.edge_endpoints()
         alive = faults.alive
         phase = round_index % 4
         if phase == 1:
@@ -432,8 +434,8 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             # undecided degree, which message faults cannot alter.
             extra["iter_edges"] = live
             extra["iter_degrees"] = np.bincount(
-                us[every], minlength=topology.n
-            ) + np.bincount(vs[every], minlength=topology.n)
+                us[every], minlength=network.n
+            ) + np.bincount(vs[every], minlength=network.n)
         elif phase == 2:
             # Marking (4k−2): one uniform per participating edge, edge-slot
             # order — the documented seed schedule.
@@ -447,7 +449,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             # Void marks whose marker → other notification was dropped
             # (marker = lower-identifier endpoint), keeping mark knowledge
             # symmetric.
-            ids = topology.identifiers
+            ids = network.identifier_array
             marker_is_u = ids[us[live]] < ids[vs[live]]
             notified = np.where(
                 marker_is_u, faults.deliver_uv[live], faults.deliver_vu[live]
@@ -460,15 +462,15 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             # undecided incident edge.
             live = extra["iter_edges"]
             marked = live[extra["marked"] & alive[us[live]] & alive[vs[live]]]
-            mark_count = np.bincount(us[marked], minlength=topology.n) + np.bincount(
-                vs[marked], minlength=topology.n
+            mark_count = np.bincount(us[marked], minlength=network.n) + np.bincount(
+                vs[marked], minlength=network.n
             )
             isolated = (mark_count[us[marked]] == 1) & (mark_count[vs[marked]] == 1)
             # The mutual "no other marks" confirmation needs both
             # directions delivered this round.
             isolated &= faults.deliver_uv[marked] & faults.deliver_vu[marked]
             matched = marked[isolated]
-            matched_node = np.zeros(topology.n, dtype=bool)
+            matched_node = np.zeros(network.n, dtype=bool)
             matched_node[us[matched]] = True
             matched_node[vs[matched]] = True
             # A matched node commits *all* its undecided edges, not just the
@@ -485,7 +487,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             # neighbours and retire; no first-time commits happen here.
             batch.messages[t] += 2 * extra["iter_edges"].size - 2 * extra["iter_matched"]
             still = np.flatnonzero(undecided)
-            participating = np.zeros(topology.n, dtype=bool)
+            participating = np.zeros(network.n, dtype=bool)
             participating[us[still]] = True
             participating[vs[still]] = True
             np.logical_not(participating, out=batch.halted[t])

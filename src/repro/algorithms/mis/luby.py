@@ -26,8 +26,9 @@ import numpy as np
 
 from repro.local.algorithm import Broadcast
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState, ScratchArena
+from repro.local.engine import ArrayAlgorithm, BatchState, ScratchArena
 from repro.local.faults import RoundFaults
+from repro.local.network import Network
 from repro.local.node import NodeRuntime
 
 __all__ = ["LubyMIS", "LubyMISArray"]
@@ -169,7 +170,7 @@ class LubyMISArray(ArrayAlgorithm):
 
     @staticmethod
     def _batch_scratch(
-        topology: ArrayTopology, trials: int, arena: ScratchArena
+        network: Network, trials: int, arena: ScratchArena
     ) -> dict:
         """The fault-free kernel's scratch, carved from the engine's arena.
 
@@ -180,7 +181,7 @@ class LubyMISArray(ArrayAlgorithm):
         writes ``undecided``, ``priorities`` and worklist pair 0, and every
         round writes the rest before reading it.
         """
-        n, flat_m = topology.n, trials * topology.m
+        n, flat_m = network.n, trials * network.m
         fu0, fv0, fu1, fv1, gu, gv, best, near, joins, ties, priorities, undecided = (
             arena.carve(
                 *[(flat_m, np.int64)] * 4,
@@ -212,21 +213,21 @@ class LubyMISArray(ArrayAlgorithm):
 
     def init_batch(
         self,
-        topology: ArrayTopology,
+        network: Network,
         rngs: Sequence[np.random.Generator],
         scratch: ScratchArena,
     ) -> BatchState:
         # Round 0 draws no randomness, so every row starts from the same
         # state, broadcast over the trial axis.
         trials = len(rngs)
-        n = topology.n
-        batch = BatchState(trials, n, topology.m, nodes=True, edges=False)
-        isolated = topology.degrees == 0
+        n = network.n
+        batch = BatchState(trials, n, network.m, nodes=True, edges=False)
+        isolated = network.degrees == 0
         if isolated.any():
             batch.node_rounds[:, isolated] = 0
             batch.node_values[:, isolated] = True
             batch.halted[:, isolated] = True
-        buffers = self._batch_scratch(topology, trials, scratch)
+        buffers = self._batch_scratch(network, trials, scratch)
         undecided = buffers["undecided"]
         undecided[:] = ~isolated
         batch.extra["undecided"] = undecided
@@ -246,7 +247,7 @@ class LubyMISArray(ArrayAlgorithm):
         # completed trial's sum has decayed to zero, so it accrues
         # nothing, exactly as if it had stopped.)
         batch.extra["live_degsum"] = np.full(
-            trials, int(topology.degrees.sum()), dtype=np.int64
+            trials, int(network.degrees.sum()), dtype=np.int64
         )
         # The round kernels run over a compacted worklist, one entry per
         # still-live (trial, edge) pair as flat endpoint slots
@@ -256,12 +257,13 @@ class LubyMISArray(ArrayAlgorithm):
         # never isolated, so every edge is live at phase 1, and the first
         # worklist is written into buffer pair 0 — for a lone trial too:
         # `np.take` copies a read-only index array (it wants writeable
-        # indices), so gathering through the topology's own endpoint
+        # indices), so gathering through the network's own endpoint
         # arrays would pay a hidden copy per gather.
         wl_fu, wl_fv = buffers["wl"][0]
+        us, vs = network.edge_endpoints()
         base = (np.arange(trials, dtype=np.int64) * n)[:, None]
-        np.add(base, topology.edge_us, out=wl_fu.reshape(trials, -1))
-        np.add(base, topology.edge_vs, out=wl_fv.reshape(trials, -1))
+        np.add(base, us, out=wl_fu.reshape(trials, -1))
+        np.add(base, vs, out=wl_fv.reshape(trials, -1))
         batch.extra["wl_fu"] = wl_fu
         batch.extra["wl_fv"] = wl_fv
         batch.extra["idle"] = 1
@@ -284,26 +286,26 @@ class LubyMISArray(ArrayAlgorithm):
         self,
         round_index: int,
         batch: BatchState,
-        topology: ArrayTopology,
+        network: Network,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray,
         faults: Optional[RoundFaults] = None,
     ) -> None:
         if faults is not None:
             for t in np.flatnonzero(active).tolist():
-                self._step_faulted(round_index, batch, t, topology, rngs[t], faults)
+                self._step_faulted(round_index, batch, t, network, rngs[t], faults)
             return
         extra = batch.extra
         scratch = extra["scratch"]
         undecided = extra["undecided"]
         undec_flat = undecided.ravel()
-        trials, n = batch.trials, topology.n
+        trials, n = batch.trials, network.n
         priorities = extra["priorities"]
         pri_flat = priorities.ravel()
         wl_fu = extra["wl_fu"]
         wl_fv = extra["wl_fv"]
         live_count = wl_fu.size
-        degrees = topology.degrees
+        degrees = network.degrees
         if round_index % 2 == 1:
             # Priority round (2k−1).  Each *active* trial draws its own
             # uniform block from its own generator — one per still-undecided
@@ -347,7 +349,7 @@ class LubyMISArray(ArrayAlgorithm):
                 # Exact priority tie against the neighbourhood maximum: the
                 # winner is the larger identifier among the tied
                 # (measure-zero for real draws; exercised by unit tests).
-                ids = topology.identifiers
+                ids = network.identifier_array
                 best_id = np.full(trials * n, -1, dtype=np.int64)
                 tie_lo = pu == pv
                 tfu, tfv = wl_fu[tie_lo], wl_fv[tie_lo]
@@ -426,7 +428,7 @@ class LubyMISArray(ArrayAlgorithm):
     @staticmethod
     def _visible_stale(
         faults: RoundFaults,
-        topology: ArrayTopology,
+        network: Network,
         prev_senders: Optional[np.ndarray],
         senders_now: np.ndarray,
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -439,7 +441,7 @@ class LubyMISArray(ArrayAlgorithm):
         """
         if faults.late_uv is None or prev_senders is None:
             return None
-        us, vs = topology.edge_us, topology.edge_vs
+        us, vs = network.edge_endpoints()
         stale_uv = (
             faults.late_uv
             & prev_senders[us]
@@ -459,7 +461,7 @@ class LubyMISArray(ArrayAlgorithm):
         round_index: int,
         batch: BatchState,
         t: int,
-        topology: ArrayTopology,
+        network: Network,
         rng: np.random.Generator,
         faults: RoundFaults,
     ) -> None:
@@ -467,18 +469,18 @@ class LubyMISArray(ArrayAlgorithm):
         extra = batch.extra["fault_rows"][t]
         undecided = batch.extra["undecided"][t]
         node_rounds = batch.node_rounds[t]
-        us, vs = topology.edge_us, topology.edge_vs
+        us, vs = network.edge_endpoints()
         alive = faults.alive
         if round_index % 2 == 1:
             # Priority round (2k−1): one uniform per alive undecided node,
             # ascending vertex order.
             participants_mask = undecided & alive
             stale = self._visible_stale(
-                faults, topology, extra["prev_senders"], participants_mask
+                faults, network, extra["prev_senders"], participants_mask
             )
             if stale is not None:
                 stale_uv, stale_vu = stale
-                struck = np.zeros(topology.n, dtype=bool)
+                struck = np.zeros(network.n, dtype=bool)
                 struck[vs[stale_uv]] = True
                 struck[us[stale_vu]] = True
                 if (struck & participants_mask).any():
@@ -491,12 +493,12 @@ class LubyMISArray(ArrayAlgorithm):
                         "priority-round inbox"
                     )
             participants = np.flatnonzero(participants_mask)
-            priorities = np.full(topology.n, -1.0)
+            priorities = np.full(network.n, -1.0)
             priorities[participants] = rng.random(participants.size)
             joins = _luby_joins_masked(
                 priorities,
                 participants_mask,
-                topology.identifiers,
+                network.identifier_array,
                 us,
                 vs,
                 faults.deliver_uv,
@@ -508,7 +510,7 @@ class LubyMISArray(ArrayAlgorithm):
             extra["phase_joined"] = joins
             extra["phase_participants"] = participants_mask
             extra["prev_senders"] = participants_mask
-            batch.messages[t] += int(topology.degrees[participants].sum())
+            batch.messages[t] += int(network.degrees[participants].sum())
         else:
             # Announcement round (2k): undecided neighbours of joiners
             # commit False and everyone decided retires.  A joiner crashed
@@ -518,11 +520,11 @@ class LubyMISArray(ArrayAlgorithm):
             # Senders this round: the phase's participants (joiners and
             # all) that are still alive — they all broadcast the flag.
             senders = extra["phase_participants"] & alive
-            heard = np.zeros(topology.n, dtype=bool)
+            heard = np.zeros(network.n, dtype=bool)
             heard[vs[announcer[us] & faults.deliver_uv]] = True
             heard[us[announcer[vs] & faults.deliver_vu]] = True
             stale = self._visible_stale(
-                faults, topology, extra["prev_senders"], senders
+                faults, network, extra["prev_senders"], senders
             )
             if stale is not None:
                 # A stale priority tuple is truthy in the flag inbox, so
@@ -537,4 +539,4 @@ class LubyMISArray(ArrayAlgorithm):
             undecided &= ~removed
             np.logical_not(undecided, out=batch.halted[t])
             extra["prev_senders"] = senders
-            batch.messages[t] += int(topology.degrees[senders].sum())
+            batch.messages[t] += int(network.degrees[senders].sum())

@@ -68,8 +68,9 @@ from typing import Any, Dict, Optional, Sequence
 import numpy as np
 
 from repro.local.algorithm import Broadcast, NodeAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayTopology, BatchState, ScratchArena
+from repro.local.engine import ArrayAlgorithm, BatchState, ScratchArena
 from repro.local.faults import RoundFaults
+from repro.local.network import Network
 from repro.local.node import NodeRuntime
 
 __all__ = [
@@ -203,15 +204,15 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
 
     def init_batch(
         self,
-        topology: ArrayTopology,
+        network: Network,
         rngs: Sequence[np.random.Generator],
         scratch: ScratchArena,
     ) -> BatchState:
         # The per-row kernel carves nothing from the engine's arena.
         trials = len(rngs)
-        batch = BatchState(trials, topology.n, topology.m, nodes=True, edges=False)
-        status = np.full((trials, topology.n), _UNDECIDED, dtype=np.int8)
-        isolated = topology.degrees == 0
+        batch = BatchState(trials, network.n, network.m, nodes=True, edges=False)
+        status = np.full((trials, network.n), _UNDECIDED, dtype=np.int8)
+        isolated = network.degrees == 0
         if isolated.any():
             status[:, isolated] = _IN
             batch.node_rounds[:, isolated] = 0
@@ -229,31 +230,31 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
         self,
         round_index: int,
         batch: BatchState,
-        topology: ArrayTopology,
+        network: Network,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray,
         faults: Optional[RoundFaults] = None,
     ) -> None:
         for t in np.flatnonzero(active).tolist():
-            self._step_row(round_index, batch, t, topology, rngs[t], faults)
+            self._step_row(round_index, batch, t, network, rngs[t], faults)
 
     def _step_row(
         self,
         round_index: int,
         batch: BatchState,
         t: int,
-        topology: ArrayTopology,
+        network: Network,
         rng: np.random.Generator,
         faults: Optional[RoundFaults],
     ) -> None:
         """Round ``round_index`` of trial row ``t``."""
         status = batch.extra["status"][t]
         node_rounds, node_values = batch.node_rounds[t], batch.node_values[t]
-        n = topology.n
-        us, vs = topology.edge_us, topology.edge_vs
+        n = network.n
+        us, vs = network.edge_endpoints()
         if faults is None:
             alive = np.ones(n, dtype=bool)
-            deliver_uv = deliver_vu = np.ones(topology.m, dtype=bool)
+            deliver_uv = deliver_vu = np.ones(network.m, dtype=bool)
         else:
             alive = faults.alive
             deliver_uv, deliver_vu = faults.deliver_uv, faults.deliver_vu
@@ -270,7 +271,7 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
 
         undecided = (status == _UNDECIDED) & alive
         members = (status == _IN) & alive
-        beacons = int(topology.degrees[members].sum())
+        beacons = int(network.degrees[members].sum())
         bidders = np.flatnonzero(undecided)
         if not bidders.size:
             # Quiescent round: members beacon and nothing else happens.  No
@@ -297,7 +298,7 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
 
         joins = (
             _luby_joins_masked(
-                bids, undecided, topology.identifiers, us, vs, deliver_uv, deliver_vu
+                bids, undecided, network.identifier_array, us, vs, deliver_uv, deliver_vu
             )
             & ~heard
         )
@@ -310,7 +311,7 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
             status[newly_out] = _OUT
             node_rounds[newly_out] = round_index
             node_values[newly_out] = False
-        batch.messages[t] += int(topology.degrees[bidders].sum()) + beacons
+        batch.messages[t] += int(network.degrees[bidders].sum()) + beacons
 
 
 class SelfStabilizingMatching(NodeAlgorithm):

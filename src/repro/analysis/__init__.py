@@ -4,7 +4,6 @@ from repro.analysis.sweep import (
     CellFailure,
     SweepPoint,
     SweepResult,
-    network_from,
     sweep,
 )
 from repro.analysis.tables import format_sweep, format_table
@@ -14,7 +13,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "CellFailure",
-    "network_from",
     "format_table",
     "format_sweep",
 ]

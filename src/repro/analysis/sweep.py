@@ -6,7 +6,9 @@ combination, and returns the rows that the benchmark scripts print and that
 ``benchmarks/README.md`` tabulates.
 
 A sweep runs its ``(value, algorithm, trial)`` cells one after another in
-the calling process, holding one value's network at a time.  Every cell
+the calling process, holding one value's network at a time, built from the
+graph factory's workload by :func:`repro.core.experiment.resolve_network`
+(the one dispatcher the facade and the service use too).  Every cell
 derives its seed from a deterministic schedule
 (:func:`repro.core.experiment.trial_seed`), so a resumed sweep produces
 **identical measurements** to an uninterrupted one.  Sweeps run side by side
@@ -88,7 +90,6 @@ __all__ = [
     "CellFailure",
     "CHECKPOINT_FORMAT",
     "sweep",
-    "network_from",
     "read_checkpoint",
 ]
 
@@ -185,25 +186,6 @@ class SweepResult(List[SweepPoint]):
         return not self.failures
 
 
-def network_from(graph: GraphLike, seed: int = 0, id_scheme: str = "permuted") -> Network:
-    """Wrap a workload into a network with the benchmark's default ID scheme.
-
-    Accepts an :class:`EdgeArrays` (the direct edge-list generators'
-    output, built through the vectorised
-    :meth:`Network.from_endpoint_arrays` CSR path — no networkx object is
-    ever built), a networkx graph, or an existing :class:`Network`
-    (returned as-is, its identifiers already fixed); anything else raises
-    :class:`TypeError`.  A graph and its :class:`EdgeArrays` form produce
-    identical networks for the same ``seed``.
-
-    This is the sweep-facing name for
-    :func:`repro.core.experiment.resolve_network` — one dispatcher, so the
-    facade and the sweeps can never drift on which graph sources they
-    accept.
-    """
-    return resolve_network(graph, seed=seed, id_scheme=id_scheme)
-
-
 def sweep(
     parameter: str,
     values: Sequence[object],
@@ -227,7 +209,9 @@ def sweep(
         values: the parameter values.
         graph_factory: builds the workload for a parameter value — an
             :class:`EdgeArrays`, a networkx graph, or a :class:`Network`
-            (see :func:`network_from`).  The direct generators of
+            (see :func:`repro.core.experiment.resolve_network`; value
+            ``i``'s identifiers are permuted with seed ``seed + i``).
+            The direct generators of
             :mod:`repro.graphs.generators` return :class:`EdgeArrays`, so
             neither the factory nor the network build touches per-edge
             Python objects (for Erdős–Rényi workloads at ``n ≥ 10⁵`` use
@@ -383,7 +367,7 @@ def _cell_network(spec: Dict[str, object], cache: _ValueCache) -> Network:
     if cache.network is None:
         index = cache.index
         graph = spec["graph_factory"](spec["values"][index])  # type: ignore[operator, index]
-        cache.network = network_from(graph, seed=int(spec["seed"]) + index)
+        cache.network = resolve_network(graph, seed=int(spec["seed"]) + index)
     return cache.network
 
 

@@ -24,10 +24,11 @@ configuration on ``self`` without leaking state across trials.
 generate → network → run → validate → measure plumbing.  It accepts graph
 sources in the forms the lower layers understand — ready-made
 :class:`Network` objects, :class:`repro.graphs.edgelist.EdgeArrays` (the
-edge-list interchange every direct generator returns, built through the
-vectorised numpy CSR path), networkx graphs, or zero-argument callables
-producing any of those — and returns structured results: the traces,
-per-trial validation verdicts, per-phase wall-clock timings, and a
+edge-list interchange every direct generator returns, built through
+:meth:`Network.from_edge_arrays`, the vectorised numpy CSR build),
+networkx graphs, or zero-argument callables producing any of those, all
+resolved by :func:`resolve_network` — and returns structured results: the
+traces, per-trial validation verdicts, per-phase wall-clock timings, and a
 :class:`ComplexityMeasurement` with tail quantiles.  A complete run is three
 lines::
 
@@ -271,13 +272,16 @@ def resolve_network(
     """Turn any supported graph source into a :class:`Network`.
 
     Accepts a ready-made :class:`Network` (returned as-is), an
-    :class:`EdgeArrays` (built through the vectorised
-    :meth:`Network.from_endpoint_arrays` CSR path), a networkx-like graph
-    (anything with ``number_of_nodes()``; duck-typed, so resolving any
-    other source leaves networkx unloaded), or a zero-argument callable
-    producing any of those; anything else raises :class:`TypeError`.
-    Equivalent sources produce identical networks for the same ``seed`` —
-    the same guarantee :func:`repro.analysis.sweep.network_from` gives.
+    :class:`EdgeArrays` (built through :meth:`Network.from_edge_arrays`,
+    the vectorised CSR build), a networkx-like graph (anything with
+    ``number_of_nodes()``, through :meth:`Network.from_graph`; duck-typed,
+    so resolving any other source leaves networkx unloaded), or a
+    zero-argument callable producing any of those; anything else raises
+    :class:`TypeError`.  Identifiers follow ``id_scheme`` drawn with
+    ``random.Random(seed)`` (by default the benchmark's permuted scheme),
+    so equivalent sources produce identical networks for the same
+    ``seed``.  The :class:`Experiment` facade, the sweeps and the
+    experiment service all build their networks here.
     """
     if callable(source) and not isinstance(source, Network):
         source = source()

@@ -8,9 +8,10 @@ expectation over the algorithm's randomness), this module computes:
   expected completion time,
 * the **edge-averaged complexity** ``AVG_E`` — average over edges of the
   expected completion time,
-* the **weighted** node/edge-averaged complexities ``AVG^w`` of Appendix A,
-* the **node/edge expected complexity** ``EXP`` of Appendix A — the maximum
-  over nodes/edges of the expected completion time,
+* the **weighted** node-averaged complexity ``AVG^w_V`` of Appendix A,
+* the **node expected complexity** ``EXP_V`` of Appendix A — the maximum
+  over nodes of the expected completion time (its edge twin ``EXP_E`` is
+  the ``edge_expected`` field of :func:`measure`),
 * the **worst-case complexity** — maximum completion time over everything,
 * **quantiles** of the expected completion-time distribution
   (:func:`completion_time_quantiles`) — the tail view the averaged measures
@@ -56,9 +57,7 @@ __all__ = [
     "edge_averaged_complexity",
     "worst_case_complexity",
     "weighted_node_averaged_complexity",
-    "weighted_edge_averaged_complexity",
     "node_expected_complexity",
-    "edge_expected_complexity",
     "completion_time_quantiles",
     "ComplexityMeasurement",
     "RecoveryTimeline",
@@ -67,8 +66,6 @@ __all__ = [
     "measure",
     "complexity_hierarchy",
 ]
-
-Edge = Tuple[int, int]
 
 #: Quantile levels reported by :func:`measure` when asked for quantiles.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
@@ -169,35 +166,9 @@ def weighted_node_averaged_complexity(
     return float(w @ expected) / total
 
 
-def weighted_edge_averaged_complexity(
-    traces: "ExecutionTrace | Iterable[ExecutionTrace]",
-    weights: Optional[Mapping[Edge, float]] = None,
-) -> float:
-    """``AVG^w_E``: weighted average of expected edge completion times."""
-    ts = _as_list(traces)
-    expected = _totals(ts).expected_edge_times()
-    if expected.size == 0:
-        return 0.0
-    if weights is None:
-        return _max(expected)
-    edges = ts[0].network.edges
-    w = np.zeros(expected.size, dtype=np.float64)
-    for i, e in enumerate(edges):
-        w[i] = weights.get(e, 0.0)
-    total = float(w.sum())
-    if total <= 0:
-        raise ValueError("weights must have positive total mass")
-    return float(w @ expected) / total
-
-
 def node_expected_complexity(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> float:
     """``EXP_V``: maximum over nodes of the expected completion time."""
     return _max(_totals(traces).expected_node_times())
-
-
-def edge_expected_complexity(traces: "ExecutionTrace | Iterable[ExecutionTrace]") -> float:
-    """``EXP_E``: maximum over edges of the expected completion time."""
-    return _max(_totals(traces).expected_edge_times())
 
 
 def completion_time_quantiles(

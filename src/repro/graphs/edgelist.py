@@ -5,15 +5,16 @@ construction, sweeps, the :class:`~repro.core.experiment.Experiment` facade,
 the experiment service — exchanges graphs as :class:`EdgeArrays`: the
 endpoints live in two parallel int64 numpy arrays (``src``/``dst``), so a
 million-edge workload is two 8 MB buffers instead of five million tuple
-objects, and the CSR build
-(:meth:`repro.local.network.Network.from_endpoint_arrays`) can sort and
+objects, and the one network build
+(:meth:`repro.local.network.Network.from_edge_arrays`) can sort and
 deduplicate them entirely inside numpy.
 
-Construction invariants (checked eagerly): ``src`` and ``dst`` are
-one-dimensional, equally long, coerced to int64, frozen (``writeable=False``)
-and within ``0..n-1``.  Edges are *not* required to be canonical (``u < v``),
-deduplicated, or free of self-loops — consumers that need canonical form
-(the :class:`Network` constructors) canonicalise vectorised; producers just
+Construction invariants (checked eagerly, and the only endpoint checks a
+network build relies on): ``src`` and ``dst`` are one-dimensional, equally
+long, coerced to int64 (a float array is refused), frozen
+(``writeable=False``) and within ``0..n-1``.  Edges are *not* required to be
+canonical (``u < v``), deduplicated, or free of self-loops — the network
+build canonicalises vectorised and refuses self-loops itself; producers just
 hand over whatever endpoint order their algorithm emits.
 
 The optional ``meta`` mapping records provenance — which generator family
@@ -26,7 +27,9 @@ their workloads without re-deriving anything::
     (1000, ..., 'fast_gnp')
 
 :meth:`EdgeArrays.from_pairs` builds the arrays from ``(u, v)`` pairs (the
-stream-exact generators' replays end there), and :meth:`EdgeArrays.as_pairs`
+stream-exact generators' replays and :meth:`Network.from_graph
+<repro.local.network.Network.from_graph>` end there, and so does any literal
+edge list a caller wants as a network), and :meth:`EdgeArrays.as_pairs`
 lists them back as tuples, one Python object per edge, for tests and
 oracles off the large-``n`` path.
 """

@@ -1,7 +1,8 @@
 """Workload graph generators.
 
 All generators return :class:`networkx.Graph` objects on vertices ``0..n-1``
-so they can be handed directly to :class:`repro.local.network.Network`.  Each
+so they can be handed directly to :meth:`Network.from_graph
+<repro.local.network.Network.from_graph>`.  Each
 imports networkx when it runs, so importing this module does not load
 networkx.  They cover the graph families the paper's results talk about:
 
@@ -18,8 +19,9 @@ Each family is additionally available as a **direct edge-list generator**
 :class:`repro.graphs.edgelist.EdgeArrays` — flat int64 endpoint arrays with
 provenance metadata — without ever instantiating a networkx graph: the
 construction path for ``n ≥ 10⁵`` sweeps, consumed by
-:meth:`Network.from_edge_arrays`, :func:`repro.analysis.sweep.network_from`
-and the :class:`~repro.core.experiment.Experiment` facade.  The
+:meth:`Network.from_edge_arrays` (the one network build),
+:func:`repro.core.experiment.resolve_network`, the sweeps and the
+:class:`~repro.core.experiment.Experiment` facade.  The
 deterministic families (cycles, paths, stars, grids, complete graphs) and
 :func:`fast_gnp_edges` build those arrays **directly in numpy**, never
 materialising a Python tuple per edge; the stream-exact randomized twins
@@ -369,7 +371,7 @@ def fast_gnp_edges(
     endpoint first, then smaller — the skip-walk order), **as the numpy
     arrays the skip walk computed them in**: zero per-edge Python objects
     end to end.  :meth:`Network.from_edge_arrays`,
-    :func:`repro.analysis.sweep.network_from` and
+    :func:`repro.core.experiment.resolve_network` and
     ``sweep(graph_factory=...)`` canonicalise the order themselves.
     ``as_arrays`` is accepted only as ``True``; ``False`` (the
     ``(n, edges)`` pair) raises :class:`ValueError`.

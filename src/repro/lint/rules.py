@@ -141,6 +141,7 @@ class DeterminismRule(Rule):
 #: Modules on the per-round/per-trial hot path: one Python object per edge
 #: here undoes the array-engine speedups.
 _HOT_PATH_MODULES = {
+    "repro/local/network.py",
     "repro/local/engine.py",
     "repro/local/runner.py",
     "repro/local/faults.py",

@@ -2,7 +2,7 @@
 
 from repro.local.algorithm import NodeAlgorithm
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.engine import ArrayAlgorithm, ArrayEngine, ArrayTopology, BatchState
+from repro.local.engine import ArrayAlgorithm, ArrayEngine, BatchState
 from repro.local.network import Network, canonical_edge
 from repro.local.node import CommitError, NodeRuntime
 from repro.local.runner import Runner, RoundLimitExceeded, estimate_message_bits
@@ -14,7 +14,6 @@ __all__ = [
     "CoroutineAlgorithm",
     "ArrayAlgorithm",
     "ArrayEngine",
-    "ArrayTopology",
     "BatchState",
     "NodeRuntime",
     "CommitError",

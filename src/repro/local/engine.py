@@ -55,17 +55,18 @@ worklist kernels keep their double buffers and masks for the whole chunk),
 so one large trial needs more memory than a loop that allocates per round.
 Per (trial, edge) the scratch is 34 bytes for Luby MIS and 42 for
 randomized matching (26 for a lone trial, whose endpoint-slot tables are
-the topology's own endpoint arrays).  Measured on a 2-CPU Xeon container on
-G(10⁶, 10/(n−1)) with seed 1 (``m = 5 000 139``), two runs each: the first
-``run`` of a fresh engine, which builds the topology and fills the
-engine's scratch arena, peaks at 270 MB of tracemalloc allocations for
-Luby MIS and 259 MB for randomized matching (the topology adopts the
-network's identifier array, 8 MB at this size); a rerun on the same engine
-reuses the arena and peaks at 80 MB and 112 MB, 8 MB of it the degree
-vector of the topology each call builds; the best untraced time of three
-warm reruns is 0.31–0.32 s and 1.31 s.  The per-round-allocating
-single-trial loop that preceded the batch protocol took 0.75–0.79 s with
-191 MB and 7.5–8.2 s with 216 MB on the same graph.
+the network's own endpoint arrays).  The kernels read the network's
+endpoint, degree and identifier arrays as they are, so a call copies
+nothing per network (the network keeps its degree vector, 8 MB at
+``n = 10⁶``).  Measured on a 2-CPU Xeon container on G(10⁶, 10/(n−1))
+with seed 1 (``m = 5 000 139``), two runs each: the first ``run`` of a
+fresh engine, which fills the engine's scratch arena, peaks at 262 MB of
+tracemalloc allocations for Luby MIS and 251 MB for randomized matching; a
+rerun on the same engine reuses the arena and peaks at 72 MB and 104 MB;
+the best untraced time of three warm reruns is 0.30–0.34 s and
+1.24–1.38 s.  The per-round-allocating single-trial loop that preceded the
+batch protocol took 0.75–0.79 s with 191 MB and 7.5–8.2 s with 216 MB on
+the same graph.
 
 Routing.  ``run_trials`` / :class:`~repro.core.experiment.Experiment` /
 :func:`repro.analysis.sweep.sweep` accept
@@ -92,34 +93,11 @@ from repro.local.network import Network
 
 __all__ = [
     "ArrayAlgorithm",
-    "ArrayTopology",
     "ArrayEngine",
     "BatchState",
     "ScratchArena",
     "batch_chunk",
 ]
-
-
-class ArrayTopology:
-    """Flat numpy views of a :class:`Network`, shared by one engine call's runs.
-
-    All arrays are int64 and read-only (or treated as such): ``edge_us`` /
-    ``edge_vs`` are the canonical edge endpoints in :attr:`Network.edges`
-    slot order, ``degrees`` the per-vertex degree vector and
-    ``identifiers`` the per-vertex unique IDs.  The endpoint and identifier
-    arrays are the network's own storage, adopted without a copy; only
-    ``degrees`` is computed, so :meth:`ArrayEngine.run` and
-    :meth:`ArrayEngine.run_batch` build one per call.
-    """
-
-    __slots__ = ("n", "m", "edge_us", "edge_vs", "degrees", "identifiers")
-
-    def __init__(self, network: Network) -> None:
-        self.n = network.n
-        self.m = network.m
-        self.edge_us, self.edge_vs = network.edge_endpoints()
-        self.degrees = np.diff(network.indptr)
-        self.identifiers = network.identifier_array
 
 
 def _commit_rounds(trials: int, size: int, labelled: bool) -> np.ndarray:
@@ -321,19 +299,22 @@ class ArrayAlgorithm:
 
     def init_batch(
         self,
-        topology: ArrayTopology,
+        network: Network,
         rngs: Sequence[np.random.Generator],
         scratch: ScratchArena,
     ) -> BatchState:
         """Allocate state for ``len(rngs)`` trials and perform round 0.
 
-        ``scratch`` is the engine's :class:`ScratchArena`.  A kernel that
-        needs ``T · m``- or ``T · n``-sized scratch carves all of it here,
-        with one :meth:`~ScratchArena.carve` call per chunk (a second carve
-        would hand out the same bytes again), and writes each carved array
-        before it first reads it: the bytes are whatever the engine's
-        previous chunk left there.  The arrays live no longer than the
-        chunk.  An algorithm without such scratch ignores the argument.
+        Kernels read the network's own read-only arrays:
+        :meth:`~Network.edge_endpoints`, :attr:`~Network.degrees` and
+        :attr:`~Network.identifier_array`.  ``scratch`` is the engine's
+        :class:`ScratchArena`.  A kernel that needs ``T · m``- or
+        ``T · n``-sized scratch carves all of it here, with one
+        :meth:`~ScratchArena.carve` call per chunk (a second carve would
+        hand out the same bytes again), and writes each carved array before
+        it first reads it: the bytes are whatever the engine's previous
+        chunk left there.  The arrays live no longer than the chunk.  An
+        algorithm without such scratch ignores the argument.
         """
         raise NotImplementedError
 
@@ -341,7 +322,7 @@ class ArrayAlgorithm:
         self,
         round_index: int,
         batch: BatchState,
-        topology: ArrayTopology,
+        network: Network,
         rngs: Sequence[np.random.Generator],
         active: np.ndarray,
         faults: Optional[RoundFaults] = None,
@@ -381,10 +362,11 @@ class ArrayEngine:
     knobs (``max_rounds``, ``strict``), same completion semantics (node- /
     edge-labelling problems complete when every node / edge committed,
     problems labelling neither when every node halted), same strict-mode
-    :class:`~repro.local.runner.RoundLimitExceeded`.  Each :meth:`run` and
-    :meth:`run_batch` call builds its own :class:`ArrayTopology` (mostly
-    zero-copy views), so the engine holds no reference to a network after
-    the call returns.
+    :class:`~repro.local.runner.RoundLimitExceeded`.  :meth:`run` and
+    :meth:`run_batch` hand the network itself to the kernels, which read
+    its read-only endpoint, degree and identifier arrays, so a call builds
+    no per-network structure and the engine holds no reference to a
+    network after the call returns.
 
     Kernel scratch comes from one :class:`ScratchArena` that lives as long
     as the engine and is handed to every
@@ -421,9 +403,8 @@ class ArrayEngine:
         The trace is bit-identical to trial ``seed`` of any
         :meth:`run_batch` call, with or without ``faults``.
         """
-        topology = ArrayTopology(network)
-        faults = self._injecting(algorithm, faults, topology)
-        return self._run_chunk(algorithm, network, problem, topology, [seed], faults)[0]
+        faults = self._injecting(algorithm, faults, network)
+        return self._run_chunk(algorithm, network, problem, [seed], faults)[0]
 
     def run_batch(
         self,
@@ -454,25 +435,19 @@ class ArrayEngine:
         each trace records the fault events of the rounds its trial ran,
         and validation scores the surviving subgraph.
         """
-        topology = ArrayTopology(network)
-        faults = self._injecting(algorithm, faults, topology)
+        faults = self._injecting(algorithm, faults, network)
         seeds = list(seeds)
         traces: List[ExecutionTrace] = []
         chunk = batch_chunk(
-            topology.n,
-            topology.m,
+            network.n,
+            network.m,
             len(seeds),
             _BATCH_BYTE_BUDGET if budget_bytes is None else int(budget_bytes),
         )
         for start in range(0, len(seeds), chunk):
             traces.extend(
                 self._run_chunk(
-                    algorithm,
-                    network,
-                    problem,
-                    topology,
-                    seeds[start : start + chunk],
-                    faults,
+                    algorithm, network, problem, seeds[start : start + chunk], faults
                 )
             )
         return traces
@@ -481,7 +456,7 @@ class ArrayEngine:
     def _injecting(
         algorithm: ArrayAlgorithm,
         faults: Optional[FaultSchedule],
-        topology: ArrayTopology,
+        network: Network,
     ) -> Optional[FaultSchedule]:
         """``faults`` if it injects anything, else ``None`` (empty schedules
         are inert); refuses algorithms without fault-aware stepping and
@@ -493,7 +468,7 @@ class ArrayEngine:
                 f"{algorithm.name} has no fault-aware array implementation; "
                 f"use the coroutine runner (engine='node') for fault injection"
             )
-        faults.check_vertices(topology.n)
+        faults.check_vertices(network.n)
         return faults
 
     def _run_chunk(
@@ -501,7 +476,6 @@ class ArrayEngine:
         algorithm: ArrayAlgorithm,
         network: Network,
         problem: ProblemSpec,
-        topology: ArrayTopology,
         seeds: Sequence[Optional[int]],
         faults: Optional[FaultSchedule],
     ) -> List[ExecutionTrace]:
@@ -518,8 +492,8 @@ class ArrayEngine:
         """
         rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         trials = len(rngs)
-        batch = algorithm.init_batch(topology, rngs, self._scratch)
-        edges = (topology.edge_us, topology.edge_vs)
+        batch = algorithm.init_batch(network, rngs, self._scratch)
+        edges = network.edge_endpoints()
         view: Optional[RoundFaults] = None
         events: List[list] = []
         recorders: List[RecoveryRecorder] = []
@@ -528,30 +502,30 @@ class ArrayEngine:
         snapshots: List[List[np.ndarray]] = [[] for _ in range(trials)]
         final_crash = 0
         if faults is not None:
-            view = faults.round_faults(0, topology.n, topology.m, *edges)
+            view = faults.round_faults(0, network.n, network.m, *edges)
             if getattr(algorithm, "self_stabilizing", False):
                 recorders = [RecoveryRecorder(faults.crashes) for _ in range(trials)]
                 final_crash = recorders[0].final_crash
 
         def recovery_entry(t: int) -> Tuple[int, bool]:
             snapshots[t] = [row.copy() for row in batch.labelled_rows(t)]
-            return self._recovery_round_entry(batch, t, problem, view, topology, network)
+            return self._recovery_round_entry(batch, t, problem, view, network)
 
         trial_rounds = np.zeros(trials, dtype=np.int64)
         active = ~(
-            self._complete(algorithm, batch, problem, topology, view)
+            self._complete(algorithm, batch, problem, network, view)
             & (final_crash <= 0)
         )
         rounds = 0
         while active.any() and rounds < self.max_rounds:
             rounds += 1
             if faults is None:
-                algorithm.step_batch(rounds, batch, topology, rngs, active)
+                algorithm.step_batch(rounds, batch, network, rngs, active)
             else:
-                view = faults.round_faults(rounds, topology.n, topology.m, *edges)
+                view = faults.round_faults(rounds, network.n, network.m, *edges)
                 events.append(faults.round_events(rounds, *edges))
-                algorithm.step_batch(rounds, batch, topology, rngs, active, faults=view)
-            complete = self._complete(algorithm, batch, problem, topology, view) & (
+                algorithm.step_batch(rounds, batch, network, rngs, active, faults=view)
+            complete = self._complete(algorithm, batch, problem, network, view) & (
                 rounds >= final_crash
             )
             if recorders:
@@ -619,7 +593,7 @@ class ArrayEngine:
         algorithm: ArrayAlgorithm,
         batch: BatchState,
         problem: ProblemSpec,
-        topology: ArrayTopology,
+        network: Network,
         view: Optional[RoundFaults],
     ) -> np.ndarray:
         """Per-trial completion mask.
@@ -651,7 +625,8 @@ class ArrayEngine:
         if labels_nodes:
             complete &= ~((batch.node_rounds < 0) & alive).any(axis=1)
         if labels_edges:
-            live = alive[topology.edge_us] & alive[topology.edge_vs]
+            us, vs = network.edge_endpoints()
+            live = alive[us] & alive[vs]
             complete &= ~((batch.edge_rounds < 0) & live).any(axis=1)
         if not labels_nodes and not labels_edges:
             complete &= (batch.halted | ~alive).all(axis=1)
@@ -663,7 +638,6 @@ class ArrayEngine:
         t: int,
         problem: ProblemSpec,
         round_faults: RoundFaults,
-        topology: ArrayTopology,
         network: Network,
     ) -> Tuple[int, bool]:
         """Trial ``t``'s ``(pending, valid)`` recovery-timeline entry.
@@ -679,13 +653,8 @@ class ArrayEngine:
         if problem.labels_nodes:
             pending += int(((node_rounds < 0) & alive).sum())
         if problem.labels_edges:
-            pending += int(
-                (
-                    (edge_rounds < 0)
-                    & alive[topology.edge_us]
-                    & alive[topology.edge_vs]
-                ).sum()
-            )
+            us, vs = network.edge_endpoints()
+            pending += int(((edge_rounds < 0) & alive[us] & alive[vs]).sum())
         if pending > 0:
             return pending, False
         # The state rows and the round's alive mask go to the problem's

@@ -14,21 +14,20 @@ integer index (its slot) so that traces can be stored in arrays.
 There is one storage: read-only int64 numpy arrays.  The CSR (compressed
 sparse row) arrays ``indptr`` (length ``n + 1``) and ``indices`` (length
 ``2m``) list the neighbours of ``v`` as ``indices[indptr[v]:indptr[v + 1]]``,
-each row ascending, the endpoint arrays of :meth:`Network.edge_endpoints`
-list the canonical edges in slot order, and
-:attr:`Network.identifier_array` holds the identifiers in vertex order, each
-in ``[0, 2**63 - 1]`` (see :mod:`repro.local.ids`).  Every constructor ends
-in the same vectorised build — canonicalisation, sort and duplicate removal
-inside numpy, with no Python tuple per edge:
+each row ascending; :attr:`Network.degrees` holds the row lengths, the
+endpoint arrays of :meth:`Network.edge_endpoints` list the canonical edges
+in slot order, and :attr:`Network.identifier_array` holds the identifiers
+in vertex order, each in ``[0, 2**63 - 1]`` (see :mod:`repro.local.ids`).
+The array engine's kernels read these arrays straight off the network.
 
-* :meth:`Network.from_edge_arrays` and :meth:`Network.from_endpoint_arrays`
-  take the endpoint arrays as they come: the
-  :class:`repro.graphs.edgelist.EdgeArrays` every direct generator of
-  :mod:`repro.graphs.generators` returns, or two bare arrays;
-* ``Network(graph)`` relabels a networkx graph's nodes to ``0..n-1`` and
-  turns its edges into two endpoint arrays;
-* :meth:`Network.from_edges` and :meth:`Network.from_edge_list` turn
-  literal ``(u, v)`` pairs into two endpoint arrays.
+There is one build, :meth:`Network.from_edge_arrays`.  It takes the
+:class:`~repro.graphs.edgelist.EdgeArrays` every direct generator of
+:mod:`repro.graphs.generators` returns (literal ``(u, v)`` pairs become one
+through :meth:`EdgeArrays.from_pairs`) and canonicalises, sorts and
+deduplicates inside numpy, with no Python tuple per edge.
+:meth:`Network.from_graph` relabels a networkx graph's nodes to
+``0..n-1`` and hands its edges to that build.  Identifiers are a scheme
+name or explicit values, one integer per vertex.
 
 The per-node views — the sorted neighbour tuples and the identifier tuple
 the round simulator consumes, the tuple-of-pairs :attr:`Network.edges`, and
@@ -41,10 +40,11 @@ construction time.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graphs.edgelist import EdgeArrays
 from repro.local import ids as ids_module
 
 if TYPE_CHECKING:  # pragma: no cover - networkx is imported where it runs
@@ -60,137 +60,110 @@ def canonical_edge(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _as_int64(values, name: str) -> np.ndarray:
-    """Coerce an endpoint array to int64, refusing lossy (float) casts."""
-    array = np.asarray(values)
-    if array.dtype != np.int64:
-        # Empty inputs default to float64 under asarray; nothing to lose.
-        if array.size and not np.issubdtype(array.dtype, np.integer):
-            raise ValueError(
-                f"{name} must be an integer array, got dtype {array.dtype}"
-            )
-        array = array.astype(np.int64)
-    return array
-
-
-def _pair_columns(edges: Iterable[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Split ``(u, v)`` pairs into two int64 endpoint arrays (floats refused)."""
-    pairs = _as_int64(edges if isinstance(edges, np.ndarray) else list(edges), "edges")
-    if pairs.ndim == 1 and not pairs.size:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("edges must be (u, v) pairs")
-    return pairs[:, 0], pairs[:, 1]
-
-
-def _scheme_identifiers(
-    n: int, id_scheme: str, rng: Optional[random.Random]
-) -> np.ndarray:
-    """Identifiers for vertices ``0..n-1`` under a named ID scheme, as int64.
-
-    The permuted scheme (the benchmark convention) is built as an array
-    straight from its seeded shuffle; the random and adversarial schemes go
-    through their mappings and the validator.
-    """
-    if id_scheme == "sequential":
-        return np.arange(n, dtype=np.int64)
-    if id_scheme == "permuted":
-        return ids_module.permuted_id_array(n, rng or random.Random(0))
-    vertices = range(n)
-    if id_scheme == "random":
-        assignment = ids_module.random_ids(vertices, rng or random.Random(0))
-    elif id_scheme == "adversarial":
-        assignment = ids_module.adversarial_interval_ids(vertices)
-    else:
-        raise ValueError(f"unknown id scheme: {id_scheme!r}")
-    return ids_module.id_array(assignment, vertices)
-
-
 class Network:
     """Immutable communication graph with identifiers.
 
-    Args:
-        graph: an undirected :class:`networkx.Graph` whose nodes are hashable.
-            Nodes are relabelled to ``0..n-1`` internally (in sorted order of
-            the original labels when possible, insertion order otherwise).
-        identifiers: optional mapping from *internal vertex index* to unique
-            identifier in ``[0, 2**63 - 1]``.  When omitted, sequential
-            identifiers are used.
+    Build one with :meth:`from_edge_arrays` or :meth:`from_graph`; calling
+    the class itself is refused.
 
     Attributes:
         n: number of vertices.
         m: number of edges.
     """
 
-    def __init__(
-        self,
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(
+            "build a Network with Network.from_edge_arrays(edges) or "
+            "Network.from_graph(graph)"
+        )
+
+    # ------------------------------------------------------------------ #
+    # Constructors
+    # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_edge_arrays(
+        cls,
+        edges: EdgeArrays,
+        id_scheme: str = "sequential",
+        rng: Optional[random.Random] = None,
+        *,
+        identifiers: Optional[Sequence[int]] = None,
+    ) -> "Network":
+        """Build a network from an :class:`~repro.graphs.edgelist.EdgeArrays`.
+
+        The one build: ``edges`` has passed its own checks (int64,
+        equally long, within ``0..n-1``), so only self-loops are refused
+        here, with :class:`ValueError`.  Endpoint order is free and
+        duplicate edges are removed.  Anything but an ``EdgeArrays``
+        raises :class:`TypeError`; literal pairs go through
+        :meth:`EdgeArrays.from_pairs` first.
+
+        Identifiers come from the named ``id_scheme`` (``"sequential"``,
+        ``"random"``, ``"permuted"`` or ``"adversarial"``; ``rng`` drives
+        the randomized ones) or, instead, as explicit ``identifiers``: one
+        integer per vertex, in vertex order, distinct and within
+        ``[0, 2**63 - 1]`` (:func:`repro.local.ids.checked_ids`).  Giving
+        ``identifiers`` with another scheme or an ``rng`` is an error.
+        """
+        if not isinstance(edges, EdgeArrays):
+            raise TypeError(
+                f"Network.from_edge_arrays takes an EdgeArrays, not "
+                f"{type(edges).__name__!r}; build one with EdgeArrays.from_pairs"
+            )
+        if identifiers is None:
+            id_array = ids_module.scheme_ids(edges.n, id_scheme, rng)
+        elif id_scheme != "sequential" or rng is not None:
+            raise ValueError("pass either identifiers or id_scheme, not both")
+        else:
+            id_array = ids_module.checked_ids(identifiers, edges.n)
+        return cls._build(edges.n, edges.src, edges.dst, id_array)
+
+    @classmethod
+    def from_graph(
+        cls,
         graph: nx.Graph,
-        identifiers: Optional[Mapping[int, int]] = None,
-    ) -> None:
-        id_array = None
-        if identifiers is not None:
-            id_array = ids_module.id_array(identifiers, range(graph.number_of_nodes()))
-        self._init_from_graph(graph, id_array)
+        id_scheme: str = "sequential",
+        rng: Optional[random.Random] = None,
+    ) -> "Network":
+        """Build a network from a networkx graph with a named ID scheme.
 
-    # ------------------------------------------------------------------ #
-    # Core construction (CSR build)
-    # ------------------------------------------------------------------ #
-
-    def _init_from_graph(self, graph: nx.Graph, id_array: Optional[np.ndarray]) -> None:
-        """Relabel a networkx graph to ``0..n-1`` and build from its edges."""
+        Nodes are relabelled to ``0..n-1`` (in sorted order of the original
+        labels when they sort, insertion order otherwise) and the edges go
+        to :meth:`from_edge_arrays`, so a graph and its edge arrays give the
+        same network for the same ``rng`` state.
+        """
         if graph.is_directed():
             raise ValueError("Network requires an undirected graph")
-
-        original_nodes = list(graph.nodes())
+        nodes = list(graph.nodes())
         try:
-            original_nodes = sorted(original_nodes)
+            nodes = sorted(nodes)
         except TypeError:
             pass
-        n = len(original_nodes)
-
-        pairs: Iterable[Tuple[int, int]] = graph.edges()
-        if original_nodes != list(range(n)):
-            index_of = {label: i for i, label in enumerate(original_nodes)}
+        pairs = graph.edges()
+        if nodes != list(range(len(nodes))):
+            index_of = {label: i for i, label in enumerate(nodes)}
             pairs = [(index_of[u], index_of[v]) for u, v in pairs]
-        src, dst = _pair_columns(pairs)
-        self._init_from_endpoint_arrays(n, src, dst, id_array)
+        return cls.from_edge_arrays(EdgeArrays.from_pairs(len(nodes), pairs), id_scheme, rng)
 
-    def _init_from_endpoint_arrays(
-        self,
-        n: int,
-        src,
-        dst,
-        id_array: Optional[np.ndarray],
-    ) -> None:
-        """Initialise from flat endpoint arrays with a fully vectorised CSR build.
+    @classmethod
+    def _build(
+        cls, n: int, src: np.ndarray, dst: np.ndarray, id_array: np.ndarray
+    ) -> "Network":
+        """The vectorised CSR build every network goes through.
 
-        Every constructor ends here.  ``src``/``dst`` are parallel integer
-        arrays (any orientation, possibly with duplicate edges);
-        canonicalisation, lexicographic sorting and duplicate removal all
-        happen inside numpy.  No per-edge Python object is created: the
-        sorted-tuple rows and the canonical tuple-of-pairs edge view are lazy
-        derivations of the arrays (:attr:`_adjacency`, :attr:`edges`).
-        ``id_array`` holds valid identifiers in vertex order (``None`` means
-        sequential) and is adopted without a copy.
+        ``src``/``dst`` are parallel int64 arrays within ``0..n-1`` (any
+        orientation, possibly with duplicate edges); canonicalisation,
+        lexicographic sorting and duplicate removal all happen inside
+        numpy.  No per-edge Python object is created: the sorted-tuple rows
+        and the canonical tuple-of-pairs edge view are lazy derivations of
+        the arrays (:attr:`_adjacency`, :attr:`edges`).  ``id_array`` holds
+        valid identifiers in vertex order and is adopted without a copy.
         """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        self.n = n
-        src = _as_int64(src, "src").ravel()
-        dst = _as_int64(dst, "dst").ravel()
-        if src.shape != dst.shape:
-            raise ValueError(
-                f"src and dst must have equal length, got {src.size} and {dst.size}"
-            )
-        if src.size:
-            lo = min(int(src.min()), int(dst.min()))
-            hi = max(int(src.max()), int(dst.max()))
-            if lo < 0 or hi >= n:
-                raise ValueError("edge list refers to vertices outside 0..n-1")
-            loops = src == dst
-            if loops.any():
-                offender = int(src[int(np.argmax(loops))])
-                canonical_edge(offender, offender)  # raises the canonical error
+        loops = src == dst
+        if loops.any():
+            offender = int(src[int(np.argmax(loops))])
+            canonical_edge(offender, offender)  # raises the canonical error
 
         # Canonicalise (u < v), sort lexicographically, drop duplicates — the
         # vectorised equivalent of ``sorted(set(canonical_edges))``.  Pairs
@@ -231,202 +204,57 @@ class Network:
             sym = np.lexsort((tails, heads))
             heads = heads[sym]
             indices = np.ascontiguousarray(tails[sym])
-        self.m = int(us.size)
-        counts = np.bincount(heads, minlength=n).astype(np.int64, copy=False)
+        degrees = np.bincount(heads, minlength=n).astype(np.int64, copy=False)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        for frozen in (us, vs, indices, indptr):
-            frozen.setflags(write=False)
-
-        # Lazy views of the arrays, built on first use.
-        self._edges_cache: Optional[Tuple[Tuple[int, int], ...]] = None
-        self._packed_index: Optional[Dict[int, int]] = None
-        self._rows: Optional[List[Tuple[int, ...]]] = None
-        self._indptr: np.ndarray = indptr
-        self._indices: np.ndarray = indices
-        self._edge_us: np.ndarray = us
-        self._edge_vs: np.ndarray = vs
-        self._nx_export: Optional[nx.Graph] = None
-        self._max_degree = int(counts.max()) if n else 0
-        self._min_degree = int(counts.min()) if n else 0
-        self._set_identifiers(
-            np.arange(n, dtype=np.int64) if id_array is None else id_array
-        )
-
-    def _set_identifiers(self, id_array: np.ndarray) -> None:
-        """Adopt valid int64 identifiers in vertex order as the storage."""
-        id_array.setflags(write=False)
-        self._id_array: np.ndarray = id_array
-        self._ids_cache: Optional[Tuple[int, ...]] = None
-        self._id_bits = int(id_array.max()).bit_length() if id_array.size else 0
-
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_graph(
-        cls,
-        graph: nx.Graph,
-        id_scheme: str = "sequential",
-        rng: Optional[random.Random] = None,
-    ) -> "Network":
-        """Build a network from a networkx graph with a named ID scheme.
-
-        Args:
-            graph: the topology.
-            id_scheme: one of ``"sequential"``, ``"random"``, ``"permuted"``,
-                ``"adversarial"``.
-            rng: randomness source, required for the randomized schemes.
-        """
-        net = cls.__new__(cls)
-        net._init_from_graph(
-            graph, _scheme_identifiers(graph.number_of_nodes(), id_scheme, rng)
-        )
-        return net
-
-    @classmethod
-    def from_edge_list(
-        cls,
-        n: int,
-        edges: Iterable[Tuple[int, int]],
-        id_scheme: str = "sequential",
-        rng: Optional[random.Random] = None,
-    ) -> "Network":
-        """Build a network from literal ``(u, v)`` pairs with a named ID scheme.
-
-        The edge-list twin of :meth:`from_graph`: given the same topology and
-        ``rng`` state it produces an identical network, but never touches
-        networkx.  The direct generators in :mod:`repro.graphs.generators`
-        return :class:`~repro.graphs.edgelist.EdgeArrays`, which
-        :meth:`from_edge_arrays` takes without the per-pair conversion.
-        """
-        src, dst = _pair_columns(edges)
-        return cls.from_endpoint_arrays(n, src, dst, id_scheme=id_scheme, rng=rng)
-
-    @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[Tuple[int, int]],
-        identifiers: Optional[Mapping[int, int]] = None,
-    ) -> "Network":
-        """Build a network on vertices ``0..n-1`` from ``(u, v)`` pairs.
-
-        The pairs become two int64 endpoint arrays and go through the
-        vectorised build of :meth:`from_endpoint_arrays` — no networkx graph
-        and no per-edge tuple.  Endpoint order is free and duplicate edges
-        are removed; self-loops, endpoints outside ``0..n-1`` and
-        non-integer endpoints raise :class:`ValueError`.  Integer endpoints
-        of any type (numpy scalars, ``bool``) are stored as plain ints.
-        """
-        src, dst = _pair_columns(edges)
-        return cls.from_endpoint_arrays(n, src, dst, identifiers)
-
-    @classmethod
-    def from_endpoint_arrays(
-        cls,
-        n: int,
-        src,
-        dst,
-        identifiers: Optional[Mapping[int, int]] = None,
-        *,
-        id_scheme: Optional[str] = None,
-        rng: Optional[random.Random] = None,
-    ) -> "Network":
-        """Build a network from flat endpoint arrays.
-
-        ``src``/``dst`` are parallel integer arrays (numpy arrays, or
-        anything ``np.asarray`` accepts) such that edge ``i`` is
-        ``{src[i], dst[i]}``.  Endpoint order is free and duplicate edges are
-        removed; self-loops, endpoints outside ``0..n-1`` and float arrays
-        raise :class:`ValueError`.  This is the build every constructor ends
-        in, taken without a conversion step, so it is the cheapest way to
-        stand up ``m ≥ 10⁶`` workloads.  The sorted-tuple rows and the
-        canonical :attr:`edges` view are derived lazily, so networks that are
-        only ever consumed through the flat arrays never materialise them.
-
-        Identifiers may be given either as an explicit mapping (as in
-        :meth:`from_edges`) or via ``id_scheme``/``rng`` (as in
-        :meth:`from_edge_list`); passing both is an error.  Given the same
-        topology and identifiers, every constructor yields the same network
-        — same arrays, rows and edge order, and therefore seed-for-seed
-        identical traces.
-        """
-        if id_scheme is not None:
-            if identifiers is not None:
-                raise ValueError("pass either identifiers or id_scheme, not both")
-            id_array = _scheme_identifiers(n, id_scheme, rng)
-        elif identifiers is not None:
-            id_array = ids_module.id_array(identifiers, range(n))
-        else:
-            id_array = None
-        net = cls.__new__(cls)
-        net._init_from_endpoint_arrays(n, src, dst, id_array)
-        return net
+        np.cumsum(degrees, out=indptr[1:])
+        return cls._from_csr_arrays(n, indptr, indices, us, vs, id_array, degrees)
 
     @classmethod
     def _from_csr_arrays(
         cls,
         n: int,
-        m: int,
-        indptr,
-        indices,
-        edge_us,
-        edge_vs,
-        ids,
-        max_degree: int,
-        min_degree: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        edge_us: np.ndarray,
+        edge_vs: np.ndarray,
+        ids: np.ndarray,
+        degrees: Optional[np.ndarray] = None,
     ) -> "Network":
-        """Reassemble a network from externally held CSR arrays — zero copy.
+        """Adopt built CSR, endpoint and identifier arrays — zero copy.
 
-        Trusted constructor for the experiment service's graph cache: the
-        arrays must be exactly an existing network's :attr:`indptr` /
-        :attr:`indices` / :meth:`edge_endpoints` / :attr:`identifier_array`
-        views, read back from a cache payload.  No validation, sorting, or
-        copying happens here — the arrays are adopted as-is, so they may be
-        (read-only) views into a payload buffer that the network then keeps
-        alive.
+        The end of :meth:`_build`, and the trusted constructor of the
+        experiment service's graph cache, whose arrays must be exactly an
+        existing network's :attr:`indptr` / :attr:`indices` /
+        :meth:`edge_endpoints` / :attr:`identifier_array`, read back from a
+        cache payload.  No validation, sorting or copying happens here:
+        the arrays are frozen and adopted as they are, so they may be
+        read-only views into a payload buffer that the network then keeps
+        alive.  The build hands over the degree counts it computed; a cache
+        hit has none, so they are computed here once from ``indptr``.
         """
+        if degrees is None:
+            degrees = np.diff(indptr)
+        for frozen in (indptr, indices, edge_us, edge_vs, degrees, ids):
+            frozen.setflags(write=False)
         net = cls.__new__(cls)
         net.n = int(n)
-        net.m = int(m)
-        net._edges_cache = None
-        net._packed_index = None
-        net._rows = None
+        net.m = int(edge_us.size)
         net._indptr = indptr
         net._indices = indices
         net._edge_us = edge_us
         net._edge_vs = edge_vs
+        net._degrees = degrees
+        net._max_degree = int(degrees.max()) if n else 0
+        net._min_degree = int(degrees.min()) if n else 0
+        net._id_array = ids
+        net._id_bits = int(ids.max()).bit_length() if ids.size else 0
+        # Lazy views of the arrays, built on first use.
+        net._rows = None
+        net._edges_cache = None
+        net._packed_index = None
+        net._ids_cache = None
         net._nx_export = None
-        net._max_degree = int(max_degree)
-        net._min_degree = int(min_degree)
-        net._set_identifiers(ids)
         return net
-
-    @classmethod
-    def from_edge_arrays(
-        cls,
-        edge_arrays,
-        id_scheme: str = "sequential",
-        rng: Optional[random.Random] = None,
-    ) -> "Network":
-        """Build a network from an :class:`~repro.graphs.edgelist.EdgeArrays`.
-
-        The construction path of the direct generators' output, and the
-        array form of :meth:`from_edge_list`: accepts any object exposing
-        ``n``/``src``/``dst`` (duck-typed so this module needs no import from
-        :mod:`repro.graphs`) and applies a named ID scheme.  Given the same
-        topology and ``rng`` state it produces the same network as
-        :meth:`from_edge_list`.
-        """
-        return cls.from_endpoint_arrays(
-            edge_arrays.n,
-            edge_arrays.src,
-            edge_arrays.dst,
-            id_scheme=id_scheme,
-            rng=rng,
-        )
 
     # ------------------------------------------------------------------ #
     # Topology accessors
@@ -459,9 +287,17 @@ class Network:
         return self._adjacency[self._vertex(v)]
 
     def degree(self, v: int) -> int:
-        """Degree of vertex ``v``, read from :attr:`indptr` (no rows built)."""
-        v = self._vertex(v)
-        return int(self._indptr[v + 1] - self._indptr[v])
+        """Degree of vertex ``v``, read from :attr:`degrees` (no rows built)."""
+        return int(self._degrees[self._vertex(v)])
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Per-vertex degrees: a read-only int64 array equal to ``np.diff(indptr)``.
+
+        The counts the CSR build computes anyway, kept (8 bytes per vertex)
+        so that array consumers read them instead of recomputing them.
+        """
+        return self._degrees
 
     def max_degree(self) -> int:
         """Maximum degree Δ of the network (0 for the empty graph); cached."""
@@ -623,20 +459,18 @@ class Network:
         LOCAL-model input.  Cost is O(sum of degrees of the kept vertices),
         not O(m): only the CSR segments of the kept vertices are gathered,
         their kept neighbours re-indexed vectorised, and the result rebuilt
-        by the vectorised CSR build every constructor ends in, with the kept
+        by the vectorised CSR build every network goes through, with the kept
         vertices' identifiers gathered from :attr:`identifier_array` — no
         per-node tuple row and no per-edge tuple anywhere.
         """
         vertex_list = sorted(set(vertices))
         kept = np.asarray(vertex_list, dtype=np.int64)
         k = int(kept.size)
-        if not k:
-            return Network.from_endpoint_arrays(0, kept, kept, {})
-        if kept[0] < 0 or kept[-1] >= self.n:
+        if k and (kept[0] < 0 or kept[-1] >= self.n):
             raise IndexError("subnetwork vertices outside 0..n-1")
         indptr = self._indptr
         starts = indptr[kept]
-        lengths = indptr[kept + 1] - starts
+        lengths = self._degrees[kept]
         total = int(lengths.sum())
         # Vectorised multi-arange: positions of the kept rows' CSR segments.
         positions = (
@@ -651,9 +485,7 @@ class Network:
         keep_edge = (neighbors > owners) & (new_index[neighbors] >= 0)
         src = new_index[owners[keep_edge]]
         dst = new_index[neighbors[keep_edge]]
-        net = Network.__new__(Network)
-        net._init_from_endpoint_arrays(k, src, dst, self._id_array[kept])
-        return net
+        return Network._build(k, src, dst, self._id_array[kept])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Network(n={self.n}, m={self.m}, max_degree={self.max_degree()})"

@@ -105,13 +105,6 @@ class ClusterTreeGraph:
             return psi, False
         raise ValueError(f"vertices {u} and {v} lie in non-adjacent clusters {cu}, {cv}")
 
-    def neighbor_cluster_nodes(self, skeleton_node: int) -> List[int]:
-        """Vertices in the clusters of the skeleton neighbours of ``c0``."""
-        vertices: List[int] = []
-        for child in self.skeleton.children(skeleton_node):
-            vertices.extend(self.clusters[child])
-        return vertices
-
     def validate_degrees(self) -> None:
         """Check that every prescribed biregular degree holds exactly."""
         beta = self.beta

@@ -54,7 +54,7 @@ import importlib
 
 sweepmod = importlib.import_module("repro.analysis.sweep")
 from repro.core.errors import WorkerCrashed, classify_failure
-from repro.core.experiment import seed_schedule
+from repro.core.experiment import resolve_network, seed_schedule
 from repro.local.engine import _BATCH_BYTE_BUDGET, batch_chunk
 from repro.service.queue import JobQueue
 from repro.service.specs import SweepSpec
@@ -131,7 +131,7 @@ def run_job(db_path: str, job_id: int) -> str:
 def _cached_graph_factory(store: ResultStore, spec: SweepSpec, provenance: Dict):
     """A sweep ``graph_factory`` that answers from the shared graph cache.
 
-    Returns ready :class:`Network` objects (which ``network_from`` passes
+    Returns ready :class:`Network` objects (which ``resolve_network`` passes
     through untouched), built at most once per content key across every
     concurrent worker on the same database.  Records per-index provenance
     (cache key, sizes, ``EdgeArrays.meta`` when this worker did the build)
@@ -155,7 +155,7 @@ def _cached_graph_factory(store: ResultStore, spec: SweepSpec, provenance: Dict)
             meta = getattr(source, "meta", None)
             if meta:
                 built_meta.update(dict(meta))
-            return sweepmod.network_from(source, seed=spec.network_seed(index))
+            return resolve_network(source, seed=spec.network_seed(index))
 
         network = store.network_for(key, recipe, build)
         provenance[index] = {

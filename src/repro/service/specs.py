@@ -15,7 +15,7 @@ Registries
 ``GRAPH_FAMILIES`` maps a family name to a builder
 ``(value, **params) -> graph source`` (an :class:`EdgeArrays`, as every
 built-in family returns, or anything else
-:func:`repro.analysis.sweep.network_from` accepts).  ``ALGORITHMS`` maps an
+:func:`repro.core.experiment.resolve_network` accepts).  ``ALGORITHMS`` maps an
 algorithm name to the sweep convention's ``(algorithm_factory,
 problem_factory)`` pair of one-argument factories.
 Both registries are extensible (:func:`register_family`,
@@ -56,7 +56,7 @@ __all__ = [
 SPEC_FORMAT = schemas.SWEEP_SPEC
 
 #: The benchmark ID-scheme convention, fixed service-wide so the cache key
-#: and the in-process ``network_from`` default can never drift.
+#: and the in-process ``resolve_network`` default can never drift.
 ID_SCHEME = "permuted"
 
 

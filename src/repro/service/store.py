@@ -324,14 +324,11 @@ class ResultStore:
             views[field] = view
         return Network._from_csr_arrays(
             n=int(row["n"]),
-            m=int(row["m"]),
             indptr=views["indptr"],
             indices=views["indices"],
             edge_us=views["edge_us"],
             edge_vs=views["edge_vs"],
             ids=views["ids"],
-            max_degree=int(row["max_degree"]),
-            min_degree=int(row["min_degree"]),
         )
 
     def claim_graph_build(self, key: str, recipe: Mapping[str, object]) -> bool:

@@ -13,7 +13,7 @@ import sys
 
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
-from repro.core.experiment import Experiment, run_trials, seed_schedule
+from repro.core.experiment import Experiment, resolve_network, run_trials, seed_schedule
 from repro.core.metrics import measure
 from repro.graphs import generators as gen
 
@@ -21,7 +21,6 @@ import repro.analysis.sweep  # noqa: F401  (loads the module into sys.modules)
 
 sweepmod = sys.modules["repro.analysis.sweep"]
 sweep = sweepmod.sweep
-network_from = sweepmod.network_from
 
 
 def luby_algorithms():
@@ -29,7 +28,7 @@ def luby_algorithms():
 
 
 def cycle_network(n=12, seed=5):
-    return network_from(gen.cycle_edges(n), seed=seed)
+    return resolve_network(gen.cycle_edges(n), seed=seed)
 
 
 class TestRunTrialsBudget:

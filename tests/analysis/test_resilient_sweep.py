@@ -90,7 +90,7 @@ class TestResultShape:
         result = run_sweep(engine=engine, faults=faults)
         expected = []
         for index, value in enumerate([8, 10]):
-            network = sweepmod.network_from(gen.cycle_edges(value), seed=3 + index)
+            network = sweepmod.resolve_network(gen.cycle_edges(value), seed=3 + index)
             traces = run_trials(
                 LubyMIS,
                 network,
@@ -606,10 +606,10 @@ class TestStreamedAggregation:
     def test_serial_sweep_keeps_one_value_network(self, monkeypatch, engine):
         baseline = run_sweep(engine=engine)
         built = []
-        network_from, execute = sweepmod.network_from, sweepmod._execute
+        resolve_network, execute = sweepmod.resolve_network, sweepmod._execute
 
-        def tracked_network_from(*args, **kwargs):
-            network = network_from(*args, **kwargs)
+        def tracked_resolve_network(*args, **kwargs):
+            network = resolve_network(*args, **kwargs)
             built.append(weakref.ref(network))
             return network
 
@@ -620,7 +620,7 @@ class TestStreamedAggregation:
                 first_alive.append(built[0]() is not None)
             return execute(spec, task, cache)
 
-        monkeypatch.setattr(sweepmod, "network_from", tracked_network_from)
+        monkeypatch.setattr(sweepmod, "resolve_network", tracked_resolve_network)
         monkeypatch.setattr(sweepmod, "_execute", checked_execute)
         assert run_sweep(engine=engine) == baseline
         assert len(built) == 2

@@ -7,8 +7,9 @@ import pytest
 
 from repro.algorithms.mis import LubyMIS
 from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
-from repro.analysis import format_sweep, format_table, network_from, sweep
+from repro.analysis import format_sweep, format_table, sweep
 from repro.core import problems
+from repro.core.experiment import resolve_network
 
 
 class TestSweep:
@@ -42,8 +43,8 @@ class TestSweep:
         assert row["parameter"] == "degree" and row["value"] == 3
         assert "node_averaged" in row and "worst_case" in row
 
-    def test_network_from_uses_permuted_ids(self):
-        net = network_from(nx.path_graph(10), seed=3)
+    def test_resolve_network_uses_permuted_ids(self):
+        net = resolve_network(nx.path_graph(10), seed=3)
         assert sorted(net.identifiers) == list(range(10))
 
 
@@ -82,15 +83,15 @@ class TestTables:
 
 
 class TestEdgeArraysWorkloads:
-    """sweep/network_from take EdgeArrays and refuse ``(n, edges)`` pairs."""
+    """sweep/resolve_network take EdgeArrays and refuse ``(n, edges)`` pairs."""
 
-    def test_network_from_edge_arrays_equals_graph_form(self):
+    def test_resolve_network_edge_arrays_equals_graph_form(self):
         from repro.graphs import generators as gen
 
         arrays = gen.random_regular_edges(4, 60, seed=1)
         graph = gen.random_regular_graph(4, 60, seed=1)
-        from_arrays = network_from(arrays, seed=5)
-        from_graph = network_from(graph, seed=5)
+        from_arrays = resolve_network(arrays, seed=5)
+        from_graph = resolve_network(graph, seed=5)
         assert from_arrays.edges == from_graph.edges
         assert from_arrays.identifiers == from_graph.identifiers
 

@@ -397,14 +397,6 @@ class TestExperimentFacade:
         ).run()
         assert [run.name for run in result] == ["fast_gnp", "graph-1"]
 
-    def test_float_endpoint_arrays_are_rejected_not_truncated(self):
-        import numpy as np
-
-        from repro.local.network import Network
-
-        with pytest.raises(ValueError, match="integer array"):
-            Network.from_endpoint_arrays(3, np.array([0.9]), np.array([1.2]))
-
     def test_duplicate_family_names_are_disambiguated(self):
         from repro.core.experiment import Experiment
         from repro.graphs import generators as gen

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import problems
 from repro.core.problems import MISSING
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 
 
@@ -30,7 +31,7 @@ def random_network(rng: random.Random) -> Network:
         for v in range(u + 1, n)
         if rng.random() < rng.choice((0.1, 0.3, 0.6))
     ]
-    return Network.from_edges(n, edges)
+    return Network.from_edge_arrays(EdgeArrays.from_pairs(n, edges))
 
 
 def random_crashed(rng: random.Random, n: int) -> list:
@@ -109,14 +110,14 @@ class TestInducedSemantics:
     def test_induced_mis_accepts_a_valid_survivor_configuration(self):
         # Path 0-1-2-3 with node 1 crashed: survivors 0,2,3; selecting {0, 3}
         # leaves 2 covered by 3 and independent.
-        network = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
         values = np.array([True, True, False, True])  # crashed node's value ignored
         committed = np.ones(4, dtype=bool)
         result = induced(problems.MIS, network, [1], values, node_committed=committed)
         assert bool(result)
 
     def test_induced_mis_rejects_uncovered_survivors(self):
-        network = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
         values = np.array([False, False, False, False])
         committed = np.ones(4, dtype=bool)
         result = induced(problems.MIS, network, [1], values, node_committed=committed)
@@ -124,7 +125,7 @@ class TestInducedSemantics:
         assert "uncovered" in result.reason
 
     def test_induced_mis_rejects_missing_survivor_outputs(self):
-        network = Network.from_edges(3, [(0, 1), (1, 2)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(3, [(0, 1), (1, 2)]))
         values = np.zeros(3, dtype=bool)
         committed = np.array([True, True, False])
         result = induced(problems.MIS, network, [0], values, node_committed=committed)
@@ -134,7 +135,7 @@ class TestInducedSemantics:
     def test_induced_matching_rejects_addable_edges(self):
         # Triangle with no crash on the relevant edge: nothing selected but
         # the surviving edge (1, 2) could be added.
-        network = Network.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(3, [(0, 1), (0, 2), (1, 2)]))
         values = np.zeros(3, dtype=bool)
         committed = np.ones(3, dtype=bool)
         result = induced(
@@ -144,7 +145,7 @@ class TestInducedSemantics:
         assert "added" in result.reason
 
     def test_induced_matching_rejects_non_matchings(self):
-        network = Network.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(3, [(0, 1), (0, 2), (1, 2)]))
         values = np.ones(3, dtype=bool)
         committed = np.ones(3, dtype=bool)
         result = induced(

@@ -104,11 +104,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics.weighted_node_averaged_complexity(node_trace, {0: 0.0})
 
-    def test_weighted_edge_average(self, edge_trace):
-        weights = {(0, 1): 1.0, (1, 2): 0.0, (2, 3): 1.0}
-        value = metrics.weighted_edge_averaged_complexity(edge_trace, weights)
-        assert value == pytest.approx(2.0)
-
     def test_hierarchy_is_monotone(self, node_trace):
         chain = metrics.complexity_hierarchy(node_trace)
         assert chain["avg"] <= chain["weighted_avg"] <= chain["expected"] <= chain["worst"]

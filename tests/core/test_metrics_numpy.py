@@ -41,6 +41,7 @@ from repro.core import metrics, problems
 from repro.core.experiment import run_trials
 from repro.core.trace import ExecutionTrace
 from repro.graphs import generators as gen
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 from repro.local.runner import Runner
 
@@ -64,7 +65,7 @@ def _random_network(rng: random.Random) -> Network:
     n = rng.randint(2, 40)
     p = rng.uniform(0.05, 0.4)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Network.from_edges(n, edges)
+    return Network.from_edge_arrays(EdgeArrays.from_pairs(n, edges))
 
 
 def _random_trace(make_trace, network: Network, problem, rng: random.Random) -> ExecutionTrace:
@@ -308,7 +309,7 @@ class TestEdgeCases:
         _assert_agreement([trace])
 
     def test_edgeless_network(self, trace_factory):
-        network = Network.from_edges(3, [])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(3, []))
         trace = trace_factory(
             network,
             problems.MIS,
@@ -317,7 +318,7 @@ class TestEdgeCases:
             rounds=2,
         )
         assert metrics.edge_averaged_complexity(trace) == 0.0
-        assert metrics.edge_expected_complexity(trace) == 0.0
+        assert metrics.measure(trace).edge_expected == 0.0
         assert metrics.completion_time_quantiles(trace, entity="edge") == {
             0.5: 0.0,
             0.9: 0.0,

@@ -21,6 +21,7 @@ from repro.core.experiment import run_trials
 from repro.core.metrics import measure
 from repro.core.trace import ExecutionTrace
 from repro.graphs import generators as gen
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 from repro.local.runner import Runner
 
@@ -46,7 +47,7 @@ class TestUncommittedSlots:
 
     def test_committed_none_is_not_missing(self):
         """A node that committed the value None must count as committed."""
-        network = Network.from_edges(2, [(0, 1)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(2, [(0, 1)]))
         trace = ExecutionTrace(
             network,
             problems.coloring(None),
@@ -231,18 +232,13 @@ class TestEqualityAcrossProcesses:
 
     def test_other_identifiers_are_unequal(self):
         arrays = gen.cycle_edges(12)
-        n, edges = arrays.n, arrays.as_pairs()
-        network = Network.from_edges(n, edges)
-        other = Network.from_edges(n, edges, identifiers={v: 100 + v for v in range(n)})
-        trace = ExecutionTrace(
-            network, problems.MIS, [True] * n, [0] * n, None, [-1] * len(edges)
-        )
-        twin = ExecutionTrace(
-            other, problems.MIS, [True] * n, [0] * n, None, [-1] * len(edges)
-        )
+        n, m = arrays.n, arrays.m
+        network = Network.from_edge_arrays(arrays)
+        other = Network.from_edge_arrays(arrays, identifiers=range(100, 100 + n))
+        trace = ExecutionTrace(network, problems.MIS, [True] * n, [0] * n, None, [-1] * m)
+        twin = ExecutionTrace(other, problems.MIS, [True] * n, [0] * n, None, [-1] * m)
         assert not np.array_equal(network.identifier_array, other.identifier_array)
         assert trace != twin
         assert trace == ExecutionTrace(
-            Network.from_edges(n, edges), problems.MIS, [True] * n, [0] * n, None,
-            [-1] * len(edges),
+            Network.from_edge_arrays(arrays), problems.MIS, [True] * n, [0] * n, None, [-1] * m
         )

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import problems
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 
 PROBLEMS = ("mis", "ruling-set", "matching", "coloring", "sinkless")
@@ -337,7 +338,7 @@ class TestSinklessOrientationUnderCrashes:
     def test_degree_basis_differs_between_surviving_and_induced(self):
         """A star's centre loses a neighbour and its only out-edge: the
         surviving problem still poses it at degree 3, the induced one at 2."""
-        network = Network.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (0, 2), (0, 3)]))
         heads = {(0, 2): 0, (0, 3): 0}
         spec = problems.SINKLESS_ORIENTATION
         assert not spec.validate_surviving(network, None, heads, [1])
@@ -345,7 +346,7 @@ class TestSinklessOrientationUnderCrashes:
 
 
 def test_alive_mask_and_crashed_ids_agree():
-    network = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    network = Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
     alive = np.array([True, False, True, True])
     validate = problems.MIS.validate_induced
     for values in ([True, False, False, True], [False, False, True, False]):

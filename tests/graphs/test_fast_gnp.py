@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 
 
@@ -185,7 +186,9 @@ class TestNativeArrayMode:
     def test_arrays_feed_the_numpy_csr_network_build(self):
         arrays = gen.fast_gnp_edges(800, 0.01, seed=4)
         via_arrays = Network.from_edge_arrays(arrays)
-        via_pairs = Network.from_edge_list(arrays.n, arrays.as_pairs())
+        via_pairs = Network.from_edge_arrays(
+            EdgeArrays.from_pairs(arrays.n, arrays.as_pairs())
+        )
         assert via_arrays.edges == tuple(sorted(arrays.as_pairs()))
         assert via_arrays.edges == via_pairs.edges
         assert via_arrays.identifiers == via_pairs.identifiers

@@ -101,7 +101,7 @@ class TestRandomizedFamilies:
 
 
 class TestNetworkIntegration:
-    def test_from_edge_list_equals_from_graph(self):
+    def test_pairs_and_arrays_equal_from_graph(self):
         """A graph, its edge arrays and their pairs yield identical networks."""
         import random
 
@@ -114,31 +114,35 @@ class TestNetworkIntegration:
             )
             for direct in (
                 Network.from_edge_arrays(arrays, id_scheme=scheme, rng=random.Random(5)),
-                Network.from_edge_list(
-                    arrays.n, arrays.as_pairs(), id_scheme=scheme, rng=random.Random(5)
+                Network.from_edge_arrays(
+                    EdgeArrays.from_pairs(arrays.n, arrays.as_pairs()),
+                    id_scheme=scheme,
+                    rng=random.Random(5),
                 ),
             ):
                 assert direct.n == via_nx.n and direct.m == via_nx.m
                 assert direct.edges == via_nx.edges
                 assert direct.identifiers == via_nx.identifiers
 
-    def test_network_from_accepts_all_workload_forms(self):
-        from repro.analysis.sweep import network_from
+    def test_resolve_network_accepts_all_workload_forms(self):
+        from repro.core.experiment import resolve_network
 
         arrays = gen.cycle_edges(12)
-        from_arrays = network_from(arrays, seed=3)
-        from_graph = network_from(gen.cycle_graph(12), seed=3)
+        from_arrays = resolve_network(arrays, seed=3)
+        from_graph = resolve_network(gen.cycle_graph(12), seed=3)
         assert from_arrays.edges == from_graph.edges
         assert from_arrays.identifiers == from_graph.identifiers
         ready = Network.from_edge_arrays(arrays)
-        assert network_from(ready, seed=3) is ready
+        assert resolve_network(ready, seed=3) is ready
 
     def test_network_canonicalises_the_grid_block_order(self):
         """The grid lists its right-going block before its down-going one;
         every construction path sorts that into the same network."""
         arrays = gen.grid_edges(6, 5)
         via_arrays = Network.from_edge_arrays(arrays)
-        via_pairs = Network.from_edge_list(arrays.n, arrays.as_pairs())
+        via_pairs = Network.from_edge_arrays(
+            EdgeArrays.from_pairs(arrays.n, arrays.as_pairs())
+        )
         via_nx = Network.from_graph(gen.grid_graph(6, 5))
         assert via_arrays.edges == tuple(sorted(arrays.as_pairs()))
         assert via_arrays.edges == via_pairs.edges == via_nx.edges

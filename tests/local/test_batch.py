@@ -26,8 +26,9 @@ from repro.algorithms.selfstab import SelfStabilizingLubyMISArray
 from repro.core import problems
 from repro.core.experiment import Experiment, resolve_network, run_trials, trial_seed
 from repro.core.metrics import measure
-from repro.graphs.generators import fast_gnp_edges
-from repro.local.engine import ArrayEngine, ArrayTopology, batch_chunk
+from repro.graphs.edgelist import EdgeArrays
+from repro.graphs.generators import cycle_edges, fast_gnp_edges
+from repro.local.engine import ArrayEngine, batch_chunk
 from repro.local.network import Network
 from repro.local.runner import Runner
 
@@ -40,20 +41,14 @@ SEEDS = list(range(100, 164))
 
 
 def cycle_network(n: int = 48) -> Network:
-    return Network.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Network.from_edge_arrays(cycle_edges(n))
 
 
 def gnp_network(n: int = 40, seed: int = 5) -> Network:
-    return Network.from_endpoint_arrays(
-        *_gnp_arrays(n, seed), id_scheme="sequential"
-    )
-
-
-def _gnp_arrays(n: int, seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     us, vs = np.triu_indices(n, k=1)
     keep = rng.random(us.size) < 0.12
-    return n, us[keep], vs[keep]
+    return Network.from_edge_arrays(EdgeArrays(n, us[keep], vs[keep]))
 
 
 ALGORITHMS = [
@@ -223,8 +218,7 @@ class TestChunking:
 
 def _gnp(n: int, degree: float, seed: int) -> Network:
     """``fast_gnp_edges`` at expected degree ``degree``, as a network."""
-    edges = fast_gnp_edges(n, degree / (n - 1), seed=seed)
-    return Network.from_endpoint_arrays(n, edges.src, edges.dst, id_scheme="sequential")
+    return Network.from_edge_arrays(fast_gnp_edges(n, degree / (n - 1), seed=seed))
 
 
 def _traced_peak(run) -> int:
@@ -243,8 +237,8 @@ class TestFootprint:
 
     @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
     def test_single_trial_peak_allocation_per_edge(self, name, factory, problem):
-        # The first run of a fresh engine allocates its kernel scratch
-        # (and builds the topology, about 3 bytes per edge).
+        # The first run of a fresh engine allocates its kernel scratch; the
+        # kernels read the network's own arrays, so nothing else is built.
         network = _gnp(20_000, 10, seed=1)
         engine = ArrayEngine()
         peak = _traced_peak(lambda: engine.run(factory(), network, problem, seed=0))
@@ -259,26 +253,40 @@ class TestFootprint:
         assert peak / network.m <= 30
 
     def test_permuted_network_build_peak_allocation_per_node(self):
-        # The benchmarks' network (permuted identifiers) and its engine
-        # topology: the identifiers stay one int64 array from the seeded
-        # shuffle to the kernels.  With a dict and a tuple of ints on the
-        # way the whole build peaked at about 660 bytes per node; without
-        # them, about 400.
+        # The benchmarks' network (permuted identifiers), everything the
+        # kernels read included: the identifiers stay one int64 array from
+        # the seeded shuffle to the kernels.  With a dict and a tuple of
+        # ints on the way the whole build peaked at about 660 bytes per
+        # node; without them, about 400.
         n = 20_000
         edges = fast_gnp_edges(n, 10 / (n - 1), seed=1)
-        peak = _traced_peak(lambda: ArrayTopology(resolve_network(edges, seed=1)))
+        peak = _traced_peak(lambda: resolve_network(edges, seed=1))
         assert peak / n <= 500
 
 
 class TestIdentifierArray:
-    """Array consumers take the network's identifier array as it is: the
-    engine topology shares its memory, and no array run builds the tuple
-    view that only the coroutine runner needs."""
+    """Array consumers take the network's arrays as they are: the engine
+    hands the network itself to the kernels, and no array run builds the
+    tuple view that only the coroutine runner needs."""
 
-    def test_topology_shares_the_identifier_array(self):
+    @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
+    def test_kernels_get_the_network_itself(self, name, factory, problem):
         network = resolve_network(fast_gnp_edges(500, 0.02, seed=3))
-        topology = ArrayTopology(network)
-        assert np.shares_memory(topology.identifiers, network.identifier_array)
+        algorithm = factory()
+        seen = []
+        init_batch, step_batch = algorithm.init_batch, algorithm.step_batch
+
+        def record_init(net, *args):
+            seen.append(net)
+            return init_batch(net, *args)
+
+        def record_step(round_index, batch, net, *args, **kwargs):
+            seen.append(net)
+            return step_batch(round_index, batch, net, *args, **kwargs)
+
+        algorithm.init_batch, algorithm.step_batch = record_init, record_step
+        ArrayEngine().run_batch(algorithm, network, problem, [0, 1])
+        assert len(seen) > 1 and all(net is network for net in seen)
 
     @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
     def test_array_run_validate_and_measure_leave_the_tuple_unbuilt(

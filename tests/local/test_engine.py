@@ -32,7 +32,8 @@ from repro.algorithms.mis.luby import LubyMIS, LubyMISArray, _luby_joins_masked
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials, trial_seed
 from repro.graphs import generators as gen
-from repro.local.engine import ArrayEngine, ArrayTopology, ScratchArena
+from repro.local.engine import ArrayEngine, ScratchArena
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 from repro.local.runner import RoundLimitExceeded, Runner
 
@@ -76,7 +77,7 @@ class TestEngineBasics:
         assert len(trace.edge_outputs) == net.m
 
     def test_edgeless_graphs_finish_in_round_zero(self, engine):
-        net = Network.from_edges(5, [])
+        net = Network.from_edge_arrays(EdgeArrays.from_pairs(5, []))
         mis = engine.run(LubyMISArray(), net, problems.MIS, seed=0)
         assert mis.rounds == 0 and mis.completed
         assert mis.node_outputs == {v: True for v in range(5)}
@@ -88,7 +89,7 @@ class TestEngineBasics:
         assert matching.edge_outputs == {}
 
     def test_isolated_nodes_commit_at_round_zero(self, engine):
-        net = Network.from_edges(4, [(0, 1)])
+        net = Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1)]))
         trace = engine.run(LubyMISArray(), net, problems.MIS, seed=3)
         assert trace.node_commit_round[2] == 0 and trace.node_commit_round[3] == 0
         assert trace.node_outputs[2] is True and trace.node_outputs[3] is True
@@ -178,11 +179,10 @@ class TestEngineBasics:
                 fresh = ArrayEngine().run_batch(algorithm(), net, problem, seeds)
                 assert engine.run_batch(algorithm(), net, problem, seeds) == fresh
 
-    def test_works_on_tuple_and_array_built_networks(self, engine):
-        arrays = gen.erdos_renyi_edges(50, 4.0, seed=9)
-        tuple_net = Network.from_edges(arrays.n, arrays.as_pairs())
-        array_net = Network.from_endpoint_arrays(arrays.n, arrays.src, arrays.dst)
-        a = engine.run(LubyMISArray(), tuple_net, problems.MIS, seed=4)
+    def test_works_on_graph_and_array_built_networks(self, engine):
+        graph_net = Network.from_graph(gen.erdos_renyi_graph(50, 4.0, seed=9))
+        array_net = Network.from_edge_arrays(gen.erdos_renyi_edges(50, 4.0, seed=9))
+        a = engine.run(LubyMISArray(), graph_net, problems.MIS, seed=4)
         b = ArrayEngine().run(LubyMISArray(), array_net, problems.MIS, seed=4)
         # Same topology + identifiers + seed schedule → identical execution.
         assert a.node_outputs == b.node_outputs
@@ -225,40 +225,35 @@ class TestLubyArraySemantics:
                 assert r % 2 == 0 and r > 0
 
     @staticmethod
-    def joins(priorities, undecided, topology, identifiers=None):
+    def joins(priorities, undecided, network, identifiers=None):
         # The masked kernel with every message delivered (fault-free).
-        everywhere = np.ones(topology.m, dtype=bool)
+        everywhere = np.ones(network.m, dtype=bool)
         return _luby_joins_masked(
             priorities,
             undecided,
-            topology.identifiers if identifiers is None else identifiers,
-            topology.edge_us,
-            topology.edge_vs,
+            network.identifier_array if identifiers is None else identifiers,
+            *network.edge_endpoints(),
             everywhere,
             everywhere,
         )
 
     def test_tie_breaking_uses_identifiers(self):
-        net = Network.from_edges(3, [(0, 1), (1, 2)])
-        topology = ArrayTopology(net)
+        net = Network.from_edge_arrays(EdgeArrays.from_pairs(3, [(0, 1), (1, 2)]))
         undecided = np.ones(3, dtype=bool)
         priorities = np.array([0.5, 0.5, 0.1])
-        joins = self.joins(priorities, undecided, topology)
+        joins = self.joins(priorities, undecided, net)
         # Nodes 0 and 1 tie; the larger identifier (1) wins, exactly the
         # coroutine's (priority, identifier) tuple comparison.
         assert joins.tolist() == [False, True, False]
-        flipped = self.joins(
-            priorities, undecided, topology, identifiers=np.array([5, 1, 0])
-        )
+        flipped = self.joins(priorities, undecided, net, identifiers=np.array([5, 1, 0]))
         assert flipped.tolist() == [True, False, False]
 
     def test_lonely_undecided_node_joins(self):
         # A node whose undecided neighbourhood is empty joins like its
         # coroutine twin does on an empty inbox.
-        net = Network.from_edges(2, [(0, 1)])
-        topology = ArrayTopology(net)
+        net = Network.from_edge_arrays(EdgeArrays.from_pairs(2, [(0, 1)]))
         undecided = np.array([True, False])
-        joins = self.joins(np.array([0.0, 0.9]), undecided, topology)
+        joins = self.joins(np.array([0.0, 0.9]), undecided, net)
         assert joins.tolist() == [True, False]
 
     def test_first_phase_message_count_matches_coroutine_exactly(self):
@@ -370,7 +365,7 @@ class TestDifferentialAgainstCoroutine:
     def test_single_edge_matching_is_geometric_on_both_engines(self, engine, runner):
         """On K₂ the iteration count is exactly Geometric(1/8); both paths
         must land on its mean (8) within sampling tolerance."""
-        net = Network.from_edges(2, [(0, 1)])
+        net = Network.from_edge_arrays(EdgeArrays.from_pairs(2, [(0, 1)]))
         seeds = range(1500)
         iters_a = [
             (engine.run(

@@ -31,6 +31,7 @@ from repro.core import problems
 from repro.core.errors import classify_failure
 from repro.core.problems import MISSING
 from repro.graphs import generators as gen
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.algorithm import Broadcast
 from repro.local.coroutine import CoroutineAlgorithm
 from repro.local.engine import ArrayAlgorithm, ArrayEngine, BatchState
@@ -40,11 +41,11 @@ from repro.local.runner import Runner
 
 
 def k2() -> Network:
-    return Network.from_edge_list(2, [(0, 1)])
+    return Network.from_edge_arrays(EdgeArrays.from_pairs(2, [(0, 1)]))
 
 
 def p3() -> Network:
-    return Network.from_edge_list(3, [(0, 1), (1, 2)])
+    return Network.from_edge_arrays(EdgeArrays.from_pairs(3, [(0, 1), (1, 2)]))
 
 
 def pinned_network() -> Network:
@@ -311,12 +312,12 @@ class TestCrossEngineContract:
         class Opaque(ArrayAlgorithm):
             name = "opaque"
 
-            def init_batch(self, topology, rngs, scratch):
+            def init_batch(self, network, rngs, scratch):
                 return BatchState(
-                    len(rngs), topology.n, topology.m, nodes=True, edges=False
+                    len(rngs), network.n, network.m, nodes=True, edges=False
                 )
 
-            def step_batch(self, round_index, batch, topology, rngs, active):
+            def step_batch(self, round_index, batch, network, rngs, active):
                 batch.node_values[active] = True
                 batch.node_rounds[active] = round_index
                 batch.halted[active] = True
@@ -430,7 +431,7 @@ class TestSurvivingValidators:
         assert not spec.validate_surviving(net, {0: 0, 1: 0, 2: 1}, {}, crashed=[]).valid
 
     def p4(self):
-        return Network.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        return Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
 
     def test_ruling_set_domination_respects_the_horizon(self):
         net = self.p4()
@@ -472,7 +473,7 @@ class TestSurvivingValidators:
         ).valid
 
     def star4(self):
-        return Network.from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
+        return Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (0, 2), (0, 3)]))
 
     def test_sinkless_sink_check_skips_crashed_nodes(self):
         net = self.star4()
@@ -554,29 +555,29 @@ class _GossipMaxArray(ArrayAlgorithm):
     def __init__(self, rounds: int) -> None:
         self.rounds = rounds
 
-    def init_batch(self, topology, rngs, scratch):
+    def init_batch(self, network, rngs, scratch):
         trials = len(rngs)
-        batch = BatchState(trials, topology.n, topology.m, nodes=True, edges=False)
-        batch.node_values = np.tile(topology.identifiers, (trials, 1))
-        batch.extra["best"] = np.tile(topology.identifiers, (trials, 1))
+        batch = BatchState(trials, network.n, network.m, nodes=True, edges=False)
+        batch.node_values = np.tile(network.identifier_array, (trials, 1))
+        batch.extra["best"] = np.tile(network.identifier_array, (trials, 1))
         batch.extra["prev_sent"] = [None] * trials
         return batch
 
     def batch_complete(self, batch):
         return None
 
-    def step_batch(self, round_index, batch, topology, rngs, active, faults=None):
+    def step_batch(self, round_index, batch, network, rngs, active, faults=None):
         for t in np.flatnonzero(active):
-            self._step_row(round_index, batch, t, topology, faults)
+            self._step_row(round_index, batch, t, network, faults)
 
-    def _step_row(self, round_index, batch, t, topology, faults):
+    def _step_row(self, round_index, batch, t, network, faults):
         best = batch.extra["best"][t]
-        us, vs = topology.edge_us, topology.edge_vs
+        us, vs = network.edge_endpoints()
         sent_now = best.copy()
         if faults is None:
             np.maximum.at(best, vs, sent_now[us])
             np.maximum.at(best, us, sent_now[vs])
-            batch.messages[t] += int(2 * topology.m)
+            batch.messages[t] += int(2 * network.m)
         else:
             dlv_uv, dlv_vu = faults.deliver_uv, faults.deliver_vu
             np.maximum.at(best, vs[dlv_uv], sent_now[us[dlv_uv]])
@@ -587,12 +588,12 @@ class _GossipMaxArray(ArrayAlgorithm):
                 np.maximum.at(best, vs[late_uv], prev[us[late_uv]])
                 np.maximum.at(best, us[late_vu], prev[vs[late_vu]])
             batch.messages[t] += int(
-                topology.degrees[faults.alive].sum()
+                network.degrees[faults.alive].sum()
             )
         batch.extra["prev_sent"][t] = sent_now
         if round_index == self.rounds:
             commit = (
-                np.ones(topology.n, dtype=bool) if faults is None else faults.alive
+                np.ones(network.n, dtype=bool) if faults is None else faults.alive
             )
             batch.node_values[t][commit] = best[commit]
             batch.node_rounds[t][commit] = round_index
@@ -814,8 +815,8 @@ class TestRoundViewCache:
     @staticmethod
     def _two_graphs():
         # Equal n and m, different edges.
-        a = Network.from_edge_list(5, [(0, 1), (1, 2), (2, 3)])
-        b = Network.from_edge_list(5, [(0, 4), (1, 3), (2, 4)])
+        a = Network.from_edge_arrays(EdgeArrays.from_pairs(5, [(0, 1), (1, 2), (2, 3)]))
+        b = Network.from_edge_arrays(EdgeArrays.from_pairs(5, [(0, 4), (1, 3), (2, 4)]))
         return a, b
 
     def test_one_schedule_on_two_graphs_of_equal_size(self):
@@ -880,7 +881,7 @@ class TestCrashVertexOutsideNetwork:
 
     @staticmethod
     def path4() -> Network:
-        return Network.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        return Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
 
     def test_check_vertices_names_the_vertex_and_n(self):
         fs = FaultSchedule(crashes={1: 2, 9: 3, 7: 9})

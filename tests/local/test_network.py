@@ -9,9 +9,15 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.graphs.edgelist import EdgeArrays
 from repro.graphs.generators import cycle_edges
 from repro.local import ids
 from repro.local.network import Network, canonical_edge
+
+
+def from_pairs(n, pairs, **kwargs) -> Network:
+    """A network on ``(u, v)`` pairs, through ``EdgeArrays.from_pairs``."""
+    return Network.from_edge_arrays(EdgeArrays.from_pairs(n, pairs), **kwargs)
 
 
 class TestCanonicalEdge:
@@ -54,22 +60,46 @@ class TestNetworkConstruction:
 
     def test_rejects_directed_graph(self):
         with pytest.raises(ValueError):
-            Network(nx.DiGraph([(0, 1)]))
+            Network.from_graph(nx.DiGraph([(0, 1)]))
 
     def test_rejects_self_loops(self):
         g = nx.Graph()
         g.add_edge(0, 0)
-        with pytest.raises(ValueError):
-            Network(g)
+        with pytest.raises(ValueError, match="self-loops"):
+            Network.from_graph(g)
 
-    def test_from_edges(self):
-        net = Network.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    def test_from_pairs(self):
+        net = from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         assert net.n == 4
         assert net.m == 3
 
-    def test_from_edges_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Network.from_edges(3, [(0, 5)])
+    def test_pairs_out_of_range_are_refused(self):
+        with pytest.raises(ValueError, match="outside 0"):
+            from_pairs(3, [(0, 5)])
+
+    @pytest.mark.parametrize(
+        "args",
+        [(nx.path_graph(3),), (3, [(0, 1)]), ()],
+        ids=["graph", "pairs", "nothing"],
+    )
+    def test_calling_the_class_is_refused(self, args):
+        with pytest.raises(TypeError, match="from_edge_arrays"):
+            Network(*args)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 2)],
+            (3, [(0, 1), (1, 2)]),
+            np.array([[0, 1], [1, 2]]),
+            nx.path_graph(3),
+            type("Duck", (), {"n": 3, "src": np.array([0, 1]), "dst": np.array([1, 2])})(),
+        ],
+        ids=["pairs", "n-and-pairs", "pair-array", "networkx", "duck-typed"],
+    )
+    def test_from_edge_arrays_refuses_anything_but_edge_arrays(self, edges):
+        with pytest.raises(TypeError, match="EdgeArrays"):
+            Network.from_edge_arrays(edges)
 
     @pytest.mark.parametrize(
         "pair, edge",
@@ -80,12 +110,12 @@ class TestNetworkConstruction:
         ],
         ids=["numpy-int64", "bool", "float"],
     )
-    def test_from_edges_stores_plain_ints(self, pair, edge):
+    def test_pairs_are_stored_as_plain_ints(self, pair, edge):
         if edge is None:
             with pytest.raises(ValueError, match="integer"):
-                Network.from_edges(3, [pair])
+                from_pairs(3, [pair])
             return
-        net = Network.from_edges(3, [pair])
+        net = from_pairs(3, [pair])
         assert net.edges == (edge,)
         endpoints = net.edges[0] + sum((net.neighbors(v) for v in net.vertices), ())
         assert all(type(x) is int for x in endpoints)
@@ -101,10 +131,10 @@ class TestNetworkConstruction:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: Network.from_edges(3, [(0, 1)]),
+            lambda: from_pairs(3, [(0, 1)]),
             lambda: Network.from_graph(nx.Graph([("a", "b"), ("b", "c")])),
             # Vertex 3 exists in the parent, not in the sub-network.
-            lambda: Network.from_edges(5, [(0, 1), (2, 3)]).subnetwork([0, 1, 2]),
+            lambda: from_pairs(5, [(0, 1), (2, 3)]).subnetwork([0, 1, 2]),
         ],
         ids=["edges", "networkx", "subnetwork"],
     )
@@ -194,77 +224,52 @@ class TestIdentifierSchemes:
         with pytest.raises(ValueError):
             Network.from_graph(nx.cycle_graph(4), id_scheme="nope")
 
-    def test_sequential_ids(self):
-        assert ids.sequential_ids([7, 8, 9]) == {7: 0, 8: 1, 9: 2}
+    def test_sequential_scheme_is_the_vertex_order(self):
+        assert ids.scheme_ids(4, "sequential").tolist() == [0, 1, 2, 3]
+        assert from_pairs(3, [(0, 1)]).identifiers == (0, 1, 2)
 
-    def test_random_ids_fit_in_polynomial_space(self):
-        vertices = list(range(50))
-        assignment = ids.random_ids(vertices, random.Random(3))
-        assert len(set(assignment.values())) == 50
-        assert max(assignment.values()) < 8 * 50 * 50
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 50])
+    def test_random_scheme_is_the_seeded_sample(self, n, seed):
+        # The draw is ``rng.sample(range(8n²), n)``, and the caller's
+        # generator is left where that sample leaves it.
+        reference = random.Random(seed)
+        expected = reference.sample(range(max(1, 8 * n * n)), n)
+        rng = random.Random(seed)
+        net = from_pairs(n, [], id_scheme="random", rng=rng)
+        assert net.identifiers == tuple(expected)
+        assert rng.getstate() == reference.getstate()
 
-    def test_permuted_ids_are_a_permutation(self):
-        vertices = list(range(30))
-        assignment = ids.permuted_ids(vertices, random.Random(4))
-        assert sorted(assignment.values()) == vertices
+    def test_permuted_scheme_is_a_permutation(self):
+        net = Network.from_edge_arrays(
+            cycle_edges(30), id_scheme="permuted", rng=random.Random(4)
+        )
+        assert sorted(net.identifiers) == list(range(30))
 
-    def test_adversarial_ids_spacing(self):
-        assignment = ids.adversarial_interval_ids(list(range(5)), gap=100)
-        assert sorted(assignment.values()) == [0, 100, 200, 300, 400]
-
-    def test_adversarial_rejects_bad_gap(self):
-        with pytest.raises(ValueError):
-            ids.adversarial_interval_ids([0, 1], gap=0)
-
-    def test_validate_ids_detects_duplicates(self):
-        with pytest.raises(ValueError):
-            ids.validate_ids({0: 1, 1: 1}, [0, 1])
-
-    def test_validate_ids_detects_missing(self):
-        with pytest.raises(ValueError):
-            ids.validate_ids({0: 1}, [0, 1])
-
-    def test_validate_ids_detects_negative(self):
-        with pytest.raises(ValueError):
-            ids.validate_ids({0: -1, 1: 2}, [0, 1])
-
-    def test_id_bit_length(self):
-        assert ids.id_bit_length({0: 0, 1: 255}) == 8
-        assert ids.id_bit_length({}) == 0
-
-
-
-IDENTIFIER_BUILDERS = {
-    "graph": lambda identifiers: Network(nx.path_graph(3), identifiers),
-    "from_edges": lambda identifiers: Network.from_edges(
-        3, [(0, 1), (1, 2)], identifiers
-    ),
-    "from_endpoint_arrays": lambda identifiers: Network.from_endpoint_arrays(
-        3, [0, 1], [1, 2], identifiers
-    ),
-}
+    def test_adversarial_scheme_spacing(self):
+        net = Network.from_edge_arrays(cycle_edges(5), id_scheme="adversarial")
+        assert net.identifiers == (0, 1 << 16, 2 << 16, 3 << 16, 4 << 16)
+        assert net.id_bit_length() == 19
 
 
 class TestIdentifierStorage:
-    """Identifiers are one read-only int64 array in vertex order; every
-    constructor refuses values outside ``[0, 2**63 - 1]``."""
+    """Identifiers are one read-only int64 array in vertex order; explicit
+    values are one integer per vertex, refused outside ``[0, 2**63 - 1]``."""
+
+    @staticmethod
+    def build(identifiers, **kwargs) -> Network:
+        return from_pairs(3, [(0, 1), (1, 2)], identifiers=identifiers, **kwargs)
 
     @pytest.mark.parametrize("too_big", [2**63, 2**64])
-    @pytest.mark.parametrize(
-        "build", IDENTIFIER_BUILDERS.values(), ids=list(IDENTIFIER_BUILDERS)
-    )
-    def test_identifiers_past_int64_are_refused(self, build, too_big):
+    def test_identifiers_past_int64_are_refused(self, too_big):
         # The array engine and the graph-cache store hold identifiers as
-        # int64, so the constructor refuses these up front instead of
-        # letting those layers overflow.
+        # int64, so the build refuses these up front instead of letting
+        # those layers overflow.
         with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
-            build({0: too_big, 1: 5, 2: 7})
+            self.build([too_big, 5, 7])
 
-    @pytest.mark.parametrize(
-        "build", IDENTIFIER_BUILDERS.values(), ids=list(IDENTIFIER_BUILDERS)
-    )
-    def test_largest_int64_identifier_is_accepted(self, build):
-        net = build({0: 2**63 - 1, 1: 5, 2: 7})
+    def test_largest_int64_identifier_is_accepted(self):
+        net = self.build([2**63 - 1, 5, 7])
         assert net.identifiers == (2**63 - 1, 5, 7)
         assert net.id_bit_length() == 63
         assert net.identifier(0) == ids.MAX_ID and type(net.identifier(0)) is int
@@ -274,26 +279,54 @@ class TestIdentifierStorage:
         from repro.core import problems
         from repro.local.engine import ArrayEngine
 
-        net = Network.from_edges(3, [(0, 1), (1, 2)], {0: 2**63 - 1, 1: 5, 2: 7})
+        net = self.build([2**63 - 1, 5, 7])
         trace = ArrayEngine().run(LubyMISArray(), net, problems.MIS, seed=1)
         assert trace.validate()
 
     @pytest.mark.parametrize(
         "identifiers, message",
         [
-            ({0: -(2**64), 1: 5}, "non-negative"),
-            ({0: 1.5, 1: 5}, "integers"),
-            ({0: "a", 1: 5}, "integers"),
-            ({0: 2**64, 1: 5}, r"2\*\*63 - 1"),
+            ([-(2**64), 5, 7], "non-negative"),
+            ([-1, 5, 7], "non-negative"),
+            ([1.5, 5, 7], "integers"),
+            (["a", 5, 7], "integers"),
+            ([2**64, 5, 7], r"2\*\*63 - 1"),
+            ([1, 5, 1], "unique"),
+            ([1, 5], "expected 3 identifiers"),
+            ([1, 5, 7, 9], "expected 3 identifiers"),
+        ],
+        ids=[
+            "below-int64",
+            "negative",
+            "float",
+            "string",
+            "past-int64",
+            "duplicate",
+            "too-few",
+            "too-many",
         ],
     )
-    def test_validate_ids_names_the_fault(self, identifiers, message):
+    def test_explicit_identifiers_name_the_fault(self, identifiers, message):
         with pytest.raises(ValueError, match=message):
-            ids.validate_ids(identifiers, [0, 1])
+            self.build(identifiers)
+
+    def test_a_mapping_is_refused(self):
+        # Iterating a mapping would read its keys as the identifiers.
+        with pytest.raises(TypeError, match="one integer per vertex"):
+            self.build({0: 9, 1: 8, 2: 7})
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [{"id_scheme": "permuted"}, {"id_scheme": "random"}, {"rng": random.Random(1)}],
+        ids=["permuted", "random", "rng"],
+    )
+    def test_identifiers_and_id_scheme_are_mutually_exclusive(self, scheme):
+        with pytest.raises(ValueError, match="not both"):
+            self.build([0, 1, 2], **scheme)
 
     def test_numpy_and_bool_identifiers_are_stored_as_ints(self):
-        net = Network.from_edges(
-            3, [(0, 1)], {0: np.uint64(9), 1: True, 2: np.int32(4)}
+        net = from_pairs(
+            3, [(0, 1)], identifiers=[np.uint64(9), True, np.int32(4)]
         )
         assert net.identifiers == (9, 1, 4)
         assert all(type(i) is int for i in net.identifiers)
@@ -340,20 +373,15 @@ class TestIdentifierSeedSchedule:
         reference.shuffle(expected)
 
         rng = random.Random(seed)
-        net = Network.from_endpoint_arrays(
-            n, range(n - 1), range(1, n), id_scheme="permuted", rng=rng
-        )
+        path = [(v, v + 1) for v in range(n - 1)]
+        net = from_pairs(n, path, id_scheme="permuted", rng=rng)
         assert net.identifiers == tuple(expected)
         assert all(type(i) is int for i in net.identifiers)
         assert rng.getstate() == reference.getstate()
 
-        rng = random.Random(seed)
-        assert ids.permuted_ids(range(n), rng) == dict(zip(range(n), expected))
-        assert rng.getstate() == reference.getstate()
 
-
-class TestFromEndpointArrays:
-    """The vectorised numpy CSR construction path (Network.from_endpoint_arrays)."""
+class TestFromEdgeArrays:
+    """The one vectorised numpy CSR build (Network.from_edge_arrays)."""
 
     def _assert_indistinguishable(self, a: Network, b: Network) -> None:
         assert (a.n, a.m) == (b.n, b.m)
@@ -367,35 +395,38 @@ class TestFromEndpointArrays:
         ea, eb = a.edge_endpoints(), b.edge_endpoints()
         assert np.array_equal(ea[0], eb[0]) and np.array_equal(ea[1], eb[1])
 
-    def test_matches_tuple_path_on_random_workload(self):
+    def test_graph_pairs_and_arrays_build_one_network(self):
         from repro.graphs.generators import random_regular_edges
 
         arrays = random_regular_edges(4, 200, seed=1)
-        n, edges = arrays.n, arrays.as_pairs()
-        identifiers = ids.permuted_ids(list(range(n)), random.Random(7))
-        tuple_net = Network.from_edges(n, edges, identifiers)
-        array_net = Network.from_endpoint_arrays(
-            n, [u for u, _ in edges], [v for _, v in edges], identifiers
-        )
-        self._assert_indistinguishable(tuple_net, array_net)
+        graph = nx.Graph(arrays.as_pairs())
+        builds = [
+            Network.from_edge_arrays(arrays, "permuted", random.Random(7)),
+            from_pairs(
+                arrays.n, arrays.as_pairs()[::-1], id_scheme="permuted", rng=random.Random(7)
+            ),
+            Network.from_graph(graph, "permuted", random.Random(7)),
+        ]
+        for other in builds[1:]:
+            self._assert_indistinguishable(builds[0], other)
 
     def test_endpoint_orientation_is_free(self):
-        swapped = Network.from_endpoint_arrays(4, [1, 3, 2], [0, 2, 1])
+        swapped = Network.from_edge_arrays(EdgeArrays(4, [1, 3, 2], [0, 2, 1]))
         assert swapped.edges == ((0, 1), (1, 2), (2, 3))
 
     def test_duplicate_edges_removed(self):
-        net = Network.from_endpoint_arrays(3, [0, 1, 1, 0], [1, 0, 2, 1])
+        net = Network.from_edge_arrays(EdgeArrays(3, [0, 1, 1, 0], [1, 0, 2, 1]))
         assert net.m == 2
         assert net.edges == ((0, 1), (1, 2))
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: Network.from_endpoint_arrays(4, [0, 1, 2], [1, 2, 3]),
-            lambda: Network.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
-            lambda: Network(nx.path_graph(4)),
+            lambda: Network.from_edge_arrays(EdgeArrays(4, [0, 1, 2], [1, 2, 3])),
+            lambda: from_pairs(4, [(0, 1), (1, 2), (2, 3)]),
+            lambda: Network.from_graph(nx.path_graph(4)),
         ],
-        ids=["from_endpoint_arrays", "from_edges", "graph"],
+        ids=["from_edge_arrays", "from_pairs", "from_graph"],
     )
     def test_rows_and_edges_are_lazy_until_asked(self, build):
         net = build()
@@ -414,46 +445,19 @@ class TestFromEndpointArrays:
 
     def test_self_loops_rejected_with_canonical_error(self):
         with pytest.raises(ValueError, match="self-loops"):
-            Network.from_endpoint_arrays(3, [0, 1], [1, 1])
-
-    def test_out_of_range_endpoints_rejected(self):
-        with pytest.raises(ValueError, match="outside 0"):
-            Network.from_endpoint_arrays(3, [0], [3])
-        with pytest.raises(ValueError, match="outside 0"):
-            Network.from_endpoint_arrays(3, [-1], [1])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            Network.from_endpoint_arrays(3, [0, 1], [1])
+            Network.from_edge_arrays(EdgeArrays(3, [0, 1], [1, 1]))
 
     def test_empty_and_edgeless_graphs(self):
-        empty = Network.from_endpoint_arrays(0, [], [])
+        empty = from_pairs(0, [])
         assert empty.n == 0 and empty.m == 0 and empty.edges == ()
-        edgeless = Network.from_endpoint_arrays(5, [], [])
+        edgeless = from_pairs(5, [])
         assert edgeless.m == 0
         assert edgeless.max_degree() == 0 and edgeless.min_degree() == 0
         assert [edgeless.neighbors(v) for v in edgeless.vertices] == [()] * 5
 
-    def test_id_scheme_parity_with_from_edge_list(self):
-        arrays = cycle_edges(40)
-        n, edges = arrays.n, arrays.as_pairs()
-        via_list = Network.from_edge_list(n, edges, id_scheme="permuted", rng=random.Random(3))
-        via_arrays = Network.from_endpoint_arrays(
-            n, arrays.src, arrays.dst, id_scheme="permuted", rng=random.Random(3)
-        )
-        self._assert_indistinguishable(via_list, via_arrays)
-
-    def test_identifiers_and_id_scheme_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            Network.from_endpoint_arrays(
-                3, [0], [1], identifiers={0: 0, 1: 1, 2: 2}, id_scheme="sequential"
-            )
-
     def test_sequential_default_matches_explicit_sequential(self):
-        default = Network.from_endpoint_arrays(4, [0, 1], [1, 2])
-        explicit = Network.from_endpoint_arrays(
-            4, [0, 1], [1, 2], identifiers=ids.sequential_ids(list(range(4)))
-        )
+        default = from_pairs(4, [(0, 1), (1, 2)])
+        explicit = from_pairs(4, [(0, 1), (1, 2)], identifiers=range(4))
         assert default.identifiers == explicit.identifiers == (0, 1, 2, 3)
         assert default.id_bit_length() == explicit.id_bit_length() == 2
 
@@ -466,7 +470,7 @@ class TestFromEndpointArrays:
         assert net.identifiers == (0, 1, 2, 3)
 
     def test_subnetwork_on_array_built_network(self):
-        net = Network.from_endpoint_arrays(5, [0, 1, 2, 3], [1, 2, 3, 4])
+        net = Network.from_edge_arrays(EdgeArrays(5, [0, 1, 2, 3], [1, 2, 3, 4]))
         sub = net.subnetwork([1, 2, 3])
         assert sub.n == 3
         assert sub.edges == ((0, 1), (1, 2))
@@ -480,15 +484,13 @@ class TestFromEndpointArrays:
         from repro.local.runner import Runner
 
         arrays = random_regular_edges(4, 120, seed=2)
-        n, edges = arrays.n, arrays.as_pairs()
-        identifiers = ids.permuted_ids(list(range(n)), random.Random(9))
-        tuple_net = Network.from_edges(n, edges, identifiers)
-        array_net = Network.from_endpoint_arrays(
-            n, [u for u, _ in edges], [v for _, v in edges], identifiers
+        graph_net = Network.from_graph(
+            nx.Graph(arrays.as_pairs()), "permuted", random.Random(9)
         )
+        array_net = Network.from_edge_arrays(arrays, "permuted", random.Random(9))
         runner = Runner(max_rounds=500)
         for seed in (0, 1):
-            a = runner.run(LubyMIS(), tuple_net, problems.MIS, seed=seed)
+            a = runner.run(LubyMIS(), graph_net, problems.MIS, seed=seed)
             b = runner.run(LubyMIS(), array_net, problems.MIS, seed=seed)
             assert a.node_outputs == b.node_outputs
             assert a.node_commit_round == b.node_commit_round
@@ -504,8 +506,7 @@ class TestHotPathLaziness:
     def _gnp_array_network(self, n=200, seed=3):
         from repro.graphs.generators import fast_gnp_edges
 
-        arrays = fast_gnp_edges(n, 6.0 / (n - 1), seed=seed)
-        return Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
+        return Network.from_edge_arrays(fast_gnp_edges(n, 6.0 / (n - 1), seed=seed))
 
     def test_subnetwork_keeps_rows_lazy_on_array_built_networks(self):
         net = self._gnp_array_network()
@@ -514,23 +515,21 @@ class TestHotPathLaziness:
         assert net._edges_cache is None
         assert sub.n == len(range(0, net.n, 3))
 
-    def test_csr_subnetwork_matches_the_tuple_path(self):
+    def test_csr_subnetwork_matches_the_networkx_build(self):
         from repro.graphs.generators import erdos_renyi_edges
 
         arrays = erdos_renyi_edges(60, 5.0, seed=4)
-        n, edges = arrays.n, arrays.as_pairs()
-        identifiers = ids.permuted_ids(list(range(n)), random.Random(2))
-        tuple_net = Network.from_edges(n, edges, identifiers)
-        array_net = Network.from_endpoint_arrays(
-            n, [u for u, _ in edges], [v for _, v in edges], identifiers
-        )
+        graph = nx.empty_graph(arrays.n)
+        graph.add_edges_from(arrays.as_pairs())
+        graph_net = Network.from_graph(graph, "permuted", random.Random(2))
+        array_net = Network.from_edge_arrays(arrays, "permuted", random.Random(2))
         kept = [1, 4, 5, 9, 13, 14, 20, 21, 33, 40, 41, 55, 59]
-        sub_tuple = tuple_net.subnetwork(kept)
+        sub_graph = graph_net.subnetwork(kept)
         sub_array = array_net.subnetwork(kept)
-        assert sub_array.n == sub_tuple.n
-        assert sub_array.edges == sub_tuple.edges
-        assert sub_array._adjacency == sub_tuple._adjacency
-        assert sub_array.identifiers == sub_tuple.identifiers
+        assert sub_array.n == sub_graph.n
+        assert sub_array.edges == sub_graph.edges
+        assert sub_array._adjacency == sub_graph._adjacency
+        assert sub_array.identifiers == sub_graph.identifiers
 
     def test_csr_subnetwork_edge_cases(self):
         net = self._gnp_array_network(n=30)
@@ -557,9 +556,69 @@ class TestHotPathLaziness:
     def test_out_of_range_lookups_do_not_alias_packed_keys(self):
         # n=5: the out-of-range pair (0, 7) packs to 0*5+7 == 1*5+2, the
         # key of the real edge (1, 2) — the lookup must range-check first.
-        net = Network.from_edges(5, [(1, 2), (0, 3)])
+        net = from_pairs(5, [(1, 2), (0, 3)])
         assert not net.has_edge(0, 7)
         assert not net.has_edge(-5, 3)
         with pytest.raises(KeyError):
             net.edge_index(0, 7)
         assert net.has_edge(1, 2) and net.edge_index(1, 2) == 1
+
+
+def _cache_hit(tmp_path, network: Network) -> Network:
+    from repro.service.store import ResultStore
+
+    with ResultStore(str(tmp_path / "cache.db")) as store:
+        assert store.claim_graph_build("key", {"family": "test"})
+        store.store_network("key", network)
+        return store.cached_network("key")
+
+
+class TestDegrees:
+    """``Network.degrees``: the build's counts, read-only int64, kept on
+    every network however it was made."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tmp: Network.from_edge_arrays(cycle_edges(12)),
+            lambda tmp: from_pairs(6, [(0, 1), (0, 2), (0, 3), (4, 3)]),
+            lambda tmp: Network.from_graph(nx.gnp_random_graph(30, 0.2, seed=6)),
+            lambda tmp: Network.from_graph(nx.empty_graph(4)),
+            lambda tmp: from_pairs(0, []),
+            lambda tmp: Network.from_graph(nx.gnp_random_graph(30, 0.2, seed=6))
+            .subnetwork(range(0, 30, 2)),
+            lambda tmp: from_pairs(5, [(0, 1)]).subnetwork([]),
+            lambda tmp: _cache_hit(
+                tmp, Network.from_edge_arrays(cycle_edges(9), "permuted", random.Random(3))
+            ),
+        ],
+        ids=[
+            "from_edge_arrays",
+            "from_pairs",
+            "from_graph",
+            "edgeless",
+            "empty",
+            "subnetwork",
+            "empty-subnetwork",
+            "cache-hit",
+        ],
+    )
+    def test_degrees_are_the_read_only_row_lengths(self, build, tmp_path):
+        net = build(tmp_path)
+        degrees = net.degrees
+        assert degrees.dtype == np.int64 and degrees.shape == (net.n,)
+        assert not degrees.flags.writeable
+        with pytest.raises(ValueError):
+            degrees[:1] = 7
+        assert np.array_equal(degrees, np.diff(net.indptr))
+        assert [net.degree(v) for v in net.vertices] == degrees.tolist()
+        assert net.max_degree() == (int(degrees.max()) if net.n else 0)
+        assert net.min_degree() == (int(degrees.min()) if net.n else 0)
+        assert net._rows is None
+
+    def test_cache_hit_computes_the_degrees_once(self, tmp_path):
+        network = Network.from_edge_arrays(cycle_edges(9))
+        cached = _cache_hit(tmp_path, network)
+        assert cached.degrees is cached.degrees
+        assert not np.shares_memory(cached.degrees, network.degrees)
+        assert np.array_equal(cached.degrees, network.degrees)

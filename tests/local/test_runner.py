@@ -18,6 +18,7 @@ import pytest
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
 from repro.core.problems import ProblemSpec, ValidationResult
+from repro.graphs.edgelist import EdgeArrays
 from repro.graphs.generators import cycle_edges
 from repro.local.algorithm import Broadcast, NodeAlgorithm
 from repro.local.coroutine import CoroutineAlgorithm
@@ -439,7 +440,7 @@ class TestEdgeHotPathLaziness:
         from repro.graphs.generators import fast_gnp_edges
 
         arrays = fast_gnp_edges(n, 5.0 / (n - 1), seed=seed)
-        return Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
+        return Network.from_edge_arrays(arrays)
 
     def test_matching_run_keeps_edge_tuples_lazy(self):
         from repro.algorithms.matching.randomized import RandomizedMaximalMatching
@@ -454,19 +455,15 @@ class TestEdgeHotPathLaziness:
         assert net._edges_cache is None, "edge tuple view was materialised"
         assert net._rows is not None  # the per-node simulator does need rows
 
-    def test_packed_collection_matches_tuple_network_run(self):
+    def test_packed_collection_matches_graph_network_run(self):
         from repro.algorithms.matching.randomized import RandomizedMaximalMatching
-        from repro.graphs.generators import erdos_renyi_edges
+        from repro.graphs.generators import erdos_renyi_edges, erdos_renyi_graph
 
-        arrays = erdos_renyi_edges(50, 4.0, seed=7)
-        n, edges = arrays.n, arrays.as_pairs()
-        tuple_net = Network.from_edges(n, edges)
-        array_net = Network.from_endpoint_arrays(
-            n, [u for u, _ in edges], [v for _, v in edges]
-        )
+        graph_net = Network.from_graph(erdos_renyi_graph(50, 4.0, seed=7))
+        array_net = Network.from_edge_arrays(erdos_renyi_edges(50, 4.0, seed=7))
         runner = Runner(max_rounds=5000)
         a = runner.run(
-            RandomizedMaximalMatching(), tuple_net, problems.MAXIMAL_MATCHING, seed=3
+            RandomizedMaximalMatching(), graph_net, problems.MAXIMAL_MATCHING, seed=3
         )
         b = Runner(max_rounds=5000).run(
             RandomizedMaximalMatching(), array_net, problems.MAXIMAL_MATCHING, seed=3
@@ -508,7 +505,7 @@ class TestEdgeHotPathLaziness:
                     node.commit_edge(u, False)
                 return
 
-        net = Network.from_edges(5, [(1, 2), (0, 3)])
+        net = Network.from_edge_arrays(EdgeArrays.from_pairs(5, [(1, 2), (0, 3)]))
         problem = _always_valid("edges", labels_nodes=False, labels_edges=True)
         trace = runner.run(AliasingCommitter(), net, problem, seed=0)
         assert trace.edge_outputs == {(0, 3): False, (1, 2): False}

@@ -10,11 +10,11 @@ the payloads of one configuration are hashed together.
   the two self-stabilising node algorithms, which take the runner's
   ``receive`` path) on the six golden graphs plus a cycle, a random tree and
   a random 4-regular graph, with permuted identifiers.  Each network is
-  built twice — through ``Network(graph)`` and through
-  :meth:`Network.from_endpoint_arrays` — and both builds must give the one
-  pinned digest.  The tree carries string labels whose sorted order is not
-  the generation order, so the relabelling branch of ``Network(graph)`` is
-  pinned too.
+  built twice — through :meth:`Network.from_graph` and through
+  :meth:`Network.from_edge_arrays` on the relabelled edges — and both builds
+  must give the one pinned digest.  The tree carries string labels whose
+  sorted order is not the generation order, so the relabelling branch of
+  :meth:`Network.from_graph` is pinned too.
 * Faulted: :class:`LubyMIS` and :class:`RandomizedMaximalMatching` under the
   five golden fault schedules.  Luby under delays can meet a cross-phase
   straggler and raise ``TypeError``, and matching under drops or delays can
@@ -49,7 +49,6 @@ from repro.core import problems
 from repro.core.experiment import trial_seed
 from repro.graphs import generators as gen
 from repro.graphs.edgelist import EdgeArrays
-from repro.local import ids
 from repro.local.network import Network
 from repro.local.node import CommitError
 from repro.local.runner import Runner
@@ -96,16 +95,12 @@ FAULT_FREE_GRAPHS: Dict[str, Tuple[int, nx.Graph]] = {
 
 
 def build_pair(seed: int, g: nx.Graph) -> Tuple[Network, Network]:
-    """The same network through ``Network(graph)`` and the endpoint arrays."""
-    n = g.number_of_nodes()
-    identifiers = ids.permuted_ids(range(n), random.Random(seed))
+    """The same network through ``from_graph`` and through ``from_edge_arrays``."""
     index = {label: i for i, label in enumerate(sorted(g))}
-    edges = [(index[u], index[v]) for u, v in g.edges()]
-    src = [u for u, _ in edges]
-    dst = [v for _, v in edges]
+    arrays = EdgeArrays.from_pairs(len(index), [(index[u], index[v]) for u, v in g.edges()])
     return (
-        Network(g, identifiers),
-        Network.from_endpoint_arrays(n, src, dst, identifiers),
+        Network.from_graph(g, id_scheme="permuted", rng=random.Random(seed)),
+        Network.from_edge_arrays(arrays, id_scheme="permuted", rng=random.Random(seed)),
     )
 
 
@@ -235,7 +230,7 @@ def payload(trace) -> dict:
 
 
 def fault_free_digests(name: str) -> Tuple[str, str]:
-    """The digest of the ``Network(graph)`` builds and of the array builds."""
+    """The digest of the ``from_graph`` builds and of the array builds."""
     by_graph: List[dict] = []
     by_arrays: List[dict] = []
     for seed, g in FAULT_FREE_GRAPHS.values():
@@ -282,12 +277,9 @@ def test_faulted_digest_is_pinned(name, schedule):
 def seed_cell_digest(name: str) -> str:
     algorithm, problem, workload, trials = SEED_CELLS[name]
     source = workload()
-    if isinstance(source, EdgeArrays):
-        n, pairs = source.n, source.as_pairs()
-    else:
-        n, pairs = source.number_of_nodes(), source.edges()
-    identifiers = ids.permuted_ids(range(n), random.Random(7))
-    network = Network.from_edges(n, pairs, identifiers)
+    if not isinstance(source, EdgeArrays):
+        source = EdgeArrays.from_pairs(source.number_of_nodes(), source.edges())
+    network = Network.from_edge_arrays(source, id_scheme="permuted", rng=random.Random(7))
     seed_runner = Runner(max_rounds=20_000)
     payloads = []
     for i in range(trials):

@@ -40,8 +40,9 @@ from repro.core.experiment import Experiment, run_trials, trial_seed
 from repro.core.metrics import RecoveryRecorder, RecoveryTimeline, measure
 from repro.graphs import generators as gen
 from repro.local.algorithm import NodeAlgorithm
-from repro.local.engine import ArrayEngine, ArrayTopology, ScratchArena
+from repro.local.engine import ArrayEngine, ScratchArena
 from repro.local.faults import FaultSchedule
+from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 from repro.local.node import NodeRuntime
 from repro.local.runner import Runner, _CompletionTracker
@@ -189,7 +190,7 @@ class TestSelfStabLubyRecovery:
         # trials per engine: every epoch must restabilise.
         n = 1000
         arrays = gen.fast_gnp_edges(n, 8.0 / (n - 1), seed=1)
-        network = Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
+        network = Network.from_edge_arrays(arrays)
         faults = FaultSchedule(
             crashes={i * (n // 12): (2, 14)[i % 2] for i in range(12)}, seed=0
         )
@@ -218,7 +219,7 @@ class TestSelfStabLubyRecovery:
         # Luby on a path finishes in a couple of rounds, but a crash is
         # scheduled at round 12: a self-stabilising run must keep executing
         # (and observing) until that last fault epoch has landed.
-        network = Network.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
         faults = FaultSchedule(crashes={1: 12}, seed=0)
         for trace in (
             Runner(max_rounds=100).run(
@@ -264,7 +265,7 @@ class TestSelfStabMatching:
         # P4 with the inner vertex 1 crashing late: whoever had matched
         # across a (0,1)/(1,2) edge revokes, and the surviving path 2-3 must
         # re-reach a maximal matching (the crash-adjacent edges are excused).
-        network = Network.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
         faults = FaultSchedule(crashes={1: 10}, seed=seed)
         trace = Runner(max_rounds=3000).run(
             SelfStabilizingMatching(),
@@ -547,7 +548,7 @@ class TestChangeCounter:
     def test_commit_revoke_and_crash_events_bump_the_counter(self):
         import random
 
-        network = Network.from_edge_list(3, [(0, 1), (0, 2)])
+        network = Network.from_edge_arrays(EdgeArrays.from_pairs(3, [(0, 1), (0, 2)]))
         tracker = _CompletionTracker(network, problems.MAXIMAL_MATCHING)
         node = NodeRuntime(0, 17, (1, 2), random.Random(0), observer=tracker)
         node._current_round = 1
@@ -566,19 +567,18 @@ class TestQuiescentRound:
     def test_draws_nothing_and_charges_only_beacons(self):
         network = er_network(30, 2)
         algorithm = SelfStabilizingLubyMISArray()
-        topology = ArrayTopology(network)
         rngs = [np.random.Generator(np.random.PCG64(0))]
         active = np.ones(1, dtype=bool)
-        batch = algorithm.init_batch(topology, rngs, ScratchArena())
+        batch = algorithm.init_batch(network, rngs, ScratchArena())
         rounds = 0
         while (batch.node_rounds < 0).any():
             rounds += 1
-            algorithm.step_batch(rounds, batch, topology, rngs, active)
+            algorithm.step_batch(rounds, batch, network, rngs, active)
         before = rngs[0].bit_generator.state
         node_rounds = batch.node_rounds.copy()
         messages = int(batch.messages[0])
-        algorithm.step_batch(rounds + 1, batch, topology, rngs, active)
+        algorithm.step_batch(rounds + 1, batch, network, rngs, active)
         assert rngs[0].bit_generator.state == before
         assert (batch.node_rounds == node_rounds).all()
         members = batch.extra["status"][0] == 1
-        assert int(batch.messages[0]) - messages == int(topology.degrees[members].sum())
+        assert int(batch.messages[0]) - messages == int(network.degrees[members].sum())

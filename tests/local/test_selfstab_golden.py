@@ -50,10 +50,9 @@ MAX_ROUNDS = 400
 
 
 def graph(seed: int, n: int) -> Network:
-    """Odd seeds build from endpoint arrays, even seeds from an edge list."""
+    """Odd seeds build on ``fast_gnp_edges``, even seeds on ``erdos_renyi_edges``."""
     if seed % 2:
-        arrays = gen.fast_gnp_edges(n, 4.0 / (n - 1), seed=seed)
-        return Network.from_endpoint_arrays(n, arrays.src, arrays.dst)
+        return Network.from_edge_arrays(gen.fast_gnp_edges(n, 4.0 / (n - 1), seed=seed))
     return Network.from_edge_arrays(gen.erdos_renyi_edges(n, 4.0, seed=seed))
 
 

@@ -97,14 +97,8 @@ class TestBuildBaseGraph:
         assert first.graph.number_of_edges() == second.graph.number_of_edges()
         second.validate_degrees()
 
-    def test_k_property_and_neighbor_cluster_nodes(self):
-        gk = build_base_graph(k=1, beta=2)
-        assert gk.k == 1
-        neighbors_of_c0 = gk.neighbor_cluster_nodes(gk.skeleton.c0)
-        child_clusters = gk.skeleton.children(gk.skeleton.c0)
-        assert sorted(neighbors_of_c0) == sorted(
-            v for c in child_clusters for v in gk.clusters[c]
-        )
+    def test_k_property(self):
+        assert build_base_graph(k=1, beta=2).k == 1
 
 
 class TestUnfoldView:

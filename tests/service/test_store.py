@@ -18,6 +18,7 @@ from repro.analysis import sweep
 from repro.analysis.sweep import CHECKPOINT_FORMAT
 from repro.core import problems
 from repro.core.errors import classify_failure
+from repro.core.experiment import resolve_network
 from repro.local.runner import Runner
 from repro.service.scheduler import Scheduler
 from repro.service.specs import GRAPH_FAMILIES, SweepSpec
@@ -188,11 +189,9 @@ class TestBitIdentity:
 
 class TestGraphCache:
     def test_network_round_trips_through_the_cache(self, db_path):
-        from repro.analysis.sweep import network_from
-
         spec = make_spec()
         with ResultStore(db_path) as store:
-            network = network_from(spec.graph_source(8), seed=spec.network_seed(0))
+            network = resolve_network(spec.graph_source(8), seed=spec.network_seed(0))
             key = spec.graph_key(0)
             assert store.cached_network(key) is None
             assert store.claim_graph_build(key, {"family": "cycle"})
@@ -210,10 +209,8 @@ class TestGraphCache:
     @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
     def test_every_family_reassembles_identically(self, db_path, family):
         # Every topology view the engines read, and a run on the cache hit.
-        from repro.analysis.sweep import network_from
-
         spec = make_spec(family=family, values=(10,))
-        network = network_from(spec.graph_source(10), seed=spec.network_seed(0))
+        network = resolve_network(spec.graph_source(10), seed=spec.network_seed(0))
         with ResultStore(db_path) as store:
             key = spec.graph_key(0)
             assert store.claim_graph_build(key, {"family": family})
@@ -233,10 +230,8 @@ class TestGraphCache:
         assert runs[0] == runs[1]
 
     def test_cache_hit_adopts_the_payload_identifiers(self, db_path):
-        from repro.analysis.sweep import network_from
-
         spec = make_spec()
-        network = network_from(spec.graph_source(8), seed=spec.network_seed(0))
+        network = resolve_network(spec.graph_source(8), seed=spec.network_seed(0))
         with ResultStore(db_path) as store:
             key = spec.graph_key(0)
             assert store.claim_graph_build(key, {"family": "cycle"})
@@ -256,15 +251,13 @@ class TestGraphCache:
             assert store.claim_graph_build("k1", {"r": 1})
 
     def test_network_for_counts_builds_and_hits(self, db_path):
-        from repro.analysis.sweep import network_from
-
         spec = make_spec()
         key = spec.graph_key(0)
         builds = []
 
         def build():
             builds.append(1)
-            return network_from(spec.graph_source(8), seed=spec.network_seed(0))
+            return resolve_network(spec.graph_source(8), seed=spec.network_seed(0))
 
         with ResultStore(db_path) as store:
             first = store.network_for(key, {"r": 1}, build)

@@ -43,6 +43,7 @@ from repro.algorithms.mis.luby import LubyMIS
 from repro.analysis.sweep import sweep
 from repro.core import problems
 from repro.core.experiment import Experiment
+from repro.graphs.edgelist import EdgeArrays
 from repro.graphs.generators import cycle_edges, fast_gnp_edges
 from repro.local.network import Network
 from repro.service import JobQueue, ResultStore, SweepSpec
@@ -75,7 +76,7 @@ with tempfile.TemporaryDirectory() as tmp:
     with ResultStore(db_path) as store:
         assert len(store.points(job_id)) == 2 * 2
 
-network = Network.from_edges(3, [(0, 1), (1, 2)])
+network = Network.from_edge_arrays(EdgeArrays.from_pairs(3, [(0, 1), (1, 2)]))
 assert problems.MIS.validate(network, {0: True, 1: False, 2: True})
 assert not problems.MIS.validate(network, {0: True, 1: True, 2: False})
 
