@@ -12,13 +12,13 @@ a ``networkx.Graph`` **or a Python tuple per edge**:
   **geometric-skip** ``fast_gnp_edges`` generator, which samples
   ``G(n, p)`` in ``O(n + m)`` and hands its numpy arrays straight through
   (the quadratic Gilbert twin would need hours at n = 10⁶);
-* the facade builds the network through the vectorised numpy CSR build
+* the facade builds the network through the vectorised numpy build
   (``Network.from_edge_arrays``, the one build every ``Network`` goes
   through), runs the seeded trials, validates through the problems' numpy
   kernels, and measures over numpy float64 reductions with tail quantiles;
 * the trials themselves run with ``engine="auto"``: Luby MIS implements the
   :class:`repro.local.engine.ArrayAlgorithm` protocol, so the round loop
-  executes as vectorised numpy operations over the CSR topology
+  executes as vectorised numpy operations over the edge arrays
   (:class:`repro.local.engine.ArrayEngine`) instead of per-node coroutines
   (pass ``--engine node`` to feel the difference: the n = 10⁶ finale's
   runner phase drops from ≈ 60 s to well under a second);
@@ -58,9 +58,9 @@ def run_workload(name: str, arrays, trials: int = 2, engine: str = "auto") -> No
 
     run = result.run
     timings = run.timings
-    print(f"  network build   {timings['network_s']:7.2f} s  (numpy CSR, no tuples)")
+    print(f"  network build   {timings['network_s']:7.2f} s  (numpy arrays, no tuples)")
     print(f"  {trials} Luby trials   {timings['runner_s']:7.2f} s")
-    print(f"  CSR validation  {timings['validate_s']:7.2f} s  (verdicts: {list(run.verdicts)})")
+    print(f"  validation      {timings['validate_s']:7.2f} s  (verdicts: {list(run.verdicts)})")
     print(f"  numpy measure   {timings['measure_s']:7.2f} s")
     measurement = run.measurement
     quantiles = "  ".join(f"q{level:g}={value:.1f}" for level, value in measurement.node_quantiles)
@@ -104,7 +104,7 @@ def main() -> None:
 
     # The million-node finale: G(n, 10/n) through the geometric-skip
     # generator, endpoint arrays end to end.  With engine="auto" the round
-    # loop itself runs vectorised over the CSR arrays, so the whole
+    # loop itself runs vectorised over the edge arrays, so the whole
     # generate → network → run → validate → measure pipeline at n = 10⁶ is
     # a matter of seconds — no phase is per-node Python any more.
     big_n = 1_000_000

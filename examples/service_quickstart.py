@@ -2,7 +2,7 @@
 
 This example walks every layer of ``repro.service``:
 
-1. **submit** two sweep specs (same graph family — they will share CSR
+1. **submit** two sweep specs (same graph family — they will share network
    builds through the content-addressed graph cache) to a fresh sqlite
    service database;
 2. **schedule** them onto worker processes and read bit-exact measurements,
@@ -85,14 +85,14 @@ def submit_schedule_query(db_path: str) -> None:
         provenance = scheduler.store.experiment(id_a)["provenance"]
         schedule = provenance["seed_schedule"]["per_index"]
         stats = scheduler.store.graph_cache_stats()
-        assert all(row["builds"] == 1 for row in stats)  # one CSR build/key
+        assert all(row["builds"] == 1 for row in stats)  # one build per key
         print(f"  jobs {id_a} and {id_b}: done, stored points == in-process sweep")
         print(f"  seed schedule index 0: {schedule['0']}")
         print(
             "  graph cache: "
             + ", ".join(
                 f"n={row['n']} builds={row['builds']} hits={row['hits']}"
-                for row in stats
+                for row in sorted(stats, key=lambda row: row["n"])
             )
         )
     finally:

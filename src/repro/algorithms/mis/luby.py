@@ -113,7 +113,7 @@ def _luby_joins_masked(
 
 
 class LubyMISArray(ArrayAlgorithm):
-    """Array-engine twin of :class:`LubyMIS` (vectorised rounds over CSR).
+    """Array-engine twin of :class:`LubyMIS` (vectorised rounds over edge arrays).
 
     Phase ``k`` spans rounds ``2k−1`` (priority exchange) and ``2k``
     (joiner announcement), with exactly the coroutine twin's timeline:

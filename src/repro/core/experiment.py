@@ -25,7 +25,7 @@ generate → network → run → validate → measure plumbing.  It accepts grap
 sources in the forms the lower layers understand — ready-made
 :class:`Network` objects, :class:`repro.graphs.edgelist.EdgeArrays` (the
 edge-list interchange every direct generator returns, built through
-:meth:`Network.from_edge_arrays`, the vectorised numpy CSR build),
+:meth:`Network.from_edge_arrays`, the vectorised numpy build),
 networkx graphs, or zero-argument callables producing any of those, all
 resolved by :func:`resolve_network` — and returns structured results: the
 traces, per-trial validation verdicts, per-phase wall-clock timings, and a
@@ -273,7 +273,7 @@ def resolve_network(
 
     Accepts a ready-made :class:`Network` (returned as-is), an
     :class:`EdgeArrays` (built through :meth:`Network.from_edge_arrays`,
-    the vectorised CSR build), a networkx-like graph (anything with
+    the vectorised build), a networkx-like graph (anything with
     ``number_of_nodes()``, through :meth:`Network.from_graph`; duck-typed,
     so resolving any other source leaves networkx unloaded), or a
     zero-argument callable producing any of those; anything else raises

@@ -2,8 +2,8 @@
 
 Every on-disk or over-the-wire artifact this repo produces carries a
 ``name/vN`` schema string so readers can refuse payloads they don't speak:
-the service's job language and sqlite store, the resilient sweep's
-checkpoint journal, and the lint baseline and report.  Those strings are
+the service's job language, sqlite store and graph-cache payload, the
+resilient sweep's checkpoint journal, and the lint baseline and report.  Those strings are
 *contracts* — a drifted literal silently breaks resume, store validation,
 or a baseline load without failing a unit test.
 
@@ -27,6 +27,7 @@ __all__ = [
     "RESULT_STORE",
     "SWEEP_CHECKPOINT",
     "SWEEP_CHECKPOINT_V2",
+    "GRAPH_CACHE",
     "LINT_BASELINE",
     "LINT_REPORT",
     "ALL_SCHEMAS",
@@ -52,6 +53,15 @@ SWEEP_CHECKPOINT = "sweep-checkpoint/v3"
 #: claims a v2 journal re-stamps its header as v3.
 SWEEP_CHECKPOINT_V2 = "sweep-checkpoint/v2"
 
+#: Payload layout of the result store's graph cache
+#: (:mod:`repro.service.store`), named in every cache key
+#: (:meth:`repro.service.specs.SweepSpec.graph_key`), so a reader never
+#: meets a row of a layout it does not speak.  v2: the edge endpoint arrays
+#: and the identifiers, int64, back to back; v1 put a CSR copy of the edges
+#: (row pointers and neighbour lists) in front, and its keys named no
+#: layout.
+GRAPH_CACHE = "graph-cache/v2"
+
 #: Grandfathered-findings file consumed by ``python -m repro.lint``
 #: (:mod:`repro.lint.baseline`).
 LINT_BASELINE = "lint-baseline/v1"
@@ -66,6 +76,7 @@ ALL_SCHEMAS: Mapping[str, str] = {
     "result_store": RESULT_STORE,
     "sweep_checkpoint": SWEEP_CHECKPOINT,
     "sweep_checkpoint_v2": SWEEP_CHECKPOINT_V2,
+    "graph_cache": GRAPH_CACHE,
     "lint_baseline": LINT_BASELINE,
     "lint_report": LINT_REPORT,
 }

@@ -191,13 +191,13 @@ class HotPathRule(Rule):
                     node,
                     self.id,
                     f".{node.func.attr}() materialises a Python object per "
-                    "edge; hot paths must stay on the CSR/endpoint arrays",
+                    "edge; hot paths must stay on the endpoint arrays",
                 )
             elif (
                 isinstance(node.func, ast.Name)
                 and node.func.id in _COPIES
                 and len(node.args) == 1
-                and self._is_edge_view(node.args[0])
+                and self._is_edge_view(node.args[0], self._edge_names(node))
             ):
                 yield module.finding(
                     node,
@@ -206,7 +206,7 @@ class HotPathRule(Rule):
                     "view; use Network.edge_endpoints() arrays instead",
                 )
         elif isinstance(node, ast.For):
-            if self._iterates_edges(node.iter):
+            if self._iterates_edges(node.iter, self._edge_names(node)):
                 yield module.finding(
                     node,
                     self.id,
@@ -214,8 +214,9 @@ class HotPathRule(Rule):
                     "edge_endpoints() arrays instead",
                 )
         else:  # comprehensions
+            names = self._edge_names(node)
             for generator in node.generators:  # type: ignore[union-attr]
-                if self._iterates_edges(generator.iter):
+                if self._iterates_edges(generator.iter, names):
                     yield module.finding(
                         node,
                         self.id,
@@ -225,22 +226,51 @@ class HotPathRule(Rule):
                     break
 
     @staticmethod
-    def _is_edge_view(node: ast.AST) -> bool:
-        """``x.edges()`` (networkx) or the ``Network.edges`` tuple property."""
+    def _is_edge_view(node: ast.AST, names: Set[str]) -> bool:
+        """``x.edges()`` (networkx), the ``Network.edges`` tuple property, or
+        a local name in ``names`` (bound to one of those)."""
+        if isinstance(node, ast.Name):
+            return node.id in names
         if isinstance(node, ast.Call):
             node = node.func
         return isinstance(node, ast.Attribute) and node.attr == "edges"
 
     @classmethod
-    def _iterates_edges(cls, node: ast.AST) -> bool:
+    def _iterates_edges(cls, node: ast.AST, names: Set[str]) -> bool:
         """An edge view, bare or inside ``enumerate``/``zip``/``reversed``."""
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in _WRAPPERS
         ):
-            return any(cls._is_edge_view(arg) for arg in node.args)
-        return cls._is_edge_view(node)
+            return any(cls._is_edge_view(arg, names) for arg in node.args)
+        return cls._is_edge_view(node, names)
+
+    @classmethod
+    def _edge_names(cls, node: ast.AST) -> Set[str]:
+        """Names in ``node``'s function whose latest assignment ending before
+        ``node`` binds an edge view (``pairs = graph.edges()``), in source
+        order, so a rebinding to anything else clears the name."""
+        function = enclosing_function(node)
+        if function is None:
+            return set()
+        here = (node.lineno, node.col_offset)
+        assignments = sorted(
+            (
+                stmt
+                for stmt in ast.walk(function)
+                if isinstance(stmt, ast.Assign)
+                and (stmt.end_lineno, stmt.end_col_offset) <= here
+            ),
+            key=lambda stmt: (stmt.lineno, stmt.col_offset),
+        )
+        names: Set[str] = set()
+        for stmt in assignments:
+            edge = cls._is_edge_view(stmt.value, names)
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    (names.add if edge else names.discard)(target.id)
+        return names
 
 
 # --------------------------------------------------------------------- #

@@ -57,8 +57,9 @@ Per (trial, edge) the scratch is 34 bytes for Luby MIS and 42 for
 randomized matching (26 for a lone trial, whose endpoint-slot tables are
 the network's own endpoint arrays).  The kernels read the network's
 endpoint, degree and identifier arrays as they are, so a call copies
-nothing per network (the network keeps its degree vector, 8 MB at
-``n = 10⁶``).  Measured on a 2-CPU Xeon container on G(10⁶, 10/(n−1))
+nothing per network.  Those arrays are all a network stores: its edges
+once, plus identifiers and degrees: ``16(n + m)`` bytes, 96 MB on the
+graph below.  Measured on a 2-CPU Xeon container on G(10⁶, 10/(n−1))
 with seed 1 (``m = 5 000 139``), two runs each: the first ``run`` of a
 fresh engine, which fills the engine's scratch arena, peaks at 262 MB of
 tracemalloc allocations for Luby MIS and 251 MB for randomized matching; a

@@ -11,30 +11,31 @@ Vertices are always the integers ``0..n-1``.  Edges are canonical pairs
 ``(u, v)`` with ``u < v`` in lexicographic order, and each has a dense
 integer index (its slot) so that traces can be stored in arrays.
 
-There is one storage: read-only int64 numpy arrays.  The CSR (compressed
-sparse row) arrays ``indptr`` (length ``n + 1``) and ``indices`` (length
-``2m``) list the neighbours of ``v`` as ``indices[indptr[v]:indptr[v + 1]]``,
-each row ascending; :attr:`Network.degrees` holds the row lengths, the
-endpoint arrays of :meth:`Network.edge_endpoints` list the canonical edges
-in slot order, and :attr:`Network.identifier_array` holds the identifiers
-in vertex order, each in ``[0, 2**63 - 1]`` (see :mod:`repro.local.ids`).
-The array engine's kernels read these arrays straight off the network.
+There is one storage: read-only int64 numpy arrays, each edge held once.
+The endpoint arrays of :meth:`Network.edge_endpoints` list the canonical
+edges in slot order, :attr:`Network.degrees` holds the per-vertex degrees,
+and :attr:`Network.identifier_array` holds the identifiers in vertex order,
+each in ``[0, 2**63 - 1]`` (see :mod:`repro.local.ids`): ``8n + 16m``
+bytes of edges and identifiers plus ``8n`` of degrees.  The array engine's
+kernels, the validators and the measures read these arrays straight off
+the network.
 
 There is one build, :meth:`Network.from_edge_arrays`.  It takes the
 :class:`~repro.graphs.edgelist.EdgeArrays` every direct generator of
 :mod:`repro.graphs.generators` returns (literal ``(u, v)`` pairs become one
 through :meth:`EdgeArrays.from_pairs`) and canonicalises, sorts and
-deduplicates inside numpy, with no Python tuple per edge.
-:meth:`Network.from_graph` relabels a networkx graph's nodes to
-``0..n-1`` and hands its edges to that build.  Identifiers are a scheme
-name or explicit values, one integer per vertex.
+deduplicates inside numpy, with no Python tuple per edge.  It refuses
+``n ≥ 3·10⁹``: below that, the packed edge keys ``u·n + v`` it sorts on
+stay under ``2⁶³``.  :meth:`Network.from_graph` relabels a networkx
+graph's nodes to ``0..n-1`` and hands its edges to that build.
+Identifiers are a scheme name or explicit values, one integer per vertex.
 
 The per-node views — the sorted neighbour tuples and the identifier tuple
 the round simulator consumes, the tuple-of-pairs :attr:`Network.edges`, and
-the packed edge-slot lookup — are derived lazily, only if a consumer asks,
-and hold plain Python ints.  Degree statistics (``max_degree``,
-``min_degree``) and the identifier bit length are computed once at
-construction time.
+the packed edge-slot lookup — are derived lazily from the arrays, only if
+a consumer asks, and hold plain Python ints.  Degree statistics
+(``max_degree``, ``min_degree``) and the identifier bit length are computed
+once at construction time.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - networkx is imported where it runs
     import networkx as nx
 
 __all__ = ["Network", "canonical_edge"]
+
+#: Vertex counts from here on are refused: below it every packed edge key
+#: ``u·n + v`` (``u < v < n``) stays under ``n² < 2⁶³``, so it fits int64.
+_MAX_VERTICES = 3_000_000_000
 
 
 def canonical_edge(u: int, v: int) -> Tuple[int, int]:
@@ -105,11 +110,20 @@ class Network:
         integer per vertex, in vertex order, distinct and within
         ``[0, 2**63 - 1]`` (:func:`repro.local.ids.checked_ids`).  Giving
         ``identifiers`` with another scheme or an ``rng`` is an error.
+
+        ``edges.n`` must be below ``3·10⁹``, so that the packed edge keys
+        fit int64; a larger ``n`` raises :class:`ValueError` before any
+        identifier is drawn.
         """
         if not isinstance(edges, EdgeArrays):
             raise TypeError(
                 f"Network.from_edge_arrays takes an EdgeArrays, not "
                 f"{type(edges).__name__!r}; build one with EdgeArrays.from_pairs"
+            )
+        if edges.n >= _MAX_VERTICES:
+            raise ValueError(
+                f"n = {edges.n} is too large: a network needs n < {_MAX_VERTICES:_} "
+                "so that its packed edge keys u·n + v fit int64"
             )
         if identifiers is None:
             id_array = ids_module.scheme_ids(edges.n, id_scheme, rng)
@@ -143,6 +157,9 @@ class Network:
         pairs = graph.edges()
         if nodes != list(range(len(nodes))):
             index_of = {label: i for i, label in enumerate(nodes)}
+            # One tuple per edge is the price of a networkx input: array
+            # sources go to from_edge_arrays without this relabel.
+            # repro-lint: allow[REP002] networkx relabel, off the array path
             pairs = [(index_of[u], index_of[v]) for u, v in pairs]
         return cls.from_edge_arrays(EdgeArrays.from_pairs(len(nodes), pairs), id_scheme, rng)
 
@@ -150,7 +167,7 @@ class Network:
     def _build(
         cls, n: int, src: np.ndarray, dst: np.ndarray, id_array: np.ndarray
     ) -> "Network":
-        """The vectorised CSR build every network goes through.
+        """The vectorised build every network goes through.
 
         ``src``/``dst`` are parallel int64 arrays within ``0..n-1`` (any
         orientation, possibly with duplicate edges); canonicalisation,
@@ -167,80 +184,44 @@ class Network:
 
         # Canonicalise (u < v), sort lexicographically, drop duplicates — the
         # vectorised equivalent of ``sorted(set(canonical_edges))``.  Pairs
-        # are packed into single int64 keys ``u * n + v`` so both the edge
-        # sort and the symmetric row sort are plain ``np.sort`` calls on one
-        # flat key array (several times faster than the two-key ``lexsort``);
-        # the packing needs ``n² < 2⁶³``, so astronomically large vertex
-        # counts fall back to the lexsort formulation.
-        us = np.minimum(src, dst)
-        vs = np.maximum(src, dst)
-        if n < 3_000_000_000:
-            key = np.sort(us * n + vs)
-            if key.size:
-                keep = np.empty(key.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(key[1:], key[:-1], out=keep[1:])
-                key = key[keep]
-            us = key // n
-            vs = key % n
-            # Doubled keys (owner * n + neighbour), sorted: rows come out in
-            # vertex order with each row ascending.
-            sym = np.concatenate((key, vs * n + us))
-            sym.sort()
-            heads = sym // n
-            indices = sym % n
-        else:  # pragma: no cover - needs n ≥ 3·10⁹ to exercise
-            order = np.lexsort((vs, us))
-            us = us[order]
-            vs = vs[order]
-            if us.size:
-                keep = np.empty(us.size, dtype=bool)
-                keep[0] = True
-                np.logical_or(us[1:] != us[:-1], vs[1:] != vs[:-1], out=keep[1:])
-                us = np.ascontiguousarray(us[keep])
-                vs = np.ascontiguousarray(vs[keep])
-            heads = np.concatenate((us, vs))
-            tails = np.concatenate((vs, us))
-            sym = np.lexsort((tails, heads))
-            heads = heads[sym]
-            indices = np.ascontiguousarray(tails[sym])
-        degrees = np.bincount(heads, minlength=n).astype(np.int64, copy=False)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        return cls._from_csr_arrays(n, indptr, indices, us, vs, id_array, degrees)
+        # are packed into single int64 keys ``u * n + v`` (``n < 3·10⁹``
+        # keeps them below 2⁶³), so the sort is one plain ``np.sort`` on a
+        # flat key array, several times faster than a two-key ``lexsort``.
+        key = np.minimum(src, dst)
+        key *= n
+        key += np.maximum(src, dst)
+        key.sort()
+        if key.size:
+            keep = np.empty(key.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            key = key[keep]
+        us, vs = np.divmod(key, n)
+        return cls._from_arrays(n, us, vs, id_array)
 
     @classmethod
-    def _from_csr_arrays(
-        cls,
-        n: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        edge_us: np.ndarray,
-        edge_vs: np.ndarray,
-        ids: np.ndarray,
-        degrees: Optional[np.ndarray] = None,
+    def _from_arrays(
+        cls, n: int, edge_us: np.ndarray, edge_vs: np.ndarray, ids: np.ndarray
     ) -> "Network":
-        """Adopt built CSR, endpoint and identifier arrays — zero copy.
+        """Adopt built endpoint and identifier arrays — zero copy.
 
         The end of :meth:`_build`, and the trusted constructor of the
         experiment service's graph cache, whose arrays must be exactly an
-        existing network's :attr:`indptr` / :attr:`indices` /
-        :meth:`edge_endpoints` / :attr:`identifier_array`, read back from a
-        cache payload.  No validation, sorting or copying happens here:
-        the arrays are frozen and adopted as they are, so they may be
-        read-only views into a payload buffer that the network then keeps
-        alive.  The build hands over the degree counts it computed; a cache
-        hit has none, so they are computed here once from ``indptr``.
+        existing network's :meth:`edge_endpoints` and
+        :attr:`identifier_array`, read back from a cache payload.  No
+        validation, sorting or copying happens here: the arrays are frozen
+        and adopted as they are, so they may be read-only views into a
+        payload buffer that the network then keeps alive.  The degrees are
+        counted here, once, from the endpoints.
         """
-        if degrees is None:
-            degrees = np.diff(indptr)
-        for frozen in (indptr, indices, edge_us, edge_vs, degrees, ids):
+        degrees = np.bincount(edge_us, minlength=n)
+        degrees += np.bincount(edge_vs, minlength=n)
+        degrees = degrees.astype(np.int64, copy=False)
+        for frozen in (edge_us, edge_vs, degrees, ids):
             frozen.setflags(write=False)
         net = cls.__new__(cls)
         net.n = int(n)
         net.m = int(edge_us.size)
-        net._indptr = indptr
-        net._indices = indices
         net._edge_us = edge_us
         net._edge_vs = edge_vs
         net._degrees = degrees
@@ -264,16 +245,19 @@ class Network:
     def _adjacency(self) -> List[Tuple[int, ...]]:
         """Per-vertex sorted neighbour tuples (the simulator's representation).
 
-        Derived from the CSR arrays, as plain ints, the first time a per-node
-        consumer (the round simulator, :meth:`neighbors`) asks for them.
+        Derived from the endpoint arrays, as plain ints, the first time a
+        per-node consumer (the round simulator, :meth:`neighbors`) asks for
+        them, and kept; nothing else holds the edges a second time.
         """
         rows = self._rows
         if rows is None:
-            flat = self._indices.tolist()
-            bounds = self._indptr.tolist()
-            rows = self._rows = [
-                tuple(flat[bounds[v] : bounds[v + 1]]) for v in range(self.n)
-            ]
+            n = self.n
+            us, vs = self._edge_us, self._edge_vs
+            # Each edge keyed from both ends (owner * n + neighbour), sorted:
+            # the neighbours come out row by row, each row ascending.
+            flat = (np.sort(np.concatenate((us * n + vs, vs * n + us))) % n).tolist()
+            bounds = [0, *np.cumsum(self._degrees).tolist()]
+            rows = self._rows = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
         return rows
 
     def _vertex(self, v: int) -> int:
@@ -292,9 +276,9 @@ class Network:
 
     @property
     def degrees(self) -> np.ndarray:
-        """Per-vertex degrees: a read-only int64 array equal to ``np.diff(indptr)``.
+        """Per-vertex degrees: a read-only int64 array of length ``n``.
 
-        The counts the CSR build computes anyway, kept (8 bytes per vertex)
+        Counted once from the endpoint arrays and kept (8 bytes per vertex),
         so that array consumers read them instead of recomputing them.
         """
         return self._degrees
@@ -306,20 +290,6 @@ class Network:
     def min_degree(self) -> int:
         """Minimum degree of the network (0 for the empty graph); cached."""
         return self._min_degree
-
-    @property
-    def indptr(self) -> np.ndarray:
-        """CSR row pointers: neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``.
-
-        A read-only int64 numpy array of length ``n + 1``, for vectorised
-        consumers that want the topology as flat arrays.
-        """
-        return self._indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        """CSR flat neighbour array (each row sorted ascending); see :attr:`indptr`."""
-        return self._indices
 
     def edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays ``(us, vs)`` of the canonical edge list.
@@ -355,19 +325,13 @@ class Network:
         Built on first use straight from the flat :meth:`edge_endpoints`
         arrays — no tuple per edge anywhere, so edge slots resolve without
         materialising the lazy :attr:`edges` view.  Keys are ``u * n + v``
-        for canonical ``u < v`` (the same packing the vectorised CSR build
+        for canonical ``u < v`` (the same packing the vectorised build
         sorts on).
         """
         index = self._packed_index
         if index is None:
             us, vs = self.edge_endpoints()
-            if self.n < 3_000_000_000:
-                keys = (us * self.n + vs).tolist()
-            else:  # pragma: no cover - needs n ≥ 3·10⁹ to exercise
-                # The int64 multiply would wrap exactly where the CSR build
-                # falls back to lexsort; Python ints never overflow.
-                n = self.n
-                keys = [u * n + v for u, v in zip(us.tolist(), vs.tolist())]
+            keys = (us * self.n + vs).tolist()
             index = self._packed_index = dict(zip(keys, range(self.m)))
         return index
 
@@ -451,41 +415,6 @@ class Network:
             g.add_edges_from(self.edges)
             self._nx_export = g
         return self._nx_export
-
-    def subnetwork(self, vertices: Sequence[int]) -> "Network":
-        """Induced sub-network on ``vertices`` (re-indexed to ``0..k-1``).
-
-        Identifiers are preserved, which keeps the sub-network a legitimate
-        LOCAL-model input.  Cost is O(sum of degrees of the kept vertices),
-        not O(m): only the CSR segments of the kept vertices are gathered,
-        their kept neighbours re-indexed vectorised, and the result rebuilt
-        by the vectorised CSR build every network goes through, with the kept
-        vertices' identifiers gathered from :attr:`identifier_array` — no
-        per-node tuple row and no per-edge tuple anywhere.
-        """
-        vertex_list = sorted(set(vertices))
-        kept = np.asarray(vertex_list, dtype=np.int64)
-        k = int(kept.size)
-        if k and (kept[0] < 0 or kept[-1] >= self.n):
-            raise IndexError("subnetwork vertices outside 0..n-1")
-        indptr = self._indptr
-        starts = indptr[kept]
-        lengths = self._degrees[kept]
-        total = int(lengths.sum())
-        # Vectorised multi-arange: positions of the kept rows' CSR segments.
-        positions = (
-            np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-            + np.arange(total, dtype=np.int64)
-        )
-        owners = np.repeat(kept, lengths)
-        neighbors = self._indices[positions]
-        new_index = np.full(self.n, -1, dtype=np.int64)
-        new_index[kept] = np.arange(k, dtype=np.int64)
-        # Keep each induced edge once (owner < neighbour) with both ends kept.
-        keep_edge = (neighbors > owners) & (new_index[neighbors] >= 0)
-        src = new_index[owners[keep_edge]]
-        dst = new_index[neighbors[keep_edge]]
-        return Network._build(k, src, dst, self._id_array[kept])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Network(n={self.n}, m={self.m}, max_degree={self.max_degree()})"

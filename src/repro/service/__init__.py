@@ -19,7 +19,7 @@ Layers (each its own module, smallest dependency arrow first):
   round-trip.
 * :mod:`repro.service.store` — the sqlite result store and the
   content-addressed graph cache (N concurrent jobs sweeping the same family
-  share exactly one CSR build).
+  share exactly one network build, stored as its edge arrays).
 * :mod:`repro.service.queue` — durable jobs over the store's database:
   submit / claim / complete, retry-with-backoff on transient failures
   (:data:`repro.core.errors.RETRYABLE_KINDS`), permanent failure otherwise.

@@ -30,7 +30,7 @@ Durability falls out of composing the existing primitives:
 
 Graph builds go through the store's content-addressed cache
 (:meth:`ResultStore.network_for`), so concurrent jobs sweeping the same
-family perform exactly one CSR build between them.
+family perform exactly one network build between them.
 
 Test seam: when ``REPRO_SERVICE_KILL_AFTER_ROWS=<k>`` is set in a worker's
 environment, the worker SIGKILLs itself after journaling ``k`` cell rows —

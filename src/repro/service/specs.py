@@ -24,8 +24,10 @@ workloads through the same service verbs.
 
 The graph cache key (:meth:`SweepSpec.graph_key`) is content-addressed on
 ``(family, params, value, network seed, id scheme)`` — the complete recipe
-for the CSR build — so two jobs that would build byte-identical networks
-share one cache row no matter how the rest of their specs differ.
+for the network build — and on the cache's payload layout
+(:data:`repro.core.schemas.GRAPH_CACHE`), so two jobs that would build
+byte-identical networks share one cache row no matter how the rest of their
+specs differ, and a row of another layout is never read.
 """
 
 from __future__ import annotations
@@ -256,8 +258,9 @@ class SweepSpec:
         """Content-addressed cache key for value index ``index``'s network.
 
         Hashes the complete build recipe — family, params, the value, the
-        network (identifier) seed and the ID scheme — so equal keys mean
-        byte-identical CSR builds, across jobs and submitters.
+        network (identifier) seed and the ID scheme — and the payload layout,
+        so equal keys mean byte-identical builds stored the same way, across
+        jobs and submitters.
         """
         recipe = {
             "family": self.family,
@@ -265,6 +268,7 @@ class SweepSpec:
             "value": self.values[index],
             "network_seed": self.network_seed(index),
             "id_scheme": ID_SCHEME,
+            "layout": schemas.GRAPH_CACHE,
         }
         return hashlib.sha256(_canonical(recipe).encode()).hexdigest()
 

@@ -23,13 +23,14 @@ One sqlite database holds everything the service knows:
   full float precision (the exact ``ComplexityMeasurement`` fields, not the
   rounded table form), exactly as the job's ``sweep()`` returned them —
   stored results are bit-identical to in-process ones.
-* ``graph_cache`` — the content-addressed CSR cache: keyed on the complete
-  build recipe (:meth:`repro.service.specs.SweepSpec.graph_key`), a row
-  holds the network's packed int64 CSR arrays.  A claim protocol
-  (``INSERT OR IGNORE`` of a ``building`` row) guarantees that N concurrent
-  jobs needing the same network perform **exactly one** build; the
-  ``builds`` counter records it, and a claim whose holder died is stolen
-  after a staleness window.
+* ``graph_cache`` — the content-addressed edge-array cache: keyed on the
+  complete build recipe (:meth:`repro.service.specs.SweepSpec.graph_key`,
+  which names the payload layout), a row holds the network's endpoint and
+  identifier arrays, int64, back to back: ``8n + 16m`` bytes.  A claim
+  protocol (``INSERT OR IGNORE`` of a ``building`` row) guarantees that N
+  concurrent jobs needing the same network perform **exactly one** build;
+  the ``builds`` counter records it, and a claim whose holder died is
+  stolen after a staleness window.
 
 Writers from many processes are expected (CLI submitters, scheduler,
 workers): the store opens every connection in WAL mode with a busy
@@ -43,7 +44,7 @@ import json
 import os
 import sqlite3
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -62,22 +63,6 @@ __all__ = ["RESULT_STORE_SCHEMA", "ResultStore"]
 #: Identifier of the on-disk schema (recorded in the ``meta`` table);
 #: spelled out once in :mod:`repro.core.schemas`.
 RESULT_STORE_SCHEMA = schemas.RESULT_STORE
-
-#: Field order of the int64 CSR arrays packed into each graph-cache payload.
-_CSR_FIELDS = ("indptr", "indices", "edge_us", "edge_vs", "ids")
-
-
-def _network_csr_arrays(network: Network) -> Dict[str, np.ndarray]:
-    """The network's immutable topology as int64 arrays (zero-copy views)."""
-    us, vs = network.edge_endpoints()
-    return {
-        "indptr": network.indptr,
-        "indices": network.indices,
-        "edge_us": us,
-        "edge_vs": vs,
-        "ids": network.identifier_array,
-    }
-
 
 #: Seconds after which a ``building`` graph-cache claim whose writer has
 #: stopped refreshing is considered dead and may be stolen.
@@ -298,13 +283,14 @@ class ResultStore:
     def cached_network(self, key: str) -> Optional[Network]:
         """The ready network stored under ``key``, or ``None``.
 
-        Reassembles through the trusted constructor
-        :meth:`Network._from_csr_arrays` on zero-copy read-only views of the
-        payload bytes, so a cache-hit network is indistinguishable from the
-        freshly built original.
+        The payload is the network's ``edge_us``, ``edge_vs`` and identifier
+        arrays, int64, back to back; it is split by ``n`` and ``m`` into
+        zero-copy read-only views of the payload bytes and adopted by the
+        trusted constructor :meth:`Network._from_arrays`, so a cache-hit
+        network is indistinguishable from the freshly built original.
         """
         row = self._db.execute(
-            "SELECT * FROM graph_cache WHERE key = ? AND status = 'ready'",
+            "SELECT n, m, payload FROM graph_cache WHERE key = ? AND status = 'ready'",
             (key,),
         ).fetchone()
         if row is None:
@@ -313,23 +299,9 @@ class ResultStore:
             "UPDATE graph_cache SET hits = hits + 1 WHERE key = ?", (key,)
         )
         self._db.commit()
-        layout = json.loads(row["layout"])
-        payload = row["payload"]
-        views: Dict[str, np.ndarray] = {}
-        for field, offset, count in layout:
-            view = np.frombuffer(
-                payload, dtype=np.int64, count=count, offset=offset
-            )
-            view.setflags(write=False)
-            views[field] = view
-        return Network._from_csr_arrays(
-            n=int(row["n"]),
-            indptr=views["indptr"],
-            indices=views["indices"],
-            edge_us=views["edge_us"],
-            edge_vs=views["edge_vs"],
-            ids=views["ids"],
-        )
+        n, m = int(row["n"]), int(row["m"])
+        arrays = np.frombuffer(row["payload"], dtype=np.int64)
+        return Network._from_arrays(n, arrays[:m], arrays[m : 2 * m], arrays[2 * m :])
 
     def claim_graph_build(self, key: str, recipe: Mapping[str, object]) -> bool:
         """Try to claim the (single) build of ``key``; True when claimed.
@@ -373,31 +345,17 @@ class ResultStore:
             return bool(cursor.rowcount)
 
     def store_network(self, key: str, network: Network) -> None:
-        """Fill a claimed cache row with the built network's CSR payload."""
-        arrays = _network_csr_arrays(network)
-        layout: List[Tuple[str, int, int]] = []
-        chunks: List[bytes] = []
-        offset = 0
-        for field in _CSR_FIELDS:
-            data = arrays[field]
-            layout.append((field, offset, int(data.size)))
-            chunks.append(data.tobytes())
-            offset += data.nbytes
+        """Fill a claimed cache row with the built network's payload.
+
+        The payload binds as one buffer of ``8n + 16m`` bytes, the endpoint
+        arrays and the identifiers back to back.
+        """
+        payload = np.concatenate((*network.edge_endpoints(), network.identifier_array))
         with self._db:
             self._db.execute(
                 "UPDATE graph_cache SET status = 'ready', n = ?, m = ?, "
-                "max_degree = ?, min_degree = ?, layout = ?, payload = ?, "
-                "builds = builds + 1, built_at = ? WHERE key = ?",
-                (
-                    network.n,
-                    network.m,
-                    network.max_degree(),
-                    network.min_degree(),
-                    json.dumps(layout),
-                    b"".join(chunks),
-                    time.time(),
-                    key,
-                ),
+                "payload = ?, builds = builds + 1, built_at = ? WHERE key = ?",
+                (network.n, network.m, payload, time.time(), key),
             )
 
     def release_graph_claim(self, key: str) -> None:

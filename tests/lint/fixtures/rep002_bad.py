@@ -23,3 +23,15 @@ def per_edge_property(network, values):
     slots = {e: i for i, e in enumerate(network.edges)}  # expect[REP002]
     heads = [value for (u, v), value in zip(network.edges, values)]  # expect[REP002]
     return known, total, slots, heads
+
+
+def per_edge_through_a_local_name(graph, index_of):
+    pairs = graph.edges()
+    relabelled = [(index_of[u], index_of[v]) for u, v in pairs]  # expect[REP002]
+    view = graph.edges
+    total = 0
+    for i, (u, v) in enumerate(view):  # expect[REP002]
+        total += i
+    alias = pairs
+    count = sum(1 for _ in alias)  # expect[REP002]
+    return relabelled, total, count, sorted(pairs)  # expect[REP002]

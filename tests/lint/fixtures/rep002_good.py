@@ -21,3 +21,13 @@ def cold_module_can_materialise(network):
     # only stays silent because the calls below are allow-listed.
     # repro-lint: allow[REP002] exercising the escape hatch in tests
     return list(network.edges())
+
+
+def rebound_to_arrays(network, np):
+    # A name that held an edge view and is rebound to arrays is array code.
+    pairs = network.edges()
+    pairs = np.asarray(network.edge_endpoints())
+    total = 0
+    for row in pairs:  # two endpoint rows, not one loop step per edge
+        total += int(row.sum())
+    return [row.size for row in pairs], total

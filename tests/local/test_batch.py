@@ -257,11 +257,26 @@ class TestFootprint:
         # kernels read included: the identifiers stay one int64 array from
         # the seeded shuffle to the kernels.  With a dict and a tuple of
         # ints on the way the whole build peaked at about 660 bytes per
-        # node; without them, about 400.
+        # node; without them, about 400; without the CSR copy of the
+        # edges, about 155.
         n = 20_000
         edges = fast_gnp_edges(n, 10 / (n - 1), seed=1)
         peak = _traced_peak(lambda: resolve_network(edges, seed=1))
-        assert peak / n <= 500
+        assert peak / n <= 200
+
+    def test_network_holds_its_edges_once(self):
+        # What a network keeps: the endpoint arrays (16 bytes per edge),
+        # the identifiers and the degrees (16 bytes per node), and a few
+        # object headers.  A CSR copy of the edges would add 8n + 16m.
+        n = 20_000
+        edges = fast_gnp_edges(n, 10 / (n - 1), seed=1)
+        tracemalloc.start()
+        try:
+            network = resolve_network(edges, seed=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * (network.n + network.m) + 4096
 
 
 class TestIdentifierArray:
@@ -308,7 +323,7 @@ class TestScratchReuse:
         # Two chunks (17 + 3) for the 20-seed Luby batches on `dense`, and
         # isolated vertices on `sparse`.
         assert batch_chunk(dense.n, dense.m, 20) == 17
-        assert (np.diff(sparse.indptr) == 0).any()
+        assert (sparse.degrees == 0).any()
         luby, matching = ALGORITHMS[0][1:], ALGORITHMS[1][1:]
         calls = [
             (luby, dense, list(range(20))),

@@ -8,6 +8,8 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.edgelist import EdgeArrays
 from repro.graphs.generators import cycle_edges
@@ -18,6 +20,23 @@ from repro.local.network import Network, canonical_edge
 def from_pairs(n, pairs, **kwargs) -> Network:
     """A network on ``(u, v)`` pairs, through ``EdgeArrays.from_pairs``."""
     return Network.from_edge_arrays(EdgeArrays.from_pairs(n, pairs), **kwargs)
+
+
+@st.composite
+def pair_lists(draw):
+    """``(n, pairs)``: random pairs without self-loops on ``n ≤ 16`` vertices
+    (often leaving some isolated), then some of them again, reversed or not."""
+    n = draw(st.integers(0, 16))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    pairs = draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=2 * n)
+    )
+    if not pairs:
+        return n, pairs
+    again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=n))
+    return n, pairs + [(v, u) if flip else (u, v) for (u, v), flip in again]
 
 
 class TestCanonicalEdge:
@@ -133,10 +152,10 @@ class TestNetworkConstruction:
         [
             lambda: from_pairs(3, [(0, 1)]),
             lambda: Network.from_graph(nx.Graph([("a", "b"), ("b", "c")])),
-            # Vertex 3 exists in the parent, not in the sub-network.
-            lambda: from_pairs(5, [(0, 1), (2, 3)]).subnetwork([0, 1, 2]),
+            # No edge names vertex 2: the range comes from n, not the edges.
+            lambda: from_pairs(3, []),
         ],
-        ids=["edges", "networkx", "subnetwork"],
+        ids=["edges", "networkx", "edgeless"],
     )
     @pytest.mark.parametrize(
         "accessor",
@@ -161,43 +180,14 @@ class TestNetworkConstruction:
         assert exported.number_of_nodes() == g.number_of_nodes()
         assert exported.number_of_edges() == g.number_of_edges()
 
-    def test_subnetwork_preserves_identifiers(self):
-        net = Network.from_graph(nx.cycle_graph(8), id_scheme="adversarial")
-        sub = net.subnetwork([0, 1, 2, 3])
-        assert sub.n == 4
-        original_ids = {net.identifier(v) for v in [0, 1, 2, 3]}
-        assert set(sub.identifiers) == original_ids
-
-    def test_subnetwork_preserves_identifiers_and_adjacency(self):
-        g = nx.gnp_random_graph(40, 0.15, seed=9)
-        net = Network.from_graph(g, id_scheme="permuted", rng=random.Random(3))
-        kept = [3, 7, 8, 11, 12, 19, 23, 24, 30, 31, 38]
-        sub = net.subnetwork(kept)
-
-        # Identifier of kept vertex i (in sorted order) carries over.
-        assert [sub.identifier(i) for i in range(sub.n)] == [net.identifier(v) for v in kept]
-
-        # Adjacency matches the induced subgraph, edge for edge.
-        index = {v: i for i, v in enumerate(kept)}
-        expected = nx.Graph(g.subgraph(kept))
-        expected_edges = sorted(
-            tuple(sorted((index[u], index[v]))) for u, v in expected.edges()
-        )
-        assert list(sub.edges) == expected_edges
-        for v in kept:
-            expected_neighbors = sorted(index[u] for u in expected.neighbors(v))
-            assert list(sub.neighbors(index[v])) == expected_neighbors
-
-    def test_csr_arrays_describe_the_adjacency(self):
-        net = Network.from_graph(nx.gnp_random_graph(25, 0.25, seed=4))
-        indptr, indices = net.indptr, net.indices
-        assert len(indptr) == net.n + 1
-        assert len(indices) == 2 * net.m
-        assert indptr[0] == 0 and indptr[net.n] == 2 * net.m
+    def test_degrees_and_rows_describe_the_adjacency(self):
+        graph = nx.gnp_random_graph(25, 0.25, seed=4)
+        net = Network.from_graph(graph)
+        assert int(net.degrees.sum()) == 2 * net.m
         for v in net.vertices:
-            row = list(indices[indptr[v] : indptr[v + 1]])
-            assert row == sorted(row) == list(net.neighbors(v))
-            assert len(row) == net.degree(v)
+            row = list(net.neighbors(v))
+            assert row == sorted(graph.adj[v])
+            assert len(row) == net.degree(v) == net.degrees[v]
 
     def test_cached_degree_statistics_match_adjacency(self):
         net = Network.from_graph(nx.gnp_random_graph(30, 0.2, seed=6))
@@ -347,15 +337,6 @@ class TestIdentifierStorage:
         assert net.identifiers == tuple(array.tolist())
         assert net.identifiers is net.identifiers
 
-    def test_subnetwork_gathers_the_identifier_array(self):
-        net = Network.from_edge_arrays(
-            cycle_edges(12), id_scheme="permuted", rng=random.Random(5)
-        )
-        sub = net.subnetwork([2, 3, 9])
-        assert np.array_equal(sub.identifier_array, net.identifier_array[[2, 3, 9]])
-        assert not sub.identifier_array.flags.writeable
-        assert net._ids_cache is None and sub._ids_cache is None
-
 
 class TestIdentifierSeedSchedule:
     """The permuted scheme is ``random.Random(seed).shuffle(list(range(n)))``.
@@ -381,7 +362,7 @@ class TestIdentifierSeedSchedule:
 
 
 class TestFromEdgeArrays:
-    """The one vectorised numpy CSR build (Network.from_edge_arrays)."""
+    """The one vectorised numpy build (Network.from_edge_arrays)."""
 
     def _assert_indistinguishable(self, a: Network, b: Network) -> None:
         assert (a.n, a.m) == (b.n, b.m)
@@ -390,8 +371,7 @@ class TestFromEdgeArrays:
         assert a.identifiers == b.identifiers
         assert (a.max_degree(), a.min_degree()) == (b.max_degree(), b.min_degree())
         assert a.id_bit_length() == b.id_bit_length()
-        assert np.array_equal(np.asarray(a.indptr), np.asarray(b.indptr))
-        assert np.array_equal(np.asarray(a.indices), np.asarray(b.indices))
+        assert np.array_equal(a.degrees, b.degrees)
         ea, eb = a.edge_endpoints(), b.edge_endpoints()
         assert np.array_equal(ea[0], eb[0]) and np.array_equal(ea[1], eb[1])
 
@@ -432,7 +412,7 @@ class TestFromEdgeArrays:
         net = build()
         assert net._rows is None and net._edges_cache is None
         # flat consumers never materialise them
-        assert len(net.indices) == 2 * net.m
+        assert int(net.degrees.sum()) == 2 * net.m
         degrees = [net.degree(v) for v in net.vertices]
         assert all(type(d) is int for d in degrees)
         assert net._rows is None and net._edges_cache is None
@@ -442,6 +422,31 @@ class TestFromEdgeArrays:
         assert net.edges[0] == (0, 1)
         assert all(type(x) is int for x in net.edges[0])
         assert degrees == [len(net.neighbors(v)) for v in net.vertices]
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair_lists())
+    def test_rows_are_the_sorted_networkx_adjacency(self, case):
+        n, pairs = case
+        net = from_pairs(n, pairs)
+        graph = nx.empty_graph(n)
+        graph.add_edges_from(pairs)
+        assert [net.neighbors(v) for v in net.vertices] == [
+            tuple(sorted(graph.adj[v])) for v in range(n)
+        ]
+        assert net.degrees.tolist() == [graph.degree(v) for v in range(n)]
+        assert net.edges == tuple(sorted(canonical_edge(u, v) for u, v in graph.edges()))
+
+    @pytest.mark.parametrize(
+        "identifiers",
+        [{"id_scheme": "no-such-scheme"}, {"identifiers": {}}],
+        ids=["scheme", "explicit"],
+    )
+    def test_vertex_counts_from_3e9_are_refused_first(self, identifiers):
+        # Packed edge keys u·n + v need n² < 2⁶³ (n below about 3.04·10⁹).
+        # The refusal comes before the identifiers: each identifier source
+        # here would raise otherwise, at once and without allocating.
+        with pytest.raises(ValueError, match="too large"):
+            Network.from_edge_arrays(EdgeArrays(3_000_000_000, [], []), **identifiers)
 
     def test_self_loops_rejected_with_canonical_error(self):
         with pytest.raises(ValueError, match="self-loops"):
@@ -469,13 +474,6 @@ class TestFromEdgeArrays:
         assert net.edges == ((0, 1), (1, 2), (2, 3))
         assert net.identifiers == (0, 1, 2, 3)
 
-    def test_subnetwork_on_array_built_network(self):
-        net = Network.from_edge_arrays(EdgeArrays(5, [0, 1, 2, 3], [1, 2, 3, 4]))
-        sub = net.subnetwork([1, 2, 3])
-        assert sub.n == 3
-        assert sub.edges == ((0, 1), (1, 2))
-        assert sub.identifiers == (1, 2, 3)
-
     def test_traces_identical_across_construction_paths(self):
         """Seed-for-seed trace identity: the acceptance invariant of the array path."""
         from repro.algorithms.mis.luby import LubyMIS
@@ -499,47 +497,13 @@ class TestFromEdgeArrays:
 
 
 class TestHotPathLaziness:
-    """Regressions for the ISSUE-5 hot-path bugfixes: array-built networks
-    must not materialise their lazy per-edge/per-row tuple views on the
-    subnetwork or edge-index paths."""
+    """Array-built networks must not materialise their lazy per-edge or
+    per-row tuple views on the edge-index paths."""
 
     def _gnp_array_network(self, n=200, seed=3):
         from repro.graphs.generators import fast_gnp_edges
 
         return Network.from_edge_arrays(fast_gnp_edges(n, 6.0 / (n - 1), seed=seed))
-
-    def test_subnetwork_keeps_rows_lazy_on_array_built_networks(self):
-        net = self._gnp_array_network()
-        sub = net.subnetwork(range(0, net.n, 3))
-        assert net._rows is None, "subnetwork materialised all adjacency rows"
-        assert net._edges_cache is None
-        assert sub.n == len(range(0, net.n, 3))
-
-    def test_csr_subnetwork_matches_the_networkx_build(self):
-        from repro.graphs.generators import erdos_renyi_edges
-
-        arrays = erdos_renyi_edges(60, 5.0, seed=4)
-        graph = nx.empty_graph(arrays.n)
-        graph.add_edges_from(arrays.as_pairs())
-        graph_net = Network.from_graph(graph, "permuted", random.Random(2))
-        array_net = Network.from_edge_arrays(arrays, "permuted", random.Random(2))
-        kept = [1, 4, 5, 9, 13, 14, 20, 21, 33, 40, 41, 55, 59]
-        sub_graph = graph_net.subnetwork(kept)
-        sub_array = array_net.subnetwork(kept)
-        assert sub_array.n == sub_graph.n
-        assert sub_array.edges == sub_graph.edges
-        assert sub_array._adjacency == sub_graph._adjacency
-        assert sub_array.identifiers == sub_graph.identifiers
-
-    def test_csr_subnetwork_edge_cases(self):
-        net = self._gnp_array_network(n=30)
-        empty = net.subnetwork([])
-        assert empty.n == 0 and empty.m == 0
-        singleton = net.subnetwork([7])
-        assert singleton.n == 1 and singleton.m == 0
-        assert singleton.identifiers == (7,)
-        with pytest.raises(IndexError):
-            net.subnetwork([0, 30])
 
     def test_packed_edge_index_avoids_the_tuple_views(self):
         net = self._gnp_array_network()
@@ -574,7 +538,7 @@ def _cache_hit(tmp_path, network: Network) -> Network:
 
 
 class TestDegrees:
-    """``Network.degrees``: the build's counts, read-only int64, kept on
+    """``Network.degrees``: the endpoint counts, read-only int64, kept on
     every network however it was made."""
 
     @pytest.mark.parametrize(
@@ -585,9 +549,8 @@ class TestDegrees:
             lambda tmp: Network.from_graph(nx.gnp_random_graph(30, 0.2, seed=6)),
             lambda tmp: Network.from_graph(nx.empty_graph(4)),
             lambda tmp: from_pairs(0, []),
-            lambda tmp: Network.from_graph(nx.gnp_random_graph(30, 0.2, seed=6))
-            .subnetwork(range(0, 30, 2)),
-            lambda tmp: from_pairs(5, [(0, 1)]).subnetwork([]),
+            lambda tmp: from_pairs(7, [(5, 1), (1, 5), (3, 1), (1, 3)]),
+            lambda tmp: from_pairs(5, [(0, 1)]),
             lambda tmp: _cache_hit(
                 tmp, Network.from_edge_arrays(cycle_edges(9), "permuted", random.Random(3))
             ),
@@ -598,8 +561,8 @@ class TestDegrees:
             "from_graph",
             "edgeless",
             "empty",
-            "subnetwork",
-            "empty-subnetwork",
+            "duplicated-reversed",
+            "isolated-tail",
             "cache-hit",
         ],
     )
@@ -610,7 +573,11 @@ class TestDegrees:
         assert not degrees.flags.writeable
         with pytest.raises(ValueError):
             degrees[:1] = 7
-        assert np.array_equal(degrees, np.diff(net.indptr))
+        counted = [0] * net.n
+        for u, v in net.edges:
+            counted[u] += 1
+            counted[v] += 1
+        assert degrees.tolist() == counted
         assert [net.degree(v) for v in net.vertices] == degrees.tolist()
         assert net.max_degree() == (int(degrees.max()) if net.n else 0)
         assert net.min_degree() == (int(degrees.min()) if net.n else 0)

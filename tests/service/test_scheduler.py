@@ -392,7 +392,7 @@ class TestGraphCacheDedup:
         assert len(stats) == 2  # one row per swept value
         for row in stats:
             assert row["status"] == "ready"
-            assert row["builds"] == 1  # exactly one CSR build per key
+            assert row["builds"] == 1  # exactly one network build per key
         # And dedup changed nothing about the results.
         assert points_a == points_b
         assert points_a == live_measurements(spec_a)

@@ -97,7 +97,7 @@ class TestGraphKeys:
         assert spec.graph_key(0) != make_spec(seed=4).graph_key(0)
 
     def test_key_shared_across_unrelated_spec_fields(self):
-        # Same family/value/seed -> same CSR build -> same cache key, even
+        # Same family/value/seed -> same build -> same cache key, even
         # when trials, algorithms or budget differ.
         a = make_spec(trials=2)
         b = make_spec(

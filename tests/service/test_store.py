@@ -8,21 +8,24 @@ from the freshly built original.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sqlite3
 
 import numpy as np
 import pytest
 
-from repro.algorithms.mis.luby import LubyMIS
+from repro.algorithms.mis.luby import LubyMIS, LubyMISArray
 from repro.analysis import sweep
 from repro.analysis.sweep import CHECKPOINT_FORMAT
 from repro.core import problems
 from repro.core.errors import classify_failure
 from repro.core.experiment import resolve_network
+from repro.local.engine import ArrayEngine
 from repro.local.runner import Runner
 from repro.service.scheduler import Scheduler
 from repro.service.specs import GRAPH_FAMILIES, SweepSpec
-from repro.service.store import RESULT_STORE_SCHEMA, ResultStore, _network_csr_arrays
+from repro.service.store import RESULT_STORE_SCHEMA, ResultStore
 
 
 def make_spec(**overrides):
@@ -187,24 +190,105 @@ class TestBitIdentity:
                 store.journal_header(7)
 
 
+def _stored(store, spec, index=0):
+    """Build value ``index``'s network, store it under its key, hit it."""
+    network = resolve_network(
+        spec.graph_source(spec.values[index]), seed=spec.network_seed(index)
+    )
+    key = spec.graph_key(index)
+    assert store.cached_network(key) is None
+    assert store.claim_graph_build(key, {"family": spec.family})
+    store.store_network(key, network)
+    return network, store.cached_network(key)
+
+
 class TestGraphCache:
     def test_network_round_trips_through_the_cache(self, db_path):
-        spec = make_spec()
+        spec = make_spec(family="fast_gnp", values=(200,))
         with ResultStore(db_path) as store:
-            network = resolve_network(spec.graph_source(8), seed=spec.network_seed(0))
-            key = spec.graph_key(0)
-            assert store.cached_network(key) is None
-            assert store.claim_graph_build(key, {"family": "cycle"})
-            store.store_network(key, network)
-            cached = store.cached_network(key)
-        assert cached.n == network.n
-        assert cached.m == network.m
-        original = _network_csr_arrays(network)
-        restored = _network_csr_arrays(cached)
-        for field in original:
-            assert np.array_equal(original[field], restored[field])
+            network, cached = _stored(store, spec)
+        assert (cached.n, cached.m) == (network.n, network.m)
+        for built, hit in zip(network.edge_endpoints(), cached.edge_endpoints()):
+            assert np.array_equal(built, hit)
+        assert np.array_equal(cached.degrees, network.degrees)
+        assert np.array_equal(cached.identifier_array, network.identifier_array)
         assert cached.identifiers == network.identifiers
         assert cached.max_degree() == network.max_degree()
+
+    def test_payload_is_the_endpoint_and_identifier_arrays(self, db_path):
+        # 8n + 16m bytes: edge_us, edge_vs and the identifiers, back to
+        # back.  The degree and layout columns stay in the schema, unwritten.
+        spec = make_spec(family="fast_gnp", values=(200,))
+        with ResultStore(db_path) as store:
+            network, _ = _stored(store, spec)
+            row = store._db.execute(
+                "SELECT n, m, payload, max_degree, min_degree, layout "
+                "FROM graph_cache WHERE key = ?",
+                (spec.graph_key(0),),
+            ).fetchone()
+        assert (row["n"], row["m"]) == (network.n, network.m)
+        assert len(row["payload"]) == 8 * network.n + 16 * network.m
+        expected = np.concatenate((*network.edge_endpoints(), network.identifier_array))
+        assert row["payload"] == expected.tobytes()
+        assert (row["max_degree"], row["min_degree"], row["layout"]) == (None, None, None)
+
+    def test_a_row_of_the_csr_layout_is_never_read(self, db_path):
+        # A five-array row (indptr, indices, edge_us, edge_vs, ids) stored
+        # under the key of the recipe that named no layout: the current key
+        # names its layout, so the old row is never found and never hit.
+        spec = make_spec()
+        network = resolve_network(spec.graph_source(8), seed=spec.network_seed(0))
+        old_recipe = {
+            "family": spec.family,
+            "params": dict(spec.family_params),
+            "value": 8,
+            "network_seed": spec.network_seed(0),
+            "id_scheme": "permuted",
+        }
+        old_key = hashlib.sha256(
+            json.dumps(old_recipe, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        us, vs = network.edge_endpoints()
+        rows = sorted([*zip(us.tolist(), vs.tolist()), *zip(vs.tolist(), us.tolist())])
+        indptr = np.concatenate(([0], np.cumsum(network.degrees)))
+        indices = np.array([v for _, v in rows], dtype=np.int64)
+        arrays = (indptr, indices, us, vs, network.identifier_array)
+        layout, offset = [], 0
+        for field, data in zip(("indptr", "indices", "edge_us", "edge_vs", "ids"), arrays):
+            layout.append((field, offset, int(data.size)))
+            offset += data.nbytes
+        with ResultStore(db_path) as store:
+            with store._db:
+                store._db.execute(
+                    "INSERT INTO graph_cache (key, recipe, status, n, m, max_degree, "
+                    "min_degree, layout, payload, builds) "
+                    "VALUES (?, ?, 'ready', ?, ?, ?, ?, ?, ?, 1)",
+                    (
+                        old_key,
+                        json.dumps(old_recipe),
+                        network.n,
+                        network.m,
+                        network.max_degree(),
+                        network.min_degree(),
+                        json.dumps(layout),
+                        b"".join(a.tobytes() for a in arrays),
+                    ),
+                )
+            assert spec.graph_key(0) != old_key
+            builds = []
+
+            def build():
+                builds.append(1)
+                return resolve_network(spec.graph_source(8), seed=spec.network_seed(0))
+
+            first = store.network_for(spec.graph_key(0), {"r": 1}, build)
+            second = store.network_for(spec.graph_key(0), {"r": 1}, build)
+            stats = {row["key"]: row for row in store.graph_cache_stats()}
+        assert len(builds) == 1
+        assert stats[old_key]["hits"] == 0 and stats[old_key]["builds"] == 1
+        assert stats[spec.graph_key(0)]["builds"] == 1
+        assert stats[spec.graph_key(0)]["hits"] == 1
+        assert first.edges == second.edges == network.edges
 
     @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
     def test_every_family_reassembles_identically(self, db_path, family):
@@ -230,18 +314,30 @@ class TestGraphCache:
         assert runs[0] == runs[1]
 
     def test_cache_hit_adopts_the_payload_identifiers(self, db_path):
-        spec = make_spec()
-        network = resolve_network(spec.graph_source(8), seed=spec.network_seed(0))
+        # The endpoint and identifier arrays are read-only views of the one
+        # payload buffer the row returned; nothing is copied out of it.
         with ResultStore(db_path) as store:
-            key = spec.graph_key(0)
-            assert store.claim_graph_build(key, {"family": "cycle"})
-            store.store_network(key, network)
-            cached = store.cached_network(key)
-        # Every field is a view of the one payload the row returned.
-        payload = np.frombuffer(cached.indptr.base, dtype=np.uint8)
-        assert np.shares_memory(cached.identifier_array, payload)
+            network, cached = _stored(store, make_spec())
+        arrays = (*cached.edge_endpoints(), cached.identifier_array)
+        payload = arrays[0].base
+        assert isinstance(payload.base, bytes)
+        assert payload.nbytes == 8 * cached.n + 16 * cached.m
+        assert all(array.base is payload for array in arrays)
+        assert not any(array.flags.writeable for array in arrays)
         assert cached._ids_cache is None
         assert np.array_equal(cached.identifier_array, network.identifier_array)
+
+    def test_cache_hit_runs_the_array_engine_identically(self, db_path):
+        # The kernels read the hit's endpoint, degree and identifier arrays,
+        # read-only views of the payload, exactly as they read the build's.
+        spec = make_spec(family="fast_gnp", values=(500,))
+        with ResultStore(db_path) as store:
+            network, cached = _stored(store, spec)
+        runs = [
+            ArrayEngine().run_batch(LubyMISArray(), net, problems.MIS, [0, 1, 2])
+            for net in (network, cached)
+        ]
+        assert runs[0] == runs[1]
 
     def test_claim_is_exclusive_until_released(self, db_path):
         with ResultStore(db_path) as store:
