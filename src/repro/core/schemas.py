@@ -3,9 +3,9 @@
 Every on-disk or over-the-wire artifact this repo produces carries a
 ``name/vN`` schema string so readers can refuse payloads they don't speak:
 the service's job language, sqlite store and graph-cache payload, the
-resilient sweep's checkpoint journal, and the lint baseline and report.  Those strings are
-*contracts* — a drifted literal silently breaks resume, store validation,
-or a baseline load without failing a unit test.
+resilient sweep's checkpoint journal, and the lint baseline and report.
+Those strings are *contracts* — a drifted literal silently breaks resume,
+store validation, or a baseline load without failing a unit test.
 
 This module is therefore the only place in ``src/repro`` allowed to spell
 a schema literal out; everything else imports the constant.  The rule is
