@@ -191,9 +191,11 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         """The fault-free kernel's scratch, carved from the engine's arena.
 
         Sized for ``trials · m`` and kept for the whole chunk: the worklist
-        double buffers, the draw block and the mask scratch are multi-MB
-        and would otherwise be mapped, faulted and zeroed afresh every
-        iteration.  The arrays hold whatever an earlier chunk left:
+        double buffers and the mask scratch are multi-MB and would
+        otherwise be mapped, faulted and zeroed afresh every iteration.
+        The marking round draws into the idle worklist buffer, viewed as
+        float64, since it reads every draw before the commit round compacts
+        into that buffer.  The arrays hold whatever an earlier chunk left:
         :meth:`init_batch` writes worklist buffer 0, ``nodes``, ``mcount``
         and ``deg``, the endpoint-slot tables are written here, and every
         round writes the rest before reading it.
@@ -203,10 +205,9 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         # Flat indices are always int64: numpy's advanced-indexing fast
         # path only fires for intp index arrays, and int32 gathers measure
         # ~3× slower.
-        wl0, wl1, draws, mask, rem, nodes, mcount, deg, *slots = arena.carve(
+        wl0, wl1, mask, rem, nodes, mcount, deg, *slots = arena.carve(
             (flat, np.int64),
             (flat, np.int64),
-            (flat, np.float64),
             (flat, bool),
             (flat, bool),
             (trials * n, bool),
@@ -229,7 +230,6 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             # Endpoint slots (t·n+u, t·n+v) of flat edge slot t·m+e.
             "slots": (slot_u, slot_v),
             "wl": (wl0, wl1),
-            "draws": draws,
             "mask": mask,
             "rem": rem,
             # `nodes` and `mcount` carry an all-False / all-zero invariant
@@ -257,7 +257,6 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         batch.halted[:, network.degrees == 0] = True
         buffers = self._batch_scratch(network, trials, scratch)
         extra = batch.extra
-        extra["undecided"] = np.ones((trials, network.m), dtype=bool)
         # The worklist holds every still-undecided (trial, edge) as its
         # flat edge slot t·m+e (the endpoint slots are looked up in
         # `slots`), trial-major with ascending edge slots inside each
@@ -322,8 +321,10 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         elif phase == 2:
             # Marking (4k−2): each active trial draws one contiguous
             # uniform block over its worklist segment — a lone trial's
-            # schedule exactly; inactive trials consume nothing.
-            draws = scratch["draws"][:length]
+            # schedule exactly; inactive trials consume nothing.  The draws
+            # go to the idle worklist buffer, viewed as float64: every one
+            # is read below, before phase 3 compacts into that buffer.
+            draws = scratch["wl"][extra["idle"]][:length].view(np.float64)
             offsets = np.zeros(trials + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
             for t in np.flatnonzero(active):
@@ -383,7 +384,6 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             if rm_fe.size:
                 batch.edge_rounds.reshape(-1)[rm_fe] = round_index
                 batch.edge_values.reshape(-1)[mt_fe] = True
-                extra["undecided"].reshape(-1)[rm_fe] = False
                 deg = scratch["deg"]
                 np.subtract.at(deg, slot_u[rm_fe], 1)
                 np.subtract.at(deg, slot_v[rm_fe], 1)
@@ -415,7 +415,14 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         rng: np.random.Generator,
         faults: RoundFaults,
     ) -> None:
-        """Round ``round_index`` of trial row ``t`` under ``faults``."""
+        """Round ``round_index`` of trial row ``t`` under ``faults``.
+
+        A chunk runs faulted or fault-free for its whole run, so the
+        per-row undecided edge masks are built here, on first use: the
+        fault-free kernel tracks undecided edges by its worklist alone.
+        """
+        if "undecided" not in batch.extra:
+            batch.extra["undecided"] = np.ones((batch.trials, network.m), dtype=bool)
         extra = batch.extra["fault_rows"][t]
         undecided = batch.extra["undecided"][t]
         us, vs = network.edge_endpoints()

@@ -20,7 +20,7 @@ phase, so no extra bookkeeping round is needed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,6 +111,10 @@ def _luby_joins_masked(
 # Flat batch indices are always int64: numpy's advanced-indexing fast path
 # only fires for intp index arrays, and int32 gathers measure ~3× slower.
 
+#: Edge slots one block of the first phase covers at least.  A block is a
+#: run of consecutive trial rows, so it is one row once ``m ≥ 2¹⁶``.
+_BLOCK_SLOTS = 2**16
+
 
 class LubyMISArray(ArrayAlgorithm):
     """Array-engine twin of :class:`LubyMIS` (vectorised rounds over edge arrays).
@@ -130,6 +134,13 @@ class LubyMISArray(ArrayAlgorithm):
     phase (priorities, then the joined flag), so each executed round adds
     the summed degree of the phase's starting undecided set — the coroutine
     twin's count exactly.
+
+    The fault-free kernel works on live edges only.  In phase 1 every edge
+    is live, so rounds 1 and 2 run over the network's endpoint arrays, in
+    blocks of consecutive trial rows; round 2 then compacts the edges still
+    live (both endpoints undecided) into a flat worklist sized to them, and
+    later phases run over that worklist, re-compacted every announcement
+    round.  Its scratch therefore follows the live edges, not ``T · m``.
 
     Fault mode (``faults`` is a :class:`~repro.local.faults.RoundFaults`)
     runs a per-row kernel, once per active trial, on row views of the batch
@@ -174,19 +185,24 @@ class LubyMISArray(ArrayAlgorithm):
     ) -> dict:
         """The fault-free kernel's scratch, carved from the engine's arena.
 
-        Sized for ``trials · m`` and kept for the whole chunk: every
-        multi-megabyte temporary would otherwise cross the allocator's mmap
-        threshold and be mapped, faulted and zeroed afresh on every round.
-        The arrays hold whatever an earlier chunk left: :meth:`init_batch`
-        writes ``undecided``, ``priorities`` and worklist pair 0, and every
-        round writes the rest before reading it.
+        The ``(T, n)`` state, plus the first phase's block scratch: the
+        endpoint slots ``r·n + u`` / ``r·n + v`` of one block of ``rows``
+        consecutive trial rows, which every block reuses (the last one a
+        prefix), and one 8-byte spare slot per block entry.  The slots are
+        writable copies because ``np.take`` copies a read-only index array
+        before every gather.  Nothing here is ``T · m``: the later phases'
+        worklist is allocated at round 2, sized to the edges still live.
+        Kept for the whole chunk, since every multi-megabyte temporary would
+        otherwise be mapped, faulted and zeroed afresh on every round.  The
+        arrays hold whatever an earlier chunk left: the block slots are
+        written here, :meth:`init_batch` writes ``undecided`` and
+        ``priorities``, and every round writes the rest before reading it.
         """
-        n, flat_m = network.n, trials * network.m
-        fu0, fv0, fu1, fv1, gu, gv, best, near, joins, ties, priorities, undecided = (
+        n, m = network.n, network.m
+        rows = min(trials, -(-_BLOCK_SLOTS // max(m, 1)))
+        block_u, block_v, spare, best, near, joins, ties, priorities, undecided = (
             arena.carve(
-                *[(flat_m, np.int64)] * 4,
-                (flat_m, bool),
-                (flat_m, bool),
+                *[(rows * m, np.int64)] * 3,
                 (trials * n, np.float64),
                 (trials * n, bool),
                 ((trials, n), bool),
@@ -195,14 +211,14 @@ class LubyMISArray(ArrayAlgorithm):
                 ((trials, n), bool),
             )
         )
+        us, vs = network.edge_endpoints()
+        base = (np.arange(rows, dtype=np.int64) * n)[:, None]
+        np.add(base, us, out=block_u.reshape(rows, m))
+        np.add(base, vs, out=block_v.reshape(rows, m))
         return {
-            # Worklist double buffers: (endpoint-slot u, endpoint-slot v)
-            # pairs.  The idle pair is also the priority round's gather
-            # target (viewed as float64) and the announcement round's
-            # index scratch.
-            "wl": ((fu0, fv0), (fu1, fv1)),
-            "gu": gu,
-            "gv": gv,
+            "rows": rows,
+            "block": (block_u, block_v),
+            "spare": spare,
             "best": best,
             "near": near,
             "joins": joins,
@@ -235,7 +251,7 @@ class LubyMISArray(ArrayAlgorithm):
         # (or never-participating) slots hold −1.0: a decided neighbour then
         # contributes the neutral element to every max-reduction, which is
         # exactly the coroutine's "decided neighbours are silent" rule and
-        # lets the worklist kernel skip explicit liveness masks.
+        # lets the kernel skip explicit liveness masks.
         priorities = buffers["priorities"]
         priorities.fill(-1.0)
         batch.extra["priorities"] = priorities
@@ -249,24 +265,6 @@ class LubyMISArray(ArrayAlgorithm):
         batch.extra["live_degsum"] = np.full(
             trials, int(network.degrees.sum()), dtype=np.int64
         )
-        # The round kernels run over a compacted worklist, one entry per
-        # still-live (trial, edge) pair as flat endpoint slots
-        # (``t·n + u`` / ``t·n + v``), trial-major with ascending edge
-        # order inside each trial, re-compacted each announcement round so
-        # kernel work tracks the shrinking live sets.  Edge endpoints are
-        # never isolated, so every edge is live at phase 1, and the first
-        # worklist is written into buffer pair 0 — for a lone trial too:
-        # `np.take` copies a read-only index array (it wants writeable
-        # indices), so gathering through the network's own endpoint
-        # arrays would pay a hidden copy per gather.
-        wl_fu, wl_fv = buffers["wl"][0]
-        us, vs = network.edge_endpoints()
-        base = (np.arange(trials, dtype=np.int64) * n)[:, None]
-        np.add(base, us, out=wl_fu.reshape(trials, -1))
-        np.add(base, vs, out=wl_fv.reshape(trials, -1))
-        batch.extra["wl_fu"] = wl_fu
-        batch.extra["wl_fv"] = wl_fv
-        batch.extra["idle"] = 1
         batch.extra["scratch"] = buffers
         # Per-row state of the fault-mode kernel (unused without faults).
         batch.extra["fault_rows"] = [
@@ -281,6 +279,33 @@ class LubyMISArray(ArrayAlgorithm):
         # empty, i.e. every node committed — O(trials), vs. the engine's
         # generic (trials, n) reduction.
         return batch.extra["live_degsum"] == 0
+
+    @staticmethod
+    def _segments(
+        round_index: int, batch: BatchState, n: int, m: int
+    ) -> Tuple[List[Tuple[int, int, np.ndarray, np.ndarray]], np.ndarray]:
+        """The round's live edges as ``(lo, hi, fu, fv)`` segments, and a
+        spare buffer with 8 bytes per entry of the longest segment.
+
+        ``fu`` / ``fv`` index the flat node slots ``lo … hi−1``: trial rows
+        ``lo / n … hi / n − 1`` of every ``(T, n)`` array, raveled.  In
+        phase 1 (rounds 1 and 2) every edge is live, and the segments are
+        the row blocks over the network's edge arrays; later, one segment
+        holds the whole worklist, and the spare is its idle buffer.
+        """
+        extra = batch.extra
+        scratch = extra["scratch"]
+        if round_index > 2:
+            spare = scratch["wl"][extra["idle"]][0]
+            return [(0, batch.trials * n, extra["wl_fu"], extra["wl_fv"])], spare
+        rows = scratch["rows"]
+        block_u, block_v = scratch["block"]
+        segments = []
+        for start in range(0, batch.trials, rows):
+            stop = min(start + rows, batch.trials)
+            size = (stop - start) * m
+            segments.append((start * n, stop * n, block_u[:size], block_v[:size]))
+        return segments, scratch["spare"]
 
     def step_batch(
         self,
@@ -302,10 +327,12 @@ class LubyMISArray(ArrayAlgorithm):
         trials, n = batch.trials, network.n
         priorities = extra["priorities"]
         pri_flat = priorities.ravel()
-        wl_fu = extra["wl_fu"]
-        wl_fv = extra["wl_fv"]
-        live_count = wl_fu.size
         degrees = network.degrees
+        segments, spare = self._segments(round_index, batch, n, network.m)
+        # The spare slots serve as float64 gather targets, as bool masks
+        # (up to eight per slot) and as int64 index scratch, one use at a
+        # time.
+        flags = spare.view(bool)
         if round_index % 2 == 1:
             # Priority round (2k−1).  Each *active* trial draws its own
             # uniform block from its own generator — one per still-undecided
@@ -318,26 +345,18 @@ class LubyMISArray(ArrayAlgorithm):
             for t in np.flatnonzero(active):
                 participants = np.flatnonzero(undecided[t])
                 priorities[t, participants] = rngs[t].random(participants.size)
-            # Scatter-max over the compacted worklist.  The announcement
-            # round already re-compacted it to exactly this phase's live
-            # edges (both endpoints still undecided), so every entry
-            # carries two fresh draws and no liveness pass is needed; a
-            # full reset of the scratch block is a streaming fill, far
-            # cheaper than tracking stale slots.  The endpoint priorities
-            # are gathered into the idle worklist pair, viewed as float64:
-            # this round never compacts, so the pair is free until the
-            # announcement round.
+            # Scatter-max over the live edges: every entry carries two fresh
+            # draws, so no liveness pass is needed; a full reset of the
+            # scratch block is a streaming fill, far cheaper than tracking
+            # stale slots.
             best = scratch["best"]
             best.fill(-1.0)
-            idle_fu, idle_fv = scratch["wl"][extra["idle"]]
-            pu = np.take(
-                pri_flat, wl_fu, out=idle_fu[:live_count].view(np.float64), mode="clip"
-            )
-            pv = np.take(
-                pri_flat, wl_fv, out=idle_fv[:live_count].view(np.float64), mode="clip"
-            )
-            np.maximum.at(best, wl_fu, pv)
-            np.maximum.at(best, wl_fv, pu)
+            gathered = spare.view(np.float64)
+            for lo, hi, fu, fv in segments:
+                pri, best_rows = pri_flat[lo:hi], best[lo:hi]
+                out = gathered[: fu.size]
+                np.maximum.at(best_rows, fu, np.take(pri, fv, out=out, mode="clip"))
+                np.maximum.at(best_rows, fv, np.take(pri, fu, out=out, mode="clip"))
             best_rows = best.reshape(trials, n)
             joins = scratch["joins"]
             np.greater(priorities, best_rows, out=joins)
@@ -351,10 +370,12 @@ class LubyMISArray(ArrayAlgorithm):
                 # (measure-zero for real draws; exercised by unit tests).
                 ids = network.identifier_array
                 best_id = np.full(trials * n, -1, dtype=np.int64)
-                tie_lo = pu == pv
-                tfu, tfv = wl_fu[tie_lo], wl_fv[tie_lo]
-                np.maximum.at(best_id, tfu, ids[tfv % n])
-                np.maximum.at(best_id, tfv, ids[tfu % n])
+                for lo, hi, fu, fv in segments:
+                    pri = pri_flat[lo:hi]
+                    tie = pri[fu] == pri[fv]
+                    tfu, tfv = fu[tie], fv[tie]
+                    np.maximum.at(best_id[lo:hi], tfu, ids[tfv % n])
+                    np.maximum.at(best_id[lo:hi], tfv, ids[tfu % n])
                 joins |= ties & (ids[None, :] > best_id.reshape(trials, n))
             # Stamp through flat indices: one scan of the mask plus
             # join-count-sized scatters beats four full-width boolean-mask
@@ -374,26 +395,25 @@ class LubyMISArray(ArrayAlgorithm):
             # 2k−1 is done before this round: its row must not execute it —
             # no removals (self-gated: nothing is undecided) and,
             # crucially, no second phase_messages accrual.
-            # The worklist still holds the phase's live edges (a joiner was
+            # The segments still hold the phase's live edges (a joiner was
             # undecided at phase start), so joiner neighbourhoods are two
             # gathers plus two scatter-ORs; an edge to an already-decided
             # neighbour is absent but irrelevant (removal is gated on
             # ``undecided``).
             joined_flat = extra["phase_joined"].ravel()
-            gu = np.take(joined_flat, wl_fu, out=scratch["gu"][:live_count], mode="clip")
-            gv = np.take(joined_flat, wl_fv, out=scratch["gv"][:live_count], mode="clip")
             near = scratch["near"]
             near.fill(False)
-            # Joiner-adjacency scatter via gather-then-assign (the idle
-            # worklist pair serves as index scratch; the compaction below
-            # rewrites it only after these reads are done) —
-            # `logical_or.at` computes the same thing an order of
+            # Joiner-adjacency scatter via gather-then-assign (the spare
+            # slots hold the gathered flags, then the neighbour slots to
+            # mark) — `logical_or.at` computes the same thing an order of
             # magnitude slower.
-            idle_fu, idle_fv = scratch["wl"][extra["idle"]]
-            pos = np.flatnonzero(gu)
-            near[np.take(wl_fv, pos, out=idle_fu[: pos.size], mode="clip")] = True
-            pos = np.flatnonzero(gv)
-            near[np.take(wl_fu, pos, out=idle_fv[: pos.size], mode="clip")] = True
+            for lo, hi, fu, fv in segments:
+                joined, near_rows = joined_flat[lo:hi], near[lo:hi]
+                for src, dst in ((fu, fv), (fv, fu)):
+                    pos = np.flatnonzero(
+                        np.take(joined, src, out=flags[: src.size], mode="clip")
+                    )
+                    near_rows[np.take(dst, pos, out=spare[: pos.size], mode="clip")] = True
             np.logical_and(near, undec_flat, out=near)
             ridx = np.flatnonzero(near)
             batch.node_rounds.ravel()[ridx] = round_index
@@ -408,22 +428,44 @@ class LubyMISArray(ArrayAlgorithm):
             # without the fancy-indexed row copies.
             np.logical_not(undecided, out=batch.halted)
             batch.messages[active] += extra["phase_messages"][active]
-            # Re-compact the worklist against the post-removal undecided
+            # Re-compact the live edges against the post-removal undecided
             # sets: entries that survive are exactly the next phase's live
             # edges, so the priority round runs gather-scatter only, with
             # no liveness bookkeeping of its own.  (Cheap here — two
             # byte-sized gathers — where the priority round would need
-            # float passes.)  Output goes to the idle buffer pair; the
-            # live set only shrinks, so the buffers never overflow.
-            lu = np.take(undec_flat, wl_fu, out=scratch["gu"][:live_count], mode="clip")
-            lv = np.take(undec_flat, wl_fv, out=scratch["gv"][:live_count], mode="clip")
-            lu &= lv
-            keep = np.flatnonzero(lu)
-            if keep.size != live_count:
-                kept = keep.size
-                extra["wl_fu"] = np.take(wl_fu, keep, out=idle_fu[:kept], mode="clip")
-                extra["wl_fv"] = np.take(wl_fv, keep, out=idle_fv[:kept], mode="clip")
-                extra["idle"] ^= 1
+            # float passes.)
+            keeps = []
+            for lo, hi, fu, fv in segments:
+                size = fu.size
+                live = np.take(undec_flat[lo:hi], fu, out=flags[:size], mode="clip")
+                live &= np.take(undec_flat[lo:hi], fv, out=flags[size : 2 * size], mode="clip")
+                keeps.append(np.flatnonzero(live))
+            kept = sum(keep.size for keep in keeps)
+            if round_index == 2:
+                # The first worklist: phase 1's survivors, trial-major with
+                # ascending edge order inside each trial — exactly what
+                # compacting a full T·m worklist would give.  One allocation,
+                # sized to them, holds both buffer pairs.
+                worklist = np.empty((4, kept), dtype=np.int64)
+                scratch["wl"] = ((worklist[0], worklist[1]), (worklist[2], worklist[3]))
+                extra["idle"] = 0
+            elif kept == extra["wl_fu"].size:
+                return
+            # Output goes to the idle buffer pair, free once the spare's
+            # masks are read into ``keeps``; the live set only shrinks, so
+            # the buffers never overflow.
+            out_u, out_v = scratch["wl"][extra["idle"]]
+            start = 0
+            for (lo, _, fu, fv), keep in zip(segments, keeps):
+                stop = start + keep.size
+                np.take(fu, keep, out=out_u[start:stop], mode="clip")
+                np.take(fv, keep, out=out_v[start:stop], mode="clip")
+                if lo:
+                    out_u[start:stop] += lo
+                    out_v[start:stop] += lo
+                start = stop
+            extra["wl_fu"], extra["wl_fv"] = out_u[:kept], out_v[:kept]
+            extra["idle"] ^= 1
 
     @staticmethod
     def _visible_stale(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.framework import (
@@ -164,6 +164,41 @@ _COPIES = {"list", "tuple", "sorted", "set"}
 _WRAPPERS = {"enumerate", "zip", "reversed"}
 
 
+def _names_bound_before(
+    node: ast.AST, binds: Callable[[ast.AST, bool, Set[str]], bool]
+) -> Set[str]:
+    """Names in ``node``'s function whose latest assignment ending before
+    ``node`` binds what ``binds(value, unpacked, names)`` accepts: ``value``
+    is the assigned expression, ``unpacked`` whether the name is an element
+    of a tuple or list target, and ``names`` the names bound so far.  In
+    source order, so a rebinding to anything else clears the name."""
+    function = enclosing_function(node)
+    if function is None:
+        return set()
+    here = (node.lineno, node.col_offset)
+    assignments = sorted(
+        (
+            stmt
+            for stmt in ast.walk(function)
+            if isinstance(stmt, ast.Assign)
+            and (stmt.end_lineno, stmt.end_col_offset) <= here
+        ),
+        key=lambda stmt: (stmt.lineno, stmt.col_offset),
+    )
+    names: Set[str] = set()
+    for stmt in assignments:
+        for target in stmt.targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                unpacked, elements = True, target.elts
+            else:
+                unpacked, elements = False, [target]
+            bound = binds(stmt.value, unpacked, names)
+            for element in elements:
+                if isinstance(element, ast.Name):
+                    (names.add if bound else names.discard)(element.id)
+    return names
+
+
 class HotPathRule(Rule):
     """REP002: no tuple-edge materialisation or per-edge loops on hot paths."""
 
@@ -248,29 +283,13 @@ class HotPathRule(Rule):
 
     @classmethod
     def _edge_names(cls, node: ast.AST) -> Set[str]:
-        """Names in ``node``'s function whose latest assignment ending before
-        ``node`` binds an edge view (``pairs = graph.edges()``), in source
-        order, so a rebinding to anything else clears the name."""
-        function = enclosing_function(node)
-        if function is None:
-            return set()
-        here = (node.lineno, node.col_offset)
-        assignments = sorted(
-            (
-                stmt
-                for stmt in ast.walk(function)
-                if isinstance(stmt, ast.Assign)
-                and (stmt.end_lineno, stmt.end_col_offset) <= here
-            ),
-            key=lambda stmt: (stmt.lineno, stmt.col_offset),
+        """Names whose latest binding before ``node`` is an edge view
+        (``pairs = graph.edges()``, or an alias of such a name)."""
+        return _names_bound_before(
+            node,
+            lambda value, unpacked, names: not unpacked
+            and cls._is_edge_view(value, names),
         )
-        names: Set[str] = set()
-        for stmt in assignments:
-            edge = cls._is_edge_view(stmt.value, names)
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    (names.add if edge else names.discard)(target.id)
-        return names
 
 
 # --------------------------------------------------------------------- #
@@ -605,8 +624,25 @@ class ErrorTaxonomyRule(Rule):
 _UNBUFFERED_TAKE_MODES = {"clip", "wrap"}
 
 
+def _is_endpoints_call(node: ast.AST) -> bool:
+    """``<x>.edge_endpoints()``: the network's read-only endpoint arrays."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "edge_endpoints"
+    )
+
+
+def _binds_an_endpoint_array(value: ast.AST, unpacked: bool, names: Set[str]) -> bool:
+    """``us, vs = <x>.edge_endpoints()`` or ``us = <x>.edge_endpoints()[k]``."""
+    if unpacked:
+        return _is_endpoints_call(value)
+    return isinstance(value, ast.Subscript) and _is_endpoints_call(value.value)
+
+
 class BufferedOutRule(Rule):
-    """REP007: no ``compress``/``take`` output that numpy buffers anyway."""
+    """REP007: no ``compress``/``take`` output that numpy buffers anyway,
+    and no ``take`` through a read-only index array, which numpy copies."""
 
     id = "REP007"
     title = "buffered out=: compress/take fills a temporary, then copies it"
@@ -624,6 +660,16 @@ class BufferedOutRule(Rule):
         # np.take(a, indices, axis, out, mode) / a.take(indices, axis, out,
         # mode): the module form has the array as one extra leading argument.
         shift = 1 if dotted_name(func.value) in ("np", "numpy") else 0
+        if func.attr == "take" and self._read_only_index(
+            self._argument(node, "indices", shift), node
+        ):
+            yield module.finding(
+                node,
+                self.id,
+                "take() through the network's read-only edge_endpoints() "
+                "copies the index array first; gather through a writable "
+                "copy made once",
+            )
         out = self._argument(node, "out", 2 + shift)
         if out is None or (isinstance(out, ast.Constant) and out.value is None):
             return
@@ -643,6 +689,16 @@ class BufferedOutRule(Rule):
             self.id,
             "take(out=...) without mode='clip' or 'wrap' fills a temporary "
             "and copies it into out; pass mode='clip' for in-range indices",
+        )
+
+    @staticmethod
+    def _read_only_index(indices: Optional[ast.AST], node: ast.AST) -> bool:
+        """``<x>.edge_endpoints()[k]``, or a name whose latest binding
+        unpacked or subscripted ``<x>.edge_endpoints()``."""
+        if isinstance(indices, ast.Subscript):
+            return _is_endpoints_call(indices.value)
+        return isinstance(indices, ast.Name) and indices.id in _names_bound_before(
+            node, _binds_an_endpoint_array
         )
 
     @staticmethod

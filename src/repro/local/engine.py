@@ -50,22 +50,24 @@ ascending vertex / canonical-edge-slot order:
 The same ``(algorithm, network, seed)`` triple therefore always produces the
 same trace, on every platform numpy supports.
 
-Memory at ``T = 1``.  A batch sizes its scratch for ``T · m`` up front (the
-worklist kernels keep their double buffers and masks for the whole chunk),
-so one large trial needs more memory than a loop that allocates per round.
-Per (trial, edge) the scratch is 34 bytes for Luby MIS and 42 for
-randomized matching (26 for a lone trial, whose endpoint-slot tables are
-the network's own endpoint arrays).  The kernels read the network's
+Memory at ``T = 1``.  A batch carves its kernel scratch up front and keeps
+it for the whole chunk, so one large trial needs more memory than a loop
+that allocates per round.  Randomized matching's is 34 bytes per (trial,
+edge), 18 for a lone trial, whose endpoint-slot tables are the network's
+own endpoint arrays.  Luby MIS runs its first phase in blocks of at least
+2¹⁶ edge slots (one row once ``m ≥ 2¹⁶``), 24 bytes per slot, and its
+later worklist takes 32 bytes per edge live after round 2, about a tenth
+of them on the graph below.  The kernels read the network's
 endpoint, degree and identifier arrays as they are, so a call copies
 nothing per network.  Those arrays are all a network stores: its edges
 once, plus identifiers and degrees: ``16(n + m)`` bytes, 96 MB on the
 graph below.  Measured on a 2-CPU Xeon container on G(10⁶, 10/(n−1))
 with seed 1 (``m = 5 000 139``), two runs each: the first ``run`` of a
-fresh engine, which fills the engine's scratch arena, peaks at 262 MB of
-tracemalloc allocations for Luby MIS and 251 MB for randomized matching; a
-rerun on the same engine reuses the arena and peaks at 72 MB and 104 MB;
-the best untraced time of three warm reruns is 0.30–0.34 s and
-1.24–1.38 s.  The per-round-allocating single-trial loop that preceded the
+fresh engine, which fills the engine's scratch arena, peaks at 219 MB of
+tracemalloc allocations for Luby MIS and 206 MB for randomized matching; a
+rerun on the same engine reuses the arena and peaks at 79 MB and 99 MB;
+the best untraced time of three warm reruns is 0.27–0.30 s and
+1.30–1.31 s.  The per-round-allocating single-trial loop that preceded the
 batch protocol took 0.75–0.79 s with 191 MB and 7.5–8.2 s with 216 MB on
 the same graph.
 
@@ -314,8 +316,9 @@ class ArrayAlgorithm:
         :meth:`~ScratchArena.carve` call per chunk (a second carve would
         hand out the same bytes again), and writes each carved array before
         it first reads it: the bytes are whatever the engine's previous
-        chunk left there.  The arrays live no longer than the chunk.  An
-        algorithm without such scratch ignores the argument.
+        chunk left there.  The arrays live no longer than the chunk.
+        Scratch sized by a round's outcome is allocated then.  An algorithm
+        without such scratch ignores the argument.
         """
         raise NotImplementedError
 
@@ -376,8 +379,8 @@ class ArrayEngine:
     network: a graph source that rebuilds its network per call gets the
     reuse too.  Memory at rest: the engine keeps its largest chunk's kernel
     scratch until it is dropped — after one ``T = 1`` run on ``G(10⁶,
-    10/(n−1))``, 190 MB for Luby MIS (34 bytes per edge plus 20 per node)
-    and 147 MB for randomized matching (26 plus 17).
+    10/(n−1))``, 140 MB for Luby MIS (24 bytes per edge plus 20 per node)
+    and 107 MB for randomized matching (18 plus 17).
     :class:`~repro.core.experiment.Experiment` keeps one engine for its
     lifetime; ``run_trials`` and sweep cells build one per call and keep
     nothing after they return.  An engine runs one chunk at a time, which

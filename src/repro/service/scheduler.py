@@ -134,20 +134,14 @@ def _cached_graph_factory(store: ResultStore, spec: SweepSpec, provenance: Dict)
     Returns ready :class:`Network` objects (which ``resolve_network`` passes
     through untouched), built at most once per content key across every
     concurrent worker on the same database.  Records per-index provenance
-    (cache key, sizes, ``EdgeArrays.meta`` when this worker did the build)
-    as a side effect.
+    (cache key and the recipe it hashes, sizes, ``EdgeArrays.meta`` when
+    this worker did the build) as a side effect.
     """
     values = list(spec.values)
 
     def factory(value: object):
         index = values.index(value)
-        key = spec.graph_key(index)
-        recipe = {
-            "family": spec.family,
-            "params": dict(spec.family_params),
-            "value": value,
-            "network_seed": spec.network_seed(index),
-        }
+        key, recipe = spec.graph_key(index), spec.graph_recipe(index)
         built_meta: Dict[str, object] = {}
 
         def build():

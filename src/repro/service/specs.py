@@ -22,12 +22,15 @@ Both registries are extensible (:func:`register_family`,
 :func:`register_algorithm`) so embedding applications can expose their own
 workloads through the same service verbs.
 
-The graph cache key (:meth:`SweepSpec.graph_key`) is content-addressed on
+The graph cache key (:meth:`SweepSpec.graph_key`) is the hash of one recipe
+(:meth:`SweepSpec.graph_recipe`):
 ``(family, params, value, network seed, id scheme)`` — the complete recipe
-for the network build — and on the cache's payload layout
+for the network build — plus the cache's payload layout
 (:data:`repro.core.schemas.GRAPH_CACHE`), so two jobs that would build
 byte-identical networks share one cache row no matter how the rest of their
-specs differ, and a row of another layout is never read.
+specs differ, and a row of another layout is never read.  The cache row
+and the job's provenance store that same recipe, so either reproduces the
+key.
 """
 
 from __future__ import annotations
@@ -254,15 +257,15 @@ class SweepSpec:
         """The ID-assignment seed ``sweep`` uses for value index ``index``."""
         return self.seed + index
 
-    def graph_key(self, index: int) -> str:
-        """Content-addressed cache key for value index ``index``'s network.
+    def graph_recipe(self, index: int) -> Dict[str, object]:
+        """The complete build recipe of value index ``index``'s network.
 
-        Hashes the complete build recipe — family, params, the value, the
-        network (identifier) seed and the ID scheme — and the payload layout,
-        so equal keys mean byte-identical builds stored the same way, across
-        jobs and submitters.
+        Family, params, the value, the network (identifier) seed and the ID
+        scheme, plus the graph cache's payload layout.  The cache stores
+        this dict beside the payload and in each job's provenance, and
+        :meth:`graph_key` hashes it, so a stored recipe reproduces its key.
         """
-        recipe = {
+        return {
             "family": self.family,
             "params": dict(self.family_params),
             "value": self.values[index],
@@ -270,7 +273,15 @@ class SweepSpec:
             "id_scheme": ID_SCHEME,
             "layout": schemas.GRAPH_CACHE,
         }
-        return hashlib.sha256(_canonical(recipe).encode()).hexdigest()
+
+    def graph_key(self, index: int) -> str:
+        """Content-addressed cache key for value index ``index``'s network.
+
+        The sha256 of the canonical :meth:`graph_recipe`, so equal keys
+        mean byte-identical builds stored the same way, across jobs and
+        submitters.
+        """
+        return hashlib.sha256(_canonical(self.graph_recipe(index)).encode()).hexdigest()
 
     def algorithm_factories(self) -> Dict[str, Tuple[Callable, Callable]]:
         """The sweep-convention ``{name: (algorithm, problem) factories}``."""

@@ -21,3 +21,14 @@ def allocating_forms(mask, values, indices):
         values.take(indices, out=None),
         values.compress(mask),
     )
+
+
+def take_through_writable_copies(network, values, out):
+    us, vs = network.edge_endpoints()
+    us = us.copy()  # rebinding to a writable copy clears the name
+    np.take(values, us, out=out, mode="clip")
+    slots = np.add(vs, 0)
+    np.take(values, slots, out=out, mode="clip")
+    # A read-only *source* costs nothing: only the index array is copied.
+    np.take(vs, slots, out=out, mode="clip")
+    return network.edge_endpoints()[0].take(slots)

@@ -231,9 +231,9 @@ def _traced_peak(run) -> int:
 
 
 class TestFootprint:
-    """A lone trial's traced allocations stay within a fixed number of
-    bytes per edge: the kernels' scratch is sized to live work, and an
-    engine's later runs reuse the scratch of its first."""
+    """Traced allocations stay within a fixed number of bytes per edge, for
+    a lone trial and per trial of a batch: the kernels' scratch is sized to
+    live work, and an engine's later runs reuse the scratch of its first."""
 
     @pytest.mark.parametrize("name,factory,problem", ALGORITHMS)
     def test_single_trial_peak_allocation_per_edge(self, name, factory, problem):
@@ -251,6 +251,26 @@ class TestFootprint:
         engine.run(factory(), network, problem, seed=0)
         peak = _traced_peak(lambda: engine.run(factory(), network, problem, seed=0))
         assert peak / network.m <= 30
+
+    @pytest.mark.parametrize(
+        "name,factory,problem,bound",
+        [(*ALGORITHMS[0], 20), (*ALGORITHMS[1], 51)],
+        ids=["luby", "matching"],
+    )
+    def test_batch_peak_allocation_per_trial_edge(self, name, factory, problem, bound):
+        # The `luby-gnp-t20` benchmark's shape, 20 trials in chunks of 17
+        # and 3, on a fresh engine.  Luby's first phase runs in row blocks
+        # and its worklist holds only the edges live after it: about 14
+        # bytes per (trial, edge), against 38 with T·m worklist buffers.
+        # Matching draws into its idle worklist buffer and keeps no
+        # per-edge undecided mask: about 47, against 55.
+        network = _gnp(5_000, 10, seed=1)
+        trials = 20
+        engine = ArrayEngine()
+        peak = _traced_peak(
+            lambda: engine.run_batch(factory(), network, problem, list(range(trials)))
+        )
+        assert peak / (trials * network.m) <= bound
 
     def test_permuted_network_build_peak_allocation_per_node(self):
         # The benchmarks' network (permuted identifiers), everything the

@@ -17,6 +17,7 @@ engine is pinned by
 
 from __future__ import annotations
 
+import random
 import statistics
 import weakref
 from collections import Counter
@@ -28,6 +29,7 @@ from repro.algorithms.matching.randomized import (
     RandomizedMatchingArray,
     RandomizedMaximalMatching,
 )
+from repro.algorithms.mis import luby as luby_module
 from repro.algorithms.mis.luby import LubyMIS, LubyMISArray, _luby_joins_masked
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials, trial_seed
@@ -52,6 +54,62 @@ def _tvd(a: Counter, b: Counter) -> float:
     total_a, total_b = sum(a.values()), sum(b.values())
     keys = set(a) | set(b)
     return sum(abs(a[k] / total_a - b[k] / total_b) for k in keys) / 2.0
+
+
+class _GridUniforms:
+    """A generator stand-in whose uniforms sit on the grid {0, 1/3, 2/3}."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def random(self, size: int) -> np.ndarray:
+        return np.floor(self._rng.random(size) * 3) / 3
+
+
+def _reference_luby(network: Network, rng) -> dict:
+    """One trial of Luby in plain Python: the coroutine's (priority,
+    identifier) rule over the draws ``rng.random(k)`` gives the ``k``
+    nodes undecided at a phase's start, in ascending order (the array
+    kernel's seed schedule).  Also reports the phases in which a node's
+    priority tied its neighbourhood maximum."""
+    ids = network.identifier_array.tolist()
+    neighbours = [network.neighbors(v) for v in network.vertices]
+    node_rounds = [0 if not row else -1 for row in neighbours]
+    node_values = [not row for row in neighbours]
+    undecided = [v for v, row in enumerate(neighbours) if row]
+    messages = rounds = phase = 0
+    tie_phases = set()
+    while undecided:
+        phase += 1
+        priority = dict(zip(undecided, rng.random(len(undecided)).tolist()))
+        sent = sum(len(neighbours[v]) for v in undecided)
+        joined = set()
+        for v in undecided:
+            inbox = [(priority[u], ids[u]) for u in neighbours[v] if u in priority]
+            if inbox and max(inbox)[0] == priority[v]:
+                tie_phases.add(phase)
+            if not inbox or (priority[v], ids[v]) > max(inbox):
+                joined.add(v)
+        for v in joined:
+            node_rounds[v], node_values[v] = 2 * phase - 1, True
+        messages += sent
+        rounds = 2 * phase - 1
+        undecided = [v for v in undecided if v not in joined]
+        if not undecided:
+            break
+        messages += sent
+        rounds = 2 * phase
+        removed = {v for v in undecided if joined.intersection(neighbours[v])}
+        for v in removed:
+            node_rounds[v] = 2 * phase
+        undecided = [v for v in undecided if v not in removed]
+    return {
+        "node_rounds": node_rounds,
+        "node_values": node_values,
+        "messages": messages,
+        "rounds": rounds,
+        "tie_phases": tie_phases,
+    }
 
 
 class TestEngineBasics:
@@ -247,6 +305,50 @@ class TestLubyArraySemantics:
         assert joins.tolist() == [False, True, False]
         flipped = self.joins(priorities, undecided, net, identifiers=np.array([5, 1, 0]))
         assert flipped.tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("rows_per_block", [None, 2])
+    @pytest.mark.parametrize("graph", ["gnp", "cycle", "grid"])
+    def test_batch_kernel_breaks_exact_ties_by_identifier(
+        self, monkeypatch, graph, rows_per_block
+    ):
+        # Uniforms on a grid of three values make exact ties common, in
+        # phase 1 and later, so the batch kernel's tie branch runs; each row
+        # must equal a pure-Python Luby fed the same draws.  With two rows
+        # per block, the five rows span three blocks, the last one short.
+        edges = {
+            "gnp": gen.fast_gnp_edges(40, 3 / 39, seed=7),
+            "cycle": gen.cycle_edges(30),
+            "grid": gen.grid_edges(4, 5),
+        }[graph]
+        network = Network.from_edge_arrays(edges, "permuted", random.Random(5))
+        if rows_per_block is not None:
+            monkeypatch.setattr(
+                luby_module, "_BLOCK_SLOTS", rows_per_block * network.m, raising=False
+            )
+        # The engine seeds its own PCG64 generators, so the stubs go to the
+        # kernel directly, stepped as the engine steps a fault-free batch.
+        seeds = range(5)
+        algorithm = LubyMISArray()
+        rngs = [_GridUniforms(seed) for seed in seeds]
+        batch = algorithm.init_batch(network, rngs, ScratchArena())
+        rounds = np.zeros(len(rngs), dtype=np.int64)
+        active = ~algorithm.batch_complete(batch)
+        round_index = 0
+        while active.any():
+            round_index += 1
+            algorithm.step_batch(round_index, batch, network, rngs, active)
+            done = algorithm.batch_complete(batch)
+            rounds[active & done] = round_index
+            active &= ~done
+        tie_phases = set()
+        for t, seed in enumerate(seeds):
+            want = _reference_luby(network, _GridUniforms(seed))
+            assert batch.node_rounds[t].tolist() == want["node_rounds"]
+            assert batch.node_values[t].tolist() == want["node_values"]
+            assert int(batch.messages[t]) == want["messages"]
+            assert int(rounds[t]) == want["rounds"]
+            tie_phases |= want["tie_phases"]
+        assert 1 in tie_phases and max(tie_phases) > 1
 
     def test_lonely_undecided_node_joins(self):
         # A node whose undecided neighbourhood is empty joins like its

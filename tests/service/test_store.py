@@ -375,3 +375,55 @@ class TestGraphCache:
             stats = store.graph_cache_stats()
         assert all(row["builds"] == 1 for row in stats)
         assert all(row["hits"] >= 1 for row in stats)
+
+    def test_every_stored_recipe_hashes_to_its_key(self, db_path):
+        # The cache row and the job's provenance hold the recipe the key
+        # hashes, so either reproduces the key.
+        spec = make_spec(values=(8, 10, 12))
+        job_id = run_one(db_path, spec)
+        with ResultStore(db_path) as store:
+            stats = store.graph_cache_stats()
+            graphs = store.experiment(job_id)["provenance"]["graphs"]
+        assert len(stats) == 3
+        for row in stats:
+            canonical = json.dumps(row["recipe"], sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(canonical.encode()).hexdigest() == row["key"]
+        for index in range(3):
+            record = graphs[str(index)]
+            assert record["recipe"] == spec.graph_recipe(index)
+            assert record["key"] == spec.graph_key(index)
+        assert {row["key"] for row in stats} == {spec.graph_key(i) for i in range(3)}
+
+    def test_rows_stored_with_the_shorter_recipe_still_hit(self, db_path):
+        # Earlier code stored a recipe without the ID scheme and layout
+        # under the same key bytes: the keys are unchanged, so its rows
+        # answer hits.
+        spec = make_spec()
+        assert spec.graph_key(0) == (
+            "15a38a3af5a97e42df63bed508f46e1ab2db7d036c937021753d992485eb8bc3"
+        )
+        assert spec.graph_key(1) == (
+            "01a6be0700ed003b986f6cea14e0b9a808fb7326960c1756bd00b27c7b9bfd3e"
+        )
+        with ResultStore(db_path) as store:
+            for index, value in enumerate(spec.values):
+                recipe = {
+                    "family": spec.family,
+                    "params": dict(spec.family_params),
+                    "value": value,
+                    "network_seed": spec.network_seed(index),
+                }
+                key = spec.graph_key(index)
+                assert store.claim_graph_build(key, recipe)
+                source = spec.graph_source(value)
+                store.store_network(key, resolve_network(source, seed=recipe["network_seed"]))
+        job_id = run_one(db_path, spec)
+        with ResultStore(db_path) as store:
+            stats = store.graph_cache_stats()
+            points = store.points(job_id)
+        assert [(row["builds"], row["hits"]) for row in stats] == [(1, 1), (1, 1)]
+        assert all("layout" not in row["recipe"] for row in stats)
+        fresh_path = db_path + ".fresh"
+        fresh_id = run_one(fresh_path, spec)
+        with ResultStore(fresh_path) as store:
+            assert store.points(fresh_id) == points
