@@ -12,7 +12,7 @@ help:
 	@echo "make example      the 10^5-10^6-node scaling tour (skip the finale: EXAMPLE_FLAGS=--no-million)"
 	@echo "make examples-smoke  the five small example scripts; fails on a non-zero exit or stdout unlike examples/expected/"
 	@echo "make serve-smoke  experiment-service smoke: submit/schedule/SIGKILL-resume/HTTP round trip"
-	@echo "make fault-smoke  fault-injection demo: both engines + interrupted sweep resumed from its sqlite journal"
+	@echo "make fault-smoke  fault-injection demo: both engines + interrupted sweep resumed from its sqlite journal; fails on stdout unlike examples/expected/"
 
 test:
 	$(PYTHON) -m pytest -x -q $(PYTEST_FLAGS)
@@ -49,5 +49,10 @@ examples-smoke:
 serve-smoke:
 	$(PYTHON) examples/service_quickstart.py
 
+# Same contract as examples-smoke: stdout must equal
+# examples/expected/fault_injection_demo.txt byte for byte.
 fault-smoke:
-	$(PYTHON) examples/fault_injection_demo.py
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(PYTHON) examples/fault_injection_demo.py > "$$out" || exit 1; \
+	cat "$$out"; \
+	diff -u examples/expected/fault_injection_demo.txt "$$out" >&2

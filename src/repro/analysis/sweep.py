@@ -72,7 +72,7 @@ import numpy as np
 
 from repro.core import schemas
 from repro.core.errors import CheckpointLocked, ReproError, classify_failure
-from repro.core.experiment import _faults_active, resolve_network, run_trials, trial_seed
+from repro.core.experiment import resolve_network, run_trials, trial_seed
 from repro.core.metrics import ComplexityMeasurement, CompletionTotals, RecoveryTimeline
 from repro.core.problems import ProblemSpec
 from repro.graphs.edgelist import EdgeArrays
@@ -359,15 +359,27 @@ def _cell_key(row: Mapping[str, object]) -> CellKey:
     return (row["value_index"], row["algorithm"], row["trial"])  # type: ignore[return-value]
 
 
-def _cell_seed(spec: Dict[str, object], index: int, trial: int) -> int:
-    return trial_seed(int(spec["seed"]) + 1000 * index, trial)
+#: The cell seed rule, as a service job's provenance states it.
+CELL_SEED_RULE = "trial_seed(seed + 1000 * value_index, trial)"
+
+
+def cell_seed(seed: int, index: int, trial: int) -> int:
+    """The seed of trial ``trial`` at value index ``index`` of a sweep
+    seeded ``seed`` (:data:`CELL_SEED_RULE`)."""
+    return trial_seed(seed + 1000 * index, trial)
+
+
+def network_seed(seed: int, index: int) -> int:
+    """The identifier seed of value index ``index``'s network in a sweep
+    seeded ``seed``."""
+    return seed + index
 
 
 def _cell_network(spec: Dict[str, object], cache: _ValueCache) -> Network:
     if cache.network is None:
         index = cache.index
         graph = spec["graph_factory"](spec["values"][index])  # type: ignore[operator, index]
-        cache.network = resolve_network(graph, seed=int(spec["seed"]) + index)
+        cache.network = resolve_network(graph, seed=network_seed(int(spec["seed"]), index))
     return cache.network
 
 
@@ -461,9 +473,9 @@ def _trial_rows(
 ) -> List[Dict[str, object]]:
     """Run ``trials`` of one cell as batched runs; one ``ok`` row per trial.
 
-    The per-trial seed schedule is arithmetic (``_cell_seed`` is
+    The per-trial seed schedule is arithmetic (:func:`cell_seed` is
     ``base + trial``), so a maximal run of consecutive trial numbers maps
-    onto one ``run_trials(trials=k, seed=_cell_seed(.., run[0]))`` call whose
+    onto one ``run_trials(trials=k, seed=cell_seed(.., run[0]))`` call whose
     trial ``i`` receives exactly the seed a run of trial ``run[0] + i``
     alone would use.  Non-consecutive remainders (a checkpoint resumed
     mid-cell) split into several runs — batch-size invariance of the array
@@ -482,7 +494,7 @@ def _trial_rows(
             network,
             problem,
             trials=len(run),
-            seed=_cell_seed(spec, index, run[0]),
+            seed=cell_seed(int(spec["seed"]), index, run[0]),
             runner=cache.runner,
             validate=bool(spec["validate"]),
             engine=str(spec["engine"]),
@@ -526,7 +538,7 @@ def _execute(
                     "value_index": index,
                     "algorithm": name,
                     "trial": trial,
-                    "seed": _cell_seed(spec, index, trial),
+                    "seed": cell_seed(int(spec["seed"]), index, trial),
                     "kind": classify_failure(error),
                     "message": str(error),
                 }
@@ -670,7 +682,7 @@ _IDENTITY = ("parameter", "values", "algorithms", "trials", "seed", "engine", "f
 def _schedule_header(faults: Optional[FaultSchedule]) -> Optional[Dict[str, object]]:
     """The canonical JSON form of a fault schedule (``None`` when inert,
     as the engines treat an empty schedule)."""
-    if not _faults_active(faults):
+    if faults is None or not faults.active:
         return None
     return {
         "crashes": sorted([vertex, at] for vertex, at in faults.crashes.items()),  # type: ignore[union-attr]

@@ -107,11 +107,6 @@ def resolve_engine(engine: str, algorithm: NodeAlgorithm) -> bool:
     return supported
 
 
-def _faults_active(faults: Optional[FaultSchedule]) -> bool:
-    """Whether ``faults`` actually injects anything (empty schedules are inert)."""
-    return faults is not None and (bool(faults.crashes) or faults.has_message_faults)
-
-
 def _execute_trials(
     make_algorithm: Callable[[], NodeAlgorithm],
     network: Network,
@@ -137,7 +132,7 @@ def _execute_trials(
     """
     probe = make_algorithm()
     twin = probe.as_array_algorithm() if resolve_engine(engine, probe) else None
-    if twin is not None and engine == "auto" and _faults_active(faults):
+    if twin is not None and engine == "auto" and faults is not None and faults.active:
         twin = twin if getattr(twin, "supports_faults", False) else None
     algorithms = [probe] + [make_algorithm() for _ in seeds[1:]]
     if twin is not None:

@@ -17,6 +17,14 @@ through one round loop.  Each trial draws only from its own generator, so a
 trial's trace is the same for any batch size and any chunking, with or
 without faults (batch-size invariance, ``tests/local/test_batch.py``).
 
+Faults.  Under a :class:`~repro.local.faults.FaultSchedule` the round loop
+asks the schedule once per round, ``round_faults(round, network, view)``,
+passing the view it got for the round before (round 0's view serves the
+completion check before round 1).  Every trial row shares that one
+:class:`~repro.local.faults.RoundFaults` view: its masks drive the
+algorithm's fault-mode kernel, and its ``events`` are the round's fault
+events, which each trace records up to its own last round.
+
 Relation to the coroutine runner (the relaxed trace-identity story).  The
 coroutine path stays the **exact reference**: its traces are pinned by the
 golden digests in ``tests/local/test_runner_golden.py``.  The array engine
@@ -91,7 +99,7 @@ from repro.core.errors import RoundLimitExceeded
 from repro.core.metrics import RecoveryRecorder
 from repro.core.problems import ProblemSpec
 from repro.core.trace import ExecutionTrace
-from repro.local.faults import FaultSchedule, RoundFaults
+from repro.local.faults import FaultEvent, FaultSchedule, RoundFaults
 from repro.local.network import Network
 
 __all__ = [
@@ -433,7 +441,7 @@ class ArrayEngine:
 
         With a ``faults`` schedule, each round's
         :class:`~repro.local.faults.RoundFaults` view (alive mask plus
-        per-direction delivery and one-round delay masks) is built once and
+        per-direction delivery and one-round delay masks) is queried once and
         handed to ``algorithm.step_batch(..., faults=...)`` for every row.
         Completion excuses entities only a crashed node could still decide;
         each trace records the fault events of the rounds its trial ran,
@@ -465,7 +473,7 @@ class ArrayEngine:
         """``faults`` if it injects anything, else ``None`` (empty schedules
         are inert); refuses algorithms without fault-aware stepping and
         crashes outside the graph before round 1."""
-        if faults is None or not (faults.crashes or faults.has_message_faults):
+        if faults is None or not faults.active:
             return None
         if not getattr(algorithm, "supports_faults", False):
             raise TypeError(
@@ -485,8 +493,9 @@ class ArrayEngine:
     ) -> List[ExecutionTrace]:
         """The round loop: one chunk of trials, with or without faults.
 
-        Completion is row-wise.  Under ``faults`` the round view and the
-        round's fault events are built once and shared by every row.
+        Completion is row-wise.  Under ``faults`` every row shares the
+        round's view, which also carries the round's fault events; the
+        loop passes each view into the next round's query.
         Self-stabilising rows also wait for the schedule's final crash and
         keep one :class:`~repro.core.metrics.RecoveryRecorder` each; a
         row's entry is only recomputed when a crash landed or its state
@@ -497,16 +506,15 @@ class ArrayEngine:
         rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         trials = len(rngs)
         batch = algorithm.init_batch(network, rngs, self._scratch)
-        edges = network.edge_endpoints()
         view: Optional[RoundFaults] = None
-        events: List[list] = []
+        events: List[Tuple[FaultEvent, ...]] = []
         recorders: List[RecoveryRecorder] = []
         # Per row: the state rows at its last recomputed recovery entry
         # (empty until round 1, whose entry the recorder always computes).
         snapshots: List[List[np.ndarray]] = [[] for _ in range(trials)]
         final_crash = 0
         if faults is not None:
-            view = faults.round_faults(0, network.n, network.m, *edges)
+            view = faults.round_faults(0, network)
             if getattr(algorithm, "self_stabilizing", False):
                 recorders = [RecoveryRecorder(faults.crashes) for _ in range(trials)]
                 final_crash = recorders[0].final_crash
@@ -526,8 +534,8 @@ class ArrayEngine:
             if faults is None:
                 algorithm.step_batch(rounds, batch, network, rngs, active)
             else:
-                view = faults.round_faults(rounds, network.n, network.m, *edges)
-                events.append(faults.round_events(rounds, *edges))
+                view = faults.round_faults(rounds, network, view)
+                events.append(view.events)
                 algorithm.step_batch(rounds, batch, network, rngs, active, faults=view)
             complete = self._complete(algorithm, batch, problem, network, view) & (
                 rounds >= final_crash
@@ -569,7 +577,7 @@ class ArrayEngine:
                     max_message_bits=None,
                     algorithm_name=algorithm.name,
                     fault_events=tuple(
-                        event for round_events in events[:last] for event in round_events
+                        event for per_round in events[:last] for event in per_round
                     ),
                     crashed=() if faults is None else faults.crashed_within(last),
                     recovery=recorders[t].timeline() if recorders else None,

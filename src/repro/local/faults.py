@@ -26,6 +26,10 @@ A :class:`FaultSchedule` describes an adversary for one execution:
   bug: resilient sweeps (``on_error="record"``) record it as an
   ``exception:<Type>`` failure row instead of crashing.
 
+A schedule is *active* when it has a crash or a message fault
+(:attr:`FaultSchedule.active`); an inactive one runs exactly like no
+schedule on both engines.
+
 Seed schedule (the ``fast_gnp_edges`` relaxed-randomness precedent).  Fault
 randomness is engine-independent: it comes from the schedule's own PCG64
 streams, never from the algorithm's RNG, so the *same* ``FaultSchedule``
@@ -41,33 +45,40 @@ of uniforms over the **directed edge slots**: canonical edge slot ``i``
 means dropped if ``x < drop_rate``, delayed if
 ``drop_rate ≤ x < drop_rate + delay_rate``, delivered otherwise.  Keying the
 generator by ``(seed, round)`` makes the schedule independent of how many
-rounds the run executes and of the order the engines query it in.
+rounds the run executes and of the order the engines query it in.  Round 0,
+the configuration before any message is sent, draws no block.
 
-Round views.  The array engine asks for one :class:`RoundFaults` view per
-round.  The schedule indexes its crashes by round once, at construction, so
-crash queries are lookups and the alive mask is one vectorised write.  A
-crash-only schedule's view depends only on the crash *epoch* (how many
-crashes have landed), so its arrays are built once per epoch and topology
-and shared, read-only, by every round of that epoch; drop and delay
-schedules draw fresh masks every round.
+Round views.  Both engines make one query per executed round,
+:meth:`FaultSchedule.round_faults`, and pass the view it returned for the
+previous round back in.  A :class:`RoundFaults` view carries all a round
+needs: the alive mask, the delivery and late masks, the round's fate block
+(drawn once per round) and its fault events.  Round ``r``'s late masks
+come from round ``r − 1``'s view, and a round in the same crash *epoch*
+(the same crashes landed) as the previous view reuses its read-only alive
+mask — and, for a crash-only schedule, its delivery array too.  The
+schedule holds only its parameters and its crash index (indexed by round
+once, at construction), so it keeps no network's arrays or fate blocks
+alive after a run; a query without the previous view gives the same view,
+computed afresh.
 
-Fault events.  :meth:`FaultSchedule.round_events` derives the per-round
-event list *purely from the schedule* (crash rounds + directed masks +
-topology), never from engine state: a drop/delay event is recorded iff the
-mask selects the direction **and** neither endpoint has crashed by that
-round — whether or not the source actually had a message to send.  The
-events describe the adversary, not observed message loss; because both
-engines call the same helper for each executed round, their recorded events
-are identical by construction (differential tests pin this).
+Fault events.  A view's ``events`` are derived *purely from the schedule*
+(crash rounds + fate block + topology), never from engine state: a
+drop/delay event is recorded iff the fate block selects the direction
+**and** neither endpoint has crashed by that round — whether or not the
+source actually had a message to send.  The events describe the adversary,
+not observed message loss; because both engines record the events of the
+views they query, one per executed round, their recorded events are
+identical by construction (differential tests pin this).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import OrderedDict
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
+
+from repro.local.network import Network
 
 __all__ = ["FaultSchedule", "RoundFaults", "FaultEvent"]
 
@@ -76,21 +87,13 @@ __all__ = ["FaultSchedule", "RoundFaults", "FaultEvent"]
 FaultEvent = Tuple
 
 
-#: Directed-fate codes of the per-round mask.
+#: Directed-fate codes of the per-round fate block.
 _DELIVER, _DROP, _DELAY = 0, 1, 2
 
-#: Capacity of the per-schedule fate-mask LRU.  The engines query at most
-#: the current and the previous round (for late-delivery masks), so a small
-#: window never misses on the sequential access pattern while keeping
-#: memory flat over arbitrarily long runs (each entry is a ``2m`` int8
-#: array; an unbounded cache grew one per executed round).
-_MASK_CACHE_SIZE = 8
 
-#: Capacity of the per-schedule crash-epoch view LRU (crash-only schedules).
-#: A run walks its epochs in order, so a single entry would serve it; a few
-#: let the trials of a cell on one graph share the views of a short wave
-#: schedule.  Each entry is ``n + m`` bools.
-_VIEW_CACHE_SIZE = 4
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class RoundFaults:
@@ -112,14 +115,18 @@ class RoundFaults:
       schedule has no delays or this is round 1 (nothing in flight).  A
       late arrival carries the **previous round's** payload and is
       overwritten by a same-sender fresh delivery, exactly like the
-      coroutine runner's ``delayed_messages`` queue.
+      coroutine runner's ``delayed_messages`` queue,
+    * ``fates`` — the round's int8 fate block, one entry per directed slot
+      (``0`` delivered, ``1`` dropped, ``2`` delayed; slot ``i``'s
+      ``u → v`` at ``2 i``, ``v → u`` at ``2 i + 1``), or ``None`` when
+      every message is delivered,
+    * ``events`` — the round's fault events, crashes by vertex, then drops,
+      then delays, each in ascending directed-slot order.
 
-    Algorithms must treat every array of the view as read-only and derive
-    new arrays from it.  For a crash-only schedule the ``alive`` /
-    ``deliver_uv`` / ``deliver_vu`` arrays depend only on which crashes have
-    landed, so every round of one crash epoch on one topology shares the
-    same arrays (``deliver_uv`` and ``deliver_vu`` are even one array
-    there); those are flagged read-only, and a write into them raises.
+    Every array of a view is read-only; algorithms derive new arrays from
+    it.  Rounds of one crash epoch share the ``alive`` array, and under a
+    crash-only schedule also the delivery array (``deliver_uv`` and
+    ``deliver_vu`` are then one array).
     """
 
     __slots__ = (
@@ -130,6 +137,8 @@ class RoundFaults:
         "deliver_vu",
         "late_uv",
         "late_vu",
+        "fates",
+        "events",
     )
 
     def __init__(
@@ -141,6 +150,8 @@ class RoundFaults:
         deliver_vu: np.ndarray,
         late_uv: Optional[np.ndarray] = None,
         late_vu: Optional[np.ndarray] = None,
+        fates: Optional[np.ndarray] = None,
+        events: Tuple[FaultEvent, ...] = (),
     ) -> None:
         self.round_index = round_index
         self.alive = alive
@@ -149,17 +160,18 @@ class RoundFaults:
         self.deliver_vu = deliver_vu
         self.late_uv = late_uv
         self.late_vu = late_vu
+        self.fates = fates
+        self.events = events
 
 
 class FaultSchedule:
     """A deterministic crash/drop/delay adversary for one execution.
 
-    A schedule is immutable and engine-independent; the same instance may be
-    threaded through any number of runs on any engine, on any number of
-    graphs.  The crash index (sorted by crash round) is built once, at
-    construction; the internal caches — directed fates per round, and the
-    read-only views of each crash epoch on each topology — only memoise
-    deterministic results.
+    A schedule is an immutable value, engine-independent; the same instance
+    may be threaded through any number of runs on any engine, on any number
+    of graphs.  It holds its four parameters and the crash index (crash
+    vertices sorted by crash round), built once at construction, and
+    nothing else.
 
     Args:
         crashes: mapping ``vertex → crash round`` (1-based; the node is dead
@@ -175,12 +187,8 @@ class FaultSchedule:
         "drop_rate",
         "delay_rate",
         "seed",
-        "_mask_cache",
         "_crash_vertices",
         "_crash_rounds",
-        "_crashes_at",
-        "_crashed_cache",
-        "_view_cache",
     )
 
     def __init__(
@@ -208,29 +216,13 @@ class FaultSchedule:
         self.drop_rate = float(drop_rate)
         self.delay_rate = float(delay_rate)
         self.seed = int(seed)
-        # (round, m) → int8 directed-fate array.  Draws are deterministic,
-        # so eviction is safe (a re-query recomputes the identical array);
-        # a small LRU keeps memory flat over long runs.
-        self._mask_cache: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
         # The crash index: vertices ordered by (crash round, vertex), so the
         # casualties of rounds <= r are the prefix of length
-        # bisect_right(_crash_rounds, r) — the crash *epoch* of round r.
+        # bisect_right(_crash_rounds, r) — the crash *epoch* of round r —
+        # and those of round r alone start at bisect_left(_crash_rounds, r).
         order = sorted(crashes.items(), key=lambda item: (item[1], item[0]))
         self._crash_vertices = np.array([v for v, _ in order], dtype=np.int64)
         self._crash_rounds: List[int] = [r for _, r in order]
-        by_round: Dict[int, List[int]] = {}
-        for vertex, crash_round in order:
-            by_round.setdefault(crash_round, []).append(vertex)
-        self._crashes_at = {r: tuple(vs) for r, vs in by_round.items()}
-        # Epoch → sorted casualties, filled on demand.
-        self._crashed_cache: Dict[int, Tuple[int, ...]] = {}
-        # (id(edge_us), id(edge_vs), n, epoch) → (edge_us, edge_vs, alive,
-        # deliver): the read-only round view arrays of a crash-only schedule.
-        # The entry holds the edge arrays, so their ids cannot be reused by
-        # other arrays while it is cached.
-        self._view_cache: "OrderedDict[Tuple[int, int, int, int], Tuple[np.ndarray, ...]]" = (
-            OrderedDict()
-        )
 
     # ------------------------------------------------------------------ #
     # Crash queries
@@ -241,13 +233,20 @@ class FaultSchedule:
         """Whether any directed message can be dropped or delayed."""
         return self.drop_rate > 0.0 or self.delay_rate > 0.0
 
-    def crash_round(self, vertex: int) -> Optional[int]:
-        """The round at whose start ``vertex`` crashes, or ``None``."""
-        return self.crashes.get(vertex)
+    @property
+    def active(self) -> bool:
+        """Whether the schedule injects anything: a crash or a message fault.
+
+        Both engines run an inactive schedule exactly like no schedule, and
+        a sweep journal records it as none.
+        """
+        return bool(self.crashes) or self.has_message_faults
 
     def crashes_at(self, round_index: int) -> Tuple[int, ...]:
         """Vertices crashing exactly at the start of ``round_index`` (sorted)."""
-        return self._crashes_at.get(round_index, ())
+        start = bisect_left(self._crash_rounds, round_index)
+        stop = bisect_right(self._crash_rounds, round_index, start)
+        return tuple(self._crash_vertices[start:stop].tolist())
 
     def _epoch(self, round_index: int) -> int:
         """How many crashes have landed by ``round_index`` (its crash epoch)."""
@@ -255,13 +254,7 @@ class FaultSchedule:
 
     def crashed_by(self, round_index: int) -> Tuple[int, ...]:
         """Vertices dead during ``round_index`` (crash round ≤ it), sorted."""
-        epoch = self._epoch(round_index)
-        crashed = self._crashed_cache.get(epoch)
-        if crashed is None:
-            crashed = self._crashed_cache[epoch] = tuple(
-                sorted(self._crash_vertices[:epoch].tolist())
-            )
-        return crashed
+        return tuple(sorted(self._crash_vertices[: self._epoch(round_index)].tolist()))
 
     def alive_mask(self, round_index: int, n: int) -> np.ndarray:
         """Bool per vertex: alive during ``round_index``."""
@@ -284,168 +277,102 @@ class FaultSchedule:
                 f"network (n={n})"
             )
 
+    def crashed_within(self, rounds_executed: int) -> Tuple[int, ...]:
+        """Vertices that crashed during the execution (for the trace), sorted."""
+        return self.crashed_by(rounds_executed)
+
     # ------------------------------------------------------------------ #
-    # Directed message fates
+    # The round view
     # ------------------------------------------------------------------ #
 
-    def directed_fates(self, round_index: int, m: int) -> Optional[np.ndarray]:
-        """Fate per directed slot for ``round_index`` (``None`` = all delivered).
+    def _fates(self, round_index: int, m: int) -> Optional[np.ndarray]:
+        """The read-only fate block of ``round_index`` (``None``: all delivered).
 
-        The returned int8 array has length ``2 m``: slot ``i``'s direction
-        ``u → v`` at ``2 i`` and ``v → u`` at ``2 i + 1``; values are
-        ``0`` = delivered, ``1`` = dropped, ``2`` = delayed.  One PCG64 block
-        keyed ``SeedSequence([seed, round_index])`` per round — the
-        documented schedule.
+        One PCG64 block keyed ``SeedSequence([seed, round_index])`` — the
+        documented schedule; round 0 sends nothing and draws nothing.
         """
-        if not self.has_message_faults or m == 0:
+        if not self.has_message_faults or m == 0 or round_index < 1:
             return None
-        key = (round_index, m)
-        fates = self._mask_cache.get(key)
-        if fates is None:
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([self.seed, round_index]))
-            )
-            draws = rng.random(2 * m)
-            fates = np.zeros(2 * m, dtype=np.int8)
-            fates[draws < self.drop_rate] = _DROP
-            if self.delay_rate > 0.0:
-                fates[
-                    (draws >= self.drop_rate)
-                    & (draws < self.drop_rate + self.delay_rate)
-                ] = _DELAY
-            fates.setflags(write=False)
-            self._mask_cache[key] = fates
-            if len(self._mask_cache) > _MASK_CACHE_SIZE:
-                self._mask_cache.popitem(last=False)
-        else:
-            self._mask_cache.move_to_end(key)
-        return fates
-
-    # ------------------------------------------------------------------ #
-    # Engine-facing round view
-    # ------------------------------------------------------------------ #
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([self.seed, round_index]))
+        )
+        draws = rng.random(2 * m)
+        fates = np.zeros(2 * m, dtype=np.int8)
+        fates[draws < self.drop_rate] = _DROP
+        if self.delay_rate > 0.0:
+            fates[
+                (draws >= self.drop_rate) & (draws < self.drop_rate + self.delay_rate)
+            ] = _DELAY
+        return _frozen(fates)
 
     def round_faults(
         self,
         round_index: int,
-        n: int,
-        m: int,
-        edge_us: np.ndarray,
-        edge_vs: np.ndarray,
+        network: Network,
+        previous: Optional[RoundFaults] = None,
     ) -> RoundFaults:
-        """The :class:`RoundFaults` view of ``round_index`` for an ``n``/``m`` graph.
+        """The :class:`RoundFaults` view of ``round_index`` on ``network``.
 
-        Crash-only schedules share one read-only set of arrays across the
-        rounds of a crash epoch, cached per topology (keyed on the identity
-        of ``edge_us`` / ``edge_vs``, not on ``n`` and ``m``: a sweep passes
-        one schedule to many graphs of equal size).  Drop and delay
-        schedules draw their masks for every round.
+        ``previous`` is a view this schedule returned for an earlier round
+        on the same network; the engines pass the one of the previous
+        round.  It only saves work — round ``r − 1``'s fate block and alive
+        mask give round ``r``'s late masks, and a view of the same crash
+        epoch lends its read-only alive mask (and, crash-only, its delivery
+        array) — so any ``previous`` gives the same view as none.
         """
-        fates = self.directed_fates(round_index, m)
+        us, vs = network.edge_endpoints()
+        fates = self._fates(round_index, network.m)
+        # ``previous`` if it is of this round's crash epoch: its arrays hold.
+        kin = previous
+        if kin is not None and self._epoch(kin.round_index) != self._epoch(round_index):
+            kin = None
+        alive = kin.alive if kin is not None else _frozen(self.alive_mask(round_index, network.n))
+        newly_crashed = self.crashes_at(round_index)
+        events: List[FaultEvent] = [("crash", round_index, v) for v in newly_crashed]
         if fates is None:
-            alive, deliver = self._epoch_view(round_index, n, edge_us, edge_vs)
+            if kin is not None and kin.fates is None:
+                deliver = kin.deliver_uv
+            else:
+                deliver = _frozen(alive[us] & alive[vs])
             return RoundFaults(
-                round_index=round_index,
-                alive=alive,
-                newly_crashed=self.crashes_at(round_index),
-                deliver_uv=deliver,
-                deliver_vu=deliver,
+                round_index, alive, newly_crashed, deliver, deliver, events=tuple(events)
             )
-        alive = self.alive_mask(round_index, n)
-        both_alive = alive[edge_us] & alive[edge_vs]
-        deliver_uv = (fates[0::2] == _DELIVER) & both_alive
-        deliver_vu = (fates[1::2] == _DELIVER) & both_alive
+        both_alive = alive[us] & alive[vs]
         late_uv = late_vu = None
         if self.delay_rate > 0.0 and round_index >= 2:
-            prev_fates = self.directed_fates(round_index - 1, m)
-            if prev_fates is not None:
-                # Late iff delayed last round, the sender was alive *then*
-                # (a crashed node sent nothing) and the target is alive now
-                # (the coroutine runner drops in-flight payloads whose
-                # target inbox is gone).
-                alive_prev = self.alive_mask(round_index - 1, n)
-                late_uv = (
-                    (prev_fates[0::2] == _DELAY)
-                    & alive_prev[edge_us]
-                    & alive[edge_vs]
-                )
-                late_vu = (
-                    (prev_fates[1::2] == _DELAY)
-                    & alive_prev[edge_vs]
-                    & alive[edge_us]
-                )
+            if previous is not None and previous.round_index == round_index - 1:
+                prev_fates, alive_prev = previous.fates, previous.alive
+            else:
+                prev_fates = self._fates(round_index - 1, network.m)
+                alive_prev = self.alive_mask(round_index - 1, network.n)
+            # Late iff delayed last round, the sender was alive *then* (a
+            # crashed node sent nothing) and the target is alive now (the
+            # coroutine runner drops in-flight payloads whose target inbox
+            # is gone).
+            late_uv = _frozen((prev_fates[0::2] == _DELAY) & alive_prev[us] & alive[vs])
+            late_vu = _frozen((prev_fates[1::2] == _DELAY) & alive_prev[vs] & alive[us])
+        for code, kind in ((_DROP, "drop"), (_DELAY, "delay")):
+            directions = np.flatnonzero(fates == code)
+            slots, reverse = directions >> 1, (directions & 1).astype(bool)
+            sources = np.where(reverse, vs[slots], us[slots])
+            targets = np.where(reverse, us[slots], vs[slots])
+            # Directions with a crashed endpoint carry no event.
+            kept = alive[sources] & alive[targets]
+            events.extend(
+                (kind, round_index, source, target)
+                for source, target in zip(sources[kept].tolist(), targets[kept].tolist())
+            )
         return RoundFaults(
-            round_index=round_index,
-            alive=alive,
-            newly_crashed=self.crashes_at(round_index),
-            deliver_uv=deliver_uv,
-            deliver_vu=deliver_vu,
-            late_uv=late_uv,
-            late_vu=late_vu,
+            round_index,
+            alive,
+            newly_crashed,
+            _frozen((fates[0::2] == _DELIVER) & both_alive),
+            _frozen((fates[1::2] == _DELIVER) & both_alive),
+            late_uv,
+            late_vu,
+            fates,
+            tuple(events),
         )
-
-    def _epoch_view(
-        self,
-        round_index: int,
-        n: int,
-        edge_us: np.ndarray,
-        edge_vs: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(alive, deliver)`` of ``round_index``'s crash epoch."""
-        epoch = self._epoch(round_index)
-        key = (id(edge_us), id(edge_vs), n, epoch)
-        entry = self._view_cache.get(key)
-        if entry is not None:
-            self._view_cache.move_to_end(key)
-            return entry[2], entry[3]
-        alive = self.alive_mask(round_index, n)
-        deliver = alive[edge_us] & alive[edge_vs]
-        alive.setflags(write=False)
-        deliver.setflags(write=False)
-        self._view_cache[key] = (edge_us, edge_vs, alive, deliver)
-        self._view_cache.move_to_end(key)
-        if len(self._view_cache) > _VIEW_CACHE_SIZE:
-            self._view_cache.popitem(last=False)
-        return alive, deliver
-
-    # ------------------------------------------------------------------ #
-    # Engine-independent event log
-    # ------------------------------------------------------------------ #
-
-    def round_events(
-        self,
-        round_index: int,
-        edge_us: np.ndarray,
-        edge_vs: np.ndarray,
-    ) -> List[FaultEvent]:
-        """The fault events of ``round_index``, derived from the schedule alone.
-
-        Ordering is fixed (crashes by vertex, then drops, then delays, each
-        in ascending directed-slot order) so both engines record literally
-        identical lists for the rounds they execute.
-        """
-        events: List[FaultEvent] = [
-            ("crash", round_index, vertex) for vertex in self.crashes_at(round_index)
-        ]
-        fates = self.directed_fates(round_index, len(edge_us))
-        if fates is None:
-            return events
-        crashed_now = set(self.crashed_by(round_index))
-        for kind_code, kind in ((_DROP, "drop"), (_DELAY, "delay")):
-            for direction in np.flatnonzero(fates == kind_code).tolist():
-                slot, reverse = divmod(direction, 2)
-                if reverse:
-                    source, target = int(edge_vs[slot]), int(edge_us[slot])
-                else:
-                    source, target = int(edge_us[slot]), int(edge_vs[slot])
-                if source in crashed_now or target in crashed_now:
-                    continue
-                events.append((kind, round_index, source, target))
-        return events
-
-    def crashed_within(self, rounds_executed: int) -> Tuple[int, ...]:
-        """Vertices that crashed during the execution (for the trace), sorted."""
-        return self.crashed_by(rounds_executed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

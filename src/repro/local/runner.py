@@ -21,6 +21,13 @@ algorithms do).  Completion is tracked *incrementally*: nodes notify a
 :class:`_CompletionTracker` on their first commit / halt, so the
 "is the execution complete?" check is O(1) per round instead of a full scan
 of every node and edge.
+
+Faults.  Under a :class:`~repro.local.faults.FaultSchedule` the round loop
+asks the schedule once per round, ``round_faults(round, network, view)``,
+passing the view it got for the round before, the same query the array
+engine makes.  The view's ``newly_crashed`` land at the round's start,
+its ``fates`` block decides each message's drop or delay, and its
+``events`` go to the trace, so both engines record the same events.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from repro.core.problems import ProblemSpec
 from repro.core.trace import ExecutionTrace
 from repro.local.algorithm import Broadcast, NodeAlgorithm
 from repro.local.coroutine import CoroutineAlgorithm
-from repro.local.faults import FaultSchedule
+from repro.local.faults import FaultEvent, FaultSchedule, RoundFaults
 from repro.local.network import Network
 from repro.local.node import CommitError, NodeRuntime
 
@@ -388,11 +395,10 @@ class Runner:
         Returns:
             The :class:`ExecutionTrace` of the execution.
         """
-        if faults is not None:
-            if faults.crashes or faults.has_message_faults:
-                faults.check_vertices(network.n)
-            else:
-                faults = None
+        if faults is not None and faults.active:
+            faults.check_vertices(network.n)
+        else:
+            faults = None
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -423,12 +429,12 @@ class Runner:
         start (a node crashing at round ``r`` sends nothing at ``r``), then
         the previous round's delayed messages are delivered (so a fresh
         round-``r`` message from the same source overwrites them), then
-        sends with per-directed-edge drop/delay fates from the schedule's
-        documented per-round PCG64 block.  A round without message fates
-        (every fault-free round, and every round of a crash-only schedule)
-        runs the fate-free send loop, so the per-message path of a
-        fault-free run carries no fault branch.  Node randomness is seeded
-        the same way with or without a schedule.
+        sends with per-directed-edge drop/delay fates from the round view's
+        block, the schedule's documented per-round PCG64 draw.  A round
+        without message fates (every fault-free round, and every round of
+        a crash-only schedule) runs the fate-free send loop, so the
+        per-message path of a fault-free run carries no fault branch.
+        Node randomness is seeded the same way with or without a schedule.
 
         Self-stabilising runs under a schedule record their recovery
         timeline through a :class:`~repro.core.metrics.RecoveryRecorder`.
@@ -462,8 +468,7 @@ class Runner:
         seen_halt_events = tracker.halt_events
 
         n = network.n
-        m = network.m
-        fault_events: List[Tuple] = []
+        fault_events: List[FaultEvent] = []
         # Messages delayed by one round: (target, source, payload), delivered
         # before the next round's sends.
         delayed_messages: List[Tuple[int, int, Any]] = []
@@ -474,8 +479,8 @@ class Runner:
         # a per-round recovery timeline.
         selfstab = bool(getattr(algorithm, "self_stabilizing", False))
         recorder: Optional[RecoveryRecorder] = None
+        view: Optional[RoundFaults] = None
         if faults is not None:
-            edge_us, edge_vs = network.edge_endpoints()
             packed = network._packed_edge_index() if faults.has_message_faults else None
             if selfstab:
                 recorder = RecoveryRecorder(faults.crashes)
@@ -512,7 +517,8 @@ class Runner:
                 # Crash-stop faults land at the start of the round: the
                 # casualty is dead *during* the round (sends nothing,
                 # processes nothing).
-                newly_crashed = faults.crashes_at(current_round)
+                view = faults.round_faults(current_round, network, view)
+                newly_crashed = view.newly_crashed
                 if newly_crashed:
                     for v in newly_crashed:
                         node = nodes[v]
@@ -531,10 +537,9 @@ class Runner:
                                     algorithm.neighbor_crashed(survivor, v)
                     active = [node for node in active if not node._crashed]
 
-                fault_events.extend(faults.round_events(current_round, edge_us, edge_vs))
-                fates = faults.directed_fates(current_round, m)
-                if fates is not None:
-                    fates_list = fates.tolist()
+                fault_events.extend(view.events)
+                if view.fates is not None:
+                    fates_list = view.fates.tolist()
 
                 # Last round's delayed messages arrive with this round's
                 # batch; delivering them first lets a newer message from the

@@ -54,7 +54,7 @@ import importlib
 
 sweepmod = importlib.import_module("repro.analysis.sweep")
 from repro.core.errors import WorkerCrashed, classify_failure
-from repro.core.experiment import resolve_network, seed_schedule
+from repro.core.experiment import resolve_network
 from repro.local.engine import _BATCH_BYTE_BUDGET, batch_chunk
 from repro.service.queue import JobQueue
 from repro.service.specs import SweepSpec
@@ -185,14 +185,14 @@ def _provenance(
     """The full provenance record stored alongside a job's results."""
     return {
         "spec_digest": spec.digest(),
-        # The complete, explicit seed schedule: cell (index, trial) ran with
-        # seed trial_seed(seed + 1000*index, trial) — listed per index so a
-        # stored cell reproduces with a single serial run_trials call.
+        # The complete, explicit seed schedule: the rule, and each index's
+        # seeds listed so a stored cell reproduces with a single serial
+        # run_trials call.
         "seed_schedule": {
-            "rule": "trial_seed(seed + 1000 * value_index, trial)",
+            "rule": sweepmod.CELL_SEED_RULE,
             "seed": spec.seed,
             "per_index": {
-                str(index): seed_schedule(spec.seed + 1000 * index, spec.trials)
+                str(index): [sweepmod.cell_seed(spec.seed, index, t) for t in range(spec.trials)]
                 for index in range(len(spec.values))
             },
         },

@@ -44,6 +44,7 @@ from repro.algorithms.matching.randomized import RandomizedMaximalMatching
 from repro.algorithms.mis.luby import LubyMIS
 from repro.algorithms.coloring import RandomizedColoring
 from repro.algorithms.ruling_set import RandomizedTwoTwoRulingSet
+from repro.analysis.sweep import network_seed as sweep_network_seed
 from repro.core import problems, schemas
 from repro.graphs import generators as gen
 
@@ -178,10 +179,13 @@ class SweepSpec:
         object.__setattr__(self, "family_params", dict(self.family_params))
         if not self.values:
             raise ValueError("a sweep spec needs at least one value")
-        if len(set(map(repr, self.values))) != len(self.values):
+        if len(set(map(repr, self.values))) != len(self.values) or any(
+            self.values.index(value) != index for index, value in enumerate(self.values)
+        ):
             # The cache-aware worker factory maps a value back to its index
-            # (for the per-index network seed); duplicates would make that
-            # mapping ambiguous, and they are meaningless in a sweep anyway.
+            # (for the per-index network seed) with ``==``, and the sweep
+            # journal names values by repr: values equal under either would
+            # share an index, and they are meaningless in a sweep anyway.
             raise ValueError("sweep values must be distinct")
         if not self.algorithms:
             raise ValueError("a sweep spec needs at least one algorithm")
@@ -255,7 +259,7 @@ class SweepSpec:
 
     def network_seed(self, index: int) -> int:
         """The ID-assignment seed ``sweep`` uses for value index ``index``."""
-        return self.seed + index
+        return sweep_network_seed(self.seed, index)
 
     def graph_recipe(self, index: int) -> Dict[str, object]:
         """The complete build recipe of value index ``index``'s network.

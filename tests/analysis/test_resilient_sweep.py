@@ -328,7 +328,7 @@ class TestFailureRows:
         (row,) = failed
         assert row["algorithm"] == "broken"
         assert row["kind"] == "exception:RuntimeError"
-        assert row["seed"] == sweepmod._cell_seed({"seed": 3}, 0, 0)
+        assert row["seed"] == sweepmod.cell_seed(3, 0, 0)
 
     def test_round_limit_overruns_are_recorded(self):
         result = run_sweep(values=[12], max_rounds=1, on_error="record")
@@ -602,27 +602,38 @@ class TestStreamedAggregation:
         assert run_sweep(checkpoint=path) == baseline
         assert alive == ["checked"]
 
-    @pytest.mark.parametrize("engine", ["node", "auto"])
-    def test_serial_sweep_keeps_one_value_network(self, monkeypatch, engine):
-        baseline = run_sweep(engine=engine)
+    @pytest.mark.parametrize(
+        "engine, faulted",
+        [
+            pytest.param("node", False, id="node"),
+            pytest.param("auto", False, id="auto"),
+            pytest.param("node", True, id="node-crash-only"),
+            pytest.param("auto", True, id="auto-crash-only"),
+        ],
+    )
+    def test_serial_sweep_keeps_one_value_network(self, monkeypatch, engine, faulted):
+        # One schedule serves both values, as in any faulted sweep: it must
+        # not keep the first value's endpoint arrays once the sweep moves on.
+        faults = FaultSchedule(crashes={0: 2, 3: 1}, seed=2) if faulted else None
+        baseline = run_sweep(engine=engine, faults=faults)
         built = []
         resolve_network, execute = sweepmod.resolve_network, sweepmod._execute
 
         def tracked_resolve_network(*args, **kwargs):
             network = resolve_network(*args, **kwargs)
-            built.append(weakref.ref(network))
+            built.append((weakref.ref(network), weakref.ref(network.edge_endpoints()[0])))
             return network
 
         first_alive = []
 
         def checked_execute(spec, task, cache):
             if task[0] == 1:
-                first_alive.append(built[0]() is not None)
+                first_alive.extend(ref() is not None for ref in built[0])
             return execute(spec, task, cache)
 
         monkeypatch.setattr(sweepmod, "resolve_network", tracked_resolve_network)
         monkeypatch.setattr(sweepmod, "_execute", checked_execute)
-        assert run_sweep(engine=engine) == baseline
+        assert run_sweep(engine=engine, faults=faults) == baseline
         assert len(built) == 2
         assert first_alive and not any(first_alive)
 

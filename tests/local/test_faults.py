@@ -21,10 +21,12 @@ The cross-engine parity contract under faults is deliberately layered:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-import repro.local.faults as faults_module
 from repro.algorithms.matching.randomized import RandomizedMaximalMatching
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
@@ -94,24 +96,34 @@ class TestFaultScheduleValidation:
         alive = fs.alive_mask(2, 8)
         assert not alive[1] and not alive[4] and alive[7]
 
-    def test_directed_fates_are_deterministic_and_round_keyed(self):
+    def test_fate_blocks_are_deterministic_and_round_keyed(self):
+        net = pinned_network()
         fs = FaultSchedule(drop_rate=0.3, delay_rate=0.2, seed=11)
         again = FaultSchedule(drop_rate=0.3, delay_rate=0.2, seed=11)
         for r in (1, 2, 7):
-            assert (fs.directed_fates(r, 10) == again.directed_fates(r, 10)).all()
+            fates = fs.round_faults(r, net).fates
+            assert (fates == again.round_faults(r, net).fates).all()
+            # The documented block: PCG64(SeedSequence([seed, r])), 2m draws.
+            draws = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([11, r]))
+            ).random(2 * net.m)
+            assert (fates == np.where(draws < 0.3, 1, np.where(draws < 0.5, 2, 0))).all()
         # Different rounds draw different blocks.
-        assert (fs.directed_fates(1, 10) != fs.directed_fates(2, 10)).any()
-        # No message faults => no mask at all.
-        assert FaultSchedule(crashes={0: 1}).directed_fates(1, 10) is None
+        assert (fs.round_faults(1, net).fates != fs.round_faults(2, net).fates).any()
+        # No message faults => no block at all; round 0 sends nothing.
+        assert FaultSchedule(crashes={0: 1}).round_faults(1, net).fates is None
+        assert fs.round_faults(0, net).fates is None
 
     def test_round_events_skip_crashed_endpoints_and_keep_order(self):
         net = pinned_network()
-        us, vs = net.edge_endpoints()
-        fs = FaultSchedule(crashes={3: 2, 8: 4}, drop_rate=0.2, seed=5)
-        crash_events = [e for e in fs.round_events(2, us, vs) if e[0] == "crash"]
+        fs = FaultSchedule(crashes={3: 2, 8: 4}, drop_rate=0.2, delay_rate=0.1, seed=5)
+        crash_events = [e for e in fs.round_faults(2, net).events if e[0] == "crash"]
         assert crash_events == [("crash", 2, 3)]
-        for r in (2, 3, 4):
-            for event in fs.round_events(r, us, vs):
+        view = None
+        for r in range(0, 6):
+            view = fs.round_faults(r, net, view)
+            assert view.events == _brute_events(fs, r, net, view.fates)
+            for event in view.events:
                 if event[0] == "crash":
                     continue
                 _, _, source, target = event
@@ -666,21 +678,24 @@ class TestDelays:
 
     def test_round_faults_late_masks(self):
         net = pinned_network()
-        us, vs = np.asarray(net.edge_endpoints()[0]), np.asarray(net.edge_endpoints()[1])
+        us, vs = net.edge_endpoints()
         fs = FaultSchedule(crashes={3: 2}, delay_rate=1.0, seed=0)
-        first = fs.round_faults(1, net.n, net.m, us, vs)
+        first = fs.round_faults(1, net, fs.round_faults(0, net))
         assert first.late_uv is None and first.late_vu is None
-        second = fs.round_faults(2, net.n, net.m, us, vs)
-        # Everything round 1 sent arrives late at round 2, except into the
-        # round-2 crash (node 3 is dead when the straggler would land).
-        assert (second.late_uv == (vs != 3)).all()
-        assert (second.late_vu == (us != 3)).all()
+        # The late masks are the same whether round 1's view is passed in
+        # or not.
+        for second in (fs.round_faults(2, net, first), fs.round_faults(2, net)):
+            # Everything round 1 sent arrives late at round 2, except into
+            # the round-2 crash (node 3 is dead when the straggler would
+            # land).
+            assert (second.late_uv == (vs != 3)).all()
+            assert (second.late_vu == (us != 3)).all()
         # From round 3 on, node 3 was already dead at send time too.
-        third = fs.round_faults(3, net.n, net.m, us, vs)
+        third = fs.round_faults(3, net, second)
         assert (third.late_uv == ((us != 3) & (vs != 3))).all()
         # Crash-only schedules never build late masks.
         crash_only = FaultSchedule(crashes={0: 1})
-        assert crash_only.round_faults(2, net.n, net.m, us, vs).late_uv is None
+        assert crash_only.round_faults(2, net).late_uv is None
 
 
 class TestArrayDelayParity:
@@ -753,38 +768,58 @@ class TestArrayDelayParity:
         assert survived >= 20, f"only {survived} of 40 seeds completed on both engines"
 
 
-class TestMaskCacheLRU:
-    def test_memory_stays_flat_over_ten_thousand_faulted_rounds(self):
-        """Regression: the fate-mask cache is a bounded LRU, not one entry
-        per executed round (satellite of the delay port)."""
-        net = pinned_network()
-        us, vs = np.asarray(net.edge_endpoints()[0]), np.asarray(net.edge_endpoints()[1])
-        fs = FaultSchedule(drop_rate=0.1, delay_rate=0.1, seed=3)
-        for r in range(1, 10_001):
-            fs.round_faults(r, net.n, net.m, us, vs)
-            assert len(fs._mask_cache) <= faults_module._MASK_CACHE_SIZE
-
-    def test_eviction_recomputes_identical_fates(self):
-        fs = FaultSchedule(drop_rate=0.2, delay_rate=0.2, seed=11)
-        first = fs.directed_fates(1, 19).copy()
-        for r in range(2, 2 + 4 * faults_module._MASK_CACHE_SIZE):
-            fs.directed_fates(r, 19)
-        assert (1, 19) not in fs._mask_cache
-        assert (fs.directed_fates(1, 19) == first).all()
-
-    def test_lru_keeps_recently_used_entries(self):
-        fs = FaultSchedule(drop_rate=0.5, seed=0)
-        for r in range(1, faults_module._MASK_CACHE_SIZE + 1):
-            fs.directed_fates(r, 10)
-        # Touch round 1 so it is the most recently used, then overflow once.
-        fs.directed_fates(1, 10)
-        fs.directed_fates(faults_module._MASK_CACHE_SIZE + 1, 10)
-        assert (1, 10) in fs._mask_cache
-        assert (2, 10) not in fs._mask_cache
-
-
 def _brute_crashed_by(crashes, round_index):
     return tuple(sorted(v for v, r in crashes.items() if r <= round_index))
+
+
+def _brute_events(fs, round_index, net, fates):
+    """A round's fault events by a scan of every directed slot."""
+    us, vs = net.edge_endpoints()
+    dead = set(_brute_crashed_by(fs.crashes, round_index))
+    events = [
+        ("crash", round_index, v)
+        for v in sorted(v for v, r in fs.crashes.items() if r == round_index)
+    ]
+    for code, kind in ((1, "drop"), (2, "delay")):
+        for direction in range(0 if fates is None else 2 * net.m):
+            if fates[direction] != code:
+                continue
+            slot, reverse = divmod(direction, 2)
+            source, target = int(us[slot]), int(vs[slot])
+            if reverse:
+                source, target = target, source
+            if source not in dead and target not in dead:
+                events.append((kind, round_index, source, target))
+    return tuple(events)
+
+
+def _threaded(fs, net, rounds):
+    """The views of ``rounds`` as an engine queries them: each round's view
+    passed into the next query."""
+    views, view = [], None
+    for r in rounds:
+        view = fs.round_faults(r, net, view)
+        views.append(view)
+    return views
+
+
+def _same_view(a, b):
+    if (a.round_index, a.newly_crashed, a.events) != (b.round_index, b.newly_crashed, b.events):
+        return False
+    for name in ("alive", "deliver_uv", "deliver_vu", "late_uv", "late_vu", "fates"):
+        x, y = getattr(a, name), getattr(b, name)
+        if (x is None) != (y is None) or (x is not None and not np.array_equal(x, y)):
+            return False
+    return True
+
+
+#: One schedule of each kind, on ``pinned_network()`` (n=12).
+SCHEDULES = {
+    "crash-only": dict(crashes={3: 2, 8: 4, 5: 4}),
+    "drop": dict(crashes={3: 2}, drop_rate=0.3),
+    "delay": dict(crashes={3: 2, 8: 4}, delay_rate=0.3),
+    "drop-delay": dict(crashes={8: 3}, drop_rate=0.1, delay_rate=0.15),
+}
 
 
 class TestCrashIndex:
@@ -808,9 +843,12 @@ class TestCrashIndex:
                     expected[v] = False
             assert (fs.alive_mask(r, n) == expected).all()
 
+class TestThreadedViews:
+    """Each engine passes a round's view into the next round's query.
 
-class TestRoundViewCache:
-    """Crash-only round views are shared per crash epoch and topology."""
+    The view a round gets is one value whichever way it is asked for;
+    threading only lets rounds of one crash epoch share read-only arrays.
+    """
 
     @staticmethod
     def _two_graphs():
@@ -822,10 +860,11 @@ class TestRoundViewCache:
     def test_one_schedule_on_two_graphs_of_equal_size(self):
         a, b = self._two_graphs()
         fs = FaultSchedule(crashes={4: 2, 1: 3})
-        for r in (1, 2, 3, 2, 1):
-            for net in (a, b, a):
-                us, vs = net.edge_endpoints()
-                view = fs.round_faults(r, net.n, net.m, us, vs)
+        views = {net: _threaded(fs, net, range(0, 6)) for net in (a, b)}
+        for net in (a, b, a):
+            us, vs = net.edge_endpoints()
+            for view in views[net]:
+                r = view.round_index
                 alive = np.ones(net.n, dtype=bool)
                 alive[list(_brute_crashed_by(fs.crashes, r))] = False
                 assert (view.alive == alive).all()
@@ -833,47 +872,145 @@ class TestRoundViewCache:
                 assert (view.deliver_uv == expected).all()
                 assert (view.deliver_vu == expected).all()
                 assert view.newly_crashed == fs.crashes_at(r)
-                assert view.round_index == r
-        # Each graph keeps its own cached views while the other is queried.
-        us, vs = a.edge_endpoints()
-        first = fs.round_faults(3, a.n, a.m, us, vs)
-        fs.round_faults(3, b.n, b.m, *b.edge_endpoints())
-        assert fs.round_faults(3, a.n, a.m, us, vs).alive is first.alive
+                assert view.events == tuple(("crash", r, v) for v in fs.crashes_at(r))
+        # Each graph's views keep their own arrays.
+        assert views[a][3].deliver_uv is not views[b][3].deliver_uv
 
     def test_views_are_shared_within_an_epoch(self):
         a, _ = self._two_graphs()
-        us, vs = a.edge_endpoints()
         fs = FaultSchedule(crashes={1: 3})
-        before = [fs.round_faults(r, a.n, a.m, us, vs) for r in (0, 1, 2)]
-        after = [fs.round_faults(r, a.n, a.m, us, vs) for r in (3, 4, 9)]
+        views = _threaded(fs, a, range(0, 10))
+        before, after = views[:3], views[3:]
         assert all(v.alive is before[0].alive for v in before)
         assert all(v.deliver_uv is before[0].deliver_uv for v in before)
+        assert all(v.deliver_vu is before[0].deliver_uv for v in before)
         assert all(v.alive is after[0].alive for v in after)
+        assert all(v.deliver_uv is after[0].deliver_uv for v in after)
         assert after[0].alive is not before[0].alive
         assert after[0].newly_crashed == (1,) and after[1].newly_crashed == ()
+        # A query without the previous view builds arrays of its own.
+        alone = fs.round_faults(5, a)
+        assert alone.alive is not after[0].alive
+        assert _same_view(alone, views[5])
 
-    def test_writing_a_cached_view_raises(self):
-        a, _ = self._two_graphs()
-        us, vs = a.edge_endpoints()
-        view = FaultSchedule(crashes={1: 1}).round_faults(1, a.n, a.m, us, vs)
-        for array in (view.alive, view.deliver_uv, view.deliver_vu):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = True
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_every_view_array_is_read_only(self, kind):
+        net = pinned_network()
+        fs = FaultSchedule(seed=2, **SCHEDULES[kind])
+        for view in _threaded(fs, net, range(0, 6)):
+            for name in ("alive", "deliver_uv", "deliver_vu", "late_uv", "late_vu", "fates"):
+                array = getattr(view, name)
+                if array is None:
+                    continue
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_same_view_for_a_round_every_time(self, kind):
+        """Threaded, asked alone, asked back to front, asked of an equal
+        schedule or with another round's view: a round's view is the same."""
+        net = pinned_network()
+        fs = FaultSchedule(seed=2, **SCHEDULES[kind])
+        threaded = _threaded(fs, net, range(0, 9))
+        for view in reversed(threaded):
+            r = view.round_index
+            for other in (
+                fs.round_faults(r, net),
+                FaultSchedule(seed=2, **SCHEDULES[kind]).round_faults(r, net),
+                fs.round_faults(r, net, threaded[0]),
+                fs.round_faults(r, net, threaded[-1]),
+            ):
+                assert _same_view(view, other), (kind, r)
+        assert sum(len(view.events) for view in threaded) > 0
 
     @pytest.mark.parametrize("rates", [(0.3, 0.0), (0.0, 0.3)])
     def test_drop_and_delay_views_change_from_round_to_round(self, rates):
         net = pinned_network()
-        us, vs = net.edge_endpoints()
         drop, delay = rates
         fs = FaultSchedule(crashes={3: 5}, drop_rate=drop, delay_rate=delay, seed=2)
-        views = [fs.round_faults(r, net.n, net.m, us, vs) for r in range(1, 5)]
+        views = _threaded(fs, net, range(1, 5))
         assert any(
             (x.deliver_uv != y.deliver_uv).any() for x, y in zip(views, views[1:])
         )
-        for r, view in enumerate(views, start=1):
-            fates = fs.directed_fates(r, net.m)
-            assert (view.deliver_uv == (fates[0::2] == 0)).all()
-            assert (view.deliver_vu == (fates[1::2] == 0)).all()
+        for view in views:
+            assert (view.deliver_uv == (view.fates[0::2] == 0)).all()
+            assert (view.deliver_vu == (view.fates[1::2] == 0)).all()
+
+
+class TestScheduleIsAPlainValue:
+    """A schedule keeps nothing of the runs and queries it served."""
+
+    @staticmethod
+    def _run(engine, net, fs):
+        if engine == "node":
+            return Runner(strict=False, max_rounds=50).run(
+                _GossipMax(8), net, _GOSSIP, seed=0, faults=fs
+            )
+        return ArrayEngine(strict=False, max_rounds=50).run(
+            _GossipMaxArray(8), net, _GOSSIP, seed=0, faults=fs
+        )
+
+    @staticmethod
+    def _assert_as_built(fs, settings):
+        fresh = FaultSchedule(seed=4, **settings)
+        for slot in FaultSchedule.__slots__:
+            value, built = getattr(fs, slot), getattr(fresh, slot)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, built), slot
+            else:
+                assert value == built, slot
+
+    def test_slots_hold_only_the_parameters_and_the_crash_index(self):
+        assert FaultSchedule.__slots__ == (
+            "crashes",
+            "drop_rate",
+            "delay_rate",
+            "seed",
+            "_crash_vertices",
+            "_crash_rounds",
+        )
+
+    @pytest.mark.parametrize("engine", ["node", "array"])
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_a_run_leaves_the_schedule_as_built(self, engine, kind):
+        fs = FaultSchedule(seed=4, **SCHEDULES[kind])
+        trace = self._run(engine, pinned_network(), fs)
+        assert trace.rounds >= 4 and trace.fault_events
+        self._assert_as_built(fs, SCHEDULES[kind])
+
+    def test_a_thousand_threaded_rounds_leave_the_schedule_as_built(self):
+        net = pinned_network()
+        settings = SCHEDULES["drop-delay"]
+        fs = FaultSchedule(seed=4, **settings)
+        view = None
+        for r in range(0, 1000):
+            view = fs.round_faults(r, net, view)
+        self._assert_as_built(fs, settings)
+
+    @pytest.mark.parametrize("engine", ["node", "array"])
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_a_run_frees_its_endpoint_arrays_while_the_schedule_lives(
+        self, engine, kind
+    ):
+        """Once the network and the trace are dropped, reference counting
+        alone frees the network's endpoint arrays: the schedule, which
+        outlives the run (an ``Experiment`` or a sweep holds it), keeps
+        none of them."""
+        fs = FaultSchedule(seed=4, **SCHEDULES[kind])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            net = pinned_network()
+            refs = [weakref.ref(array) for array in net.edge_endpoints()]
+            trace = self._run(engine, net, fs)
+            assert trace.fault_events
+            del net, trace
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert fs.round_faults(2, pinned_network()).newly_crashed == fs.crashes_at(2)
+
 
 
 class TestCrashVertexOutsideNetwork:

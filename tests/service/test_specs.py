@@ -75,6 +75,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="distinct"):
             make_spec(values=(8, 8))
 
+    @pytest.mark.parametrize("values", [(12, 12.0), (8, 12, 8.0), (1, True)])
+    def test_values_that_compare_equal_are_rejected(self, values):
+        # Distinct reprs, but the worker maps a value to its index with
+        # ``==``: 12.0 would run on value 12's network, built with value
+        # 12's identifier seed.
+        with pytest.raises(ValueError, match="distinct"):
+            make_spec(values=values)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown graph family"):
             make_spec(family="hypercube")

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.local.engine import ArrayEngine
 from repro.local.runner import Runner
 from repro.service.scheduler import Scheduler
 from repro.service.specs import GRAPH_FAMILIES, SweepSpec
+from repro.service import store as store_module
 from repro.service.store import RESULT_STORE_SCHEMA, ResultStore
 
 
@@ -345,6 +350,74 @@ class TestGraphCache:
             assert not store.claim_graph_build("k1", {"r": 1})
             store.release_graph_claim("k1")
             assert store.claim_graph_build("k1", {"r": 1})
+
+    @staticmethod
+    def _set_claim(store, key, **columns):
+        """Rewrite ``key``'s claim columns, as another process would leave them."""
+        assignments = ", ".join(f"{name} = ?" for name in columns)
+        with store._db:
+            store._db.execute(
+                f"UPDATE graph_cache SET {assignments} WHERE key = ?",
+                (*columns.values(), key),
+            )
+
+    @staticmethod
+    def _claim_row(store, key):
+        return store._db.execute(
+            "SELECT status, claimed_by, claimed_at, builds FROM graph_cache WHERE key = ?",
+            (key,),
+        ).fetchone()
+
+    def test_a_claim_whose_holder_died_is_stolen(self, db_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid names no process now
+        with ResultStore(db_path) as store:
+            assert store.claim_graph_build("k1", {"r": 1})
+            self._set_claim(store, "k1", claimed_by=child.pid)
+            before = time.time()
+            assert store.claim_graph_build("k1", {"r": 1})
+            row = self._claim_row(store, "k1")
+        assert row["status"] == "building"
+        assert row["claimed_by"] == os.getpid()
+        assert row["claimed_at"] >= before
+
+    def test_a_claim_past_the_staleness_window_is_stolen(self, db_path):
+        holder = os.getppid()  # alive, but silent for too long
+        stale_at = time.time() - store_module._CLAIM_STALE_S - 1.0
+        with ResultStore(db_path) as store:
+            assert store.claim_graph_build("k1", {"r": 1})
+            self._set_claim(store, "k1", claimed_by=holder, claimed_at=stale_at)
+            assert store.claim_graph_build("k1", {"r": 1})
+            row = self._claim_row(store, "k1")
+        assert row["claimed_by"] == os.getpid()
+        assert row["claimed_at"] > stale_at + store_module._CLAIM_STALE_S
+
+    def test_a_fresh_live_claim_is_waited_for_then_built_unpublished(self, db_path):
+        spec = make_spec()
+        key = spec.graph_key(0)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return resolve_network(spec.graph_source(8), seed=spec.network_seed(0))
+
+        holder = os.getppid()  # another live process, still inside the window
+        with ResultStore(db_path) as store:
+            assert store.claim_graph_build(key, {"r": 1})
+            self._set_claim(store, key, claimed_by=holder)
+            claimed = self._claim_row(store, key)
+            assert not store.claim_graph_build(key, {"r": 1})
+            start = time.monotonic()
+            network = store.network_for(key, {"r": 1}, build, poll_s=0.01, timeout_s=0.2)
+            waited = time.monotonic() - start
+            row = self._claim_row(store, key)
+            assert store.cached_network(key) is None
+        # The wait ran out, so the caller built its own copy and published
+        # nothing: the claim is untouched and the row still unbuilt.
+        assert waited >= 0.2
+        assert len(builds) == 1 and network.n == 8
+        assert row["status"] == "building" and row["builds"] == 0
+        assert (row["claimed_by"], row["claimed_at"]) == (holder, claimed["claimed_at"])
 
     def test_network_for_counts_builds_and_hits(self, db_path):
         spec = make_spec()
