@@ -322,7 +322,8 @@ class FaultSchedule:
         """
         us, vs = network.edge_endpoints()
         fates = self._fates(round_index, network.m)
-        # ``previous`` if it is of this round's crash epoch: its arrays hold.
+        # ``previous`` when it is of this round's crash epoch: its alive mask,
+        # and a crash-only delivery array, hold for this round too.
         kin = previous
         if kin is not None and self._epoch(kin.round_index) != self._epoch(round_index):
             kin = None

@@ -861,7 +861,7 @@ class TestThreadedViews:
         a, b = self._two_graphs()
         fs = FaultSchedule(crashes={4: 2, 1: 3})
         views = {net: _threaded(fs, net, range(0, 6)) for net in (a, b)}
-        for net in (a, b, a):
+        for net in (a, b):
             us, vs = net.edge_endpoints()
             for view in views[net]:
                 r = view.round_index
