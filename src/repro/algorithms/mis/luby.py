@@ -64,48 +64,63 @@ class LubyMIS(CoroutineAlgorithm):
         return LubyMISArray()
 
 
-def _luby_joins_masked(
-    priorities: np.ndarray,
-    participants: np.ndarray,
+def _delivery(faults: Optional[RoundFaults]) -> Tuple[Optional[np.ndarray], ...]:
+    """The round's delivery masks, or ``(None, None)`` when it has no
+    message faults: a message is then lost only at a dead endpoint, and a
+    kernel already keeps dead senders silent and dead receivers out."""
+    if faults is None or faults.fates is None:
+        return None, None
+    return faults.deliver_uv, faults.deliver_vu
+
+
+def _luby_local_maxima(
+    values: np.ndarray,
+    bidders: np.ndarray,
     identifiers: np.ndarray,
     us: np.ndarray,
     vs: np.ndarray,
-    deliver_uv: np.ndarray,
-    deliver_vu: np.ndarray,
-) -> np.ndarray:
-    """Mask of participants whose priority beats every priority they received.
+    deliver_uv: Optional[np.ndarray] = None,
+    deliver_vu: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each vertex's best received value, and the bidders that beat it.
 
-    ``participants`` is the per-vertex mask of alive, still-undecided
-    nodes; ``us`` / ``vs`` are the endpoints of the edges to consider and
-    ``deliver_uv`` / ``deliver_vu`` say, per such edge, which directed
-    messages of the priority round arrive.  Any edge subset that contains
-    every edge between two participants gives the same answer (the
-    self-stabilising MIS passes only its live edges; Luby's fault mode
-    passes all of them).  A participant beats only the priorities it
-    *received* — exactly the coroutine semantics, where a dropped or
-    crashed neighbour is as silent as a decided one (a participant whose
-    whole inbox was dropped joins unconditionally).  Comparisons are
-    lexicographic on ``(priority, identifier)``, the coroutine twin's tuple
-    comparison: the identifier only matters on exact float ties, which a
-    continuous draw hits with probability zero but a test can force.
+    ``values`` holds one float per vertex: what it sends this round, or the
+    neutral element −1.0 if it is silent (decided, crashed, not bidding).
+    ``best`` is the maximum over the values sent along the considered edges
+    ``us`` / ``vs`` into each vertex, −1.0 where nothing arrives, from two
+    gathers and two ``np.maximum.at``.  ``deliver_uv`` / ``deliver_vu``
+    (per considered edge) turn undelivered directions into −1.0; they are
+    needed only when messages can be dropped or delayed, since a dead
+    sender already holds −1.0 and a dead receiver is no bidder.  Any edge
+    subset holding every edge at a bidder gives the same answer for the
+    bidders (the self-stabilising MIS passes only its live edges).
+
+    ``joins`` marks the ``bidders`` whose value beats every value they
+    received — the coroutine's rule, where a dropped or crashed neighbour is
+    as silent as a decided one (a bidder whose whole inbox was lost joins
+    unconditionally).  Comparisons are lexicographic on ``(value,
+    identifier)``, the coroutine twin's tuple comparison: the identifier
+    only matters on exact float ties, which a continuous draw hits with
+    probability zero but a test can force, so it is computed only when a
+    tie exists.
     """
-    both = participants[us] & participants[vs]
-    live_uv = both & deliver_uv
-    live_vu = both & deliver_vu
-    best = np.full(priorities.size, -1.0)
-    np.maximum.at(best, vs[live_uv], priorities[us[live_uv]])
-    np.maximum.at(best, us[live_vu], priorities[vs[live_vu]])
-    joins = participants & (priorities > best)
-    ties = participants & (priorities == best)
+    best = np.full(values.size, -1.0)
+    received = []
+    for src, dst, deliver in ((us, vs, deliver_uv), (vs, us, deliver_vu)):
+        sent = values[src]
+        if deliver is not None:
+            sent[~deliver] = -1.0
+        np.maximum.at(best, dst, sent)
+        received.append(sent)
+    joins = bidders & (values > best)
+    ties = bidders & (values == best)
     if ties.any():
-        best_id = np.full(priorities.size, -1, dtype=np.int64)
-        tie = priorities[us] == priorities[vs]
-        e_uv = live_uv & tie
-        e_vu = live_vu & tie
-        np.maximum.at(best_id, vs[e_uv], identifiers[us[e_uv]])
-        np.maximum.at(best_id, us[e_vu], identifiers[vs[e_vu]])
+        best_id = np.full(values.size, -1, dtype=np.int64)
+        for src, dst, sent in zip((us, vs), (vs, us), received):
+            tie = np.flatnonzero(ties[dst] & (sent == values[dst]))
+            np.maximum.at(best_id, dst[tie], identifiers[src[tie]])
         joins |= ties & (identifiers > best_id)
-    return joins
+    return best, joins
 
 
 # Flat batch indices are always int64: numpy's advanced-indexing fast path
@@ -146,14 +161,19 @@ class LubyMISArray(ArrayAlgorithm):
     runs a per-row kernel, once per active trial, on row views of the batch
     arrays; the fault-free worklist kernel never sees a fault.  Only alive
     undecided nodes participate — each row's priority block is drawn from
-    its own generator over them in ascending vertex order — and a
-    priority / announcement only
-    counts at its receiver if the schedule delivered that direction; a
-    crashed or silenced neighbour looks exactly like a decided one, as in
-    the coroutine.  A joiner that crashes at the announcement round never
-    announces, so its neighbours stay undecided.  Message counts charge the
-    degrees of the alive senders of each round — the coroutine count
-    exactly, drops included (drops lose deliveries, not sends).
+    its own generator over them in ascending vertex order — and every other
+    vertex holds the neutral −1.0, so a priority round has the fault-free
+    kernel's shape: two gathers and two ``np.maximum.at`` over the edges
+    (:func:`_luby_local_maxima`).  A priority / announcement only counts at
+    its receiver if the schedule delivered that direction; the delivery
+    masks are read only under message faults (``faults.fates`` set), since
+    in a crash-only round a dead sender is silent and a dead receiver takes
+    no part.  A crashed or silenced neighbour looks exactly like a decided
+    one, as in the coroutine.  A joiner that crashes at the announcement
+    round never announces, so its neighbours stay undecided.  Message
+    counts charge the degrees of the alive senders of each round — the
+    coroutine count exactly, drops included (drops lose deliveries, not
+    sends).
 
     Delay mode consumes the round view's ``late_uv`` / ``late_vu`` carry
     masks with the coroutine's one-round-buffer semantics: a stale message
@@ -537,14 +557,13 @@ class LubyMISArray(ArrayAlgorithm):
             participants = np.flatnonzero(participants_mask)
             priorities = np.full(network.n, -1.0)
             priorities[participants] = rng.random(participants.size)
-            joins = _luby_joins_masked(
+            _, joins = _luby_local_maxima(
                 priorities,
                 participants_mask,
                 network.identifier_array,
                 us,
                 vs,
-                faults.deliver_uv,
-                faults.deliver_vu,
+                *_delivery(faults),
             )
             node_rounds[joins] = round_index
             batch.node_values[t][joins] = True
@@ -563,8 +582,11 @@ class LubyMISArray(ArrayAlgorithm):
             # all) that are still alive — they all broadcast the flag.
             senders = extra["phase_participants"] & alive
             heard = np.zeros(network.n, dtype=bool)
-            heard[vs[announcer[us] & faults.deliver_uv]] = True
-            heard[us[announcer[vs] & faults.deliver_vu]] = True
+            for src, dst, deliver in zip((us, vs), (vs, us), _delivery(faults)):
+                sent = announcer[src]
+                if deliver is not None:
+                    sent &= deliver
+                heard[dst[sent]] = True
             stale = self._visible_stale(
                 faults, network, extra["prev_senders"], senders
             )

@@ -43,7 +43,8 @@ Protocol sketches:
   else can happen until the next crash, so the twin only charges the
   beacon messages (and draws no bids).  A busy round works on its *live
   edges* only — those with an undecided endpoint, the only edges whose
-  beacons or bids can decide anything.
+  beacons or bids can decide anything — and hears beacons and bids in one
+  neighbourhood maximum: a beacon is the value 2.0, above every bid.
 * :class:`SelfStabilizingMatching` — parity-phased propose/accept.  Free
   nodes coin-flip into proposer/listener roles on odd rounds; listeners
   accept one live proposal on even rounds, and both endpoints commit the
@@ -67,6 +68,7 @@ from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.algorithms.mis.luby import _delivery, _luby_local_maxima
 from repro.local.algorithm import Broadcast, NodeAlgorithm
 from repro.local.engine import ArrayAlgorithm, BatchState, ScratchArena
 from repro.local.faults import RoundFaults
@@ -171,8 +173,10 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
 
     Same bid/beacon protocol, vectorised: one uniform block per round over
     the alive undecided nodes (ascending vertex order — the engine's
-    documented seed schedule), beacons folded over the delivered directions,
-    and joins computed with plain Luby's masked local-maximum kernel.  The
+    documented seed schedule), and one neighbourhood maximum per round,
+    plain Luby's :func:`~repro.algorithms.mis.luby._luby_local_maxima`: a
+    member's beacon is the value 2.0, which beats every bid, so the same
+    maximum says which bidders heard a beacon and which bids won.  The
     RNG schedule differs from the coroutine form (block PCG64 vs per-node
     Mersenne), so the two forms produce different — but both validator-
     checked — traces, like every other engine twin in this repository.
@@ -191,10 +195,12 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
     and without a bid block (``rng.random(0)`` would leave the PCG64
     stream untouched, so the seed schedule is the same).  A busy round
     makes one pass over the edge slots to select the edges with an
-    undecided endpoint; beacons heard and bid maxima are computed on that
-    subset alone, which holds every edge that can affect an undecided
-    node.  The kernel is deliberately not flattened over the trial axis:
-    its index temporaries would then be ``T · m``-sized.
+    undecided endpoint, the only edges that can affect an undecided node,
+    then one neighbourhood maximum over that subset: two gathers and two
+    ``np.maximum.at``, with the delivery masks gathered and applied only
+    under message faults (a crash-only round's dead senders already hold
+    the neutral −1.0).  The kernel is deliberately not flattened over the
+    trial axis: its index temporaries would then be ``T · m``-sized.
     """
 
     name = "selfstab-luby-mis"
@@ -252,14 +258,12 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
         node_rounds, node_values = batch.node_rounds[t], batch.node_values[t]
         n = network.n
         us, vs = network.edge_endpoints()
-        if faults is None:
-            alive = np.ones(n, dtype=bool)
-            deliver_uv = deliver_vu = np.ones(network.m, dtype=bool)
-        else:
+        members = status == _IN
+        undecided = status == _UNDECIDED
+        if faults is not None:
             alive = faults.alive
-            deliver_uv, deliver_vu = faults.deliver_uv, faults.deliver_vu
+            members &= alive
             if faults.newly_crashed:
-                members = (status == _IN) & alive
                 covered = np.zeros(n, dtype=bool)
                 covered[vs[members[us]]] = True
                 covered[us[members[vs]]] = True
@@ -268,9 +272,9 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
                     status[orphaned] = _UNDECIDED
                     node_rounds[orphaned] = -1
                     node_values[orphaned] = False
+                    undecided |= orphaned
+            undecided &= alive
 
-        undecided = (status == _UNDECIDED) & alive
-        members = (status == _IN) & alive
         beacons = int(network.degrees[members].sum())
         bidders = np.flatnonzero(undecided)
         if not bidders.size:
@@ -278,31 +282,22 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
             # bid block either — rng.random(0) would not move the stream.
             batch.messages[t] += beacons
             return
-        bids = np.full(n, -1.0)
-        bids[bidders] = rng.random(bidders.size)
+        # One value per vertex: a member's beacon is 2.0, which beats every
+        # bid, a bidder's value is its bid, and every silent vertex holds
+        # the neutral −1.0 — so one neighbourhood maximum says both whether
+        # a beacon was heard and whether a bid won.
+        values = np.where(members, 2.0, -1.0)
+        values[bidders] = rng.random(bidders.size)
 
         # Beacons and rival bids only matter at undecided nodes: one pass
-        # selects the live edges (an undecided endpoint), and the rest of
-        # the round works on that subset.
+        # selects the live edges (an undecided endpoint), and the maximum
+        # runs on that subset alone.
         live = np.flatnonzero(undecided[us] | undecided[vs])
-        us, vs = us[live], vs[live]
-        deliver_uv, deliver_vu = deliver_uv[live], deliver_vu[live]
-        heard = np.zeros(n, dtype=bool)
-        heard[vs[members[us] & deliver_uv]] = True
-        heard[us[members[vs] & deliver_vu]] = True
-
-        # Local bid maxima over the delivered undecided neighbourhood —
-        # plain Luby's masked kernel, imported lazily to avoid a cycle at
-        # package import time.
-        from repro.algorithms.mis.luby import _luby_joins_masked
-
-        joins = (
-            _luby_joins_masked(
-                bids, undecided, network.identifier_array, us, vs, deliver_uv, deliver_vu
-            )
-            & ~heard
+        deliver = [None if d is None else d[live] for d in _delivery(faults)]
+        best, joins = _luby_local_maxima(
+            values, undecided, network.identifier_array, us[live], vs[live], *deliver
         )
-        newly_out = undecided & heard
+        newly_out = undecided & (best >= 2.0)
         if joins.any():
             status[joins] = _IN
             node_rounds[joins] = round_index

@@ -869,7 +869,9 @@ def _off_palette(colours: np.ndarray, num_colors: int) -> List[Any]:
     """The distinct colours outside ``[0, num_colors)`` (non-integers included)."""
     if colours.dtype.kind in "biu":
         as_int = colours.astype(np.int64)
-        return np.unique(colours[(as_int < 0) | (as_int >= num_colors)]).tolist()
+        # Not np.unique: the offenders are usually none, and numpy's unique
+        # imports numpy.ma (about 14 ms) on its first call.
+        return sorted(set(colours[(as_int < 0) | (as_int >= num_colors)].tolist()))
     used = set(colours.tolist())
     return [c for c in used if not (isinstance(c, int) and 0 <= c < num_colors)]
 

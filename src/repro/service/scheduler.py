@@ -32,6 +32,10 @@ Graph builds go through the store's content-addressed cache
 (:meth:`ResultStore.network_for`), so concurrent jobs sweeping the same
 family perform exactly one network build between them.
 
+Workers are forked, so they share what the scheduler imported.  The module
+preloads ``numpy.random``, which a job's graph build needs and nothing else
+here imports; a job then imports no module of its own.
+
 Test seam: when ``REPRO_SERVICE_KILL_AFTER_ROWS=<k>`` is set in a worker's
 environment, the worker SIGKILLs itself after journaling ``k`` cell rows —
 the deterministic mid-run crash used by the durability tests and the
@@ -47,6 +51,12 @@ import os
 import signal
 import time
 from typing import Dict, List, Optional
+
+# Preloaded for the forked workers: nothing else the scheduler imports
+# touches ``np.random``, so every worker would import it (ten submodules,
+# ``secrets``, ``hmac`` and the Cython runtime) on its first graph build,
+# about 10 ms of each job.
+import numpy.random  # noqa: F401
 
 # `repro.analysis` re-exports the sweep *function*, which shadows the
 # submodule on attribute-style imports; resolve the module itself.

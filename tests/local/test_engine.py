@@ -24,17 +24,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.matching.randomized import (
     RandomizedMatchingArray,
     RandomizedMaximalMatching,
 )
 from repro.algorithms.mis import luby as luby_module
-from repro.algorithms.mis.luby import LubyMIS, LubyMISArray, _luby_joins_masked
+from repro.algorithms.mis.luby import LubyMIS, LubyMISArray, _luby_local_maxima
+from repro.algorithms.selfstab import SelfStabilizingLubyMISArray
 from repro.core import problems
 from repro.core.experiment import Experiment, run_trials, trial_seed
 from repro.graphs import generators as gen
 from repro.local.engine import ArrayEngine, ScratchArena
+from repro.local.faults import FaultSchedule
 from repro.graphs.edgelist import EdgeArrays
 from repro.local.network import Network
 from repro.local.runner import RoundLimitExceeded, Runner
@@ -110,6 +114,86 @@ def _reference_luby(network: Network, rng) -> dict:
         "rounds": rounds,
         "tie_phases": tie_phases,
     }
+
+
+class _ReferenceFaulted:
+    """One row of a faulted Luby kernel in plain Python, vertex by vertex.
+
+    ``step(round_index, view)`` applies one round under a
+    :class:`~repro.local.faults.RoundFaults` view — a message ``u → v``
+    arrives iff the view delivers that direction — and returns the sets
+    that joined and left.  ``selfstab=False`` is :class:`LubyMIS`'s
+    two-round phase; ``selfstab=True`` is the one-round bid/beacon rule of
+    :class:`SelfStabilizingLubyMIS` with the array twin's orphan reset.
+    Bids are drawn ``rng.random(k)`` for the ``k`` alive undecided nodes in
+    ascending order, the kernels' seed schedule; ``ties`` counts the bidders
+    whose bid equalled the largest bid they received.
+    """
+
+    def __init__(self, network: Network, rng, selfstab: bool) -> None:
+        self.ids = network.identifier_array.tolist()
+        self.neighbours = [network.neighbors(v) for v in network.vertices]
+        self.us, self.vs = (a.tolist() for a in network.edge_endpoints())
+        # 0 undecided, 1 in, 2 out; isolated nodes join at round 0.
+        self.status = [0 if row else 1 for row in self.neighbours]
+        self.rng, self.selfstab = rng, selfstab
+        self.joined = set()
+        self.ties = 0
+
+    def _bids(self, alive, delivered):
+        """Each alive undecided node's bid, and the bids each one hears."""
+        bidders = [v for v, s in enumerate(self.status) if s == 0 and alive[v]]
+        bid = dict(zip(bidders, self.rng.random(len(bidders)).tolist()))
+        heard = {
+            v: [(bid[u], self.ids[u]) for u in self.neighbours[v] if u in bid and delivered[u, v]]
+            for v in bidders
+        }
+        return bid, heard
+
+    def _wins(self, v, bid, rivals) -> bool:
+        if rivals and max(rivals)[0] == bid[v]:
+            self.ties += 1
+        return not rivals or (bid[v], self.ids[v]) > max(rivals)
+
+    def step(self, round_index: int, view):
+        alive = view.alive.tolist()
+        delivered = {}
+        for u, v, uv, vu in zip(
+            self.us, self.vs, view.deliver_uv.tolist(), view.deliver_vu.tolist()
+        ):
+            delivered[u, v], delivered[v, u] = uv, vu
+        status = self.status
+        if not self.selfstab and round_index % 2 == 0:
+            # Announcement round: an undecided node hearing a joiner leaves.
+            outs = {
+                v
+                for v, s in enumerate(status)
+                if s == 0 and any(u in self.joined and delivered[u, v] for u in self.neighbours[v])
+            }
+            for v in outs:
+                status[v] = 2
+            return set(), outs
+        if self.selfstab and view.newly_crashed:
+            # An alive out node without an alive member neighbour rebids.
+            for v, s in enumerate(status):
+                if s == 2 and alive[v]:
+                    if not any(status[u] == 1 and alive[u] for u in self.neighbours[v]):
+                        status[v] = 0
+        bid, heard = self._bids(alive, delivered)
+        outs = set()
+        if self.selfstab:
+            outs = {
+                v
+                for v in bid
+                if any(status[u] == 1 and delivered[u, v] for u in self.neighbours[v])
+            }
+        joins = {v for v in bid if v not in outs and self._wins(v, bid, heard[v])}
+        for v in joins:
+            status[v] = 1
+        for v in outs:
+            status[v] = 2
+        self.joined = joins
+        return joins, outs
 
 
 class TestEngineBasics:
@@ -284,16 +368,15 @@ class TestLubyArraySemantics:
 
     @staticmethod
     def joins(priorities, undecided, network, identifiers=None):
-        # The masked kernel with every message delivered (fault-free).
-        everywhere = np.ones(network.m, dtype=bool)
-        return _luby_joins_masked(
+        # The neutral-element kernel with every message delivered
+        # (fault-free): a silent vertex's priority is −1.0.
+        _, joins = _luby_local_maxima(
             priorities,
             undecided,
             network.identifier_array if identifiers is None else identifiers,
             *network.edge_endpoints(),
-            everywhere,
-            everywhere,
         )
+        return joins
 
     def test_tie_breaking_uses_identifiers(self):
         net = Network.from_edge_arrays(EdgeArrays.from_pairs(3, [(0, 1), (1, 2)]))
@@ -352,10 +435,11 @@ class TestLubyArraySemantics:
 
     def test_lonely_undecided_node_joins(self):
         # A node whose undecided neighbourhood is empty joins like its
-        # coroutine twin does on an empty inbox.
+        # coroutine twin does on an empty inbox: its decided neighbour is
+        # silent, so it holds the neutral −1.0, and a bid of 0.0 beats it.
         net = Network.from_edge_arrays(EdgeArrays.from_pairs(2, [(0, 1)]))
         undecided = np.array([True, False])
-        joins = self.joins(np.array([0.0, 0.9]), undecided, net)
+        joins = self.joins(np.array([0.0, -1.0]), undecided, net)
         assert joins.tolist() == [True, False]
 
     def test_first_phase_message_count_matches_coroutine_exactly(self):
@@ -371,6 +455,125 @@ class TestLubyArraySemantics:
             LubyMIS(), net, problems.MIS, seed=1
         )
         assert a.total_messages == c.total_messages == 2 * (2 * net.m)
+
+
+#: What a vertex can hold in one round: silent, a bid on the tie-prone grid
+#: of ``_GridUniforms``, or a self-stabilising member's beacon.
+_ROUND_VALUES = (-1.0, 0.0, 1 / 3, 2 / 3, 2.0)
+
+
+@st.composite
+def _rounds(draw):
+    """A graph on n ≤ 12 vertices with permuted identifiers, one value per
+    vertex from ``_ROUND_VALUES``, and per-edge delivery of each direction."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    network = Network.from_edge_arrays(EdgeArrays.from_pairs(n, edges))
+    values = np.array(draw(st.lists(st.sampled_from(_ROUND_VALUES), min_size=n, max_size=n)))
+    identifiers = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    m = network.m
+    deliver_uv, deliver_vu = (
+        np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+        for _ in range(2)
+    )
+    return network, values, identifiers, deliver_uv, deliver_vu
+
+
+class TestLocalMaxima:
+    """``_luby_local_maxima`` against brute force over delivered messages."""
+
+    @given(_rounds())
+    @settings(max_examples=200, deadline=None)
+    def test_best_and_joins_are_maxima_over_delivered_in_neighbours(self, case):
+        network, values, identifiers, deliver_uv, deliver_vu = case
+        bidders = (values >= 0.0) & (values < 1.0)
+        us, vs = network.edge_endpoints()
+        best, joins = _luby_local_maxima(
+            values, bidders, identifiers, us, vs, deliver_uv, deliver_vu
+        )
+        inbox = [[] for _ in network.vertices]
+        for u, v, uv, vu in zip(us.tolist(), vs.tolist(), deliver_uv, deliver_vu):
+            if uv:
+                inbox[v].append(u)
+            if vu:
+                inbox[u].append(v)
+        for v in network.vertices:
+            assert best[v] == max([-1.0] + [values[u] for u in inbox[v]])
+            mine = (values[v], identifiers[v])
+            beats = all(mine > (values[u], identifiers[u]) for u in inbox[v])
+            assert joins[v] == (bidders[v] and beats)
+
+    @given(_rounds(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_masks_equal_the_alive_masks_when_the_dead_are_silent(self, case, data):
+        # A crash-only round: its delivery masks are "both endpoints
+        # alive", and a dead vertex holds the neutral −1.0.
+        network, values, identifiers, _, _ = case
+        alive = np.array(
+            data.draw(st.lists(st.booleans(), min_size=network.n, max_size=network.n)),
+            dtype=bool,
+        )
+        values = np.where(alive, values, -1.0)
+        bidders = alive & (values >= 0.0) & (values < 1.0)
+        us, vs = network.edge_endpoints()
+        both = alive[us] & alive[vs]
+        bare = _luby_local_maxima(values, bidders, identifiers, us, vs)
+        masked = _luby_local_maxima(values, bidders, identifiers, us, vs, both, both)
+        assert bare[1].tolist() == masked[1].tolist()
+        # A dead receiver hears nothing through the masks; its bare maximum
+        # is never read.
+        assert bare[0][alive].tolist() == masked[0][alive].tolist()
+
+
+class TestFaultedLubyKernels:
+    """Both faulted Luby kernels against a per-vertex reference, with exact
+    bid ties forced by uniforms on {0, 1/3, 2/3}."""
+
+    SCHEDULES = {
+        # Crashes in priority and announcement rounds, so joiners die
+        # before announcing and members die under their covered nodes.
+        "crashes": FaultSchedule(crashes={3: 2, 11: 3, 17: 4, 22: 6, 30: 7, 38: 9}),
+        # Drops force the kernels onto their delivery masks.
+        "drops": FaultSchedule(crashes={5: 3, 24: 6}, drop_rate=0.25, seed=4),
+    }
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("kernel", ["luby", "selfstab"])
+    def test_every_round_matches_the_reference(self, kernel, schedule):
+        faults = self.SCHEDULES[schedule]
+        network = Network.from_edge_arrays(
+            gen.fast_gnp_edges(40, 3 / 39, seed=7), "permuted", random.Random(5)
+        )
+        selfstab = kernel == "selfstab"
+        algorithm = SelfStabilizingLubyMISArray() if selfstab else LubyMISArray()
+        seeds = range(5)
+        rngs = [_GridUniforms(seed) for seed in seeds]
+        references = [_ReferenceFaulted(network, _GridUniforms(seed), selfstab) for seed in seeds]
+        batch = algorithm.init_batch(network, rngs, ScratchArena())
+        active = np.ones(len(rngs), dtype=bool)
+        view = None
+        # The stubs go to the kernel directly, stepped as the engine steps
+        # a faulted batch (every row, every round, one threaded view).
+        for round_index in range(1, 17):
+            view = faults.round_faults(round_index, network, view)
+            algorithm.step_batch(round_index, batch, network, rngs, active, faults=view)
+            for t, reference in enumerate(references):
+                joins, outs = reference.step(round_index, view)
+                now = batch.node_rounds[t] == round_index
+                assert set(np.flatnonzero(now & batch.node_values[t]).tolist()) == joins
+                assert set(np.flatnonzero(now & ~batch.node_values[t]).tolist()) == outs
+                if selfstab:
+                    assert batch.extra["status"][t].tolist() == reference.status
+                else:
+                    undecided = [s == 0 for s in reference.status]
+                    assert batch.extra["undecided"][t].tolist() == undecided
+        # Every row decided every alive node, and the tie branch ran.
+        assert all(
+            all(s != 0 or not alive for s, alive in zip(ref.status, view.alive.tolist()))
+            for ref in references
+        )
+        assert sum(ref.ties for ref in references) > 0
 
 
 class TestMatchingArraySemantics:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +150,49 @@ class TestHappyPath:
         assert len(failures) == 1
         assert failures[0]["kind"] == "round-limit"
         assert failures[0]["seed"] == 3
+
+
+#: Submits a tiny ``fast_gnp`` job over every registered algorithm, then
+#: runs it inline and prints the modules the run imported.
+IMPORTS_SCRIPT = r"""
+import os, sys, tempfile
+from repro.service.queue import JobQueue
+from repro.service.scheduler import run_job
+from repro.service.specs import ALGORITHMS, SweepSpec
+from repro.service.store import ResultStore
+
+with tempfile.TemporaryDirectory() as tmp:
+    db_path = os.path.join(tmp, "service.db")
+    spec = SweepSpec(parameter="n", values=(40,), family="fast_gnp",
+                     family_params={"expected_degree": 4.0, "graph_seed": 1},
+                     algorithms=tuple(sorted(ALGORITHMS)), trials=2, seed=3)
+    with ResultStore(db_path) as store:
+        queue = JobQueue(store)
+        job_id = queue.submit(spec)
+        assert queue.claim().id == job_id
+    before = set(sys.modules)
+    assert run_job(db_path, job_id) == "done"
+    print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_a_job_imports_nothing_the_scheduler_has_not(tmp_path):
+    # A forked worker inherits the scheduler's modules; whatever a job
+    # imports on top is imported afresh in every worker, on every job.
+    # Fresh interpreter: this test process has imported everything already.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORTS_SCRIPT],
+        cwd=str(tmp_path),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestDurability:
