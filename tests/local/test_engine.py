@@ -553,8 +553,9 @@ class TestFaultedLubyKernels:
         batch = algorithm.init_batch(network, rngs, ScratchArena())
         active = np.ones(len(rngs), dtype=bool)
         view = None
-        # The stubs go to the kernel directly, stepped as the engine steps
-        # a faulted batch (every row, every round, one threaded view).
+        # The stubs go to the kernel directly, with one threaded view per
+        # round as the engine passes it; every row runs all 16 rounds, by
+        # which every alive node has decided.
         for round_index in range(1, 17):
             view = faults.round_faults(round_index, network, view)
             algorithm.step_batch(round_index, batch, network, rngs, active, faults=view)
