@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 help:
 	@echo "make test         tier-1 suite (the gate every PR must keep green)"
-	@echo "make lint         repro.lint invariant checker (+ ruff when installed)"
+	@echo "make lint         repro.lint invariant checker, fails on any finding (+ ruff when installed)"
 	@echo "make perfbench-check  benchmark self-check (tiny sizes, golden digests, metric names vs BENCHMARK.json)"
 	@echo "make example      the 10^5-10^6-node scaling tour (skip the finale: EXAMPLE_FLAGS=--no-million)"
 	@echo "make examples-smoke  the five small example scripts; fails on a non-zero exit or stdout unlike examples/expected/"
@@ -18,7 +18,7 @@ test:
 	$(PYTHON) -m pytest -x -q $(PYTEST_FLAGS)
 
 lint:
-	$(PYTHON) -m repro.lint --baseline lint-baseline.json --strict-baseline
+	$(PYTHON) -m repro.lint
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check .; \
 	else \

@@ -181,7 +181,6 @@ class RandomizedMatchingArray(ArrayAlgorithm):
     """
 
     name = "randomized-maximal-matching"
-    labels_edges = True
     supports_faults = True
 
     @staticmethod
@@ -254,7 +253,6 @@ class RandomizedMatchingArray(ArrayAlgorithm):
     ) -> BatchState:
         trials = len(rngs)
         batch = BatchState(trials, network.n, network.m, nodes=False, edges=True)
-        batch.halted[:, network.degrees == 0] = True
         buffers = self._batch_scratch(network, trials, scratch)
         extra = batch.extra
         # The worklist holds every still-undecided (trial, edge) as its
@@ -304,7 +302,7 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             return
         extra = batch.extra
         scratch = extra["scratch"]
-        trials, n = batch.trials, network.n
+        trials = batch.trials
         counts = extra["counts"]
         wl = extra["wl"]
         length = wl.size
@@ -396,15 +394,10 @@ class RandomizedMatchingArray(ArrayAlgorithm):
         else:
             # Announcement (4k): no first-time commits.  A trial that
             # completed at round 4k−1 is done before this round, so its
-            # messages and halted mask stay untouched.
+            # messages stay untouched.
             batch.messages[active] += (
                 2 * extra["iter_count"][active] - 2 * extra["iter_matched"][active]
             )
-            # A node participates while it has an undecided incident edge,
-            # i.e. while its maintained undecided degree is nonzero — no
-            # worklist scatter needed.
-            deg_rows = scratch["deg"].reshape(trials, n)
-            batch.halted[active] = deg_rows[active] == 0
 
     def _step_faulted(
         self,
@@ -493,8 +486,3 @@ class RandomizedMatchingArray(ArrayAlgorithm):
             # Announcement (4k): matched nodes tell their remaining
             # neighbours and retire; no first-time commits happen here.
             batch.messages[t] += 2 * extra["iter_edges"].size - 2 * extra["iter_matched"]
-            still = np.flatnonzero(undecided)
-            participating = np.zeros(network.n, dtype=bool)
-            participating[us[still]] = True
-            participating[vs[still]] = True
-            np.logical_not(participating, out=batch.halted[t])

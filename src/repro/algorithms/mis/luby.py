@@ -196,7 +196,6 @@ class LubyMISArray(ArrayAlgorithm):
     """
 
     name = "luby-mis"
-    labels_nodes = True
     supports_faults = True
 
     @staticmethod
@@ -262,7 +261,6 @@ class LubyMISArray(ArrayAlgorithm):
         if isolated.any():
             batch.node_rounds[:, isolated] = 0
             batch.node_values[:, isolated] = True
-            batch.halted[:, isolated] = True
         buffers = self._batch_scratch(network, trials, scratch)
         undecided = buffers["undecided"]
         undecided[:] = ~isolated
@@ -443,10 +441,6 @@ class LubyMISArray(ArrayAlgorithm):
             extra["live_degsum"] -= np.bincount(
                 ridx // n, weights=degrees[ridx % n], minlength=trials
             ).astype(np.int64)
-            # Full-width halt refresh: completed rows are all-decided and
-            # unchanged, so overwriting every row is the same result
-            # without the fancy-indexed row copies.
-            np.logical_not(undecided, out=batch.halted)
             batch.messages[active] += extra["phase_messages"][active]
             # Re-compact the live edges against the post-removal undecided
             # sets: entries that survive are exactly the next phase's live
@@ -601,6 +595,5 @@ class LubyMISArray(ArrayAlgorithm):
             node_rounds[removed] = round_index
             # node_values stays False in removed slots.
             undecided &= ~removed
-            np.logical_not(undecided, out=batch.halted[t])
             extra["prev_senders"] = senders
             batch.messages[t] += int(network.degrees[senders].sum())

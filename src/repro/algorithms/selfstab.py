@@ -204,7 +204,6 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
     """
 
     name = "selfstab-luby-mis"
-    labels_nodes = True
     supports_faults = True
     self_stabilizing = True
 
@@ -223,7 +222,6 @@ class SelfStabilizingLubyMISArray(ArrayAlgorithm):
             status[:, isolated] = _IN
             batch.node_rounds[:, isolated] = 0
             batch.node_values[:, isolated] = True
-            batch.halted[:, isolated] = True
         batch.extra["status"] = status
         return batch
 

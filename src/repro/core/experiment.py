@@ -437,10 +437,8 @@ class Experiment:
         trials: number of trials when ``seeds`` is not given (default 5).
         seed: base seed for the derived schedule (default 0).
         id_scheme: identifier scheme for graph sources that are not already
-            networks (default ``"permuted"``, the benchmark convention).
-        graph_seed: base seed for identifier assignment; graph ``i`` uses
-            ``graph_seed + i`` (the :func:`repro.analysis.sweep.sweep`
-            convention).
+            networks (default ``"permuted"``, the benchmark convention);
+            graph ``i`` draws its identifiers with seed ``i``.
         max_rounds: round cap of the runner.
         runner: a pre-configured :class:`Runner` (overrides ``max_rounds``).
         engine: execution engine — ``"node"`` (default, per-node coroutine
@@ -479,7 +477,6 @@ class Experiment:
         trials: Optional[int] = None,
         seed: int = 0,
         id_scheme: str = "permuted",
-        graph_seed: int = 0,
         max_rounds: int = 20_000,
         runner: Optional[Runner] = None,
         engine: str = "node",
@@ -513,7 +510,6 @@ class Experiment:
         else:
             self._graphs = [(None, graphs)]
         self._id_scheme = id_scheme
-        self._graph_seed = graph_seed
         self._runner = runner or Runner(max_rounds=max_rounds)
         self._engine = engine
         self._array_engine = ArrayEngine(
@@ -544,9 +540,7 @@ class Experiment:
             used_names.add(name)
 
             t0 = time.perf_counter()
-            network = resolve_network(
-                source, seed=self._graph_seed + index, id_scheme=self._id_scheme
-            )
+            network = resolve_network(source, seed=index, id_scheme=self._id_scheme)
             timings["network_s"] = time.perf_counter() - t0
 
             problem = self._make_problem(network)

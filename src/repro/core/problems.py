@@ -140,6 +140,8 @@ class ProblemSpec:
         name: human-readable problem name.
         labels_nodes: whether the problem assigns an output to every node.
         labels_edges: whether the problem assigns an output to every edge.
+            At least one of the two is set: an execution is complete when
+            every labelled entity committed.
         validator: networkx reference validator
             ``(graph, node_outputs, edge_outputs) -> ValidationResult``
             checking a complete assignment.  ``graph`` is a networkx graph
@@ -171,6 +173,10 @@ class ProblemSpec:
     validator: Callable[[nx.Graph, Mapping[int, Any], Mapping[Edge, Any]], ValidationResult]
     params: Mapping[str, Any] = field(default_factory=dict)
     kernel: Optional[Callable[..., ValidationResult]] = None
+
+    def __post_init__(self) -> None:
+        if not (self.labels_nodes or self.labels_edges):
+            raise ValueError(f"problem {self.name!r} labels neither nodes nor edges")
 
     def validate(
         self,

@@ -3,9 +3,9 @@
 Every on-disk or over-the-wire artifact this repo produces carries a
 ``name/vN`` schema string so readers can refuse payloads they don't speak:
 the service's job language, sqlite store and graph-cache payload, the
-resilient sweep's checkpoint journal, and the lint baseline and report.
-Those strings are *contracts* — a drifted literal silently breaks resume,
-store validation, or a baseline load without failing a unit test.
+resilient sweep's checkpoint journal, and the lint report.  Those strings
+are *contracts* — a drifted literal silently breaks resume, store
+validation, or a report reader without failing a unit test.
 
 This module is therefore the only place in ``src/repro`` allowed to spell
 a schema literal out; everything else imports the constant.  The rule is
@@ -28,7 +28,6 @@ __all__ = [
     "SWEEP_CHECKPOINT",
     "SWEEP_CHECKPOINT_V2",
     "GRAPH_CACHE",
-    "LINT_BASELINE",
     "LINT_REPORT",
     "ALL_SCHEMAS",
 ]
@@ -62,13 +61,11 @@ SWEEP_CHECKPOINT_V2 = "sweep-checkpoint/v2"
 #: layout.
 GRAPH_CACHE = "graph-cache/v2"
 
-#: Grandfathered-findings file consumed by ``python -m repro.lint``
-#: (:mod:`repro.lint.baseline`).
-LINT_BASELINE = "lint-baseline/v1"
-
 #: JSON report emitted by ``python -m repro.lint --format=json``
-#: (:mod:`repro.lint.cli`).
-LINT_REPORT = "lint-report/v1"
+#: (:mod:`repro.lint.cli`).  v2: the rules and the findings; v1 also
+#: carried a ``baselined`` count and ``expired`` entries, from a
+#: grandfathered-findings file the checker no longer reads.
+LINT_REPORT = "lint-report/v2"
 
 #: Every schema identifier this code base speaks, keyed by a short slug.
 ALL_SCHEMAS: Mapping[str, str] = {
@@ -77,6 +74,5 @@ ALL_SCHEMAS: Mapping[str, str] = {
     "sweep_checkpoint": SWEEP_CHECKPOINT,
     "sweep_checkpoint_v2": SWEEP_CHECKPOINT_V2,
     "graph_cache": GRAPH_CACHE,
-    "lint_baseline": LINT_BASELINE,
     "lint_report": LINT_REPORT,
 }

@@ -13,9 +13,7 @@ AST.
 Usage::
 
     python -m repro.lint                         # lint src/repro, text report
-    python -m repro.lint --baseline lint-baseline.json
     python -m repro.lint --format=json path/...  # structured report
-    python -m repro.lint --write-baseline        # grandfather current findings
 
 Rules (see ``docs/lint.md`` for the invariant each one encodes):
 
@@ -35,11 +33,11 @@ REP007    buffered ``out=`` — no ``compress(out=)`` or ``take(out=)``
           outside ``mode="clip"``/``"wrap"`` in hot-path modules
 ========  ==============================================================
 
-A finding is suppressed by a trailing (or immediately preceding) comment
-``# repro-lint: allow[REP00X] <why>`` — the sanctioned escape hatch for
-documented exceptions such as the block-PCG64 helpers and the networkx
-reference validators.  Findings that predate a rule live in the committed
-``lint-baseline.json`` (format ``lint-baseline/v1``) with a justification.
+A finding is suppressed only by a trailing (or immediately preceding)
+comment ``# repro-lint: allow[REP00X] <why>``, which carries its reason at
+the line it excuses — the sanctioned escape hatch for documented
+exceptions such as the block-PCG64 helpers and the networkx reference
+validators.  Any other finding fails the run.
 
 Dependency discipline mirrors ``repro.service``: standard library
 (``ast``, ``json``, ``argparse``) plus repo modules only.
@@ -47,13 +45,11 @@ Dependency discipline mirrors ``repro.service``: standard library
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding
 from repro.lint.framework import LintRunner, ModuleSource, Rule, lint_paths
 from repro.lint.rules import DEFAULT_RULES, rule_by_id
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintRunner",
     "ModuleSource",

@@ -1,20 +1,15 @@
 """Structured finding rows produced by the checker.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are the interchange between the framework, the baseline, and both report
-formats, so their JSON shape is part of the ``lint-report/v1`` contract
+are the interchange between the framework and both report formats, so
+their JSON shape is part of the ``lint-report/v2`` contract
 (:data:`repro.core.schemas.LINT_REPORT`).
-
-Baseline matching deliberately keys on the *stripped source line text*
-(:attr:`Finding.snippet`) rather than the line number: grandfathered
-findings survive unrelated edits above them, and a baseline entry expires
-exactly when the offending line itself changes or disappears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 __all__ = ["Finding"]
 
@@ -33,15 +28,11 @@ class Finding:
     rule: str
     #: Human-readable statement of the violation (one sentence).
     message: str
-    #: The offending physical line, stripped — the baseline match key.
+    #: The offending physical line, stripped.
     snippet: str = ""
 
-    def key(self) -> Tuple[str, str, str]:
-        """Identity used for baseline matching (line numbers may drift)."""
-        return (self.rule, self.path, self.snippet)
-
     def to_row(self) -> Dict[str, object]:
-        """The JSON row shape of the ``lint-report/v1`` / baseline formats."""
+        """The JSON row shape of the ``lint-report/v2`` format."""
         return {
             "rule": self.rule,
             "path": self.path,

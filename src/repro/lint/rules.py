@@ -6,7 +6,7 @@ one and links back to ROADMAP's standing-invariants item and the seed
 schedules in ``docs/seed-schedules.md``.  Rules are deliberately syntactic
 and conservative: they flag the patterns that have actually bitten (or
 nearly bitten) this code base, and the ``# repro-lint: allow[...]``
-comment plus the committed baseline absorb the documented exceptions.
+comment absorbs the documented exceptions.
 """
 
 from __future__ import annotations

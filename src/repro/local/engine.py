@@ -136,7 +136,6 @@ class BatchState:
       rounds (int64, ``-1`` = uncommitted) and committed values,
     * ``edge_rounds`` / ``edge_values`` — the same per canonical edge slot,
       ``(T, m)``,
-    * ``halted`` — ``(T, n)`` bool mask of nodes that stopped participating,
     * ``messages`` — per-trial cumulative point-to-point message counts.
 
     Only the side the algorithm labels is allocated.  The other side's
@@ -150,7 +149,6 @@ class BatchState:
         "node_values",
         "edge_rounds",
         "edge_values",
-        "halted",
         "messages",
         "extra",
     )
@@ -167,7 +165,6 @@ class BatchState:
         self.edge_values: Optional[np.ndarray] = (
             np.zeros((trials, m), dtype=bool) if edges else None
         )
-        self.halted = np.zeros((trials, n), dtype=bool)
         self.messages = np.zeros(trials, dtype=np.int64)
         self.extra: dict = {}
 
@@ -290,10 +287,6 @@ class ArrayAlgorithm:
     #: Human-readable name recorded on the trace (match the coroutine twin).
     name: str = "array-algorithm"
 
-    #: Which entity kind(s) the algorithm commits outputs for.
-    labels_nodes: bool = False
-    labels_edges: bool = False
-
     #: Whether :meth:`step_batch` accepts a ``faults`` view and implements
     #: the crash/drop/delay semantics.  The engine refuses fault schedules
     #: for algorithms that do not opt in.
@@ -372,13 +365,12 @@ class ArrayEngine:
 
     The array twin of :class:`~repro.local.runner.Runner`: same constructor
     knobs (``max_rounds``, ``strict``), same completion semantics (node- /
-    edge-labelling problems complete when every node / edge committed,
-    problems labelling neither when every node halted), same strict-mode
-    :class:`~repro.local.runner.RoundLimitExceeded`.  :meth:`run` and
-    :meth:`run_batch` hand the network itself to the kernels, which read
-    its read-only endpoint, degree and identifier arrays, so a call builds
-    no per-network structure and the engine holds no reference to a
-    network after the call returns.
+    edge-labelling problems complete when every node / edge committed),
+    same strict-mode :class:`~repro.local.runner.RoundLimitExceeded`.
+    :meth:`run` and :meth:`run_batch` hand the network itself to the
+    kernels, which read its read-only endpoint, degree and identifier
+    arrays, so a call builds no per-network structure and the engine holds
+    no reference to a network after the call returns.
 
     Kernel scratch comes from one :class:`ScratchArena` that lives as long
     as the engine and is handed to every
@@ -614,8 +606,7 @@ class ArrayEngine:
         answers when it can.  Under faults (``view``), crash excusals mirror
         the runner's ``_CompletionTracker``: uncommitted nodes only block
         completion while alive, uncommitted edges only while both endpoints
-        are alive, and halting-only problems complete when every node has
-        halted or crashed.
+        are alive.
         """
         labels_nodes, labels_edges = problem.labels_nodes, problem.labels_edges
         if view is None:
@@ -629,8 +620,6 @@ class ArrayEngine:
                 complete &= batch.node_rounds.min(axis=1) >= 0
             if labels_edges and batch.edge_rounds.size:
                 complete &= batch.edge_rounds.min(axis=1) >= 0
-            if not labels_nodes and not labels_edges:
-                complete &= batch.halted.all(axis=1)
             return complete
         alive = view.alive
         complete = np.ones(batch.trials, dtype=bool)
@@ -640,8 +629,6 @@ class ArrayEngine:
             us, vs = network.edge_endpoints()
             live = alive[us] & alive[vs]
             complete &= ~((batch.edge_rounds < 0) & live).any(axis=1)
-        if not labels_nodes and not labels_edges:
-            complete &= (batch.halted | ~alive).all(axis=1)
         return complete
 
     @staticmethod

@@ -114,8 +114,9 @@ class _CompletionTracker:
 
     * node-labelling problems are complete when every node committed,
     * edge-labelling problems are complete when every edge has at least one
-      endpoint that committed it,
-    * problems labelling neither are complete when every node halted.
+      endpoint that committed it.
+
+    Halt events only tell the runner when to shrink its active set.
     """
 
     __slots__ = (
@@ -247,13 +248,11 @@ class _CompletionTracker:
                     self._edge_decided[index] = 1
                     self._pending_edges -= 1
 
-    def is_complete(self, unhalted: int) -> bool:
+    def is_complete(self) -> bool:
         if self.labels_nodes and self._pending_nodes:
             return False
         if self.labels_edges and self._pending_edges:
             return False
-        if not self.labels_nodes and not self.labels_edges:
-            return unhalted == 0
         return True
 
 
@@ -491,7 +490,7 @@ class Runner:
             return _recovery_round_entry(tracker, nodes, network, problem)
 
         rounds_executed = 0
-        completed = tracker.is_complete(len(active)) and rounds_executed >= final_crash
+        completed = tracker.is_complete() and rounds_executed >= final_crash
         send = algorithm.send
         receive = algorithm.receive
         # Coroutine algorithms store their pending outbox in a node slot and
@@ -694,9 +693,7 @@ class Runner:
                         still_active.append(node)
                 active = still_active
 
-            completed = (
-                tracker.is_complete(len(active)) and rounds_executed >= final_crash
-            )
+            completed = tracker.is_complete() and rounds_executed >= final_crash
             if recorder is not None:
                 changes = tracker.changes
                 recorder.record(

@@ -21,6 +21,7 @@ from typing import Dict, List
 import networkx as nx
 
 from repro.algorithms.mis.sequential import greedy_independent_set_lower_bound
+from repro.core.errors import ValidationFailed
 from repro.graphs.girth import nodes_with_tree_like_view
 from repro.lowerbound.base_graph import ClusterTreeGraph
 
@@ -107,7 +108,8 @@ def max_covered_fraction_of_s0(gk: ClusterTreeGraph) -> float:
     covered = 0
     for child in skeleton.children(skeleton.c0):
         psi = skeleton.psi(child)
-        assert psi is not None
+        if psi is None:
+            raise ValidationFailed(f"skeleton node {child} has no self-loop exponent")
         cluster_size = len(gk.clusters[child])
         independent_bound = cluster_size // (gk.beta**psi)
         covered += independent_bound * (gk.beta**psi)

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
+from repro.core.errors import ValidationFailed
 from repro.lowerbound.cluster_tree import ClusterTreeSkeleton
 
 __all__ = ["ClusterTreeGraph", "build_base_graph"]
@@ -97,16 +98,18 @@ class ClusterTreeGraph:
             return psi, True
         if self.skeleton.parent(cv) == cu:
             exponent = self.skeleton.node(cv).attach_exponent
-            assert exponent is not None
+            if exponent is None:
+                raise ValidationFailed(f"skeleton node {cv} has no attach exponent")
             return exponent, False
         if self.skeleton.parent(cu) == cv:
             psi = self.skeleton.psi(cu)
-            assert psi is not None
+            if psi is None:
+                raise ValidationFailed(f"skeleton node {cu} has no self-loop exponent")
             return psi, False
         raise ValueError(f"vertices {u} and {v} lie in non-adjacent clusters {cu}, {cv}")
 
     def validate_degrees(self) -> None:
-        """Check that every prescribed biregular degree holds exactly."""
+        """Raise ``ValidationFailed`` unless every prescribed biregular degree holds exactly."""
         beta = self.beta
         for u, v, exponent, doubled in self.skeleton.directed_edges():
             required = (2 if doubled else 1) * beta**exponent
@@ -116,7 +119,7 @@ class ClusterTreeGraph:
                     1 for w in self.graph.neighbors(vertex) if w in target_cluster
                 )
                 if neighbors != required:
-                    raise AssertionError(
+                    raise ValidationFailed(
                         f"vertex {vertex} of cluster {u} has {neighbors} neighbours in "
                         f"cluster {v}, expected {required}"
                     )
@@ -220,7 +223,8 @@ def build_base_graph(
         if node.parent is None:
             continue
         j = node.attach_exponent
-        assert j is not None
+        if j is None:
+            raise ValidationFailed(f"skeleton node {node.index} has no attach exponent")
         parent_members = clusters[node.parent]
         child_members = clusters[node.index]
         parent_group = beta ** (j + 1)

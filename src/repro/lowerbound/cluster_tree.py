@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.errors import ValidationFailed
+
 __all__ = ["SkeletonNode", "ClusterTreeSkeleton"]
 
 
@@ -166,7 +168,8 @@ class ClusterTreeSkeleton:
             if node.parent is None:
                 continue
             j = node.attach_exponent
-            assert j is not None
+            if j is None:
+                raise ValidationFailed(f"skeleton node {node.index} has no attach exponent")
             edges.append((node.parent, node.index, j, True))
             edges.append((node.index, node.parent, j + 1, False))
             edges.append((node.index, node.index, j + 1, False))
@@ -184,11 +187,13 @@ class ClusterTreeSkeleton:
         node = self._nodes[index]
         for child in node.children:
             j = self._nodes[child].attach_exponent
-            assert j is not None
+            if j is None:
+                raise ValidationFailed(f"skeleton node {child} has no attach exponent")
             counts[j] = counts.get(j, 0) + 2
         if node.parent is not None:
             psi = node.psi
-            assert psi is not None
+            if psi is None:
+                raise ValidationFailed(f"skeleton node {index} has no self-loop exponent")
             counts[psi] = counts.get(psi, 0) + 1  # edge towards the parent
             counts[psi] = counts.get(psi, 0) + 1  # self-loop
         return counts
@@ -198,34 +203,47 @@ class ClusterTreeSkeleton:
     # ------------------------------------------------------------------ #
 
     def validate(self) -> None:
-        """Raise ``AssertionError`` unless the skeleton satisfies Observation 7."""
+        """Raise ``ValidationFailed`` unless the skeleton satisfies Observation 7.
+
+        ``ValidationFailed`` is also an ``AssertionError``; the checks hold
+        under ``python -O``.
+        """
         k = self.k
         for node in self._nodes:
             if node.index == self.c0:
-                assert node.parent is None and node.attach_exponent is None
+                if node.parent is not None or node.attach_exponent is not None:
+                    raise ValidationFailed("c0 must have no parent and no attach exponent")
                 child_exponents = sorted(
                     self._nodes[c].attach_exponent for c in node.children
                 )
-                assert child_exponents == list(range(k + 1)), (
-                    f"c0 must have children for every exponent 0..{k}, got {child_exponents}"
-                )
+                if child_exponents != list(range(k + 1)):
+                    raise ValidationFailed(
+                        f"c0 must have children for every exponent 0..{k}, got {child_exponents}"
+                    )
                 continue
-            assert node.parent is not None
+            if node.parent is None:
+                raise ValidationFailed(f"skeleton node {node.index} has no parent")
             psi = node.psi
-            assert psi is not None and 1 <= psi <= k + 1
-            if node.internal:
-                assert node.attach_exponent is not None and node.attach_exponent <= k - 1, (
-                    "internal nodes are attached with exponent at most k-1"
+            if psi is None or not 1 <= psi <= k + 1:
+                raise ValidationFailed(
+                    f"skeleton node {node.index} has self-loop exponent {psi}, expected 1..{k + 1}"
                 )
+            if node.internal:
+                if node.attach_exponent > k - 1:
+                    raise ValidationFailed(
+                        "internal nodes are attached with exponent at most k-1"
+                    )
                 child_exponents = sorted(
                     self._nodes[c].attach_exponent for c in node.children
                 )
                 expected = [j for j in range(k + 1) if j != psi]
-                assert child_exponents == expected, (
-                    f"internal node {node.index} has children {child_exponents}, expected {expected}"
-                )
-            else:
-                assert not node.children, "leaves have no children"
+                if child_exponents != expected:
+                    raise ValidationFailed(
+                        f"internal node {node.index} has children {child_exponents}, "
+                        f"expected {expected}"
+                    )
+            elif node.children:
+                raise ValidationFailed(f"leaf {node.index} has children {node.children}")
 
     def summary(self) -> Dict[str, int]:
         """Headline counts (used by the Figure 1 structure benchmark)."""

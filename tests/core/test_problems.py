@@ -12,6 +12,18 @@ from repro.algorithms.mis.sequential import sequential_greedy_mis
 from repro.algorithms.matching.sequential import sequential_greedy_matching
 
 
+def test_a_problem_labels_nodes_or_edges():
+    # Completion is defined by the labelled entities: a problem labelling
+    # neither would never complete.
+    with pytest.raises(ValueError, match="labels neither nodes nor edges"):
+        problems.ProblemSpec(
+            name="nothing",
+            labels_nodes=False,
+            labels_edges=False,
+            validator=lambda *_: problems.ValidationResult(True),
+        )
+
+
 class TestMISValidation:
     def test_accepts_greedy_mis(self):
         g = nx.gnp_random_graph(30, 0.2, seed=1)

@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, JSON report schema, baseline workflow."""
+"""CLI contract: exit codes, JSON report schema, rule selection."""
 
 from __future__ import annotations
 
@@ -35,21 +35,6 @@ class TestExitCodes:
         (repo / "src" / "repro" / "core" / "mod.py").write_text(CLEAN)
         assert run(repo) == 0
 
-    def test_baselined_findings_exit_0(self, repo):
-        assert run(repo, "--write-baseline") == 0
-        assert run(repo, "--baseline") == 0
-
-    def test_stale_baseline_is_tolerated_unless_strict(self, repo):
-        run(repo, "--write-baseline")
-        (repo / "src" / "repro" / "core" / "mod.py").write_text(CLEAN)
-        assert run(repo, "--baseline") == 0
-        assert run(repo, "--baseline", "--strict-baseline") == 1
-
-    def test_missing_baseline_is_a_usage_error(self, repo):
-        with pytest.raises(SystemExit) as excinfo:
-            run(repo, "--baseline", "nope.json")
-        assert excinfo.value.code == 2
-
     def test_unknown_rule_id_is_a_usage_error(self, repo):
         with pytest.raises(SystemExit) as excinfo:
             run(repo, "--rules", "REP999")
@@ -64,7 +49,8 @@ class TestJsonReport:
         assert run(repo, "--format=json") == 1
         report = self.read_report(capsys)
         assert report["format"] == schemas.LINT_REPORT
-        assert set(report) == {"format", "rules", "findings", "baselined", "expired"}
+        assert report["format"] == "lint-report/v2"
+        assert set(report) == {"format", "rules", "findings"}
         assert set(report["rules"]) == {rule.id for rule in DEFAULT_RULES}
         (row,) = report["findings"]
         assert set(row) == {"rule", "path", "line", "col", "message", "snippet"}
@@ -72,21 +58,6 @@ class TestJsonReport:
         assert row["path"] == "src/repro/core/mod.py"
         assert row["line"] == 2
         assert row["snippet"] == "assert x"
-
-    def test_baselined_and_expired_counts(self, repo, capsys):
-        run(repo, "--write-baseline")
-        capsys.readouterr()
-        assert run(repo, "--baseline", "--format=json") == 0
-        report = self.read_report(capsys)
-        assert report["findings"] == [] and report["baselined"] == 1
-
-        (repo / "src" / "repro" / "core" / "mod.py").write_text(CLEAN)
-        assert run(repo, "--baseline", "--format=json") == 0
-        report = self.read_report(capsys)
-        assert report["baselined"] == 0
-        (expired,) = report["expired"]
-        assert expired["snippet"] == "assert x"
-        assert set(expired) == {"rule", "path", "line", "snippet", "justification"}
 
 
 class TestSelection:

@@ -15,26 +15,20 @@ import pytest
 
 from repro.analysis.sweep import CHECKPOINT_FORMAT
 from repro.core import schemas
-from repro.lint.baseline import Baseline
 from repro.lint.framework import lint_paths
 from repro.lint.rules import DEFAULT_RULES
 from repro.service.specs import SPEC_FORMAT
 from repro.service.store import RESULT_STORE_SCHEMA
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 pytestmark = pytest.mark.lint_smoke
 
 
-def test_live_tree_is_clean_modulo_baseline():
+def test_live_tree_is_clean():
     findings = lint_paths(["src/repro"], str(REPO_ROOT), list(DEFAULT_RULES))
-    new, _, expired = Baseline.load(str(BASELINE)).apply(findings)
-    assert new == [], "new lint findings:\n" + "\n".join(
-        finding.render() for finding in new
-    )
-    assert expired == [], "stale baseline entries:\n" + "\n".join(
-        f"{entry.path}: {entry.snippet!r}" for entry in expired
+    assert findings == [], "lint findings:\n" + "\n".join(
+        finding.render() for finding in findings
     )
 
 
@@ -44,14 +38,7 @@ def test_module_entry_point_is_clean():
         "PYTHONPATH", ""
     )
     result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro.lint",
-            "--baseline",
-            "--strict-baseline",
-            "--format=json",
-        ],
+        [sys.executable, "-m", "repro.lint", "--format=json"],
         cwd=str(REPO_ROOT),
         env=env,
         capture_output=True,
@@ -70,12 +57,3 @@ def test_schema_strings_resolve_to_the_constants_module():
     for slug, value in schemas.ALL_SCHEMAS.items():
         name, _, version = value.partition("/v")
         assert name and version.isdigit(), (slug, value)
-
-
-def test_baseline_entries_are_justified():
-    baseline = Baseline.load(str(BASELINE))
-    for entry in baseline.entries:
-        assert entry.justification.strip(), (
-            f"baseline entry for {entry.path} ({entry.rule}) lacks a "
-            "justification"
-        )

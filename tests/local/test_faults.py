@@ -332,7 +332,6 @@ class TestCrossEngineContract:
             def step_batch(self, round_index, batch, network, rngs, active):
                 batch.node_values[active] = True
                 batch.node_rounds[active] = round_index
-                batch.halted[active] = True
 
             def batch_complete(self, batch):
                 return None
@@ -561,7 +560,6 @@ class _GossipMaxArray(ArrayAlgorithm):
     """
 
     name = "gossip-max"
-    labels_nodes = True
     supports_faults = True
 
     def __init__(self, rounds: int) -> None:
@@ -609,7 +607,6 @@ class _GossipMaxArray(ArrayAlgorithm):
             )
             batch.node_values[t][commit] = best[commit]
             batch.node_rounds[t][commit] = round_index
-            batch.halted[t] |= commit
 
 
 class TestDelays:

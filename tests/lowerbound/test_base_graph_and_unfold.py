@@ -64,7 +64,7 @@ class TestBuildBaseGraph:
     @pytest.mark.parametrize("k,beta", [(0, 2), (0, 4), (1, 2)])
     def test_prescribed_biregular_degrees_hold(self, k, beta):
         gk = build_base_graph(k=k, beta=beta)
-        gk.validate_degrees()  # raises AssertionError on any violation
+        gk.validate_degrees()  # raises ValidationFailed (an AssertionError) on any violation
         assert max(d for _, d in gk.graph.degree()) <= gk.max_degree_bound()
 
     def test_edge_labels_are_direction_dependent(self):

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -243,3 +249,50 @@ class TestBaseGraph:
         assert gk.special_cluster(0) and gk.special_cluster(1)
         with pytest.raises(ValueError):
             gk.special_cluster(2)
+
+
+#: Malformed lower-bound structures, each built and checked in a
+#: ``python -O`` interpreter, where ``assert`` statements are stripped.
+BROKEN_STRUCTURES = {
+    "leaf-with-a-child": """
+        skeleton = ClusterTreeSkeleton(1)
+        skeleton._add_node(parent=skeleton.leaves()[0], attach_exponent=0)
+        skeleton.validate()
+    """,
+    "wrong-child-exponent": """
+        skeleton = ClusterTreeSkeleton(2)
+        v = next(v for v in skeleton.internal_nodes() if v != skeleton.c0)
+        skeleton.node(skeleton.children(v)[0]).attach_exponent = skeleton.psi(v)
+        skeleton.validate()
+    """,
+    "wrong-cluster-degree": """
+        gk = build_base_graph(k=0, beta=2)
+        u = gk.clusters[gk.skeleton.c0][0]
+        gk.graph.remove_edge(u, next(iter(gk.graph.neighbors(u))))
+        gk.validate_degrees()
+    """,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_STRUCTURES))
+def test_checks_survive_python_O(case):
+    """Observation 7 and the biregular degrees are checked under ``-O`` too."""
+    script = (
+        "import sys\n"
+        "from repro.core.errors import ValidationFailed\n"
+        "from repro.lowerbound.base_graph import build_base_graph\n"
+        "from repro.lowerbound.cluster_tree import ClusterTreeSkeleton\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "try:\n"
+        + textwrap.indent(textwrap.dedent(BROKEN_STRUCTURES[case]).strip(), "    ")
+        + "\nexcept AssertionError as error:\n"
+        "    print(type(error).__name__, isinstance(error, ValidationFailed))\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["optimize 1", "ValidationFailed True"]
