@@ -273,6 +273,20 @@ class TestExperimentFacade:
         assert [run.name for run in result] == ["cycle", "path"]
         assert [run.network.n for run in result] == [12, 10]
 
+    def test_graph_i_draws_its_identifiers_with_seed_i(self):
+        from repro.core.experiment import Experiment, resolve_network
+        from repro.graphs import generators as gen
+
+        result = Experiment(
+            problem=problems.MIS,
+            algorithm=LubyMIS,
+            graphs=[gen.cycle_edges(40), gen.cycle_edges(40)],
+            seeds=[0],
+        ).run()
+        expected = [resolve_network(gen.cycle_edges(40), seed=i).identifiers for i in range(2)]
+        assert [run.network.identifiers for run in result] == expected
+        assert expected[0] != expected[1]
+
     def test_problem_and_algorithm_factories_receive_network(self, small_network):
         from repro.core.experiment import Experiment
 

@@ -35,10 +35,30 @@ class TestExitCodes:
         (repo / "src" / "repro" / "core" / "mod.py").write_text(CLEAN)
         assert run(repo) == 0
 
+    def test_inline_allow_comment_suppresses_the_finding(self, repo, capsys):
+        # The one suppression mechanism: the reason sits at the excused line.
+        (repo / "src" / "repro" / "core" / "mod.py").write_text(
+            "def f(x):\n"
+            "    assert x  # repro-lint: allow[REP006] checked by the caller\n"
+            "    return x\n"
+        )
+        assert run(repo, "--format=json") == 0
+        assert json.loads(capsys.readouterr().out)["findings"] == []
+
     def test_unknown_rule_id_is_a_usage_error(self, repo):
         with pytest.raises(SystemExit) as excinfo:
             run(repo, "--rules", "REP999")
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", ["--baseline", "--write-baseline", "--strict-baseline"]
+    )
+    def test_baseline_flags_are_usage_errors(self, repo, flag):
+        # No file of grandfathered findings exists to read or write.
+        with pytest.raises(SystemExit) as excinfo:
+            run(repo, flag)
+        assert excinfo.value.code == 2
+        assert not (repo / "lint-baseline.json").exists()
 
 
 class TestJsonReport:

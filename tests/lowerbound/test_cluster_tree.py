@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ReproError, ValidationFailed
 from repro.lowerbound.base_graph import build_base_graph
-from repro.lowerbound.cluster_tree import ClusterTreeSkeleton
+from repro.lowerbound.cluster_tree import ClusterTreeSkeleton, SkeletonNode
 
 
 class TestSkeletonStructure:
@@ -249,6 +250,93 @@ class TestBaseGraph:
         assert gk.special_cluster(0) and gk.special_cluster(1)
         with pytest.raises(ValueError):
             gk.special_cluster(2)
+
+
+def _dangling_node(skeleton, attach_exponent, internal=False):
+    """Append a node under the first leaf without listing it as a child.
+
+    The leaf keeps no children, so ``validate()`` reaches the new node's own
+    checks, which come last in index order.
+    """
+    node = SkeletonNode(
+        index=len(skeleton),
+        parent=skeleton.leaves()[0],
+        attach_exponent=attach_exponent,
+        internal=internal,
+    )
+    skeleton._nodes.append(node)
+    return node
+
+
+def _c0_with_a_parent(skeleton):
+    skeleton.node(skeleton.c0).parent = skeleton.c1
+
+
+def _c0_missing_an_exponent(skeleton):
+    skeleton.node(skeleton.c0).children.pop()
+
+
+def _orphan(skeleton):
+    skeleton.node(skeleton.leaves()[0]).parent = None
+
+
+def _self_loop_exponent_out_of_range(skeleton):
+    _dangling_node(skeleton, attach_exponent=skeleton.k + 1)
+
+
+def _internal_attached_too_high(skeleton):
+    _dangling_node(skeleton, attach_exponent=skeleton.k, internal=True)
+
+
+def _leaf_with_a_child(skeleton):
+    skeleton._add_node(parent=skeleton.leaves()[0], attach_exponent=0)
+
+
+def _wrong_child_exponent(skeleton):
+    v = next(v for v in skeleton.internal_nodes() if v != skeleton.c0)
+    skeleton.node(skeleton.children(v)[0]).attach_exponent = skeleton.psi(v)
+
+
+#: One malformed skeleton per check of ``validate()``, with the message it raises.
+OBSERVATION7_VIOLATIONS = [
+    (_c0_with_a_parent, "c0 must have no parent"),
+    (_c0_missing_an_exponent, "c0 must have children for every exponent"),
+    (_orphan, "has no parent"),
+    (_self_loop_exponent_out_of_range, "self-loop exponent 4, expected 1..3"),
+    (_internal_attached_too_high, "attached with exponent at most k-1"),
+    (_leaf_with_a_child, "leaf .* has children"),
+    (_wrong_child_exponent, "internal node .* has children"),
+]
+
+
+class TestObservation7Violations:
+    """Each Observation 7 check of ``validate()`` raises ``ValidationFailed``."""
+
+    @pytest.mark.parametrize(
+        "break_skeleton,message",
+        OBSERVATION7_VIOLATIONS,
+        ids=[case.__name__.strip("_") for case, _ in OBSERVATION7_VIOLATIONS],
+    )
+    def test_violation_raises_validation_failed(self, break_skeleton, message):
+        skeleton = ClusterTreeSkeleton(2)
+        break_skeleton(skeleton)
+        with pytest.raises(ValidationFailed, match=message) as excinfo:
+            skeleton.validate()
+        assert isinstance(excinfo.value, ReproError)
+        assert isinstance(excinfo.value, AssertionError)
+
+    def test_directed_edges_refuse_a_node_without_attach_exponent(self):
+        skeleton = ClusterTreeSkeleton(1)
+        node = _dangling_node(skeleton, attach_exponent=None)
+        with pytest.raises(ValidationFailed, match=f"node {node.index} has no attach exponent"):
+            skeleton.directed_edges()
+
+    def test_out_label_counts_refuse_a_child_without_attach_exponent(self):
+        skeleton = ClusterTreeSkeleton(1)
+        child = skeleton.children(skeleton.c0)[0]
+        skeleton.node(child).attach_exponent = None
+        with pytest.raises(ValidationFailed, match=f"node {child} has no attach exponent"):
+            skeleton.out_label_counts(skeleton.c0)
 
 
 #: Malformed lower-bound structures, each built and checked in a
