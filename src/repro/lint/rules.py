@@ -580,7 +580,7 @@ class ResourceRule(Rule):
 
 class ErrorTaxonomyRule(Rule):
     """REP006: runtime failures raise repro.core.errors kinds, not
-    ``raise Exception``/``assert``."""
+    ``raise Exception``/``raise AssertionError``/``assert``."""
 
     id = "REP006"
     title = "error taxonomy: bare Exception/assert for a runtime failure"
@@ -596,6 +596,7 @@ class ErrorTaxonomyRule(Rule):
             if isinstance(target, ast.Name) and target.id in {
                 "Exception",
                 "BaseException",
+                "AssertionError",
             }:
                 yield module.finding(
                     node,

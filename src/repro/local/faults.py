@@ -13,7 +13,8 @@ A :class:`FaultSchedule` describes an adversary for one execution:
 * **seeded message drops/delays** — every directed message of round ``r``
   is independently dropped with probability ``drop_rate`` or delayed by one
   round with probability ``delay_rate``.  Both engines honour delays: the
-  coroutine runner re-queues the concrete payload, the array engine exposes
+  coroutine runner takes the concrete payload back out of its target's
+  inbox and re-queues it (see *Fault events* below), the array engine exposes
   the equivalent ``late_uv`` / ``late_vu`` carry masks on
   :class:`RoundFaults` for fault-aware array algorithms.  A delayed message
   is delivered together with round ``r + 1``'s messages, so a fresh
@@ -65,8 +66,12 @@ Fault events.  A view's ``events`` are derived *purely from the schedule*
 (crash rounds + fate block + topology), never from engine state: a
 drop/delay event is recorded iff the fate block selects the direction
 **and** neither endpoint has crashed by that round — whether or not the
-source actually had a message to send.  The events describe the adversary,
-not observed message loss; because both engines record the events of the
+source actually had a message to send.  The coroutine runner applies drops
+and delays from these events, after its one send loop: an event takes the
+message its source sent along its direction back out of the target's inbox
+(a delay queues it for the next round), and an event whose source sent
+nothing changes nothing.  So the events still describe the adversary, not
+observed message loss; because both engines record the events of the
 views they query, one per executed round, their recorded events are
 identical by construction (differential tests pin this).
 """

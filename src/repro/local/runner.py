@@ -25,9 +25,13 @@ of every node and edge.
 Faults.  Under a :class:`~repro.local.faults.FaultSchedule` the round loop
 asks the schedule once per round, ``round_faults(round, network, view)``,
 passing the view it got for the round before, the same query the array
-engine makes.  The view's ``newly_crashed`` land at the round's start,
-its ``fates`` block decides each message's drop or delay, and its
-``events`` go to the trace, so both engines record the same events.
+engine makes.  The view's ``newly_crashed`` land at the round's start
+and its ``events`` go to the trace, so both engines record the same
+events.  The runner applies drops and delays from those events too, after
+its one send loop: each drop or delay event takes the message its source
+sent along its direction back out of the target's inbox, and a delay
+queues it for the next round.  The events still describe the adversary,
+not observed loss: an event whose source sent nothing changes nothing.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ __all__ = ["Runner", "RoundLimitExceeded", "estimate_message_bits"]
 
 
 _BASE_SEED = _random.Random.seed
+
+#: Inbox placeholder of a delayed message during the sends of the round it
+#: arrives in; replaced by its payload before the inboxes are processed.
+_LATE = object()
 
 
 def _reseed(rng: random.Random, key: int) -> None:
@@ -426,14 +434,15 @@ class Runner:
 
         Faults are applied in a fixed order per round: crashes at the round
         start (a node crashing at round ``r`` sends nothing at ``r``), then
-        the previous round's delayed messages are delivered (so a fresh
-        round-``r`` message from the same source overwrites them), then
-        sends with per-directed-edge drop/delay fates from the round view's
-        block, the schedule's documented per-round PCG64 draw.  A round
-        without message fates (every fault-free round, and every round of
-        a crash-only schedule) runs the fate-free send loop, so the
-        per-message path of a fault-free run carries no fault branch.
-        Node randomness is seeded the same way with or without a schedule.
+        the previous round's delayed messages take their inbox slots as
+        placeholders (so a fresh round-``r`` message from the same source
+        overwrites one in place), then the one send loop delivers every
+        message; its per-message path carries no fault branch.  After it,
+        each drop or delay event of the round's view takes its message back
+        out of the target's inbox, restoring the source's placeholder if it
+        had one and queuing the message for the next round if delayed, and
+        the placeholders left receive their payloads.  Node randomness is
+        seeded the same way with or without a schedule.
 
         Self-stabilising runs under a schedule record their recovery
         timeline through a :class:`~repro.core.metrics.RecoveryRecorder`.
@@ -466,11 +475,12 @@ class Runner:
             inbox_of[node.vertex] = {}
         seen_halt_events = tracker.halt_events
 
-        n = network.n
         fault_events: List[FaultEvent] = []
-        # Messages delayed by one round: (target, source, payload), delivered
-        # before the next round's sends.
-        delayed_messages: List[Tuple[int, int, Any]] = []
+        # Messages delayed by one round, (target, source) -> payload, in the
+        # order of the round's delay events: ascending directed slot, and so
+        # (the slots being in lexicographic edge order) ascending source per
+        # target, the order the sources sent them in.
+        delayed_messages: Dict[Tuple[int, int], Any] = {}
         # Self-stabilising executions under a schedule keep running until
         # the last scheduled crash has landed (an output-complete
         # configuration before that is not stable — the adversary will
@@ -479,10 +489,8 @@ class Runner:
         selfstab = bool(getattr(algorithm, "self_stabilizing", False))
         recorder: Optional[RecoveryRecorder] = None
         view: Optional[RoundFaults] = None
-        if faults is not None:
-            packed = network._packed_edge_index() if faults.has_message_faults else None
-            if selfstab:
-                recorder = RecoveryRecorder(faults.crashes)
+        if faults is not None and selfstab:
+            recorder = RecoveryRecorder(faults.crashes)
         final_crash = 0 if recorder is None else recorder.final_crash
         seen_changes = tracker.changes
 
@@ -510,7 +518,6 @@ class Runner:
         while not completed and rounds_executed < self.max_rounds:
             current_round = rounds_executed + 1
             newly_crashed: Tuple[int, ...] = ()
-            fates_list = None
 
             if faults is not None:
                 # Crash-stop faults land at the start of the round: the
@@ -537,120 +544,82 @@ class Runner:
                     active = [node for node in active if not node._crashed]
 
                 fault_events.extend(view.events)
-                if view.fates is not None:
-                    fates_list = view.fates.tolist()
 
                 # Last round's delayed messages arrive with this round's
-                # batch; delivering them first lets a newer message from the
-                # same source overwrite, and dead/halted targets (inbox
-                # None) lose them silently.
-                if delayed_messages:
-                    for target, source, payload in delayed_messages:
-                        box = inbox_of[target]
-                        if box is not None:
-                            box[source] = payload
-                    delayed_messages = []
+                # batch.  They take their inbox slots before the sends, as
+                # placeholders, so that a fresh message from the same source
+                # overwrites one in place (inbox order is observable), and
+                # dead/halted targets (inbox None) lose them silently.
+                late, delayed_messages = delayed_messages, {}
+                for target, source in late:
+                    box = inbox_of[target]
+                    if box is not None:
+                        box[source] = _LATE
 
             # Phase 1: every participating node produces its messages based on
             # its state after `rounds_executed` rounds.
-            if fates_list is None:
-                for node in active:
-                    outgoing = node._coro_outbox if direct_outbox else send(node)
-                    if not outgoing:
-                        continue
-                    source = node.vertex
-                    if type(outgoing) is Broadcast:
-                        # Full-neighbourhood broadcast: targets are valid by
-                        # construction, no per-message dict or validation
-                        # needed.
-                        payload = outgoing.payload
-                        neighbors = node.neighbors
-                        total_messages += len(neighbors)
-                        if track_bits:
-                            max_message_bits = max(
-                                max_message_bits, estimate_message_bits(payload)
-                            )
-                        for target in neighbors:
-                            box = inbox_of[target]
-                            if box is not None:
-                                box[source] = payload
-                        continue
-                    neighbor_set = node._neighbor_set
-                    for target, payload in outgoing.items():
-                        if target not in neighbor_set:
-                            raise ValueError(
-                                f"node {source} attempted to send to non-neighbour {target}"
-                            )
-                        total_messages += 1
-                        if track_bits:
-                            max_message_bits = max(
-                                max_message_bits, estimate_message_bits(payload)
-                            )
-                        box = inbox_of[target]
-                        if box is not None:
-                            box[source] = payload
-            else:
-                # Counts are charged at the sender (a dropped message was
-                # still sent); drops and delays apply per directed edge slot
-                # via the schedule's fate block.
-                for node in active:
-                    outgoing = node._coro_outbox if direct_outbox else send(node)
-                    if not outgoing:
-                        continue
-                    source = node.vertex
-                    if type(outgoing) is Broadcast:
-                        payload = outgoing.payload
-                        neighbors = node.neighbors
-                        total_messages += len(neighbors)
-                        if track_bits:
-                            max_message_bits = max(
-                                max_message_bits, estimate_message_bits(payload)
-                            )
-                        for target in neighbors:
-                            key = (
-                                source * n + target
-                                if source < target
-                                else target * n + source
-                            )
-                            fate = fates_list[
-                                2 * packed[key] + (0 if source < target else 1)
-                            ]
-                            if fate == 1:
-                                continue
-                            if fate == 2:
-                                delayed_messages.append((target, source, payload))
-                                continue
-                            box = inbox_of[target]
-                            if box is not None:
-                                box[source] = payload
-                        continue
-                    neighbor_set = node._neighbor_set
-                    for target, payload in outgoing.items():
-                        if target not in neighbor_set:
-                            raise ValueError(
-                                f"node {source} attempted to send to non-neighbour {target}"
-                            )
-                        total_messages += 1
-                        if track_bits:
-                            max_message_bits = max(
-                                max_message_bits, estimate_message_bits(payload)
-                            )
-                        key = (
-                            source * n + target
-                            if source < target
-                            else target * n + source
+            for node in active:
+                outgoing = node._coro_outbox if direct_outbox else send(node)
+                if not outgoing:
+                    continue
+                source = node.vertex
+                if type(outgoing) is Broadcast:
+                    # Full-neighbourhood broadcast: targets are valid by
+                    # construction, no per-message dict or validation
+                    # needed.
+                    payload = outgoing.payload
+                    neighbors = node.neighbors
+                    total_messages += len(neighbors)
+                    if track_bits:
+                        max_message_bits = max(
+                            max_message_bits, estimate_message_bits(payload)
                         )
-                        fate = fates_list[
-                            2 * packed[key] + (0 if source < target else 1)
-                        ]
-                        if fate == 1:
-                            continue
-                        if fate == 2:
-                            delayed_messages.append((target, source, payload))
-                            continue
+                    for target in neighbors:
                         box = inbox_of[target]
                         if box is not None:
                             box[source] = payload
+                    continue
+                neighbor_set = node._neighbor_set
+                for target, payload in outgoing.items():
+                    if target not in neighbor_set:
+                        raise ValueError(
+                            f"node {source} attempted to send to non-neighbour {target}"
+                        )
+                    total_messages += 1
+                    if track_bits:
+                        max_message_bits = max(
+                            max_message_bits, estimate_message_bits(payload)
+                        )
+                    box = inbox_of[target]
+                    if box is not None:
+                        box[source] = payload
+
+            if faults is not None:
+                # Counts were charged at the sender (a dropped message was
+                # still sent).  A drop or delay event whose target's inbox
+                # holds a fresh message from its source takes that message
+                # back out, queuing it when delayed; the source's stale
+                # placeholder, if any, comes back in its place.  An event
+                # whose source sent nothing finds no fresh message, and a
+                # dead or halted target (inbox None) lost the message anyway.
+                # The view lists its crash events first, one per casualty.
+                for kind, _, source, target in view.events[len(newly_crashed):]:
+                    box = inbox_of[target]
+                    payload = _LATE if box is None else box.get(source, _LATE)
+                    if payload is _LATE:
+                        continue
+                    if kind == "delay":
+                        delayed_messages[target, source] = payload
+                    if (target, source) in late:
+                        box[source] = _LATE
+                    else:
+                        del box[source]
+                # Placeholders no fresh message replaced carry last round's
+                # payloads.
+                for (target, source), payload in late.items():
+                    box = inbox_of[target]
+                    if box is not None and box[source] is _LATE:
+                        box[source] = payload
 
             # Phase 2: simultaneous delivery and processing (survivors only).
             if direct_receive:

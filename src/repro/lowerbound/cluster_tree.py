@@ -202,6 +202,20 @@ class ClusterTreeSkeleton:
     # Structural validation (Observation 7)
     # ------------------------------------------------------------------ #
 
+    def _child_exponents(self, node: SkeletonNode) -> List[int]:
+        """The attach exponents of ``node``'s children, sorted.
+
+        Raises ``ValidationFailed`` naming a child that has none, which
+        ``sorted`` could not compare with the others.
+        """
+        exponents = []
+        for child in node.children:
+            j = self._nodes[child].attach_exponent
+            if j is None:
+                raise ValidationFailed(f"skeleton node {child} has no attach exponent")
+            exponents.append(j)
+        return sorted(exponents)
+
     def validate(self) -> None:
         """Raise ``ValidationFailed`` unless the skeleton satisfies Observation 7.
 
@@ -213,9 +227,7 @@ class ClusterTreeSkeleton:
             if node.index == self.c0:
                 if node.parent is not None or node.attach_exponent is not None:
                     raise ValidationFailed("c0 must have no parent and no attach exponent")
-                child_exponents = sorted(
-                    self._nodes[c].attach_exponent for c in node.children
-                )
+                child_exponents = self._child_exponents(node)
                 if child_exponents != list(range(k + 1)):
                     raise ValidationFailed(
                         f"c0 must have children for every exponent 0..{k}, got {child_exponents}"
@@ -233,9 +245,7 @@ class ClusterTreeSkeleton:
                     raise ValidationFailed(
                         "internal nodes are attached with exponent at most k-1"
                     )
-                child_exponents = sorted(
-                    self._nodes[c].attach_exponent for c in node.children
-                )
+                child_exponents = self._child_exponents(node)
                 expected = [j for j in range(k + 1) if j != psi]
                 if child_exponents != expected:
                     raise ValidationFailed(

@@ -22,7 +22,9 @@ The cross-engine parity contract under faults is deliberately layered:
 from __future__ import annotations
 
 import gc
+import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,12 +36,12 @@ from repro.core.errors import classify_failure
 from repro.core.problems import MISSING
 from repro.graphs import generators as gen
 from repro.graphs.edgelist import EdgeArrays
-from repro.local.algorithm import Broadcast
+from repro.local.algorithm import Broadcast, NodeAlgorithm
 from repro.local.coroutine import CoroutineAlgorithm
 from repro.local.engine import ArrayAlgorithm, ArrayEngine, BatchState
 from repro.local.faults import FaultSchedule
 from repro.local.network import Network
-from repro.local.runner import Runner
+from repro.local.runner import Runner, estimate_message_bits
 
 
 def k2() -> Network:
@@ -763,6 +765,154 @@ class TestArrayDelayParity:
             )
             assert runner_prefix == array_prefix, f"seed {seed}"
         assert survived >= 20, f"only {survived} of 40 seeds completed on both engines"
+
+
+class _InboxProbe(NodeAlgorithm):
+    """Logs every outbox and inbox of a run; never commits.
+
+    A node broadcasts, sends a dict to some of its neighbours (in reverse
+    neighbour order) or stays silent, depending on the round, and every
+    fourth vertex halts after receiving in round ``2 + vertex % 3``.
+    Payloads name their source and round; dict payloads vary in size.
+    """
+
+    name = "inbox-probe"
+
+    def __init__(self) -> None:
+        self.sent = {}  # round -> [(source, [(target, payload), ...]), ...]
+        self.received = {}  # (round, vertex) -> list(messages.items())
+        self.halted = {}  # vertex -> the round it halted in
+
+    def send(self, node):
+        r = node.round + 1
+        v = node.vertex
+        kind = (v + r) % 3
+        if kind == 0:
+            outgoing = Broadcast((v, r))
+            pairs = [(u, outgoing.payload) for u in node.neighbors]
+        elif kind == 1:
+            outgoing = {
+                u: (v, r, "x" * (u % 4))
+                for u in reversed(node.neighbors)
+                if (u + r) % 2
+            }
+            pairs = list(outgoing.items())
+        else:
+            outgoing, pairs = {}, []
+        self.sent.setdefault(r, []).append((v, pairs))
+        return outgoing
+
+    def receive(self, node, messages):
+        self.received[node.round, node.vertex] = list(messages.items())
+        if node.vertex % 4 == 1 and node.round == 2 + node.vertex % 3:
+            self.halted[node.vertex] = node.round
+            node.halt()
+
+
+def _reference_inboxes(net, fs, probe, rounds):
+    """Every inbox of the run, rebuilt message by message from the fate block.
+
+    The per-message delivery that the runner's event-driven drops and
+    delays must reproduce, each message's fate read from the round's fate
+    block: last round's delayed messages enter first, then the fresh
+    messages in send order, a fresh message overwriting its source's stale
+    one in place; a dropped message is lost, a delayed one is queued for
+    the next round, and a message whose target is crashed or halted is
+    lost.  Returns the inboxes keyed ``(round, vertex)`` and the number of
+    times each edge case happened.
+    """
+    us, vs = net.edge_endpoints()
+    slot = {}
+    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        slot[u, v], slot[v, u] = 2 * i, 2 * i + 1
+    inboxes, cases, delayed = {}, Counter(), []
+    for r in range(1, rounds + 1):
+        alive = fs.alive_mask(r, net.n)
+        boxes = {
+            v: {}
+            for v in range(net.n)
+            if alive[v] and probe.halted.get(v, rounds) >= r
+        }
+        for target, source, payload in delayed:
+            if target in boxes:
+                boxes[target][source] = payload
+            else:
+                cases["late message lost"] += 1
+        stale = {(target, source) for target, source, _ in delayed if target in boxes}
+        delayed = []
+        fates = fs.round_faults(r, net).fates
+        for source, pairs in probe.sent.get(r, []):
+            assert source in boxes, f"round {r}: {source} is crashed or halted"
+            for target, payload in pairs:
+                fate = 0 if fates is None else int(fates[slot[source, target]])
+                if target not in boxes:
+                    cases["crashed target" if not alive[target] else "halted target"] += 1
+                    if fate == 2:
+                        delayed.append((target, source, payload))
+                    continue
+                if fate and (target, source) in stale:
+                    cases["stale kept under a lost fresh message"] += 1
+                if fate == 1:
+                    continue
+                if fate == 2:
+                    delayed.append((target, source, payload))
+                    continue
+                if (target, source) in stale:
+                    cases["fresh overwrites stale"] += 1
+                boxes[target][source] = payload
+        for v, box in boxes.items():
+            inboxes[r, v] = list(box.items())
+    return inboxes, cases
+
+
+class TestInboxOrder:
+    """The runner's inboxes, message by message, against the fate block.
+
+    Inbox order is observable (randomized matching draws its marks in inbox
+    order), so each inbox must equal the per-message reference exactly, in
+    order, as must the message count and the largest message's size.
+    """
+
+    ROUNDS = 8
+
+    SCHEDULES = {
+        "crash-drop": dict(drop_rate=0.2),
+        "crash-delay": dict(delay_rate=0.3),
+        "crash-drop-delay": dict(drop_rate=0.15, delay_rate=0.25),
+    }
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_inboxes_match_the_per_message_reference(self, schedule):
+        cases = Counter()
+        for seed in range(6):
+            net = Network.from_edge_arrays(gen.fast_gnp_edges(40, 3 / 39, seed=seed))
+            victims = random.Random(seed).sample(range(40), 6)
+            fs = FaultSchedule(
+                crashes={v: 1 + 2 * (i % 3) for i, v in enumerate(victims)},
+                seed=seed,
+                **self.SCHEDULES[schedule],
+            )
+            probe = _InboxProbe()
+            trace = Runner(
+                max_rounds=self.ROUNDS, strict=False, track_message_bits=True
+            ).run(probe, net, _GOSSIP, seed=seed, faults=fs)
+            assert trace.rounds == self.ROUNDS
+            expected, seen = _reference_inboxes(net, fs, probe, self.ROUNDS)
+            cases += seen
+            assert probe.received == expected, f"seed {seed}"
+            payloads = [
+                payload
+                for senders in probe.sent.values()
+                for _, pairs in senders
+                for _, payload in pairs
+            ]
+            assert trace.total_messages == len(payloads)
+            assert trace.max_message_bits == max(map(estimate_message_bits, payloads))
+        assert cases["crashed target"] and cases["halted target"]
+        if "delay" in schedule:
+            assert cases["stale kept under a lost fresh message"]
+            assert cases["fresh overwrites stale"]
+            assert cases["late message lost"]
 
 
 def _brute_crashed_by(crashes, round_index):

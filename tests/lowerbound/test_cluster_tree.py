@@ -297,6 +297,11 @@ def _wrong_child_exponent(skeleton):
     skeleton.node(skeleton.children(v)[0]).attach_exponent = skeleton.psi(v)
 
 
+def _child_without_an_exponent(skeleton):
+    # c0 is checked before its children, so c0's own check must name the child.
+    skeleton.node(skeleton.children(skeleton.c0)[1]).attach_exponent = None
+
+
 #: One malformed skeleton per check of ``validate()``, with the message it raises.
 OBSERVATION7_VIOLATIONS = [
     (_c0_with_a_parent, "c0 must have no parent"),
@@ -306,6 +311,7 @@ OBSERVATION7_VIOLATIONS = [
     (_internal_attached_too_high, "attached with exponent at most k-1"),
     (_leaf_with_a_child, "leaf .* has children"),
     (_wrong_child_exponent, "internal node .* has children"),
+    (_child_without_an_exponent, r"skeleton node \d+ has no attach exponent"),
 ]
 
 
